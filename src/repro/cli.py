@@ -46,7 +46,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import classify_execution, format_table
 from repro.api import SCHEDULER_FACTORIES, make_scheduler, run_workload
 from repro.workloads import (
     BankingConfig,
@@ -86,6 +85,8 @@ def _build_workload(args):
 
 
 def _classify(workload, result):
+    from repro.analysis import classify_execution
+
     return classify_execution(
         result.execution,
         workload.nest,
@@ -177,6 +178,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from repro.analysis import format_table
+
     workload = _build_workload(args)
     rows = []
     for name in SCHEDULERS:
@@ -221,6 +224,8 @@ def cmd_audit(args) -> int:
         payload["sha256"] = history.digest()
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if passed else 1
+    from repro.analysis import format_table
+
     nest_note = (
         "flat 2-nest (none declared)"
         if history.depth is None
@@ -255,6 +260,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_admission(args) -> int:
+    from repro.analysis import format_table
+
     workload = _build_workload(args)
     db = workload.application_database()
     rows = [

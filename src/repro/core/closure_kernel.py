@@ -57,12 +57,9 @@ and cycle witnesses never do.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import os
-
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "NUMPY_MIN_NODES",
@@ -88,17 +85,28 @@ SUPERLEVEL_RANKS = 14
 _ENV_VAR = "REPRO_CLOSURE_BACKEND"
 _CHOICES = ("auto", "numpy", "python")
 
-if _np is not None:
-    #: lowest set bit per byte value (8 for 0) — leader extraction.
-    _LOWBIT = _np.full(256, 8, dtype=_np.uint8)
-    for _v in range(1, 256):
-        _LOWBIT[_v] = (_v & -_v).bit_length() - 1
-    del _v
 
-
+@functools.cache
 def kernel_available() -> bool:
-    """Whether the numpy backend can run at all in this interpreter."""
-    return _np is not None
+    """Whether the numpy backend can run at all in this interpreter.
+
+    Answered without importing numpy: the kernel functions import it
+    when first called, so a process that never bootstraps a closure of
+    :data:`NUMPY_MIN_NODES` steps — every online window, hence the
+    whole serve path — never pays for the import.
+    """
+    return importlib.util.find_spec("numpy") is not None
+
+
+@functools.cache
+def _lowbit():
+    """Lowest set bit per byte value (8 for 0) — leader extraction."""
+    import numpy as np
+
+    table = np.full(256, 8, dtype=np.uint8)
+    for value in range(1, 256):
+        table[value] = (value & -value).bit_length() - 1
+    return table
 
 
 def backend_choice() -> str:
@@ -121,18 +129,17 @@ def default_backend() -> str:
     choice = backend_choice()
     if choice == "python":
         return "python"
-    return "numpy" if _np is not None else "python"
+    return "numpy" if kernel_available() else "python"
 
 
 def should_try(n_nodes: int) -> bool:
     """Whether :meth:`ClosureEngine.bootstrap` should attempt the
     vectorized kernel for an ``n_nodes``-step load."""
     choice = backend_choice()
-    if choice == "python" or _np is None:
+    if choice == "python":
         return False
-    if choice == "numpy":
-        return n_nodes > 0
-    return n_nodes >= NUMPY_MIN_NODES
+    floor = 1 if choice == "numpy" else NUMPY_MIN_NODES
+    return n_nodes >= floor and kernel_available()
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +155,8 @@ def _arrays_from_engine(engine):
     pointing backward (a guaranteed cycle — the Python path owns the
     witness).
     """
-    np = _np
+    import numpy as np
+
     index = engine.index
     n = len(index)
     blocks = engine._blocks
@@ -262,7 +270,8 @@ def _kahn_blocks(d):
     Returns ``(rank, n_levels)``, or ``(None, 0)`` when the block graph
     is cyclic (the closure then necessarily is too).
     """
-    np = _np
+    import numpy as np
+
     T = d["T"]
     bs = d["blk"][d["es"]]
     bd = d["blk"][d["ed"]]
@@ -302,7 +311,8 @@ def _prep_slices(es, ed, keyr):
     """Group edges into conflict-free ``(key, position)`` slices so
     ``R[u] |= R[v]`` fancy indexing never writes one row twice; returned
     as ``{key: [(u_slice, v_slice), ...]}``."""
-    np = _np
+    import numpy as np
+
     if not es.size:
         return {}
     o1 = np.lexsort((ed, es))
@@ -333,7 +343,9 @@ def _saturate(d, rank, nlev, sl_ranks=SUPERLEVEL_RANKS):
     """Run the super-level fixpoint; returns ``(R, Rb, rule_b_src,
     rule_b_tgt, inner_rounds)`` with ``R`` the padded reachability
     matrix (reflexive) and the rule-(b) edges deduplicated."""
-    np = _np
+    import numpy as np
+
+    lowbit = _lowbit()
     n, W, BY, T = d["n"], d["W"], d["BY"], d["T"]
     blk = d["blk"]
     blen = d["blen"]
@@ -419,7 +431,7 @@ def _saturate(d, rank, nlev, sl_ranks=SUPERLEVEL_RANKS):
                     tgt = (
                         fdense[blkb]
                         + (lb - bsb[blkb]) * 8
-                        + _LOWBIT[lbyte]
+                        + lowbit[lbyte]
                     )
                     M &= ~Rb[tgt]
                     R[slr] |= R[tgt]
@@ -505,7 +517,8 @@ class _LazyBits:
         self._tgt = tgt
 
     def materialize(self, index) -> None:
-        np = _np
+        import numpy as np
+
         n = self._rows.shape[0]
         bits = np.unpackbits(self._rows, axis=1, bitorder="little")[
             :, self._pad
@@ -539,8 +552,10 @@ def bootstrap_engine(engine, eager: bool = True) -> bool | None:
     not batch-loaded, cyclic closure): the caller must fall through to
     the Python path.
     """
-    if _np is None:
+    if not kernel_available():
         return None
+    import numpy as np
+
     d = _arrays_from_engine(engine)
     if d is None:
         return None
@@ -552,7 +567,7 @@ def bootstrap_engine(engine, eager: bool = True) -> bool | None:
     index = engine.index
     n = d["n"]
     if asrc.size and d["seed_keys"].size:
-        dup = _np.isin(asrc * n + atgt, d["seed_keys"])
+        dup = np.isin(asrc * n + atgt, d["seed_keys"])
         if dup.any():
             keep = ~dup
             asrc, atgt = asrc[keep], atgt[keep]

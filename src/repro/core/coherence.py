@@ -51,14 +51,15 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import TypeVar
-
-import networkx as nx
+from typing import TYPE_CHECKING, TypeVar
 
 from repro.core import closure_kernel
 from repro.core.interleaving import InterleavingSpec
 from repro.core.reach import ReachabilityIndex, iter_bits
 from repro.errors import NotAPartialOrderError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 S = TypeVar("S", bound=Hashable)
 
@@ -175,6 +176,8 @@ class ClosureResult:
     @property
     def graph(self) -> nx.DiGraph:
         if self._graph is None:
+            import networkx as nx
+
             graph: nx.DiGraph = nx.DiGraph()
             if self.index is not None:
                 graph.add_nodes_from(self.index.nodes)
@@ -191,6 +194,8 @@ class ClosureResult:
         """
         if self.index is not None and not self.index.cyclic:
             return self.index.pairs()
+        import networkx as nx
+
         out: set[tuple] = set()
         for node in self.graph.nodes:
             for desc in nx.descendants(self.graph, node):
@@ -210,6 +215,8 @@ class ClosureResult:
                 index.node_of(i)
                 for i in iter_bits(index.ancestors_mask(node))
             }
+        import networkx as nx
+
         return set(nx.ancestors(self.graph, node))
 
     def require_partial_order(self) -> None:

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Hashable, Iterable, Iterator, Sequence
-from typing import TypeVar
-
-import networkx as nx
+from typing import TYPE_CHECKING, TypeVar
 
 from repro.core.coherence import is_coherent_total_order
 from repro.core.interleaving import InterleavingSpec
 from repro.errors import NotAPartialOrderError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 S = TypeVar("S", bound=Hashable)
 
@@ -104,6 +105,8 @@ def extend_to_coherent_total_order(
         All steps of the specification in a coherent total order — the
         equivalent multilevel-atomic schedule.
     """
+    import networkx as nx
+
     graph: nx.DiGraph = nx.DiGraph()
     steps = sorted(spec.steps, key=repr)
     graph.add_nodes_from(steps)
@@ -191,6 +194,8 @@ def enumerate_coherent_extensions(
     small worked examples (Section 5.1's example has exactly two).  ``limit``
     caps the number of linearisations inspected.
     """
+    import networkx as nx
+
     graph: nx.DiGraph = nx.DiGraph()
     graph.add_nodes_from(spec.steps)
     graph.add_edges_from(spec.chain_pairs())

@@ -32,8 +32,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-import networkx as nx
-
 from repro.core.interleaving import InterleavingSpec
 from repro.core.nests import KNest
 from repro.distributed.faults import FaultPlan
@@ -41,6 +39,7 @@ from repro.distributed.migration import MigratingTransaction
 from repro.distributed.network import Message, Network
 from repro.distributed.node import DataNode
 from repro.engine.closure_window import ClosureWindow
+from repro.engine.cycles import WaitGraph
 from repro.engine.locks import LockManager, LockMode
 from repro.engine.rollback import cascade_closure, undo_plan
 from repro.errors import NetworkError
@@ -197,18 +196,17 @@ class DistributedPreventControl(NoControl):
         # Every wait must be visible to the deadlock check, whatever its
         # cause (breakpoint blocker or would-be closure cycle).
         seq.waiting_on[name] = blockers
-        graph = nx.DiGraph()
+        graph = WaitGraph()
         for waiter, blocking in seq.waiting_on.items():
             # Sorted: edge insertion order decides which cycle
             # ``find_cycle`` surfaces (hence the victim), and raw set
             # order varies with the process hash seed.
             for blocker in sorted(blocking):
                 graph.add_edge(waiter, blocker)
-        try:
-            cycle = [u for u, _ in nx.find_cycle(graph)]
-        except nx.NetworkXNoCycle:
+        cycle = graph.find_cycle()
+        if cycle is None:
             return "wait"
-        victim = max(cycle, key=seq.priority_key)
+        victim = max((u for u, _ in cycle), key=seq.priority_key)
         return ("abort", [victim])
 
     def on_performed(self, name, record, cut_levels, finished) -> None:
@@ -844,7 +842,7 @@ class Sequencer:
         )
 
     def _dep_cycle(self, name: str) -> list[str] | None:
-        graph = nx.DiGraph()
+        graph = WaitGraph()
         for (txn_name, attempt), deps in self.deps.items():
             if attempt != self.attempts[txn_name]:
                 continue
@@ -854,10 +852,8 @@ class Sequencer:
                     and dep_attempt == self.attempts[dep_name]
                 ):
                     graph.add_edge(txn_name, dep_name)
-        try:
-            return [u for u, _ in nx.find_cycle(graph, source=name)]
-        except (nx.NetworkXNoCycle, nx.NetworkXError):
-            return None
+        cycle = graph.find_cycle(source=name)
+        return None if cycle is None else [u for u, _ in cycle]
 
     # ------------------------------------------------------------------
 

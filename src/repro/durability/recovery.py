@@ -21,10 +21,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.durability.snapshot import load_latest_snapshot
-from repro.durability.wal import DECISION_TYPES, EngineWal
+from repro.durability.wal import DECISION_TYPES, EngineWal, decode_record
 from repro.errors import RecoveryError
 
 __all__ = ["RecoveryReport", "recover"]
+
+#: What recovery reads from every ``add`` record.
+_ADD_FIELDS = ("name", "spec", "arrival", "entities")
 
 
 @dataclass
@@ -47,6 +50,7 @@ class RecoveryReport:
 def recover(
     directory: str,
     *,
+    wal: EngineWal | None = None,
     programs=None,
     scheduler=None,
     nest=None,
@@ -57,6 +61,11 @@ def recover(
     profiler=None,
 ) -> RecoveryReport:
     """Recover an engine from ``directory``'s WAL (+ snapshots).
+
+    ``wal`` is the log when the caller has already opened it (opening
+    reads and CRC-scans the whole file, so the service hands over the
+    one it opened to see whether there was anything to recover);
+    otherwise it is opened here with ``snapshot_every``.
 
     ``programs`` supplies native generator programs for genesis entries
     that carry no declarative spec (the closed-system/library path —
@@ -70,54 +79,82 @@ def recover(
     from repro.core.nests import PathNest
     from repro.engine.runtime import Engine
 
-    wal = EngineWal(directory, snapshot_every=snapshot_every)
-    records = list(wal.log.records())
-    offsets = list(wal.log.offsets)
-    if not records:
+    if wal is None:
+        wal = EngineWal(directory, snapshot_every=snapshot_every)
+    durable_end = wal.log.tell()
+    payloads, offsets = wal.log.take()
+    if not payloads:
         raise RecoveryError(f"write-ahead log in {directory!r} is empty")
-    genesis = records[0]
+    genesis = decode_record(payloads[0])
     if genesis.get("t") != "genesis":
         raise RecoveryError(
             f"log does not start with a genesis record (got "
             f"{genesis.get('t')!r})"
         )
-    adds = [r for r in records if r.get("t") == "add"]
+    snap = None
+    if use_snapshot:
+        snap = load_latest_snapshot(directory, max_wal_offset=durable_end)
+    covered = snap["wal_offset"] if snap is not None else 0
 
-    # -- the workload ---------------------------------------------------
+    # -- one pass over the log ------------------------------------------
+    # Inputs (``add``) rebuild the workload whatever the snapshot
+    # covers; decisions and entity declarations matter only past it.
     table = {p.name: p for p in (programs or ())}
-    specs: dict[str, dict] = dict(genesis.get("specs", {}))
-    for add in adds:
-        specs[add["name"]] = add["spec"]
-    for name, spec in specs.items():
+    genesis_specs = genesis.get("specs", {})
+    for name, spec in genesis_specs.items():
         if name not in table:
             table[name] = ProgramSpec.from_dict(spec).compile()
     arrivals = {name: arrival for name, arrival in genesis["programs"]}
-    for add in adds:
-        arrivals[add["name"]] = add["arrival"]
+    order = [name for name, _ in genesis["programs"]]
+    build_nest = nest is None
+    if build_nest:
+        nest = PathNest(genesis.get("meta", {}).get("nest_depth", 1))
+        for name in order:
+            if name in genesis_specs:
+                nest.add(name, tuple(genesis_specs[name].get("path", ())))
+    adds: list[dict] = []
+    declared: list[list] = []
+    decisions: list[dict] = []
+    horizon = snap["tick"] if snap is not None else 0
+    for index in range(1, len(payloads)):
+        record = decode_record(payloads[index])
+        kind = record.get("t")
+        if kind == "add":
+            try:
+                name, spec, arrival, entities = (
+                    record[field] for field in _ADD_FIELDS
+                )
+            except KeyError as exc:
+                raise RecoveryError(
+                    f"add record {index} of the write-ahead log lacks "
+                    f"{exc.args[0]!r}"
+                ) from None
+            adds.append(record)
+            order.append(name)
+            arrivals[name] = arrival
+            if name not in table:
+                table[name] = ProgramSpec.from_dict(spec).compile()
+            if build_nest:
+                nest.add(name, tuple(spec.get("path", ())))
+            if offsets[index] >= covered:
+                declared.append(entities)
+        elif kind in DECISION_TYPES and offsets[index] >= covered:
+            decisions.append(record)
+            if record["tick"] > horizon:
+                horizon = record["tick"]
+    records = len(payloads)
+    del payloads, offsets
     missing = [name for name in arrivals if name not in table]
     if missing:
         raise RecoveryError(
             f"no program source for {sorted(missing)}; pass programs= "
             f"for generator workloads"
         )
-    ordered = [table[name] for name, _ in genesis["programs"]]
-    ordered += [table[add["name"]] for add in adds]
-
-    # -- scheduler ------------------------------------------------------
-    if nest is None:
-        nest = PathNest(genesis.get("meta", {}).get("nest_depth", 1))
-        for name, _ in genesis["programs"]:
-            if name in genesis.get("specs", {}):
-                nest.add(
-                    name, tuple(genesis["specs"][name].get("path", ()))
-                )
-        for add in adds:
-            nest.add(add["name"], tuple(add["spec"].get("path", ())))
     if scheduler is None:
         scheduler = make_scheduler(genesis["scheduler"], nest)
 
     engine = Engine(
-        ordered,
+        [table[name] for name in order],
         dict(genesis["initial"]),
         scheduler,
         seed=genesis["seed"],
@@ -131,40 +168,19 @@ def recover(
         profiler=profiler,
         wal=wal,
     )
-
-    # -- snapshot -------------------------------------------------------
-    snapshot_tick = None
-    suffix_from = 1  # skip genesis
-    if use_snapshot:
-        snap = load_latest_snapshot(
-            directory, max_wal_offset=wal.log.tell()
-        )
-        if snap is not None:
-            engine.restore_state(snap["state"])
-            wal.note_snapshot_tick(snap["tick"])
-            snapshot_tick = snap["tick"]
-            suffix_from = len(records)
-            for i, off in enumerate(offsets):
-                if off >= snap["wal_offset"]:
-                    suffix_from = i
-                    break
+    if snap is not None:
+        engine.restore_state(snap["state"])
+        wal.note_snapshot_tick(snap["tick"])
     # Entities declared by ingests the restored state does not cover
     # (all of them when replaying from genesis — declare is idempotent
     # and order-faithful to the live ingest path).
-    for i, record in enumerate(records):
-        if record.get("t") == "add" and (
-            snapshot_tick is None or offsets[i] >= snap["wal_offset"]
-        ):
-            for entity, value in record["entities"]:
-                engine.store.declare(entity, value)
+    for entities in declared:
+        for entity, value in entities:
+            engine.store.declare(entity, value)
 
     # -- replay ---------------------------------------------------------
-    suffix = records[suffix_from:]
-    horizon = snapshot_tick or 0
-    for record in suffix:
-        if record.get("t") in DECISION_TYPES:
-            horizon = max(horizon, record["tick"])
-    wal.begin_verify(suffix)
+    wal.begin_verify(decisions)
+    del decisions  # verify mode frees each logged decision as it matches
     if horizon > engine.tick:
         engine.advance(until_tick=horizon)
     wal.finish_verify()
@@ -176,8 +192,8 @@ def recover(
         genesis=genesis,
         adds=adds,
         horizon=horizon,
-        snapshot_tick=snapshot_tick,
+        snapshot_tick=snap["tick"] if snap is not None else None,
         truncated=wal.log.truncated,
-        records=len(records),
+        records=records,
         replayed=wal.verified,
     )

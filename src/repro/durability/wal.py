@@ -30,7 +30,7 @@ import pickle
 import struct
 import zlib
 from collections import deque
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import RecoveryError
 
@@ -156,6 +156,14 @@ class LogFile:
         for payload in self.payloads:
             yield pickle.loads(payload)
 
+    def take(self) -> tuple[list[bytes], list[int]]:
+        """Hand over the frames scanned at open time and forget them:
+        a log that lives as long as its server keeps only its write
+        cursor, not a copy of the file."""
+        scanned = self.payloads, self.offsets
+        self.payloads, self.offsets = [], []
+        return scanned
+
 
 def encode_record(record: dict) -> bytes:
     return pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
@@ -221,11 +229,10 @@ class EngineWal:
 
     # -- recovery-side setup -------------------------------------------
 
-    def begin_verify(self, records: list[dict]) -> None:
-        """Arm verify mode with the logged decision suffix to replay."""
-        self._pending = deque(
-            r for r in records if r.get("t") in DECISION_TYPES
-        )
+    def begin_verify(self, decisions: Iterable[dict]) -> None:
+        """Arm verify mode with the logged decisions to replay (records
+        of :data:`DECISION_TYPES` only, in log order)."""
+        self._pending = deque(decisions)
         self.verifying = bool(self._pending)
 
     def finish_verify(self) -> None:
@@ -241,7 +248,7 @@ class EngineWal:
     def log_genesis(self, **fields) -> None:
         """Write the genesis record on a *fresh* log; no-op when the log
         already has history (a restarted service extends its old log)."""
-        if self.log.payloads or self.log.tell() > len(MAGIC):
+        if self.log.tell() > len(MAGIC):
             return
         self.append("genesis", **fields)
         self.sync()

@@ -49,8 +49,6 @@ import pickle
 from collections.abc import Mapping
 from time import perf_counter
 
-import networkx as nx
-
 from repro.core.coherence import ClosureEngine, ClosureResult, coherent_closure
 from repro.core.interleaving import InterleavingSpec
 from repro.core.nests import KNest
@@ -601,41 +599,51 @@ class ClosureWindow:
         committed_steps = {
             s for n in committed_present for s in self._steps[n]
         }
-        graph: nx.DiGraph = nx.DiGraph()
-        if committed_present:
-            spec = InterleavingSpec(
-                self.nest.restrict(committed_present),
-                {
-                    n: BreakpointDescription.from_cut_levels(
-                        self._steps[n],
-                        self.k,
-                        {
-                            g: lv
-                            for g, lv in self._cuts.get(n, {}).items()
-                            if g < len(self._steps[n]) - 1 and lv <= self.k
-                        },
-                    )
-                    for n in committed_present
-                },
-            )
-            base = set(
-                self._entity_edges(
-                    [s for s in self._order if s in committed_steps]
+        spec = InterleavingSpec(
+            self.nest.restrict(committed_present),
+            {
+                n: BreakpointDescription.from_cut_levels(
+                    self._steps[n],
+                    self.k,
+                    {
+                        g: lv
+                        for g, lv in self._cuts.get(n, {}).items()
+                        if g < len(self._steps[n]) - 1 and lv <= self.k
+                    },
                 )
-            ) | {
-                (u, v)
-                for u, v in self._shortcut_edges
-                if u in committed_steps and v in committed_steps
-            }
-            graph = coherent_closure(spec, base).graph
+                for n in committed_present
+            },
+        )
+        base = set(
+            self._entity_edges(
+                [s for s in self._order if s in committed_steps]
+            )
+        ) | {
+            (u, v)
+            for u, v in self._shortcut_edges
+            if u in committed_steps and v in committed_steps
+        }
+        closure = coherent_closure(spec, base).index
+        nodes = closure.nodes
+        succ: dict[StepId, set[StepId]] = {n: set() for n in nodes}
+        pred: dict[StepId, set[StepId]] = {n: set() for n in nodes}
+        for u, v in closure.iter_edges():
+            succ[u].add(v)
+            pred[v].add(u)
+        # Eliminate each pruned step, bridging its predecessors to its
+        # successors so reachability among the survivors is preserved.
         for name in prunable:
             for step in self._steps[name]:
-                preds = list(graph.predecessors(step))
-                succs = list(graph.successors(step))
-                graph.remove_node(step)
-                graph.add_edges_from(
-                    (p, s) for p in preds for s in succs if p != s
-                )
+                preds = pred.pop(step)
+                succs = succ.pop(step)
+                preds.discard(step)
+                succs.discard(step)
+                for p in preds:
+                    succ[p].discard(step)
+                    succ[p].update(s for s in succs if s != p)
+                for s in succs:
+                    pred[s].discard(step)
+                    pred[s].update(p for p in preds if p != s)
         for name in prunable:
             gone = set(self._steps.pop(name))
             self._cuts.pop(name, None)
@@ -646,8 +654,10 @@ class ClosureWindow:
         remaining = set(self._order)
         self._shortcut_edges = {
             (u, v)
-            for u, v in graph.edges
-            if u in remaining and v in remaining
+            for u, outs in succ.items()
+            if u in remaining
+            for v in outs
+            if v in remaining
         }
         self._invalidate()
         wal = self.wal

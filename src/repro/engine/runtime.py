@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import heapq
 import json
 import math
 import random
@@ -298,6 +299,14 @@ class Engine:
         # engine pays per-tick cost proportional to the in-flight window,
         # not to every transaction it has ever committed.
         self._active: dict[str, TxnState] = {}
+        # The part of ``_active`` the tick loop scans for candidates:
+        # transactions whose arrival tick has been reached.  The rest
+        # wait in ``_unarrived``, a heap keyed (arrival tick, filing
+        # sequence), so a tick never pays for work that has not arrived
+        # — replaying a log registers every program up front.
+        self._arrived: dict[str, TxnState] = {}
+        self._unarrived: list[tuple[int, int, TxnState]] = []
+        self._filed = 0
         for program in programs:
             if program.name in self.txns:
                 raise EngineError(f"duplicate transaction {program.name!r}")
@@ -310,7 +319,7 @@ class Engine:
                 wake_tick=arrival,
             )
             self.txns[program.name] = state
-            self._active[program.name] = state
+            self._file(state)
         # Live (not rolled back) performed records, split by commit
         # status.  Uncommitted attempts' records stay in ``_live_log``
         # (global performance order); a committing attempt's records move
@@ -442,8 +451,23 @@ class Engine:
             wake_tick=arrival,
         )
         self.txns[program.name] = state
-        self._active[program.name] = state
+        self._file(state)
         return state
+
+    def _file(self, state: TxnState) -> None:
+        """Enter an uncommitted transaction into ``_active`` and into
+        the scanned set or the arrival queue.  A rolled-back attempt
+        counts as arrived whatever its arrival tick: a scheduler's
+        fallback victim may be a transaction that has not arrived, and
+        its backoff can end before its arrival does."""
+        self._active[state.name] = state
+        if state.arrival_tick <= self.tick or state.attempt or state.rollbacks:
+            self._arrived[state.name] = state
+        else:
+            heapq.heappush(
+                self._unarrived, (state.arrival_tick, self._filed, state)
+            )
+            self._filed += 1
 
     def advance(self, until_tick: int | None = None) -> bool:
         """Run the tick loop; True when the engine quiesced (every
@@ -473,11 +497,7 @@ class Engine:
                 raise EngineError(
                     f"engine exceeded {self.max_ticks} ticks; livelock?"
                 )
-            candidates = [
-                t
-                for t in self._active.values()
-                if t.wake_tick <= self.tick
-            ]
+            candidates = self._candidates()
             if not candidates:
                 continue
             if self.tick - self._last_progress > self.stall_limit:
@@ -523,6 +543,21 @@ class Engine:
             self._mx["ticks"].set(self.tick)
         return True
 
+    def _candidates(self) -> list[TxnState]:
+        """The transactions that may be attended this tick: arrived and
+        awake.  Their order is unobservable — the stall handler takes a
+        ``max`` and a name-sorted tier, the attention pick sorts by name
+        — which is what lets the scan follow arrival order instead of
+        registration order."""
+        unarrived = self._unarrived
+        while unarrived and unarrived[0][0] <= self.tick:
+            state = heapq.heappop(unarrived)[2]
+            if not state.committed:
+                self._arrived[state.name] = state
+        return [
+            t for t in self._arrived.values() if t.wake_tick <= self.tick
+        ]
+
     def next_timestamp(self) -> int:
         self._timestamp += 1
         return self._timestamp
@@ -553,6 +588,11 @@ class Engine:
 
     def active_states(self) -> list[TxnState]:
         return list(self._active.values())
+
+    def arrived_states(self) -> list[TxnState]:
+        """The active transactions the tick loop scans — every one that
+        has performed a step, holds a lock or awaits commit is here."""
+        return list(self._arrived.values())
 
     # ------------------------------------------------------------------
     # the per-tick step
@@ -689,6 +729,7 @@ class Engine:
             txn.committed = True
             txn.commit_tick = self.tick
             self._active.pop(txn.name, None)
+            self._arrived.pop(txn.name, None)
             self._committed_keys.add(txn.key)
             # Retire the attempt's records out of the abort-scannable
             # window (entries are in seq order, so the last touch per
@@ -782,7 +823,7 @@ class Engine:
         # decides *which* cycle is reported (hence the victim), so
         # unsorted iteration made victim choice differ across processes
         # — fatal for the service/library bit-identical differential.
-        for state in self.active_states():
+        for state in self.arrived_states():
             for dep_name, dep_attempt in sorted(state.deps):
                 other = self.txns.get(dep_name)
                 if (
@@ -924,6 +965,7 @@ class Engine:
         # processes regardless of hash randomisation).
         for name, _attempt in sorted(cascade):
             txn = self.txns[name]
+            self._arrived[name] = txn  # a victim need not have arrived
             self.scheduler.on_abort(txn)
             txn.attempt += 1
             txn.live = _LiveTransaction(txn.program)
@@ -1121,6 +1163,7 @@ class Engine:
         # Rewind the affected attempts.
         for (name, _attempt), keep in sorted(invalid.items()):
             txn = self.txns[name]
+            self._arrived[name] = txn  # a victim need not have arrived
             txn.rollbacks += 1
             self.scheduler.on_rollback(txn, keep)
             if keep == 0:
@@ -1322,7 +1365,9 @@ class Engine:
                 waits=saved["waits"],
             )
             self.txns[saved["name"]] = txn
-        self._active = {name: self.txns[name] for name in state["active"]}
+        self._active, self._arrived, self._unarrived = {}, {}, []
+        for name in state["active"]:
+            self._file(self.txns[name])
         # Programs registered after the snapshot was taken (open-system
         # ingest) keep their fresh construction-time state, appended in
         # registration order — exactly where a live engine would hold
@@ -1330,7 +1375,7 @@ class Engine:
         for name, base in known.items():
             if name not in self.txns:
                 self.txns[name] = base
-                self._active[name] = base
+                self._file(base)
         self._live_log = [
             _LogEntry(seq, tuple(key), record)
             for seq, key, record in state["live_log"]

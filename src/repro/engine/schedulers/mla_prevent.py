@@ -107,7 +107,7 @@ class MLAPreventScheduler(Scheduler):
                 if other.name != txn.name
             }
         blockers: set[str] = set()
-        for other in self.engine.active_states():
+        for other in self.engine.arrived_states():
             if other.name == txn.name or other.committed:
                 continue
             last = self.window.last_step_of(other.name)

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.reach import transitive_pairs
 from repro.errors import ExecutionError
 from repro.model.steps import StepId, StepKind, StepRecord
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Execution"]
 
@@ -135,6 +137,8 @@ class Execution:
         return edges
 
     def dependency_graph(self, conflicts: str = "all") -> nx.DiGraph:
+        import networkx as nx
+
         graph: nx.DiGraph = nx.DiGraph()
         graph.add_nodes_from(self.steps)
         graph.add_edges_from(self.dependency_edges(conflicts))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any
 
-import networkx as nx
+from repro.engine.cycles import WaitGraph
 
 __all__ = ["closure_frontier", "wait_for_snapshot"]
 
@@ -85,11 +85,8 @@ def wait_for_snapshot(obj: Any) -> dict[str, Any]:
         if edge[:2] not in seen:
             seen.add(edge[:2])
             unique.append(edge)
-    graph = nx.DiGraph((w, b) for w, b, _ in unique)
-    try:
-        cycle = [u for u, _ in nx.find_cycle(graph)]
-    except (nx.NetworkXNoCycle, nx.NetworkXError):
-        cycle = None
+    found = WaitGraph((w, b) for w, b, _ in unique).find_cycle()
+    cycle = [u for u, _ in found] if found is not None else None
     return {
         "edges": [
             {"waiter": w, "blocker": b, "cause": c} for w, b, c in unique

@@ -125,6 +125,8 @@ class TransactionService:
         #: resubmissions of these keys are answered from the replayed
         #: engine, never re-executed.
         self._recovered_keys: dict[str, str] = {}
+        #: recovered name -> serial position (None until it commits).
+        self._serial: dict[str, int | None] = {}
         #: name -> arrival tick, recorded at ingest for the differential.
         self.arrivals: dict[str, int] = {}
         self._resolved = 0  # commits already folded into envelopes
@@ -152,8 +154,7 @@ class TransactionService:
                 snapshot_every=config.wal_snapshot_every,
             )
             if wal.log.payloads:
-                wal.close()
-                return self._recover(config)
+                return self._recover(config, wal)
             self.wal = wal
         nest = PathNest(config.nest_depth)
         engine = Engine(
@@ -187,7 +188,7 @@ class TransactionService:
             )
         return nest, engine
 
-    def _recover(self, config: ServiceConfig):
+    def _recover(self, config: ServiceConfig, wal):
         """Rebuild the engine by deterministic replay of the WAL left by
         a previous incarnation; every ingest is an ``add`` record, so
         the whole workload is reconstructible from the log alone."""
@@ -195,7 +196,7 @@ class TransactionService:
 
         report = recover(
             config.wal_dir,
-            snapshot_every=config.wal_snapshot_every,
+            wal=wal,
             tracer=self.tracer,
             registry=self.registry,
             profiler=self.profiler,
@@ -209,6 +210,9 @@ class TransactionService:
             for add in report.adds
             if "key" in add
         }
+        self._serial = dict.fromkeys(self.arrivals)
+        for position, name in enumerate(report.engine.commit_order):
+            self._serial[name] = position
         self._resolved = len(report.engine.commit_order)
         if self.history.enabled:
             # Capture resumes post-recovery: replay is not re-recorded,
@@ -275,11 +279,9 @@ class TransactionService:
                 asyncio.get_running_loop().create_future()
             )
             self._by_key[key] = future
-            order = self.engine.commit_order
-            if recovered in order:
-                future.set_result(
-                    self._envelope_for(recovered, order.index(recovered))
-                )
+            position = self._serial[recovered]
+            if position is not None:
+                future.set_result(self._envelope_for(recovered, position))
             else:
                 self._pending[recovered] = future
                 self._ensure_pump()
@@ -380,6 +382,8 @@ class TransactionService:
             position = self._resolved
             name = order[position]
             self._resolved += 1
+            if name in self._serial:
+                self._serial[name] = position
             future = self._pending.pop(name, None)
             if future is None or future.done():
                 continue

@@ -15,11 +15,16 @@ failure shape so the bug class cannot return:
    propagated edges, word ops) diverged from the uncrashed engine even
    though the committed history matched.  The caches are pickled
    wholesale now; this test holds the counters bit-equal.
+4. An intact-CRC ``add`` record lacking a field recovery reads escaped
+   ``recover()`` as a bare ``KeyError``; replay is a proof surface, so
+   it must be a ``RecoveryError`` that names the record.
 """
 
 from __future__ import annotations
 
 import pickle
+
+import pytest
 
 from repro.api import ProgramSpec, Submission, make_scheduler
 from repro.core.nests import PathNest
@@ -27,6 +32,7 @@ from repro.durability import recover
 from repro.durability.fuzz import default_specs, run_reference
 from repro.durability.wal import EngineWal
 from repro.engine.runtime import Engine
+from repro.errors import RecoveryError
 from repro.service import ServiceConfig, TransactionService
 
 
@@ -158,3 +164,37 @@ def test_add_record_entities_redeclared_after_snapshot(tmp_path):
     report = recover(d)
     assert report.engine.store.snapshot() == store
     assert "fresh_entity" in dict(report.engine.store.snapshot())
+
+
+@pytest.mark.parametrize("missing", ["spec", "arrival", "entities"])
+def test_add_record_lacking_a_field_is_a_typed_error(tmp_path, missing):
+    """Regression 4: the frame checks out, the record inside does not."""
+    import asyncio
+
+    d = str(tmp_path)
+
+    async def run_service():
+        svc = TransactionService(ServiceConfig(
+            scheduler="2pl", nest_depth=0, wal_dir=d,
+        ))
+        await svc.submit(Submission(program=ProgramSpec(
+            "whole", (("add", "x", 1),))))
+        await svc.drain()
+        # What a buggy or foreign writer would leave: a well-framed add
+        # without one of its fields.
+        record = {
+            "name": "partial",
+            "arrival": svc.engine.tick + 1,
+            "spec": ProgramSpec("partial", (("read", "x"),)).to_dict(),
+            "entities": [("x", 100)],
+        }
+        del record[missing]
+        svc.wal.append("add", **record)
+        svc.wal.close()
+
+    asyncio.run(run_service())
+    log = EngineWal(d).log
+    index = len(log.payloads) - 1
+    log.close()
+    with pytest.raises(RecoveryError, match=f"add record {index} .*{missing}"):
+        recover(d)

@@ -206,6 +206,118 @@ class TestServiceCore:
 
 
 # ----------------------------------------------------------------------
+# idempotency keys answered from a recovered log
+# ----------------------------------------------------------------------
+
+
+class TestRecoveredDuplicates:
+    """A restarted service answers resubmitted keys from its log: a
+    committed transaction with its original serial position, one the
+    crash caught in flight by re-attaching to the replayed transaction,
+    and an unknown key by admitting it afresh."""
+
+    @staticmethod
+    def crashed_log(wal_dir: str) -> list[dict]:
+        """Four sequential submissions, then a crash that tears the log
+        right after the fourth's ``add`` record: p0..p2 are committed,
+        p3 is logged but has not taken a step."""
+        from repro.durability.wal import decode_record, scan_frames
+
+        async def first():
+            service = TransactionService(
+                ServiceConfig(nest_depth=0, wal_dir=wal_dir)
+            )
+            replies = []
+            for i in range(4):
+                replies.append(await service.submit(Submission(
+                    program=spec(f"p{i}", ("add", "x", i + 1), ("read", "x")),
+                    idempotency_key=f"k{i}",
+                )))
+                await service.drain()
+            service.wal.close()
+            return [reply["envelope"] for reply in replies]
+
+        envelopes = run(first())
+        path = f"{wal_dir}/engine.wal"
+        with open(path, "rb") as fh:
+            payloads, offsets, end, _ = scan_frames(fh.read())
+        records = [decode_record(payload) for payload in payloads]
+        (last_add,) = [
+            index for index, record in enumerate(records)
+            if record["t"] == "add" and record["name"] == "p3"
+        ]
+        with open(path, "r+b") as fh:
+            fh.truncate(offsets[last_add + 1])
+        return envelopes
+
+    @pytest.mark.parametrize("in_flight_first", [True, False])
+    def test_committed_in_flight_and_unknown_keys(
+        self, tmp_path, in_flight_first
+    ):
+        wal_dir = str(tmp_path)
+        originals = self.crashed_log(wal_dir)
+
+        async def second():
+            service = TransactionService(
+                ServiceConfig(nest_depth=0, wal_dir=wal_dir)
+            )
+            assert service.engine.commit_order == ["p0", "p1", "p2"]
+            assert not service.engine.txns["p3"].committed
+            tick = service.engine.tick
+
+            committed = await service.submit(Submission(
+                program=spec("p1", ("add", "x", 2), ("read", "x")),
+                idempotency_key="k1",
+            ))
+            assert service.engine.tick == tick  # answered from the log
+
+            async def unknown():
+                return await service.submit(Submission(
+                    program=spec("p9", ("add", "y", 1)),
+                    idempotency_key="k9",
+                ))
+
+            async def in_flight():
+                return await service.submit(Submission(
+                    program=spec("p3", ("add", "x", 4), ("read", "x")),
+                    idempotency_key="k3",
+                ))
+
+            if in_flight_first:
+                # Re-attachment restarts the pump for the replayed p3.
+                resumed = await in_flight()
+                fresh = await unknown()
+            else:
+                # Other traffic commits p3 before its key comes back.
+                fresh = await unknown()
+                assert service.engine.txns["p3"].committed
+                resumed = await in_flight()
+            await service.drain()
+            service.wal.close()
+            return service, committed, resumed, fresh
+
+        service, committed, resumed, fresh = run(second())
+
+        assert committed["ok"] and committed["duplicate"] is True
+        for key in ("name", "status", "serial_position", "result",
+                    "arrival_tick", "commit_tick", "attempts"):
+            assert committed["envelope"][key] == originals[1][key], key
+        assert committed["envelope"]["serial_position"] == 1
+
+        assert resumed["ok"] and resumed["duplicate"] is True
+        assert resumed["envelope"]["name"] == "p3"
+        assert resumed["envelope"]["status"] == "committed"
+        assert resumed["envelope"]["serial_position"] == 3
+        assert resumed["envelope"]["arrival_tick"] == originals[3]["arrival_tick"]
+        assert resumed["envelope"]["result"] == originals[3]["result"]
+
+        assert fresh["ok"] and "duplicate" not in fresh
+        assert fresh["envelope"]["serial_position"] == 4
+        assert service.admission.admitted == 1  # only p9 was admitted
+        assert service.engine.commit_order == ["p0", "p1", "p2", "p3", "p9"]
+
+
+# ----------------------------------------------------------------------
 # the differential: service path == library path, bit for bit
 # ----------------------------------------------------------------------
 
