@@ -145,7 +145,6 @@ def test_e1_scaling_table():
             n_steps,
             f"{accept_ms:.1f}",
             growth,
-            report.closure.backend,
             report.closure.graph.number_of_edges(),
             f"{reject_ms:.1f}",
             "no" if not report_r.correctable else "yes",
@@ -177,7 +176,7 @@ def test_e1_scaling_table():
     record_table(
         "e1_checker_scaling",
         "E1: Theorem 2 checker cost vs schedule size",
-        ["steps", "accept (ms)", "growth /4x steps", "backend",
+        ["steps", "accept (ms)", "growth /4x steps",
          "closure edges", "reject (ms)", "reject verdict"],
         rows,
         notes=(
@@ -187,15 +186,7 @@ def test_e1_scaling_table():
             "quadratic densification of the closure beyond (the generating "
             "graph itself grows superlinearly) — comfortably inside a "
             "concurrency control's window sizes, which pruning keeps in "
-            "the tens of steps (E10).  The backend column is the closure "
-            "engine that produced the accept verdict: the vectorized "
-            "numpy kernel takes over above its auto threshold "
-            "(~3k steps, where whole-matrix word ops beat per-node "
-            "Python loops; below it, per-op numpy overhead loses to the "
-            "tuned python path) and roughly halves the accept cost at "
-            "6400 steps.  The closure-edges count is backend-dependent "
-            "by design: both backends reach the identical closure, but "
-            "the kernel's generating edge set is smaller."
+            "the tens of steps (E10)."
             + baseline_note
         ),
     )

@@ -8,8 +8,7 @@ Usage: ``python benchmarks/collect_results.py`` (after running
 ``pytest benchmarks/``).
 
 ``python benchmarks/collect_results.py --quick`` instead runs a reduced
-smoke workload (E1 at <=1600 steps — with a per-backend python-vs-numpy
-comparison at 1600 — E10 at <=120 steps, plus the E14
+smoke workload (E1 at <=1600 steps, E10 at <=120 steps, plus the E14
 distributed fault smoke, the flight-recorder trace smoke, the
 metrics-plane obs smoke and the E15 service smoke — a few hundred
 transactions through a live socket server with SLOs asserted and the
@@ -407,52 +406,6 @@ def obs_smoke() -> dict:
     }
 
 
-def closure_backend_comparison(e1, sizes=(1600, 6400)) -> dict:
-    """Time the E1 accept instance once per closure backend (forced via
-    the environment seam) so BENCH.json records what the vectorized
-    kernel buys — or costs — at each size on this machine.  1600 sits
-    below the auto threshold (python should win), 6400 above it (the
-    ISSUE 7 target size)."""
-    from repro.core import check_correctability, closure_kernel
-
-    backends = ["python"]
-    if closure_kernel.kernel_available():
-        backends.append("numpy")
-    var = "REPRO_CLOSURE_BACKEND"
-    old = os.environ.get(var)
-    per_size: dict[str, dict] = {}
-    try:
-        for n_steps in sizes:
-            spec, pairs = e1.accept_instance(n_steps)
-            timings: dict[str, float] = {}
-            for backend in backends:
-                os.environ[var] = backend
-                start = time.perf_counter()
-                report = check_correctability(spec, pairs)
-                timings[backend] = round(
-                    (time.perf_counter() - start) * 1000, 2
-                )
-                assert report.correctable, (
-                    f"E1 backend comparison rejected under {backend} "
-                    f"at n={n_steps}"
-                )
-            entry: dict = {"timings_ms": timings}
-            if "numpy" in timings and timings["numpy"] > 0:
-                entry["python_over_numpy"] = round(
-                    timings["python"] / timings["numpy"], 2
-                )
-            per_size[str(n_steps)] = entry
-    finally:
-        if old is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = old
-    return {
-        "e1_accept": per_size,
-        "default_backend": closure_kernel.default_backend(),
-    }
-
-
 def run_quick(
     e1_sizes=(100, 400, 1600), e10_sizes=(40, 120)
 ) -> dict:
@@ -582,7 +535,6 @@ def run_quick(
         "service": service_summary,
         "durability": durability_summary,
         "audit": audit_summary,
-        "closure_backend_comparison": closure_backend_comparison(e1),
         "timings_ms": {
             key: {size: round(ms, 2) for size, ms in sizes.items()}
             for key, sizes in timings.items()
@@ -689,20 +641,6 @@ def main() -> None:
         print(f"wrote {os.path.abspath(QUICK_TARGET)}")
         for key, factor in sorted(data["speedup_vs_seed"].items()):
             print(f"  {key}: {factor}x vs seed")
-        cmp = data.get("closure_backend_comparison", {})
-        for size, entry in sorted(
-            cmp.get("e1_accept", {}).items(), key=lambda kv: int(kv[0])
-        ):
-            parts = ", ".join(
-                f"{backend} {ms} ms"
-                for backend, ms in sorted(entry["timings_ms"].items())
-            )
-            ratio = entry.get("python_over_numpy")
-            tail = f" (python/numpy = {ratio}x)" if ratio else ""
-            print(
-                f"  closure backends @ e1_accept {size}: {parts}{tail} "
-                f"[default: {cmp.get('default_backend')}]"
-            )
         return
     sections = [HEADER]
     missing = []

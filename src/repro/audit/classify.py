@@ -31,6 +31,7 @@ witness cycle is kept, rendered as human-readable lines for the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -180,10 +181,15 @@ def _multilevel_axis(history: History, conflicts: str):
     while current.records:
         spec = spec_for_execution(current, nest, history.cut_levels)
         report = check_correctability(
-            spec, current.dependency_pairs(conflicts)
+            spec, current.dependency_edges(conflicts)
         )
         if report.correctable:
             break
+        # The verdict is seed-independent, the witness is not: blame is
+        # worded from the cycle over the transitive pair set.
+        report = check_correctability(
+            spec, current.dependency_pairs(conflicts)
+        )
         cycle = report.closure.cycle or []
         guilty = {step.transaction for step in cycle}
         if not guilty:
@@ -204,34 +210,34 @@ def _snapshot_axis(history: History):
     txns = execution.transactions
     first: dict[str, int] = {}
     last: dict[str, int] = {}
+    #: per entity: record positions of its writes, ascending.
+    writes_at: dict[str, list[int]] = {}
     for position, record in enumerate(records):
         name = record.step.transaction
         first.setdefault(name, position)
         last[name] = position
+        if record.kind is not StepKind.READ:
+            writes_at.setdefault(record.entity, []).append(position)
     verdicts = {t: True for t in txns}
     witnesses: list[str] = []
 
     def snapshot_value(entity: str, start: int):
         """The entity value a transaction starting at record ``start``
-        snapshots: initial value, overwritten by every write of a
-        transaction wholly committed before the start."""
-        value = history.initial.get(entity, _MISSING)
-        for record in records:
-            if (
-                record.entity == entity
-                and record.kind is not StepKind.READ
-                and last[record.step.transaction] < start
-            ):
-                value = record.value_after
-        return value
+        snapshots: the latest write by a transaction wholly committed
+        before the start, else the initial value."""
+        positions = writes_at.get(entity, ())
+        i = bisect_left(positions, start)
+        while i:
+            i -= 1
+            record = records[positions[i]]
+            if last[record.step.transaction] < start:
+                return record.value_after
+        return history.initial.get(entity, _MISSING)
 
     # Snapshot reads: each READ sees start-snapshot or an own write.
     for name in txns:
         own: dict[str, Any] = {}
-        for position in range(first[name], last[name] + 1):
-            record = records[position]
-            if record.step.transaction != name:
-                continue
+        for record in execution.records_of(name):
             if record.kind is StepKind.READ:
                 if record.entity in own:
                     expected = own[record.entity]

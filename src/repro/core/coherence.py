@@ -53,7 +53,6 @@ from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, TypeVar
 
-from repro.core import closure_kernel
 from repro.core.interleaving import InterleavingSpec
 from repro.core.reach import ReachabilityIndex, iter_bits
 from repro.errors import NotAPartialOrderError
@@ -72,34 +71,8 @@ __all__ = [
     "coherent_closure_pairs",
     "coherent_closure",
     "is_coherent_total_order",
-    "segment_spans",
     "total_order_violations",
 ]
-
-
-def segment_spans(
-    count: int, cuts: Sequence[int | None], level: int
-) -> list[tuple[int, int]]:
-    """The ``B_t(level)``-segments of a ``count``-step transaction as
-    ``(first_index, last_index)`` spans (inclusive, possibly one step).
-
-    ``cuts[g]`` is the minimum breakpoint level declared for the gap
-    after step ``g`` (``None`` when uncut): a segment ends at every gap
-    whose cut is at or below ``level``, and the trailing span is the
-    still-open tail.  This is the single source of segmentation shared
-    by the batch loader and (through the engine's segment list) the
-    vectorized closure kernel — the backends cannot drift apart on
-    where segments begin and end.
-    """
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for gap in range(count - 1):
-        cut = cuts[gap]
-        if cut is not None and cut <= level:
-            spans.append((start, gap))
-            start = gap + 1
-    spans.append((start, count - 1))
-    return spans
 
 
 @dataclass(frozen=True)
@@ -138,11 +111,6 @@ class ClosureResult:
         :class:`~repro.engine.closure_window.ClosureWindow` share the
         window's persistent index, so ``graph``/``pairs`` reflect the
         state at *access* time; batch results own their index.
-    backend:
-        Which closure backend produced this result: ``"python"`` (the
-        incremental engine) or ``"numpy"`` (the vectorized kernel,
-        :mod:`repro.core.closure_kernel`).  The closure itself is
-        backend-independent.
     """
 
     __slots__ = (
@@ -151,7 +119,6 @@ class ClosureResult:
         "iterations",
         "edges_added",
         "index",
-        "backend",
         "_graph",
     )
 
@@ -163,14 +130,12 @@ class ClosureResult:
         edges_added: int = 0,
         index: ReachabilityIndex | None = None,
         graph: nx.DiGraph | None = None,
-        backend: str = "python",
     ) -> None:
         self.is_partial_order = is_partial_order
         self.cycle = cycle
         self.iterations = iterations
         self.edges_added = edges_added
         self.index = index
-        self.backend = backend
         self._graph = graph
 
     @property
@@ -389,13 +354,9 @@ class ClosureEngine:
         "_node_segs",
         "_last_step",
         "_pending",
-        "_blocks",
-        "_seed_ids",
-        "_kernel_fit",
         "cycle",
         "edges_added",
         "iterations",
-        "backend_used",
     )
 
     def __init__(self, nest) -> None:
@@ -411,17 +372,9 @@ class ClosureEngine:
         self._node_segs: list[tuple[int, ...]] = []
         self._last_step: dict = {}
         self._pending: deque[int] = deque()
-        # Bookkeeping for the vectorized kernel: contiguous dense-id
-        # block per batch-loaded transaction, the silent seed edges, and
-        # whether the engine still qualifies for the packed layout
-        # (step-wise growth and pre-bootstrap propagation do not).
-        self._blocks: list[tuple] = []
-        self._seed_ids: list[tuple[int, int]] = []
-        self._kernel_fit = True
         self.cycle: list | None = None
         self.edges_added = 0
         self.iterations = 0
-        self.backend_used = "python"
 
     @property
     def cyclic(self) -> bool:
@@ -434,7 +387,6 @@ class ClosureEngine:
     def register(self, step: S) -> None:
         """Pre-intern ``step`` so dense ids follow a caller-chosen order
         (ids otherwise follow :meth:`add_step` arrival order)."""
-        self._kernel_fit = False
         nid = self.index.add_node(step)
         while len(self._node_segs) <= nid:
             self._node_segs.append(())
@@ -457,7 +409,6 @@ class ClosureEngine:
         With ``defer=True`` the chain edge goes in silently (adjacency
         only); the caller must finish loading with :meth:`bootstrap`.
         """
-        self._kernel_fit = False
         nid = self.index.add_node(step)
         while len(self._node_segs) <= nid:
             self._node_segs.append(())
@@ -530,14 +481,7 @@ class ClosureEngine:
             return
         index = self.index
         add_node = index.add_node
-        base = len(index)
         nids = [add_node(step) for step in steps]
-        if nids[0] == base and len(index) == base + len(steps):
-            # All steps fresh: one contiguous dense-id block, the shape
-            # the vectorized kernel packs.
-            self._blocks.append((txn, nids[0], nids[-1]))
-        else:
-            self._kernel_fit = False
         node_segs = self._node_segs
         while len(node_segs) < len(index):
             node_segs.append(())
@@ -567,12 +511,21 @@ class ClosureEngine:
         open_list: list[int] = []
         for level0 in range(self.k - 1):
             level = level0 + 1
-            for start, end in segment_spans(len(nids), cuts, level):
-                si = len(segs)
-                seg = _Segment(txn, level, nids[start])
-                seg.last = nids[end]
-                segs.append(seg)
-                created.setdefault(nids[start], []).append(si)
+            start = 0
+            for gap in range(len(nids) - 1):
+                cut = cuts[gap]
+                if cut is not None and cut <= level:
+                    si = len(segs)
+                    seg = _Segment(txn, level, nids[start])
+                    seg.last = nids[gap]
+                    segs.append(seg)
+                    created.setdefault(nids[start], []).append(si)
+                    start = gap + 1
+            si = len(segs)
+            seg = _Segment(txn, level, nids[start])
+            seg.last = nids[-1]
+            segs.append(seg)
+            created.setdefault(nids[start], []).append(si)
             open_list.append(si)
         for nid, sis in created.items():
             node_segs[nid] = tuple(sis)
@@ -584,7 +537,6 @@ class ClosureEngine:
         witness step path lands in :attr:`cycle`)."""
         if self.cycle is not None:
             return False
-        self._kernel_fit = False
         ok, affected = self.index.add_edge(u, v)
         if not ok:
             nodes = self.index.nodes
@@ -598,28 +550,10 @@ class ClosureEngine:
         """Insert a seed edge without propagation (batch loading; pair
         with :meth:`bootstrap`)."""
         index = self.index
-        iu, iv = index.id_of(u), index.id_of(v)
-        before = index.edges
-        index.add_edge_silent_ids(iu, iv)
-        if index.edges != before:
-            self._seed_ids.append((iu, iv))
+        index.add_edge_silent_ids(index.id_of(u), index.id_of(v))
 
-    def bootstrap(self, materialize: str = "eager") -> bool:
+    def bootstrap(self) -> bool:
         """Finish a deferred batch load.  ``False`` on a cycle.
-
-        When the vectorized backend is selected (see
-        :func:`repro.core.closure_kernel.should_try`) and the engine was
-        grown purely through :meth:`load_transaction` +
-        :meth:`add_edge_silent`, the whole fixpoint runs as packed
-        numpy matrix operations and this method only writes the result
-        back; :attr:`backend_used` records which path ran.  The kernel
-        declines cyclic inputs, so cycle witnesses always come from the
-        Python path below and are identical across backends.
-
-        ``materialize="lazy"`` defers the index writeback until first
-        touched — only sound for one-shot results (the checker's accept
-        verdict never reads the bitsets); keep the default for engines
-        that stay live.
 
         Saturation here is *round-based*, not worklist-based: each round
         scans every segment against the current descendant bitsets, adds
@@ -633,14 +567,6 @@ class ClosureEngine:
         incremental path can take over from it seamlessly."""
         if self.cycle is not None:
             return False
-        if self._kernel_fit and closure_kernel.should_try(len(self.index)):
-            outcome = closure_kernel.bootstrap_engine(
-                self, eager=materialize != "lazy"
-            )
-            if outcome:
-                self.backend_used = "numpy"
-                return True
-        self.backend_used = "python"
         index = self.index
         reach = index._reach
         segs = self._segs
@@ -816,7 +742,6 @@ class ClosureEngine:
             iterations=self.iterations,
             edges_added=self.edges_added,
             index=self.index,
-            backend=self.backend_used,
         )
 
     def clone(self) -> "ClosureEngine":
@@ -833,20 +758,15 @@ class ClosureEngine:
         other._node_segs = list(self._node_segs)
         other._last_step = dict(self._last_step)
         other._pending = deque(self._pending)
-        other._blocks = list(self._blocks)
-        other._seed_ids = list(self._seed_ids)
-        other._kernel_fit = self._kernel_fit
         other.cycle = list(self.cycle) if self.cycle else None
         other.edges_added = self.edges_added
         other.iterations = self.iterations
-        other.backend_used = self.backend_used
         return other
 
 
 def coherent_closure(
     spec: InterleavingSpec,
     seed: Iterable[tuple[S, S]],
-    max_iterations: int = 10_000,
 ) -> ClosureResult:
     """Compute the coherent closure of ``seed`` over ``spec``.
 
@@ -861,10 +781,8 @@ def coherent_closure(
 
     Stops immediately (with a witness) once a cycle appears — by Theorem
     2 the seed execution is then not correctable, and further saturation
-    cannot remove a cycle.  ``max_iterations`` is retained for API
-    compatibility; the worklist engine terminates unconditionally.
+    cannot remove a cycle.
     """
-    del max_iterations
     engine = ClosureEngine(spec.nest)
     for txn in sorted(spec.transactions, key=repr):
         desc = spec.description(txn)
@@ -876,7 +794,7 @@ def coherent_closure(
         )
     for u, v in seed:
         engine.add_edge_silent(u, v)
-    engine.bootstrap(materialize="lazy")
+    engine.bootstrap()
     return engine.result()
 
 

@@ -21,14 +21,6 @@ extracted from the adjacency bitsets on the spot.  After a cycle the
 index is *terminal*: descendant sets are no longer maintained (a cyclic
 closure is already a final verdict for every caller here).
 
-The vectorized closure kernel (:mod:`repro.core.closure_kernel`) may
-park its packed result on an index instead of materializing it
-immediately: one-shot correctability checks read only the verdict, so
-converting every row back to a Python int would be pure overhead.  Any
-method that touches adjacency, reachability, or the topological order
-first calls ``_force()``, which drains the pending payload — callers
-never observe the difference.
-
 Two convenience module functions cover the common batch shapes:
 :func:`reachable_sets` (one reverse-topological sweep over an acyclic
 edge list, e.g. an execution's dependency order) and :func:`is_acyclic`
@@ -88,7 +80,6 @@ class ReachabilityIndex:
         "_reach",
         "_words",
         "_topo",
-        "_lazy",
         "cycle_ids",
         "edges",
         "edges_propagated",
@@ -104,18 +95,11 @@ class ReachabilityIndex:
         self._reach: list[int] = []
         self._words = 1
         self._topo: list[int] | None = None
-        self._lazy = None
         self.cycle_ids: list[int] | None = None
         self.edges = 0
         self.edges_propagated = 0
         self.word_ops = 0
         self.last_changed = 0
-
-    def _force(self) -> None:
-        """Drain a deferred kernel writeback (no-op when none pending)."""
-        if self._lazy is not None:
-            payload, self._lazy = self._lazy, None
-            payload.materialize(self)
 
     # ------------------------------------------------------------------
     # nodes
@@ -146,7 +130,6 @@ class ReachabilityIndex:
         nid = self._id_of.get(node)
         if nid is not None:
             return nid
-        self._force()
         nid = len(self._nodes)
         self._id_of[node] = nid
         self._nodes.append(node)
@@ -161,24 +144,20 @@ class ReachabilityIndex:
     # ------------------------------------------------------------------
 
     def has_edge(self, u: N, v: N) -> bool:
-        self._force()
         return bool(self._adj[self._id_of[u]] & (1 << self._id_of[v]))
 
     def reaches(self, u: N, v: N) -> bool:
         """Whether ``v`` is reachable from ``u`` (reflexively)."""
-        self._force()
         return bool(self._reach[self._id_of[u]] & (1 << self._id_of[v]))
 
     def descendants_mask(self, node: N) -> int:
         """Bitset of the strict descendants of ``node``."""
-        self._force()
         nid = self._id_of[node]
         return self._reach[nid] & ~(1 << nid)
 
     def ancestors_mask(self, node: N) -> int:
         """Bitset of the strict ancestors of ``node`` (linear scan over
         the descendant bitsets; no reverse index is maintained)."""
-        self._force()
         bit = 1 << self._id_of[node]
         out = 0
         for nid, mask in enumerate(self._reach):
@@ -200,7 +179,6 @@ class ReachabilityIndex:
         return self.add_edge_ids(self._id_of[u], self._id_of[v])
 
     def add_edge_ids(self, iu: int, iv: int) -> tuple[bool, list[int]]:
-        self._force()
         bit_v = 1 << iv
         if self._adj[iu] & bit_v:
             return True, []
@@ -247,7 +225,6 @@ class ReachabilityIndex:
         silently, then call :meth:`recompute` once — O(n + m) sweeps
         instead of per-edge ancestor propagation (which is quadratic when
         seeding a large graph edge by edge)."""
-        self._force()
         bit_v = 1 << iv
         if self._adj[iu] & bit_v:
             return
@@ -262,7 +239,6 @@ class ReachabilityIndex:
         :attr:`cycle_ids` — when the graph is cyclic.  On success
         :attr:`last_changed` holds the bitmask of nodes whose descendant
         set actually changed."""
-        self._force()
         n = len(self._nodes)
         adj = self._adj
         radj = self._radj
@@ -326,7 +302,6 @@ class ReachabilityIndex:
         then reaches ``u``, so testing the new edges afterwards detects
         it.
         """
-        self._force()
         topo = self._topo
         n = len(self._nodes)
         if topo is None or len(topo) != n:
@@ -432,7 +407,6 @@ class ReachabilityIndex:
 
     def iter_edges(self):
         """Yield every inserted edge as a node pair."""
-        self._force()
         nodes = self._nodes
         for nid, succs in enumerate(self._adj):
             u = nodes[nid]
@@ -442,7 +416,6 @@ class ReachabilityIndex:
     def pairs(self) -> set[tuple[N, N]]:
         """The strict reachability relation as an explicit pair set (one
         bitset sweep; output-linear instead of per-node graph searches)."""
-        self._force()
         nodes = self._nodes
         out: set[tuple[N, N]] = set()
         for nid, mask in enumerate(self._reach):
@@ -458,7 +431,6 @@ class ReachabilityIndex:
     def clone(self) -> "ReachabilityIndex":
         """An independent copy (bitsets are immutable ints, so this is a
         shallow list/dict copy — O(n) pointer work)."""
-        self._force()
         other = ReachabilityIndex.__new__(ReachabilityIndex)
         other._id_of = dict(self._id_of)
         other._nodes = list(self._nodes)
@@ -467,7 +439,6 @@ class ReachabilityIndex:
         other._reach = list(self._reach)
         other._words = self._words
         other._topo = self._topo
-        other._lazy = None
         other.last_changed = self.last_changed
         other.cycle_ids = list(self.cycle_ids) if self.cycle_ids else None
         other.edges = self.edges

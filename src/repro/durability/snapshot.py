@@ -2,8 +2,9 @@
 
 A snapshot is one framed+checksummed pickle written atomically (temp
 file + rename), named ``snap-<tick>.bin``.  ``load_latest_snapshot``
-skips torn or corrupt snapshot files — a crash mid-snapshot must never
-block recovery, since the WAL alone always suffices.
+skips torn or corrupt snapshot files and those written under another
+pickled layout — neither a crash mid-snapshot nor an upgrade may block
+recovery, since the WAL alone always suffices.
 """
 
 from __future__ import annotations
@@ -18,13 +19,17 @@ __all__ = ["load_latest_snapshot", "write_snapshot"]
 _PREFIX = "snap-"
 _SUFFIX = ".bin"
 _KEEP = 3
+#: Names the pickled layout.  Engine, scheduler and closure-window state
+#: are pickled by class path and slot, so any change to those must change
+#: this stamp: a snapshot carrying another one is never unpickled.
+_STAMP = b"repro-snapshot-2\n"
 
 
 def write_snapshot(
     directory: str, *, tick: int, wal_offset: int, state: dict
 ) -> str:
     """Atomically persist ``state`` covering the WAL up to ``wal_offset``."""
-    payload = pickle.dumps(
+    payload = _STAMP + pickle.dumps(
         {"tick": tick, "wal_offset": wal_offset, "state": state},
         protocol=pickle.HIGHEST_PROTOCOL,
     )
@@ -68,7 +73,9 @@ def _read_snapshot(path: str) -> dict | None:
         payload = blob[8 : 8 + length]
         if len(payload) != length or zlib.crc32(payload) != crc:
             return None
-        return pickle.loads(payload)
+        if not payload.startswith(_STAMP):
+            return None
+        return pickle.loads(payload[len(_STAMP):])
     except (OSError, pickle.UnpicklingError, EOFError):
         return None
 

@@ -54,67 +54,12 @@ from repro.core.interleaving import InterleavingSpec
 from repro.core.nests import KNest
 from repro.core.segmentation import BreakpointDescription
 from repro.errors import EngineError
+from repro.model.execution import EntityFold
 from repro.model.steps import StepId, StepKind
 from repro.obs.profile import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["ClosureWindow"]
-
-
-class _EntityFold:
-    """Streaming derivation of entity dependency edges.
-
-    Feeding the performed order step by step yields exactly the edges
-    :class:`ClosureWindow` seeds the closure with: under ``"all"`` each
-    access depends on the entity's previous access; under ``"rw"`` reads
-    depend on the last write and writes on the last write plus the reads
-    since it.
-    """
-
-    __slots__ = ("conflicts", "_last", "_last_write", "_reads_since")
-
-    def __init__(self, conflicts: str) -> None:
-        self.conflicts = conflicts
-        self._last: dict[str, StepId] = {}
-        self._last_write: dict[str, StepId] = {}
-        self._reads_since: dict[str, list[StepId]] = {}
-
-    def feed(
-        self, step: StepId, entity: str, kind: StepKind
-    ) -> list[tuple[StepId, StepId]]:
-        edges: list[tuple[StepId, StepId]] = []
-        if self.conflicts == "all":
-            prev = self._last.get(entity)
-            if prev is not None:
-                edges.append((prev, step))
-        elif kind is StepKind.READ:
-            write = self._last_write.get(entity)
-            if write is not None:
-                edges.append((write, step))
-            self._reads_since.setdefault(entity, []).append(step)
-        else:
-            write = self._last_write.get(entity)
-            if write is not None:
-                edges.append((write, step))
-            edges.extend(
-                (reader, step)
-                for reader in self._reads_since.get(entity, [])
-                if reader != step
-            )
-            self._last_write[entity] = step
-            self._reads_since[entity] = []
-        self._last[entity] = step
-        return edges
-
-    def copy(self) -> "_EntityFold":
-        other = _EntityFold.__new__(_EntityFold)
-        other.conflicts = self.conflicts
-        other._last = dict(self._last)
-        other._last_write = dict(self._last_write)
-        other._reads_since = {
-            e: list(r) for e, r in self._reads_since.items()
-        }
-        return other
 
 
 class _LiveState:
@@ -123,7 +68,7 @@ class _LiveState:
 
     __slots__ = ("engine", "fold")
 
-    def __init__(self, engine: ClosureEngine, fold: _EntityFold) -> None:
+    def __init__(self, engine: ClosureEngine, fold: EntityFold) -> None:
         self.engine = engine
         self.fold = fold
 
@@ -166,7 +111,6 @@ class ClosureWindow:
         # steps.  Cleared by ``_invalidate`` and on interior cut
         # rewrites.
         self._cycle_result: ClosureResult | None = None
-        self.closure_backend = "python"
         self.closure_calls = 0
         self.edges_last = 0
         self.closure_seconds = 0.0
@@ -229,7 +173,7 @@ class ClosureWindow:
         return InterleavingSpec(self.nest.restrict(steps), descriptions)
 
     def _entity_edges(self, order) -> list[tuple[StepId, StepId]]:
-        fold = _EntityFold(self.conflicts)
+        fold = EntityFold(self.conflicts)
         edges: list[tuple[StepId, StepId]] = []
         for step in order:
             entity, kind = self._access_of[step]
@@ -292,7 +236,7 @@ class ClosureWindow:
                         for p in range(1, len(steps))
                     ],
                 )
-        fold = _EntityFold(self.conflicts)
+        fold = EntityFold(self.conflicts)
         for step in self._order:
             entity, kind = self._access_of[step]
             for u, v in fold.feed(step, entity, kind):
@@ -314,7 +258,6 @@ class ClosureWindow:
             iterations=engine.iterations,
             edges_added=engine.edges_added - edges_added_before,
             index=engine.index,
-            backend=engine.backend_used,
         )
 
     def _recompute(self) -> ClosureResult:
@@ -330,7 +273,6 @@ class ClosureWindow:
         self.closure_edges_propagated += index.edges_propagated
         self.closure_word_ops += index.word_ops
         self.edges_last = index.edges
-        self.closure_backend = engine.backend_used
         result = self._result_of(engine)
         self._live = None if engine.cyclic else live
         self._last_result = result
@@ -369,7 +311,6 @@ class ClosureWindow:
         result = coherent_closure(spec, seed)
         index = result.index
         assert index is not None
-        self.closure_backend = result.backend
         self.closure_calls += 1
         elapsed = perf_counter() - t0
         self.closure_seconds += elapsed
@@ -510,7 +451,6 @@ class ClosureWindow:
         metrics.closure_seconds = self.closure_seconds
         metrics.closure_edges_propagated = self.closure_edges_propagated
         metrics.closure_word_ops = self.closure_word_ops
-        metrics.closure_backend = self.closure_backend
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -704,7 +644,6 @@ class ClosureWindow:
             "live": self._live,
             "last_result": self._last_result,
             "cycle_result": self._cycle_result,
-            "closure_backend": self.closure_backend,
             "closure_calls": self.closure_calls,
             "edges_last": self.edges_last,
             "closure_seconds": self.closure_seconds,
@@ -730,7 +669,6 @@ class ClosureWindow:
             # ingests mutate the window's live nest object, so the
             # restored engine must observe the same instance.
             self._live.engine.nest = self.nest
-        self.closure_backend = payload["closure_backend"]
         self.closure_calls = payload["closure_calls"]
         self.edges_last = payload["edges_last"]
         self.closure_seconds = payload["closure_seconds"]

@@ -48,7 +48,6 @@ class Metrics:
     closure_seconds: float = 0.0
     closure_edges_propagated: int = 0
     closure_word_ops: int = 0
-    closure_backend: str = "python"
     commit_waits: int = 0
     latency_total: int = 0
     latency_max: int = 0
@@ -101,8 +100,6 @@ class Metrics:
         ):
             setattr(self, counter, getattr(self, counter) + getattr(other, counter))
         self.closure_seconds += other.closure_seconds
-        if other.closure_backend != self.closure_backend:
-            self.closure_backend = "mixed"
         self.latency_max = max(self.latency_max, other.latency_max)
         self.cascade_chain_max = max(
             self.cascade_chain_max, other.cascade_chain_max
@@ -135,7 +132,7 @@ class Metrics:
         """Aborts per commit (restart pressure)."""
         return self.aborts / self.commits if self.commits else float("inf")
 
-    def summary(self) -> dict[str, float | str | None]:
+    def summary(self) -> dict[str, float | None]:
         # A zero-commit run must not masquerade as healthy: with aborts
         # on record the truthful rate is infinite (matching the
         # ``abort_rate`` property); with neither commits nor aborts the
@@ -178,5 +175,4 @@ class Metrics:
             "closure_seconds": round(self.closure_seconds, 6),
             "closure_edges_propagated": self.closure_edges_propagated,
             "closure_word_ops": self.closure_word_ops,
-            "closure_backend": self.closure_backend,
         }

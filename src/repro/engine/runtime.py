@@ -35,7 +35,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core import closure_kernel
 from repro.core.interleaving import InterleavingSpec
 from repro.audit.history import NULL_HISTORY
 from repro.durability.wal import NULL_WAL
@@ -275,8 +274,6 @@ class Engine:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self._mx = self._bind_metrics() if self.registry.enabled else None
-        if self._mx is not None:
-            self._mx["closure_backend"].set(1)
         self.max_ticks = max_ticks
         self.stall_limit = stall_limit
         self.backoff = backoff
@@ -392,16 +389,6 @@ class Engine:
                 help="Engine logical-clock high-water mark.",
                 labels=("scheduler",),
             ).labels(**label),
-            "closure_backend": registry.gauge(
-                "repro_closure_backend_info",
-                help="Closure backend the auto seam resolves to for this "
-                     "run (info gauge: value is constant 1, the backend "
-                     "rides in the label).",
-                labels=("scheduler", "backend"),
-            ).labels(
-                scheduler=self.scheduler.name,
-                backend=closure_kernel.default_backend(),
-            ),
         }
 
     # ------------------------------------------------------------------

@@ -27,23 +27,85 @@ from repro.model.steps import StepId, StepKind, StepRecord
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["Execution"]
+__all__ = ["EntityFold", "Execution"]
+
+
+class EntityFold:
+    """Streaming derivation of entity dependency edges — the one place
+    that knows the conflict models.
+
+    Feeding accesses in performed order yields each step's immediate
+    same-entity predecessors: under ``"all"`` (paper-faithful, Section
+    3.1) the entity's previous access, reads included; under ``"rw"``
+    (classical: two reads commute) reads depend on the last write and
+    writes on the last write plus the reads since it.
+    """
+
+    __slots__ = ("conflicts", "_last", "_last_write", "_reads_since")
+
+    def __init__(self, conflicts: str) -> None:
+        self.conflicts = conflicts
+        self._last: dict[str, StepId] = {}
+        self._last_write: dict[str, StepId] = {}
+        self._reads_since: dict[str, list[StepId]] = {}
+
+    def feed(
+        self, step: StepId, entity: str, kind: StepKind
+    ) -> list[tuple[StepId, StepId]]:
+        edges: list[tuple[StepId, StepId]] = []
+        if self.conflicts == "all":
+            prev = self._last.get(entity)
+            if prev is not None:
+                edges.append((prev, step))
+        elif kind is StepKind.READ:
+            write = self._last_write.get(entity)
+            if write is not None:
+                edges.append((write, step))
+            self._reads_since.setdefault(entity, []).append(step)
+        else:
+            write = self._last_write.get(entity)
+            if write is not None:
+                edges.append((write, step))
+            edges.extend(
+                (reader, step)
+                for reader in self._reads_since.get(entity, [])
+                if reader != step
+            )
+            self._last_write[entity] = step
+            self._reads_since[entity] = []
+        self._last[entity] = step
+        return edges
+
+    def copy(self) -> "EntityFold":
+        other = EntityFold.__new__(EntityFold)
+        other.conflicts = self.conflicts
+        other._last = dict(self._last)
+        other._last_write = dict(self._last_write)
+        other._reads_since = {
+            e: list(r) for e, r in self._reads_since.items()
+        }
+        return other
 
 
 @dataclass
 class Execution:
     """A totally ordered sequence of performed step records, plus the
-    initial entity values they started from."""
+    initial entity values they started from.  ``records`` is indexed at
+    construction and must not be mutated afterwards."""
 
     records: list[StepRecord]
     initial_values: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        seen: set[StepId] = set()
+        by_step: dict[StepId, StepRecord] = {}
+        by_txn: dict[str, list[StepRecord]] = {}
         for record in self.records:
-            if record.step in seen:
+            if record.step in by_step:
                 raise ExecutionError(f"step {record.step} performed twice")
-            seen.add(record.step)
+            by_step[record.step] = record
+            by_txn.setdefault(record.step.transaction, []).append(record)
+        self._by_step = by_step
+        self._by_txn = by_txn
 
     # ------------------------------------------------------------------
     # shape queries
@@ -59,27 +121,19 @@ class Execution:
     @property
     def transactions(self) -> list[str]:
         """Transaction ids in order of first appearance."""
-        out: list[str] = []
-        seen: set[str] = set()
-        for record in self.records:
-            if record.step.transaction not in seen:
-                seen.add(record.step.transaction)
-                out.append(record.step.transaction)
-        return out
+        return list(self._by_txn)
 
     def steps_of(self, transaction: str) -> list[StepId]:
-        return [
-            r.step for r in self.records if r.step.transaction == transaction
-        ]
+        return [r.step for r in self._by_txn.get(transaction, ())]
 
     def records_of(self, transaction: str) -> list[StepRecord]:
-        return [r for r in self.records if r.step.transaction == transaction]
+        return list(self._by_txn.get(transaction, ()))
 
     def record_of(self, step: StepId) -> StepRecord:
-        for record in self.records:
-            if record.step == step:
-                return record
-        raise ExecutionError(f"no record for step {step}")
+        try:
+            return self._by_step[step]
+        except KeyError:
+            raise ExecutionError(f"no record for step {step}") from None
 
     # ------------------------------------------------------------------
     # dependency order
@@ -88,52 +142,28 @@ class Execution:
     def dependency_edges(
         self, conflicts: str = "all"
     ) -> list[tuple[StepId, StepId]]:
-        """Immediate generating edges of ``<=_e``.
-
-        ``conflicts`` selects the conflict model:
-
-        * ``"all"`` (paper-faithful, Section 3.1): *every* pair of
-          same-entity accesses is ordered — each step gets an edge from
-          the previous access of its entity, reads included.
-        * ``"rw"`` (classical): only read-write, write-read and
-          write-write pairs conflict; two reads of the same entity
-          commute.  This is the model under which shared read locks are
-          sound, provided as an explicit deviation for the baseline
-          ablations.
+        """Immediate generating edges of ``<=_e``: each step's
+        same-transaction predecessor, then its same-entity predecessors
+        under the ``conflicts`` model (see :class:`EntityFold`; ``"rw"``
+        is the model under which shared read locks are sound, provided
+        as an explicit deviation for the baseline ablations).
         """
         if conflicts not in ("all", "rw"):
             raise ExecutionError(f"unknown conflict model {conflicts!r}")
         edges: list[tuple[StepId, StepId]] = []
         last_of_txn: dict[str, StepId] = {}
-        last_access: dict[str, StepId] = {}
-        last_write: dict[str, StepId] = {}
-        reads_since_write: dict[str, list[StepId]] = {}
+        fold = EntityFold(conflicts)
         for record in self.records:
             step = record.step
             prev_t = last_of_txn.get(step.transaction)
             if prev_t is not None:
                 edges.append((prev_t, step))
-            if conflicts == "all":
-                prev_e = last_access.get(record.entity)
-                if prev_e is not None and prev_e != prev_t:
-                    edges.append((prev_e, step))
-            else:
-                if record.kind is StepKind.READ:
-                    prev_w = last_write.get(record.entity)
-                    if prev_w is not None and prev_w != prev_t:
-                        edges.append((prev_w, step))
-                    reads_since_write.setdefault(record.entity, []).append(step)
-                else:
-                    prev_w = last_write.get(record.entity)
-                    if prev_w is not None and prev_w != prev_t:
-                        edges.append((prev_w, step))
-                    for reader in reads_since_write.get(record.entity, []):
-                        if reader not in (prev_t, step):
-                            edges.append((reader, step))
-                    last_write[record.entity] = step
-                    reads_since_write[record.entity] = []
+            edges.extend(
+                edge
+                for edge in fold.feed(step, record.entity, record.kind)
+                if edge[0] != prev_t
+            )
             last_of_txn[step.transaction] = step
-            last_access[record.entity] = step
         return edges
 
     def dependency_graph(self, conflicts: str = "all") -> nx.DiGraph:
@@ -212,7 +242,7 @@ class Execution:
         rather than assume: the reordered execution is validated, so a
         non-equivalent order raises :class:`~repro.errors.ExecutionError`.
         """
-        by_step = {r.step: r for r in self.records}
+        by_step = self._by_step
         if set(order) != set(by_step):
             raise ExecutionError("reorder must permute exactly the same steps")
         reordered = Execution(

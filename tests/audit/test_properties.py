@@ -2,13 +2,11 @@
 
 * export → import is bit-identical (JSON and JSONL both);
 * the online monitor's verdict equals the offline checker's on the very
-  same committed history — under both closure backends;
+  same committed history;
 * attaching any audit sink never changes the run.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -103,30 +101,19 @@ def test_jsonl_stream_reloads_identically(tmp_path_factory, specs,
     specs=workloads(),
     scheduler=st.sampled_from(SCHEDULERS),
     seed=st.integers(min_value=0, max_value=999),
-    backend=st.sampled_from(["python", "numpy"]),
 )
-def test_monitor_agrees_with_offline_checker(specs, scheduler, seed,
-                                             backend):
-    previous = os.environ.get("REPRO_CLOSURE_BACKEND")
-    os.environ["REPRO_CLOSURE_BACKEND"] = backend
-    try:
-        initial = initial_for(specs)
-        nest = KNest.from_paths({s.name: s.path for s in specs})
-        monitor = OnlineMonitor(nest)
-        result, _ = run_specs(specs, initial, scheduler, seed,
-                              history=monitor)
-        monitor.close()
-        offline = check_correctability(
-            result.spec(nest), result.execution.dependency_pairs()
-        )
-        assert monitor.correctable == offline.correctable
-        if scheduler != "none":
-            assert monitor.correctable
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_CLOSURE_BACKEND", None)
-        else:
-            os.environ["REPRO_CLOSURE_BACKEND"] = previous
+def test_monitor_agrees_with_offline_checker(specs, scheduler, seed):
+    initial = initial_for(specs)
+    nest = KNest.from_paths({s.name: s.path for s in specs})
+    monitor = OnlineMonitor(nest)
+    result, _ = run_specs(specs, initial, scheduler, seed, history=monitor)
+    monitor.close()
+    offline = check_correctability(
+        result.spec(nest), result.execution.dependency_pairs()
+    )
+    assert monitor.correctable == offline.correctable
+    if scheduler != "none":
+        assert monitor.correctable
 
 
 @settings(max_examples=15, deadline=None)

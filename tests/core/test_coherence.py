@@ -201,6 +201,53 @@ class TestTotalOrders:
 
 
 # ---------------------------------------------------------------------------
+# word-boundary sizes
+# ---------------------------------------------------------------------------
+
+
+def two_chain_spec(len_a: int, len_b: int):
+    """Two flat serial transactions of the given lengths, seeded with a
+    few forward cross edges (deterministic)."""
+    nest = KNest.from_paths({"a": ("g",), "b": ("g",)})
+    k = nest.k
+    descriptions = {
+        "a": BreakpointDescription.from_cut_levels(
+            [f"a{j}" for j in range(len_a)], k,
+            {gap: 2 for gap in range(0, len_a - 1, 3)},
+        ),
+        "b": BreakpointDescription.from_cut_levels(
+            [f"b{j}" for j in range(len_b)], k,
+            {gap: 2 for gap in range(0, len_b - 1, 4)},
+        ),
+    }
+    spec = InterleavingSpec(nest, descriptions)
+    seed = {(f"a{j}", f"b{j}") for j in range(0, min(len_a, len_b), 2)}
+    return spec, seed
+
+
+@pytest.mark.parametrize("total", [63, 64, 65, 127, 128, 129])
+def test_word_boundary_sizes(total):
+    """Node counts straddling 64-bit word boundaries: the bitset engine
+    must not lose or invent bits at the seams."""
+    len_a = total // 2
+    spec, seed = two_chain_spec(len_a, total - len_a)
+    assert len(spec.steps) == total
+    pairs, acyclic = coherent_closure_pairs(spec, seed)
+    result = coherent_closure(spec, seed)
+    assert acyclic and result.is_partial_order
+    assert result.pairs() == pairs
+
+
+def test_single_block_multiple_words():
+    """One long transaction alone (no cross edges): chain closure only."""
+    spec, _ = two_chain_spec(70, 3)
+    pairs, acyclic = coherent_closure_pairs(spec, set())
+    result = coherent_closure(spec, set())
+    assert acyclic and result.is_partial_order
+    assert result.pairs() == pairs
+
+
+# ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
 

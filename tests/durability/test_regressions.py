@@ -18,6 +18,10 @@ failure shape so the bug class cannot return:
 4. An intact-CRC ``add`` record lacking a field recovery reads escaped
    ``recover()`` as a bare ``KeyError``; replay is a proof surface, so
    it must be a ``RecoveryError`` that names the record.
+5. Snapshots carried no format stamp, so one written under another
+   pickled layout (a renamed slot, a moved class) reached
+   ``restore_state`` and killed the restart with a bare
+   ``AttributeError`` — although the WAL alone always suffices.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import pytest
 
 from repro.api import ProgramSpec, Submission, make_scheduler
 from repro.core.nests import PathNest
-from repro.durability import recover
+from repro.durability import recover, snapshot
 from repro.durability.fuzz import default_specs, run_reference
 from repro.durability.wal import EngineWal
 from repro.engine.runtime import Engine
@@ -198,3 +202,35 @@ def test_add_record_lacking_a_field_is_a_typed_error(tmp_path, missing):
     log.close()
     with pytest.raises(RecoveryError, match=f"add record {index} .*{missing}"):
         recover(d)
+
+
+@pytest.mark.parametrize(
+    "stamp", [b"", b"repro-snapshot-0\n"], ids=["unstamped", "other-stamp"]
+)
+@pytest.mark.parametrize("scheduler", ["2pl", "mla-detect"])
+def test_foreign_layout_snapshot_is_skipped(
+    tmp_path, monkeypatch, scheduler, stamp
+):
+    """Regression 5: the newest snapshot was written under another
+    layout (``unstamped`` is byte-for-byte the frame older builds
+    wrote).  Recovery must fall back to the older snapshot and reach
+    the history a full-WAL replay reaches."""
+    d = str(tmp_path)
+    _, live = run_reference(
+        d, default_specs(seed=8), scheduler=scheduler, seed=8,
+        snapshot_every=6,
+    )
+    newest = snapshot.load_latest_snapshot(d)
+    with monkeypatch.context() as patch:
+        patch.setattr(snapshot, "_STAMP", stamp)
+        snapshot.write_snapshot(
+            d, tick=newest["tick"], wal_offset=newest["wal_offset"],
+            state={"layout": "foreign"},
+        )
+    via_snapshot = recover(d)
+    assert via_snapshot.snapshot_tick is not None
+    assert via_snapshot.snapshot_tick < newest["tick"]
+    full_replay = recover(d, use_snapshot=False)
+    a = via_snapshot.engine.run(until_tick=via_snapshot.engine.tick)
+    b = full_replay.engine.run(until_tick=full_replay.engine.tick)
+    assert a.history_digest() == b.history_digest() == live.history_digest()

@@ -135,3 +135,32 @@ class TestLifecycle:
             "u", sid("u", 0), "A", StepKind.READ
         )
         assert sid("t", 0) in predecessors
+
+
+def test_window_cyclic_verdict_cached():
+    """Once the window closes a cycle, later observes return the cached
+    terminal verdict (still counted as closure calls) until a structural
+    edit clears it."""
+    nest = KNest.from_paths({"a": ("g",), "b": ("g",)})
+    window = ClosureWindow(nest, mode="incremental", prune_interval=10**9)
+    seqs = [
+        ("a", 0, "x"), ("b", 0, "x"),  # a0 -> b0
+        ("b", 1, "y"), ("a", 1, "y"),  # b1 -> a1, chains close the loop
+    ]
+    result = None
+    for name, idx, entity in seqs:
+        result = window.observe(
+            name, StepId(name, idx), entity, StepKind.UPDATE, {}
+        )
+    assert result is not None and not result.is_partial_order
+    cached = window._cycle_result
+    assert cached is result
+    calls = window.closure_calls
+    again = window.observe("a", StepId("a", 2), "z", StepKind.UPDATE, {})
+    assert again is cached
+    assert window.closure_calls == calls + 1
+    # Rollback clears the cache.
+    window.drop("b")
+    assert window._cycle_result is None
+    fresh = window.observe("a", StepId("a", 3), "z", StepKind.UPDATE, {})
+    assert fresh.is_partial_order

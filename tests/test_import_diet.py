@@ -71,7 +71,7 @@ def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize(
     "scheduler, absent",
-    [("2pl", ("networkx", "numpy")), ("mla-detect", ("networkx",))],
+    [("2pl", ("networkx", "numpy")), ("mla-detect", ("networkx", "numpy"))],
 )
 def test_serve_and_recover_leave_the_graph_libraries_out(scheduler, absent):
     done = _python(SERVE_AND_RECOVER.format(scheduler=scheduler, absent=absent))
