@@ -16,7 +16,7 @@ Three claims are measured:
   closure maintenance (``OnlineMonitor.seconds`` — the honest
   numerator), and the monitored history must be bit-identical to the
   bare one.  The disabled seam costs one attribute load + branch per
-  commit, measured analytically like the PR 4/5 guards.
+  commit (``if self._sinks:``), measured analytically.
 * **Capture → import → classify round-trips.**  Each scheduler's run is
   streamed to JSONL, re-imported black-box, and classified; the
   multilevel verdict must pass for every guarded scheduler.
@@ -163,7 +163,7 @@ def monitor_overhead(transfers: int = 150,
     looser bound and the full run gates the honest one.
     """
     from repro.api import make_scheduler
-    from repro.audit import NULL_HISTORY, OnlineMonitor
+    from repro.audit import OnlineMonitor
     from repro.workloads import BankingConfig, BankingWorkload
 
     workload = BankingWorkload(BankingConfig(
@@ -202,13 +202,14 @@ def monitor_overhead(transfers: int = 150,
             f"E17: monitor closure cost {pct:.2f}% of the bare run "
             f"({name}) exceeds the {budget}% budget"
         )
-    # Disabled seam: one attribute load + branch per commit against the
-    # shared null sink, measured net of empty-loop cost.
+    # Disabled seam: what a commit of an unobserved engine executes —
+    # ``if self._sinks:`` on an empty tuple — net of an empty branch.
     n = 200_000
+    unobserved = workload.engine(make_scheduler("serial", workload.nest))
     guard = timeit.timeit(
-        "hist.enabled", globals={"hist": NULL_HISTORY}, number=n
+        "if engine._sinks: pass", globals={"engine": unobserved}, number=n
     )
-    empty = timeit.timeit("pass", number=n)
+    empty = timeit.timeit("if (): pass", number=n)
     guard_seconds = max(guard - empty, 0.0) / n
     commits = next(iter(summary["schedulers"].values()))["commits"]
     bare_ms = next(iter(summary["schedulers"].values()))["bare_ms"]

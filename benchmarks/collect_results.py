@@ -35,6 +35,7 @@ instrumentation traffic; asserted < 5%).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -147,7 +148,14 @@ Regenerate everything with::
 TRACE_OVERHEAD_BUDGET_PCT = 3.0
 
 #: Enabled metrics-plane overhead budget, in percent of run time (PR 5).
+#: Information only: the gate is the deterministic pair in ``obs_smoke``.
 OBS_OVERHEAD_BUDGET_PCT = 5.0
+
+#: Places a tick can open or donate a phase span: the five
+#: ``profiler.phase`` sites of ``engine/runtime.py`` (stall, request,
+#: after-performed, certify, rollback) and the four ``profiler.add``
+#: sites of ``engine/closure_window.py``.
+PROFILER_HOOK_SITES = 9
 
 
 def _scheduler_zoo() -> dict:
@@ -177,14 +185,15 @@ def trace_smoke() -> dict:
     tracer guard overhead.
 
     The overhead number is the honest one for always-on guards: the
-    measured per-guard cost (attribute load + branch on the null
-    tracer) times the number of events an enabled run of the same
-    workload emits, as a percentage of the untraced run's wall time.
+    measured per-guard cost (attribute load + branch on the engine's
+    empty sink tuple) times the number of events an enabled run of the
+    same workload emits, as a percentage of the untraced run's wall
+    time.
     """
     import tempfile
     import timeit
 
-    from repro.obs import EVENT_KINDS, NULL_TRACER, RingTracer, dump_jsonl, load_jsonl
+    from repro.obs import EVENT_KINDS, RingTracer, dump_jsonl, load_jsonl
     from repro.workloads import BankingConfig, BankingWorkload
 
     workload = BankingWorkload(
@@ -233,13 +242,15 @@ def trace_smoke() -> dict:
             f"trace smoke: JSONL round-trip mangled the stream ({name})"
         )
         events_per_run[name] = len(events)
-    # Guard micro-cost: one attribute load + branch against the shared
-    # null tracer, net of empty-loop cost.
+    # Guard micro-cost: what a decision site of an unobserved engine
+    # executes — ``if self._sinks:`` on an empty tuple — net of an empty
+    # branch.
     n = 200_000
+    bare_engine = workload.engine(zoo["serial"](workload.nest))
     guard = timeit.timeit(
-        "tr.enabled", globals={"tr": NULL_TRACER}, number=n
+        "if engine._sinks: pass", globals={"engine": bare_engine}, number=n
     )
-    empty = timeit.timeit("pass", number=n)
+    empty = timeit.timeit("if (): pass", number=n)
     guard_seconds = max(guard - empty, 0.0) / n
     overhead_pct = {
         name: round(
@@ -264,23 +275,55 @@ def trace_smoke() -> dict:
     }
 
 
+@contextlib.contextmanager
+def _counting_child_writes():
+    """Count every write to any registry child while the block runs:
+    ``inc`` / ``set`` / ``dec`` and direct assignments all pass through
+    the child's ``__setattr__``; ``observe`` mutates the histogram behind
+    the child, so it is counted at the method."""
+    from repro.obs.registry import Counter, Gauge, HistogramChild
+
+    tally = {"writes": 0}
+
+    def counted_setattr(child, name, value):
+        tally["writes"] += 1
+        object.__setattr__(child, name, value)
+
+    observe = HistogramChild.observe
+
+    def counted_observe(child, value):
+        tally["writes"] += 1
+        observe(child, value)
+
+    children = (Counter, Gauge, HistogramChild)
+    for child_type in children:
+        child_type.__setattr__ = counted_setattr
+    HistogramChild.observe = counted_observe
+    try:
+        yield tally
+    finally:
+        for child_type in children:
+            del child_type.__setattr__
+        HistogramChild.observe = observe
+
+
 def obs_smoke() -> dict:
     """Metrics-plane smoke: one registry- and profiler-instrumented
     banking run per scheduler, asserted behaviour-identical to the bare
-    run, plus an analytic estimate of the *enabled* overhead.
+    run and asserted *not to touch the registry while it runs*.
 
-    Wall-clock A/B comparisons of whole runs are too noisy for a CI
-    gate, so the honest number is analytic: the measured cost of each
-    enabled primitive (pre-bound counter inc, histogram observe, phase
-    span) times the number of times the run actually used it, as a
-    percentage of the bare run's wall time.
+    The engine keeps its counts in ``Metrics`` and the registry derives
+    its series from them on read, so the deterministic statement of "the
+    metrics plane is cheap" is a count, not a timing: zero registry
+    child writes between entering and leaving ``Engine.advance``, and
+    phase spans per tick bounded by the number of profiler hook sites.
+    Both are asserted here and again by the tier-1 smoke test.
 
-    The budget is asserted on the *aggregate* across the scheduler zoo
-    (total instrumentation cost / total bare wall time).  Per-scheduler
-    percentages are reported for inspection but not gated: the serial
-    scheduler does near-zero work per tick, so a fixed per-span cost is
-    a large fraction of nothing — a denominator artefact, not a cost a
-    realistic run pays.
+    The enabled overhead *percentage* is still reported, as information
+    only (every timing in ``BENCH.json`` is warn-only: bare wall times
+    are single-digit milliseconds and swing run to run).  It models what
+    an instrumented run pays over a bare one: the measured cost of a
+    phase span times the spans the run opened, plus one registry read.
     """
     import timeit
 
@@ -293,16 +336,19 @@ def obs_smoke() -> dict:
     )
     work: dict[str, dict[str, int]] = {}
     bare_seconds: dict[str, float] = {}
+    read_seconds: dict[str, float] = {}
     for name, factory in _scheduler_zoo().items():
         registry = MetricsRegistry()
         profiler = PhaseProfiler()
-        instrumented = workload.engine(
+        engine = workload.engine(
             factory(workload.nest), seed=7,
             registry=registry, profiler=profiler,
-        ).run()
+        )
+        with _counting_child_writes() as tally:
+            engine.advance()
+        instrumented = engine.run()
         # Best-of-3 bare timing: the min is the least noise-inflated
-        # estimate of the true cost, and a *smaller* denominator only
-        # makes the overhead gate stricter.
+        # estimate of the true cost.
         samples = []
         for _ in range(3):
             start = time.perf_counter()
@@ -327,79 +373,50 @@ def obs_smoke() -> dict:
             f"obs smoke: registry commit count wrong ({name})"
         )
         assert "repro_commits_total" in prometheus_text(registry)
-        counter_incs = 0
-        hist_observes = 0
-        for family in registry.families():
-            for _values, child in family.series():
-                if family.kind == "counter":
-                    counter_incs += int(child.value)
-                elif family.kind == "gauge":
-                    counter_incs += 1
-                else:
-                    hist_observes += child.hist.count
         work[name] = {
-            "counter_incs": counter_incs,
-            "hist_observes": hist_observes,
+            "registry_writes_in_advance": tally["writes"],
             "phase_spans": int(sum(profiler.calls.values())),
+            "ticks": instrumented.metrics.ticks,
         }
-    # Enabled primitive micro-costs, net of empty-loop cost.  The inc is
-    # modelled as the hot sites pay it: one dict lookup plus the bound
-    # child's inc.
+        assert tally["writes"] == 0, (
+            f"obs smoke: {tally['writes']} registry child writes inside "
+            f"Engine.advance ({name}); the series are derived on read"
+        )
+        assert work[name]["phase_spans"] <= (
+            PROFILER_HOOK_SITES * work[name]["ticks"]
+        ), f"obs smoke: more phase spans than hook sites allow ({name})"
+        read_seconds[name] = min(
+            timeit.repeat(registry.families, number=1, repeat=5)
+        )
     n = 100_000
-    registry = MetricsRegistry()
-    mx = {
-        "c": registry.counter(
-            "bench_total", labels=("scheduler",)
-        ).labels(scheduler="x"),
-    }
-    hist = registry.histogram(
-        "bench_hist", labels=("scheduler",)
-    ).labels(scheduler="x")
     profiler = PhaseProfiler()
-    empty = timeit.timeit("pass", number=n)
-    inc_seconds = max(
-        timeit.timeit("mx['c'].inc()", globals={"mx": mx}, number=n) - empty,
-        0.0,
-    ) / n
-    observe_seconds = max(
-        timeit.timeit("h.observe(17)", globals={"h": hist}, number=n) - empty,
-        0.0,
-    ) / n
     span_seconds = max(
         timeit.timeit(
             "\nwith p.phase('schedule'):\n    pass",
             globals={"p": profiler},
             number=n,
-        ) - empty,
+        ) - timeit.timeit("pass", number=n),
         0.0,
     ) / n
-    def cost(counts: dict[str, int]) -> float:
-        return (
-            inc_seconds * counts["counter_incs"]
-            + observe_seconds * counts["hist_observes"]
-            + span_seconds * counts["phase_spans"]
-        )
+
+    def cost(name: str) -> float:
+        return span_seconds * work[name]["phase_spans"] + read_seconds[name]
 
     overhead_pct = {
-        name: round(100.0 * cost(counts) / bare_seconds[name], 4)
-        for name, counts in work.items()
+        name: round(100.0 * cost(name) / bare_seconds[name], 4)
+        for name in work
         if bare_seconds[name] > 0
     }
     aggregate = round(
-        100.0
-        * sum(cost(counts) for counts in work.values())
-        / sum(bare_seconds.values()),
-        4,
-    )
-    assert aggregate < OBS_OVERHEAD_BUDGET_PCT, (
-        f"enabled metrics-plane overhead {aggregate}% (aggregate over the "
-        f"scheduler zoo) exceeds the {OBS_OVERHEAD_BUDGET_PCT}% budget"
+        100.0 * sum(map(cost, work)) / sum(bare_seconds.values()), 4
     )
     return {
         "instrumented_work": work,
-        "inc_ns": round(inc_seconds * 1e9, 2),
-        "observe_ns": round(observe_seconds * 1e9, 2),
         "span_ns": round(span_seconds * 1e9, 2),
+        "read_us": {
+            name: round(seconds * 1e6, 2)
+            for name, seconds in read_seconds.items()
+        },
         "enabled_overhead_pct": overhead_pct,
         "enabled_overhead_aggregate_pct": aggregate,
         "budget_pct": OBS_OVERHEAD_BUDGET_PCT,

@@ -19,10 +19,9 @@ Two encodings share one canonical object, :class:`History`:
   :meth:`repro.engine.runtime.EngineResult.history_digest` computes, so
   a captured file cross-checks against the engine's own result.
 
-Capture rides the engine's guarded observability seam (the PR 4/5
-pattern): sinks expose ``enabled`` and the engine pays one attribute
-load + branch per commit when capture is off; sinks never touch the
-engine rng, so captured runs are bit-identical to bare runs.
+Capture is a sink of the engine's decision stream (DESIGN.md §4e): an
+enabled sink receives every record and keeps the commits; sinks never
+touch the engine rng, so captured runs are bit-identical to bare runs.
 """
 
 from __future__ import annotations
@@ -435,11 +434,19 @@ def paths_from_nest(nest, items) -> tuple[int, dict[str, tuple[str, ...]]]:
 
 
 class HistorySink:
-    """Null sink and sink interface.  ``enabled`` is the engine's guard:
-    the per-commit cost of a disabled sink is one attribute load + one
-    branch, and no sink ever touches the engine rng."""
+    """Null sink and sink interface.  An enabled sink is the first sink
+    of the engine's decision stream (DESIGN.md §4e); a disabled one is
+    never wired in, and no sink ever touches the engine rng."""
 
     enabled = False
+
+    def on_decision(self, kind: str, tick: int, fields: dict) -> None:
+        """The engine's sink interface: history keeps commits."""
+        if kind == "txn.commit":
+            self.on_commit(
+                fields["txn"], fields["attempt"], tick, fields["steps"],
+                fields["cut_levels"], fields["result"],
+            )
 
     def on_commit(
         self,

@@ -132,8 +132,7 @@ class DistributedPreventControl(NoControl):
 
     def attach(self, sequencer: "Sequencer") -> None:
         super().attach(sequencer)
-        self.window.tracer = sequencer.network.tracer
-        self.window.clock = lambda: sequencer.network.now
+        self.window.emit = sequencer.emit
         self.window.profiler = sequencer.profiler
 
     def _at_breakpoint(self, name: str, level: int) -> bool:
@@ -348,6 +347,15 @@ class Sequencer:
         # retransmit chains re-deliver them after reconciliation.
         self._node_epoch: dict[str, int] = {}
         self._uid_n = 0
+        # ``emit(kind, /, **fields)`` for what the sequencer shares with
+        # the engine (closure window, cascade closure): the tracer at
+        # network time, or None when nobody listens.
+        self.emit = (
+            (lambda kind, /, **data: network.tracer.emit(
+                kind, network.now, **data))
+            if network.tracer.enabled
+            else None
+        )
 
         network.register(name, self.handle)
         control.attach(self)
@@ -882,9 +890,7 @@ class Sequencer:
         self.doomed.clear()
         seeds = {(name, self.attempts[name]) for name in victims}
         tr = self.network.tracer
-        cascade = cascade_closure(
-            self.log, seeds, tracer=tr, at=self.network.now
-        )
+        cascade = cascade_closure(self.log, seeds, emit=self.emit)
         overlap = cascade & self.committed
         if overlap:
             raise NetworkError(

@@ -39,6 +39,7 @@ __all__ = [
     "EngineWal",
     "LogFile",
     "NULL_WAL",
+    "WAL_RECORDS",
     "frame_record",
     "scan_frames",
 ]
@@ -46,13 +47,28 @@ __all__ = [
 MAGIC = b"REPROWAL"
 _HEADER = struct.Struct("<II")  # payload length, crc32
 
+#: The durable encoding of the engine's decision stream, and with it the
+#: on-disk format: decision kind -> (record type, logged fields).  A
+#: frame is the pickled dict ``{"t": type, "tick": tick, **logged}`` in
+#: exactly this field order; whatever else a decision carries (latency,
+#: cascade chain length, the committed steps) is for the other sinks.
+WAL_RECORDS = {
+    "step.perform": (
+        "perform",
+        ("txn", "attempt", "step", "entity", "kind", "before", "after"),
+    ),
+    "txn.commit": ("commit", ("txn", "attempt", "result")),
+    "txn.abort": ("abort", ("victims", "cascade", "reason", "unit")),
+    "step.undo": ("undo", ("txn", "attempt", "step", "entity", "restored")),
+    "txn.restart": ("restart", ("txn", "attempt", "wake")),
+    "txn.partial-rollback": ("rewind", ("txn", "keep", "wake")),
+    "closure.prune": ("prune", ("pruned", "shortcuts", "size")),
+}
 #: Record types that are engine *decisions* — re-derived on replay and
 #: verified against the log.  ``genesis`` and ``add`` are inputs, not
 #: decisions: they are consumed up-front by recovery to reconstruct the
 #: workload and are skipped by verify mode.
-DECISION_TYPES = frozenset(
-    {"perform", "commit", "abort", "undo", "restart", "rewind", "prune"}
-)
+DECISION_TYPES = frozenset(rtype for rtype, _ in WAL_RECORDS.values())
 INPUT_TYPES = frozenset({"genesis", "add"})
 
 
@@ -174,16 +190,10 @@ def decode_record(payload: bytes) -> dict:
 
 
 class _NullWal:
-    """Disabled WAL: every seam is a cheap attribute check + no-op."""
+    """Disabled WAL: never wired into an engine's sinks; what callers
+    do unguarded at shutdown (flush, sync, close) is a no-op."""
 
     enabled = False
-    verifying = False
-
-    def append(self, rtype: str, **fields) -> None:  # pragma: no cover
-        pass
-
-    def maybe_snapshot(self, engine) -> None:  # pragma: no cover
-        pass
 
     def flush(self) -> None:  # pragma: no cover
         pass
@@ -254,6 +264,16 @@ class EngineWal:
         self.sync()
 
     # -- the seam -------------------------------------------------------
+
+    def on_decision(self, kind: str, tick: int, fields: dict) -> None:
+        """The engine's sink interface: log the decisions
+        :data:`WAL_RECORDS` names, ignore everything else."""
+        entry = WAL_RECORDS.get(kind)
+        if entry is not None:
+            rtype, logged = entry
+            self.append(
+                rtype, tick=tick, **{name: fields[name] for name in logged}
+            )
 
     def append(self, rtype: str, **fields) -> None:
         record = {"t": rtype, **fields}

@@ -57,7 +57,6 @@ from repro.errors import EngineError
 from repro.model.execution import EntityFold
 from repro.model.steps import StepId, StepKind
 from repro.obs.profile import NULL_PROFILER
-from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["ClosureWindow"]
 
@@ -116,18 +115,15 @@ class ClosureWindow:
         self.closure_seconds = 0.0
         self.closure_edges_propagated = 0
         self.closure_word_ops = 0
-        # Flight recorder and phase profiler, wired by Scheduler.attach
-        # (the window itself has no engine reference); ``clock`` supplies
-        # the event time.  The window donates its already-metered closure
-        # intervals to the profiler via ``add`` rather than opening spans.
-        self.tracer = NULL_TRACER
-        self.clock = lambda: 0
+        # The owner's emission point and phase profiler, injected by
+        # Scheduler.attach (the window has no engine reference):
+        # ``emit(kind, /, **fields)`` or ``None`` when nobody listens.
+        # Rebuilds and prunes are reported through it — prunes reach the
+        # WAL because they restructure the window.  The window donates
+        # its already-metered closure intervals to the profiler via
+        # ``add`` rather than opening spans.
+        self.emit = None
         self.profiler = NULL_PROFILER
-        # Durability seam, wired by Scheduler.attach alongside the
-        # tracer; prunes are logged because they restructure the window.
-        from repro.durability.wal import NULL_WAL
-
-        self.wal = NULL_WAL
 
     # ------------------------------------------------------------------
     # window contents
@@ -278,11 +274,9 @@ class ClosureWindow:
         self._last_result = result
         if engine.cyclic:
             self._cycle_result = result
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
+        if self.emit is not None:
+            self.emit(
                 "closure.rebuild",
-                self.clock(),
                 size=self.size,
                 edges=index.edges,
                 acyclic=result.is_partial_order,
@@ -600,20 +594,9 @@ class ClosureWindow:
             if v in remaining
         }
         self._invalidate()
-        wal = self.wal
-        if wal.enabled:
-            wal.append(
-                "prune",
-                tick=self.clock(),
-                pruned=sorted(prunable),
-                shortcuts=len(self._shortcut_edges),
-                size=self.size,
-            )
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
+        if self.emit is not None:
+            self.emit(
                 "closure.prune",
-                self.clock(),
                 pruned=sorted(prunable),
                 shortcuts=len(self._shortcut_edges),
                 size=self.size,

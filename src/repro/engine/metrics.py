@@ -16,6 +16,7 @@ distributed runs (counters add, maxima max, histograms add bucket-wise).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.obs.histogram import Histogram
@@ -53,6 +54,11 @@ class Metrics:
     latency_max: int = 0
     cascade_chain_max: int = 0
     merge_collisions: int = 0
+    #: Finer-grained event counts that only registry series report —
+    #: lock traffic, conflicts, parks, which layer broke a deadlock —
+    #: kept here so snapshots and ``merge`` carry them like every other
+    #: count; not part of ``summary()``.
+    detail: Counter = field(default_factory=Counter)
     per_transaction_latency: dict[str, int] = field(default_factory=dict)
     per_transaction_waits: dict[str, int] = field(default_factory=dict)
     latency_histogram: Histogram = field(default_factory=Histogram)
@@ -99,6 +105,7 @@ class Metrics:
             "commit_waits", "latency_total", "merge_collisions",
         ):
             setattr(self, counter, getattr(self, counter) + getattr(other, counter))
+        self.detail.update(other.detail)
         self.closure_seconds += other.closure_seconds
         self.latency_max = max(self.latency_max, other.latency_max)
         self.cascade_chain_max = max(

@@ -34,19 +34,18 @@ def _key_fields(prefix: str, key: object) -> dict[str, object]:
 def cascade_closure(
     entries: Sequence[tuple[K, StepRecord]],
     seeds: Iterable[K],
-    tracer=None,
-    at: float = 0.0,
+    emit=None,
 ) -> set[K]:
     """The full victim set implied by rolling back ``seeds``.
 
     ``entries`` is the live access log in global performance order, as
-    ``(attempt key, record)`` pairs.  With a ``tracer``, every attempt
-    the rule pulls in emits a ``cascade.join`` event naming the entity
-    and the already-cascading attempt whose undone write tainted it —
-    the link the abort explainer follows back to the seed victim.
+    ``(attempt key, record)`` pairs.  With ``emit`` (a caller's
+    ``emit(kind, /, **fields)``), every attempt the rule pulls in is
+    reported as a ``cascade.join`` naming the entity and the
+    already-cascading attempt whose undone write tainted it — the link
+    the abort explainer follows back to the seed victim.
     """
     cascade = set(seeds)
-    trace = tracer is not None and tracer.enabled
     # The per-entity index depends only on ``entries``; building it once
     # (not per fixpoint round) keeps long-log cascades linear per round.
     per_entity: dict[str, list[tuple[K, StepRecord]]] = {}
@@ -62,10 +61,9 @@ def cascade_closure(
                 if tainted and key not in cascade:
                     cascade.add(key)
                     changed = True
-                    if trace:
-                        tracer.emit(
+                    if emit is not None:
+                        emit(
                             "cascade.join",
-                            at,
                             entity=entity,
                             **_key_fields("txn", key),
                             **_key_fields("cause", tainter),

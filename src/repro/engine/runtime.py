@@ -48,11 +48,37 @@ from repro.model.programs import TransactionProgram
 from repro.model.steps import StepKind, StepRecord
 from repro.model.system import _LiveTransaction
 from repro.model.variables import EntityStore
+from repro.obs.histogram import Histogram
 from repro.obs.profile import NULL_PROFILER, PhaseProfiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["Engine", "EngineResult", "TxnState"]
+
+#: The engine's registry series, set from :class:`Metrics` fields whenever
+#: the registry is read: (family kind, series, help, field).
+_SERIES = (
+    ("counter", "repro_commits_total", "Committed transactions.", "commits"),
+    ("counter", "repro_aborts_total", "Aborted attempts (full restarts).",
+     "aborts"),
+    ("counter", "repro_restarts_total", "Fresh attempts after a rollback.",
+     "restarts"),
+    ("counter", "repro_waits_total", "WAIT decisions on pending accesses.",
+     "waits"),
+    ("counter", "repro_commit_waits_total",
+     "Finished transactions told to wait before committing.", "commit_waits"),
+    ("counter", "repro_steps_total", "Steps performed against the store.",
+     "steps_performed"),
+    ("counter", "repro_steps_undone_total", "Before-images restored.",
+     "steps_undone"),
+    ("counter", "repro_partial_rollbacks_total",
+     "Segment-unit rollbacks that kept a prefix.", "partial_rollbacks"),
+    ("histogram", "repro_commit_latency_ticks",
+     "Arrival-to-commit latency in ticks.", "latency_histogram"),
+    ("histogram", "repro_commit_wait_count",
+     "WAIT decisions absorbed per committed transaction.", "wait_histogram"),
+    ("gauge", "repro_ticks", "Engine logical-clock high-water mark.", "ticks"),
+)
 
 
 @dataclass
@@ -215,14 +241,19 @@ class Engine:
     backoff:
         Base backoff (in ticks) after a rollback; the actual delay is
         uniform in ``[1, backoff * attempts]``.
-    tracer:
-        Optional :class:`repro.obs.Tracer` flight recorder.  ``None``
-        (the default) traces nothing at null-tracer cost.
+    history, wal, tracer:
+        The sinks of the engine's *decision stream* (DESIGN.md §4e):
+        every decision is built once, by :meth:`_emit`, and handed in
+        this order to whichever are given — a
+        :class:`repro.audit.HistorySink` keeps the commits, a
+        :class:`repro.durability.EngineWal` logs the seven kinds
+        recovery verifies, a :class:`repro.obs.Tracer` keeps
+        everything.  No sink consumes ``self.rng``: a run is
+        bit-identical whatever is attached.
     registry:
-        Optional :class:`repro.obs.MetricsRegistry`.  When given, the
-        engine publishes labeled counters/gauges/histograms (label
-        ``scheduler=``) into it as the run progresses.  ``None`` (the
-        default) records nothing at null-registry cost.
+        Optional :class:`repro.obs.MetricsRegistry`.  Never written
+        while the engine runs: the ``scheduler=``-labeled series are
+        set from :attr:`metrics` whenever the registry is read.
     profiler:
         Optional :class:`repro.obs.PhaseProfiler` attributing wall time
         to the ``schedule`` / ``closure`` / ``rollback`` / ``certify``
@@ -253,27 +284,17 @@ class Engine:
         self.scheduler = scheduler
         self.seed = seed
         self.rng = random.Random(seed)
-        # The durability seam.  Defaults to the shared null WAL, whose
-        # per-site cost is one attribute load + branch; like the tracer,
-        # logging never consumes ``self.rng``, so WAL-disabled runs are
-        # behaviour-identical to pre-durability builds.
-        self.wal = wal if wal is not None else NULL_WAL
-        # The audit-plane capture seam.  Same guarded pattern as the
-        # tracer/WAL: one attribute load + branch per commit when
-        # disabled, and sinks never consume ``self.rng``, so captured
-        # runs are bit-identical to bare runs.
-        self.history = history if history is not None else NULL_HISTORY
         self.metrics = Metrics()
-        # The flight recorder.  Defaults to the shared null tracer, whose
-        # per-site cost is one attribute load + branch; emission never
-        # consumes ``self.rng``, so traced runs are behaviour-identical.
+        self.history = history if history is not None else NULL_HISTORY
+        self.wal = wal if wal is not None else NULL_WAL
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # The metrics plane.  Same guarded pattern and the same
-        # behaviour-invariance rule as the tracer: recording never
-        # consumes ``self.rng``.
+        # The enabled ones of the three above, in that order; read from
+        # the attributes on every ``advance`` because the service hands
+        # a recovered engine its history sink only after replay.
+        self._sinks: tuple = ()
         self.registry = registry if registry is not None else NULL_REGISTRY
+        self.registry.derive(("scheduler", scheduler.name), self._publish)
         self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self._mx = self._bind_metrics() if self.registry.enabled else None
         self.max_ticks = max_ticks
         self.stall_limit = stall_limit
         self.backoff = backoff
@@ -341,55 +362,41 @@ class Engine:
         self._results: dict[str, Any] = {}
         self._cut_levels: dict[str, dict[int, int]] = {}
 
-    def _bind_metrics(self) -> dict[str, Any]:
-        """Pre-bind the registry children this engine updates, so the
-        hot path pays one dict lookup + ``inc``, never label resolution."""
-        registry = self.registry
-        label = {"scheduler": self.scheduler.name}
+    def _emit(self, kind: str, /, **fields: Any) -> None:
+        """The one emission point: hand a decision, stamped with the
+        tick, to every sink — the same dict to each.  Sinks are looked
+        up here, never pre-bound: callers wrap ``wal.append`` and
+        ``history.on_commit`` on the instance after construction.
+        ``kind`` is positional-only because ``step.perform`` has a field
+        of that name.  Sites guard with ``if self._sinks:`` so an
+        unobserved run never builds the dict."""
+        for sink in self._sinks:
+            sink.on_decision(kind, self.tick, fields)
 
-        def counter(name: str, help: str):
-            return registry.counter(
+    def _publish(self, registry: MetricsRegistry) -> None:
+        """Set this engine's series from :attr:`metrics`; the registry
+        calls this before every read (``MetricsRegistry.derive``)."""
+        metrics = self.metrics
+        rows = [
+            (kind, name, help, getattr(metrics, field))
+            for kind, name, help, field in _SERIES
+        ]
+        rows.append((
+            "counter", "repro_deadlocks_total",
+            "Waits-for / commit-dependency cycles broken.",
+            metrics.detail["engine_deadlocks"],
+        ))
+        rows.extend(
+            ("counter", *row) for row in self.scheduler.counters(metrics)
+        )
+        for kind, name, help, value in rows:
+            child = getattr(registry, kind)(
                 name, help=help, labels=("scheduler",)
-            ).labels(**label)
-
-        return {
-            "commits": counter(
-                "repro_commits_total", "Committed transactions."),
-            "aborts": counter(
-                "repro_aborts_total", "Aborted attempts (full restarts)."),
-            "restarts": counter(
-                "repro_restarts_total", "Fresh attempts after a rollback."),
-            "waits": counter(
-                "repro_waits_total", "WAIT decisions on pending accesses."),
-            "commit_waits": counter(
-                "repro_commit_waits_total",
-                "Finished transactions told to wait before committing."),
-            "steps": counter(
-                "repro_steps_total", "Steps performed against the store."),
-            "steps_undone": counter(
-                "repro_steps_undone_total", "Before-images restored."),
-            "deadlocks": counter(
-                "repro_deadlocks_total",
-                "Waits-for / commit-dependency cycles broken."),
-            "partial_rollbacks": counter(
-                "repro_partial_rollbacks_total",
-                "Segment-unit rollbacks that kept a prefix."),
-            "latency": registry.histogram(
-                "repro_commit_latency_ticks",
-                help="Arrival-to-commit latency in ticks.",
-                labels=("scheduler",),
-            ).labels(**label),
-            "wait_hist": registry.histogram(
-                "repro_commit_wait_count",
-                help="WAIT decisions absorbed per committed transaction.",
-                labels=("scheduler",),
-            ).labels(**label),
-            "ticks": registry.gauge(
-                "repro_ticks",
-                help="Engine logical-clock high-water mark.",
-                labels=("scheduler",),
-            ).labels(**label),
-        }
+            ).labels(scheduler=self.scheduler.name)
+            if kind == "histogram":
+                child.hist = Histogram().merge(value)  # never alias Metrics
+            else:
+                child.value = value
 
     # ------------------------------------------------------------------
     # public API
@@ -466,13 +473,13 @@ class Engine:
         rebuild + re-validation only once, when it finally wants the
         :class:`EngineResult`.
         """
+        sinks = (self.history, self.wal, self.tracer)
+        self._sinks = tuple(sink for sink in sinks if sink.enabled)
         self.scheduler.attach(self)
         wal = self.wal
         while self._active:
             if until_tick is not None and self.tick >= until_tick:
                 self.metrics.ticks = self.tick
-                if self._mx is not None:
-                    self._mx["ticks"].set(self.tick)
                 return False
             # Snapshot between ticks: the state of tick T is fully
             # settled (including ``_last_progress``) and no decision of
@@ -496,13 +503,10 @@ class Engine:
                     decision = self.scheduler.on_stall(candidates)
                 if decision.action is Action.ABORT and decision.victims:
                     self.metrics.deadlocks += 1
-                    if self._mx is not None:
-                        self._mx["deadlocks"].inc()
-                    tr = self.tracer
-                    if tr.enabled:
-                        tr.emit(
+                    self.metrics.detail["engine_deadlocks"] += 1
+                    if self._sinks:
+                        self._emit(
                             "engine.stall",
-                            self.tick,
                             victims=list(decision.victims),
                             reason=decision.reason or "stall",
                         )
@@ -526,8 +530,6 @@ class Engine:
             if progressed:
                 self._last_progress = self.tick
         self.metrics.ticks = self.tick
-        if self._mx is not None:
-            self._mx["ticks"].set(self.tick)
         return True
 
     def _candidates(self) -> list[TxnState]:
@@ -618,13 +620,8 @@ class Engine:
             return True
         self.metrics.waits += 1
         txn.waits += 1
-        if self._mx is not None:
-            self._mx["waits"].inc()
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
-                "txn.wait", self.tick, txn=txn.name, reason=decision.reason
-            )
+        if self._sinks:
+            self._emit("txn.wait", txn=txn.name, reason=decision.reason)
         txn.wake_tick = self.tick + 1
         return False
 
@@ -640,26 +637,9 @@ class Engine:
         if record.kind is not StepKind.READ:
             self._last_writer[access.entity] = txn.key
         self.metrics.steps_performed += 1
-        if self._mx is not None:
-            self._mx["steps"].inc()
-        wal = self.wal
-        if wal.enabled:
-            wal.append(
-                "perform",
-                tick=self.tick,
-                txn=txn.name,
-                attempt=txn.attempt,
-                step=record.step.index,
-                entity=record.entity,
-                kind=record.kind.value,
-                before=record.value_before,
-                after=record.value_after,
-            )
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
+        if self._sinks:
+            self._emit(
                 "step.perform",
-                self.tick,
                 txn=txn.name,
                 attempt=txn.attempt,
                 step=record.step.index,
@@ -679,33 +659,19 @@ class Engine:
             if cycle:
                 victim = max(cycle, key=lambda t: (t.priority, t.name))
                 self.metrics.deadlocks += 1
-                if self._mx is not None:
-                    self._mx["deadlocks"].inc()
-                tr = self.tracer
-                if tr.enabled:
-                    tr.emit(
+                self.metrics.detail["engine_deadlocks"] += 1
+                if self._sinks:
+                    self._emit(
                         "deadlock",
-                        self.tick,
                         cycle=[t.name for t in cycle],
                         victim=victim.name,
                         cause="commit-dependency",
                     )
                 self._abort([victim.name], "commit-dependency cycle")
                 return True
-            self.metrics.commit_waits += 1
-            txn.waits += 1
-            if self._mx is not None:
-                self._mx["commit_waits"].inc()
-            tr = self.tracer
-            if tr.enabled:
-                tr.emit(
-                    "txn.commit-wait",
-                    self.tick,
-                    txn=txn.name,
-                    pending=sorted(d[0] for d in pending_deps),
-                )
-            txn.wake_tick = self.tick + 1
-            return False
+            return self._commit_wait(
+                txn, pending=sorted(d[0] for d in pending_deps)
+            )
         pr = self.profiler
         if pr.enabled:
             with pr.phase("certify"):
@@ -734,45 +700,24 @@ class Engine:
                     )
             self._commit_order.append(txn.name)
             self._results[txn.name] = txn.live.result
-            self._cut_levels[txn.name] = dict(txn.live.cut_levels)
-            hist = self.history
-            if hist.enabled:
-                hist.on_commit(
-                    txn.name,
-                    txn.attempt,
-                    self.tick,
-                    [(e.seq, e.record) for e in mine],
-                    dict(txn.live.cut_levels),
-                    txn.live.result,
-                )
+            self._cut_levels[txn.name] = cut_levels = dict(
+                txn.live.cut_levels
+            )
             self.metrics.record_commit(
                 txn.name, self.tick - txn.arrival_tick, waited=txn.waits
             )
-            mx = self._mx
-            if mx is not None:
-                mx["commits"].inc()
-                mx["latency"].observe(self.tick - txn.arrival_tick)
-                mx["wait_hist"].observe(txn.waits)
             # Commit identity lives in the log: the commit record lands
             # before ``on_commit`` so any prune it triggers follows it.
-            wal = self.wal
-            if wal.enabled:
-                wal.append(
-                    "commit",
-                    tick=self.tick,
-                    txn=txn.name,
-                    attempt=txn.attempt,
-                    result=txn.live.result,
-                )
-            tr = self.tracer
-            if tr.enabled:
-                tr.emit(
+            if self._sinks:
+                self._emit(
                     "txn.commit",
-                    self.tick,
                     txn=txn.name,
                     attempt=txn.attempt,
                     latency=self.tick - txn.arrival_tick,
                     waits=txn.waits,
+                    result=txn.live.result,
+                    cut_levels=cut_levels,
+                    steps=[(e.seq, e.record) for e in mine],
                 )
             self.scheduler.on_commit(txn)
             return True
@@ -783,18 +728,15 @@ class Engine:
                 dict(decision.victim_points),
             )
             return True
+        return self._commit_wait(txn, reason=decision.reason)
+
+    def _commit_wait(self, txn: TxnState, **why: Any) -> bool:
+        """A finished transaction must wait a tick: on uncommitted
+        ``pending`` dependencies, or for the scheduler's ``reason``."""
         self.metrics.commit_waits += 1
         txn.waits += 1
-        if self._mx is not None:
-            self._mx["commit_waits"].inc()
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
-                "txn.commit-wait",
-                self.tick,
-                txn=txn.name,
-                reason=decision.reason,
-            )
+        if self._sinks:
+            self._emit("txn.commit-wait", txn=txn.name, **why)
         txn.wake_tick = self.tick + 1
         return False
 
@@ -844,8 +786,7 @@ class Engine:
         return cascade_closure(
             [(entry.key, entry.record) for entry in self._live_log],
             seeds,
-            tracer=self.tracer,
-            at=self.tick,
+            emit=self._emit if self._sinks else None,
         )
 
     def _abort(
@@ -890,56 +831,20 @@ class Engine:
                         f"({reason})"
                     )
         self.metrics.record_cascade(len(cascade))
-        wal = self.wal
-        if wal.enabled:
-            wal.append(
-                "abort",
-                tick=self.tick,
+        if self._sinks:
+            self._emit(
+                "txn.abort",
                 victims=sorted(name for name, _ in seeds),
                 cascade=sorted(name for name, _ in cascade - seeds),
                 reason=reason,
-                unit="transaction",
-            )
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
-                "txn.abort",
-                self.tick,
-                victims=sorted(name for name, _ in seeds),
-                cascade=sorted(
-                    name for name, _ in cascade - seeds
-                ),
-                reason=reason,
                 chain=len(cascade),
+                unit="transaction",
             )
         # Undo every cascading write, newest first (cascade members are
         # all uncommitted, so the live log holds every affected record).
         for entry in reversed(self._live_log):
             if entry.key in cascade and entry.record.kind is not StepKind.READ:
-                self.store.restore(entry.record.entity, entry.record.value_before)
-                self.metrics.steps_undone += 1
-                if self._mx is not None:
-                    self._mx["steps_undone"].inc()
-                if wal.enabled:
-                    wal.append(
-                        "undo",
-                        tick=self.tick,
-                        txn=entry.key[0],
-                        attempt=entry.key[1],
-                        step=entry.record.step.index,
-                        entity=entry.record.entity,
-                        restored=entry.record.value_before,
-                    )
-                if tr.enabled:
-                    tr.emit(
-                        "step.undo",
-                        self.tick,
-                        txn=entry.key[0],
-                        attempt=entry.key[1],
-                        step=entry.record.step.index,
-                        entity=entry.record.entity,
-                        restored=entry.record.value_before,
-                    )
+                self._undo(entry)
         self._live_log = [
             e for e in self._live_log if e.key not in cascade
         ]
@@ -963,27 +868,30 @@ class Engine:
             )
             self.metrics.aborts += 1
             self.metrics.restarts += 1
-            if self._mx is not None:
-                self._mx["aborts"].inc()
-                self._mx["restarts"].inc()
             # After the rng draw: the wake tick is the decision being
             # made durable (and verified on replay).
-            if wal.enabled:
-                wal.append(
-                    "restart",
-                    tick=self.tick,
-                    txn=name,
-                    attempt=txn.attempt,
-                    wake=txn.wake_tick,
-                )
-            if tr.enabled:
-                tr.emit(
+            if self._sinks:
+                self._emit(
                     "txn.restart",
-                    self.tick,
                     txn=name,
                     attempt=txn.attempt,
                     wake=txn.wake_tick,
                 )
+
+    def _undo(self, entry: _LogEntry) -> None:
+        """Restore one rolled-back write's before-image."""
+        record = entry.record
+        self.store.restore(record.entity, record.value_before)
+        self.metrics.steps_undone += 1
+        if self._sinks:
+            self._emit(
+                "step.undo",
+                txn=entry.key[0],
+                attempt=entry.key[1],
+                step=record.step.index,
+                entity=record.entity,
+                restored=record.value_before,
+            )
 
     # ------------------------------------------------------------------
     # segment-unit recovery (the paper's intermediate recovery unit)
@@ -1012,7 +920,6 @@ class Engine:
         cascade at *record* granularity: any access after an undone write
         is itself invalidated back to its own segment boundary."""
         infinity = 1 << 60
-        tr = self.tracer
         invalid: dict[tuple[str, int], int] = {}
         for name in victim_names:
             txn = self.txns[name]
@@ -1067,10 +974,9 @@ class Engine:
                         invalid[entry.key] = min(current, point)
                         changed = True
                         undone = True
-                        if tr.enabled and tainter is not None:
-                            tr.emit(
+                        if tainter is not None and self._sinks:
+                            self._emit(
                                 "cascade.join",
-                                self.tick,
                                 entity=entity,
                                 txn=entry.key[0],
                                 txn_attempt=entry.key[1],
@@ -1082,24 +988,11 @@ class Engine:
                         tainter = entry.key
 
         self.metrics.record_cascade(len(invalid))
-        wal = self.wal
-        if wal.enabled:
-            wal.append(
-                "abort",
-                tick=self.tick,
+        if self._sinks:
+            self._emit(
+                "txn.abort",
                 victims=sorted(name for name, _ in seed_keys),
                 cascade=sorted(name for name, _ in set(invalid) - seed_keys),
-                reason=reason,
-                unit="segment",
-            )
-        if tr.enabled:
-            tr.emit(
-                "txn.abort",
-                self.tick,
-                victims=sorted(name for name, _ in seed_keys),
-                cascade=sorted(
-                    name for name, _ in set(invalid) - seed_keys
-                ),
                 reason=reason,
                 chain=len(invalid),
                 unit="segment",
@@ -1112,32 +1005,7 @@ class Engine:
                 and entry.record.step.index >= invalid[entry.key]
                 and entry.record.kind is not StepKind.READ
             ):
-                self.store.restore(
-                    entry.record.entity, entry.record.value_before
-                )
-                self.metrics.steps_undone += 1
-                if self._mx is not None:
-                    self._mx["steps_undone"].inc()
-                if wal.enabled:
-                    wal.append(
-                        "undo",
-                        tick=self.tick,
-                        txn=entry.key[0],
-                        attempt=entry.key[1],
-                        step=entry.record.step.index,
-                        entity=entry.record.entity,
-                        restored=entry.record.value_before,
-                    )
-                if tr.enabled:
-                    tr.emit(
-                        "step.undo",
-                        self.tick,
-                        txn=entry.key[0],
-                        attempt=entry.key[1],
-                        step=entry.record.step.index,
-                        entity=entry.record.entity,
-                        restored=entry.record.value_before,
-                    )
+                self._undo(entry)
         self._live_log = [
             e
             for e in self._live_log
@@ -1159,50 +1027,26 @@ class Engine:
                 txn.attempt_start_tick = self.tick
                 self.metrics.aborts += 1
                 self.metrics.restarts += 1
-                if self._mx is not None:
-                    self._mx["aborts"].inc()
-                    self._mx["restarts"].inc()
             else:
                 fresh = _LiveTransaction(txn.program)
                 fresh.fast_forward(txn.live.results_log[:keep])
                 txn.live = fresh
                 self.metrics.partial_rollbacks += 1
                 self.metrics.steps_preserved += keep
-                if self._mx is not None:
-                    self._mx["partial_rollbacks"].inc()
             txn.wake_tick = self.tick + self.rng.randint(
                 1, self.backoff * min(txn.rollbacks, 64)
             )
-            if wal.enabled:
+            if self._sinks:
                 if keep == 0:
-                    wal.append(
-                        "restart",
-                        tick=self.tick,
-                        txn=name,
-                        attempt=txn.attempt,
-                        wake=txn.wake_tick,
-                    )
-                else:
-                    wal.append(
-                        "rewind",
-                        tick=self.tick,
-                        txn=name,
-                        keep=keep,
-                        wake=txn.wake_tick,
-                    )
-            if tr.enabled:
-                if keep == 0:
-                    tr.emit(
+                    self._emit(
                         "txn.restart",
-                        self.tick,
                         txn=name,
                         attempt=txn.attempt,
                         wake=txn.wake_tick,
                     )
                 else:
-                    tr.emit(
+                    self._emit(
                         "txn.partial-rollback",
-                        self.tick,
                         txn=name,
                         keep=keep,
                         wake=txn.wake_tick,

@@ -32,9 +32,6 @@ def certify_commit(scheduler, txn) -> Decision:
     engine = scheduler.engine
     assert engine is not None
     engine.metrics.cycles_detected += 1
-    mx_cycles = getattr(scheduler, "_mx_cycles", None)
-    if mx_cycles is not None:
-        mx_cycles.inc()
     owners = {
         step.transaction
         for step in result.cycle or ()

@@ -89,19 +89,17 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def attach(self, engine: "Engine") -> None:
-        """Called once by the engine before the run starts.
+        """Called by the engine on entry to every ``advance``.
 
-        Wires the engine's flight recorder into the scheduler's closure
+        Injects the engine's emission point into the scheduler's closure
         window, if it has one (the window has no engine reference of its
-        own, so the tracer and logical clock are injected here)."""
+        own) — ``None`` when the engine has no sinks, so an unobserved
+        window never builds a record."""
         self.engine = engine
         window = getattr(self, "window", None)
         if window is not None:
-            window.tracer = engine.tracer
-            window.clock = lambda: engine.tick
+            window.emit = engine._emit if engine._sinks else None
             window.profiler = engine.profiler
-            window.wal = engine.wal
-        self.bind_metrics(engine.registry)
 
     # ------------------------------------------------------------------
     # durability
@@ -118,19 +116,13 @@ class Scheduler:
         """Restore a :meth:`snapshot_state` dict onto a freshly
         constructed scheduler of the same kind."""
 
-    def bind_metrics(self, registry) -> None:
-        """Called from :meth:`attach` so schedulers can pre-bind their
-        domain counters (lock traffic, conflicts, parks, ...) against
-        the engine's registry.  Default: nothing to bind."""
-
-    def _counter(self, registry, name: str, help: str = ""):
-        """A ``scheduler=``-labeled counter child, or ``None`` when the
-        registry is disabled — sites guard with ``if c is not None``."""
-        if not registry.enabled:
-            return None
-        return registry.counter(
-            name, help=help, labels=("scheduler",)
-        ).labels(scheduler=self.name)
+    def counters(self, metrics) -> tuple[tuple[str, str, int], ...]:
+        """``(series, help, value)`` rows the engine publishes under this
+        scheduler's label whenever the registry is read, valued from the
+        engine's ``metrics``: a field, or — for counts only a series
+        reports (lock traffic, conflicts, parks, ...) — its ``detail``
+        bag.  Default: no series of its own."""
+        return ()
 
     @property
     def tracer(self) -> Tracer:

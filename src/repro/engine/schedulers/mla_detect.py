@@ -49,20 +49,19 @@ class MLADetectScheduler(Scheduler):
         # participant advances — retrying into an unchanged conflict
         # pattern would just re-form the same cycle.
         self._parked: dict[str, list[tuple[str, int, int]]] = {}
-        self._mx_checks = None
-        self._mx_cycles = None
-        self._mx_parks = None
 
-    def bind_metrics(self, registry) -> None:
-        self._mx_checks = self._counter(
-            registry, "repro_closure_checks_total",
-            "Coherent-closure queries (per-step and hypothetical).")
-        self._mx_cycles = self._counter(
-            registry, "repro_cycles_detected_total",
-            "Closure cycles detected (rollback triggered).")
-        self._mx_parks = self._counter(
-            registry, "repro_parks_total",
-            "Cycle victims parked behind their cycle peers.")
+    def counters(self, metrics):
+        return (
+            ("repro_closure_checks_total",
+             "Coherent-closure queries (per-step and hypothetical).",
+             metrics.closure_checks),
+            ("repro_cycles_detected_total",
+             "Closure cycles detected (rollback triggered).",
+             metrics.cycles_detected),
+            ("repro_parks_total",
+             "Cycle victims parked behind their cycle peers.",
+             metrics.detail["parks"]),
+        )
 
     def on_request(self, txn, access) -> Decision:
         assert self.engine is not None
@@ -91,8 +90,6 @@ class MLADetectScheduler(Scheduler):
         self.engine.metrics.closure_checks += 1
         self.engine.metrics.closure_edges_added += result.edges_added
         self.window.sync_metrics(self.engine.metrics)
-        if self._mx_checks is not None:
-            self._mx_checks.inc()
         tr = self.tracer
         if tr.enabled:
             tr.emit(
@@ -106,8 +103,6 @@ class MLADetectScheduler(Scheduler):
         if result.is_partial_order:
             return None
         self.engine.metrics.cycles_detected += 1
-        if self._mx_cycles is not None:
-            self._mx_cycles.inc()
         cycle_names = {
             step.transaction
             for step in result.cycle or ()
@@ -146,8 +141,8 @@ class MLADetectScheduler(Scheduler):
             and owner in self.engine.txns
             and not self.engine.txns[owner].committed
         ]
-        if self._mx_parks is not None and self._parked[victim.name]:
-            self._mx_parks.inc()
+        if self._parked[victim.name]:
+            self.engine.metrics.detail["parks"] += 1
         if tr.enabled:
             tr.emit(
                 "cycle.detect",

@@ -63,20 +63,19 @@ class MLAPreventScheduler(Scheduler):
         self.locks = LockManager() if use_locks else None
         # waiter -> blocking transaction names (for circular-wait checks)
         self._waiting_on: dict[str, set[str]] = {}
-        self._mx_checks = None
-        self._mx_bp_waits = None
-        self._mx_cycles = None
 
-    def bind_metrics(self, registry) -> None:
-        self._mx_checks = self._counter(
-            registry, "repro_closure_checks_total",
-            "Coherent-closure queries (per-step and hypothetical).")
-        self._mx_bp_waits = self._counter(
-            registry, "repro_breakpoint_waits_total",
-            "Steps delayed until blockers reach a suitable breakpoint.")
-        self._mx_cycles = self._counter(
-            registry, "repro_cycles_detected_total",
-            "Closure cycles detected (rollback triggered).")
+    def counters(self, metrics):
+        return (
+            ("repro_closure_checks_total",
+             "Coherent-closure queries (per-step and hypothetical).",
+             metrics.closure_checks),
+            ("repro_breakpoint_waits_total",
+             "Steps delayed until blockers reach a suitable breakpoint.",
+             metrics.detail["breakpoint_waits"]),
+            ("repro_cycles_detected_total",
+             "Closure cycles detected (rollback triggered).",
+             metrics.cycles_detected),
+        )
 
     # ------------------------------------------------------------------
 
@@ -89,8 +88,6 @@ class MLAPreventScheduler(Scheduler):
             txn.name, step, access.entity, access.kind
         )
         self.engine.metrics.closure_checks += 1
-        if self._mx_checks is not None:
-            self._mx_checks.inc()
         if not acyclic:
             # Performing now would close a cycle outright; wait for the
             # transactions on that cycle to advance (their segments close
@@ -171,8 +168,7 @@ class MLAPreventScheduler(Scheduler):
                         cause="breakpoint-wait",
                     )
                 return Decision.abort([victim.name], "breakpoint-wait cycle")
-            if self._mx_bp_waits is not None:
-                self._mx_bp_waits.inc()
+            self.engine.metrics.detail["breakpoint_waits"] += 1
             if tr.enabled:
                 tr.emit(
                     "breakpoint.wait",
@@ -229,8 +225,6 @@ class MLAPreventScheduler(Scheduler):
             # Prevention should make this unreachable; treat it as a
             # detected cycle and recover rather than corrupt the run.
             self.engine.metrics.cycles_detected += 1
-            if self._mx_cycles is not None:
-                self._mx_cycles.inc()
             if tr.enabled:
                 tr.emit(
                     "cycle.detect",

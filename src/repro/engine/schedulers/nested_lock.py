@@ -71,20 +71,19 @@ class NestedLockScheduler(Scheduler):
             if certify
             else None
         )
-        self._mx_retention_waits = None
-        self._mx_certify_failures = None
-        self._mx_checks = None
 
-    def bind_metrics(self, registry) -> None:
-        self._mx_retention_waits = self._counter(
-            registry, "repro_retention_waits_total",
-            "Accesses delayed by the per-entity retention rule.")
-        self._mx_certify_failures = self._counter(
-            registry, "repro_certify_failures_total",
-            "Schedules the retention rule admitted but the closure rejects.")
-        self._mx_checks = self._counter(
-            registry, "repro_closure_checks_total",
-            "Coherent-closure queries (per-step and hypothetical).")
+    def counters(self, metrics):
+        return (
+            ("repro_retention_waits_total",
+             "Accesses delayed by the per-entity retention rule.",
+             metrics.detail["retention_waits"]),
+            ("repro_certify_failures_total",
+             "Schedules the retention rule admitted but the closure rejects.",
+             self.certification_failures),
+            ("repro_closure_checks_total",
+             "Coherent-closure queries (per-step and hypothetical).",
+             metrics.closure_checks),
+        )
 
     # ------------------------------------------------------------------
 
@@ -131,8 +130,7 @@ class NestedLockScheduler(Scheduler):
                     graph.add_edge(waiter, blocker)
             edge_cycle = graph.find_cycle()
             if edge_cycle is None:
-                if self._mx_retention_waits is not None:
-                    self._mx_retention_waits.inc()
+                self.engine.metrics.detail["retention_waits"] += 1
                 if tr.enabled:
                     tr.emit(
                         "retention.wait",
@@ -167,8 +165,6 @@ class NestedLockScheduler(Scheduler):
         if self.window is None:
             return None
         self.engine.metrics.closure_checks += 1
-        if self._mx_checks is not None:
-            self._mx_checks.inc()
         result = self.window.observe(
             txn.name, record.step, record.entity, record.kind,
             txn.live.cut_levels,
@@ -181,8 +177,6 @@ class NestedLockScheduler(Scheduler):
         # schedule the closure rejects.  Recover like the detector would.
         self.certification_failures += 1
         self.engine.metrics.cycles_detected += 1
-        if self._mx_certify_failures is not None:
-            self._mx_certify_failures.inc()
         owners = {
             step.transaction
             for step in result.cycle or ()

@@ -40,12 +40,13 @@ class TimestampScheduler(Scheduler):
         self.conflicts = conflicts
         self._marks: dict[str, _Marks] = {}
         self._ts: dict[str, int] = {}
-        self._mx_conflicts = None
 
-    def bind_metrics(self, registry) -> None:
-        self._mx_conflicts = self._counter(
-            registry, "repro_ts_conflicts_total",
-            "Timestamp-order violations (requester aborted).")
+    def counters(self, metrics):
+        return ((
+            "repro_ts_conflicts_total",
+            "Timestamp-order violations (requester aborted).",
+            metrics.detail["ts_conflicts"],
+        ),)
 
     def _timestamp(self, txn) -> int:
         assert self.engine is not None
@@ -55,8 +56,7 @@ class TimestampScheduler(Scheduler):
         return self._ts[key]
 
     def _conflict(self, txn, access, ts: int, marks: _Marks) -> None:
-        if self._mx_conflicts is not None:
-            self._mx_conflicts.inc()
+        self.engine.metrics.detail["ts_conflicts"] += 1
         tr = self.tracer
         if tr.enabled:
             tr.emit(

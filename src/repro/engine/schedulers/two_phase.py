@@ -33,18 +33,18 @@ class TwoPhaseLockingScheduler(Scheduler):
         super().__init__()
         self.locks = LockManager()
         self.shared_reads = shared_reads
-        self._mx_acquires = None
-        self._mx_lock_waits = None
-        self._mx_deadlocks = None
 
-    def bind_metrics(self, registry) -> None:
-        self._mx_acquires = self._counter(
-            registry, "repro_lock_acquires_total", "Locks granted.")
-        self._mx_lock_waits = self._counter(
-            registry, "repro_lock_waits_total", "Lock-conflict waits.")
-        self._mx_deadlocks = self._counter(
-            registry, "repro_scheduler_deadlocks_total",
-            "Waits-for cycles broken by the scheduler.")
+    def counters(self, metrics):
+        detail = metrics.detail
+        return (
+            ("repro_lock_acquires_total", "Locks granted.",
+             detail["lock_acquires"]),
+            ("repro_lock_waits_total", "Lock-conflict waits.",
+             detail["lock_waits"]),
+            ("repro_scheduler_deadlocks_total",
+             "Waits-for cycles broken by the scheduler.",
+             detail["lock_deadlocks"]),
+        )
 
     def on_request(self, txn, access) -> Decision:
         mode = (
@@ -54,8 +54,7 @@ class TwoPhaseLockingScheduler(Scheduler):
         )
         tr = self.tracer
         if self.locks.try_acquire(txn.name, access.entity, mode):
-            if self._mx_acquires is not None:
-                self._mx_acquires.inc()
+            self.engine.metrics.detail["lock_acquires"] += 1
             if tr.enabled:
                 tr.emit(
                     "lock.acquire",
@@ -71,8 +70,7 @@ class TwoPhaseLockingScheduler(Scheduler):
             states = [self.engine.txns[name] for name in cycle]
             victim = max(states, key=lambda t: (t.priority, t.name))
             self.engine.metrics.deadlocks += 1
-            if self._mx_deadlocks is not None:
-                self._mx_deadlocks.inc()
+            self.engine.metrics.detail["lock_deadlocks"] += 1
             if tr.enabled:
                 tr.emit(
                     "deadlock",
@@ -82,8 +80,7 @@ class TwoPhaseLockingScheduler(Scheduler):
                     cause="lock",
                 )
             return Decision.abort([victim.name], "2pl deadlock")
-        if self._mx_lock_waits is not None:
-            self._mx_lock_waits.inc()
+        self.engine.metrics.detail["lock_waits"] += 1
         if tr.enabled:
             tr.emit(
                 "lock.wait",

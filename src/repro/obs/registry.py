@@ -12,7 +12,9 @@ The design mirrors the tracer's contract:
   the shared :data:`NULL_REGISTRY` (``enabled = False``) and bind label
   children only when ``registry.enabled`` — so a disabled run pays one
   attribute load and one branch per site, and never allocates a family,
-  a child, or a label tuple.
+  a child, or a label tuple.  The engine pays nothing per site either
+  way: its series are derived from ``Metrics`` when the registry is
+  read (see :class:`MetricsRegistry`).
 * **Behaviour invariance.**  Recording never touches any RNG and never
   mutates instrumented state; an instrumented run is bit-identical to an
   uninstrumented one (asserted by the differential tests).
@@ -139,12 +141,41 @@ class MetricFamily:
 
 
 class MetricsRegistry:
-    """A pull-based registry of metric families."""
+    """A pull-based registry of metric families.
+
+    Components with no counts of their own (the service, the distributed
+    runtime, the audit monitor) *push*: they bind children and ``inc`` /
+    ``set`` / ``observe`` them.  The engine keeps its counts in
+    :class:`repro.engine.metrics.Metrics` — what snapshots persist and
+    recovery restores — so it registers a *source* with :meth:`derive`,
+    and every read (:meth:`families`, :meth:`get`, :meth:`value`, hence
+    exposition and :meth:`merge`) first lets each source *set* its
+    series to the current counts.  Setting is idempotent: scraping twice
+    changes nothing, and a restarted engine's series agree with its
+    restored ``Metrics``, not with the work done since the restart.
+
+    A source sets rather than adds, so it must be the only writer of its
+    series: **one live engine per ``scheduler=`` label per registry**.
+    A second engine under the same label *replaces* the first as the
+    source (the series restart from its counts, the old engine is
+    released); to aggregate engines under one label, give each its own
+    registry and :meth:`merge` them.
+    """
 
     enabled = True
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
+        self._sources: dict[object, object] = {}
+
+    def derive(self, key: object, source) -> None:
+        """Call ``source(self)`` before every read, replacing any source
+        registered under the same ``key``."""
+        self._sources[key] = source
+
+    def _refresh(self) -> None:
+        for source in self._sources.values():
+            source(self)
 
     # ------------------------------------------------------------------
 
@@ -189,15 +220,17 @@ class MetricsRegistry:
 
     def families(self) -> list[MetricFamily]:
         """All families, sorted by name (deterministic exposition)."""
+        self._refresh()
         return [self._families[name] for name in sorted(self._families)]
 
     def get(self, name: str) -> MetricFamily | None:
+        self._refresh()
         return self._families.get(name)
 
     def value(self, name: str, **kv: object):
         """Convenience read: the child value for one label combination
         (0 / empty histogram when the series was never touched)."""
-        family = self._families.get(name)
+        family = self.get(name)
         if family is None:
             return None
         child = family.labels(**kv)
@@ -246,6 +279,9 @@ class NullRegistry(MetricsRegistry):
 
     def _family(self, name, kind, help, labels) -> MetricFamily:
         return _NULL_FAMILY
+
+    def derive(self, key, source) -> None:
+        pass
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         return self

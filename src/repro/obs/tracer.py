@@ -4,14 +4,16 @@ The contract every instrumented call site follows::
 
     tr = self.tracer
     if tr.enabled:
-        tr.emit("step.perform", self.tick, txn=name, entity=entity)
+        tr.emit("lock.wait", self.tick, txn=name, entity=entity)
 
 The guard is the whole disabled-mode cost: one attribute load and one
 branch per site, with no kwargs dict, no :class:`~repro.obs.events.Event`
 and no string formatting ever constructed.  :data:`NULL_TRACER` (the
 default everywhere) additionally makes ``emit`` a no-op, so even an
 unguarded call is safe — but guarded sites are the norm and the overhead
-budget (<3% disabled, asserted by the quick bench) assumes them.
+budget (<3% disabled, asserted by the quick bench) assumes them.  The
+engine reaches an enabled tracer through :meth:`Tracer.on_decision`, as
+the last sink of its decision stream (DESIGN.md §4e).
 
 Sinks:
 
@@ -40,6 +42,14 @@ class Tracer:
 
     def emit(self, kind: str, at: float, /, **data: Any) -> None:
         raise NotImplementedError
+
+    def on_decision(self, kind: str, tick: int, fields: dict) -> None:
+        """The engine's sink interface: the tracer keeps everything but
+        a commit's ``steps`` — the history sinks' ``(seq, StepRecord)``
+        list, passed by reference; ``Event.data`` stays flat."""
+        if kind == "txn.commit":
+            fields = {k: v for k, v in fields.items() if k != "steps"}
+        self.emit(kind, tick, **fields)
 
     def events(self) -> list[Event]:
         """Recorded events, oldest first (empty for write-only sinks)."""

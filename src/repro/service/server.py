@@ -167,8 +167,8 @@ class TransactionService:
             tracer=self.tracer,
             registry=self.registry,
             profiler=self.profiler,
-            wal=self.wal if self.wal.enabled else None,
-            history=self.history if self.history.enabled else None,
+            wal=self.wal,
+            history=self.history,
         )
         if self.wal.enabled:
             self.wal.log_genesis(

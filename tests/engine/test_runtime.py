@@ -194,3 +194,39 @@ class TestSchedulerZoo:
             if not report.correctable:
                 bad += 1
         assert bad > 0
+
+
+class TestDecisionStream:
+    def test_perform_carries_a_field_named_kind(self, bank_programs):
+        """``step.perform`` records the access kind under the key
+        ``kind`` — the same name as ``_emit``'s first parameter, which is
+        why that parameter is positional-only."""
+        from repro.obs import RingTracer
+
+        programs, accounts = bank_programs
+        tracer = RingTracer(None)
+        engine = Engine(programs, accounts, SerialScheduler(), tracer=tracer)
+        engine.run()
+        performs = [e for e in tracer.events() if e.kind == "step.perform"]
+        assert len(performs) == engine.metrics.steps_performed
+        kinds = {e.data["kind"] for e in performs}
+        assert kinds == {"read", "write", "update"}
+        engine._emit("txn.wait", kind="not the event kind", txn="t0")
+        last = tracer.events()[-1]
+        assert last.kind == "txn.wait"
+        assert last.data["kind"] == "not the event kind"
+
+    def test_sinks_are_read_on_every_advance(self, bank_programs):
+        """The service attaches its history sink to a recovered engine
+        only after replay: a sink assigned between two ``advance`` calls
+        sees the decisions of the second."""
+        from repro.audit import HistoryRecorder
+
+        programs, accounts = bank_programs
+        engine = Engine(programs, accounts, SerialScheduler())
+        engine.advance(until_tick=6)
+        early = len(engine.commit_order)
+        assert 0 < early < len(programs)
+        engine.history = recorder = HistoryRecorder()
+        engine.advance()
+        assert recorder.commit_order == engine.commit_order[early:]

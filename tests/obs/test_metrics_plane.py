@@ -132,6 +132,31 @@ class TestRegistry:
         real = MetricsRegistry()
         real.counter("repro_c_total").labels().inc()
         assert registry.merge(real).families() == []
+        registry.derive("key", lambda reg: 1 / 0)
+        assert registry.families() == []
+
+    def test_sources_set_their_series_on_every_read(self):
+        """``derive`` is the pull half: a source sets (never adds), so
+        reading twice changes nothing, and re-registering under the same
+        key replaces the source."""
+        registry = MetricsRegistry()
+        state = {"n": 3, "reads": 0}
+
+        def source(reg):
+            state["reads"] += 1
+            reg.counter("repro_n_total").labels().value = state["n"]
+
+        registry.derive("n", source)
+        assert registry.value("repro_n_total") == 3
+        assert registry.value("repro_n_total") == 3
+        state["n"] = 5
+        assert [f.name for f in registry.families()] == ["repro_n_total"]
+        assert registry.get("repro_n_total").labels().value == 5
+        assert MetricsRegistry().merge(registry).value("repro_n_total") == 5
+        reads = state["reads"]
+        registry.derive("n", lambda reg: None)
+        registry.families()
+        assert state["reads"] == reads, "a replaced source is released"
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +379,51 @@ class TestMetricsDifferential:
         ) == bare.metrics.steps_performed
         # The profiler attributed real time to the scheduling phase.
         assert profiler.calls["schedule"] > 0
+
+    def test_scrapes_are_idempotent_and_track_the_live_run(self, bank):
+        """``live_registry_snapshot`` renders the same exposition however
+        often it is scraped, mid-run and after, and the series follow
+        ``engine.metrics`` between scrapes — the engine's are derived on
+        read, the profiler's are published into a fresh copy."""
+        from repro.obs import live_registry_snapshot
+
+        registry = MetricsRegistry()
+        profiler = PhaseProfiler()
+        engine = bank.engine(
+            SCHEDULER_ZOO["mla-detect"](bank.nest), seed=5,
+            registry=registry, profiler=profiler,
+        )
+        # Scraped before the first tick: every family is there, at zero.
+        for series in ("repro_commits_total", "repro_parks_total"):
+            assert registry.value(series, scheduler="mla-detect") == 0
+        engine.advance(until_tick=40)
+
+        def scrape() -> str:
+            return prometheus_text(live_registry_snapshot(registry, profiler))
+
+        midway = scrape()
+        assert scrape() == midway == scrape()
+        label = '{scheduler="mla-detect"}'
+        commits = engine.metrics.commits
+        assert f"repro_commits_total{label} {commits}\n" in midway
+        assert f"repro_ticks{label} 40\n" in midway
+        result = engine.run()
+        final = scrape()
+        assert scrape() == final != midway
+        metrics = result.metrics
+        for series, expected in {
+            "repro_commits_total": metrics.commits,
+            "repro_aborts_total": metrics.aborts,
+            "repro_steps_undone_total": metrics.steps_undone,
+            "repro_closure_checks_total": metrics.closure_checks,
+            "repro_cycles_detected_total": metrics.cycles_detected,
+        }.items():
+            assert registry.value(series, scheduler="mla-detect") == expected
+        latency = registry.value(
+            "repro_commit_latency_ticks", scheduler="mla-detect"
+        )
+        assert latency.count == metrics.commits
+        assert latency.total == metrics.latency_total
 
     def test_instrumented_cluster_identical_and_snapshot_stable(self, bank):
         def cluster(**kwargs):

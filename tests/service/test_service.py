@@ -541,3 +541,64 @@ class TestSocketServer:
         assert len(service.engine.commit_order) == 30
         statuses = {e["status"] for e in stats["envelopes"]}
         assert statuses <= {"committed", "restarted"}
+
+
+# ----------------------------------------------------------------------
+# the surface benchmarks/e18 instruments
+# ----------------------------------------------------------------------
+
+
+class TestFrozenSurface:
+    """``benchmarks/e18`` may not change, and it times the layers by
+    swapping callables *on instances after construction*
+    (``service.wal.append``, ``service.history.on_commit``, ...).  The
+    engine must therefore look its sinks' methods up at emission time: a
+    sink method bound at construction would bypass the wrappers and
+    silently zero ``durability.wal_append.calls_per_txn``."""
+
+    def test_wrappers_installed_after_construction_see_every_call(
+        self, tmp_path
+    ):
+        from repro.durability.wal import LogFile
+
+        wal_dir = str(tmp_path / "wal")
+        service = TransactionService(ServiceConfig(
+            scheduler="mla-detect",
+            admission=AdmissionConfig(window=32),
+            wal_dir=wal_dir,
+            history_path=str(tmp_path / "history.jsonl"),
+        ))
+        calls = {"append": 0, "on_commit": 0}
+
+        def counted(name, call):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return call(*args, **kwargs)
+            return wrapper
+
+        service.wal.append = counted("append", service.wal.append)
+        service.history.on_commit = counted(
+            "on_commit", service.history.on_commit
+        )
+        submissions = traffic_submissions(
+            TrafficConfig(transactions=200, contention=0.15, seed=18)
+        )
+
+        async def go():
+            for start in range(0, len(submissions), 32):
+                await asyncio.gather(*(
+                    service.submit(s) for s in submissions[start:start + 32]
+                ))
+            await service.drain()
+
+        run(go())
+        service.wal.close()
+        service.history.close()
+        assert service.engine.metrics.aborts > 0
+        assert calls["on_commit"] == len(service.engine.commit_order) == 200
+        frames = len(LogFile(f"{wal_dir}/engine.wal").payloads)
+        # The genesis frame was written during construction.
+        assert calls["append"] == frames - 1
+        assert service.wal.enabled and service.history.enabled
+        assert service.tracer.events() and service.tracer.dropped >= 0
+        assert service.profiler.snapshot()["schedule"]["calls"] > 0

