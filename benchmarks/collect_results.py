@@ -277,10 +277,10 @@ def trace_smoke() -> dict:
 
 @contextlib.contextmanager
 def _counting_child_writes():
-    """Count every write to any registry child while the block runs:
-    ``inc`` / ``set`` / ``dec`` and direct assignments all pass through
-    the child's ``__setattr__``; ``observe`` mutates the histogram behind
-    the child, so it is counted at the method."""
+    """Count every write to any registry child while the block runs: a
+    child is a bare holder of ``value`` / ``hist`` that only a source's
+    assignment changes, and every assignment passes through the child's
+    ``__setattr__``."""
     from repro.obs.registry import Counter, Gauge, HistogramChild
 
     tally = {"writes": 0}
@@ -289,22 +289,14 @@ def _counting_child_writes():
         tally["writes"] += 1
         object.__setattr__(child, name, value)
 
-    observe = HistogramChild.observe
-
-    def counted_observe(child, value):
-        tally["writes"] += 1
-        observe(child, value)
-
     children = (Counter, Gauge, HistogramChild)
     for child_type in children:
         child_type.__setattr__ = counted_setattr
-    HistogramChild.observe = counted_observe
     try:
         yield tally
     finally:
         for child_type in children:
             del child_type.__setattr__
-        HistogramChild.observe = observe
 
 
 def obs_smoke() -> dict:

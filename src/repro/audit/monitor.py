@@ -12,12 +12,13 @@ acyclic — so the monitor's verdict after every commit equals what the
 offline :func:`repro.core.atomicity.is_correctable` would say about the
 committed prefix.
 
-Observability: each checked commit and each violation lands in the
-metrics registry (``repro_audit_checked_commits_total``,
-``repro_audit_violations_total``, ``repro_audit_lag``) and, when a
-tracer is attached, as ``audit.check`` / ``audit.violation`` taxonomy
-events with the witness cycle.  The monitor never touches the engine
-rng, so monitored runs are bit-identical to bare runs.
+Observability: a registry, when given, reads the checked / violation
+counts and the lag from the monitor whenever it is read
+(``repro_audit_checked_commits_total``, ``repro_audit_violations_total``,
+``repro_audit_lag``), and a tracer, when given, receives ``audit.check``
+/ ``audit.violation`` taxonomy events with the witness cycle.  The
+monitor never touches the engine rng, so monitored runs are
+bit-identical to bare runs.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class OnlineMonitor(HistorySink):
         ones).
     registry:
         Optional :class:`~repro.obs.MetricsRegistry`; when given, the
-        monitor publishes checked/violation counters and a lag gauge.
+        monitor registers as the source of the checked/violation
+        counters and the lag gauge.
     tracer:
         Optional flight recorder for ``audit.*`` taxonomy events.
     batch:
@@ -71,22 +73,22 @@ class OnlineMonitor(HistorySink):
         #: wall seconds spent inside closure maintenance (the honest
         #: numerator of the monitor-overhead budget in benchmarks).
         self.seconds = 0.0
-        self._mx = None
-        if registry is not None and registry.enabled:
-            self._mx = {
-                "checked": registry.counter(
-                    "repro_audit_checked_commits_total",
-                    help="Commits checked by the online monitor.",
-                ).labels(),
-                "violations": registry.counter(
-                    "repro_audit_violations_total",
-                    help="Correctability violations the monitor flagged.",
-                ).labels(),
-                "lag": registry.gauge(
-                    "repro_audit_lag",
-                    help="Commits buffered but not yet checked.",
-                ).labels(),
-            }
+        if registry is not None:
+            registry.derive("monitor", self._publish)
+
+    def _publish(self, registry) -> None:
+        """Set the audit series from the counts above; the registry
+        calls this before every read."""
+        for kind, name, help, value in (
+            ("counter", "repro_audit_checked_commits_total",
+             "Commits checked by the online monitor.", self.checked),
+            ("counter", "repro_audit_violations_total",
+             "Correctability violations the monitor flagged.",
+             self.violations),
+            ("gauge", "repro_audit_lag",
+             "Commits buffered but not yet checked.", self.lag),
+        ):
+            registry.put(kind, name, help, value)
 
     # ------------------------------------------------------------------
     # sink interface
@@ -99,8 +101,6 @@ class OnlineMonitor(HistorySink):
 
     def on_commit(self, name, attempt, tick, entries, cut_levels, result):
         self._queue.append((name, tick, list(entries), dict(cut_levels)))
-        if self._mx is not None:
-            self._mx["lag"].set(len(self._queue))
         if len(self._queue) >= self.batch:
             self.drain()
 
@@ -125,8 +125,6 @@ class OnlineMonitor(HistorySink):
         while self._queue:
             name, tick, entries, cut_levels = self._queue.popleft()
             self._check(name, tick, entries, cut_levels)
-            if self._mx is not None:
-                self._mx["lag"].set(len(self._queue))
 
     def _check(
         self,
@@ -136,8 +134,6 @@ class OnlineMonitor(HistorySink):
         cut_levels: dict[int, int],
     ) -> None:
         self.checked += 1
-        if self._mx is not None:
-            self._mx["checked"].inc()
         if self.cycle is not None:
             # Terminal: the closure engine is pinned on its witness; we
             # keep counting commits but stop paying for closure work.
@@ -181,7 +177,7 @@ class OnlineMonitor(HistorySink):
         self.seconds += time.perf_counter() - started
         tracer = self.tracer
         if ok:
-            if tracer is not None and tracer.enabled:
+            if tracer is not None:
                 tracer.emit(
                     "audit.check",
                     tick,
@@ -192,9 +188,7 @@ class OnlineMonitor(HistorySink):
             return
         self.cycle = list(closure.cycle or [])
         self.violations += 1
-        if self._mx is not None:
-            self._mx["violations"].inc()
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.emit(
                 "audit.violation",
                 tick,

@@ -373,30 +373,26 @@ def cmd_metrics(args) -> int:
         MetricsRegistry,
         PhaseProfiler,
         json_snapshot,
-        live_registry_snapshot,
         prometheus_text,
     )
 
     workload = _build_workload(args)
     registry = MetricsRegistry()
     profiler = PhaseProfiler()
+    registry.derive("phases", profiler.publish)
     if args.distributed:
-        runtime = _build_distributed(
+        _build_distributed(
             args, workload, registry=registry, profiler=profiler
-        )
-        runtime.run()
-        source = runtime
+        ).run()
     else:
         run_workload(
             workload, args.scheduler, seed=args.seed,
             registry=registry, profiler=profiler,
         )
-        source = registry
-    snapshot = live_registry_snapshot(source, profiler)
     if args.format == "json":
-        text = json.dumps(json_snapshot(snapshot), indent=2, sort_keys=True)
+        text = json.dumps(json_snapshot(registry), indent=2, sort_keys=True)
     else:
-        text = prometheus_text(snapshot)
+        text = prometheus_text(registry)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -497,12 +493,10 @@ def _engine_frame(args, engine, registry, profiler) -> list[str]:
 
 
 def _distributed_frame(args, runtime, profiler, now: float) -> list[str]:
-    from repro.obs import live_registry_snapshot
-
-    snapshot = live_registry_snapshot(runtime)
+    registry = runtime.registry
     control = runtime.control.name
-    commits = snapshot.value("repro_seq_commits_total", control=control) or 0
-    aborts = snapshot.value("repro_seq_aborts_total", control=control) or 0
+    commits = registry.value("repro_seq_commits_total", control=control) or 0
+    aborts = registry.value("repro_seq_aborts_total", control=control) or 0
     attempts = commits + aborts
     lines = [
         f"repro top — distributed control={control} nodes={args.nodes} "
@@ -515,7 +509,7 @@ def _distributed_frame(args, runtime, profiler, now: float) -> list[str]:
         ("repro_net_deliveries_total", "deliveries"),
         ("repro_node_steps_performed_total", "steps"),
     ):
-        family = snapshot.get(metric)
+        family = registry.get(metric)
         if family is not None:
             parts = [
                 f"{values[0]}={child.value}"

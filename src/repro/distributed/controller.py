@@ -45,7 +45,7 @@ from repro.engine.rollback import cascade_closure, undo_plan
 from repro.errors import NetworkError
 from repro.model.breakpoints import spec_for_execution
 from repro.obs.profile import NULL_PROFILER, PhaseProfiler
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.model.execution import Execution
 from repro.model.programs import TransactionProgram
 from repro.model.steps import StepId, StepRecord
@@ -132,7 +132,7 @@ class DistributedPreventControl(NoControl):
 
     def attach(self, sequencer: "Sequencer") -> None:
         super().attach(sequencer)
-        self.window.emit = sequencer.emit
+        self.window.emit = sequencer.network.emit
         self.window.profiler = sequencer.profiler
 
     def _at_breakpoint(self, name: str, level: int) -> bool:
@@ -269,29 +269,9 @@ class Sequencer:
         self.name = name
         self.network = network
         self.control = control
-        self.registry = registry if registry is not None else NULL_REGISTRY
         self.profiler = profiler if profiler is not None else NULL_PROFILER
-        if self.registry.enabled:
-            def _c(metric: str, help: str):
-                return self.registry.counter(
-                    metric, help=help, labels=("control",),
-                ).labels(control=control.name)
-            self._mx = {
-                "grants": _c("repro_seq_grants_total",
-                             "Step permissions granted."),
-                "denies": _c("repro_seq_denies_total",
-                             "Step permissions denied (wait or quiesce)."),
-                "commits": _c("repro_seq_commits_total",
-                              "Transactions committed by the sequencer."),
-                "aborts": _c("repro_seq_aborts_total",
-                             "Attempts rolled back (cascade included)."),
-                "deadlocks": _c("repro_seq_deadlocks_total",
-                                "Circular waits or certification failures."),
-                "recoveries": _c("repro_seq_recoveries_total",
-                                 "Node crash recoveries reconciled."),
-            }
-        else:
-            self._mx = None
+        if registry is not None:
+            registry.derive(("sequencer", control.name), self._publish)
         self.entity_owner = dict(entity_owner)
         self.origins = dict(origins)
         self.arrivals = dict(arrivals)
@@ -317,6 +297,8 @@ class Sequencer:
         # transactions condemned to roll back once the pipeline drains.
         self.outstanding: set[str] = set()
         self.doomed: set[str] = set()
+        self.grants = 0
+        self.denies = 0
         self.commits = 0
         self.aborts = 0
         self.deadlocks = 0
@@ -347,20 +329,32 @@ class Sequencer:
         # retransmit chains re-deliver them after reconciliation.
         self._node_epoch: dict[str, int] = {}
         self._uid_n = 0
-        # ``emit(kind, /, **fields)`` for what the sequencer shares with
-        # the engine (closure window, cascade closure): the tracer at
-        # network time, or None when nobody listens.
-        self.emit = (
-            (lambda kind, /, **data: network.tracer.emit(
-                kind, network.now, **data))
-            if network.tracer.enabled
-            else None
-        )
 
         network.register(name, self.handle)
         control.attach(self)
 
     # ------------------------------------------------------------------
+
+    def _publish(self, registry: MetricsRegistry) -> None:
+        """Set the ``control=`` series from the counts above; the
+        registry calls this before every read."""
+        for series, help, value in (
+            ("repro_seq_grants_total", "Step permissions granted.",
+             self.grants),
+            ("repro_seq_denies_total",
+             "Step permissions denied (wait or quiesce).", self.denies),
+            ("repro_seq_commits_total",
+             "Transactions committed by the sequencer.", self.commits),
+            ("repro_seq_aborts_total",
+             "Attempts rolled back (cascade included).", self.aborts),
+            ("repro_seq_deadlocks_total",
+             "Circular waits or certification failures.", self.deadlocks),
+            ("repro_seq_recoveries_total",
+             "Node crash recoveries reconciled.", self.recoveries),
+        ):
+            registry.put(
+                "counter", series, help, value, control=self.control.name
+            )
 
     def priority_key(self, name: str):
         """Victims are chosen youngest-first (max key)."""
@@ -387,14 +381,10 @@ class Sequencer:
     def _send_grant(self, node: str, name: str, attempt: int, steps: int) -> None:
         self.outstanding.add(name)
         self._granted[name] = (attempt, steps)
-        if self._mx is not None:
-            self._mx["grants"].inc()
-        tr = self.network.tracer
-        if tr.enabled:
-            tr.emit(
-                "seq.grant", self.network.now,
-                txn=name, attempt=attempt, step=steps, node=node,
-            )
+        self.grants += 1
+        emit = self.network.emit
+        if emit:
+            emit("seq.grant", txn=name, attempt=attempt, step=steps, node=node)
         self.network.send(
             node,
             Message("grant", {"name": name, "attempt": attempt,
@@ -403,14 +393,10 @@ class Sequencer:
         )
 
     def _send_deny(self, node: str, name: str, attempt: int, steps: int) -> None:
-        if self._mx is not None:
-            self._mx["denies"].inc()
-        tr = self.network.tracer
-        if tr.enabled:
-            tr.emit(
-                "seq.deny", self.network.now,
-                txn=name, attempt=attempt, step=steps, node=node,
-            )
+        self.denies += 1
+        emit = self.network.emit
+        if emit:
+            emit("seq.deny", txn=name, attempt=attempt, step=steps, node=node)
         self.network.send(
             node,
             Message("deny", {"name": name, "attempt": attempt,
@@ -475,8 +461,6 @@ class Sequencer:
         else:
             _tag, victims = decision
             self.deadlocks += 1
-            if self._mx is not None:
-                self._mx["deadlocks"].inc()
             self._abort(victims)
             if name not in victims:
                 self._send_deny(node, name, attempt, steps)
@@ -738,14 +722,9 @@ class Sequencer:
             return
         self._node_epoch[node] = epoch
         self.recoveries += 1
-        if self._mx is not None:
-            self._mx["recoveries"].inc()
-        tr = self.network.tracer
-        if tr.enabled:
-            tr.emit(
-                "seq.recover", self.network.now,
-                node=node, tail=len(tail), epoch=epoch,
-            )
+        emit = self.network.emit
+        if emit:
+            emit("seq.recover", node=node, tail=len(tail), epoch=epoch)
         for entry in tail:
             self._on_performed({**entry, "_replay": True})
         stranded = {
@@ -796,8 +775,6 @@ class Sequencer:
                 victims = self.control.certify_commit(name)
             if victims:
                 self.deadlocks += 1
-                if self._mx is not None:
-                    self._mx["deadlocks"].inc()
                 self._abort(victims)
                 if name not in victims and name in self.pending_commit:
                     self.network.send(
@@ -816,13 +793,10 @@ class Sequencer:
             self.results[name] = txn.result
             self.final_cut_levels[name] = txn.cut_levels
             self.commits += 1
-            if self._mx is not None:
-                self._mx["commits"].inc()
-            tr = self.network.tracer
-            if tr.enabled:
-                tr.emit(
-                    "seq.commit", self.network.now,
-                    txn=name, attempt=txn.attempt,
+            emit = self.network.emit
+            if emit:
+                emit(
+                    "seq.commit", txn=name, attempt=txn.attempt,
                     latency=self.network.now - self.arrivals.get(name, 0.0),
                 )
             self.control.on_commit(name)
@@ -831,13 +805,10 @@ class Sequencer:
         if cycle:
             victim = max(cycle, key=self.priority_key)
             self.deadlocks += 1
-            if self._mx is not None:
-                self._mx["deadlocks"].inc()
-            tr = self.network.tracer
-            if tr.enabled:
-                tr.emit(
-                    "deadlock", self.network.now,
-                    cycle=list(cycle), victim=victim,
+            emit = self.network.emit
+            if emit:
+                emit(
+                    "deadlock", cycle=list(cycle), victim=victim,
                     cause="commit-dependency",
                 )
             self._abort([victim])
@@ -889,16 +860,16 @@ class Sequencer:
         victims = set(self.doomed)
         self.doomed.clear()
         seeds = {(name, self.attempts[name]) for name in victims}
-        tr = self.network.tracer
-        cascade = cascade_closure(self.log, seeds, emit=self.emit)
+        emit = self.network.emit
+        cascade = cascade_closure(self.log, seeds, emit=emit)
         overlap = cascade & self.committed
         if overlap:
             raise NetworkError(
                 f"recoverability violated in distributed run: {overlap}"
             )
-        if tr.enabled:
-            tr.emit(
-                "seq.abort", self.network.now,
+        if emit:
+            emit(
+                "seq.abort",
                 victims=sorted(name for name, _ in seeds),
                 cascade=sorted(name for name, _ in cascade - seeds),
                 chain=len(cascade),
@@ -957,8 +928,6 @@ class Sequencer:
             else:
                 self._send_restart(name, delay=self._restart_delay(name))
             self.aborts += 1
-            if self._mx is not None:
-                self._mx["aborts"].inc()
 
 
 # ---------------------------------------------------------------------------
@@ -1022,8 +991,10 @@ class DistributedRuntime:
         wal_dir: str | None = None,
     ) -> None:
         programs = list(programs)
-        self.registry = registry if registry is not None else NULL_REGISTRY
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
+        #: One registry for the whole cluster: the network, the sequencer
+        #: and every node register a source in it, each the only writer
+        #: of its own label values.
+        self.registry = registry
         if nodes < 1:
             raise NetworkError("need at least one data node")
         node_names = [f"node{i}" for i in range(nodes)]
@@ -1067,9 +1038,6 @@ class DistributedRuntime:
             profiler=profiler,
         )
         self.nodes: list[DataNode] = []
-        # Each node writes into a private registry; ``registry_snapshot``
-        # folds them with the shared one via ``MetricsRegistry.merge``.
-        self._node_registries: dict[str, MetricsRegistry] = {}
         for node_name in node_names:
             node_entities = {
                 entity: initial_values[entity]
@@ -1081,11 +1049,6 @@ class DistributedRuntime:
                 for program in programs
                 if origins[program.name] == node_name
             }
-            node_registry = (
-                MetricsRegistry() if self.registry.enabled else None
-            )
-            if node_registry is not None:
-                self._node_registries[node_name] = node_registry
             wal_path = None
             if wal_dir is not None:
                 os.makedirs(wal_dir, exist_ok=True)
@@ -1100,7 +1063,7 @@ class DistributedRuntime:
                     entity_owner,
                     retry_delay=retry_delay,
                     rexmit_delay=rexmit_delay,
-                    registry=node_registry,
+                    registry=registry,
                     wal_path=wal_path,
                     catalog={p.name: p for p in programs},
                 )
@@ -1135,17 +1098,6 @@ class DistributedRuntime:
         """Deliver everything due at or before ``until`` simulation time
         and return the current clock — the dashboard's tick-batch mode."""
         return self.network.run(until=until)
-
-    def registry_snapshot(self) -> MetricsRegistry:
-        """A fresh registry folding the shared registry with every
-        node-private one (counters add, gauges max, histograms merge) —
-        the distributed analogue of ``Metrics.merge``.  Fresh on every
-        call, so repeated snapshots never double-count."""
-        merged = MetricsRegistry()
-        merged.merge(self.registry)
-        for node_registry in self._node_registries.values():
-            merged.merge(node_registry)
-        return merged
 
     def run(self) -> DistributedResult:
         self.start()

@@ -25,7 +25,7 @@ from typing import Any
 from repro.distributed.faults import FaultPlan
 from repro.errors import NetworkError
 from repro.obs.profile import NULL_PROFILER, PhaseProfiler
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["Message", "Network"]
@@ -69,27 +69,21 @@ class Network:
             raise NetworkError(f"bad latency range {latency}")
         self.latency = latency
         self.rng = random.Random(seed)
-        # Flight recorder; events carry simulation time.  Emission never
-        # touches ``rng``/``fault_rng``, so traced runs are identical.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Metrics plane: per-kind traffic counters and the ``network``
-        # phase of handler execution.  Same invariance rule as tracing.
-        self.registry = registry if registry is not None else NULL_REGISTRY
+        #: The runtime's one emission point, ``emit(kind, /, **fields)``:
+        #: the flight recorder at simulation time — for the sequencer and
+        #: the nodes too — or ``None`` when nobody listens.  Emission
+        #: never touches ``rng``/``fault_rng``, so traced runs are
+        #: identical; the same holds for the ``network`` phase of handler
+        #: execution and the registry source.
+        self.emit = (
+            (lambda kind, /, **data: self.tracer.emit(kind, self.now, **data))
+            if self.tracer.enabled
+            else None
+        )
         self.profiler = profiler if profiler is not None else NULL_PROFILER
-        if self.registry.enabled:
-            self._fam_sent = self.registry.counter(
-                "repro_net_messages_total",
-                help="Messages put on the wire, by kind.",
-                labels=("kind",),
-            )
-            self._fam_recv = self.registry.counter(
-                "repro_net_deliveries_total",
-                help="Messages delivered to a handler, by node.",
-                labels=("node",),
-            )
-        else:
-            self._fam_sent = None
-            self._fam_recv = None
+        if registry is not None:
+            registry.derive("network", self._publish)
         self.max_events = max_events
         self.fifo = fifo
         self.faults = faults
@@ -102,6 +96,7 @@ class Network:
         # reads per-kind counts as protocol overhead).
         self.messages_sent = 0
         self.messages_by_kind: dict[str, int] = {}
+        self.deliveries_by_node: dict[str, int] = {}
         self.timers_set = 0
         self.timers_by_kind: dict[str, int] = {}
         self.messages_dropped = 0
@@ -127,6 +122,20 @@ class Network:
                            Message("recover", {"node": event.node}))
 
     # ------------------------------------------------------------------
+
+    def _publish(self, registry: MetricsRegistry) -> None:
+        """Set the traffic series from the counts above; the registry
+        calls this before every read."""
+        for kind, count in self.messages_by_kind.items():
+            registry.put(
+                "counter", "repro_net_messages_total",
+                "Messages put on the wire, by kind.", count, kind=kind,
+            )
+        for node, count in self.deliveries_by_node.items():
+            registry.put(
+                "counter", "repro_net_deliveries_total",
+                "Messages delivered to a handler, by node.", count, node=node,
+            )
 
     def register(self, name: str, handler: Callable[[Message], None]) -> None:
         if name in self._handlers:
@@ -182,30 +191,25 @@ class Network:
         self.messages_by_kind[message.kind] = (
             self.messages_by_kind.get(message.kind, 0) + 1
         )
-        if self._fam_sent is not None:
-            self._fam_sent.labels(kind=message.kind).inc()
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
-                "msg.send", self.now, kind=message.kind,
-                source=source, target=target,
-            )
+        emit = self.emit
+        if emit:
+            emit("msg.send", kind=message.kind, source=source, target=target)
         link = None
         if self.faults is not None and self.reliable:
             if self.faults.severed(source, target, self.now):
                 self.messages_severed += 1
-                if tr.enabled:
-                    tr.emit(
-                        "msg.sever", self.now, kind=message.kind,
+                if emit:
+                    emit(
+                        "msg.sever", kind=message.kind,
                         source=source, target=target,
                     )
                 return
             link = self.faults.link(source, target)
             if link.drop > 0 and self.fault_rng.random() < link.drop:
                 self.messages_dropped += 1
-                if tr.enabled:
-                    tr.emit(
-                        "msg.drop", self.now, kind=message.kind,
+                if emit:
+                    emit(
+                        "msg.drop", kind=message.kind,
                         source=source, target=target,
                     )
                 return
@@ -225,9 +229,9 @@ class Network:
                 # overtake earlier traffic to the same target.
                 self.messages_reordered += 1
                 when += self.fault_rng.uniform(0.0, link.reorder_jitter)
-                if tr.enabled:
-                    tr.emit(
-                        "msg.reorder", self.now, kind=message.kind,
+                if emit:
+                    emit(
+                        "msg.reorder", kind=message.kind,
                         source=source, target=target, when=when,
                     )
             elif self.fifo:
@@ -247,9 +251,9 @@ class Network:
             if link.reorder_jitter > 0:
                 extra += self.fault_rng.uniform(0.0, link.reorder_jitter)
             self._push(extra, target, message)
-            if tr.enabled:
-                tr.emit(
-                    "msg.dup", self.now, kind=message.kind,
+            if emit:
+                emit(
+                    "msg.dup", kind=message.kind,
                     source=source, target=target, when=extra,
                 )
 
@@ -260,18 +264,17 @@ class Network:
         if node not in self._handlers:
             raise NetworkError(f"crash event for unknown node {node!r}")
         hooks = self._crash_hooks.get(node)
-        tr = self.tracer
         if message.kind == "crash":
             self.down.add(node)
             self.crashes_applied += 1
-            if tr.enabled:
-                tr.emit("node.crash", self.now, node=node)
+            if self.emit:
+                self.emit("node.crash", node=node)
             if hooks is not None:
                 hooks[0]()
         else:
             self.down.discard(node)
-            if tr.enabled:
-                tr.emit("node.recover", self.now, node=node)
+            if self.emit:
+                self.emit("node.recover", node=node)
             if hooks is not None:
                 hooks[1]()
 
@@ -300,21 +303,20 @@ class Network:
                 # A crashed node neither receives traffic nor fires its
                 # timers; both die silently while it is down.
                 self.drops_while_down += 1
-                tr = self.tracer
-                if tr.enabled:
-                    tr.emit(
-                        "msg.lost-down", self.now,
+                if self.emit:
+                    self.emit(
+                        "msg.lost-down",
                         kind=delivery.message.kind, target=delivery.target,
                     )
                 continue
-            tr = self.tracer
-            if tr.enabled:
-                tr.emit(
-                    "msg.recv", self.now,
+            if self.emit:
+                self.emit(
+                    "msg.recv",
                     kind=delivery.message.kind, target=delivery.target,
                 )
-            if self._fam_recv is not None:
-                self._fam_recv.labels(node=delivery.target).inc()
+            self.deliveries_by_node[delivery.target] = (
+                self.deliveries_by_node.get(delivery.target, 0) + 1
+            )
             pr = self.profiler
             if pr.enabled:
                 with pr.phase("network"):

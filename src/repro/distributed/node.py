@@ -32,7 +32,7 @@ from repro.errors import NetworkError
 from repro.model.programs import TransactionProgram
 from repro.model.steps import StepId, StepKind, StepRecord
 from repro.model.variables import EntityStore
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 
 __all__ = ["DataNode"]
 
@@ -57,30 +57,11 @@ class DataNode:
         self.name = name
         self.network = network
         self.sequencer = sequencer
-        # Each node owns a private registry (folded by the runtime via
-        # ``MetricsRegistry.merge``, the distributed analogue of
-        # ``Metrics.merge``); metric emission never touches any RNG.
-        self.registry = registry if registry is not None else NULL_REGISTRY
-        if self.registry.enabled:
-            self._mx_parks = self.registry.counter(
-                "repro_node_parks_total",
-                help="Transactions parked awaiting a sequencer grant.",
-                labels=("node",),
-            ).labels(node=name)
-            self._mx_performs = self.registry.counter(
-                "repro_node_steps_performed_total",
-                help="Steps performed against the local entity store.",
-                labels=("node",),
-            ).labels(node=name)
-            self._mx_undos = self.registry.counter(
-                "repro_node_undos_total",
-                help="Before-images restored by sequencer-driven undo.",
-                labels=("node",),
-            ).labels(node=name)
-        else:
-            self._mx_parks = None
-            self._mx_performs = None
-            self._mx_undos = None
+        if registry is not None:
+            registry.derive(("node", name), self._publish)
+        self.parks = 0
+        self.performs = 0
+        self.undos = 0
         self.store = EntityStore(dict(entities))
         self.home_programs = dict(home_programs)
         # The placement catalog: every processor knows which node owns
@@ -123,6 +104,20 @@ class DataNode:
         )
 
     # ------------------------------------------------------------------
+
+    def _publish(self, registry: MetricsRegistry) -> None:
+        """Set this node's ``node=`` series from the counts above; the
+        registry calls this before every read."""
+        for series, help, value in (
+            ("repro_node_parks_total",
+             "Transactions parked awaiting a sequencer grant.", self.parks),
+            ("repro_node_steps_performed_total",
+             "Steps performed against the local entity store.",
+             self.performs),
+            ("repro_node_undos_total",
+             "Before-images restored by sequencer-driven undo.", self.undos),
+        ):
+            registry.put("counter", series, help, value, node=self.name)
 
     def handle(self, message: Message) -> None:
         handler = getattr(self, f"_on_{message.kind.replace('-', '_')}", None)
@@ -419,13 +414,11 @@ class DataNode:
                 )
             return
         self.parked[(txn.name, txn.attempt)] = txn
-        if self._mx_parks is not None:
-            self._mx_parks.inc()
-        tr = self.network.tracer
-        if tr.enabled:
-            tr.emit(
+        self.parks += 1
+        emit = self.network.emit
+        if emit:
+            emit(
                 "node.park",
-                self.network.now,
                 node=self.name,
                 txn=txn.name,
                 attempt=txn.attempt,
@@ -511,13 +504,11 @@ class DataNode:
         del self.parked[key]
         self._req_epoch.pop(key, None)
         record = txn.perform(self.store)
-        if self._mx_performs is not None:
-            self._mx_performs.inc()
-        tr = self.network.tracer
-        if tr.enabled:
-            tr.emit(
+        self.performs += 1
+        emit = self.network.emit
+        if emit:
+            emit(
                 "step.perform",
-                self.network.now,
                 txn=txn.name,
                 attempt=txn.attempt,
                 step=record.step.index,
@@ -586,13 +577,11 @@ class DataNode:
                 })
             self._undo_applied.add(payload["uid"])
         self.store.restore(payload["entity"], payload["value"])
-        if self._mx_undos is not None:
-            self._mx_undos.inc()
-        tr = self.network.tracer
-        if tr.enabled:
-            tr.emit(
+        self.undos += 1
+        emit = self.network.emit
+        if emit:
+            emit(
                 "step.undo",
-                self.network.now,
                 node=self.name,
                 entity=payload["entity"],
                 restored=payload["value"],

@@ -48,9 +48,8 @@ from repro.model.programs import TransactionProgram
 from repro.model.steps import StepKind, StepRecord
 from repro.model.system import _LiveTransaction
 from repro.model.variables import EntityStore
-from repro.obs.histogram import Histogram
 from repro.obs.profile import NULL_PROFILER, PhaseProfiler
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["Engine", "EngineResult", "TxnState"]
@@ -292,8 +291,8 @@ class Engine:
         # the attributes on every ``advance`` because the service hands
         # a recovered engine its history sink only after replay.
         self._sinks: tuple = ()
-        self.registry = registry if registry is not None else NULL_REGISTRY
-        self.registry.derive(("scheduler", scheduler.name), self._publish)
+        if registry is not None:
+            registry.derive(("scheduler", scheduler.name), self._publish)
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.max_ticks = max_ticks
         self.stall_limit = stall_limit
@@ -389,14 +388,9 @@ class Engine:
         rows.extend(
             ("counter", *row) for row in self.scheduler.counters(metrics)
         )
+        label = self.scheduler.name
         for kind, name, help, value in rows:
-            child = getattr(registry, kind)(
-                name, help=help, labels=("scheduler",)
-            ).labels(scheduler=self.scheduler.name)
-            if kind == "histogram":
-                child.hist = Histogram().merge(value)  # never alias Metrics
-            else:
-                child.value = value
+            registry.put(kind, name, help, value, scheduler=label)
 
     # ------------------------------------------------------------------
     # public API

@@ -48,11 +48,9 @@ def certify_commit(scheduler, txn) -> Decision:
         (engine.txns[name] for name in owners),
         key=lambda t: (t.priority, t.name),
     )
-    tracer = engine.tracer
-    if tracer.enabled:
-        tracer.emit(
+    if scheduler.emit:
+        scheduler.emit(
             "cycle.detect",
-            engine.tick,
             witness=[str(step) for step in result.cycle or ()],
             victim=victim.name,
             txns=sorted(

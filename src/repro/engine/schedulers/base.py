@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from repro.obs.tracer import NULL_TRACER, Tracer
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.runtime import Engine, TxnState
     from repro.model.programs import Access
@@ -80,6 +78,9 @@ class Scheduler:
     """
 
     name = "none"
+    #: The engine's emission point (``emit(kind, /, **fields)``, the tick
+    #: is stamped there), or ``None`` while nothing observes the run.
+    emit = None
 
     def __init__(self) -> None:
         self.engine: "Engine | None" = None
@@ -91,14 +92,15 @@ class Scheduler:
     def attach(self, engine: "Engine") -> None:
         """Called by the engine on entry to every ``advance``.
 
-        Injects the engine's emission point into the scheduler's closure
-        window, if it has one (the window has no engine reference of its
-        own) — ``None`` when the engine has no sinks, so an unobserved
-        window never builds a record."""
+        Binds the engine's emission point for the scheduler and for its
+        closure window, if it has one (the window has no engine
+        reference of its own) — ``None`` when the engine has no sinks,
+        so an unobserved run never builds a record."""
         self.engine = engine
+        self.emit = engine._emit if engine._sinks else None
         window = getattr(self, "window", None)
         if window is not None:
-            window.emit = engine._emit if engine._sinks else None
+            window.emit = self.emit
             window.profiler = engine.profiler
 
     # ------------------------------------------------------------------
@@ -123,11 +125,6 @@ class Scheduler:
         reports (lock traffic, conflicts, parks, ...) — its ``detail``
         bag.  Default: no series of its own."""
         return ()
-
-    @property
-    def tracer(self) -> Tracer:
-        """The attached engine's flight recorder (null before attach)."""
-        return self.engine.tracer if self.engine is not None else NULL_TRACER
 
     # ------------------------------------------------------------------
     # decision points

@@ -90,11 +90,10 @@ class MLADetectScheduler(Scheduler):
         self.engine.metrics.closure_checks += 1
         self.engine.metrics.closure_edges_added += result.edges_added
         self.window.sync_metrics(self.engine.metrics)
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
+        emit = self.emit
+        if emit:
+            emit(
                 "closure.check",
-                self.engine.tick,
                 txn=txn.name,
                 step=record.step.index,
                 acyclic=result.is_partial_order,
@@ -143,18 +142,16 @@ class MLADetectScheduler(Scheduler):
         ]
         if self._parked[victim.name]:
             self.engine.metrics.detail["parks"] += 1
-        if tr.enabled:
-            tr.emit(
+        if emit:
+            emit(
                 "cycle.detect",
-                self.engine.tick,
                 witness=[str(step) for step in result.cycle or ()],
                 victim=victim.name,
                 txns=sorted(cycle_names),
             )
             if self._parked[victim.name]:
-                tr.emit(
+                emit(
                     "park",
-                    self.engine.tick,
                     txn=victim.name,
                     behind=[entry[0] for entry in self._parked[victim.name]],
                 )

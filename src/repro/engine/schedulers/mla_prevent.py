@@ -127,31 +127,29 @@ class MLAPreventScheduler(Scheduler):
             )
             if not self.locks.try_acquire(txn.name, access.entity, mode):
                 cycle = self.locks.deadlock_cycle()
-                tr = self.tracer
+                emit = self.emit
                 if cycle:
                     states = [self.engine.txns[n] for n in cycle]
                     victim = max(states, key=lambda t: (t.priority, t.name))
                     self.engine.metrics.deadlocks += 1
-                    if tr.enabled:
-                        tr.emit(
+                    if emit:
+                        emit(
                             "deadlock",
-                            self.engine.tick,
                             cycle=list(cycle),
                             victim=victim.name,
                             cause="lock",
                         )
                     return Decision.abort([victim.name], "lock deadlock")
-                if tr.enabled:
-                    tr.emit(
+                if emit:
+                    emit(
                         "lock.wait",
-                        self.engine.tick,
                         txn=txn.name,
                         entity=access.entity,
                         mode=mode,
                     )
                 return Decision.wait(f"scheduled: lock on {access.entity!r}")
         blockers = self._breakpoint_blockers(txn, access)
-        tr = self.tracer
+        emit = self.emit
         if blockers:
             self._waiting_on[txn.name] = blockers
             cycle = self._wait_cycle()
@@ -159,20 +157,18 @@ class MLAPreventScheduler(Scheduler):
                 states = [self.engine.txns[n] for n in cycle]
                 victim = max(states, key=lambda t: (t.priority, t.name))
                 self.engine.metrics.deadlocks += 1
-                if tr.enabled:
-                    tr.emit(
+                if emit:
+                    emit(
                         "deadlock",
-                        self.engine.tick,
                         cycle=list(cycle),
                         victim=victim.name,
                         cause="breakpoint-wait",
                     )
                 return Decision.abort([victim.name], "breakpoint-wait cycle")
             self.engine.metrics.detail["breakpoint_waits"] += 1
-            if tr.enabled:
-                tr.emit(
+            if emit:
+                emit(
                     "breakpoint.wait",
-                    self.engine.tick,
                     txn=txn.name,
                     blockers=sorted(blockers),
                 )
@@ -211,11 +207,10 @@ class MLAPreventScheduler(Scheduler):
         )
         self.engine.metrics.closure_edges_added += result.edges_added
         self.window.sync_metrics(self.engine.metrics)
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
+        emit = self.emit
+        if emit:
+            emit(
                 "closure.check",
-                self.engine.tick,
                 txn=txn.name,
                 step=record.step.index,
                 acyclic=result.is_partial_order,
@@ -225,10 +220,9 @@ class MLAPreventScheduler(Scheduler):
             # Prevention should make this unreachable; treat it as a
             # detected cycle and recover rather than corrupt the run.
             self.engine.metrics.cycles_detected += 1
-            if tr.enabled:
-                tr.emit(
+            if emit:
+                emit(
                     "cycle.detect",
-                    self.engine.tick,
                     witness=[str(step) for step in result.cycle or ()],
                     victim=txn.name,
                     txns=sorted(

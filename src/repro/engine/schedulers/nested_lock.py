@@ -121,7 +121,7 @@ class NestedLockScheduler(Scheduler):
     def on_request(self, txn, access) -> Decision:
         assert self.engine is not None
         blockers = self._blockers(txn, access.entity)
-        tr = self.tracer
+        emit = self.emit
         if blockers:
             self._waiting_on[txn.name] = blockers
             graph = WaitGraph()
@@ -131,10 +131,9 @@ class NestedLockScheduler(Scheduler):
             edge_cycle = graph.find_cycle()
             if edge_cycle is None:
                 self.engine.metrics.detail["retention_waits"] += 1
-                if tr.enabled:
-                    tr.emit(
+                if emit:
+                    emit(
                         "retention.wait",
-                        self.engine.tick,
                         txn=txn.name,
                         entity=access.entity,
                         holders=sorted(blockers),
@@ -146,10 +145,9 @@ class NestedLockScheduler(Scheduler):
             states = [self.engine.txns[name] for name in cycle]
             victim = max(states, key=lambda t: (t.priority, t.name))
             self.engine.metrics.deadlocks += 1
-            if tr.enabled:
-                tr.emit(
+            if emit:
+                emit(
                     "deadlock",
-                    self.engine.tick,
                     cycle=list(cycle),
                     victim=victim.name,
                     cause="retention",
@@ -188,11 +186,10 @@ class NestedLockScheduler(Scheduler):
             (self.engine.txns[name] for name in victims),
             key=lambda t: (t.priority, t.name),
         )
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
+        emit = self.emit
+        if emit:
+            emit(
                 "certify.fail",
-                self.engine.tick,
                 witness=[str(step) for step in result.cycle or ()],
                 victim=victim.name,
                 when="step",

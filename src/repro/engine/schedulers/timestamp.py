@@ -57,11 +57,9 @@ class TimestampScheduler(Scheduler):
 
     def _conflict(self, txn, access, ts: int, marks: _Marks) -> None:
         self.engine.metrics.detail["ts_conflicts"] += 1
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
+        if self.emit:
+            self.emit(
                 "ts.conflict",
-                self.engine.tick if self.engine is not None else 0,
                 txn=txn.name,
                 entity=access.entity,
                 ts=ts,

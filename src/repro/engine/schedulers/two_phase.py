@@ -52,13 +52,12 @@ class TwoPhaseLockingScheduler(Scheduler):
             if self.shared_reads and access.kind is StepKind.READ
             else LockMode.EXCLUSIVE
         )
-        tr = self.tracer
+        emit = self.emit
         if self.locks.try_acquire(txn.name, access.entity, mode):
             self.engine.metrics.detail["lock_acquires"] += 1
-            if tr.enabled:
-                tr.emit(
+            if emit:
+                emit(
                     "lock.acquire",
-                    self.engine.tick if self.engine is not None else 0,
                     txn=txn.name,
                     entity=access.entity,
                     mode=mode,
@@ -71,20 +70,18 @@ class TwoPhaseLockingScheduler(Scheduler):
             victim = max(states, key=lambda t: (t.priority, t.name))
             self.engine.metrics.deadlocks += 1
             self.engine.metrics.detail["lock_deadlocks"] += 1
-            if tr.enabled:
-                tr.emit(
+            if emit:
+                emit(
                     "deadlock",
-                    self.engine.tick,
                     cycle=list(cycle),
                     victim=victim.name,
                     cause="lock",
                 )
             return Decision.abort([victim.name], "2pl deadlock")
         self.engine.metrics.detail["lock_waits"] += 1
-        if tr.enabled:
-            tr.emit(
+        if emit:
+            emit(
                 "lock.wait",
-                self.engine.tick if self.engine is not None else 0,
                 txn=txn.name,
                 entity=access.entity,
                 mode=mode,
@@ -97,11 +94,9 @@ class TwoPhaseLockingScheduler(Scheduler):
 
     def _release(self, txn) -> None:
         released = self.locks.release_all(txn.name)
-        tr = self.tracer
-        if tr.enabled and released:
-            tr.emit(
+        if self.emit and released:
+            self.emit(
                 "lock.release",
-                self.engine.tick if self.engine is not None else 0,
                 txn=txn.name,
                 entities=sorted(set(released)),
             )

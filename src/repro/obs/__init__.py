@@ -9,27 +9,29 @@ The *event* half (PR 4 — what happened, in what order):
 * :mod:`repro.obs.introspect` — on-demand wait-for-graph and
   closure-frontier snapshots of live components.
 * :mod:`repro.obs.explain` — timeline playback and abort cause-chain
-  reconstruction from an event stream alone.
+  reconstruction from an event stream alone, and the tracer that keeps
+  of a live stream only what that reconstruction reads.
 
 The *aggregate* half (how much, and where):
 
-* :mod:`repro.obs.registry` — pull-based labeled Counter/Gauge/Histogram
-  families with a ``merge`` mirroring ``Metrics.merge``.
+* :mod:`repro.obs.registry` — labeled Counter/Gauge/Histogram families
+  whose every series a registered source sets when the registry is read
+  (nothing pushes), with a ``merge`` mirroring ``Metrics.merge``.
 * :mod:`repro.obs.histogram` — the fixed-bucket latency histogram
   backing ``Metrics`` percentiles and registry histogram families.
 * :mod:`repro.obs.profile` — the deterministic phase profiler
   (exclusive wall-time attribution over schedule / closure / rollback /
-  certify / network).
+  certify / network); ``profiler.publish`` is its registry source.
 * :mod:`repro.obs.spans` — folds the event stream into per-transaction
   and per-message causal spans as Chrome trace-event JSON (Perfetto).
 * :mod:`repro.obs.export` — Prometheus text exposition and lossless
   JSON snapshots of a registry.
 
-Design rule: observability must be *behaviour-invariant*.  Emission and
-recording never consume engine or network randomness and never mutate
-observed state, so an instrumented run commits the same order with the
-same metrics as an uninstrumented one (asserted by the differential
-tests in ``tests/obs``).
+Design rule: observability must be *behaviour-invariant*.  Emission,
+recording and registry sources never consume engine or network
+randomness and never mutate observed state, so an instrumented run
+commits the same order with the same metrics as an uninstrumented one
+(asserted by the differential tests in ``tests/obs``).
 """
 
 from repro.obs.events import (
@@ -41,10 +43,14 @@ from repro.obs.events import (
     event_to_dict,
     load_jsonl,
 )
-from repro.obs.explain import aborted_transactions, explain_abort, format_timeline
+from repro.obs.explain import (
+    AbortCauses,
+    aborted_transactions,
+    explain_abort,
+    format_timeline,
+)
 from repro.obs.export import (
     json_snapshot,
-    live_registry_snapshot,
     prometheus_text,
     registry_from_snapshot,
     write_chrome_trace,
@@ -53,13 +59,11 @@ from repro.obs.histogram import Histogram
 from repro.obs.introspect import closure_frontier, wait_for_snapshot
 from repro.obs.profile import NULL_PROFILER, PHASES, NullProfiler, PhaseProfiler
 from repro.obs.registry import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     HistogramChild,
     MetricFamily,
     MetricsRegistry,
-    NullRegistry,
 )
 from repro.obs.spans import build_spans, chrome_trace, validate_trace
 from repro.obs.tracer import (
@@ -73,6 +77,7 @@ from repro.obs.tracer import (
 __all__ = [
     "EVENT_KINDS",
     "EVENT_TAXONOMY",
+    "AbortCauses",
     "Counter",
     "Event",
     "Gauge",
@@ -81,10 +86,8 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "NULL_PROFILER",
-    "NULL_REGISTRY",
     "NULL_TRACER",
     "NullProfiler",
-    "NullRegistry",
     "NullTracer",
     "PHASES",
     "PhaseProfiler",
@@ -101,7 +104,6 @@ __all__ = [
     "explain_abort",
     "format_timeline",
     "json_snapshot",
-    "live_registry_snapshot",
     "load_jsonl",
     "prometheus_text",
     "registry_from_snapshot",

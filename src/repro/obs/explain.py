@@ -11,14 +11,35 @@ Two renderings:
   back to the seed victim.
 
 Both work on ``list[Event]`` only (no live objects), so they apply
-equally to an in-memory ring and a parsed JSONL recording.
+equally to an in-memory ring and a parsed JSONL recording — and to the
+handful of events :class:`AbortCauses` keeps of a live stream for a
+consumer that will only ever ask :func:`explain_abort`.
 """
 
 from __future__ import annotations
 
 from repro.obs.events import Event
+from repro.obs.tracer import Tracer
 
-__all__ = ["aborted_transactions", "explain_abort", "format_timeline"]
+__all__ = [
+    "AbortCauses",
+    "aborted_transactions",
+    "explain_abort",
+    "format_timeline",
+]
+
+#: Everything :func:`explain_abort` reads of a stream: the rollbacks,
+#: what can set one off, and the links of its cascade.
+_ABORTS = ("txn.abort", "seq.abort")
+_TRIGGERS = (
+    "cycle.detect",
+    "deadlock",
+    "ts.conflict",
+    "certify.fail",
+    "engine.stall",
+)
+_LINK = "cascade.join"
+_READ = frozenset((*_ABORTS, *_TRIGGERS, _LINK))
 
 
 def _fields(data: dict) -> str:
@@ -59,42 +80,31 @@ def aborted_transactions(events: list[Event]) -> list[str]:
     abort order."""
     names: list[str] = []
     for event in events:
-        if event.kind in ("txn.abort", "seq.abort"):
-            for name in list(event.data.get("victims", ())) + list(
-                event.data.get("cascade", ())
-            ):
+        if event.kind in _ABORTS:
+            for name in _rolled_back(event):
                 if name not in names:
                     names.append(name)
     return names
 
 
+def _rolled_back(abort: Event) -> list[str]:
+    return [*abort.data.get("victims", ()), *abort.data.get("cascade", ())]
+
+
 def _abort_events_for(events: list[Event], name: str) -> list[Event]:
     return [
-        e
-        for e in events
-        if e.kind in ("txn.abort", "seq.abort")
-        and (
-            name in e.data.get("victims", ())
-            or name in e.data.get("cascade", ())
-        )
+        e for e in events if e.kind in _ABORTS and name in _rolled_back(e)
     ]
 
 
 def _root_cause(events: list[Event], abort: Event) -> Event | None:
     """The cycle/deadlock/conflict event that triggered ``abort``: the
     latest trigger-kind event at or before the abort's timestamp."""
-    triggers = (
-        "cycle.detect",
-        "deadlock",
-        "ts.conflict",
-        "certify.fail",
-        "engine.stall",
-    )
     best: Event | None = None
     for event in events:
         if event.at > abort.at:
             break
-        if event.kind in triggers:
+        if event.kind in _TRIGGERS:
             best = event
     return best
 
@@ -106,7 +116,7 @@ def _cascade_link(
     closest to ``abort_at``."""
     best: Event | None = None
     for event in events:
-        if event.kind == "cascade.join" and event.data.get("txn") == name:
+        if event.kind == _LINK and event.data.get("txn") == name:
             if event.at <= abort_at and (best is None or event.at >= best.at):
                 best = event
     return best
@@ -171,3 +181,52 @@ def explain_abort(
         current = cause
         indent += "  "
     return lines
+
+
+class AbortCauses(Tracer):
+    """The tracer of a consumer that only ever asks :func:`explain_abort`
+    about a transaction's *first* abort, once (the service, building an
+    envelope): of the whole stream it keeps, per rollback, the trigger,
+    the ``cascade.join`` links and the abort itself — grouped, indexed
+    by victim, and handed over by :meth:`take`.  ``explain_abort(take(
+    name), name)`` equals ``explain_abort(complete recording, name)``.
+    Memory is bounded by the rolled-back transactions not yet asked
+    about; ``dropped`` counts the events declined."""
+
+    def __init__(self) -> None:
+        self.dropped = 0
+        self._trigger: Event | None = None  # the latest one, any rollback's
+        self._links: list[Event] = []  # of the rollback being decided
+        self._first: dict[str, list[Event]] = {}
+
+    def on_decision(self, kind: str, tick: float, fields: dict) -> None:
+        if kind not in _READ:
+            self.dropped += 1
+            return
+        event = Event(kind, tick, fields)
+        if kind in _TRIGGERS:
+            self._trigger = event
+        elif kind == _LINK:
+            self._links.append(event)
+        else:
+            trigger = [] if self._trigger is None else [self._trigger]
+            group = [*trigger, *self._links, event]
+            self._links = []
+            for name in _rolled_back(event):
+                self._first.setdefault(name, group)
+
+    def emit(self, kind: str, at: float, /, **data) -> None:
+        self.on_decision(kind, at, data)
+
+    def take(self, name: str) -> list[Event]:
+        """The events behind ``name``'s first abort (none if it never
+        aborted), released from the tracer."""
+        return self._first.pop(name, [])
+
+    def events(self) -> list[Event]:
+        held = {
+            id(event): event
+            for group in self._first.values()
+            for event in group
+        }
+        return list(held.values())

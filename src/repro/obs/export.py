@@ -26,42 +26,16 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 
-from repro.errors import SpecificationError
 from repro.obs.events import Event
 from repro.obs.histogram import Histogram
 from repro.obs.registry import HistogramChild, MetricsRegistry
 
 __all__ = [
     "json_snapshot",
-    "live_registry_snapshot",
     "prometheus_text",
     "registry_from_snapshot",
     "write_chrome_trace",
 ]
-
-
-def live_registry_snapshot(source, profiler=None) -> MetricsRegistry:
-    """A point-in-time registry copy safe to render while a run is live.
-
-    ``source`` is either a :class:`MetricsRegistry` or anything with a
-    ``registry_snapshot()`` method (the distributed runtime, which merges
-    its per-node registries).  The result is always a *fresh* registry:
-    ``PhaseProfiler.publish`` is additive, so publishing into the live
-    registry on every render (the ``repro top`` frame loop, a ``/metrics``
-    scrape) would double-count phase time — publishing into a fresh merge
-    makes repeated snapshots idempotent.  This is the one snapshot path
-    shared by ``repro metrics``, ``repro top`` and the service's
-    ``/metrics`` endpoint.
-    """
-    snapshot_of = getattr(source, "registry_snapshot", None)
-    if snapshot_of is not None:
-        snapshot = snapshot_of()
-    else:
-        snapshot = MetricsRegistry()
-        snapshot.merge(source)
-    if profiler is not None:
-        profiler.publish(snapshot)
-    return snapshot
 
 
 def _escape_label(value: str) -> str:
@@ -181,8 +155,6 @@ def registry_from_snapshot(payload: Mapping) -> MetricsRegistry:
     registry = MetricsRegistry()
     for spec in payload.get("families", ()):
         kind = spec["kind"]
-        if kind not in ("counter", "gauge", "histogram"):
-            raise SpecificationError(f"unknown family kind {kind!r}")
         label_names = tuple(
             sorted(spec["series"][0]["labels"]) if spec["series"] else ()
         )

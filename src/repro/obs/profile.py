@@ -14,7 +14,7 @@ time is charged to the *inner* phase, not the enclosing one — so the
 per-phase seconds sum to (at most) the instrumented wall time and a
 stacked-bar over the phases is honest.
 
-The contract mirrors the tracer and the registry:
+The contract mirrors the tracer:
 
 * **Guarded use.**  Components default to :data:`NULL_PROFILER`
   (``enabled = False``) whose ``phase()`` returns one shared inert
@@ -152,24 +152,20 @@ class PhaseProfiler:
         return self
 
     def publish(self, registry) -> None:
-        """Export the accumulated attribution into a registry."""
-        if not registry.enabled:
-            return
-        seconds = registry.counter(
-            "repro_phase_seconds_total",
-            help="Exclusive wall time attributed to each phase.",
-            labels=("phase",),
-        )
-        calls = registry.counter(
-            "repro_phase_calls_total",
-            help="Completed spans (or donated intervals) per phase.",
-            labels=("phase",),
-        )
+        """Set the phase series from the attribution so far — the
+        profiler's registry source (``registry.derive("phases",
+        profiler.publish)``)."""
         for name in PHASES:
-            # Counters are integers elsewhere; gauge-style float counters
-            # are fine for Prometheus, so bypass Counter.inc's int bias.
-            seconds.labels(phase=name).value += self.seconds[name]
-            calls.labels(phase=name).inc(self.calls[name])
+            registry.put(
+                "counter", "repro_phase_seconds_total",
+                "Exclusive wall time attributed to each phase.",
+                self.seconds[name], phase=name,
+            )
+            registry.put(
+                "counter", "repro_phase_calls_total",
+                "Completed spans (or donated intervals) per phase.",
+                self.calls[name], phase=name,
+            )
 
 
 class _NullSpan:
@@ -194,9 +190,6 @@ class NullProfiler(PhaseProfiler):
         return _NULL_SPAN
 
     def add(self, name: str, seconds: float) -> None:
-        pass
-
-    def publish(self, registry) -> None:
         pass
 
 

@@ -2,38 +2,36 @@
 
 Where the flight recorder answers "what happened, in what order"
 (:mod:`repro.obs.events`), the registry answers "how much, and where":
-pull-based families of Counters, Gauges and Histograms, each fanned out
-over label sets (``scheduler=``, ``node=``, ``phase=``, ...), exposable
-as Prometheus text format or a JSON snapshot (:mod:`repro.obs.export`).
+families of Counters, Gauges and Histograms, each fanned out over label
+sets (``scheduler=``, ``node=``, ``phase=``, ...), exposable as
+Prometheus text format or a JSON snapshot (:mod:`repro.obs.export`).
 
-The design mirrors the tracer's contract:
-
-* **Guarded use.**  Components hold a registry attribute defaulting to
-  the shared :data:`NULL_REGISTRY` (``enabled = False``) and bind label
-  children only when ``registry.enabled`` — so a disabled run pays one
-  attribute load and one branch per site, and never allocates a family,
-  a child, or a label tuple.  The engine pays nothing per site either
-  way: its series are derived from ``Metrics`` when the registry is
-  read (see :class:`MetricsRegistry`).
-* **Behaviour invariance.**  Recording never touches any RNG and never
-  mutates instrumented state; an instrumented run is bit-identical to an
-  uninstrumented one (asserted by the differential tests).
-* **Merge mirrors ``Metrics.merge``.**  Per-node registries from the
-  distributed runtime fold into one view: counters add, gauges take the
-  maximum (the convention ``Metrics`` uses for ``ticks`` and maxima —
-  parallel participants overlap rather than sum), histograms add
-  bucket-wise (exact).
+* **One write model.**  Nothing pushes.  Every component keeps its
+  counts where it already needs them — ``Metrics``, ``Sequencer.commits``,
+  ``Network.messages_by_kind``, ``OnlineMonitor.checked`` — and registers
+  one *source* with :meth:`MetricsRegistry.derive`; each read of the
+  registry first lets every source *set* its series to the current
+  counts (see :class:`MetricsRegistry`).  A run therefore never touches
+  the registry, and a component built without one (``registry=None``)
+  tests that once, at construction.
+* **Behaviour invariance.**  A source only reads; a metered run is
+  bit-identical to a bare one (asserted by the differential tests).
+* **Merge mirrors ``Metrics.merge``.**  Registries fold into one view:
+  counters add, gauges take the maximum (the convention ``Metrics`` uses
+  for ``ticks`` and maxima — parallel participants overlap rather than
+  sum), histograms add bucket-wise (exact).
 
 Families are identified by name; re-requesting a family with the same
-kind and label names returns the existing one (so engine, schedulers and
-nodes can all bind ``repro_commits_total`` without coordination), while
-a conflicting re-registration raises :class:`SpecificationError`.
+kind and label names returns the existing one (so every data node can
+set its own ``node=`` series of ``repro_node_parks_total`` without
+coordination), while a conflicting re-registration raises
+:class:`SpecificationError`.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 from repro.errors import SpecificationError
 from repro.obs.histogram import Histogram
@@ -44,8 +42,6 @@ __all__ = [
     "HistogramChild",
     "MetricFamily",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -53,35 +49,21 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A count that only grows in its owner's hands."""
 
     __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise SpecificationError("counters only go up")
-        self.value += amount
 
 
 class Gauge:
-    """A value that can go up and down (last write wins)."""
+    """A value that can go up and down."""
 
     __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
 
 
 class HistogramChild:
@@ -91,9 +73,6 @@ class HistogramChild:
 
     def __init__(self) -> None:
         self.hist = Histogram()
-
-    def observe(self, value: int) -> None:
-        self.hist.record(value)
 
 
 _CHILD_TYPES = {
@@ -107,9 +86,8 @@ class MetricFamily:
     """One named metric, fanned out over label values.
 
     ``labels(**kv)`` returns the child for that label combination,
-    creating it on first use.  Children are plain objects with one hot
-    method each (``inc`` / ``set`` / ``observe``) — call sites bind them
-    once and never pay the dict lookup again.
+    creating it on first use.  Children are plain holders of a ``value``
+    (or a ``hist``) that the owning source assigns.
     """
 
     __slots__ = ("name", "kind", "help", "label_names", "_children")
@@ -141,28 +119,23 @@ class MetricFamily:
 
 
 class MetricsRegistry:
-    """A pull-based registry of metric families.
+    """A registry of metric families, every series derived on read.
 
-    Components with no counts of their own (the service, the distributed
-    runtime, the audit monitor) *push*: they bind children and ``inc`` /
-    ``set`` / ``observe`` them.  The engine keeps its counts in
-    :class:`repro.engine.metrics.Metrics` — what snapshots persist and
-    recovery restores — so it registers a *source* with :meth:`derive`,
-    and every read (:meth:`families`, :meth:`get`, :meth:`value`, hence
-    exposition and :meth:`merge`) first lets each source *set* its
-    series to the current counts.  Setting is idempotent: scraping twice
-    changes nothing, and a restarted engine's series agree with its
-    restored ``Metrics``, not with the work done since the restart.
+    A component registers a *source* with :meth:`derive`; every read
+    (:meth:`families`, :meth:`get`, :meth:`value`, hence exposition and
+    :meth:`merge`) first calls each source, which sets its series
+    (:meth:`put`) from the counts the component keeps anyway.  A source
+    sets, so scraping twice changes nothing, and a restarted engine's
+    series agree with its restored ``Metrics``, not with the work done
+    since the restart.
 
-    A source sets rather than adds, so it must be the only writer of its
-    series: **one live engine per ``scheduler=`` label per registry**.
-    A second engine under the same label *replaces* the first as the
-    source (the series restart from its counts, the old engine is
-    released); to aggregate engines under one label, give each its own
-    registry and :meth:`merge` them.
+    A source must be the only writer of its series: **one live engine
+    per ``scheduler=`` label per registry** (likewise one sequencer per
+    ``control=``, one node per ``node=``).  A second source under the
+    same key *replaces* the first (the series restart from its counts,
+    the old owner is released); to aggregate engines under one label,
+    give each its own registry and :meth:`merge` them.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
@@ -177,17 +150,25 @@ class MetricsRegistry:
         for source in self._sources.values():
             source(self)
 
+    def put(
+        self, kind: str, name: str, help: str, value, /, **labels: object
+    ) -> None:
+        """Set one series — the only write a source makes.  ``value`` is
+        a number, or for a ``"histogram"`` a ``Histogram``, which is
+        copied (a series never aliases its owner's).  Positional-only
+        up to ``value``: ``kind`` and ``name`` are label names too."""
+        child = self._family(name, kind, help, tuple(labels)).labels(**labels)
+        if kind == "histogram":
+            child.hist = Histogram().merge(value)
+        else:
+            child.value = value
+
     # ------------------------------------------------------------------
 
     def _family(
         self, name: str, kind: str, help: str, labels: Iterable[str]
     ) -> MetricFamily:
         label_names = tuple(labels)
-        if not _NAME_RE.match(name):
-            raise SpecificationError(f"bad metric name {name!r}")
-        for label in label_names:
-            if not _LABEL_RE.match(label):
-                raise SpecificationError(f"bad label name {label!r}")
         existing = self._families.get(name)
         if existing is not None:
             if existing.kind != kind or existing.label_names != label_names:
@@ -197,24 +178,16 @@ class MetricsRegistry:
                     f"labels {existing.label_names}"
                 )
             return existing
+        if kind not in _CHILD_TYPES:
+            raise SpecificationError(f"unknown family kind {kind!r}")
+        if not _NAME_RE.match(name):
+            raise SpecificationError(f"bad metric name {name!r}")
+        for label in label_names:
+            if not _LABEL_RE.match(label):
+                raise SpecificationError(f"bad label name {label!r}")
         family = MetricFamily(name, kind, help, label_names)
         self._families[name] = family
         return family
-
-    def counter(
-        self, name: str, help: str = "", labels: Iterable[str] = ()
-    ) -> MetricFamily:
-        return self._family(name, "counter", help, labels)
-
-    def gauge(
-        self, name: str, help: str = "", labels: Iterable[str] = ()
-    ) -> MetricFamily:
-        return self._family(name, "gauge", help, labels)
-
-    def histogram(
-        self, name: str, help: str = "", labels: Iterable[str] = ()
-    ) -> MetricFamily:
-        return self._family(name, "histogram", help, labels)
 
     # ------------------------------------------------------------------
 
@@ -239,7 +212,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry (e.g. one node's) into this one.
+        """Fold another registry into this one.
 
         Mirrors :meth:`repro.engine.metrics.Metrics.merge`: counters
         add, gauges take the max (parallel participants overlap in time,
@@ -261,70 +234,3 @@ class MetricsRegistry:
                 else:
                     target.hist.merge(child.hist)
         return self
-
-
-class NullRegistry(MetricsRegistry):
-    """The disabled registry: never registers, never allocates.
-
-    ``counter`` / ``gauge`` / ``histogram`` return a shared inert family
-    whose children swallow every update, so even an unguarded call site
-    is safe — but guarded sites (``if registry.enabled``) are the norm
-    and the overhead budget assumes them.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def _family(self, name, kind, help, labels) -> MetricFamily:
-        return _NULL_FAMILY
-
-    def derive(self, key, source) -> None:
-        pass
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        return self
-
-
-class _NullChild:
-    __slots__ = ()
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def dec(self, amount=1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value) -> None:
-        pass
-
-    @property
-    def value(self) -> int:
-        return 0
-
-
-class _NullFamily(MetricFamily):
-    __slots__ = ()
-
-    def labels(self, **kv):
-        return _NULL_CHILD
-
-
-_NULL_CHILD = _NullChild()
-_NULL_FAMILY = _NullFamily("_null", "counter", "", ())
-
-#: Shared disabled registry — the default for every instrumented component.
-NULL_REGISTRY = NullRegistry()
-
-
-def registry_from_mapping(
-    payload: Mapping[str, object],
-) -> MetricsRegistry:  # pragma: no cover - convenience for external tools
-    """Rebuild a registry from a JSON snapshot (see export.json_snapshot)."""
-    from repro.obs.export import registry_from_snapshot
-
-    return registry_from_snapshot(payload)

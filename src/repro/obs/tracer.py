@@ -1,19 +1,22 @@
 """Tracers: where flight-recorder events go.
 
-The contract every instrumented call site follows::
+No instrumented site talks to a tracer.  Each producer reports through
+its owner's one emission point, which is ``None`` when nobody listens::
 
-    tr = self.tracer
-    if tr.enabled:
-        tr.emit("lock.wait", self.tick, txn=name, entity=entity)
+    emit = self.emit
+    if emit:
+        emit("lock.wait", txn=name, entity=entity)
 
-The guard is the whole disabled-mode cost: one attribute load and one
-branch per site, with no kwargs dict, no :class:`~repro.obs.events.Event`
-and no string formatting ever constructed.  :data:`NULL_TRACER` (the
-default everywhere) additionally makes ``emit`` a no-op, so even an
-unguarded call is safe — but guarded sites are the norm and the overhead
-budget (<3% disabled, asserted by the quick bench) assumes them.  The
-engine reaches an enabled tracer through :meth:`Tracer.on_decision`, as
-the last sink of its decision stream (DESIGN.md §4e).
+The test is the whole unobserved cost: no kwargs dict, no
+:class:`~repro.obs.events.Event` and no string formatting is ever built.
+There are four owners — the engine (``Engine._emit``, which stamps the
+tick and fans out to history, WAL and tracer through
+:meth:`Tracer.on_decision`), the scheduler and its closure window (both
+handed the engine's), and the network (``Network.emit``, which stamps
+simulation time for the sequencer, the nodes and itself) — and they are
+the only code that tests ``tracer.enabled`` (DESIGN.md §4e).
+:data:`NULL_TRACER`, the default everywhere, is what makes that test
+false.
 
 Sinks:
 
@@ -22,6 +25,8 @@ Sinks:
   everything.
 * :class:`StreamTracer` — append-only JSONL stream for recordings that
   outlive the process (or exceed memory).
+* :class:`repro.obs.explain.AbortCauses` — keeps only what
+  ``explain_abort`` will read; the service's.
 """
 
 from __future__ import annotations

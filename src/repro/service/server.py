@@ -31,7 +31,6 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.api import (
     ResultEnvelope,
@@ -45,12 +44,11 @@ from repro.durability.wal import NULL_WAL
 from repro.engine.runtime import Engine, EngineResult
 from repro.errors import ReproError
 from repro.obs import (
+    AbortCauses,
     MetricsRegistry,
     PhaseProfiler,
-    RingTracer,
     explain_abort,
     json_snapshot,
-    live_registry_snapshot,
     prometheus_text,
 )
 from repro.service.admission import AdmissionConfig, AdmissionController
@@ -73,9 +71,6 @@ class ServiceConfig:
     #: (new submissions are ingested, responses written).
     tick_batch: int = 256
     recovery: str = "transaction"
-    #: Flight-recorder ring capacity feeding abort explanations; the
-    #: ring is bounded so a soak cannot grow it without limit.
-    trace_capacity: int = 4096
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: Directory for the durability WAL (+ snapshots).  ``None`` runs
     #: the service purely in memory; with a directory, a restarted
@@ -104,7 +99,9 @@ class TransactionService:
         self.config = config
         self.registry = MetricsRegistry()
         self.profiler = PhaseProfiler()
-        self.tracer = RingTracer(capacity=config.trace_capacity)
+        #: Consumes the decision stream: keeps what explains each
+        #: rollback until the victim's envelope is built.
+        self.tracer = AbortCauses()
         self.wal = NULL_WAL
         self.history = NULL_HISTORY
         if config.history_path is not None:
@@ -130,10 +127,12 @@ class TransactionService:
         #: name -> arrival tick, recorded at ingest for the differential.
         self.arrivals: dict[str, int] = {}
         self._resolved = 0  # commits already folded into envelopes
-        self.nest, self.engine = self._boot(config)
+        self.duplicates = 0  # resubmitted keys answered from the first run
+        self.pump_slices = 0
         self.admission = AdmissionController(
             config.admission, config.nest_depth
         )
+        self.nest, self.engine = self._boot(config)
         self._queue: asyncio.Queue = asyncio.Queue()
         #: name -> future resolving to a ResultEnvelope.
         self._pending: dict[str, asyncio.Future] = {}
@@ -141,7 +140,8 @@ class TransactionService:
         #: resubmission is answered from the first run, never re-run).
         self._by_key: dict[str, asyncio.Future] = {}
         self._pump_task: asyncio.Task | None = None
-        self._mx = self._bind_metrics()
+        self.registry.derive("service", self._publish)
+        self.registry.derive("phases", self.profiler.publish)
 
     def _boot(self, config: ServiceConfig):
         """Build the (nest, engine) pair — fresh, or recovered from the
@@ -205,6 +205,9 @@ class TransactionService:
         self.arrivals = {
             add["name"]: add["arrival"] for add in report.adds
         }
+        # An ``add`` record is an admission; rejections, duplicates and
+        # pump slices are not logged and restart at 0.
+        self.admission.admitted = len(report.adds)
         self._recovered_keys = {
             add["key"]: add["name"]
             for add in report.adds
@@ -227,35 +230,23 @@ class TransactionService:
             report.engine.history = self.history
         return report.nest, report.engine
 
-    def _bind_metrics(self) -> dict[str, Any]:
-        def counter(name: str, help: str, **labels):
-            family = self.registry.counter(
-                name, help=help, labels=tuple(sorted(labels))
+    def _publish(self, registry: MetricsRegistry) -> None:
+        """Set the service's series from the counts it keeps; the
+        registry calls this before every read."""
+        outcomes = {**self.admission.counters(), "duplicate": self.duplicates}
+        for outcome, count in outcomes.items():
+            registry.put(
+                "counter", "repro_service_submissions_total",
+                "Submissions by admission outcome.", count, outcome=outcome,
             )
-            return family.labels(**labels)
-
-        return {
-            "admitted": counter(
-                "repro_service_submissions_total",
-                "Submissions by admission outcome.", outcome="admitted"),
-            "rejected_schema": counter(
-                "repro_service_submissions_total",
-                "Submissions by admission outcome.", outcome="rejected_schema"),
-            "rejected_load": counter(
-                "repro_service_submissions_total",
-                "Submissions by admission outcome.", outcome="rejected_load"),
-            "duplicate": counter(
-                "repro_service_submissions_total",
-                "Submissions by admission outcome.", outcome="duplicate"),
-            "in_flight": self.registry.gauge(
-                "repro_service_in_flight",
-                help="Admitted submissions not yet resolved.",
-            ).labels(),
-            "batches": self.registry.counter(
-                "repro_service_pump_batches_total",
-                help="Engine pump slices executed.",
-            ).labels(),
-        }
+        registry.put(
+            "gauge", "repro_service_in_flight",
+            "Admitted submissions not yet resolved.", len(self._pending),
+        )
+        registry.put(
+            "counter", "repro_service_pump_batches_total",
+            "Engine pump slices executed.", self.pump_slices,
+        )
 
     # ------------------------------------------------------------------
     # submission path
@@ -287,7 +278,7 @@ class TransactionService:
                 self._ensure_pump()
         existing = self._by_key.get(key)
         if existing is not None:
-            self._mx["duplicate"].inc()
+            self.duplicates += 1
             envelope = await asyncio.shield(existing)
             return {"ok": True, "duplicate": True,
                     "envelope": envelope.to_dict()}
@@ -297,7 +288,6 @@ class TransactionService:
             in_flight=len(self._pending),
         )
         if not decision.admitted:
-            self._mx[f"rejected_{decision.kind}"].inc()
             rejected = ResultEnvelope(
                 name=submission.program.name,
                 status="rejected",
@@ -312,12 +302,10 @@ class TransactionService:
             if decision.retry_after is not None:
                 response["retry_after"] = decision.retry_after
             return response
-        self._mx["admitted"].inc()
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._pending[submission.program.name] = future
         self._by_key[key] = future
-        self._mx["in_flight"].set(len(self._pending))
         self._queue.put_nowait(submission)
         self._ensure_pump()
         envelope = await asyncio.shield(future)
@@ -337,8 +325,7 @@ class TransactionService:
         for entity in sorted(spec.entities):
             self.engine.store.declare(entity, self.config.initial_value)
         self.nest.add(spec.name, spec.path)
-        if self.history.enabled:
-            self.history.declare_path(spec.name, spec.path)
+        self.history.declare_path(spec.name, spec.path)
         state = self.engine.add_program(spec.compile())
         self.arrivals[spec.name] = state.arrival_tick
         if self.wal.enabled:
@@ -369,9 +356,8 @@ class TransactionService:
             self.engine.advance(
                 until_tick=self.engine.tick + self.config.tick_batch
             )
-            self._mx["batches"].inc()
-            if self.wal.enabled:
-                self.wal.flush()
+            self.pump_slices += 1
+            self.wal.flush()
             self._resolve_commits()
             # Yield so connection handlers can enqueue and respond.
             await asyncio.sleep(0)
@@ -388,13 +374,15 @@ class TransactionService:
             if future is None or future.done():
                 continue
             future.set_result(self._envelope_for(name, position))
-        self._mx["in_flight"].set(len(self._pending))
 
     def _envelope_for(self, name: str, position: int) -> ResultEnvelope:
         state = self.engine.txns[name]
+        # Taken whatever the outcome: under segment recovery a victim
+        # can be rolled back without ever restarting.
+        events = self.tracer.take(name)
         causes: tuple[str, ...] = ()
         if state.attempt > 0:
-            causes = tuple(explain_abort(self.tracer.events(), name))
+            causes = tuple(explain_abort(events, name))
         return ResultEnvelope(
             name=name,
             status="restarted" if state.attempt > 0 else "committed",
@@ -436,11 +424,8 @@ class TransactionService:
             }
         return report
 
-    def metrics_snapshot(self) -> MetricsRegistry:
-        return live_registry_snapshot(self.registry, self.profiler)
-
     def metrics_text(self) -> str:
-        return prometheus_text(self.metrics_snapshot())
+        return prometheus_text(self.registry)
 
     def admission_report(self, samples: int = 20, seed: int = 0) -> list[dict]:
         return self.admission.report_rows(
@@ -454,8 +439,7 @@ class TransactionService:
         while self._pending or self._queue.qsize():
             self._ensure_pump()
             await asyncio.sleep(0)
-        if self.wal.enabled:
-            self.wal.sync()
+        self.wal.sync()
         return self.health()
 
     def result(self) -> EngineResult:
@@ -594,9 +578,7 @@ class _Server:
                 if request.get("format") == "json":
                     return {
                         "ok": True,
-                        "snapshot": json_snapshot(
-                            service.metrics_snapshot()
-                        ),
+                        "snapshot": json_snapshot(service.registry),
                     }
                 return {"ok": True, "text": service.metrics_text()}
             if op == "admission":

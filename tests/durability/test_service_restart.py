@@ -7,8 +7,11 @@ from __future__ import annotations
 import asyncio
 import os
 
-from repro.api import ProgramSpec, Submission
+from repro.api import ProgramSpec, Submission, make_scheduler
+from repro.core.nests import PathNest
 from repro.durability import recover
+from repro.engine.runtime import Engine
+from repro.obs import RingTracer, explain_abort
 from repro.service import AdmissionConfig, ServiceConfig, TransactionService
 from repro.workloads.traffic import TrafficConfig, traffic_submissions
 
@@ -29,7 +32,114 @@ def config(wal_dir: str, **kw) -> ServiceConfig:
     return ServiceConfig(wal_dir=wal_dir, **kw)
 
 
+async def submit_in_batches(svc, submissions, batch=32) -> list[dict]:
+    responses: list[dict] = []
+    for start in range(0, len(submissions), batch):
+        responses.extend(await asyncio.gather(
+            *(svc.submit(s) for s in submissions[start:start + batch])
+        ))
+    return responses
+
+
 class TestServiceRestart:
+    def test_resubmitted_key_gets_the_first_runs_envelope(self, tmp_path):
+        """Abort causes are kept per rollback until the victim's envelope
+        is built, and replay refills them: a key resubmitted after a
+        restart is answered with the envelope the first incarnation
+        gave — ``abort_causes`` included — and those causes are what
+        ``explain_abort`` reads off a complete recording.  (A lossy ring
+        answered 598 of these 679 restarted envelopes differently after
+        the restart, 591 of them with no cause at all.)"""
+        d = str(tmp_path)
+        contended = config(
+            d, scheduler="mla-detect", admission=AdmissionConfig(window=32)
+        )
+        submissions = traffic_submissions(
+            TrafficConfig(transactions=1500, contention=0.15, seed=18)
+        )
+
+        async def incarnation():
+            svc = TransactionService(contended)
+            responses = await submit_in_batches(svc, submissions)
+            await svc.drain()
+            svc.wal.close()
+            return svc, responses
+
+        first, originals = run(incarnation())
+        second, answers = run(incarnation())
+        assert second.engine.tick == first.engine.tick  # nothing re-ran
+        assert all(answer["duplicate"] for answer in answers)
+        restarted = [
+            r["envelope"] for r in originals
+            if r["envelope"]["status"] == "restarted"
+        ]
+        assert len(restarted) > 500
+        assert all(envelope["abort_causes"] for envelope in restarted)
+        for original, answer in zip(originals, answers):
+            assert answer["envelope"] == original["envelope"]
+
+        # The library replay at the recorded arrival ticks (the E15
+        # differential path), recorded completely.
+        specs = {s.program.name: s.program for s in submissions}
+        nest = PathNest(contended.nest_depth)
+        initial: dict = {}
+        for name in first.arrivals:
+            nest.add(name, specs[name].path)
+            for entity in sorted(specs[name].entities):
+                initial.setdefault(entity, contended.initial_value)
+        tracer = RingTracer(capacity=None)
+        replay = Engine(
+            [specs[name].compile() for name in first.arrivals], initial,
+            make_scheduler(contended.scheduler, nest), seed=contended.seed,
+            arrivals=dict(first.arrivals), max_ticks=1 << 62, tracer=tracer,
+        ).run()
+        assert replay.history_digest() == first.result().history_digest()
+        events = tracer.events()
+        for envelope in restarted:
+            assert envelope["abort_causes"] == explain_abort(
+                events, envelope["name"]
+            ), envelope["name"]
+        # Everything kept was handed over with its envelope.
+        assert first.tracer.events() == second.tracer.events() == []
+
+    def test_service_counts_survive_a_restart(self, tmp_path):
+        """``admitted`` is in the log (one ``add`` record each), so a
+        restarted service reports it; it used to restart at 0 beside
+        ``committed: 300``."""
+        d = str(tmp_path)
+        restart = config(d, admission=AdmissionConfig(window=32))
+        submissions = traffic_submissions(
+            TrafficConfig(transactions=300, contention=0.02, seed=18)
+        )
+
+        async def first():
+            svc = TransactionService(restart)
+            await submit_in_batches(svc, submissions)
+            await svc.drain()
+            svc.wal.close()
+
+        run(first())
+        svc = TransactionService(restart)
+        health = svc.health()
+        assert health["committed"] == 300
+        assert health["submitted"] >= health["committed"]
+        assert (
+            health["submitted"]
+            == health["admission"]["admitted"]
+            == svc.admission.admitted
+            == len(svc.arrivals)
+            == 300
+        )
+        assert svc.registry.value(
+            "repro_service_submissions_total", outcome="admitted"
+        ) == 300
+        # Not logged, so they restart at 0.
+        assert svc.registry.value("repro_service_pump_batches_total") == 0
+        assert svc.registry.value(
+            "repro_service_submissions_total", outcome="rejected_load"
+        ) == 0
+        svc.wal.close()
+
     def test_restart_recovers_engine_state(self, tmp_path):
         d = str(tmp_path)
 
@@ -189,13 +299,9 @@ class TestServiceRestart:
 
         async def first():
             svc = TransactionService(restart)
-            subs = traffic_submissions(
+            await submit_in_batches(svc, traffic_submissions(
                 TrafficConfig(transactions=400, contention=0.02, seed=18)
-            )
-            for start in range(0, len(subs), 32):
-                await asyncio.gather(
-                    *(svc.submit(s) for s in subs[start:start + 32])
-                )
+            ))
             await svc.drain()
             svc.wal.close()
             assert any(name.startswith("snap-") for name in os.listdir(d))
@@ -203,7 +309,7 @@ class TestServiceRestart:
         run(first())
 
         svc = TransactionService(restart)
-        registry = svc.metrics_snapshot()
+        registry = svc.registry
         metrics = svc.engine.metrics
         assert (
             registry.value("repro_commits_total", scheduler="2pl")

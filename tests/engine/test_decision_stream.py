@@ -1,12 +1,13 @@
 """The engine's decision stream against goldens the parent commit wrote.
 
-``Engine._emit`` builds each decision once and fans it out to the
-history sink, the WAL and the tracer.  The goldens pin what every sink
-received *before* that rewrite, when each site spelled its fields once
-per sink: the WAL file and the history file byte for byte (as SHA-256),
-and every flight-recorder event.  A later event may carry more keys than
-its golden on ``txn.commit`` / ``txn.abort`` (one record now serves all
-sinks); nothing else may move.
+``Engine._emit`` builds each decision once — the schedulers' included,
+which report through it too — and fans it out to the history sink, the
+WAL and the tracer.  The goldens pin what every sink received *before*
+that rewrite, when each site spelled its fields once per sink (and the
+schedulers wrote to the tracer directly): the WAL file and the history
+file byte for byte (as SHA-256), and every flight-recorder event.  A
+later event may carry more keys than its golden on ``txn.commit`` /
+``txn.abort`` (one record now serves all sinks); nothing else may move.
 
 Regenerate — only ever from the commit whose behaviour is the reference
 — with ``PYTHONPATH=<that checkout>/src python
@@ -134,6 +135,11 @@ def test_matrix_exercises_every_decision_kind():
         "txn.commit", "txn.abort", "txn.restart", "txn.partial-rollback",
         "cascade.join", "engine.stall", "deadlock", "closure.rebuild",
         "closure.prune",
+        # The schedulers' own, which reach the sinks through the same
+        # emission point.
+        "lock.acquire", "lock.wait", "lock.release", "ts.conflict",
+        "closure.check", "cycle.detect", "breakpoint.wait",
+        "retention.wait", "certify.fail", "park",
     } <= seen
 
 

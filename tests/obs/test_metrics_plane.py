@@ -2,9 +2,9 @@
 
 Four contracts under test:
 
-* **Registry semantics** — family identity, label discipline, and a
-  ``merge`` that mirrors ``Metrics.merge`` (counters add, gauges max,
-  histograms bucket-exact).
+* **Registry semantics** — family identity, label discipline, series
+  set by sources on read, and a ``merge`` that mirrors ``Metrics.merge``
+  (counters add, gauges max, histograms bucket-exact).
 * **Profiler arithmetic** — exclusive attribution under nesting,
   checked against an injected fake clock with exact integers.
 * **Exposition** — ``prometheus_text`` output parses as Prometheus text
@@ -27,8 +27,8 @@ from repro.distributed import DistributedPreventControl, DistributedRuntime
 from repro.errors import SpecificationError
 from repro.obs import (
     PHASES,
+    Histogram,
     MetricsRegistry,
-    NullRegistry,
     PhaseProfiler,
     RingTracer,
     chrome_trace,
@@ -41,6 +41,13 @@ from repro.obs import (
 from repro.obs.profile import NULL_PROFILER
 
 from .conftest import SCHEDULER_ZOO
+
+
+def histogram_of(*samples: int) -> Histogram:
+    hist = Histogram()
+    for sample in samples:
+        hist.record(sample)
+    return hist
 
 
 class FakeClock:
@@ -58,51 +65,47 @@ class FakeClock:
 class TestRegistry:
     def test_family_identity_and_conflict(self):
         registry = MetricsRegistry()
-        a = registry.counter("repro_x_total", labels=("scheduler",))
-        b = registry.counter("repro_x_total", labels=("scheduler",))
-        assert a is b  # uncoordinated components share one family
+        registry.put("counter", "repro_x_total", "", 1, scheduler="a")
+        family = registry.get("repro_x_total")
+        registry.put("counter", "repro_x_total", "", 2, scheduler="b")
+        # Uncoordinated sources share one family.
+        assert registry.get("repro_x_total") is family
+        assert [values for values, _ in family.series()] == [("a",), ("b",)]
         with pytest.raises(SpecificationError):
-            registry.gauge("repro_x_total", labels=("scheduler",))
+            registry.put("gauge", "repro_x_total", "", 1, scheduler="a")
         with pytest.raises(SpecificationError):
-            registry.counter("repro_x_total", labels=("node",))
+            registry.put("counter", "repro_x_total", "", 1, node="n0")
         with pytest.raises(SpecificationError):
-            registry.counter("bad name")
+            registry.put("counter", "bad name", "", 1)
         with pytest.raises(SpecificationError):
-            registry.counter("repro_y_total", labels=("bad-label",))
+            registry.put("meter", "repro_z_total", "", 1)
+        with pytest.raises(SpecificationError):
+            registry.put("counter", "repro_y_total", "", 1, **{"bad-label": 1})
 
     def test_label_discipline(self):
         registry = MetricsRegistry()
-        family = registry.counter("repro_x_total", labels=("scheduler",))
-        family.labels(scheduler="serial").inc(3)
+        registry.put("counter", "repro_x_total", "", 3, scheduler="serial")
+        family = registry.get("repro_x_total")
         with pytest.raises(SpecificationError):
             family.labels(node="n0")
+        with pytest.raises(SpecificationError):
+            registry.put("counter", "repro_x_total", "", 1, node="n0")
         assert registry.value("repro_x_total", scheduler="serial") == 3
         # An untouched series reads as zero; a missing family as None.
         assert registry.value("repro_x_total", scheduler="other") == 0
         assert registry.value("repro_missing") is None
-
-    def test_counter_is_monotone(self):
-        child = MetricsRegistry().counter("repro_x_total").labels()
-        with pytest.raises(SpecificationError):
-            child.inc(-1)
 
     def test_merge_mirrors_metrics_merge(self):
         left, right = MetricsRegistry(), MetricsRegistry()
         for registry, count, gauge, sample in (
             (left, 2, 7, 3), (right, 5, 4, 200),
         ):
-            registry.counter("repro_c_total", labels=("node",)).labels(
-                node="n0"
-            ).inc(count)
-            registry.gauge("repro_g", labels=("node",)).labels(
-                node="n0"
-            ).set(gauge)
-            registry.histogram("repro_h", labels=("node",)).labels(
-                node="n0"
-            ).observe(sample)
-        right.counter("repro_c_total", labels=("node",)).labels(
-            node="n1"
-        ).inc(11)
+            registry.put("counter", "repro_c_total", "", count, node="n0")
+            registry.put("gauge", "repro_g", "", gauge, node="n0")
+            registry.put(
+                "histogram", "repro_h", "", histogram_of(sample), node="n0"
+            )
+        right.put("counter", "repro_c_total", "", 11, node="n1")
 
         left.merge(right)
         assert left.value("repro_c_total", node="n0") == 7  # counters add
@@ -112,28 +115,12 @@ class TestRegistry:
         assert hist.count == 2 and hist.total == 203  # bucket-exact
 
     def test_merge_is_reconstructible(self):
-        # Merging into a fresh registry reproduces the source exactly —
-        # the property registry_snapshot() relies on to avoid
-        # double-counting across repeated snapshots.
+        # Merging into a fresh registry reproduces the source exactly.
         source = MetricsRegistry()
-        source.counter("repro_c_total").labels().inc(9)
-        source.histogram("repro_h").labels().observe(5)
+        source.put("counter", "repro_c_total", "", 9)
+        source.put("histogram", "repro_h", "", histogram_of(5))
         merged = MetricsRegistry().merge(source)
         assert json_snapshot(merged) == json_snapshot(source)
-
-    def test_null_registry_is_inert(self):
-        registry = NullRegistry()
-        assert not registry.enabled
-        child = registry.counter("anything at all").labels(whatever="x")
-        child.inc()
-        child.observe(3)
-        assert child.value == 0
-        assert registry.families() == []
-        real = MetricsRegistry()
-        real.counter("repro_c_total").labels().inc()
-        assert registry.merge(real).families() == []
-        registry.derive("key", lambda reg: 1 / 0)
-        assert registry.families() == []
 
     def test_sources_set_their_series_on_every_read(self):
         """``derive`` is the pull half: a source sets (never adds), so
@@ -144,7 +131,7 @@ class TestRegistry:
 
         def source(reg):
             state["reads"] += 1
-            reg.counter("repro_n_total").labels().value = state["n"]
+            reg.put("counter", "repro_n_total", "", state["n"])
 
         registry.derive("n", source)
         assert registry.value("repro_n_total") == 3
@@ -223,6 +210,7 @@ class TestPhaseProfiler:
         profiler.add("schedule", 2.5)
         registry = MetricsRegistry()
         profiler.publish(registry)
+        profiler.publish(registry)  # sets, so twice is once
         assert registry.value(
             "repro_phase_seconds_total", phase="schedule"
         ) == 2.5
@@ -280,18 +268,15 @@ def _parse_prometheus(text: str) -> dict[str, dict]:
 class TestPrometheusExposition:
     def test_text_parses_with_strict_grammar(self):
         registry = MetricsRegistry()
-        registry.counter(
-            "repro_commits_total", help="Committed transactions.",
-            labels=("scheduler",),
-        ).labels(scheduler="mla-detect").inc(7)
-        registry.gauge("repro_ticks", labels=("scheduler",)).labels(
-            scheduler="mla-detect"
-        ).set(41)
-        hist = registry.histogram(
-            "repro_commit_latency_ticks", labels=("scheduler",)
-        ).labels(scheduler="mla-detect")
-        for sample in (0, 1, 5, 9, 9):
-            hist.observe(sample)
+        registry.put(
+            "counter", "repro_commits_total", "Committed transactions.", 7,
+            scheduler="mla-detect",
+        )
+        registry.put("gauge", "repro_ticks", "", 41, scheduler="mla-detect")
+        registry.put(
+            "histogram", "repro_commit_latency_ticks", "",
+            histogram_of(0, 1, 5, 9, 9), scheduler="mla-detect",
+        )
 
         families = _parse_prometheus(prometheus_text(registry))
         assert families["repro_commits_total"]["type"] == "counter"
@@ -304,9 +289,7 @@ class TestPrometheusExposition:
 
     def test_histogram_expansion_is_cumulative(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("repro_h").labels()
-        for sample in (0, 1, 5, 9, 9):
-            hist.observe(sample)
+        registry.put("histogram", "repro_h", "", histogram_of(0, 1, 5, 9, 9))
         samples = _parse_prometheus(prometheus_text(registry))["repro_h"][
             "samples"
         ]
@@ -323,23 +306,20 @@ class TestPrometheusExposition:
 
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry()
-        registry.counter("repro_x_total", labels=("node",)).labels(
-            node='we"ird\\name\nline'
-        ).inc()
+        registry.put(
+            "counter", "repro_x_total", "", 1, node='we"ird\\name\nline'
+        )
         families = _parse_prometheus(prometheus_text(registry))
         (sample,) = families["repro_x_total"]["samples"]
         assert sample[1] == 'node="we\\"ird\\\\name\\nline"'
 
     def test_json_snapshot_round_trips(self):
         registry = MetricsRegistry()
-        registry.counter("repro_c_total", labels=("scheduler",)).labels(
-            scheduler="2pl"
-        ).inc(3)
-        hist = registry.histogram("repro_h", labels=("scheduler",)).labels(
-            scheduler="2pl"
+        registry.put("counter", "repro_c_total", "", 3, scheduler="2pl")
+        registry.put(
+            "histogram", "repro_h", "", histogram_of(1, 2, 300),
+            scheduler="2pl",
         )
-        for sample in (1, 2, 300):
-            hist.observe(sample)
         snapshot = json_snapshot(registry)
         json.dumps(snapshot)  # must be JSON-serialisable as-is
         rebuilt = registry_from_snapshot(snapshot)
@@ -381,14 +361,13 @@ class TestMetricsDifferential:
         assert profiler.calls["schedule"] > 0
 
     def test_scrapes_are_idempotent_and_track_the_live_run(self, bank):
-        """``live_registry_snapshot`` renders the same exposition however
-        often it is scraped, mid-run and after, and the series follow
-        ``engine.metrics`` between scrapes — the engine's are derived on
-        read, the profiler's are published into a fresh copy."""
-        from repro.obs import live_registry_snapshot
-
+        """The registry renders the same exposition however often it is
+        scraped, mid-run and after, and the series follow
+        ``engine.metrics`` and the profiler between scrapes — every
+        source sets its series on read."""
         registry = MetricsRegistry()
         profiler = PhaseProfiler()
+        registry.derive("phases", profiler.publish)
         engine = bank.engine(
             SCHEDULER_ZOO["mla-detect"](bank.nest), seed=5,
             registry=registry, profiler=profiler,
@@ -399,7 +378,7 @@ class TestMetricsDifferential:
         engine.advance(until_tick=40)
 
         def scrape() -> str:
-            return prometheus_text(live_registry_snapshot(registry, profiler))
+            return prometheus_text(registry)
 
         midway = scrape()
         assert scrape() == midway == scrape()
@@ -407,6 +386,10 @@ class TestMetricsDifferential:
         commits = engine.metrics.commits
         assert f"repro_commits_total{label} {commits}\n" in midway
         assert f"repro_ticks{label} 40\n" in midway
+        calls = profiler.calls["schedule"]
+        assert (
+            f'repro_phase_calls_total{{phase="schedule"}} {calls}\n' in midway
+        )
         result = engine.run()
         final = scrape()
         assert scrape() == final != midway
@@ -438,29 +421,39 @@ class TestMetricsDifferential:
 
         registry = MetricsRegistry()
         profiler = PhaseProfiler()
+        registry.derive("phases", profiler.publish)
         runtime = cluster(registry=registry, profiler=profiler)
-        instrumented = runtime.run()
+        assert runtime.registry is registry
+        runtime.start()
+        runtime.pump(until=20.0)
+        # The network, the sequencer and every node are sources of the
+        # one registry: scraping it twice changes nothing, mid-run and
+        # after, and the series follow the run between scrapes.
+        midway = json_snapshot(registry)
+        assert json_snapshot(registry) == midway
+        assert registry.value(
+            "repro_net_messages_total", kind="request"
+        ) == runtime.network.messages_by_kind["request"] > 0
+        runtime.network.run()
+        instrumented = runtime.finish()
         bare = cluster().run()
 
         assert instrumented.summary() == bare.summary()
         assert instrumented.messages_by_kind == bare.messages_by_kind
         assert instrumented.makespan == bare.makespan
 
-        # registry_snapshot folds shared + per-node registries fresh on
-        # every call: two snapshots must agree exactly (no
-        # double-counting), and node counters must sum across nodes.
-        first = json_snapshot(runtime.registry_snapshot())
-        second = json_snapshot(runtime.registry_snapshot())
-        assert first == second
-        merged = runtime.registry_snapshot()
-        assert merged.value(
+        final = json_snapshot(registry)
+        assert json_snapshot(registry) == final != midway
+        assert registry.value(
             "repro_seq_commits_total", control="mla-prevent"
         ) == instrumented.commits
-        performs = merged.get("repro_node_steps_performed_total")
+        performs = registry.get("repro_node_steps_performed_total")
         assert performs is not None
         series = performs.series()
-        assert len(series) == 3, "every node's registry must fold in"
-        assert sum(child.value for _, child in series) > 0
+        assert len(series) == 3, "every node must be a source"
+        assert sum(child.value for _, child in series) == sum(
+            node.performs for node in runtime.nodes
+        ) > 0
 
     def test_engine_spans_validate_against_chrome_schema(self, bank, tmp_path):
         tracer = RingTracer(capacity=None)

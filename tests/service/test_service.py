@@ -313,7 +313,8 @@ class TestRecoveredDuplicates:
 
         assert fresh["ok"] and "duplicate" not in fresh
         assert fresh["envelope"]["serial_position"] == 4
-        assert service.admission.admitted == 1  # only p9 was admitted
+        # The log's four ``add`` records, then p9.
+        assert service.admission.admitted == 5
         assert service.engine.commit_order == ["p0", "p1", "p2", "p3", "p9"]
 
 
@@ -554,7 +555,26 @@ class TestFrozenSurface:
     (``service.wal.append``, ``service.history.on_commit``, ...).  The
     engine must therefore look its sinks' methods up at emission time: a
     sink method bound at construction would bypass the wrappers and
-    silently zero ``durability.wal_append.calls_per_txn``."""
+    silently zero ``durability.wal_append.calls_per_txn``.  It also
+    swaps ``repro.service.server.explain_abort`` on the module and reads
+    ``service.tracer.events()`` / ``.dropped``."""
+
+    @staticmethod
+    def drive(service, transactions=200):
+        submissions = traffic_submissions(TrafficConfig(
+            transactions=transactions, contention=0.15, seed=18
+        ))
+
+        async def go():
+            responses = []
+            for start in range(0, len(submissions), 32):
+                responses.extend(await asyncio.gather(*(
+                    service.submit(s) for s in submissions[start:start + 32]
+                )))
+            await service.drain()
+            return responses
+
+        return run(go())
 
     def test_wrappers_installed_after_construction_see_every_call(
         self, tmp_path
@@ -580,18 +600,7 @@ class TestFrozenSurface:
         service.history.on_commit = counted(
             "on_commit", service.history.on_commit
         )
-        submissions = traffic_submissions(
-            TrafficConfig(transactions=200, contention=0.15, seed=18)
-        )
-
-        async def go():
-            for start in range(0, len(submissions), 32):
-                await asyncio.gather(*(
-                    service.submit(s) for s in submissions[start:start + 32]
-                ))
-            await service.drain()
-
-        run(go())
+        self.drive(service)
         service.wal.close()
         service.history.close()
         assert service.engine.metrics.aborts > 0
@@ -600,5 +609,67 @@ class TestFrozenSurface:
         # The genesis frame was written during construction.
         assert calls["append"] == frames - 1
         assert service.wal.enabled and service.history.enabled
-        assert service.tracer.events() and service.tracer.dropped >= 0
+        # The tracer keeps abort causes, not a recording: everything it
+        # held went out with the envelopes, the rest it counted.
+        assert service.tracer.events() == []
+        assert service.tracer.dropped > 200
         assert service.profiler.snapshot()["schedule"]["calls"] > 0
+
+    def test_explain_abort_is_called_through_the_module_global(
+        self, monkeypatch
+    ):
+        """Wrapped after import, as ``inproc.py`` does: one call per
+        restarted envelope, none for a clean commit."""
+        from repro.service import server
+
+        calls = []
+        explain = server.explain_abort
+
+        def counted(events, name):
+            calls.append(name)
+            return explain(events, name)
+
+        monkeypatch.setattr(server, "explain_abort", counted)
+        service = TransactionService(ServiceConfig(
+            scheduler="mla-detect", admission=AdmissionConfig(window=32),
+        ))
+        responses = self.drive(service)
+        restarted = [
+            r["envelope"]["name"] for r in responses
+            if r["envelope"]["status"] == "restarted"
+        ]
+        assert restarted and sorted(calls) == sorted(restarted)
+        for response in responses:
+            envelope = response["envelope"]
+            assert bool(envelope["abort_causes"]) == (
+                envelope["status"] == "restarted"
+            )
+
+    def test_nothing_writes_the_registry_but_a_scrape(self):
+        """Every series is set by a source when the registry is read:
+        driving transactions writes no registry child, a scrape does."""
+        from repro.obs.registry import Counter, Gauge, HistogramChild
+
+        writes = []
+
+        def counted_setattr(child, name, value):
+            writes.append(name)
+            object.__setattr__(child, name, value)
+
+        service = TransactionService(ServiceConfig(
+            scheduler="mla-detect", admission=AdmissionConfig(window=32),
+        ))
+        children = (Counter, Gauge, HistogramChild)
+        for child_type in children:
+            child_type.__setattr__ = counted_setattr
+        try:
+            self.drive(service)
+            assert service.engine.metrics.aborts > 0
+            assert writes == []
+            text = service.metrics_text()
+            assert len(writes) > 20
+        finally:
+            for child_type in children:
+                del child_type.__setattr__
+        assert "repro_service_pump_batches_total" in text
+        assert 'repro_commits_total{scheduler="mla-detect"} 200\n' in text

@@ -1,0 +1,65 @@
+"""One way to report, checked by reading the source.
+
+Events leave a producer through its owner's one ``emit`` (``None`` when
+nobody listens) and counts reach a registry through one source per
+owner, set on read (DESIGN.md §4e, §4f).  The patterns below are the
+spellings of the designs that replaced: a pushed registry child behind
+an ``_mx`` table, a hand-guarded ``tr = ...tracer; if tr.enabled``, the
+null registry, the per-scrape registry copy, the service's trace ring.
+Any hit is a second way growing back.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+
+SRC = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "repro"
+)
+
+
+def grep(pattern: str, *, outside: tuple[str, ...] = ()) -> list[str]:
+    """``path:line: text`` for every match under ``src/repro``, skipping
+    the given sub-paths."""
+    wanted = re.compile(pattern)
+    hits = []
+    for directory, _, files in sorted(os.walk(SRC)):
+        for name in sorted(files):
+            path = os.path.relpath(os.path.join(directory, name), SRC)
+            if not name.endswith(".py") or path.startswith(outside):
+                continue
+            with open(os.path.join(SRC, path), encoding="utf-8") as handle:
+                for number, line in enumerate(handle, 1):
+                    if wanted.search(line):
+                        hits.append(f"{path}:{number}: {line.strip()}")
+    return hits
+
+
+def test_no_pushed_registry_children():
+    assert grep(r"_mx|_fam_") == []
+    assert grep(r"\.(inc|dec)\(", outside=("obs/registry.py",)) == []
+
+
+def test_no_null_registry_no_registry_copy_no_trace_ring():
+    assert grep(
+        r"NULL_REGISTRY|NullRegistry|registry\.enabled"
+        r"|live_registry_snapshot|registry_snapshot|trace_capacity"
+    ) == []
+
+
+def test_one_line_outside_obs_asks_whether_a_tracer_listens():
+    hits = grep(r"(tracer|tr)\.enabled", outside=("obs",))
+    assert len(hits) == 1, hits
+    # ... the one that binds ``Network.emit``.
+    assert hits[0].startswith(os.path.join("distributed", "network.py"))
+
+
+def test_schedulers_report_through_the_engine():
+    from repro.engine.schedulers.base import Scheduler
+
+    assert not hasattr(Scheduler, "tracer")
+    assert [
+        hit for hit in grep(r"repro\.obs\.tracer|\.tracer\b")
+        if hit.startswith(os.path.join("engine", "schedulers"))
+    ] == []
