@@ -521,77 +521,80 @@ class ClosureWindow:
         ]
         if not prunable:
             return
-        # Derive shortcuts from the closure over *committed* history only.
-        # Edges justified through still-active attempts must not survive a
-        # prune: if such an attempt later aborts, its orderings were never
-        # real, and a stale shortcut could wedge a permanent cycle among
-        # committed steps into the window.  Committed orderings are
-        # durable, so this restriction is sound by induction.
         committed_present = sorted(
             n for n in self._committed if self._steps.get(n)
         )
-        committed_steps = {
-            s for n in committed_present for s in self._steps[n]
-        }
-        spec = InterleavingSpec(
-            self.nest.restrict(committed_present),
-            {
-                n: BreakpointDescription.from_cut_levels(
-                    self._steps[n],
-                    self.k,
-                    {
-                        g: lv
-                        for g, lv in self._cuts.get(n, {}).items()
-                        if g < len(self._steps[n]) - 1 and lv <= self.k
-                    },
-                )
-                for n in committed_present
-            },
-        )
-        base = set(
-            self._entity_edges(
-                [s for s in self._order if s in committed_steps]
+        # Shortcuts are closure edges among the committed steps that stay
+        # (the closure below has no other nodes), so a prune that leaves no
+        # committed transaction behind has nothing to bridge.
+        succ: dict[StepId, set[StepId]] = {}
+        if len(committed_present) > len(prunable):
+            # Derive shortcuts from the closure over *committed* history
+            # only.  Edges justified through still-active attempts must
+            # not survive a prune: if such an attempt later aborts, its
+            # orderings were never real, and a stale shortcut could wedge
+            # a permanent cycle among committed steps into the window.
+            # Committed orderings are durable, so this restriction is
+            # sound by induction.
+            committed_steps = {
+                s for n in committed_present for s in self._steps[n]
+            }
+            spec = InterleavingSpec(
+                self.nest.restrict(committed_present),
+                {
+                    n: BreakpointDescription.from_cut_levels(
+                        self._steps[n],
+                        self.k,
+                        {
+                            g: lv
+                            for g, lv in self._cuts.get(n, {}).items()
+                            if g < len(self._steps[n]) - 1 and lv <= self.k
+                        },
+                    )
+                    for n in committed_present
+                },
             )
-        ) | {
-            (u, v)
-            for u, v in self._shortcut_edges
-            if u in committed_steps and v in committed_steps
-        }
-        closure = coherent_closure(spec, base).index
-        nodes = closure.nodes
-        succ: dict[StepId, set[StepId]] = {n: set() for n in nodes}
-        pred: dict[StepId, set[StepId]] = {n: set() for n in nodes}
-        for u, v in closure.iter_edges():
-            succ[u].add(v)
-            pred[v].add(u)
-        # Eliminate each pruned step, bridging its predecessors to its
-        # successors so reachability among the survivors is preserved.
+            base = set(
+                self._entity_edges(
+                    [s for s in self._order if s in committed_steps]
+                )
+            ) | {
+                (u, v)
+                for u, v in self._shortcut_edges
+                if u in committed_steps and v in committed_steps
+            }
+            closure = coherent_closure(spec, base).index
+            nodes = closure.nodes
+            succ = {n: set() for n in nodes}
+            pred: dict[StepId, set[StepId]] = {n: set() for n in nodes}
+            for u, v in closure.iter_edges():
+                succ[u].add(v)
+                pred[v].add(u)
+            # Eliminate each pruned step, bridging its predecessors to its
+            # successors so reachability among the survivors is preserved.
+            for name in prunable:
+                for step in self._steps[name]:
+                    preds = pred.pop(step)
+                    succs = succ.pop(step)
+                    preds.discard(step)
+                    succs.discard(step)
+                    for p in preds:
+                        succ[p].discard(step)
+                        succ[p].update(s for s in succs if s != p)
+                    for s in succs:
+                        pred[s].discard(step)
+                        pred[s].update(p for p in preds if p != s)
+        # Retire the pruned transactions in one pass over the window.
+        gone = {s for name in prunable for s in self._steps.pop(name)}
         for name in prunable:
-            for step in self._steps[name]:
-                preds = pred.pop(step)
-                succs = succ.pop(step)
-                preds.discard(step)
-                succs.discard(step)
-                for p in preds:
-                    succ[p].discard(step)
-                    succ[p].update(s for s in succs if s != p)
-                for s in succs:
-                    pred[s].discard(step)
-                    pred[s].update(p for p in preds if p != s)
-        for name in prunable:
-            gone = set(self._steps.pop(name))
             self._cuts.pop(name, None)
             self._committed.discard(name)
-            self._order = [s for s in self._order if s not in gone]
-            for step in gone:
-                self._access_of.pop(step, None)
-        remaining = set(self._order)
+        self._order = [s for s in self._order if s not in gone]
+        for step in gone:
+            self._access_of.pop(step, None)
+        # Elimination left only surviving committed steps in ``succ``.
         self._shortcut_edges = {
-            (u, v)
-            for u, outs in succ.items()
-            if u in remaining
-            for v in outs
-            if v in remaining
+            (u, v) for u, outs in succ.items() for v in outs
         }
         self._invalidate()
         if self.emit is not None:

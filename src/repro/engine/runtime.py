@@ -33,6 +33,7 @@ import math
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from repro.core.interleaving import InterleavingSpec
@@ -53,6 +54,10 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["Engine", "EngineResult", "TxnState"]
+
+#: ``TxnState.name`` without the property call: the attention pick sorts
+#: every candidate by it on every tick.
+_by_name = attrgetter("program.name")
 
 #: The engine's registry series, set from :class:`Metrics` fields whenever
 #: the registry is read: (family kind, series, help, field).
@@ -519,7 +524,7 @@ class Engine:
                     txn = state
                     break
             if txn is None:
-                txn = self.rng.choice(sorted(candidates, key=lambda t: t.name))
+                txn = self.rng.choice(sorted(candidates, key=_by_name))
             progressed = self._attend(txn)
             if progressed:
                 self._last_progress = self.tick
@@ -677,15 +682,14 @@ class Engine:
             txn.commit_tick = self.tick
             self._active.pop(txn.name, None)
             self._arrived.pop(txn.name, None)
-            self._committed_keys.add(txn.key)
+            key = txn.key
+            self._committed_keys.add(key)
             # Retire the attempt's records out of the abort-scannable
             # window (entries are in seq order, so the last touch per
             # entity wins the watermark).
-            mine = [e for e in self._live_log if e.key == txn.key]
+            mine = [e for e in self._live_log if e.key == key]
             if mine:
-                self._live_log = [
-                    e for e in self._live_log if e.key != txn.key
-                ]
+                self._live_log = [e for e in self._live_log if e.key != key]
                 self._committed_log.extend(mine)
                 for entry in mine:
                     self._committed_access[entry.record.entity] = (

@@ -6,11 +6,13 @@ owner, set on read (DESIGN.md §4e, §4f).  The patterns below are the
 spellings of the designs that replaced: a pushed registry child behind
 an ``_mx`` table, a hand-guarded ``tr = ...tracer; if tr.enabled``, the
 null registry, the per-scrape registry copy, the service's trace ring.
-Any hit is a second way growing back.
+Any hit is a second way growing back.  The same goes for the closure
+window's batch Theorem-2 closure: it has exactly two call sites.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 
@@ -53,6 +55,32 @@ def test_one_line_outside_obs_asks_whether_a_tracer_listens():
     assert len(hits) == 1, hits
     # ... the one that binds ``Network.emit``.
     assert hits[0].startswith(os.path.join("distributed", "network.py"))
+
+
+def test_window_computes_batch_closures_in_two_places():
+    """The ``"full"`` mode's per-call closure, and a prune's committed-only
+    closure behind the guard that a committed transaction survives it."""
+    path = os.path.join(SRC, "engine", "closure_window.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    sites = []
+
+    def visit(node, function, guarded):
+        if isinstance(node, ast.FunctionDef):
+            function, guarded = node.name, False
+        elif isinstance(node, ast.If):
+            guarded = True
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "coherent_closure"
+        ):
+            sites.append((function, guarded))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, guarded)
+
+    visit(tree, None, False)
+    assert sorted(sites) == [("_closure", False), ("_prune", True)]
 
 
 def test_schedulers_report_through_the_engine():
