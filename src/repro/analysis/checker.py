@@ -24,8 +24,8 @@ import networkx as nx
 from repro.core.atomicity import check_correctability, is_multilevel_atomic
 from repro.core.interleaving import InterleavingSpec
 from repro.core.nests import KNest
-from repro.core.reach import is_acyclic
 from repro.core.serializability import is_serial, serializability_spec
+from repro.engine.cycles import WaitGraph
 from repro.errors import ReproError
 from repro.model.breakpoints import spec_for_execution
 from repro.model.execution import Execution
@@ -76,15 +76,15 @@ def is_conflict_serializable(
 ) -> bool:
     """Classical serializability: the serialization graph is acyclic.
 
-    Runs Kahn's algorithm directly over the transaction-level edge set
-    (no graph object); :func:`serialization_graph` remains available for
-    plotting and inspection."""
-    edges = {
+    Searches the transaction-level edges with the wait-graph cycle
+    finder (no networkx graph); :func:`serialization_graph` remains
+    available for plotting and inspection."""
+    graph = WaitGraph(
         (a.transaction, b.transaction)
         for a, b in execution.dependency_edges(conflicts)
         if a.transaction != b.transaction
-    }
-    return is_acyclic(execution.transactions, edges)
+    )
+    return graph.find_cycle() is None
 
 
 def classify_execution(

@@ -37,6 +37,7 @@ from typing import Any
 
 from repro.audit.history import History
 from repro.core.atomicity import check_correctability
+from repro.engine.cycles import WaitGraph
 from repro.errors import SpecificationError
 from repro.model.breakpoints import spec_for_execution
 from repro.model.execution import Execution
@@ -91,45 +92,8 @@ class AuditReport:
 
 
 # ----------------------------------------------------------------------
-# cycle utilities
+# witness formatting
 # ----------------------------------------------------------------------
-
-
-def _find_txn_cycle(
-    nodes: list[str], edges: set[tuple[str, str]]
-) -> list[str] | None:
-    """One directed cycle in a transaction-level graph (iterative DFS
-    with colouring), or ``None``."""
-    adjacency: dict[str, list[str]] = {n: [] for n in nodes}
-    for a, b in sorted(edges):
-        adjacency[a].append(b)
-    colour = {n: 0 for n in nodes}  # 0 white, 1 on stack, 2 done
-    parent: dict[str, str] = {}
-    for root in nodes:
-        if colour[root]:
-            continue
-        stack = [(root, iter(adjacency[root]))]
-        colour[root] = 1
-        while stack:
-            node, successors = stack[-1]
-            advanced = False
-            for nxt in successors:
-                if colour[nxt] == 0:
-                    colour[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-                if colour[nxt] == 1:
-                    cycle = [node]
-                    while cycle[-1] != nxt:
-                        cycle.append(parent[cycle[-1]])
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                colour[node] = 2
-                stack.pop()
-    return None
 
 
 def _format_txn_cycle(cycle: list[str]) -> str:
@@ -158,7 +122,12 @@ def _serializability_axis(execution: Execution, conflicts: str):
             for a, b in current.dependency_edges(conflicts)
             if a.transaction != b.transaction
         }
-        cycle = _find_txn_cycle(list(current.transactions), edges)
+        graph = WaitGraph()
+        for name in current.transactions:
+            graph.add_node(name)
+        for a, b in sorted(edges):
+            graph.add_edge(a, b)
+        cycle = graph.find_cycle()
         if cycle is None:
             break
         for name in cycle:

@@ -21,10 +21,10 @@ extracted from the adjacency bitsets on the spot.  After a cycle the
 index is *terminal*: descendant sets are no longer maintained (a cyclic
 closure is already a final verdict for every caller here).
 
-Two convenience module functions cover the common batch shapes:
-:func:`reachable_sets` (one reverse-topological sweep over an acyclic
-edge list, e.g. an execution's dependency order) and :func:`is_acyclic`
-(Kahn's algorithm over plain dicts, e.g. a serialization graph).
+Two convenience module functions cover the common batch shape — an
+acyclic edge list, e.g. an execution's dependency order:
+:func:`reachable_sets` (one reverse-topological sweep) and
+:func:`transitive_pairs`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "iter_bits",
     "reachable_sets",
     "transitive_pairs",
-    "is_acyclic",
 ]
 
 
@@ -491,28 +490,3 @@ def transitive_pairs(
         for j in iter_bits(mask):
             out.add((node, order[j]))
     return out
-
-
-def is_acyclic(nodes: Iterable[N], edges: Iterable[tuple[N, N]]) -> bool:
-    """Kahn's algorithm over plain dicts — no graph object needed."""
-    succs: dict[N, set[N]] = {node: set() for node in nodes}
-    indegree: dict[N, int] = {node: 0 for node in succs}
-    for u, v in edges:
-        if u == v:
-            return False
-        targets = succs.setdefault(u, set())
-        indegree.setdefault(u, 0)
-        indegree.setdefault(v, 0)
-        if v not in targets:
-            targets.add(v)
-            indegree[v] += 1
-    ready = [node for node, deg in indegree.items() if deg == 0]
-    seen = 0
-    while ready:
-        node = ready.pop()
-        seen += 1
-        for succ in succs.get(node, ()):
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    return seen == len(indegree)

@@ -197,15 +197,11 @@ class DistributedPreventControl(NoControl):
         seq.waiting_on[name] = blockers
         graph = WaitGraph()
         for waiter, blocking in seq.waiting_on.items():
-            # Sorted: edge insertion order decides which cycle
-            # ``find_cycle`` surfaces (hence the victim), and raw set
-            # order varies with the process hash seed.
-            for blocker in sorted(blocking):
-                graph.add_edge(waiter, blocker)
+            graph.add_waits(waiter, blocking)
         cycle = graph.find_cycle()
         if cycle is None:
             return "wait"
-        victim = max((u for u, _ in cycle), key=seq.priority_key)
+        victim = max(cycle, key=seq.priority_key)
         return ("abort", [victim])
 
     def on_performed(self, name, record, cut_levels, finished) -> None:
@@ -822,17 +818,16 @@ class Sequencer:
 
     def _dep_cycle(self, name: str) -> list[str] | None:
         graph = WaitGraph()
+        attempts = self.attempts
         for (txn_name, attempt), deps in self.deps.items():
-            if attempt != self.attempts[txn_name]:
-                continue
-            for dep_name, dep_attempt in deps:
-                if (
-                    dep_name not in self.committed_names
-                    and dep_attempt == self.attempts[dep_name]
-                ):
-                    graph.add_edge(txn_name, dep_name)
-        cycle = graph.find_cycle(source=name)
-        return None if cycle is None else [u for u, _ in cycle]
+            if attempt == attempts[txn_name]:
+                graph.add_waits(txn_name, {
+                    dep_name
+                    for dep_name, dep_attempt in deps
+                    if dep_name not in self.committed_names
+                    and dep_attempt == attempts[dep_name]
+                })
+        return graph.find_cycle(source=name)
 
     # ------------------------------------------------------------------
 

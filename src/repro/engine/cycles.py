@@ -1,21 +1,25 @@
-"""Wait-graph cycle detection without networkx overhead.
+"""The one cycle finder: wait-for graphs and serialization graphs.
 
-The schedulers and the engine detect circular waits on graphs that are
-nearly always tiny (a handful of live transactions) but are rebuilt and
-searched on *every* blocked request — profiling the E4-class banking
-workload put ``nx.find_cycle`` at over half the mla-prevent run time,
-almost all of it networkx dispatch and view construction, not search.
+Every §6 scheduler decides who waits and who rolls back by finding a
+cycle, and the offline checkers decide serializability the same way.
+The graphs are nearly always tiny (a handful of live transactions) but
+are rebuilt and searched on *every* blocked request, so this is a plain
+insertion-ordered successor dict searched by an iterative colour DFS —
+``nx.find_cycle`` spent most of its time in dispatch and views.
 
-This module is a semantics-exact port of networkx's directed
-``find_cycle`` (edge depth-first search, same node/edge visitation
-order, same tail pruning, same returned edge list).  Exactness matters:
-*which* cycle is surfaced decides which victim is rolled back, and the
-service/library bit-identical differentials pin that choice.  A
-differential test drives both implementations over random digraphs.
+Exactness matters: *which* cycle is surfaced decides which victim is
+rolled back, and the service/library bit-identical differentials pin
+that choice.  The DFS returns exactly the cycle ``nx.find_cycle``
+returns on an identically built ``nx.DiGraph`` (roots in node order,
+successors in edge insertion order; a differential test drives both
+over random digraphs).  Node order is first appearance (``add_node`` or
+an edge endpoint), successor order is edge insertion order, duplicate
+edges are ignored.
 
-``WaitGraph`` mirrors the ``nx.DiGraph`` construction the call sites
-used: node order is first appearance as an edge endpoint, successor
-order is edge insertion order, duplicate edges are ignored.
+One edge-order rule: a set of blockers enters through ``add_waits``,
+which inserts it sorted.  Set iteration order varies with the process
+hash seed, so a set inserted as iterated makes the surfaced cycle — and
+the victim, and the whole trajectory — depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ class WaitGraph:
         for u, v in edges:
             self.add_edge(u, v)
 
+    def add_node(self, node: Hashable) -> None:
+        self._succ.setdefault(node, {})
+
     def add_edge(self, u: Hashable, v: Hashable) -> None:
         succ = self._succ
         out = succ.get(u)
@@ -46,80 +53,45 @@ class WaitGraph:
             succ[v] = {}
         out[v] = None
 
-    def __contains__(self, node: Hashable) -> bool:
-        return node in self._succ
+    def add_waits(self, waiter: Hashable, blockers: Iterable[Hashable]) -> None:
+        """``waiter -> blocker`` for every blocker, in sorted order (see
+        the module docstring: the victim must not depend on set order)."""
+        for blocker in sorted(blockers):
+            self.add_edge(waiter, blocker)
 
-    def _edge_dfs(self, start):
-        """Directed edge DFS from ``start``: every reachable edge exactly
-        once, out-edges in insertion order (networkx ``edge_dfs``)."""
-        succ = self._succ
-        visited_edges: set[tuple] = set()
-        iters: dict[Hashable, object] = {}
-        stack = [start]
-        while stack:
-            current = stack[-1]
-            it = iters.get(current)
-            if it is None:
-                it = iters[current] = iter(succ.get(current, ()))
-            head = next(it, _DONE)
-            if head is _DONE:
-                stack.pop()
-                continue
-            edge = (current, head)
-            if edge not in visited_edges:
-                visited_edges.add(edge)
-                stack.append(head)
-                yield edge
-
-    def find_cycle(self, source: Hashable | None = None):
-        """One directed cycle as its edge list, or ``None``.
+    def find_cycle(self, source: Hashable | None = None) -> list | None:
+        """One directed cycle as its node list, or ``None``.
 
         With ``source`` the search starts (only) there; a source absent
-        from the graph finds nothing.  Matches ``nx.find_cycle`` output
-        edge-for-edge on identically-constructed graphs.
+        from the graph finds nothing.  Same cycle as ``nx.find_cycle``
+        (whose edges are the consecutive pairs of this list, closed).
         """
         succ = self._succ
         if source is None:
-            start_nodes: Iterable[Hashable] = succ
+            roots: Iterable[Hashable] = succ
         elif source in succ:
-            start_nodes = (source,)
+            roots = (source,)
         else:
             return None
-        explored: set[Hashable] = set()
-        for start_node in start_nodes:
-            if start_node in explored:
+        done: set[Hashable] = set()
+        for root in roots:
+            if root in done:
                 continue
-            edges: list[tuple] = []
-            seen = {start_node}
-            active_nodes = {start_node}
-            previous_head = None
-            for edge in self._edge_dfs(start_node):
-                tail, head = edge
-                if head in explored:
-                    # Entering explored territory cannot close a cycle.
-                    continue
-                if previous_head is not None and tail != previous_head:
-                    # The DFS backtracked: prune the stored path down to
-                    # the fork this edge hangs off.
-                    while True:
-                        if not edges:
-                            active_nodes = {tail}
-                            break
-                        active_nodes.remove(edges.pop()[1])
-                        if edges and tail == edges[-1][1]:
-                            break
-                edges.append(edge)
-                if head in active_nodes:
-                    # Trim the tail leading into the cycle.
-                    for i, (cycle_tail, _) in enumerate(edges):
-                        if cycle_tail == head:
-                            return edges[i:]
-                    return edges
-                seen.add(head)
-                active_nodes.add(head)
-                previous_head = head
-            explored.update(seen)
+            path = [root]
+            on_path = {root}
+            successors = [iter(succ[root])]
+            while successors:
+                for head in successors[-1]:
+                    if head in on_path:
+                        return path[path.index(head):]
+                    if head not in done:
+                        path.append(head)
+                        on_path.add(head)
+                        successors.append(iter(succ[head]))
+                        break
+                else:
+                    node = path.pop()
+                    on_path.remove(node)
+                    done.add(node)
+                    successors.pop()
         return None
-
-
-_DONE = object()

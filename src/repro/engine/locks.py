@@ -148,8 +148,7 @@ class LockManager:
         cycle = WaitGraph(edges).find_cycle()
         if cycle is None:
             self._acyclic_sig = sig
-            return None
-        return [u for u, _ in cycle]
+        return cycle
 
     def snapshot_state(self) -> dict:
         """Picklable state preserving every iteration order (lock

@@ -745,24 +745,19 @@ class Engine:
         from repro.engine.cycles import WaitGraph
 
         graph = WaitGraph()
-        # Sorted: ``deps`` is a set of string tuples, and set iteration
-        # order varies with hash randomisation.  Edge insertion order
-        # decides *which* cycle is reported (hence the victim), so
-        # unsorted iteration made victim choice differ across processes
-        # — fatal for the service/library bit-identical differential.
+        txns = self.txns
         for state in self.arrived_states():
-            for dep_name, dep_attempt in sorted(state.deps):
-                other = self.txns.get(dep_name)
-                if (
-                    other is not None
-                    and not other.committed
-                    and other.attempt == dep_attempt
-                ):
-                    graph.add_edge(state.name, dep_name)
+            graph.add_waits(state.name, {
+                dep_name
+                for dep_name, dep_attempt in state.deps
+                if (other := txns.get(dep_name)) is not None
+                and not other.committed
+                and other.attempt == dep_attempt
+            })
         cycle = graph.find_cycle(source=txn.name)
         if cycle is None:
             return None
-        return [self.txns[u] for u, _ in cycle]
+        return [txns[u] for u in cycle]
 
     # ------------------------------------------------------------------
     # rollback

@@ -181,18 +181,11 @@ class MLAPreventScheduler(Scheduler):
     def _wait_cycle(self) -> list[str] | None:
         graph = WaitGraph()
         for waiter, blockers in self._waiting_on.items():
-            # Sorted: edge insertion order decides which cycle
-            # ``find_cycle`` surfaces (hence the victim), and raw set
-            # order varies with the process hash seed.
-            for blocker in sorted(blockers):
-                graph.add_edge(waiter, blocker)
+            graph.add_waits(waiter, blockers)
         if self.locks is not None:
             for u, v in self.locks.waits_for_edges():
                 graph.add_edge(u, v)
-        cycle = graph.find_cycle()
-        if cycle is None:
-            return None
-        return [u for u, _ in cycle]
+        return graph.find_cycle()
 
     def after_performed(self, txn, record) -> Decision | None:
         assert self.engine is not None

@@ -126,10 +126,9 @@ class NestedLockScheduler(Scheduler):
             self._waiting_on[txn.name] = blockers
             graph = WaitGraph()
             for waiter, blocking in self._waiting_on.items():
-                for blocker in blocking:
-                    graph.add_edge(waiter, blocker)
-            edge_cycle = graph.find_cycle()
-            if edge_cycle is None:
+                graph.add_waits(waiter, blocking)
+            cycle = graph.find_cycle()
+            if cycle is None:
                 self.engine.metrics.detail["retention_waits"] += 1
                 if emit:
                     emit(
@@ -141,7 +140,6 @@ class NestedLockScheduler(Scheduler):
                 return Decision.wait(
                     f"{access.entity!r} retained by {sorted(blockers)}"
                 )
-            cycle = [u for u, _ in edge_cycle]
             states = [self.engine.txns[name] for name in cycle]
             victim = max(states, key=lambda t: (t.priority, t.name))
             self.engine.metrics.deadlocks += 1

@@ -29,14 +29,22 @@ def wait_for_snapshot(obj: Any) -> dict[str, Any]:
 
     ``obj`` may be an engine, a scheduler, a distributed runtime, or a
     sequencer; whatever blocking state it (or its scheduler/control)
-    exposes is collected.  Edges run waiter -> blocker.
+    exposes is collected.  Edges run waiter -> blocker, listed sorted,
+    each with the first cause that put it there.
     """
     scheduler = _scheduler_of(obj)
-    edges: list[tuple[str, str, str]] = []  # (waiter, blocker, cause)
+    graph = WaitGraph()
+    causes: dict[tuple[str, str], str] = {}  # first cause per edge
+
+    def waits(waiter: str, blockers: set[str], cause: str) -> None:
+        graph.add_waits(waiter, blockers)
+        for blocker in blockers:
+            causes.setdefault((waiter, blocker), cause)
 
     locks = getattr(scheduler, "locks", None)
     if locks is not None and hasattr(locks, "waits_for_edges"):
-        edges.extend((w, h, "lock") for w, h in locks.waits_for_edges())
+        for waiter, holder in locks.waits_for_edges():
+            waits(waiter, {holder}, "lock")
 
     for attr, cause in (
         ("_waiting_on", "breakpoint"),   # MLA prevent / nested-lock
@@ -45,12 +53,12 @@ def wait_for_snapshot(obj: Any) -> dict[str, Any]:
         waiting = getattr(scheduler, attr, None) or getattr(obj, attr, None)
         if isinstance(waiting, dict):
             for waiter, blockers in waiting.items():
-                edges.extend((waiter, blocker, cause) for blocker in blockers)
+                waits(waiter, blockers, cause)
 
     parked = getattr(scheduler, "_parked", None)
     if isinstance(parked, dict):
         for waiter, entries in parked.items():
-            edges.extend((waiter, entry[0], "park") for entry in entries)
+            waits(waiter, {entry[0] for entry in entries}, "park")
 
     # Commit dependencies: a finished attempt cannot commit before the
     # attempts whose uncommitted writes it consumed.
@@ -59,40 +67,33 @@ def wait_for_snapshot(obj: Any) -> dict[str, Any]:
         for state in txns.values():
             if getattr(state, "committed", True):
                 continue
-            for dep_name, dep_attempt in getattr(state, "deps", ()):
-                dep = txns.get(dep_name)
-                if (
-                    dep is not None
-                    and not dep.committed
-                    and dep.attempt == dep_attempt
-                ):
-                    edges.append((state.name, dep_name, "commit-dep"))
+            waits(state.name, {
+                dep_name
+                for dep_name, dep_attempt in getattr(state, "deps", ())
+                if (dep := txns.get(dep_name)) is not None
+                and not dep.committed
+                and dep.attempt == dep_attempt
+            }, "commit-dep")
 
     seq_deps = getattr(obj, "deps", None)
     attempts = getattr(obj, "attempts", None)
     if isinstance(seq_deps, dict) and isinstance(attempts, dict):
         committed = getattr(obj, "committed", set())
         for (name, attempt), deps in seq_deps.items():
-            if attempts.get(name) != attempt:
-                continue
-            for dep in deps:
-                if dep not in committed and attempts.get(dep[0]) == dep[1]:
-                    edges.append((name, dep[0], "commit-dep"))
+            if attempts.get(name) == attempt:
+                waits(name, {
+                    dep[0]
+                    for dep in deps
+                    if dep not in committed and attempts.get(dep[0]) == dep[1]
+                }, "commit-dep")
 
-    unique: list[tuple[str, str, str]] = []
-    seen = set()
-    for edge in edges:
-        if edge[:2] not in seen:
-            seen.add(edge[:2])
-            unique.append(edge)
-    found = WaitGraph((w, b) for w, b, _ in unique).find_cycle()
-    cycle = [u for u, _ in found] if found is not None else None
     return {
         "edges": [
-            {"waiter": w, "blocker": b, "cause": c} for w, b, c in unique
+            {"waiter": w, "blocker": b, "cause": c}
+            for (w, b), c in sorted(causes.items())
         ],
-        "waiters": sorted({w for w, _, _ in unique}),
-        "cycle": cycle,
+        "waiters": sorted({w for w, _ in causes}),
+        "cycle": graph.find_cycle(),
     }
 
 

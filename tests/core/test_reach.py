@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.core.reach import (
     ReachabilityIndex,
-    is_acyclic,
     iter_bits,
     reachable_sets,
     transitive_pairs,
@@ -209,11 +208,6 @@ class TestModuleHelpers:
             ("a", "c"),
             ("b", "c"),
         }
-
-    def test_is_acyclic(self):
-        assert is_acyclic("abc", [("a", "b"), ("b", "c")])
-        assert not is_acyclic("abc", [("a", "b"), ("b", "a")])
-        assert not is_acyclic("a", [("a", "a")])
 
 
 # ---------------------------------------------------------------------------

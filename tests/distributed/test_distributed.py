@@ -201,31 +201,65 @@ def test_prevention_correctable_across_seeds(seed, nodes):
     assert not bank.invariant_violations(result)
 
 
-def test_run_invariant_under_hash_seed():
-    """Regression: the prevent control built its wait-for graph by
-    iterating a raw set of transaction names, so which cycle
-    ``find_cycle`` surfaced — and hence the victim, and the whole
-    trajectory — depended on ``PYTHONHASHSEED``.  Under some seeds the
-    run livelocked outright.  Two fresh interpreters with different
-    hash seeds must now agree exactly."""
+_HASH_SEED_RUNS = {
+    # The prevent control built its wait-for graph by iterating a raw
+    # set of transaction names; under hash seed 6 the run livelocked.
+    "prevent-waits": (
+        "from repro.distributed import DistributedPreventControl, "
+        "DistributedRuntime\n"
+        "w = BankingWorkload(BankingConfig(families=2, transfers=4, "
+        "bank_audits=1, creditor_audits=1, seed=0))\n"
+        "r = DistributedRuntime(w.programs, w.accounts, "
+        "DistributedPreventControl(w.nest), nodes=3, seed=0).run()\n"
+        "print(json.dumps([r.makespan, r.commits, r.aborts, r.messages]))\n",
+        ("1", "6"),
+    ),
+    # The sequencer's commit-dependency graph iterated a set of
+    # ``(name, attempt)`` pairs (makespan 331.76 vs 511.01).
+    "sequencer-deps": (
+        "from repro.distributed import DistributedRuntime, NoControl\n"
+        "w = BankingWorkload(BankingConfig(families=3, accounts_per_family=2, "
+        "transfers=12, bank_audits=1, creditor_audits=1, seed=4))\n"
+        "r = DistributedRuntime(w.programs, w.accounts, NoControl(), "
+        "nodes=3, seed=4).run()\n"
+        "print(json.dumps([r.makespan, r.commits, r.aborts, r.messages]))\n",
+        ("0", "3"),
+    ),
+    # The nested-lock scheduler added its blocker sets to the wait graph
+    # unsorted (15 vs 14 deadlocks).
+    "nested-lock-waits": (
+        "from repro.engine import Engine, NestedLockScheduler\n"
+        "w = BankingWorkload(BankingConfig(families=2, accounts_per_family=2, "
+        "transfers=8, bank_audits=1, creditor_audits=1, seed=2))\n"
+        "r = Engine(w.programs, w.accounts, NestedLockScheduler(w.nest), "
+        "seed=2).run()\n"
+        "m = r.metrics\n"
+        "print(json.dumps([m.ticks, m.commits, m.aborts, m.deadlocks, "
+        "m.waits]))\n",
+        ("0", "1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HASH_SEED_RUNS))
+def test_run_invariant_under_hash_seed(case):
+    """Regression: a wait graph built by iterating a raw set made which
+    cycle ``find_cycle`` surfaced — and hence the victim, and the whole
+    trajectory — depend on ``PYTHONHASHSEED``.  Two fresh interpreters
+    with hash seeds that used to disagree must now agree exactly."""
     import json
     import os
     import subprocess
     import sys
 
+    body, hash_seeds = _HASH_SEED_RUNS[case]
     script = (
-        "import json, sys\n"
-        "from repro.distributed import DistributedPreventControl, "
-        "DistributedRuntime\n"
+        "import json\n"
         "from repro.workloads import BankingConfig, BankingWorkload\n"
-        "w = BankingWorkload(BankingConfig(families=2, transfers=4, "
-        "bank_audits=1, creditor_audits=1, seed=0))\n"
-        "r = DistributedRuntime(w.programs, w.accounts, "
-        "DistributedPreventControl(w.nest), nodes=3, seed=0).run()\n"
-        "print(json.dumps([r.makespan, r.commits, r.aborts, r.messages]))\n"
+        + body
     )
     results = []
-    for hash_seed in ("1", "6"):  # seed 6 used to livelock this workload
+    for hash_seed in hash_seeds:
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         env["PYTHONPATH"] = os.pathsep.join(sys.path)
         proc = subprocess.run(

@@ -7,7 +7,9 @@ spellings of the designs that replaced: a pushed registry child behind
 an ``_mx`` table, a hand-guarded ``tr = ...tracer; if tr.enabled``, the
 null registry, the per-scrape registry copy, the service's trace ring.
 Any hit is a second way growing back.  The same goes for the closure
-window's batch Theorem-2 closure: it has exactly two call sites.
+window's batch Theorem-2 closure: it has exactly two call sites.  And
+for cycle finding: one finder, and set-valued waits enter it sorted in
+one place (``WaitGraph.add_waits``).
 """
 
 from __future__ import annotations
@@ -91,3 +93,18 @@ def test_schedulers_report_through_the_engine():
         hit for hit in grep(r"repro\.obs\.tracer|\.tracer\b")
         if hit.startswith(os.path.join("engine", "schedulers"))
     ] == []
+
+
+def test_one_cycle_finder():
+    assert grep(r"is_acyclic|_find_txn_cycle|_edge_dfs") == []
+    hits = grep(r"def find_cycle\b")
+    assert len(hits) == 1, hits
+    assert hits[0].startswith(os.path.join("engine", "cycles.py"))
+
+
+def test_blocker_sets_enter_the_wait_graph_through_add_waits():
+    """A hand-written ``for blocker in ...: graph.add_edge(waiter, ...)``
+    loop is how the two hash-seed-dependent victim choices got in."""
+    cycles = (os.path.join("engine", "cycles.py"),)
+    pattern = r"add_edge\((waiter\b|[^,]+, (blocker|dep_name)\b)"
+    assert grep(pattern, outside=cycles) == []
