@@ -184,16 +184,7 @@ def _state_key(state: dict, stall_limit: int):
     """
     tick = state["tick"]
     store = state["store"]
-    # The store's per-entity access histories are durability telemetry:
-    # nothing in the engine or any scheduler reads them back, so only
-    # the current (and initial) values can influence the future.
-    store_key = (
-        _canon(store["initial"]),
-        tuple(sorted(
-            (name, repr(value))
-            for name, value, _history in store["entities"]
-        )),
-    )
+    store_key = (_canon(store["initial"]), _canon(store["values"]))
     seqs = sorted({
         entry[0] for entry in state["live_log"] + state["committed_log"]
     })
@@ -207,7 +198,6 @@ def _state_key(state: dict, stall_limit: int):
             max(0, saved["wake_tick"] - tick),
             _canon(saved["deps"]),
             _canon(saved["results_log"]),
-            saved["finished"],
         )
         for saved in sorted(state["txns"], key=lambda s: s["name"])
     )
@@ -231,8 +221,8 @@ def _state_key(state: dict, stall_limit: int):
             for seq, key, record in state["live_log"]
         ),
         tuple(
-            (rank[seq], _canon(key), repr(record))
-            for seq, key, record in state["committed_log"]
+            (rank[seq], *map(repr, rest))
+            for seq, *rest in state["committed_log"]
         ),
         tuple(sorted(
             (entity, rank[seq], _canon(key))

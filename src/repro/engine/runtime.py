@@ -46,7 +46,7 @@ from repro.errors import EngineError
 from repro.model.breakpoints import spec_for_execution
 from repro.model.execution import Execution
 from repro.model.programs import TransactionProgram
-from repro.model.steps import StepKind, StepRecord
+from repro.model.steps import StepId, StepKind, StepRecord
 from repro.model.system import _LiveTransaction
 from repro.model.variables import EntityStore
 from repro.obs.profile import NULL_PROFILER, PhaseProfiler
@@ -87,18 +87,23 @@ _SERIES = (
 
 @dataclass
 class TxnState:
-    """Engine-side state of one transaction across attempts."""
+    """Engine-side state of one transaction across attempts.
+
+    A committed transaction keeps only what envelopes and schedulers
+    read after its commit: ``live`` is ``None`` (the finished generator
+    and its replay tape are released) and ``deps`` is empty.
+    """
 
     program: TransactionProgram
     arrival_tick: int
-    live: _LiveTransaction
+    live: _LiveTransaction | None
     attempt: int = 0
     rollbacks: int = 0
     attempt_start_tick: int = 0
     wake_tick: int = 0
     committed: bool = False
     commit_tick: int | None = None
-    deps: set[tuple[str, int]] = field(default_factory=set)
+    deps: set[tuple[str, int]] | frozenset = field(default_factory=set)
     # WAIT decisions received across all attempts (admission + commit),
     # feeding the per-transaction wait histogram at commit time.
     waits: int = 0
@@ -118,7 +123,7 @@ class TxnState:
 
     @property
     def finished(self) -> bool:
-        return self.live.finished
+        return self.live is None or self.live.finished
 
     @property
     def steps_taken(self) -> int:
@@ -133,7 +138,7 @@ class TxnState:
         that has not taken a step exposes nothing to interrupt; both
         count as 'at a breakpoint'.
         """
-        if self.live.finished or self.live.steps_taken == 0:
+        if self.finished or self.live.steps_taken == 0:
             return True
         declared = self.live.cut_levels.get(self.live.steps_taken - 1)
         return declared is not None and declared <= level
@@ -144,6 +149,22 @@ class _LogEntry:
     seq: int
     key: tuple[str, int]
     record: StepRecord
+
+
+#: A committed transaction's ``deps``: one shared empty set, not one each.
+_NO_DEPS: frozenset = frozenset()
+
+def _entry(row: tuple) -> _LogEntry:
+    """A committed-log row ``(seq, txn, attempt, index, entity, kind,
+    before, after)`` back as the entry it was committed from.  The row
+    holds ``kind.value``: an enum member is an object the cyclic GC
+    tracks, and so would be every row that held one."""
+    seq, name, attempt, index, entity, kind, before, after = row
+    return _LogEntry(
+        seq,
+        (name, attempt),
+        StepRecord(StepId(name, index), entity, StepKind(kind), before, after),
+    )
 
 
 @dataclass
@@ -350,9 +371,12 @@ class Engine:
         # split is what keeps abort-time cascade work proportional to the
         # in-flight window instead of to the whole history — essential
         # for the open-system service, whose log otherwise grows without
-        # bound while aborts scan it end to end.
+        # bound while aborts scan it end to end.  Committed records are
+        # kept as flat rows of atomic values (see ``_entry``), which the
+        # cyclic GC stops tracking: the log grows with every commit, and
+        # a tracked object per record made every full collection scan it.
         self._live_log: list[_LogEntry] = []
-        self._committed_log: list[_LogEntry] = []
+        self._committed_log: list[tuple] = []
         # Per entity: (seq, key) of the latest committed access.  A
         # doomed write older than this watermark means a committed
         # attempt consumed state we are about to roll back — the same
@@ -566,9 +590,11 @@ class Engine:
     @property
     def log(self) -> list[_LogEntry]:
         """The live access log in global performance order (committed
-        and in-flight attempts merged — materialised on demand)."""
+        and in-flight attempts merged — materialised on demand, with
+        fresh entries and records built from the committed rows)."""
         return sorted(
-            self._committed_log + self._live_log, key=lambda e: e.seq
+            [_entry(row) for row in self._committed_log] + self._live_log,
+            key=attrgetter("seq"),
         )
 
     def is_committed(self, key: tuple[str, int]) -> bool:
@@ -690,17 +716,19 @@ class Engine:
             mine = [e for e in self._live_log if e.key == key]
             if mine:
                 self._live_log = [e for e in self._live_log if e.key != key]
-                self._committed_log.extend(mine)
+                name, attempt = key
                 for entry in mine:
-                    self._committed_access[entry.record.entity] = (
-                        entry.seq,
-                        entry.key,
-                    )
+                    record = entry.record
+                    self._committed_log.append((
+                        entry.seq, name, attempt, record.step.index,
+                        record.entity, record.kind.value,
+                        record.value_before, record.value_after,
+                    ))
+                    self._committed_access[record.entity] = (entry.seq, key)
+            live = txn.live
             self._commit_order.append(txn.name)
-            self._results[txn.name] = txn.live.result
-            self._cut_levels[txn.name] = cut_levels = dict(
-                txn.live.cut_levels
-            )
+            self._results[txn.name] = live.result
+            self._cut_levels[txn.name] = cut_levels = dict(live.cut_levels)
             self.metrics.record_commit(
                 txn.name, self.tick - txn.arrival_tick, waited=txn.waits
             )
@@ -713,11 +741,15 @@ class Engine:
                     attempt=txn.attempt,
                     latency=self.tick - txn.arrival_tick,
                     waits=txn.waits,
-                    result=txn.live.result,
+                    result=live.result,
                     cut_levels=cut_levels,
                     steps=[(e.seq, e.record) for e in mine],
                 )
             self.scheduler.on_commit(txn)
+            # Nothing reads a committed attempt's generator, replay tape
+            # or commit dependencies again.
+            txn.live = None
+            txn.deps = _NO_DEPS
             return True
         if decision.action is Action.ABORT:
             self._abort(
@@ -1049,9 +1081,8 @@ class Engine:
         """Rebuild last-writer tracking and all active attempts' commit
         dependencies from the surviving log."""
         self._last_writer = {}
-        for txn in self.txns.values():
-            if not txn.committed:
-                txn.deps = set()
+        for txn in self._active.values():
+            txn.deps = set()
         last_writer: dict[str, tuple[str, int]] = {}
         for entry in self.log:
             writer = last_writer.get(entry.record.entity)
@@ -1079,13 +1110,15 @@ class Engine:
         engine that continues bit-identically to this one — including
         the rng stream, dict iteration orders that feed deterministic
         decisions, and the scheduler/closure-window internals.  Programs
-        themselves (generator functions) are not serialised: the live
-        attempts are rebuilt on restore via their ``results_log`` replay
-        tapes.
+        themselves (generator functions) are not serialised: an
+        uncommitted attempt is rebuilt on restore from its
+        ``results_log`` replay tape, and a committed transaction carries
+        no tape (``None``) because nothing runs its program again.  The
+        committed log is carried as the engine holds it, in flat rows.
 
         ``deep=False`` skips the final defensive deep copy.  Every
-        container in the dict is freshly built and step records are
-        immutable by contract, so the only live object a shallow
+        container in the dict is freshly built and step records and
+        committed rows are immutable, so the only live object a shallow
         snapshot would alias is ``metrics`` — which is copied one level
         regardless.  Nested metrics structures may still alias the
         engine's; callers that never read snapshot telemetry (the audit
@@ -1103,8 +1136,9 @@ class Engine:
                 "commit_tick": txn.commit_tick,
                 "deps": sorted(txn.deps),
                 "waits": txn.waits,
-                "results_log": list(txn.live.results_log),
-                "finished": txn.live.finished,
+                "results_log": (
+                    None if txn.live is None else list(txn.live.results_log)
+                ),
             }
             for txn in self.txns.values()
         ]
@@ -1122,9 +1156,7 @@ class Engine:
             "live_log": [
                 (e.seq, e.key, e.record) for e in self._live_log
             ],
-            "committed_log": [
-                (e.seq, e.key, e.record) for e in self._committed_log
-            ],
+            "committed_log": list(self._committed_log),
             "committed_access": dict(self._committed_access),
             "last_writer": list(self._last_writer.items()),
             "committed_keys": sorted(self._committed_keys),
@@ -1172,9 +1204,14 @@ class Engine:
                 raise EngineError(
                     f"snapshot names unknown transaction {saved['name']!r}"
                 )
-            live = _LiveTransaction(base.program)
-            if saved["results_log"]:
-                live.fast_forward(saved["results_log"])
+            tape = saved["results_log"]
+            if tape is None:  # committed: its program never runs again
+                live, deps = None, _NO_DEPS
+            else:
+                live = _LiveTransaction(base.program)
+                if tape:
+                    live.fast_forward(tape)
+                deps = set(map(tuple, saved["deps"]))
             txn = TxnState(
                 program=base.program,
                 arrival_tick=saved["arrival_tick"],
@@ -1185,7 +1222,7 @@ class Engine:
                 wake_tick=saved["wake_tick"],
                 committed=saved["committed"],
                 commit_tick=saved["commit_tick"],
-                deps=set(map(tuple, saved["deps"])),
+                deps=deps,
                 waits=saved["waits"],
             )
             self.txns[saved["name"]] = txn
@@ -1204,10 +1241,7 @@ class Engine:
             _LogEntry(seq, tuple(key), record)
             for seq, key, record in state["live_log"]
         ]
-        self._committed_log = [
-            _LogEntry(seq, tuple(key), record)
-            for seq, key, record in state["committed_log"]
-        ]
+        self._committed_log = list(state["committed_log"])
         self._committed_access = {
             entity: (seq, tuple(key))
             for entity, (seq, key) in state["committed_access"].items()

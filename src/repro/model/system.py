@@ -98,7 +98,7 @@ class _LiveTransaction:
             )
         access = self.pending
         step = StepId(self.program.name, self.steps_taken)
-        before, after, result = store.apply(step, access.entity, access.fn)
+        before, after, result = store.apply(access.entity, access.fn)
         if access.kind is StepKind.READ and after != before:
             raise SpecificationError(
                 f"{step}: access declared READ changed "

@@ -2,30 +2,22 @@
 
 Entities are internal variables of the application database: they start
 from declared initial values and are accessed only through transaction
-steps (Section 3.2).  The store keeps, besides current values, a full
-per-entity access history so dependency orders and the Section 3.1
-consistency requirements can be checked after the fact.
+steps (Section 3.2).  The store keeps initial and current values only;
+what each step did is the engine's log, and the Section 3.1 consistency
+requirements are checked over it by :meth:`Execution.validate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import EngineError
-from repro.model.steps import StepId
 
 __all__ = ["EntityStore"]
 
 
-@dataclass
-class _EntityState:
-    value: Any
-    history: list[tuple[StepId, Any, Any]] = field(default_factory=list)
-
-
 class EntityStore:
-    """A mapping of entity names to values with per-entity history.
+    """A mapping of entity names to values.
 
     The store is deliberately dumb: all concurrency decisions live in the
     schedulers.  It only enforces that entities exist and faithfully
@@ -34,15 +26,13 @@ class EntityStore:
 
     def __init__(self, initial: dict[str, Any]) -> None:
         self._initial = dict(initial)
-        self._entities = {
-            name: _EntityState(value) for name, value in initial.items()
-        }
+        self._values = dict(initial)
 
     # ------------------------------------------------------------------
 
     @property
     def entities(self) -> tuple[str, ...]:
-        return tuple(self._entities)
+        return tuple(self._values)
 
     def initial_value(self, entity: str) -> Any:
         self._require(entity)
@@ -53,31 +43,20 @@ class EntityStore:
 
     def value(self, entity: str) -> Any:
         self._require(entity)
-        return self._entities[entity].value
+        return self._values[entity]
 
     def snapshot(self) -> dict[str, Any]:
-        return {name: state.value for name, state in self._entities.items()}
-
-    def history(self, entity: str) -> list[tuple[StepId, Any, Any]]:
-        """``(step, value_before, value_after)`` triples, oldest first."""
-        self._require(entity)
-        return list(self._entities[entity].history)
-
-    def last_accessors(self, entity: str, count: int = 1) -> list[StepId]:
-        self._require(entity)
-        return [s for s, _, _ in self._entities[entity].history[-count:]]
+        return dict(self._values)
 
     # ------------------------------------------------------------------
 
-    def apply(self, step: StepId, entity: str, fn) -> tuple[Any, Any, Any]:
+    def apply(self, entity: str, fn) -> tuple[Any, Any, Any]:
         """Apply access function ``fn`` (old value -> (new value, result))
-        at ``step``.  Returns ``(value_before, value_after, result)``."""
+        to ``entity``.  Returns ``(value_before, value_after, result)``."""
         self._require(entity)
-        state = self._entities[entity]
-        before = state.value
+        before = self._values[entity]
         after, result = fn(before)
-        state.value = after
-        state.history.append((step, before, after))
+        self._values[entity] = after
         return before, after, result
 
     def declare(self, entity: str, value: Any) -> None:
@@ -90,7 +69,7 @@ class EntityStore:
         having constructed the store with it up-front, which is what the
         service/library differential relies on.
         """
-        if entity in self._entities:
+        if entity in self._values:
             if self._initial[entity] != value:
                 raise EngineError(
                     f"entity {entity!r} already declared with initial "
@@ -98,46 +77,30 @@ class EntityStore:
                 )
             return
         self._initial[entity] = value
-        self._entities[entity] = _EntityState(value)
+        self._values[entity] = value
 
     def restore(self, entity: str, value: Any) -> None:
-        """Force an entity back to ``value`` (rollback support); does not
-        touch the history — undo is recorded by the engine's log."""
+        """Force an entity back to ``value`` (rollback support)."""
         self._require(entity)
-        self._entities[entity].value = value
+        self._values[entity] = value
 
     def snapshot_state(self) -> dict:
-        """Full picklable state (values *and* histories) for durability
-        snapshots; insertion order of ``_entities`` is preserved."""
-        return {
-            "initial": dict(self._initial),
-            "entities": [
-                (name, state.value, list(state.history))
-                for name, state in self._entities.items()
-            ],
-        }
+        """Picklable initial and current values for durability
+        snapshots; insertion order is preserved."""
+        return {"initial": dict(self._initial), "values": dict(self._values)}
 
     def restore_state(self, state: dict) -> None:
         self._initial = dict(state["initial"])
-        self._entities = {
-            name: _EntityState(value, list(history))
-            for name, value, history in state["entities"]
-        }
-
-    def reset(self) -> None:
-        """Back to initial values, clearing history."""
-        self._entities = {
-            name: _EntityState(value) for name, value in self._initial.items()
-        }
+        self._values = dict(state["values"])
 
     # ------------------------------------------------------------------
 
     def _require(self, entity: str) -> None:
-        if entity not in self._entities:
+        if entity not in self._values:
             raise EngineError(f"unknown entity {entity!r}")
 
     def __contains__(self, entity: str) -> bool:
-        return entity in self._entities
+        return entity in self._values
 
     def __repr__(self) -> str:
-        return f"EntityStore({len(self._entities)} entities)"
+        return f"EntityStore({len(self._values)} entities)"

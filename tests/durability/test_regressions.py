@@ -22,6 +22,10 @@ failure shape so the bug class cannot return:
    pickled layout (a renamed slot, a moved class) reached
    ``restore_state`` and killed the restart with a bare
    ``AttributeError`` — although the WAL alone always suffices.
+6. ``restore_state`` rebuilt every transaction by re-running its
+   program through its replay tape, committed ones included, so each
+   restore cost the whole history (the explorer restores thousands of
+   times) and every snapshot carried every committed tape.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from repro.durability.fuzz import default_specs, run_reference
 from repro.durability.wal import EngineWal
 from repro.engine.runtime import Engine
 from repro.errors import RecoveryError
+from repro.model.programs import TransactionProgram
 from repro.service import ServiceConfig, TransactionService
 
 
@@ -234,3 +239,51 @@ def test_foreign_layout_snapshot_is_skipped(
     a = via_snapshot.engine.run(until_tick=via_snapshot.engine.tick)
     b = full_replay.engine.run(until_tick=full_replay.engine.tick)
     assert a.history_digest() == b.history_digest() == live.history_digest()
+
+
+@pytest.mark.parametrize("recovery_unit", ["transaction", "segment"])
+def test_restore_never_runs_a_committed_program(monkeypatch, recovery_unit):
+    """Regression 6: a restore starts the programs of uncommitted
+    transactions only, and the engine it rebuilds still continues
+    bit-identically to the one that was snapshotted."""
+    specs = default_specs(seed=6, txns=10)
+    initial = {e: 100 for spec in specs for e in spec.entities}
+
+    def fresh() -> Engine:
+        nest = PathNest(2)
+        for spec in specs:
+            nest.add(spec.name, spec.path)
+        return Engine(
+            [spec.compile() for spec in specs], initial,
+            make_scheduler("mla-detect", nest), seed=6,
+            recovery=recovery_unit,
+        )
+
+    live = fresh()
+    while len(live.commit_order) < 3 or not any(
+        t.steps_taken for t in live.active_states()
+    ):
+        live.advance(until_tick=live.tick + 1)
+    committed = set(live.commit_order)
+    in_flight = {t.name for t in live.active_states()}
+    state = pickle.loads(pickle.dumps(live.snapshot_state()))
+
+    restored = fresh()
+    started: list[str] = []
+    start = TransactionProgram.start
+
+    def counted(program):
+        started.append(program.name)
+        return start(program)
+
+    monkeypatch.setattr(TransactionProgram, "start", counted)
+    restored.restore_state(state)
+    monkeypatch.undo()
+    assert sorted(started) == sorted(in_flight)
+    # A committed transaction is written without a replay tape.
+    assert all(
+        saved["results_log"] is None
+        for saved in state["txns"] if saved["name"] in committed
+    )
+    assert all(restored.txns[name].live is None for name in committed)
+    assert restored.run().history_digest() == live.run().history_digest()

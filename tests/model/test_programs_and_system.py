@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from repro.errors import EngineError, ExecutionError, SpecificationError
 from repro.model import (
     Breakpoint,
     EntityStore,
-    StepId,
     StepKind,
     System,
     TransactionProgram,
@@ -45,35 +45,62 @@ def bank():
 
 
 class TestEntityStore:
-    def test_apply_and_history(self):
+    def test_apply(self):
         store = EntityStore({"X": 1})
-        step = StepId("t", 0)
-        before, after, result = store.apply(step, "X", lambda v: (v + 1, v))
+        before, after, result = store.apply("X", lambda v: (v + 1, v))
         assert (before, after, result) == (1, 2, 1)
         assert store.value("X") == 2
-        assert store.history("X") == [(step, 1, 2)]
+        assert store.initial_value("X") == 1
+        assert store.snapshot() == {"X": 2}
 
     def test_unknown_entity(self):
         store = EntityStore({})
         with pytest.raises(EngineError):
             store.value("nope")
+        with pytest.raises(EngineError):
+            store.apply("nope", lambda v: (v, v))
+        with pytest.raises(EngineError):
+            store.restore("nope", 1)
 
-    def test_restore_and_reset(self):
+    def test_restore(self):
         store = EntityStore({"X": 1})
-        store.apply(StepId("t", 0), "X", lambda v: (9, None))
+        store.apply("X", lambda v: (9, None))
         store.restore("X", 5)
         assert store.value("X") == 5
-        store.reset()
-        assert store.value("X") == 1
-        assert store.history("X") == []
+        assert store.initial_value("X") == 1
 
-    def test_last_accessors(self):
-        store = EntityStore({"X": 0})
-        s0, s1 = StepId("t", 0), StepId("u", 0)
-        store.apply(s0, "X", lambda v: (v, v))
-        store.apply(s1, "X", lambda v: (v, v))
-        assert store.last_accessors("X") == [s1]
-        assert store.last_accessors("X", 2) == [s0, s1]
+    def test_declare(self):
+        store = EntityStore({"X": 1})
+        store.declare("Y", 7)
+        store.declare("Y", 7)  # idempotent with the same initial value
+        assert "Y" in store
+        assert store.entities == ("X", "Y")
+        assert store.value("Y") == 7
+        assert store.initial_snapshot() == {"X": 1, "Y": 7}
+        store.apply("Y", lambda v: (v + 1, None))
+        store.declare("Y", 7)  # judged by the initial value, not the current
+        assert store.value("Y") == 8
+        with pytest.raises(EngineError, match="already declared"):
+            store.declare("Y", 8)
+
+    def test_snapshot_round_trip(self):
+        store = EntityStore({"X": 1, "Y": 2})
+        store.apply("X", lambda v: (v * 10, None))
+        store.declare("Z", 0)
+        state = pickle.loads(pickle.dumps(store.snapshot_state()))
+        assert state == {
+            "initial": {"X": 1, "Y": 2, "Z": 0},
+            "values": {"X": 10, "Y": 2, "Z": 0},
+        }
+        restored = EntityStore({"X": 99})
+        restored.restore_state(state)
+        assert restored.entities == ("X", "Y", "Z")
+        assert restored.snapshot() == store.snapshot()
+        assert restored.initial_snapshot() == store.initial_snapshot()
+        # The restored store owns its dicts: later writes do not leak back.
+        restored.apply("Y", lambda v: (-1, None))
+        assert state["values"]["Y"] == 2
+        assert store.value("Y") == 2
 
 
 class TestPrograms:

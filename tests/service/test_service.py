@@ -7,6 +7,7 @@ arrivals."""
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 
 import pytest
@@ -318,9 +319,40 @@ class TestRecoveredDuplicates:
         assert service.engine.commit_order == ["p0", "p1", "p2", "p3", "p9"]
 
 
-# ----------------------------------------------------------------------
-# the differential: service path == library path, bit for bit
-# ----------------------------------------------------------------------
+class TestCommitFootprint:
+    """What a commit leaves behind on the heap: objects the cyclic GC
+    tracks grow by a bounded number per commit (DESIGN §4g), not by the
+    ~26 a transaction's log records, generator, replay tape and store
+    history used to pin — every one of which each full collection
+    scanned again."""
+
+    def test_tracked_objects_per_commit(self):
+        submissions = traffic_submissions(TrafficConfig(
+            transactions=3_000, contention=0.02, seed=33
+        ))
+
+        async def go():
+            service = TransactionService(ServiceConfig(
+                scheduler="2pl", admission=AdmissionConfig(window=32),
+            ))
+            counts = []  # (commits, tracked objects)
+            for start in range(0, len(submissions), 32):
+                for response in await asyncio.gather(*(
+                    service.submit(s) for s in submissions[start:start + 32]
+                )):
+                    assert response["ok"]
+                committed = len(service.engine.commit_order)
+                if (not counts and committed >= 1_000) or (
+                    committed == len(submissions)
+                ):
+                    gc.collect()
+                    counts.append((committed, len(gc.get_objects())))
+            return counts
+
+        (commits_a, objects_a), (commits_b, objects_b) = run(go())
+        assert commits_b - commits_a >= 1_900
+        per_commit = (objects_b - objects_a) / (commits_b - commits_a)
+        assert per_commit <= 10, per_commit
 
 
 class TestDifferential:
