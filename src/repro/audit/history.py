@@ -22,6 +22,9 @@ Two encodings share one canonical object, :class:`History`:
 Capture is a sink of the engine's decision stream (DESIGN.md §4e): an
 enabled sink receives every record and keeps the commits; sinks never
 touch the engine rng, so captured runs are bit-identical to bare runs.
+A captured stream is readable only once its footer is written: commit
+lines are buffered, not flushed one by one, and a stream without a
+footer is rejected by :func:`load_history`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import ExecutionError, SpecificationError
@@ -54,6 +58,10 @@ __all__ = [
 HISTORY_FORMAT_VERSION = 1
 
 _KINDS = frozenset(k.value for k in StepKind)
+
+#: Encodes every JSONL line: the bytes of ``json.dumps(payload,
+#: sort_keys=True)`` without building an encoder per call.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _scalar_ok(value: Any) -> bool:
@@ -472,7 +480,12 @@ NULL_HISTORY = HistorySink()
 
 class HistoryRecorder(HistorySink):
     """In-memory capture: accumulates commits and materialises a
-    validated :class:`History` on demand."""
+    validated :class:`History` on demand.
+
+    Each committed step is kept as a flat row ``(seq, txn, index,
+    entity, kind, before, after)`` of JSON scalars — a tuple the cyclic
+    GC stops tracking, like the engine's committed log — and becomes a
+    :class:`HistoryStep` only in :meth:`history`."""
 
     enabled = True
 
@@ -492,7 +505,7 @@ class HistoryRecorder(HistorySink):
         self.commit_order: list[str] = []
         self.cut_levels: dict[str, dict[int, int]] = {}
         self.results: dict[str, Any] = {}
-        self._steps: list[HistoryStep] = []
+        self.rows: list[tuple] = []
 
     def declare_path(self, name: str, path: tuple[str, ...]) -> None:
         self._paths[str(name)] = tuple(str(label) for label in path)
@@ -501,23 +514,20 @@ class HistoryRecorder(HistorySink):
         self.commit_order.append(name)
         self.cut_levels[name] = dict(cut_levels)
         self.results[name] = result
+        rows = self.rows
         for seq, record in entries:
-            self._steps.append(
-                HistoryStep(
-                    seq=seq,
-                    transaction=record.step.transaction,
-                    index=record.step.index,
-                    entity=record.entity,
-                    kind=record.kind.value,
-                    before=record.value_before,
-                    after=record.value_after,
-                )
-            )
+            step = record.step
+            rows.append((
+                seq, step.transaction, step.index, record.entity,
+                record.kind.value, record.value_before, record.value_after,
+            ))
 
     def history(self) -> History:
         """The captured history so far, sorted into global seq order and
         validated (so a capture bug cannot produce an unreadable file)."""
-        steps = tuple(sorted(self._steps, key=lambda s: s.seq))
+        steps = tuple(
+            HistoryStep(*row) for row in sorted(self.rows, key=itemgetter(0))
+        )
         paths = None
         if self.depth is not None:
             paths = {
@@ -546,9 +556,15 @@ class HistoryRecorder(HistorySink):
 
 
 class HistoryWriter(HistorySink):
-    """Streaming JSONL capture: header at open, one line per commit
-    (flushed, so a crashed run leaves a readable prefix), and a footer
-    with counts + the canonical digest at :meth:`close`."""
+    """Streaming JSONL capture: header at open, one line per commit,
+    and a footer with counts + the canonical digest at :meth:`close`.
+
+    The header is flushed as it is written; commit lines are buffered
+    until :meth:`close` writes the footer.  A stream without its footer
+    is unreadable by design, and a restarted server truncates it, so
+    nothing is gained by flushing earlier.  The in-memory
+    :class:`HistoryRecorder` it delegates to keeps the rows each commit
+    line is built from."""
 
     enabled = True
 
@@ -568,8 +584,6 @@ class HistoryWriter(HistorySink):
         self._recorder = HistoryRecorder(
             initial=initial, depth=depth, paths=self._paths, meta=meta
         )
-        self._commits = 0
-        self._steps = 0
         self._closed = False
         self._handle = open(path, "w", encoding="utf-8")
         self._write({
@@ -579,11 +593,10 @@ class HistoryWriter(HistorySink):
             "initial": dict(initial or {}),
             "depth": depth,
         })
+        self._handle.flush()
 
     def _write(self, payload: dict) -> None:
-        self._handle.write(json.dumps(payload, sort_keys=True))
-        self._handle.write("\n")
-        self._handle.flush()
+        self._handle.write(_LINE_ENCODER.encode(payload) + "\n")
 
     def declare_path(self, name: str, path: tuple[str, ...]) -> None:
         clean = tuple(str(label) for label in path)
@@ -591,20 +604,20 @@ class HistoryWriter(HistorySink):
         self._recorder.declare_path(name, clean)
 
     def on_commit(self, name, attempt, tick, entries, cut_levels, result):
-        self._recorder.on_commit(
-            name, attempt, tick, entries, cut_levels, result
-        )
         path = self._paths.get(name)
         if self.depth is not None and path is None:
             raise SpecificationError(
                 f"committed transaction {name!r} has no declared nest path"
             )
+        recorder = self._recorder
+        start = len(recorder.rows)
+        recorder.on_commit(name, attempt, tick, entries, cut_levels, result)
         self._write({
             "kind": "commit",
             "txn": name,
             "attempt": attempt,
             "tick": tick,
-            "position": self._commits,
+            "position": len(recorder.commit_order) - 1,
             "path": None if self.depth is None else list(path),
             "cut_levels": {
                 str(gap): lvl for gap, lvl in sorted(cut_levels.items())
@@ -613,17 +626,16 @@ class HistoryWriter(HistorySink):
             "steps": [
                 {
                     "seq": seq,
-                    "index": record.step.index,
-                    "entity": record.entity,
-                    "kind": record.kind.value,
-                    "before": record.value_before,
-                    "after": record.value_after,
+                    "index": index,
+                    "entity": entity,
+                    "kind": kind,
+                    "before": before,
+                    "after": after,
                 }
-                for seq, record in entries
+                for seq, _, index, entity, kind, before, after
+                in recorder.rows[start:]
             ],
         })
-        self._commits += 1
-        self._steps += len(entries)
 
     def history(self) -> History:
         return self._recorder.history()
@@ -633,11 +645,12 @@ class HistoryWriter(HistorySink):
         if self._closed:
             return None
         self._closed = True
-        digest = self._recorder.history().digest()
+        recorder = self._recorder
+        digest = recorder.history().digest()
         self._write({
             "kind": "footer",
-            "commits": self._commits,
-            "steps": self._steps,
+            "commits": len(recorder.commit_order),
+            "steps": len(recorder.rows),
             "sha256": digest,
         })
         self._handle.close()

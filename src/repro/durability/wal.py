@@ -9,8 +9,12 @@ Both integers are little-endian.  A *torn tail* — a frame whose length
 prefix, checksum, or payload bytes are incomplete or corrupt — marks the
 durable end of the log: everything before it is replayed, everything
 from the first bad byte on is truncated.  This is safe because callers
-only acknowledge work after :meth:`LogFile.sync`, so a torn tail can
-only cover unacknowledged work.
+only acknowledge work the log has already handed to the OS: the service
+flushes once per pump slice, before that slice's replies, and fsyncs
+only on ``drain`` and ``shutdown`` (DESIGN.md §4h).  A torn tail left by
+a killed process can therefore only cover unacknowledged work; an
+acknowledged frame that was flushed but never fsynced survives
+``SIGKILL``, not power loss.
 
 The :class:`EngineWal` layered on top records *decisions* (perform,
 commit, abort, undo, restart, rewind, prune) in commit-identity order.
@@ -24,7 +28,6 @@ continues writing new history to the same file.
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import struct
@@ -121,7 +124,6 @@ class LogFile:
         self.payloads: list[bytes] = []
         self.offsets: list[int] = []
         self.truncated = False
-        self._final_offset = 0
         existing = os.path.exists(path) and os.path.getsize(path) > 0
         if existing:
             with open(path, "rb") as fh:
@@ -132,11 +134,13 @@ class LogFile:
             if not clean:
                 self._fh.truncate(valid_end)
             self._fh.seek(valid_end)
+            self._end = valid_end
         else:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             self._fh = open(path, "w+b")
             self._fh.write(MAGIC)
             self._fh.flush()
+            self._end = len(MAGIC)
 
     @property
     def closed(self) -> bool:
@@ -145,13 +149,13 @@ class LogFile:
     def tell(self) -> int:
         """Current write offset; after ``close`` the final durable one
         (the health endpoint reads this during a post-shutdown report)."""
-        if self._fh.closed:
-            return self._final_offset
-        return self._fh.tell()
+        return self._end
 
     def append(self, payload: bytes) -> int:
-        offset = self._fh.tell()
-        self._fh.write(frame_record(payload))
+        offset = self._end
+        frame = frame_record(payload)
+        self._fh.write(frame)
+        self._end = offset + len(frame)
         return offset
 
     def flush(self) -> None:
@@ -162,15 +166,12 @@ class LogFile:
         os.fsync(self._fh.fileno())
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._final_offset = self._fh.tell()
-            self._fh.close()
+        self._fh.close()
 
     def records(self) -> Iterator[Any]:
         """Decode the payloads scanned at open time."""
         for payload in self.payloads:
-            yield pickle.loads(payload)
+            yield decode_record(payload)
 
     def take(self) -> tuple[list[bytes], list[int]]:
         """Hand over the frames scanned at open time and forget them:
@@ -260,30 +261,34 @@ class EngineWal:
         already has history (a restarted service extends its old log)."""
         if self.log.tell() > len(MAGIC):
             return
-        self.append("genesis", **fields)
+        self.append({"t": "genesis", **fields})
         self.sync()
 
     # -- the seam -------------------------------------------------------
 
     def on_decision(self, kind: str, tick: int, fields: dict) -> None:
         """The engine's sink interface: log the decisions
-        :data:`WAL_RECORDS` names, ignore everything else."""
+        :data:`WAL_RECORDS` names, ignore everything else.  The frame's
+        dict is built here, once, in the on-disk field order."""
         entry = WAL_RECORDS.get(kind)
         if entry is not None:
             rtype, logged = entry
-            self.append(
-                rtype, tick=tick, **{name: fields[name] for name in logged}
-            )
+            record = {"t": rtype, "tick": tick}
+            for name in logged:
+                record[name] = fields[name]
+            self.append(record)
 
-    def append(self, rtype: str, **fields) -> None:
-        record = {"t": rtype, **fields}
+    def append(self, record: dict) -> None:
+        """Frame one record ``{"t": type, ...}`` onto the log, or in
+        verify mode check it against the next logged decision."""
         if self.verifying:
+            rtype = record["t"]
             if rtype in INPUT_TYPES:
                 return
             if not self._pending:
                 raise RecoveryError(
                     f"replay produced an extra {rtype!r} decision at tick "
-                    f"{fields.get('tick')!r} beyond the logged history"
+                    f"{record.get('tick')!r} beyond the logged history"
                 )
             logged = self._pending.popleft()
             if logged != record:

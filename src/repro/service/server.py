@@ -322,24 +322,23 @@ class TransactionService:
         entities and adding the program at ``tick + 1`` is exactly the
         up-front construction the library path replays."""
         spec = submission.program
-        for entity in sorted(spec.entities):
-            self.engine.store.declare(entity, self.config.initial_value)
+        entities = sorted(spec.entities)
+        initial_value = self.config.initial_value
+        for entity in entities:
+            self.engine.store.declare(entity, initial_value)
         self.nest.add(spec.name, spec.path)
         self.history.declare_path(spec.name, spec.path)
         state = self.engine.add_program(spec.compile())
         self.arrivals[spec.name] = state.arrival_tick
         if self.wal.enabled:
-            self.wal.append(
-                "add",
-                name=spec.name,
-                arrival=state.arrival_tick,
-                key=submission.idempotency_key,
-                spec=spec.to_dict(),
-                entities=[
-                    (entity, self.config.initial_value)
-                    for entity in sorted(spec.entities)
-                ],
-            )
+            self.wal.append({
+                "t": "add",
+                "name": spec.name,
+                "arrival": state.arrival_tick,
+                "key": submission.idempotency_key,
+                "spec": spec.to_dict(),
+                "entities": [(entity, initial_value) for entity in entities],
+            })
 
     async def _pump(self) -> None:
         """Drain the queue into the engine and tick it until idle."""
@@ -357,6 +356,9 @@ class TransactionService:
                 until_tick=self.engine.tick + self.config.tick_batch
             )
             self.pump_slices += 1
+            # The WAL reaches the OS before this slice's replies: an
+            # acknowledged commit survives SIGKILL (fsync waits for
+            # drain and shutdown; DESIGN §4h).
             self.wal.flush()
             self._resolve_commits()
             # Yield so connection handlers can enqueue and respond.

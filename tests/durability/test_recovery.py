@@ -84,7 +84,7 @@ def test_empty_log_raises(tmp_path):
 
 def test_log_without_genesis_raises(tmp_path):
     wal = EngineWal(str(tmp_path))
-    wal.append("perform", tick=1, txn="a")
+    wal.append({"t": "perform", "tick": 1, "txn": "a"})
     wal.sync()
     wal.close()
     with pytest.raises(RecoveryError, match="genesis"):

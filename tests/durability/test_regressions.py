@@ -198,7 +198,7 @@ def test_add_record_lacking_a_field_is_a_typed_error(tmp_path, missing):
             "entities": [("x", 100)],
         }
         del record[missing]
-        svc.wal.append("add", **record)
+        svc.wal.append({"t": "add", **record})
         svc.wal.close()
 
     asyncio.run(run_service())

@@ -116,17 +116,17 @@ class TestLogFile:
 class TestEngineWalVerify:
     def test_verify_matches_then_flips_to_append(self, tmp_path):
         wal = EngineWal(str(tmp_path))
-        wal.append("perform", tick=1, txn="a")
-        wal.append("commit", tick=2, txn="a")
+        wal.append({"t": "perform", "tick": 1, "txn": "a"})
+        wal.append({"t": "commit", "tick": 2, "txn": "a"})
         wal.sync()
         wal.begin_verify(
             [{"t": "perform", "tick": 1, "txn": "a"},
              {"t": "commit", "tick": 2, "txn": "a"}]
         )
         assert wal.verifying
-        wal.append("perform", tick=1, txn="a")
+        wal.append({"t": "perform", "tick": 1, "txn": "a"})
         assert wal.verifying
-        wal.append("commit", tick=2, txn="a")
+        wal.append({"t": "commit", "tick": 2, "txn": "a"})
         assert not wal.verifying  # drained: round-up to append mode
         wal.finish_verify()
         assert wal.verified == 2
@@ -135,7 +135,7 @@ class TestEngineWalVerify:
         wal = EngineWal(str(tmp_path))
         wal.begin_verify([{"t": "perform", "tick": 1, "txn": "a"}])
         with pytest.raises(RecoveryError, match="diverged"):
-            wal.append("perform", tick=1, txn="b")
+            wal.append({"t": "perform", "tick": 1, "txn": "b"})
 
     def test_verify_leftover_raises(self, tmp_path):
         wal = EngineWal(str(tmp_path))
@@ -149,7 +149,7 @@ class TestEngineWalVerify:
         wal._pending.clear()
         wal.verifying = True
         with pytest.raises(RecoveryError, match="extra"):
-            wal.append("commit", tick=9, txn="z")
+            wal.append({"t": "commit", "tick": 9, "txn": "z"})
 
     def test_log_genesis_is_once_only(self, tmp_path):
         wal = EngineWal(str(tmp_path))
