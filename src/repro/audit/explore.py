@@ -373,6 +373,10 @@ def explore(
         )
     nest = config.nest()
     programs = [spec.compile() for spec in config.specs]
+    # A reused engine has released the programs of transactions it
+    # committed; a restore to a state before those commits takes them
+    # from here.
+    by_name = {program.name: program for program in programs}
 
     def fresh_engine() -> Engine:
         engine = Engine(
@@ -429,7 +433,7 @@ def explore(
             report.complete = False
             break
         engine = node_engine
-        engine.restore_state(state, deep=False)
+        engine.restore_state(state, deep=False, programs=by_name)
         if not engine._active:
             finish(engine)
             continue
@@ -455,7 +459,7 @@ def explore(
         )
         for choice in choices:
             child = child_engine
-            child.restore_state(base, deep=False)
+            child.restore_state(base, deep=False, programs=by_name)
             if stalled:
                 # The stall handler, not the attention pick, decides
                 # this tick; branch over its victim preference instead.

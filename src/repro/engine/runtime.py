@@ -55,9 +55,8 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["Engine", "EngineResult", "TxnState"]
 
-#: ``TxnState.name`` without the property call: the attention pick sorts
-#: every candidate by it on every tick.
-_by_name = attrgetter("program.name")
+#: The attention pick sorts every candidate by name on every tick.
+_by_name = attrgetter("name")
 
 #: The engine's registry series, set from :class:`Metrics` fields whenever
 #: the registry is read: (family kind, series, help, field).
@@ -85,16 +84,18 @@ _SERIES = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnState:
     """Engine-side state of one transaction across attempts.
 
     A committed transaction keeps only what envelopes and schedulers
-    read after its commit: ``live`` is ``None`` (the finished generator
-    and its replay tape are released) and ``deps`` is empty.
+    read after its commit: ``program`` and ``live`` are ``None`` (the
+    compiled program, the finished generator and its replay tape are
+    released) and ``deps`` is empty.
     """
 
-    program: TransactionProgram
+    name: str
+    program: TransactionProgram | None
     arrival_tick: int
     live: _LiveTransaction | None
     attempt: int = 0
@@ -107,10 +108,6 @@ class TxnState:
     # WAIT decisions received across all attempts (admission + commit),
     # feeding the per-transaction wait histogram at commit time.
     waits: int = 0
-
-    @property
-    def name(self) -> str:
-        return self.program.name
 
     @property
     def key(self) -> tuple[str, int]:
@@ -355,6 +352,7 @@ class Engine:
                 raise EngineError(f"duplicate transaction {program.name!r}")
             arrival = arrivals.get(program.name, 0)
             state = TxnState(
+                name=program.name,
                 program=program,
                 arrival_tick=arrival,
                 live=_LiveTransaction(program),
@@ -377,6 +375,12 @@ class Engine:
         # a tracked object per record made every full collection scan it.
         self._live_log: list[_LogEntry] = []
         self._committed_log: list[tuple] = []
+        # One copy of each entity name for the committed rows: every
+        # program decodes its own, and the rows outlive the programs.
+        # Per engine, not ``sys.intern``: which copy a row holds shows
+        # in a pickled snapshot, so it must not depend on what else the
+        # process has interned.
+        self._entity_names: dict[str, str] = {}
         # Per entity: (seq, key) of the latest committed access.  A
         # doomed write older than this watermark means a committed
         # attempt consumed state we are about to roll back — the same
@@ -461,6 +465,7 @@ class Engine:
                 f"arrival tick {arrival} already processed (now {self.tick})"
             )
         state = TxnState(
+            name=program.name,
             program=program,
             arrival_tick=arrival,
             live=_LiveTransaction(program),
@@ -717,14 +722,16 @@ class Engine:
             if mine:
                 self._live_log = [e for e in self._live_log if e.key != key]
                 name, attempt = key
+                names = self._entity_names
                 for entry in mine:
                     record = entry.record
+                    entity = names.setdefault(record.entity, record.entity)
                     self._committed_log.append((
                         entry.seq, name, attempt, record.step.index,
-                        record.entity, record.kind.value,
+                        entity, record.kind.value,
                         record.value_before, record.value_after,
                     ))
-                    self._committed_access[record.entity] = (entry.seq, key)
+                    self._committed_access[entity] = (entry.seq, key)
             live = txn.live
             self._commit_order.append(txn.name)
             self._results[txn.name] = live.result
@@ -746,8 +753,9 @@ class Engine:
                     steps=[(e.seq, e.record) for e in mine],
                 )
             self.scheduler.on_commit(txn)
-            # Nothing reads a committed attempt's generator, replay tape
-            # or commit dependencies again.
+            # Nothing reads a committed attempt's program, generator,
+            # replay tape or commit dependencies again.
+            txn.program = None
             txn.live = None
             txn.deps = _NO_DEPS
             return True
@@ -1174,7 +1182,12 @@ class Engine:
         state["metrics"] = copy.copy(self.metrics)
         return state
 
-    def restore_state(self, state: dict[str, Any], deep: bool = True) -> None:
+    def restore_state(
+        self,
+        state: dict[str, Any],
+        deep: bool = True,
+        programs: Mapping[str, TransactionProgram] | None = None,
+    ) -> None:
         """Restore a :meth:`snapshot_state` dict onto this freshly
         constructed engine (same programs and configuration).
 
@@ -1183,37 +1196,46 @@ class Engine:
         (``metrics`` is copied one level), so the caller's dict is never
         mutated through the engine — the symmetric fast path to
         ``snapshot_state(deep=False)``.
+
+        An engine releases a program when its transaction commits.
+        Restoring an engine that has committed past the snapshot (the
+        audit explorer reuses its engines) therefore needs the programs
+        of the transactions it committed since: they come from
+        ``programs`` (name -> program), and a missing one is an
+        :class:`EngineError` raised before anything is restored.
         """
         if deep:
             state = copy.deepcopy(state)
-        self.tick = state["tick"]
-        self._seq = state["seq"]
-        self._timestamp = state["timestamp"]
-        self._last_progress = state["last_progress"]
-        self.rng.setstate(state["rng"])
-        self._schedule = list(state["schedule"])
-        self.metrics = (
-            state["metrics"] if deep else copy.copy(state["metrics"])
-        )
-        self.store.restore_state(state["store"])
-        known = dict(self.txns)
-        self.txns = {}
+        known = self.txns
+        txns: dict[str, TxnState] = {}
         for saved in state["txns"]:
-            base = known.get(saved["name"])
+            name = saved["name"]
+            base = known.get(name)
             if base is None:
                 raise EngineError(
-                    f"snapshot names unknown transaction {saved['name']!r}"
+                    f"snapshot names unknown transaction {name!r}"
                 )
             tape = saved["results_log"]
             if tape is None:  # committed: its program never runs again
-                live, deps = None, _NO_DEPS
+                program, live, deps = None, None, _NO_DEPS
             else:
-                live = _LiveTransaction(base.program)
+                program = base.program
+                if program is None and programs is not None:
+                    program = programs.get(name)
+                if program is None:
+                    raise EngineError(
+                        f"cannot restore transaction {name!r}: it is "
+                        f"uncommitted in the snapshot, but this engine "
+                        f"committed it and released its program "
+                        f"(pass it in programs=)"
+                    )
+                live = _LiveTransaction(program)
                 if tape:
                     live.fast_forward(tape)
                 deps = set(map(tuple, saved["deps"]))
-            txn = TxnState(
-                program=base.program,
+            txns[name] = TxnState(
+                name=name,
+                program=program,
                 arrival_tick=saved["arrival_tick"],
                 live=live,
                 attempt=saved["attempt"],
@@ -1225,7 +1247,17 @@ class Engine:
                 deps=deps,
                 waits=saved["waits"],
             )
-            self.txns[saved["name"]] = txn
+        self.tick = state["tick"]
+        self._seq = state["seq"]
+        self._timestamp = state["timestamp"]
+        self._last_progress = state["last_progress"]
+        self.rng.setstate(state["rng"])
+        self._schedule = list(state["schedule"])
+        self.metrics = (
+            state["metrics"] if deep else copy.copy(state["metrics"])
+        )
+        self.store.restore_state(state["store"])
+        self.txns = txns
         self._active, self._arrived, self._unarrived = {}, {}, []
         for name in state["active"]:
             self._file(self.txns[name])

@@ -32,12 +32,7 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 
-from repro.api import (
-    ResultEnvelope,
-    Submission,
-    envelopes_from_engine,
-    make_scheduler,
-)
+from repro.api import ResultEnvelope, Submission, make_scheduler
 from repro.audit.history import HISTORY_FORMAT_VERSION, NULL_HISTORY
 from repro.core.nests import PathNest
 from repro.durability.wal import NULL_WAL
@@ -118,15 +113,18 @@ class TransactionService:
                     "initial_value": config.initial_value,
                 },
             )
-        #: idempotency key -> name, rebuilt from the log at recovery;
-        #: resubmissions of these keys are answered from the replayed
-        #: engine, never re-executed.
-        self._recovered_keys: dict[str, str] = {}
-        #: recovered name -> serial position (None until it commits).
-        self._serial: dict[str, int | None] = {}
+        #: idempotency key -> transaction name, for every admitted key
+        #: (rebuilt from the log at recovery): a resubmission is answered
+        #: from the engine, never re-executed.
+        self._by_key: dict[str, str] = {}
+        self._recovered = 0  # keys the log held at recovery
+        #: name -> serial position of every commit folded into replies.
+        self._serial: dict[str, int] = {}
+        #: name -> abort causes of a restarted transaction, explained at
+        #: its first envelope (the tracer releases the events it took).
+        self._causes: dict[str, tuple[str, ...]] = {}
         #: name -> arrival tick, recorded at ingest for the differential.
         self.arrivals: dict[str, int] = {}
-        self._resolved = 0  # commits already folded into envelopes
         self.duplicates = 0  # resubmitted keys answered from the first run
         self.pump_slices = 0
         self.admission = AdmissionController(
@@ -134,11 +132,8 @@ class TransactionService:
         )
         self.nest, self.engine = self._boot(config)
         self._queue: asyncio.Queue = asyncio.Queue()
-        #: name -> future resolving to a ResultEnvelope.
+        #: name -> future resolving to a ResultEnvelope, until it commits.
         self._pending: dict[str, asyncio.Future] = {}
-        #: idempotency key -> future (kept after resolution, so a
-        #: resubmission is answered from the first run, never re-run).
-        self._by_key: dict[str, asyncio.Future] = {}
         self._pump_task: asyncio.Task | None = None
         self.registry.derive("service", self._publish)
         self.registry.derive("phases", self.profiler.publish)
@@ -208,15 +203,16 @@ class TransactionService:
         # An ``add`` record is an admission; rejections, duplicates and
         # pump slices are not logged and restart at 0.
         self.admission.admitted = len(report.adds)
-        self._recovered_keys = {
+        self._by_key = {
             add["key"]: add["name"]
             for add in report.adds
             if "key" in add
         }
-        self._serial = dict.fromkeys(self.arrivals)
-        for position, name in enumerate(report.engine.commit_order):
-            self._serial[name] = position
-        self._resolved = len(report.engine.commit_order)
+        self._recovered = len(self._by_key)
+        self._serial = {
+            name: position
+            for position, name in enumerate(report.engine.commit_order)
+        }
         if self.history.enabled:
             # Capture resumes post-recovery: replay is not re-recorded,
             # but recovered in-flight transactions may still commit, so
@@ -260,26 +256,24 @@ class TransactionService:
         in-flight window is full.
         """
         key = submission.idempotency_key
-        recovered = self._recovered_keys.get(key)
-        if recovered is not None and key not in self._by_key:
-            # Answered from the log: the replayed engine already holds
-            # this submission's history.  Committed work resolves
-            # immediately; in-flight work re-attaches to the replayed
-            # transaction and resumes — it is never re-executed.
-            future: asyncio.Future = (
-                asyncio.get_running_loop().create_future()
-            )
-            self._by_key[key] = future
-            position = self._serial[recovered]
-            if position is not None:
-                future.set_result(self._envelope_for(recovered, position))
-            else:
-                self._pending[recovered] = future
-                self._ensure_pump()
-        existing = self._by_key.get(key)
-        if existing is not None:
+        name = self._by_key.get(key)
+        if name is not None:
+            # Answered from the first run, or after a restart from the
+            # replayed engine: committed work from the engine's record,
+            # in-flight work by awaiting it — never re-executed.
             self.duplicates += 1
-            envelope = await asyncio.shield(existing)
+            position = self._serial.get(name)
+            if position is not None:
+                envelope = self._envelope_for(name, position)
+            else:
+                future = self._pending.get(name)
+                if future is None:
+                    # Logged before a crash, not yet re-attached: the
+                    # replayed transaction resumes.
+                    future = asyncio.get_running_loop().create_future()
+                    self._pending[name] = future
+                    self._ensure_pump()
+                envelope = await asyncio.shield(future)
             return {"ok": True, "duplicate": True,
                     "envelope": envelope.to_dict()}
         decision = self.admission.check(
@@ -302,10 +296,10 @@ class TransactionService:
             if decision.retry_after is not None:
                 response["retry_after"] = decision.retry_after
             return response
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending[submission.program.name] = future
-        self._by_key[key] = future
+        name = submission.program.name
+        future = asyncio.get_running_loop().create_future()
+        self._pending[name] = future
+        self._by_key[key] = name
         self._queue.put_nowait(submission)
         self._ensure_pump()
         envelope = await asyncio.shield(future)
@@ -366,25 +360,28 @@ class TransactionService:
 
     def _resolve_commits(self) -> None:
         order = self.engine.commit_order
-        while self._resolved < len(order):
-            position = self._resolved
+        serial = self._serial  # holds a prefix of the commit order
+        while len(serial) < len(order):
+            position = len(serial)
             name = order[position]
-            self._resolved += 1
-            if name in self._serial:
-                self._serial[name] = position
+            serial[name] = position
             future = self._pending.pop(name, None)
-            if future is None or future.done():
-                continue
-            future.set_result(self._envelope_for(name, position))
+            if future is not None and not future.done():
+                future.set_result(self._envelope_for(name, position))
 
     def _envelope_for(self, name: str, position: int) -> ResultEnvelope:
+        """``name``'s envelope, built from the engine: when it commits,
+        and again for each resubmission of its key."""
         state = self.engine.txns[name]
-        # Taken whatever the outcome: under segment recovery a victim
-        # can be rolled back without ever restarting.
-        events = self.tracer.take(name)
-        causes: tuple[str, ...] = ()
-        if state.attempt > 0:
-            causes = tuple(explain_abort(events, name))
+        causes = self._causes.get(name)
+        if causes is None:
+            # Taken whatever the outcome: under segment recovery a victim
+            # can be rolled back without ever restarting.
+            events = self.tracer.take(name)
+            causes = ()
+            if state.attempt > 0:
+                causes = tuple(explain_abort(events, name))
+                self._causes[name] = causes
         return ResultEnvelope(
             name=name,
             status="restarted" if state.attempt > 0 else "committed",
@@ -417,7 +414,7 @@ class TransactionService:
             report["wal"] = {
                 "directory": self.wal.directory,
                 "offset": self.wal.log.tell(),
-                "recovered": len(self._recovered_keys),
+                "recovered": self._recovered,
             }
         if self.history.enabled:
             report["history"] = {
@@ -447,10 +444,6 @@ class TransactionService:
     def result(self) -> EngineResult:
         """The engine's result so far (committed history + metrics)."""
         return self.engine.run(until_tick=self.engine.tick)
-
-    def envelopes(self) -> dict[str, ResultEnvelope]:
-        """Envelopes for everything ever admitted (post-drain audit)."""
-        return envelopes_from_engine(self.engine, self.result())
 
 
 # ----------------------------------------------------------------------

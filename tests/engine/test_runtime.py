@@ -162,6 +162,36 @@ class TestRollback:
             engine.run()
 
 
+class TestRestoreAfterRelease:
+    """A commit releases the transaction's program.  Restoring an engine
+    to a snapshot taken before that commit needs the program back, and
+    takes it from ``programs=``."""
+
+    def test_restore_onto_the_engine_that_committed(self, bank_programs):
+        programs, accounts = bank_programs
+
+        def engine():
+            return Engine(programs, accounts, SerialScheduler(), seed=4)
+
+        reference = engine().run().history_digest()
+        running = engine()
+        running.advance(until_tick=5)
+        snapshot = running.snapshot_state()
+        pending = [
+            name for name, txn in running.txns.items() if not txn.committed
+        ]
+        assert pending
+        running.advance()
+        assert all(txn.program is None for txn in running.txns.values())
+
+        with pytest.raises(EngineError, match=repr(pending[0])):
+            running.restore_state(snapshot)
+        running.restore_state(
+            snapshot, programs={p.name: p for p in programs}
+        )
+        assert running.run().history_digest() == reference
+
+
 class TestSchedulerZoo:
     def test_all_schedulers_complete_and_are_correctable(
         self, bank_programs, bank_nest, zoo

@@ -318,13 +318,49 @@ class TestRecoveredDuplicates:
         assert service.admission.admitted == 5
         assert service.engine.commit_order == ["p0", "p1", "p2", "p3", "p9"]
 
+    @pytest.mark.parametrize("scheduler", ["2pl", "mla-detect"])
+    def test_every_duplicate_gets_the_first_envelope(
+        self, tmp_path, scheduler
+    ):
+        """A duplicate's envelope is rebuilt from the engine, live and
+        after a restart, and equals the first reply field for field —
+        a restarted transaction's ``abort_causes`` included, though the
+        tracer released its events at the first reply."""
+        submissions = traffic_submissions(TrafficConfig(
+            transactions=400, contention=0.3, seed=33
+        ))
+        config = ServiceConfig(
+            scheduler=scheduler, admission=AdmissionConfig(window=32),
+            wal_dir=str(tmp_path),
+        )
+        service = TransactionService(config)
+        first = _drive_batches(service, submissions)
+        assert all(reply["ok"] for reply in first)
+        originals = [reply["envelope"] for reply in first]
+        assert any(
+            envelope["status"] == "restarted" and envelope["abort_causes"]
+            for envelope in originals
+        )
+        rounds = [_drive_batches(service, submissions)]
+        service.wal.close()
+        restarted = TransactionService(config)
+        # The first round after the restart takes each restarted
+        # transaction's events from the refilled tracer; the second
+        # finds the causes already explained.
+        rounds += [_drive_batches(restarted, submissions) for _ in range(2)]
+        restarted.wal.close()
+        for replies in rounds:
+            assert all(reply.get("duplicate") for reply in replies)
+            assert [reply["envelope"] for reply in replies] == originals
+        assert restarted.engine.tick == service.engine.tick
+
 
 class TestCommitFootprint:
     """What a commit leaves behind on the heap: objects the cyclic GC
     tracks grow by a bounded number per commit (DESIGN §4g), not by the
-    ~26 a transaction's log records, generator, replay tape and store
-    history used to pin — every one of which each full collection
-    scanned again."""
+    ~26 a transaction's log records, generator, replay tape, store
+    history, program closure and reply future used to pin — every one
+    of which each full collection scanned again."""
 
     @staticmethod
     def tracked_per_commit(config: ServiceConfig) -> float:
@@ -346,6 +382,10 @@ class TestCommitFootprint:
                 ):
                     gc.collect()
                     counts.append((committed, len(gc.get_objects())))
+            # A commit releases the compiled program with the rest.
+            assert all(
+                txn.program is None for txn in service.engine.txns.values()
+            )
             service.wal.close()
             service.history.close()
             return counts
@@ -358,7 +398,7 @@ class TestCommitFootprint:
         bare = self.tracked_per_commit(ServiceConfig(
             scheduler="2pl", admission=AdmissionConfig(window=32),
         ))
-        assert bare <= 10, bare
+        assert bare <= 2, bare
         # Both logs on: the history keeps each committed step as a flat
         # row, which the GC stops tracking like the engine's own.
         logged = self.tracked_per_commit(ServiceConfig(
@@ -367,6 +407,14 @@ class TestCommitFootprint:
             history_path=str(tmp_path / "history.jsonl"),
         ))
         assert logged - bare <= 0.5, (logged, bare)
+
+    def test_mla_detect_tracked_objects_per_commit(self):
+        """The same bound under ``mla-detect``, whose closure window
+        keeps per-transaction state of its own until it prunes it."""
+        bare = self.tracked_per_commit(ServiceConfig(
+            scheduler="mla-detect", admission=AdmissionConfig(window=32),
+        ))
+        assert bare <= 2, bare
 
 
 def _drive_batches(service, submissions, on_batch=None):
