@@ -22,7 +22,7 @@ _KEEP = 3
 #: Names the pickled layout.  Engine, scheduler and closure-window state
 #: are pickled by class path and slot, so any change to those must change
 #: this stamp: a snapshot carrying another one is never unpickled.
-_STAMP = b"repro-snapshot-4\n"
+_STAMP = b"repro-snapshot-5\n"
 
 
 def write_snapshot(
@@ -77,6 +77,11 @@ def _read_snapshot(path: str) -> dict | None:
             return None
         return pickle.loads(payload[len(_STAMP):])
     except (OSError, pickle.UnpicklingError, EOFError):
+        return None
+    except (TypeError, AttributeError, ImportError):
+        # A correctly stamped payload whose classes changed without a
+        # stamp bump (a tuple type that used to be a dataclass, a moved
+        # class): the WAL alone still suffices.
         return None
 
 

@@ -22,8 +22,9 @@ class LockMode:
     EXCLUSIVE = "X"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Lock:
+    rank: int  # creation order: waits-for edges are listed in it
     holders: dict[str, str] = field(default_factory=dict)  # owner -> mode
     waiters: list[tuple[str, str]] = field(default_factory=list)  # (owner, mode)
 
@@ -33,6 +34,10 @@ class LockManager:
 
     def __init__(self) -> None:
         self._locks: dict[str, _Lock] = {}
+        # Entities whose lock has a non-empty wait queue: only those
+        # yield waits-for edges, so detection walks these, not every
+        # lock ever created.
+        self._waited: set[str] = set()
         # Per owner: entities it holds or waits on (insertion-ordered),
         # so releasing scans only the owner's footprint rather than
         # every lock ever created.
@@ -46,17 +51,13 @@ class LockManager:
     # ------------------------------------------------------------------
 
     def _lock(self, entity: str) -> _Lock:
-        return self._locks.setdefault(entity, _Lock())
+        lock = self._locks.get(entity)
+        if lock is None:
+            lock = self._locks[entity] = _Lock(len(self._locks))
+        return lock
 
     def holders(self, entity: str) -> dict[str, str]:
         return dict(self._lock(entity).holders)
-
-    def held_by(self, owner: str) -> list[str]:
-        return [
-            entity
-            for entity, lock in self._locks.items()
-            if owner in lock.holders
-        ]
 
     def _compatible(self, lock: _Lock, owner: str, mode: str) -> bool:
         for holder, held_mode in lock.holders.items():
@@ -88,11 +89,15 @@ class LockManager:
             ahead.append(waiter)
         if self._compatible(lock, owner, mode) and (upgrading or not ahead):
             lock.holders[owner] = mode
-            lock.waiters = [w for w in lock.waiters if w[0] != owner]
+            if lock.waiters:
+                lock.waiters = [w for w in lock.waiters if w[0] != owner]
+                if not lock.waiters:
+                    self._waited.discard(entity)
             self._owned.setdefault(owner, {})[entity] = None
             return True
         if not any(w[0] == owner for w in lock.waiters):
             lock.waiters.append((owner, mode))
+            self._waited.add(entity)
             self._owned.setdefault(owner, {})[entity] = None
         else:
             # Keep the strongest requested mode.
@@ -118,14 +123,22 @@ class LockManager:
             lock.waiters = [w for w in lock.waiters if w[0] != owner]
             if len(lock.waiters) != before:
                 touched.append(entity)
+                if not lock.waiters:
+                    self._waited.discard(entity)
         return touched
 
     # ------------------------------------------------------------------
 
     def waits_for_edges(self) -> list[tuple[str, str]]:
-        """Edges ``waiter -> holder`` for deadlock detection."""
+        """Edges ``waiter -> holder`` for deadlock detection, in lock
+        creation order (which decides the cycle found, hence the
+        victim).  Only a lock with waiters yields an edge, so only the
+        contended ones are walked; sorting them by rank keeps the set's
+        hash-seed-dependent order out of the edge list."""
+        locks = self._locks
         edges = []
-        for lock in self._locks.values():
+        for entity in sorted(self._waited, key=lambda e: locks[e].rank):
+            lock = locks[entity]
             for waiter, mode in lock.waiters:
                 for holder, held_mode in lock.holders.items():
                     if holder == waiter:
@@ -167,8 +180,11 @@ class LockManager:
 
     def restore_state(self, state: dict) -> None:
         self._locks = {
-            entity: _Lock(dict(holders), [tuple(w) for w in waiters])
-            for entity, holders, waiters in state["locks"]
+            entity: _Lock(rank, dict(holders), [tuple(w) for w in waiters])
+            for rank, (entity, holders, waiters) in enumerate(state["locks"])
+        }
+        self._waited = {
+            entity for entity, lock in self._locks.items() if lock.waiters
         }
         self._owned = {
             owner: {entity: None for entity in entities}

@@ -31,6 +31,7 @@ import heapq
 import json
 import math
 import random
+from bisect import bisect_left, insort
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -55,7 +56,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["Engine", "EngineResult", "TxnState"]
 
-#: The attention pick sorts every candidate by name on every tick.
+#: The attention pick's order: arrived transactions are kept sorted by it.
 _by_name = attrgetter("name")
 
 #: The engine's registry series, set from :class:`Metrics` fields whenever
@@ -347,6 +348,15 @@ class Engine:
         self._arrived: dict[str, TxnState] = {}
         self._unarrived: list[tuple[int, int, TxnState]] = []
         self._filed = 0
+        # ``_arrived`` again, in name order: the list the attention pick
+        # draws from, kept sorted as transactions arrive and commit
+        # instead of sorted on every tick.  ``_arrived`` keeps arrival
+        # order, which the commit-dependency graph reads.
+        self._ranked: list[TxnState] = []
+        # The latest wake tick a rollback, restore or arrival has set.
+        # Any other wait ends by the next tick, so once the clock passes
+        # this mark every entry of ``_ranked`` is awake.
+        self._wake_mark = 0
         for program in programs:
             if program.name in self.txns:
                 raise EngineError(f"duplicate transaction {program.name!r}")
@@ -484,12 +494,22 @@ class Engine:
         its backoff can end before its arrival does."""
         self._active[state.name] = state
         if state.arrival_tick <= self.tick or state.attempt or state.rollbacks:
-            self._arrived[state.name] = state
+            self._arrive(state)
         else:
             heapq.heappush(
                 self._unarrived, (state.arrival_tick, self._filed, state)
             )
             self._filed += 1
+
+    def _arrive(self, state: TxnState) -> None:
+        """Enter ``state`` into the scanned set (a no-op when it is
+        there), keeping ``_ranked`` in name order."""
+        if state.name in self._arrived:
+            return
+        self._arrived[state.name] = state
+        insort(self._ranked, state, key=_by_name)
+        if state.wake_tick > self._wake_mark:
+            self._wake_mark = state.wake_tick
 
     def advance(self, until_tick: int | None = None) -> bool:
         """Run the tick loop; True when the engine quiesced (every
@@ -523,12 +543,14 @@ class Engine:
             if not candidates:
                 continue
             if self.tick - self._last_progress > self.stall_limit:
+                # A copy: ``candidates`` may be ``_ranked`` itself.
+                stalled = list(candidates)
                 pr = self.profiler
                 if pr.enabled:
                     with pr.phase("schedule"):
-                        decision = self.scheduler.on_stall(candidates)
+                        decision = self.scheduler.on_stall(stalled)
                 else:
-                    decision = self.scheduler.on_stall(candidates)
+                    decision = self.scheduler.on_stall(stalled)
                 if decision.action is Action.ABORT and decision.victims:
                     self.metrics.deadlocks += 1
                     self.metrics.detail["engine_deadlocks"] += 1
@@ -553,7 +575,9 @@ class Engine:
                     txn = state
                     break
             if txn is None:
-                txn = self.rng.choice(sorted(candidates, key=_by_name))
+                # Already in name order: the same list, and so the same
+                # draw, as sorting the candidates by name.
+                txn = self.rng.choice(candidates)
             progressed = self._attend(txn)
             if progressed:
                 self._last_progress = self.tick
@@ -562,18 +586,19 @@ class Engine:
 
     def _candidates(self) -> list[TxnState]:
         """The transactions that may be attended this tick: arrived and
-        awake.  Their order is unobservable — the stall handler takes a
-        ``max`` and a name-sorted tier, the attention pick sorts by name
-        — which is what lets the scan follow arrival order instead of
-        registration order."""
+        awake, in name order — the list the attention pick draws from.
+        While no backoff reaches past this tick that is ``_ranked``
+        itself (callers must not mutate it); otherwise its awake
+        entries, still in order."""
+        tick = self.tick
         unarrived = self._unarrived
-        while unarrived and unarrived[0][0] <= self.tick:
+        while unarrived and unarrived[0][0] <= tick:
             state = heapq.heappop(unarrived)[2]
             if not state.committed:
-                self._arrived[state.name] = state
-        return [
-            t for t in self._arrived.values() if t.wake_tick <= self.tick
-        ]
+                self._arrive(state)
+        if self._wake_mark <= tick:
+            return self._ranked
+        return [t for t in self._ranked if t.wake_tick <= tick]
 
     def next_timestamp(self) -> int:
         self._timestamp += 1
@@ -712,7 +737,9 @@ class Engine:
             txn.committed = True
             txn.commit_tick = self.tick
             self._active.pop(txn.name, None)
-            self._arrived.pop(txn.name, None)
+            if self._arrived.pop(txn.name, None) is not None:
+                ranked = self._ranked
+                del ranked[bisect_left(ranked, txn.name, key=_by_name)]
             key = txn.key
             self._committed_keys.add(key)
             # Retire the attempt's records out of the abort-scannable
@@ -890,15 +917,13 @@ class Engine:
         # processes regardless of hash randomisation).
         for name, _attempt in sorted(cascade):
             txn = self.txns[name]
-            self._arrived[name] = txn  # a victim need not have arrived
+            self._arrive(txn)  # a victim need not have arrived
             self.scheduler.on_abort(txn)
             txn.attempt += 1
             txn.live = _LiveTransaction(txn.program)
             txn.deps = set()
             txn.attempt_start_tick = self.tick
-            txn.wake_tick = self.tick + self.rng.randint(
-                1, self.backoff * min(txn.attempt, 64)
-            )
+            self._back_off(txn, txn.attempt)
             self.metrics.aborts += 1
             self.metrics.restarts += 1
             # After the rng draw: the wake tick is the decision being
@@ -910,6 +935,15 @@ class Engine:
                     attempt=txn.attempt,
                     wake=txn.wake_tick,
                 )
+
+    def _back_off(self, txn: TxnState, rollbacks: int) -> None:
+        """Put a rolled-back ``txn`` to sleep for a random backoff that
+        grows with ``rollbacks``, raising the wake mark."""
+        txn.wake_tick = wake = self.tick + self.rng.randint(
+            1, self.backoff * min(rollbacks, 64)
+        )
+        if wake > self._wake_mark:
+            self._wake_mark = wake
 
     def _undo(self, entry: _LogEntry) -> None:
         """Restore one rolled-back write's before-image."""
@@ -1051,7 +1085,7 @@ class Engine:
         # Rewind the affected attempts.
         for (name, _attempt), keep in sorted(invalid.items()):
             txn = self.txns[name]
-            self._arrived[name] = txn  # a victim need not have arrived
+            self._arrive(txn)  # a victim need not have arrived
             txn.rollbacks += 1
             self.scheduler.on_rollback(txn, keep)
             if keep == 0:
@@ -1066,9 +1100,7 @@ class Engine:
                 txn.live = fresh
                 self.metrics.partial_rollbacks += 1
                 self.metrics.steps_preserved += keep
-            txn.wake_tick = self.tick + self.rng.randint(
-                1, self.backoff * min(txn.rollbacks, 64)
-            )
+            self._back_off(txn, txn.rollbacks)
             if self._sinks:
                 if keep == 0:
                     self._emit(
@@ -1259,6 +1291,7 @@ class Engine:
         self.store.restore_state(state["store"])
         self.txns = txns
         self._active, self._arrived, self._unarrived = {}, {}, []
+        self._ranked, self._wake_mark = [], 0
         for name in state["active"]:
             self._file(self.txns[name])
         # Programs registered after the snapshot was taken (open-system

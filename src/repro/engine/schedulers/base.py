@@ -53,7 +53,7 @@ class Decision:
 
     @classmethod
     def perform(cls) -> "Decision":
-        return cls(Action.PERFORM)
+        return _PERFORM
 
     @classmethod
     def wait(cls, reason: str = "") -> "Decision":
@@ -67,6 +67,10 @@ class Decision:
             reason=reason,
             victim_points=tuple((points or {}).items()),
         )
+
+
+#: What ``Decision.perform()`` returns: frozen, so every caller shares it.
+_PERFORM = Decision(Action.PERFORM)
 
 
 class Scheduler:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterable
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import SpecificationError
 from repro.model.steps import StepKind
@@ -43,14 +43,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Access:
+class Access(NamedTuple):
     """Yielded by a program to atomically access one entity.
 
     ``fn`` maps the entity's old value to ``(new value, result)``; the
     result is sent back into the generator.  ``kind`` is a scheduling
     hint (read locks are shared); it must be honest — a ``READ`` access
-    must not change the value, which the runtime asserts.
+    must not change the value, which the runtime asserts.  A
+    :class:`~typing.NamedTuple`, like the step types
+    (:mod:`repro.model.steps`).
     """
 
     entity: str

@@ -5,19 +5,27 @@ and possibly changing the process' state or the variable's value or both".
 We identify the ``i``-th step of a transaction by a :class:`StepId` — the
 paper's formal device of taking the elements of the ordered step set to be
 pairs ``(i, a_i)`` — and record what the step did in a :class:`StepRecord`.
+
+Both are :class:`~typing.NamedTuple`\\ s, as is
+:class:`repro.model.programs.Access`: every performed step builds one of
+each, and every closure-window lookup hashes a ``StepId``; a tuple does
+both in C.  They hash as the frozen dataclasses they replaced did
+(``hash((field, ...))``), so no set or dict iteration order moved.  They
+also compare equal to plain tuples — ``StepId("t", 0) == ("t", 0)`` — so
+never key one container by both step ids and ``(name, attempt)`` pairs.
+Derive a changed copy with ``_replace``, not ``dataclasses.replace``;
+``StepId.index`` is the field, shadowing ``tuple.index``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["StepId", "StepKind", "StepRecord"]
 
 
-@dataclass(frozen=True, order=True)
-class StepId:
+class StepId(NamedTuple):
     """The identity of one step: ``index``-th step of ``transaction``."""
 
     transaction: str
@@ -40,8 +48,7 @@ class StepKind(str, Enum):
     UPDATE = "update"
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One performed step: which entity was accessed and how its value
     changed.  ``value_before == value_after`` for pure reads."""
 

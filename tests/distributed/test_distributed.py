@@ -238,6 +238,26 @@ _HASH_SEED_RUNS = {
         "m.waits]))\n",
         ("0", "1"),
     ),
+    # The lock manager keeps its contended entities in a set; waits-for
+    # edges must still come out in lock-creation order, or the cycle
+    # found — its members' order, and so the victim — follows the hash
+    # seed (30 deadlocks; walking the set unsorted prints t0/t5 reversed).
+    "2pl-waits": (
+        "from repro.engine import Engine, TwoPhaseLockingScheduler\n"
+        "from repro.obs import RingTracer\n"
+        "w = BankingWorkload(BankingConfig(families=2, accounts_per_family=2, "
+        "transfers=12, bank_audits=1, creditor_audits=1, seed=0))\n"
+        "t = RingTracer(None)\n"
+        "r = Engine(w.programs, w.accounts, TwoPhaseLockingScheduler(), "
+        "seed=0, tracer=t).run()\n"
+        "m = r.metrics\n"
+        "assert m.deadlocks > 0\n"
+        "cycles = [e.data['cycle'] for e in t.events() "
+        "if e.kind == 'deadlock']\n"
+        "print(json.dumps([m.ticks, m.commits, m.aborts, m.deadlocks, "
+        "m.waits, cycles]))\n",
+        ("0", "1"),
+    ),
 }
 
 

@@ -3,12 +3,15 @@ transactions decides exactly what an engine scanning all of ``_active``
 every tick decides.
 
 ``FullScanEngine`` is the reference — the engine as it was before the
-arrival queue, kept here (never in ``src/``) by overriding the two
-places that read the arrived set.  The hypothesis differential drives
-both through the same script: non-monotone up-front arrivals, programs
-added at arbitrary future ticks between ``advance`` slices, and a
-snapshot/restore onto a fresh engine mid-run, under all five
-schedulers and both recovery units.
+arrival queue and the name-ranked candidate list, kept here (never in
+``src/``) by overriding the two places that read the arrived set.  The
+hypothesis differential drives both through the same script:
+non-monotone up-front arrivals, programs added at arbitrary future
+ticks between ``advance`` slices, and a snapshot/restore onto a fresh
+engine mid-run, under all five schedulers and both recovery units.
+The engine under test checks, on every tick, that its ranked list is
+its arrived set in name order and that its candidates are the awake
+entries of it: the attention pick draws from that list unsorted.
 
 The scaling test is a count, not a timer: replaying a 2 000-transaction
 service log, the set the tick loop walks never outgrows the admission
@@ -35,10 +38,14 @@ SCHEDULERS = ("2pl", "timestamp", "mla-detect", "mla-prevent", "mla-nested-lock"
 
 
 class FullScanEngine(Engine):
-    """Every tick scans every uncommitted transaction, arrived or not."""
+    """Every tick scans every uncommitted transaction, arrived or not,
+    and sorts the awake ones by name — the list the pick draws from."""
 
     def _candidates(self):
-        return [t for t in self._active.values() if t.wake_tick <= self.tick]
+        return sorted(
+            (t for t in self._active.values() if t.wake_tick <= self.tick),
+            key=lambda t: t.name,
+        )
 
     def arrived_states(self):
         return self.active_states()
@@ -56,7 +63,23 @@ def _snapshot_bytes(engine) -> bytes:
     return pickle.dumps(state)
 
 
+class RankedEngine(Engine):
+    """The engine itself, asserting the ranked-list contract each tick:
+    ``_ranked`` is ``_arrived`` in name order, and the candidates are
+    its awake entries, in that order."""
+
+    def _candidates(self):
+        candidates = super()._candidates()
+        assert [t.name for t in self._ranked] == sorted(self._arrived)
+        assert [t.name for t in candidates] == [
+            t.name for t in self._ranked if t.wake_tick <= self.tick
+        ]
+        return candidates
+
+
 def _observe(engine) -> tuple:
+    if isinstance(engine, RankedEngine):
+        assert [t.name for t in engine._ranked] == sorted(engine._arrived)
     result = engine.run(until_tick=engine.tick)
     metrics = dict(engine.metrics.summary())
     metrics.pop("closure_seconds")
@@ -160,7 +183,7 @@ def _play(engine_class, scheduler: str, script: dict) -> list[tuple]:
 )
 @given(script=scripts())
 def test_arrival_queue_matches_full_scan(scheduler, script):
-    queued = _play(Engine, scheduler, script)
+    queued = _play(RankedEngine, scheduler, script)
     scanned = _play(FullScanEngine, scheduler, script)
     for step, (ours, reference) in enumerate(zip(queued, scanned)):
         assert ours == reference, f"diverged at observation {step}"

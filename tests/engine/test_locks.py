@@ -1,6 +1,13 @@
-"""Unit tests for the lock manager."""
+"""Unit tests for the lock manager, and a differential pinning that the
+contended-lock index lists exactly the edges a scan of every lock ever
+created lists, in the same order."""
 
 from __future__ import annotations
+
+import pickle
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import LockManager, LockMode
 
@@ -91,8 +98,63 @@ class TestDeadlock:
         locks.try_acquire("b", "X", LockMode.SHARED)
         locks.assert_consistent()
 
-    def test_held_by(self):
-        locks = LockManager()
-        locks.try_acquire("a", "X", LockMode.SHARED)
-        locks.try_acquire("a", "Y", LockMode.EXCLUSIVE)
-        assert sorted(locks.held_by("a")) == ["X", "Y"]
+
+def _full_scan_edges(locks: LockManager) -> list[tuple[str, str]]:
+    """``waits_for_edges`` as it was before the contended-lock index:
+    every lock ever created, in creation order."""
+    edges = []
+    for lock in locks._locks.values():
+        for waiter, mode in lock.waiters:
+            for holder, held_mode in lock.holders.items():
+                if holder == waiter:
+                    continue
+                if mode == LockMode.EXCLUSIVE or held_mode == LockMode.EXCLUSIVE:
+                    edges.append((waiter, holder))
+    return edges
+
+
+def _round_trip(locks: LockManager) -> LockManager:
+    restored = LockManager()
+    restored.restore_state(pickle.loads(pickle.dumps(locks.snapshot_state())))
+    return restored
+
+
+_OWNERS = [f"t{index}" for index in range(6)]
+# Names whose hash order differs from their creation order.
+_ENTITIES = [f"{prefix}{index}" for prefix in "zqa" for index in range(7)]
+
+_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("acquire"),
+            st.sampled_from(_OWNERS),
+            st.sampled_from(_ENTITIES),
+            st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE]),
+        ),
+        st.tuples(st.just("release"), st.sampled_from(_OWNERS)),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations=_operations, restore_at=st.integers(0, 80))
+def test_contended_index_lists_the_full_scan_edges(operations, restore_at):
+    locks = LockManager()
+    for position, operation in enumerate(operations):
+        if operation[0] == "acquire":
+            locks.try_acquire(*operation[1:])
+        else:
+            locks.release_all(operation[1])
+        assert locks._waited == {
+            entity for entity, lock in locks._locks.items() if lock.waiters
+        }
+        expected = _full_scan_edges(locks)
+        assert locks.waits_for_edges() == expected
+        restored = _round_trip(locks)
+        assert restored.waits_for_edges() == expected
+        assert restored.deadlock_cycle() == locks.deadlock_cycle()
+        if position == restore_at:
+            # Carry on from the restored copy: locks created after the
+            # restore must rank after the restored ones.
+            locks = restored

@@ -9,7 +9,9 @@ null registry, the per-scrape registry copy, the service's trace ring.
 Any hit is a second way growing back.  The same goes for the closure
 window's batch Theorem-2 closure: it has exactly two call sites.  And
 for cycle finding: one finder, and set-valued waits enter it sorted in
-one place (``WaitGraph.add_waits``).
+one place (``WaitGraph.add_waits``).  And for the tick loop: it draws
+from a list kept in name order instead of sorting every tick, and
+deadlock detection walks the contended locks, not every lock.
 """
 
 from __future__ import annotations
@@ -108,3 +110,28 @@ def test_blocker_sets_enter_the_wait_graph_through_add_waits():
     cycles = (os.path.join("engine", "cycles.py"),)
     pattern = r"add_edge\((waiter\b|[^,]+, (blocker|dep_name)\b)"
     assert grep(pattern, outside=cycles) == []
+
+
+def _function_source(relpath: str, qualname: str) -> str:
+    """The source text of ``Class.method`` in ``src/repro/<relpath>``."""
+    path = os.path.join(SRC, relpath)
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    class_name, method = qualname.split(".")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == method:
+                    return ast.get_source_segment(source, item)
+    raise AssertionError(f"{qualname} not found in {relpath}")
+
+
+def test_tick_loop_pays_for_its_decision_not_for_the_window():
+    advance = _function_source(
+        os.path.join("engine", "runtime.py"), "Engine.advance"
+    )
+    assert "sorted(" not in advance
+    edges = _function_source(
+        os.path.join("engine", "locks.py"), "LockManager.waits_for_edges"
+    )
+    assert "self._locks.values()" not in edges
