@@ -3,7 +3,8 @@
 Design-choice ablation from DESIGN.md: the on-line schedulers maintain
 the coherent closure of the performed prefix.  Three configurations:
 
-* ``full`` — recompute from base dependency edges after every step;
+* ``full`` — recompute from base dependency edges after every step
+  (the tests' oracle window, ``tests/engine/oracle.py``);
 * ``incremental`` — keep one live closure engine across steps: each
   observed step costs one segment update plus O(affected) bitset edge
   propagation, nothing is recomputed;
@@ -22,15 +23,26 @@ cycle nearly free, see the table notes.)
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import time
 
 import pytest
+
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+for _path in (_ROOT, os.path.join(_ROOT, "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from _harness import record_table
 from repro.core import KNest
 from repro.engine import ClosureWindow
 from repro.model import StepId, StepKind
+from tests.engine.oracle import FullClosureWindow
+
+#: The window each configuration runs.
+WINDOWS = {"full": FullClosureWindow, "incremental": ClosureWindow}
 
 SIZES = [40, 120, 240]
 TXN_LENGTH = 5
@@ -73,10 +85,8 @@ def make_nest(n_txns: int) -> KNest:
 
 
 def make_window(mode: str, pruning: bool, n_txns: int) -> ClosureWindow:
-    return ClosureWindow(
-        make_nest(n_txns),
-        mode=mode,
-        prune_interval=4 if pruning else 10**9,
+    return WINDOWS[mode](
+        make_nest(n_txns), prune_interval=4 if pruning else 10**9
     )
 
 
@@ -157,9 +167,9 @@ def test_e10_modes_agree():
     rng = random.Random(3)
     nest = make_nest(4)
     windows = [
-        ClosureWindow(nest, mode="incremental", prune_interval=10**9),
-        ClosureWindow(nest, mode="full", prune_interval=10**9),
-        ClosureWindow(nest, mode="incremental", prune_interval=3),
+        ClosureWindow(nest, prune_interval=10**9),
+        FullClosureWindow(nest, prune_interval=10**9),
+        ClosureWindow(nest, prune_interval=3),
     ]
     counters = {f"t{i}": 0 for i in range(4)}
     cuts: dict[str, dict[int, int]] = {f"t{i}": {} for i in range(4)}

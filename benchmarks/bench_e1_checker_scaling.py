@@ -145,7 +145,7 @@ def test_e1_scaling_table():
             n_steps,
             f"{accept_ms:.1f}",
             growth,
-            report.closure.graph.number_of_edges(),
+            report.closure.index.edges,
             f"{reject_ms:.1f}",
             "no" if not report_r.correctable else "yes",
         ])

@@ -93,7 +93,7 @@ def test_x8_summary_table(banking, abstract):
         rows.append([
             f"Sec 4.2 {name}",
             "partial order" if result.is_partial_order else "CYCLE",
-            result.graph.number_of_edges(),
+            result.index.edges,
         ])
     for label, sequence in (
         ("Sec 5.2 correctable", banking["correctable"]),
@@ -105,7 +105,7 @@ def test_x8_summary_table(banking, abstract):
         rows.append([
             label,
             "correctable" if report.correctable else "NOT correctable",
-            report.closure.graph.number_of_edges(),
+            report.closure.index.edges,
         ])
     record_table(
         "x_paper_examples",

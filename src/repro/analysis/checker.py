@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.core.atomicity import check_correctability, is_multilevel_atomic
 from repro.core.interleaving import InterleavingSpec
 from repro.core.nests import KNest
@@ -59,32 +57,24 @@ class ScheduleReport:
 
 def serialization_graph(
     execution: Execution, conflicts: str = "all"
-) -> nx.DiGraph:
-    """The [EGLT]-style serialization graph: nodes are transactions, with
-    an edge ``t -> u`` when some step of ``t`` precedes a conflicting
-    step of ``u``."""
-    graph: nx.DiGraph = nx.DiGraph()
-    graph.add_nodes_from(execution.transactions)
-    for a, b in execution.dependency_edges(conflicts):
-        if a.transaction != b.transaction:
-            graph.add_edge(a.transaction, b.transaction)
-    return graph
+) -> WaitGraph:
+    """The [EGLT]-style serialization graph: nodes are transactions (in
+    execution order), with an edge ``t -> u`` when some step of ``t``
+    precedes a conflicting step of ``u``.  Edges go in sorted, so which
+    cycle ``find_cycle`` surfaces does not depend on the hash seed."""
+    edges = {
+        (a.transaction, b.transaction)
+        for a, b in execution.dependency_edges(conflicts)
+        if a.transaction != b.transaction
+    }
+    return WaitGraph(sorted(edges), execution.transactions)
 
 
 def is_conflict_serializable(
     execution: Execution, conflicts: str = "all"
 ) -> bool:
-    """Classical serializability: the serialization graph is acyclic.
-
-    Searches the transaction-level edges with the wait-graph cycle
-    finder (no networkx graph); :func:`serialization_graph` remains
-    available for plotting and inspection."""
-    graph = WaitGraph(
-        (a.transaction, b.transaction)
-        for a, b in execution.dependency_edges(conflicts)
-        if a.transaction != b.transaction
-    )
-    return graph.find_cycle() is None
+    """Classical serializability: the serialization graph is acyclic."""
+    return serialization_graph(execution, conflicts).find_cycle() is None
 
 
 def classify_execution(

@@ -7,26 +7,28 @@ without plotting dependencies.
 
 from __future__ import annotations
 
-import networkx as nx
-
+from repro.engine.cycles import WaitGraph
 from repro.model.execution import Execution
 
 __all__ = ["to_dot", "dependency_dot", "condensed_transaction_order", "ascii_schedule"]
 
 
-def to_dot(graph: nx.DiGraph, name: str = "G") -> str:
-    """A minimal GraphViz DOT rendering of a digraph."""
+def to_dot(graph: WaitGraph, name: str = "G") -> str:
+    """A minimal GraphViz DOT rendering of a digraph (anything with
+    ``nodes`` and ``successors(node)``)."""
     lines = [f"digraph {name} {{"]
     for node in sorted(graph.nodes, key=repr):
         lines.append(f'  "{node}";')
-    for u, v in sorted(graph.edges, key=repr):
+    edges = [(u, v) for u in graph.nodes for v in graph.successors(u)]
+    for u, v in sorted(edges, key=repr):
         lines.append(f'  "{u}" -> "{v}";')
     lines.append("}")
     return "\n".join(lines)
 
 
 def dependency_dot(execution: Execution, conflicts: str = "all") -> str:
-    return to_dot(execution.dependency_graph(conflicts), "dependency")
+    graph = WaitGraph(execution.dependency_edges(conflicts), execution.steps)
+    return to_dot(graph, "dependency")
 
 
 def condensed_transaction_order(
@@ -37,12 +39,9 @@ def condensed_transaction_order(
     single-component list means a serialization cycle)."""
     from repro.analysis.checker import serialization_graph
 
-    graph = serialization_graph(execution, conflicts)
-    condensation = nx.condensation(graph)
-    order = list(nx.topological_sort(condensation))
-    return [
-        sorted(condensation.nodes[c]["members"]) for c in order
-    ]
+    components = serialization_graph(execution, conflicts).components()
+    # A component comes out after every component it reaches.
+    return [sorted(members) for members in reversed(components)]
 
 
 def ascii_schedule(execution: Execution, width: int = 100) -> str:

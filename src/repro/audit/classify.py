@@ -37,7 +37,7 @@ from typing import Any
 
 from repro.audit.history import History
 from repro.core.atomicity import check_correctability
-from repro.engine.cycles import WaitGraph
+from repro.analysis.checker import serialization_graph
 from repro.errors import SpecificationError
 from repro.model.breakpoints import spec_for_execution
 from repro.model.execution import Execution
@@ -117,17 +117,7 @@ def _serializability_axis(execution: Execution, conflicts: str):
     witnesses: list[str] = []
     current = execution
     while current.records:
-        edges = {
-            (a.transaction, b.transaction)
-            for a, b in current.dependency_edges(conflicts)
-            if a.transaction != b.transaction
-        }
-        graph = WaitGraph()
-        for name in current.transactions:
-            graph.add_node(name)
-        for a, b in sorted(edges):
-            graph.add_edge(a, b)
-        cycle = graph.find_cycle()
+        cycle = serialization_graph(current, conflicts).find_cycle()
         if cycle is None:
             break
         for name in cycle:

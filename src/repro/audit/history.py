@@ -857,6 +857,10 @@ def load_history(path: str) -> History:
             text = handle.read()
     except OSError as exc:
         raise SpecificationError(f"cannot read history {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecificationError(
+            f"history file {path!r} is not UTF-8 text: {exc}"
+        ) from exc
     stripped = text.lstrip()
     if not stripped:
         raise SpecificationError(f"history file {path!r} is empty")

@@ -111,7 +111,9 @@ def check_correctability(
         return CorrectabilityReport(correctable=False, closure=closure)
     order = None
     if witness:
-        order = extend_to_coherent_total_order(spec, closure.graph)
+        order = extend_to_coherent_total_order(
+            spec, closure.index.iter_edges()
+        )
     return CorrectabilityReport(correctable=True, closure=closure, witness=order)
 
 

@@ -51,14 +51,11 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, TypeVar
+from typing import TypeVar
 
 from repro.core.interleaving import InterleavingSpec
 from repro.core.reach import ReachabilityIndex, iter_bits
 from repro.errors import NotAPartialOrderError
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 S = TypeVar("S", bound=Hashable)
 
@@ -97,20 +94,18 @@ class ClosureResult:
     is_partial_order:
         ``True`` iff the closure is acyclic — by Theorem 2, iff the seed
         execution is correctable.
-    graph:
-        The generating-edge digraph: chain edges of every ``<=_t``, the
-        seed pairs, and all rule-(b) edges added during saturation.  Its
-        reachability relation is the coherent closure.  Built lazily from
-        the bitset index — the hot path never touches networkx.
     cycle:
         When cyclic, one witnessing cycle as a list of steps (closed:
         first == last); ``None`` otherwise.
     index:
         The :class:`~repro.core.reach.ReachabilityIndex` the closure was
-        computed in.  Results produced by a live
+        computed in.  Its generating edges (``index.iter_edges()``:
+        chain edges of every ``<=_t``, the seed pairs, and all rule-(b)
+        edges added during saturation) have the coherent closure as
+        their reachability relation.  Results produced by a live
         :class:`~repro.engine.closure_window.ClosureWindow` share the
-        window's persistent index, so ``graph``/``pairs`` reflect the
-        state at *access* time; batch results own their index.
+        window's persistent index, so ``pairs`` reflects the state at
+        *access* time; batch results own their index.
     """
 
     __slots__ = (
@@ -119,7 +114,6 @@ class ClosureResult:
         "iterations",
         "edges_added",
         "index",
-        "_graph",
     )
 
     def __init__(
@@ -129,60 +123,32 @@ class ClosureResult:
         iterations: int = 0,
         edges_added: int = 0,
         index: ReachabilityIndex | None = None,
-        graph: nx.DiGraph | None = None,
     ) -> None:
         self.is_partial_order = is_partial_order
         self.cycle = cycle
         self.iterations = iterations
         self.edges_added = edges_added
         self.index = index
-        self._graph = graph
 
-    @property
-    def graph(self) -> nx.DiGraph:
-        if self._graph is None:
-            import networkx as nx
-
-            graph: nx.DiGraph = nx.DiGraph()
-            if self.index is not None:
-                graph.add_nodes_from(self.index.nodes)
-                graph.add_edges_from(self.index.iter_edges())
-            self._graph = graph
-        return self._graph
+    def _acyclic_index(self) -> ReachabilityIndex:
+        if self.index is None or self.index.cyclic:
+            raise NotAPartialOrderError(
+                f"coherent closure contains a cycle: {self.cycle}"
+            )
+        return self.index
 
     def pairs(self) -> set[tuple]:
-        """Materialise the closure as an explicit pair set.
-
-        When acyclic this is a single bitset sweep over the reachability
-        index — output-linear, safe for large closures.  (Cyclic results
-        fall back to graph searches; they exist only to carry a witness.)
-        """
-        if self.index is not None and not self.index.cyclic:
-            return self.index.pairs()
-        import networkx as nx
-
-        out: set[tuple] = set()
-        for node in self.graph.nodes:
-            for desc in nx.descendants(self.graph, node):
-                out.add((node, desc))
-        return out
+        """Materialise the closure as an explicit pair set: a single
+        bitset sweep over the reachability index, output-linear.  A
+        cyclic closure is not an order and raises
+        :class:`~repro.errors.NotAPartialOrderError`."""
+        return self._acyclic_index().pairs()
 
     def ancestors(self, node) -> set:
-        """All steps that precede ``node`` in the closure (a bitset scan
-        when the reachability index is available)."""
-        if (
-            self.index is not None
-            and not self.index.cyclic
-            and node in self.index
-        ):
-            index = self.index
-            return {
-                index.node_of(i)
-                for i in iter_bits(index.ancestors_mask(node))
-            }
-        import networkx as nx
-
-        return set(nx.ancestors(self.graph, node))
+        """All steps that precede ``node`` in the closure (a bitset scan;
+        raises on a cyclic closure, like :meth:`pairs`)."""
+        index = self._acyclic_index()
+        return {index.node_of(i) for i in iter_bits(index.ancestors_mask(node))}
 
     def require_partial_order(self) -> None:
         if not self.is_partial_order:

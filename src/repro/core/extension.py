@@ -30,15 +30,15 @@ per stage.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Hashable, Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING, TypeVar
+import itertools
+from collections import deque
+from collections.abc import Hashable, Iterable, Iterator
+from typing import TypeVar
 
 from repro.core.coherence import is_coherent_total_order
 from repro.core.interleaving import InterleavingSpec
+from repro.engine.cycles import WaitGraph
 from repro.errors import NotAPartialOrderError
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 S = TypeVar("S", bound=Hashable)
 
@@ -61,9 +61,17 @@ class _Rank:
         return f"_Rank({self.stage}, {self.index})"
 
 
-def _lexicographic_topological_sort(graph: nx.DiGraph) -> list:
+def _indegrees(graph: WaitGraph) -> dict:
+    indegree = dict.fromkeys(graph.nodes, 0)
+    for node in indegree:
+        for succ in graph.successors(node):
+            indegree[succ] += 1
+    return indegree
+
+
+def _lexicographic_topological_sort(graph: WaitGraph) -> list:
     """Deterministic topological sort (smallest ``repr`` first)."""
-    indegree = {node: graph.in_degree(node) for node in graph.nodes}
+    indegree = _indegrees(graph)
     heap = [(repr(node), node) for node, deg in indegree.items() if deg == 0]
     heapq.heapify(heap)
     out = []
@@ -74,14 +82,14 @@ def _lexicographic_topological_sort(graph: nx.DiGraph) -> list:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 heapq.heappush(heap, (repr(succ), succ))
-    if len(out) != graph.number_of_nodes():
+    if len(out) != len(indegree):
         raise NotAPartialOrderError("relation contains a cycle")
     return out
 
 
 def extend_to_coherent_total_order(
     spec: InterleavingSpec,
-    order: Iterable[tuple[S, S]] | nx.DiGraph,
+    order: Iterable[tuple[S, S]],
     verify: bool = True,
 ) -> list[S]:
     """Extend a coherent partial order to a coherent total order (Lemma 1).
@@ -91,10 +99,10 @@ def extend_to_coherent_total_order(
     spec:
         The k-nest and breakpoint descriptions.
     order:
-        The coherent partial order, as either an edge iterable or a
-        digraph whose *reachability* is the order.  It must already be
-        coherent (e.g. a coherent closure); per-transaction chain edges
-        are added automatically.
+        The coherent partial order, as an edge iterable whose
+        *reachability* is the order (e.g. a coherent closure's
+        ``index.iter_edges()``).  It must already be coherent;
+        per-transaction chain edges are added automatically.
     verify:
         When true (default), the resulting sequence is checked to be a
         coherent total order; a failure means ``order`` was not coherent.
@@ -105,16 +113,8 @@ def extend_to_coherent_total_order(
         All steps of the specification in a coherent total order — the
         equivalent multilevel-atomic schedule.
     """
-    import networkx as nx
-
-    graph: nx.DiGraph = nx.DiGraph()
     steps = sorted(spec.steps, key=repr)
-    graph.add_nodes_from(steps)
-    graph.add_edges_from(spec.chain_pairs())
-    if isinstance(order, nx.DiGraph):
-        graph.add_edges_from(order.edges)
-    else:
-        graph.add_edges_from(order)
+    graph = WaitGraph(itertools.chain(spec.chain_pairs(), order), steps)
     bit_of = {step: i for i, step in enumerate(steps)}
 
     for stage in range(2, spec.k + 1):
@@ -140,8 +140,7 @@ def extend_to_coherent_total_order(
 
         # Segment graph: S1 -> S2 iff some step of S1 reaches some step of
         # a different segment S2.
-        seg_graph: nx.DiGraph = nx.DiGraph()
-        seg_graph.add_nodes_from(range(len(segment_members)))
+        seg_graph = WaitGraph(nodes=range(len(segment_members)))
         for sid, members in enumerate(segment_members):
             union = 0
             for step in members:
@@ -154,8 +153,25 @@ def extend_to_coherent_total_order(
                     seg_graph.add_edge(sid, tid)
                 union ^= low
 
-        # Condense to SCCs and order the components.
-        condensation = nx.condensation(seg_graph)
+        # Condense to SCCs and order the components.  Components are
+        # numbered as networkx numbered them, and the sort compares
+        # their ``repr`` (``"10" < "2"``), so the numbering is part of
+        # the witness.
+        components = seg_graph.components()
+        component_of = {
+            sid: number
+            for number, members in enumerate(components)
+            for sid in members
+        }
+        condensation = WaitGraph(
+            (
+                (component_of[sid], component_of[tid])
+                for sid in seg_graph.nodes
+                for tid in seg_graph.successors(sid)
+                if component_of[sid] != component_of[tid]
+            ),
+            range(len(components)),
+        )
         component_order = _lexicographic_topological_sort(condensation)
 
         # Thread rank nodes: every step of component m precedes the rank
@@ -165,7 +181,7 @@ def extend_to_coherent_total_order(
         for index, comp in enumerate(component_order):
             rank = _Rank(stage, index)
             graph.add_node(rank)
-            for sid in condensation.nodes[comp]["members"]:
+            for sid in components[comp]:
                 for step in segment_members[sid]:
                     graph.add_edge(step, rank)
                     if previous_rank is not None:
@@ -194,16 +210,11 @@ def enumerate_coherent_extensions(
     small worked examples (Section 5.1's example has exactly two).  ``limit``
     caps the number of linearisations inspected.
     """
-    import networkx as nx
-
-    graph: nx.DiGraph = nx.DiGraph()
-    graph.add_nodes_from(spec.steps)
-    graph.add_edges_from(spec.chain_pairs())
-    graph.add_edges_from(order)
-    if not nx.is_directed_acyclic_graph(graph):
+    graph = WaitGraph(itertools.chain(spec.chain_pairs(), order), spec.steps)
+    if graph.find_cycle() is not None:
         return  # a cyclic seed has no extensions at all
     inspected = 0
-    for linearisation in nx.all_topological_sorts(graph):
+    for linearisation in _all_topological_sorts(graph):
         inspected += 1
         if limit is not None and inspected > limit:
             raise NotAPartialOrderError(
@@ -211,3 +222,40 @@ def enumerate_coherent_extensions(
             )
         if is_coherent_total_order(spec, linearisation):
             yield tuple(linearisation)
+
+
+def _all_topological_sorts(graph: WaitGraph) -> Iterator[list]:
+    """Every linearisation of an acyclic graph, in the order
+    ``nx.all_topological_sorts`` yields them (Knuth & Szwarcfiter's
+    structured program: ``ready`` holds the minimal nodes, and each
+    position cycles through them by rotating the deque)."""
+    count = _indegrees(graph)
+    ready = deque(node for node, deg in count.items() if deg == 0)
+    bases: list = []
+    current: list = []
+    while True:
+        if len(current) == len(count):
+            yield list(current)
+            # Backtrack to the deepest position with an untried choice.
+            while current:
+                node = current.pop()
+                for succ in graph.successors(node):
+                    count[succ] += 1
+                while ready and count[ready[-1]] > 0:
+                    ready.pop()
+                ready.appendleft(node)
+                if ready[-1] == bases[-1]:
+                    bases.pop()  # every choice at this position was tried
+                else:
+                    break
+        else:
+            node = ready.pop()
+            for succ in graph.successors(node):
+                count[succ] -= 1
+                if count[succ] == 0:
+                    ready.append(succ)
+            current.append(node)
+            if len(bases) < len(current):
+                bases.append(node)
+        if not bases:
+            return

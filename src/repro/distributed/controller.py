@@ -125,10 +125,9 @@ class DistributedPreventControl(NoControl):
 
     name = "mla-prevent"
 
-    def __init__(self, nest: KNest, conflicts: str = "all",
-                 mode: str = "incremental") -> None:
+    def __init__(self, nest: KNest, conflicts: str = "all") -> None:
         self.nest = nest
-        self.window = ClosureWindow(nest, mode=mode, conflicts=conflicts)
+        self.window = ClosureWindow(nest, conflicts=conflicts)
 
     def attach(self, sequencer: "Sequencer") -> None:
         super().attach(sequencer)
@@ -211,7 +210,7 @@ class DistributedPreventControl(NoControl):
             )
 
     def certify_commit(self, name: str) -> list[str] | None:
-        result = self.window._closure()
+        result = self.window.closure()
         if result is None or result.is_partial_order:
             return None
         seq = self.sequencer

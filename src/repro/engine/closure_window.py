@@ -16,22 +16,20 @@ prefix boundary (their eventual last step is unknown — exactly why a
 later step of the same segment can retroactively precede an already
 performed foreign step, which is where cycles come from).
 
-Two maintenance modes (ablated by experiment E10):
-
-* ``"full"`` — recompute the closure from the base dependency edges on
-  every call, via batch :func:`repro.core.coherence.coherent_closure`;
-* ``"incremental"`` — keep one live
-  :class:`~repro.core.coherence.ClosureEngine` across calls.  Each
-  observed step costs one ``add_step`` plus the entity edges it
-  introduces, each propagated in O(affected) by the bitset reachability
-  index; nothing is recomputed.  Sound because the prefix only grows at
-  segment tails, so every previously derived closure edge remains a
-  consequence of the larger prefix.  The engine is torn down (and lazily
-  rebuilt from the surviving steps) whenever monotonicity breaks: on
-  ``drop`` (abort), ``truncate`` (partial rollback), ``_prune``, on a
-  cyclic verdict, and when a transaction rewrites an interior breakpoint
-  declaration.  Hypothetical queries run on a clone of the engine —
-  cheap, since bitsets are immutable ints — and never disturb it.
+The window keeps one live :class:`~repro.core.coherence.ClosureEngine`
+across calls.  Each observed step costs one ``add_step`` plus the entity
+edges it introduces, each propagated in O(affected) by the bitset
+reachability index; nothing is recomputed.  Sound because the prefix
+only grows at segment tails, so every previously derived closure edge
+remains a consequence of the larger prefix.  The engine is torn down
+(and lazily rebuilt from the surviving steps) whenever monotonicity
+breaks: on ``drop`` (abort), ``truncate`` (partial rollback), ``_prune``,
+on a cyclic verdict, and when a transaction rewrites an interior
+breakpoint declaration.  Hypothetical queries run on a clone of the
+engine — cheap, since bitsets are immutable ints — and never disturb it.
+Experiment E10 ablates it against a batch recompute of the closure from
+the base dependency edges on every call, a window the tests keep as
+their oracle.
 
 Committed transactions whose lifetime no longer overlaps any active
 attempt are pruned; reachability through pruned steps is preserved by
@@ -62,8 +60,8 @@ __all__ = ["ClosureWindow"]
 
 
 class _LiveState:
-    """The incremental mode's persistent state: a saturated closure
-    engine plus the entity-edge fold matching the order it has seen."""
+    """The window's persistent state: a saturated closure engine plus
+    the entity-edge fold matching the order it has seen."""
 
     __slots__ = ("engine", "fold")
 
@@ -81,17 +79,13 @@ class ClosureWindow:
     def __init__(
         self,
         nest: KNest,
-        mode: str = "incremental",
         prune_interval: int = 16,
         conflicts: str = "all",
     ) -> None:
-        if mode not in ("incremental", "full"):
-            raise EngineError(f"unknown closure mode {mode!r}")
         if conflicts not in ("all", "rw"):
             raise EngineError(f"unknown conflict model {conflicts!r}")
         self.nest = nest
         self.k = nest.k
-        self.mode = mode
         self.conflicts = conflicts
         self.prune_interval = prune_interval
         self._steps: dict[str, list[StepId]] = {}
@@ -103,12 +97,11 @@ class ClosureWindow:
         self._commits_since_prune = 0
         self._live: _LiveState | None = None
         self._last_result: ClosureResult | None = None
-        # Cyclic-verdict cache (incremental mode): the window only ever
-        # *grows* between structural edits, and growth cannot un-close a
-        # cycle, so once a verdict is cyclic every later observe returns
-        # the same result until a rollback/prune/cut-rewrite removes
-        # steps.  Cleared by ``_invalidate`` and on interior cut
-        # rewrites.
+        # Cyclic-verdict cache: the window only ever *grows* between
+        # structural edits, and growth cannot un-close a cycle, so once a
+        # verdict is cyclic every later observe returns the same result
+        # until a rollback/prune/cut-rewrite removes steps.  Cleared by
+        # ``_invalidate`` and on interior cut rewrites.
         self._cycle_result: ClosureResult | None = None
         self.closure_calls = 0
         self.edges_last = 0
@@ -139,34 +132,6 @@ class ClosureWindow:
     def last_step_of(self, name: str) -> StepId | None:
         steps = self._steps.get(name)
         return steps[-1] if steps else None
-
-    def _spec(
-        self,
-        extra: tuple[str, StepId] | None = None,
-    ) -> InterleavingSpec | None:
-        steps = {n: list(s) for n, s in self._steps.items() if s}
-        cuts = {n: dict(self._cuts.get(n, {})) for n in steps}
-        if extra is not None:
-            name, step = extra
-            steps.setdefault(name, []).append(step)
-            cuts.setdefault(name, dict(self._cuts.get(name, {})))
-        if not steps:
-            return None
-        descriptions = {
-            n: BreakpointDescription.from_cut_levels(
-                s,
-                self.k,
-                {
-                    g: lv
-                    for g, lv in cuts[n].items()
-                    # Levels beyond the nest depth are vacuous: no pair of
-                    # distinct transactions is related that closely.
-                    if g < len(s) - 1 and lv <= self.k
-                },
-            )
-            for n, s in steps.items()
-        }
-        return InterleavingSpec(self.nest.restrict(steps), descriptions)
 
     def _entity_edges(self, order) -> list[tuple[StepId, StepId]]:
         fold = EntityFold(self.conflicts)
@@ -283,42 +248,12 @@ class ClosureWindow:
             )
         return result
 
-    def _closure(
+    def closure(
         self, extra: tuple[str, StepId, str, StepKind] | None = None
     ) -> ClosureResult | None:
-        if self.mode == "incremental":
-            return self._closure_incremental(extra)
-        t0 = perf_counter()
-        order = list(self._order)
-        extra_key = None
-        if extra is not None:
-            name, step, entity, kind = extra
-            self._access_of[step] = (entity, kind)
-            order.append(step)
-            extra_key = (name, step)
-        spec = self._spec(extra_key)
-        if spec is None:
-            if extra is not None:
-                del self._access_of[extra[1]]
-            return None
-        seed = set(self._entity_edges(order)) | self._shortcut_edges
-        result = coherent_closure(spec, seed)
-        index = result.index
-        assert index is not None
-        self.closure_calls += 1
-        elapsed = perf_counter() - t0
-        self.closure_seconds += elapsed
-        self.profiler.add("closure", elapsed)
-        self.closure_edges_propagated += index.edges_propagated
-        self.closure_word_ops += index.word_ops
-        self.edges_last = index.edges
-        if extra is not None:
-            del self._access_of[extra[1]]
-        return result
-
-    def _closure_incremental(
-        self, extra: tuple[str, StepId, str, StepKind] | None
-    ) -> ClosureResult | None:
+        """The closure over the window, or over the window plus the
+        hypothetical step ``extra = (name, step, entity, kind)``;
+        ``None`` for an empty window."""
         if self._cycle_result is not None:
             # Growth cannot un-close a cycle; neither can a hypothetical.
             return self._cycle_result
@@ -363,8 +298,7 @@ class ClosureWindow:
                 kind: StepKind, cut_levels: Mapping[int, int]) -> ClosureResult:
         """Record a performed step and return the closure state."""
         if (
-            self.mode == "incremental"
-            and (self._live is not None or self._cycle_result is not None)
+            (self._live is not None or self._cycle_result is not None)
             and self._cuts_changed(name, cut_levels)
         ):
             # Interior cut rewrites can merge/split segments, which can
@@ -376,10 +310,6 @@ class ClosureWindow:
         self._cuts[name] = dict(cut_levels)
         self._access_of[step] = (entity, kind)
         self._order.append(step)
-        if self.mode == "full":
-            result = self._closure()
-            assert result is not None
-            return result
         self._last_result = None
         cached = self._cycle_result
         if cached is not None:
@@ -429,7 +359,7 @@ class ClosureWindow:
         closure-ancestors of ``step`` when acyclic, or the transactions
         on the witnessed cycle when performing the step would close one.
         """
-        result = self._closure(extra=(name, step, entity, kind))
+        result = self.closure(extra=(name, step, entity, kind))
         if result is None:
             return True, set(), set()
         if not result.is_partial_order:

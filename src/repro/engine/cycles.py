@@ -14,7 +14,10 @@ returns on an identically built ``nx.DiGraph`` (roots in node order,
 successors in edge insertion order; a differential test drives both
 over random digraphs).  Node order is first appearance (``add_node`` or
 an edge endpoint), successor order is edge insertion order, duplicate
-edges are ignored.
+edges are ignored.  ``components`` numbers strongly connected components
+in the order ``nx.strongly_connected_components`` yields them on the
+same graph, which is what keeps Lemma 1's witnesses (built on it in
+:mod:`repro.core.extension`) what they were when networkx built them.
 
 One edge-order rule: a set of blockers enters through ``add_waits``,
 which inserts it sorted.  Set iteration order varies with the process
@@ -30,14 +33,20 @@ __all__ = ["WaitGraph"]
 
 
 class WaitGraph:
-    """A minimal insertion-ordered digraph supporting ``find_cycle``."""
+    """A minimal insertion-ordered digraph: cycle search and strongly
+    connected components."""
 
     __slots__ = ("_succ",)
 
     def __init__(
-        self, edges: Iterable[tuple[Hashable, Hashable]] = ()
+        self,
+        edges: Iterable[tuple[Hashable, Hashable]] = (),
+        nodes: Iterable[Hashable] = (),
     ) -> None:
+        """``nodes`` are added first, in order, then ``edges``."""
         self._succ: dict[Hashable, dict[Hashable, None]] = {}
+        for node in nodes:
+            self.add_node(node)
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -52,6 +61,15 @@ class WaitGraph:
         if v not in succ:
             succ[v] = {}
         out[v] = None
+
+    @property
+    def nodes(self) -> list:
+        """Every node, in first-appearance order."""
+        return list(self._succ)
+
+    def successors(self, node: Hashable):
+        """``node``'s successors, in edge insertion order."""
+        return self._succ[node].keys()
 
     def add_waits(self, waiter: Hashable, blockers: Iterable[Hashable]) -> None:
         """``waiter -> blocker`` for every blocker, in sorted order (see
@@ -95,3 +113,47 @@ class WaitGraph:
                     done.add(node)
                     successors.pop()
         return None
+
+    def components(self) -> list[set]:
+        """The strongly connected components, each a set of nodes.
+
+        Iterative Tarjan with Nuutila's modification, as networkx runs
+        it: roots in node order, successors in edge insertion order, and
+        a component comes out only after every component it reaches (so
+        the list reversed is a topological order of the condensation).
+        """
+        succ = self._succ
+        preorder: dict[Hashable, int] = {}
+        lowlink: dict[Hashable, int] = {}
+        found: set[Hashable] = set()
+        pending: list[Hashable] = []
+        unvisited = {node: iter(heads) for node, heads in succ.items()}
+        out: list[set] = []
+        for root in succ:
+            if root in found:
+                continue
+            path = [root]
+            while path:
+                node = path[-1]
+                rank = preorder.setdefault(node, len(preorder) + 1)
+                for head in unvisited[node]:
+                    if head not in preorder:
+                        path.append(head)
+                        break
+                else:
+                    low = rank
+                    for head in succ[node]:
+                        if head not in found:
+                            seen = preorder[head]
+                            low = min(low, lowlink[head] if seen > rank else seen)
+                    lowlink[node] = low
+                    path.pop()
+                    if low == rank:
+                        component = {node}
+                        while pending and preorder[pending[-1]] > rank:
+                            component.add(pending.pop())
+                        found |= component
+                        out.append(component)
+                    else:
+                        pending.append(node)
+        return out

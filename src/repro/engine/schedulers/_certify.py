@@ -26,7 +26,7 @@ def certify_commit(scheduler, txn) -> Decision:
     window = getattr(scheduler, "window", None)
     if window is None:
         return Decision.perform()
-    result = window._closure()
+    result = window.closure()
     if result is None or result.is_partial_order:
         return Decision.perform()
     engine = scheduler.engine

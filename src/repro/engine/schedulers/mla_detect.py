@@ -35,7 +35,6 @@ class MLADetectScheduler(Scheduler):
     def __init__(
         self,
         nest: KNest,
-        mode: str = "incremental",
         prune_interval: int = 16,
         conflicts: str = "all",
     ) -> None:
@@ -43,7 +42,7 @@ class MLADetectScheduler(Scheduler):
         self.nest = nest
         self.conflicts = conflicts
         self.window = ClosureWindow(
-            nest, mode=mode, prune_interval=prune_interval, conflicts=conflicts
+            nest, prune_interval=prune_interval, conflicts=conflicts
         )
         # Victims of a cycle rollback are parked until some other cycle
         # participant advances — retrying into an unchanged conflict

@@ -43,7 +43,6 @@ class MLAPreventScheduler(Scheduler):
     def __init__(
         self,
         nest: KNest,
-        mode: str = "incremental",
         prune_interval: int = 16,
         use_locks: bool = False,
         conflicts: str = "all",
@@ -57,7 +56,7 @@ class MLAPreventScheduler(Scheduler):
         self.nest = nest
         self.conflicts = conflicts
         self.window = ClosureWindow(
-            nest, mode=mode, prune_interval=prune_interval, conflicts=conflicts
+            nest, prune_interval=prune_interval, conflicts=conflicts
         )
         self.use_locks = use_locks
         self.locks = LockManager() if use_locks else None

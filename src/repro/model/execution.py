@@ -18,14 +18,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.reach import transitive_pairs
 from repro.errors import ExecutionError
 from repro.model.steps import StepId, StepKind, StepRecord
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["EntityFold", "Execution"]
 
@@ -165,14 +161,6 @@ class Execution:
             )
             last_of_txn[step.transaction] = step
         return edges
-
-    def dependency_graph(self, conflicts: str = "all") -> nx.DiGraph:
-        import networkx as nx
-
-        graph: nx.DiGraph = nx.DiGraph()
-        graph.add_nodes_from(self.steps)
-        graph.add_edges_from(self.dependency_edges(conflicts))
-        return graph
 
     def dependency_pairs(self, conflicts: str = "all") -> set[tuple[StepId, StepId]]:
         """The full dependency partial order as explicit pairs

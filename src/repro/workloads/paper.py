@@ -188,15 +188,14 @@ def abstract_example():
 
     def closed(extra):
         """Transitive closure of chains + extra pairs (paper's R are
-        given as transitive closures)."""
-        import networkx as nx
-
-        g = nx.DiGraph(chains | set(extra))
-        out = set()
-        for node in g.nodes:
-            for desc in nx.descendants(g, node):
-                out.add((node, desc))
-        return out
+        given as transitive closures).  R3 is cyclic; its cycle adds no
+        pair ``(a, a)``."""
+        out = chains | set(extra)
+        while True:
+            more = {(a, d) for a, b in out for c, d in out if b == c and a != d}
+            if more <= out:
+                return out
+            out |= more
 
     r1_extras = {
         ("a12", "a22"), ("a22", "a13"), ("a14", "a31"), ("a24", "a33"),

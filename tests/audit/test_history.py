@@ -236,3 +236,9 @@ class TestRejection:
         path.write_text("not json\n")
         with pytest.raises(SpecificationError, match="not valid JSON"):
             load_history(str(path))
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00\n\x00")
+        with pytest.raises(SpecificationError, match="not UTF-8"):
+            load_history(str(path))

@@ -17,6 +17,7 @@ from repro.engine import (
 )
 from repro.model import TransactionProgram, read, update, write
 from repro.model.programs import Breakpoint
+from tests.engine.oracle import with_full_window
 
 
 def transfer(name, src, dst, amount):
@@ -69,7 +70,7 @@ def scheduler_zoo(nest):
         ("2pl-shared", TwoPhaseLockingScheduler(shared_reads=True), "rw"),
         ("timestamp", TimestampScheduler(), "all"),
         ("mla-detect", MLADetectScheduler(nest), "all"),
-        ("mla-detect-full", MLADetectScheduler(nest, mode="full"), "all"),
+        ("mla-detect-full", with_full_window(MLADetectScheduler(nest)), "all"),
         ("mla-prevent", MLAPreventScheduler(nest), "all"),
         ("mla-prevent-locked", MLAPreventScheduler(nest, use_locks=True), "all"),
         ("mla-nested-lock", NestedLockScheduler(nest), "all"),

@@ -116,8 +116,6 @@ class TestLifecycle:
     def test_conflict_model_validated(self, nest):
         with pytest.raises(EngineError):
             ClosureWindow(nest, conflicts="bogus")
-        with pytest.raises(EngineError):
-            ClosureWindow(nest, mode="bogus")
 
     def test_rw_conflicts_ignore_read_read(self, nest):
         window = ClosureWindow(nest, conflicts="rw")
@@ -142,7 +140,7 @@ def test_window_cyclic_verdict_cached():
     terminal verdict (still counted as closure calls) until a structural
     edit clears it."""
     nest = KNest.from_paths({"a": ("g",), "b": ("g",)})
-    window = ClosureWindow(nest, mode="incremental", prune_interval=10**9)
+    window = ClosureWindow(nest, prune_interval=10**9)
     seqs = [
         ("a", 0, "x"), ("b", 0, "x"),  # a0 -> b0
         ("b", 1, "y"), ("a", 1, "y"),  # b1 -> a1, chains close the loop

@@ -4,7 +4,9 @@
 here assert identical node lists, not merely "both found some cycle":
 against networkx (the oracle the wait graph was built to match) and
 against the transaction-graph DFS the audit classifier used before it
-shared this finder (nodes registered first, edges sorted).
+shared this finder (nodes registered first, edges sorted).  The same
+holds for strongly connected components, whose numbering Lemma 1's
+witness depends on.
 """
 
 from __future__ import annotations
@@ -79,6 +81,26 @@ def test_random_digraphs_match_networkx():
         assert wait_cycle(edges, source) == nx_cycle(edges, source), (
             f"trial {trial}: diverged for source={source!r} on {edges}"
         )
+
+
+def test_components_match_networkx_in_members_and_order():
+    """Lemma 1 numbers strongly connected components as networkx does,
+    so ``components`` must yield the same sets in the same order."""
+    rng = random.Random(1)
+    for trial in range(2000):
+        nodes = [f"t{i}" for i in range(rng.randint(1, 12))]
+        graph = WaitGraph()
+        oracle = nx.DiGraph()
+        for node in rng.sample(nodes, rng.randint(0, len(nodes))):
+            graph.add_node(node)
+            oracle.add_node(node)
+        for u, v in random_edges(rng, nodes):
+            graph.add_edge(u, v)
+            oracle.add_edge(u, v)
+        assert graph.nodes == list(oracle.nodes)
+        assert graph.components() == list(
+            nx.strongly_connected_components(oracle)
+        ), f"trial {trial}: diverged on {list(oracle.edges)}"
 
 
 def test_is_acyclic_cases():

@@ -17,6 +17,7 @@ from repro.engine import (
 from repro.model import TransactionProgram, read, update, write
 from repro.model.programs import Breakpoint
 from tests.engine.conftest import audit, transfer
+from tests.engine.oracle import with_full_window
 
 
 class TestTwoPhaseLocking:
@@ -148,11 +149,11 @@ class TestMLASchedulers:
         for seed in range(4):
             res_inc = Engine(
                 programs, accounts,
-                MLAPreventScheduler(bank_nest, mode="incremental"), seed=seed,
+                MLAPreventScheduler(bank_nest), seed=seed,
             ).run()
             res_full = Engine(
                 programs, accounts,
-                MLAPreventScheduler(bank_nest, mode="full"), seed=seed,
+                with_full_window(MLAPreventScheduler(bank_nest)), seed=seed,
             ).run()
             # Same decisions under the same seed: identical schedules.
             assert res_inc.execution.steps == res_full.execution.steps
@@ -162,11 +163,11 @@ class TestMLASchedulers:
         for seed in range(4):
             res_inc = Engine(
                 programs, accounts,
-                MLADetectScheduler(bank_nest, mode="incremental"), seed=seed,
+                MLADetectScheduler(bank_nest), seed=seed,
             ).run()
             res_full = Engine(
                 programs, accounts,
-                MLADetectScheduler(bank_nest, mode="full"), seed=seed,
+                with_full_window(MLADetectScheduler(bank_nest)), seed=seed,
             ).run()
             assert res_inc.execution.steps == res_full.execution.steps
 

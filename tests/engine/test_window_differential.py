@@ -1,8 +1,8 @@
-"""Differential test: both ClosureWindow modes through one schedule.
+"""Differential test: the closure window against its oracle.
 
-The ``"full"`` mode recomputes the closure from base edges on every
-call; the ``"incremental"`` mode carries a live engine across
-perform/commit/prune and only rebuilds on aborts.  Driving both with an
+The oracle (:class:`tests.engine.oracle.FullClosureWindow`) recomputes
+the closure from base edges on every call; the window carries a live
+engine across perform/commit/prune and only rebuilds on aborts.  Driving both with an
 identical randomised stream — including commits that trigger pruning and
 occasional aborts — they must agree *pair for pair*, not just on the
 acyclicity verdict.
@@ -17,6 +17,7 @@ import pytest
 from repro.core import KNest
 from repro.engine import ClosureWindow
 from repro.model import StepId, StepKind
+from tests.engine.oracle import FullClosureWindow
 
 TXN_LENGTH = 5
 
@@ -27,8 +28,8 @@ def _drive(seed: int, n_steps: int, abort_rate: float) -> int:
     rng = random.Random(seed)
     nest = KNest.from_paths({f"t{i}": ("g",) for i in range(n_steps)})
     windows = {
-        mode: ClosureWindow(nest, mode=mode, prune_interval=4)
-        for mode in ("incremental", "full")
+        "incremental": ClosureWindow(nest, prune_interval=4),
+        "full": FullClosureWindow(nest, prune_interval=4),
     }
     live: dict[str, int] = {}
     cuts: dict[str, dict[int, int]] = {}
@@ -68,7 +69,7 @@ def _drive(seed: int, n_steps: int, abort_rate: float) -> int:
                 window.drop(name)
             del live[name]
             del cuts[name]
-            after = {m: w._closure() for m, w in windows.items()}
+            after = {m: w.closure() for m, w in windows.items()}
             if after["incremental"] is not None:
                 assert (
                     after["incremental"].is_partial_order
@@ -85,7 +86,7 @@ def _drive(seed: int, n_steps: int, abort_rate: float) -> int:
             for window in windows.values():
                 window.mark_committed(name)
             sizes = {w.size for w in windows.values()}
-            assert len(sizes) == 1, "pruning must be mode-independent"
+            assert len(sizes) == 1, "pruning must not depend on the window"
     return compared
 
 

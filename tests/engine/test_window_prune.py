@@ -10,8 +10,9 @@ observe's verdict and every prune's outcome as the reference commit
 computed them.
 
 Regenerate — only ever from the commit whose behaviour is the reference
-— with ``PYTHONPATH=<that checkout>/src python
-tests/engine/test_window_prune.py``.
+— with ``PYTHONPATH=<that checkout>/src:<that checkout> python
+tests/engine/test_window_prune.py`` (the checkout root makes the
+oracle window in ``tests/engine/oracle.py`` importable).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import pytest
 from repro.core import KNest
 from repro.engine import ClosureWindow
 from repro.model import StepId, StepKind
+from tests.engine.oracle import FullClosureWindow
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "golden_window_prune.json.gz"
@@ -45,6 +47,8 @@ NESTS = {
         for i in range(NAMES)
     }),
 }
+#: The window, and (``"full"``) its batch-recompute oracle.
+WINDOWS = {"incremental": ClosureWindow, "full": FullClosureWindow}
 STREAMS = [
     (mode, nest, conflicts, prune_interval)
     for mode in ("incremental", "full")
@@ -66,9 +70,8 @@ def drive(mode: str, nest: str, conflicts: str, prune_interval: int,
     ``mark_committed`` (size, order, shortcuts, committed set and the
     events the commit emitted)."""
     rng = random.Random(f"{seed}/{mode}/{nest}/{conflicts}/{prune_interval}")
-    window = ClosureWindow(
-        NESTS[nest](), mode=mode, prune_interval=prune_interval,
-        conflicts=conflicts,
+    window = WINDOWS[mode](
+        NESTS[nest](), prune_interval=prune_interval, conflicts=conflicts,
     )
     events: list = []
     window.emit = lambda kind, /, **fields: events.append([kind, fields])

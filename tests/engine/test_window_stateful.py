@@ -10,6 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 from repro.core import KNest
 from repro.engine import ClosureWindow
 from repro.model import StepId, StepKind
+from tests.engine.oracle import FullClosureWindow
 
 NAMES = ["t0", "t1", "t2", "t3"]
 ENTITIES = [f"x{i}" for i in range(4)]
@@ -34,10 +35,8 @@ class WindowMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.window = ClosureWindow(_nest(), mode="incremental",
-                                    prune_interval=10**9)
-        self.oracle = ClosureWindow(_nest(), mode="full",
-                                    prune_interval=10**9)
+        self.window = ClosureWindow(_nest(), prune_interval=10**9)
+        self.oracle = FullClosureWindow(_nest(), prune_interval=10**9)
         self.steps = {name: 0 for name in NAMES}
         self.cuts = {name: {} for name in NAMES}
         self.cyclic = False
@@ -70,8 +69,8 @@ class WindowMachine(RuleBasedStateMachine):
 
         # After a drop the two must still agree on the remaining state.
         if self.window.size:
-            r1 = self.window._closure()
-            r2 = self.oracle._closure()
+            r1 = self.window.closure()
+            r2 = self.oracle.closure()
             assert r1.is_partial_order == r2.is_partial_order
 
     @precondition(lambda self: any(v > 1 for v in self.steps.values()))

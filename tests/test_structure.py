@@ -7,7 +7,9 @@ spellings of the designs that replaced: a pushed registry child behind
 an ``_mx`` table, a hand-guarded ``tr = ...tracer; if tr.enabled``, the
 null registry, the per-scrape registry copy, the service's trace ring.
 Any hit is a second way growing back.  The same goes for the closure
-window's batch Theorem-2 closure: it has exactly two call sites.  And
+window's batch Theorem-2 closure: it has exactly one call site, and the
+window's closure query is public.  And for graph libraries: no module
+imports networkx (it is the tests' oracle).  And
 for cycle finding: one finder, and set-valued waits enter it sorted in
 one place (``WaitGraph.add_waits``).  And for the tick loop: it draws
 from a list kept in name order instead of sorting every tick, and
@@ -61,9 +63,10 @@ def test_one_line_outside_obs_asks_whether_a_tracer_listens():
     assert hits[0].startswith(os.path.join("distributed", "network.py"))
 
 
-def test_window_computes_batch_closures_in_two_places():
-    """The ``"full"`` mode's per-call closure, and a prune's committed-only
-    closure behind the guard that a committed transaction survives it."""
+def test_window_computes_batch_closures_only_in_prune():
+    """A prune's committed-only closure, behind the guard that a
+    committed transaction survives it.  (The batch recompute on every
+    call is the tests' oracle, ``tests/engine/oracle.py``.)"""
     path = os.path.join(SRC, "engine", "closure_window.py")
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
@@ -84,7 +87,33 @@ def test_window_computes_batch_closures_in_two_places():
             visit(child, function, guarded)
 
     visit(tree, None, False)
-    assert sorted(sites) == [("_closure", False), ("_prune", True)]
+    assert sites == [("_prune", True)]
+
+
+def test_the_closure_window_has_one_mode():
+    import inspect
+
+    from repro.distributed.controller import DistributedPreventControl
+    from repro.engine import (
+        ClosureWindow,
+        MLADetectScheduler,
+        MLAPreventScheduler,
+    )
+
+    for owner in (
+        ClosureWindow, MLADetectScheduler, MLAPreventScheduler,
+        DistributedPreventControl,
+    ):
+        assert "mode" not in inspect.signature(owner).parameters, owner
+
+
+def test_no_module_reaches_into_the_window_for_its_closure():
+    window = (os.path.join("engine", "closure_window.py"),)
+    assert grep(r"window\._closure\b", outside=window) == []
+
+
+def test_no_module_imports_networkx():
+    assert grep(r"^\s*(import|from) networkx\b") == []
 
 
 def test_schedulers_report_through_the_engine():
