@@ -39,7 +39,7 @@ from repro.engine.schedulers.nested_lock import NestedLockScheduler
 from repro.engine.schedulers.serial import SerialScheduler
 from repro.engine.schedulers.timestamp import TimestampScheduler
 from repro.engine.schedulers.two_phase import TwoPhaseLockingScheduler
-from repro.errors import SpecificationError
+from repro.errors import SpecificationError, load_json_object, require_keys
 from repro.model.programs import (
     Breakpoint,
     TransactionProgram,
@@ -210,7 +210,7 @@ class ProgramSpec:
 
     @classmethod
     def from_dict(cls, data) -> "ProgramSpec":
-        _require_keys(data, {"name", "ops"}, optional={"path"}, kind="program")
+        require_keys(data, {"name", "ops"}, optional={"path"}, kind="program")
         return cls(
             name=data["name"],
             ops=tuple(tuple(op) for op in data["ops"]),
@@ -222,7 +222,7 @@ class ProgramSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ProgramSpec":
-        return cls.from_dict(_load_object(text, "program"))
+        return cls.from_dict(load_json_object(text, "program"))
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +260,7 @@ class Submission:
 
     @classmethod
     def from_dict(cls, data) -> "Submission":
-        _require_keys(
+        require_keys(
             data,
             {"program"},
             optional={"client_id", "idempotency_key"},
@@ -277,7 +277,7 @@ class Submission:
 
     @classmethod
     def from_json(cls, text: str) -> "Submission":
-        return cls.from_dict(_load_object(text, "submission"))
+        return cls.from_dict(load_json_object(text, "submission"))
 
 
 #: ``committed``: first attempt committed.  ``restarted``: committed
@@ -337,7 +337,7 @@ class ResultEnvelope:
 
     @classmethod
     def from_dict(cls, data) -> "ResultEnvelope":
-        _require_keys(
+        require_keys(
             data,
             {"name", "status"},
             optional={
@@ -365,7 +365,7 @@ class ResultEnvelope:
 
     @classmethod
     def from_json(cls, text: str) -> "ResultEnvelope":
-        return cls.from_dict(_load_object(text, "envelope"))
+        return cls.from_dict(load_json_object(text, "envelope"))
 
 
 # ----------------------------------------------------------------------
@@ -429,33 +429,3 @@ def envelopes_from_engine(
                 abort_causes=chain,
             )
     return envelopes
-
-
-# ----------------------------------------------------------------------
-# wire-shape plumbing
-# ----------------------------------------------------------------------
-
-
-def _load_object(text: str, kind: str) -> dict:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecificationError(f"malformed {kind} JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise SpecificationError(f"{kind} must be a JSON object")
-    return data
-
-
-def _require_keys(data, required: set, optional: set, kind: str) -> None:
-    if not isinstance(data, dict):
-        raise SpecificationError(f"{kind} must be a JSON object")
-    missing = required - set(data)
-    if missing:
-        raise SpecificationError(
-            f"{kind} is missing keys: {sorted(missing)}"
-        )
-    unknown = set(data) - required - optional
-    if unknown:
-        raise SpecificationError(
-            f"{kind} has unknown keys: {sorted(unknown)}"
-        )

@@ -35,7 +35,12 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any
 
-from repro.errors import ExecutionError, SpecificationError
+from repro.errors import (
+    ExecutionError,
+    SpecificationError,
+    load_json_object,
+    require_keys,
+)
 from repro.model.breakpoints import spec_for_execution
 from repro.model.execution import Execution
 from repro.model.steps import StepId, StepKind, StepRecord
@@ -70,27 +75,6 @@ def _scalar_ok(value: Any) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
 
 
-def _require_keys(data, required: set, optional: set, kind: str) -> None:
-    if not isinstance(data, dict):
-        raise SpecificationError(f"{kind} must be a JSON object")
-    missing = required - set(data)
-    if missing:
-        raise SpecificationError(f"{kind} is missing keys: {sorted(missing)}")
-    unknown = set(data) - required - optional
-    if unknown:
-        raise SpecificationError(f"{kind} has unknown keys: {sorted(unknown)}")
-
-
-def _load_object(text: str, kind: str) -> dict:
-    try:
-        data = json.loads(text)
-    except (TypeError, ValueError) as exc:
-        raise SpecificationError(f"{kind} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SpecificationError(f"{kind} must be a JSON object")
-    return data
-
-
 @dataclass(frozen=True)
 class HistoryStep:
     """One performed step, positioned by its global sequence number."""
@@ -116,7 +100,7 @@ class HistoryStep:
 
     @classmethod
     def from_dict(cls, data) -> "HistoryStep":
-        _require_keys(
+        require_keys(
             data,
             {"seq", "transaction", "index", "entity", "kind", "before",
              "after"},
@@ -340,7 +324,7 @@ class History:
 
     @classmethod
     def from_dict(cls, data) -> "History":
-        _require_keys(
+        require_keys(
             data,
             {"version", "commit_order", "steps"},
             {"meta", "initial", "depth", "paths", "cut_levels", "results",
@@ -409,7 +393,7 @@ class History:
 
     @classmethod
     def from_json(cls, text: str) -> "History":
-        return cls.from_dict(_load_object(text, "history"))
+        return cls.from_dict(load_json_object(text, "history"))
 
 
 # ----------------------------------------------------------------------
@@ -733,7 +717,7 @@ def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
                 raise SpecificationError(
                     f"line {number}: duplicate header"
                 )
-            _require_keys(
+            require_keys(
                 payload,
                 {"kind", "version", "meta", "initial", "depth"},
                 set(),
@@ -749,7 +733,7 @@ def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
                 raise SpecificationError(
                     f"line {number}: commit after footer"
                 )
-            _require_keys(
+            require_keys(
                 payload,
                 {"kind", "txn", "attempt", "tick", "position", "path",
                  "cut_levels", "result", "steps"},
@@ -758,7 +742,7 @@ def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
             )
             commits.append(payload)
         elif kind == "footer":
-            _require_keys(
+            require_keys(
                 payload,
                 {"kind", "commits", "steps", "sha256"},
                 set(),
@@ -799,7 +783,7 @@ def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
             raise SpecificationError(f"commit {name!r}: steps must be an array")
         entries = []
         for raw in steps:
-            _require_keys(
+            require_keys(
                 raw,
                 {"seq", "index", "entity", "kind", "before", "after"},
                 set(),
@@ -867,7 +851,7 @@ def load_history(path: str) -> History:
     lines = [
         line.strip() for line in text.splitlines() if line.strip()
     ]
-    first = _load_object(lines[0], "history line 1")
+    first = load_json_object(lines[0], "history line 1")
     if "kind" not in first:
         if len(lines) != 1:
             raise SpecificationError(
@@ -876,5 +860,7 @@ def load_history(path: str) -> History:
         return History.from_dict(first)
     parsed = [(1, first)]
     for number, line in enumerate(lines[1:], start=2):
-        parsed.append((number, _load_object(line, f"history line {number}")))
+        parsed.append(
+            (number, load_json_object(line, f"history line {number}"))
+        )
     return _history_from_jsonl(parsed)

@@ -13,9 +13,9 @@ offline :func:`repro.core.atomicity.is_correctable` would say about the
 committed prefix.
 
 Observability: a registry, when given, reads the checked / violation
-counts and the lag from the monitor whenever it is read
-(``repro_audit_checked_commits_total``, ``repro_audit_violations_total``,
-``repro_audit_lag``), and a tracer, when given, receives ``audit.check``
+counts from the monitor whenever it is read
+(``repro_audit_checked_commits_total``, ``repro_audit_violations_total``),
+and a tracer, when given, receives ``audit.check``
 / ``audit.violation`` taxonomy events with the witness cycle.  The
 monitor never touches the engine rng, so monitored runs are
 bit-identical to bare runs.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, insort
-from collections import deque
 from typing import Any
 
 from repro.audit.history import HistorySink
@@ -36,7 +35,8 @@ __all__ = ["OnlineMonitor"]
 
 
 class OnlineMonitor(HistorySink):
-    """Watch a commit stream and flag the first correctability violation.
+    """Watch a commit stream and flag the first correctability violation;
+    each commit is checked as it arrives.
 
     Parameters
     ----------
@@ -47,26 +47,20 @@ class OnlineMonitor(HistorySink):
     registry:
         Optional :class:`~repro.obs.MetricsRegistry`; when given, the
         monitor registers as the source of the checked/violation
-        counters and the lag gauge.
+        counters.
     tracer:
         Optional flight recorder for ``audit.*`` taxonomy events.
-    batch:
-        Commits to buffer before checking.  The default (1) checks every
-        commit synchronously; larger batches trade freshness for fewer
-        closure saturations, with the backlog surfaced as monitor lag.
     """
 
     enabled = True
 
-    def __init__(self, nest, registry=None, tracer=None, batch: int = 1):
+    def __init__(self, nest, registry=None, tracer=None):
         self.nest = nest
         self.tracer = tracer
-        self.batch = max(1, batch)
         self._closure = ClosureEngine(nest)
         #: per entity: committed accesses as a sorted list of
         #: ``(seq, StepId)`` — the dependency chain the closure seeds.
         self._chains: dict[str, list] = {}
-        self._queue: deque = deque()
         self.checked = 0
         self.violations = 0
         self.cycle: list | None = None
@@ -79,16 +73,15 @@ class OnlineMonitor(HistorySink):
     def _publish(self, registry) -> None:
         """Set the audit series from the counts above; the registry
         calls this before every read."""
-        for kind, name, help, value in (
-            ("counter", "repro_audit_checked_commits_total",
-             "Commits checked by the online monitor.", self.checked),
-            ("counter", "repro_audit_violations_total",
-             "Correctability violations the monitor flagged.",
-             self.violations),
-            ("gauge", "repro_audit_lag",
-             "Commits buffered but not yet checked.", self.lag),
-        ):
-            registry.put(kind, name, help, value)
+        registry.put(
+            "counter", "repro_audit_checked_commits_total",
+            "Commits checked by the online monitor.", self.checked,
+        )
+        registry.put(
+            "counter", "repro_audit_violations_total",
+            "Correctability violations the monitor flagged.",
+            self.violations,
+        )
 
     # ------------------------------------------------------------------
     # sink interface
@@ -99,40 +92,16 @@ class OnlineMonitor(HistorySink):
         if nest_add is not None:
             nest_add(name, path)
 
-    def on_commit(self, name, attempt, tick, entries, cut_levels, result):
-        self._queue.append((name, tick, list(entries), dict(cut_levels)))
-        if len(self._queue) >= self.batch:
-            self.drain()
-
-    def close(self) -> None:
-        self.drain()
-
-    # ------------------------------------------------------------------
-    # the incremental check
-    # ------------------------------------------------------------------
-
-    @property
-    def lag(self) -> int:
-        """Commits received but not yet folded into the closure."""
-        return len(self._queue)
-
-    @property
-    def correctable(self) -> bool:
-        return self.violations == 0
-
-    def drain(self) -> None:
-        """Fold every buffered commit into the closure."""
-        while self._queue:
-            name, tick, entries, cut_levels = self._queue.popleft()
-            self._check(name, tick, entries, cut_levels)
-
-    def _check(
+    def on_commit(
         self,
         name: str,
+        attempt: int,
         tick: int,
         entries: list[tuple[int, StepRecord]],
         cut_levels: dict[int, int],
+        result: Any,
     ) -> None:
+        """Fold one commit into the closure."""
         self.checked += 1
         if self.cycle is not None:
             # Terminal: the closure engine is pinned on its witness; we
@@ -200,11 +169,14 @@ class OnlineMonitor(HistorySink):
     # reporting
     # ------------------------------------------------------------------
 
+    @property
+    def correctable(self) -> bool:
+        return self.violations == 0
+
     def report(self) -> dict[str, Any]:
         return {
             "checked": self.checked,
             "violations": self.violations,
-            "lag": self.lag,
             "correctable": self.correctable,
             "cycle": [repr(step) for step in (self.cycle or [])],
             "closure_seconds": self.seconds,

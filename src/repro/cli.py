@@ -482,11 +482,9 @@ def _engine_frame(args, engine, registry, profiler) -> list[str]:
     checked = registry.value("repro_audit_checked_commits_total")
     if checked is not None:
         violations = registry.value("repro_audit_violations_total") or 0
-        lag = registry.value("repro_audit_lag") or 0
         verdict = "correctable" if not violations else "VIOLATED"
         lines.append(
-            f"audit: checked={checked} violations={violations} "
-            f"lag={lag}  {verdict}"
+            f"audit: checked={checked} violations={violations}  {verdict}"
         )
     lines.extend(_phase_lines(profiler))
     return lines

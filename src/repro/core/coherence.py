@@ -350,19 +350,11 @@ class ClosureEngine:
     # growth
     # ------------------------------------------------------------------
 
-    def register(self, step: S) -> None:
-        """Pre-intern ``step`` so dense ids follow a caller-chosen order
-        (ids otherwise follow :meth:`add_step` arrival order)."""
-        nid = self.index.add_node(step)
-        while len(self._node_segs) <= nid:
-            self._node_segs.append(())
-
     def add_step(
         self,
         txn,
         step: S,
         cut_level: int | None = None,
-        defer: bool = False,
     ) -> None:
         """Append ``step`` to ``txn``'s order.
 
@@ -371,9 +363,6 @@ class ClosureEngine:
         gap): the step starts a new segment at every tracked level
         ``>= cut_level`` and extends the open segment elsewhere.  The
         same-transaction chain edge is added automatically.
-
-        With ``defer=True`` the chain edge goes in silently (adjacency
-        only); the caller must finish loading with :meth:`bootstrap`.
         """
         nid = self.index.add_node(step)
         while len(self._node_segs) <= nid:
@@ -414,17 +403,14 @@ class ClosureEngine:
                     # The new last step reaches less than its
                     # predecessors: foreign steps already ordered after
                     # the segment may now be missing from reach[last].
-                    if not defer and not seg.dirty:
+                    if not seg.dirty:
                         seg.dirty = True
                         self._pending.append(si)
         self._node_segs[nid] = tuple(node_segs)
         prev = self._last_step.get(txn)
         self._last_step[txn] = step
         if prev is not None:
-            if defer:
-                self.index.add_edge_silent_ids(self.index.id_of(prev), nid)
-            else:
-                self.add_edge(prev, step)
+            self.add_edge(prev, step)
 
     def load_transaction(
         self,
@@ -438,8 +424,8 @@ class ClosureEngine:
         ``cuts[g]`` is the minimum breakpoint level declared for the gap
         after step ``g`` (``None`` for an uncut gap) — the same meaning
         ``cut_level`` has on :meth:`add_step` for the step following the
-        gap.  Equivalent to one deferred :meth:`add_step` per step, but
-        much cheaper: class masks get one union per level, segments are
+        gap.  Builds what one :meth:`add_step` per step would, without
+        propagating: class masks get one union per level, segments are
         built straight from the cut boundaries, and chain edges go
         directly into the adjacency.
         """
@@ -689,15 +675,6 @@ class ClosureEngine:
     # ------------------------------------------------------------------
     # queries / copying
     # ------------------------------------------------------------------
-
-    def ancestors(self, step: S) -> set:
-        """All steps that precede ``step`` in the current closure."""
-        mask = self.index.ancestors_mask(step)
-        nodes = self.index.nodes
-        return {nodes[i] for i in iter_bits(mask)}
-
-    def last_step_of(self, txn) -> S | None:
-        return self._last_step.get(txn)
 
     def result(self) -> ClosureResult:
         """The current state as a :class:`ClosureResult` (shares the live

@@ -40,7 +40,7 @@ from repro.distributed.network import Message, Network
 from repro.distributed.node import DataNode
 from repro.engine.closure_window import ClosureWindow
 from repro.engine.cycles import WaitGraph
-from repro.engine.locks import LockManager, LockMode
+from repro.engine.locks import LockManager
 from repro.engine.rollback import cascade_closure, undo_plan
 from repro.errors import NetworkError
 from repro.model.breakpoints import spec_for_execution
@@ -105,7 +105,7 @@ class DistributedLockControl(NoControl):
 
     def decide(self, request: dict):
         name = request["name"]
-        if self.locks.try_acquire(name, request["entity"], LockMode.EXCLUSIVE):
+        if self.locks.try_acquire(name, request["entity"]):
             return "grant"
         cycle = self.locks.deadlock_cycle()
         if cycle:
@@ -125,9 +125,9 @@ class DistributedPreventControl(NoControl):
 
     name = "mla-prevent"
 
-    def __init__(self, nest: KNest, conflicts: str = "all") -> None:
+    def __init__(self, nest: KNest) -> None:
         self.nest = nest
-        self.window = ClosureWindow(nest, conflicts=conflicts)
+        self.window = ClosureWindow(nest)
 
     def attach(self, sequencer: "Sequencer") -> None:
         super().attach(sequencer)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.model.programs import TransactionProgram
-from repro.model.steps import StepId, StepKind, StepRecord
+from repro.model.steps import StepKind, StepRecord
 from repro.model.system import _LiveTransaction
 from repro.model.variables import EntityStore
 
@@ -57,9 +57,6 @@ class MigratingTransaction:
     @property
     def cut_levels(self) -> dict[int, int]:
         return dict(self.live.cut_levels)
-
-    def next_step_id(self) -> StepId:
-        return StepId(self.name, self.live.steps_taken)
 
     def perform(self, store: EntityStore) -> StepRecord:
         return self.live.perform(store)

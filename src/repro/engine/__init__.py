@@ -9,7 +9,7 @@ transaction hierarchy; the classical baselines need nothing.
 """
 
 from repro.engine.closure_window import ClosureWindow
-from repro.engine.locks import LockManager, LockMode
+from repro.engine.locks import LockManager
 from repro.engine.metrics import Metrics
 from repro.engine.runtime import Engine, EngineResult, TxnState
 from repro.engine.schedulers import (
@@ -30,7 +30,6 @@ __all__ = [
     "TxnState",
     "Metrics",
     "LockManager",
-    "LockMode",
     "ClosureWindow",
     "Action",
     "Decision",

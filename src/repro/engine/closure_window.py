@@ -51,7 +51,6 @@ from repro.core.coherence import ClosureEngine, ClosureResult, coherent_closure
 from repro.core.interleaving import InterleavingSpec
 from repro.core.nests import KNest
 from repro.core.segmentation import BreakpointDescription
-from repro.errors import EngineError
 from repro.model.execution import EntityFold
 from repro.model.steps import StepId, StepKind
 from repro.obs.profile import NULL_PROFILER
@@ -74,19 +73,13 @@ class _LiveState:
 
 
 class ClosureWindow:
-    """Coherent closure over the live performed prefix."""
+    """Coherent closure over the live performed prefix, under the
+    paper's dependency order: every pair of same-entity accesses is
+    ordered, reads included."""
 
-    def __init__(
-        self,
-        nest: KNest,
-        prune_interval: int = 16,
-        conflicts: str = "all",
-    ) -> None:
-        if conflicts not in ("all", "rw"):
-            raise EngineError(f"unknown conflict model {conflicts!r}")
+    def __init__(self, nest: KNest, prune_interval: int = 16) -> None:
         self.nest = nest
         self.k = nest.k
-        self.conflicts = conflicts
         self.prune_interval = prune_interval
         self._steps: dict[str, list[StepId]] = {}
         self._cuts: dict[str, dict[int, int]] = {}
@@ -134,7 +127,7 @@ class ClosureWindow:
         return steps[-1] if steps else None
 
     def _entity_edges(self, order) -> list[tuple[StepId, StepId]]:
-        fold = EntityFold(self.conflicts)
+        fold = EntityFold("all")
         edges: list[tuple[StepId, StepId]] = []
         for step in order:
             entity, kind = self._access_of[step]
@@ -197,7 +190,7 @@ class ClosureWindow:
                         for p in range(1, len(steps))
                     ],
                 )
-        fold = EntityFold(self.conflicts)
+        fold = EntityFold("all")
         for step in self._order:
             entity, kind = self._access_of[step]
             for u, v in fold.feed(step, entity, kind):

@@ -1,10 +1,11 @@
-"""An entity-level lock manager with shared/exclusive modes.
+"""An entity-level exclusive lock manager.
 
-Used by the strict two-phase-locking baseline ([EGLT]) and, in *schedule*
-mode, by the Section 6 prevention scheduler ("beta first gets 'scheduled',
-thereby locking its entity and delaying t'").  Deadlock handling is the
-caller's job: the manager exposes the waits-for edges; the engine detects
-cycles and picks victims.
+Used by the strict two-phase-locking baseline ([EGLT]) and the
+sequencer's distributed locking: under the paper's dependency order
+every pair of same-entity accesses conflicts, reads included, so every
+lock is exclusive.  Deadlock handling is the caller's job: the manager
+exposes the waits-for edges; the engine detects cycles and picks
+victims.
 """
 
 from __future__ import annotations
@@ -12,25 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.cycles import WaitGraph
-from repro.errors import EngineError
 
-__all__ = ["LockManager", "LockMode"]
-
-
-class LockMode:
-    SHARED = "S"
-    EXCLUSIVE = "X"
+__all__ = ["LockManager"]
 
 
 @dataclass(slots=True)
 class _Lock:
     rank: int  # creation order: waits-for edges are listed in it
-    holders: dict[str, str] = field(default_factory=dict)  # owner -> mode
-    waiters: list[tuple[str, str]] = field(default_factory=list)  # (owner, mode)
+    holder: str | None = None
+    waiters: list[str] = field(default_factory=list)  # FIFO owners
 
 
 class LockManager:
-    """Per-entity S/X locks with FIFO wait queues."""
+    """Per-entity exclusive locks with FIFO wait queues."""
 
     def __init__(self) -> None:
         self._locks: dict[str, _Lock] = {}
@@ -50,61 +45,35 @@ class LockManager:
 
     # ------------------------------------------------------------------
 
-    def _lock(self, entity: str) -> _Lock:
+    def holder(self, entity: str) -> str | None:
+        lock = self._locks.get(entity)
+        return lock.holder if lock is not None else None
+
+    def try_acquire(self, owner: str, entity: str) -> bool:
+        """Acquire the lock if it is free and nobody queued earlier;
+        otherwise enqueue the request (once) and return False.
+
+        FIFO fairness: a free lock still goes to the head of its queue,
+        so a newcomer waits behind everyone already waiting.
+        """
         lock = self._locks.get(entity)
         if lock is None:
             lock = self._locks[entity] = _Lock(len(self._locks))
-        return lock
-
-    def holders(self, entity: str) -> dict[str, str]:
-        return dict(self._lock(entity).holders)
-
-    def _compatible(self, lock: _Lock, owner: str, mode: str) -> bool:
-        for holder, held_mode in lock.holders.items():
-            if holder == owner:
-                continue
-            if mode == LockMode.EXCLUSIVE or held_mode == LockMode.EXCLUSIVE:
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-
-    def try_acquire(self, owner: str, entity: str, mode: str) -> bool:
-        """Acquire (or upgrade) if compatible; otherwise enqueue the
-        request and return False.
-
-        FIFO fairness: a compatible request still waits behind earlier
-        incompatible waiters, except lock *upgrades* (S -> X by a current
-        holder), which jump the queue to avoid trivial self-deadlock.
-        """
-        lock = self._lock(entity)
-        held = lock.holders.get(owner)
-        if held == LockMode.EXCLUSIVE or (held == mode):
+        if lock.holder == owner:
             return True
-        upgrading = held is not None
-        ahead: list[tuple[str, str]] = []
-        for waiter in lock.waiters:
-            if waiter[0] == owner:
-                break
-            ahead.append(waiter)
-        if self._compatible(lock, owner, mode) and (upgrading or not ahead):
-            lock.holders[owner] = mode
-            if lock.waiters:
-                lock.waiters = [w for w in lock.waiters if w[0] != owner]
-                if not lock.waiters:
+        waiters = lock.waiters
+        if lock.holder is None and (not waiters or waiters[0] == owner):
+            lock.holder = owner
+            if waiters:
+                del waiters[0]
+                if not waiters:
                     self._waited.discard(entity)
             self._owned.setdefault(owner, {})[entity] = None
             return True
-        if not any(w[0] == owner for w in lock.waiters):
-            lock.waiters.append((owner, mode))
+        if owner not in waiters:
+            waiters.append(owner)
             self._waited.add(entity)
             self._owned.setdefault(owner, {})[entity] = None
-        else:
-            # Keep the strongest requested mode.
-            lock.waiters = [
-                (o, LockMode.EXCLUSIVE if o == owner and (m == LockMode.EXCLUSIVE or mode == LockMode.EXCLUSIVE) else m)
-                for o, m in lock.waiters
-            ]
         return False
 
     def release_all(self, owner: str) -> list[str]:
@@ -116,12 +85,11 @@ class LockManager:
             lock = self._locks.get(entity)
             if lock is None:
                 continue
-            if owner in lock.holders:
-                del lock.holders[owner]
+            if lock.holder == owner:
+                lock.holder = None
                 touched.append(entity)
-            before = len(lock.waiters)
-            lock.waiters = [w for w in lock.waiters if w[0] != owner]
-            if len(lock.waiters) != before:
+            if owner in lock.waiters:
+                lock.waiters.remove(owner)
                 touched.append(entity)
                 if not lock.waiters:
                     self._waited.discard(entity)
@@ -139,12 +107,8 @@ class LockManager:
         edges = []
         for entity in sorted(self._waited, key=lambda e: locks[e].rank):
             lock = locks[entity]
-            for waiter, mode in lock.waiters:
-                for holder, held_mode in lock.holders.items():
-                    if holder == waiter:
-                        continue
-                    if mode == LockMode.EXCLUSIVE or held_mode == LockMode.EXCLUSIVE:
-                        edges.append((waiter, holder))
+            if lock.holder is not None:
+                edges.extend((waiter, lock.holder) for waiter in lock.waiters)
         return edges
 
     def deadlock_cycle(self) -> list[str] | None:
@@ -169,7 +133,7 @@ class LockManager:
         identity and hence victim choice)."""
         return {
             "locks": [
-                (entity, list(lock.holders.items()), list(lock.waiters))
+                (entity, lock.holder, list(lock.waiters))
                 for entity, lock in self._locks.items()
             ],
             "owned": [
@@ -180,8 +144,8 @@ class LockManager:
 
     def restore_state(self, state: dict) -> None:
         self._locks = {
-            entity: _Lock(rank, dict(holders), [tuple(w) for w in waiters])
-            for rank, (entity, holders, waiters) in enumerate(state["locks"])
+            entity: _Lock(rank, holder, list(waiters))
+            for rank, (entity, holder, waiters) in enumerate(state["locks"])
         }
         self._waited = {
             entity for entity, lock in self._locks.items() if lock.waiters
@@ -193,11 +157,3 @@ class LockManager:
         # Dropped, not saved: recomputing "no cycle" from the restored
         # edge set gives the identical answer.
         self._acyclic_sig = None
-
-    def assert_consistent(self) -> None:
-        for entity, lock in self._locks.items():
-            modes = set(lock.holders.values())
-            if LockMode.EXCLUSIVE in modes and len(lock.holders) > 1:
-                raise EngineError(
-                    f"lock on {entity!r} held exclusively and shared at once"
-                )

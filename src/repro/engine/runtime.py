@@ -627,9 +627,6 @@ class Engine:
             key=attrgetter("seq"),
         )
 
-    def is_committed(self, key: tuple[str, int]) -> bool:
-        return key in self._committed_keys
-
     def active_states(self) -> list[TxnState]:
         return list(self._active.values())
 

@@ -32,18 +32,10 @@ __all__ = ["MLADetectScheduler"]
 class MLADetectScheduler(Scheduler):
     name = "mla-detect"
 
-    def __init__(
-        self,
-        nest: KNest,
-        prune_interval: int = 16,
-        conflicts: str = "all",
-    ) -> None:
+    def __init__(self, nest: KNest) -> None:
         super().__init__()
         self.nest = nest
-        self.conflicts = conflicts
-        self.window = ClosureWindow(
-            nest, prune_interval=prune_interval, conflicts=conflicts
-        )
+        self.window = ClosureWindow(nest)
         # Victims of a cycle rollback are parked until some other cycle
         # participant advances — retrying into an unchanged conflict
         # pattern would just re-form the same cycle.

@@ -9,15 +9,16 @@
     each b, then the coherent closure of <=_e is consistent with the
     total ordering of steps in e, so it must be a partial order."
 
-Implementation: a request for step ``b`` of ``t'`` first takes the
-entity's lock (the paper's "scheduled" state), then asks the closure
+Implementation: a request for step ``b`` of ``t'`` asks the closure
 window for ``b``'s would-be closure predecessors; if some active
 transaction's *last* performed step is among them and that transaction is
 not currently at a breakpoint of level ``level(t, t')`` (nor finished),
 ``b`` waits.  The engine's stall handler plus the waits-for-breakpoint
 graph resolve circular waits by rolling back the youngest participant —
 the paper's assumed "priority - rollback mechanism for preventing
-blocking".
+blocking".  The paper's "scheduled" lock has no counterpart: the engine
+performs a step atomically within its tick, so nothing can slip between
+scheduling ``b`` and performing it.
 
 Because performed steps then never precede earlier steps in the closure,
 the committed execution is always correctable — experiment E7/E4's
@@ -29,10 +30,9 @@ from __future__ import annotations
 from repro.core.nests import KNest
 from repro.engine.closure_window import ClosureWindow
 from repro.engine.cycles import WaitGraph
-from repro.engine.locks import LockManager, LockMode
 from repro.engine.schedulers._certify import certify_commit
 from repro.engine.schedulers.base import Decision, Scheduler
-from repro.model.steps import StepId, StepKind
+from repro.model.steps import StepId
 
 __all__ = ["MLAPreventScheduler"]
 
@@ -40,26 +40,10 @@ __all__ = ["MLAPreventScheduler"]
 class MLAPreventScheduler(Scheduler):
     name = "mla-prevent"
 
-    def __init__(
-        self,
-        nest: KNest,
-        prune_interval: int = 16,
-        use_locks: bool = False,
-        conflicts: str = "all",
-    ) -> None:
-        # ``use_locks`` reproduces the paper's literal "scheduled, thereby
-        # locking its entity" device.  In this engine steps are performed
-        # atomically within a tick, so the scheduled-lock protects nothing
-        # and only manufactures extra deadlocks; it is off by default and
-        # kept as an option for fidelity experiments.
+    def __init__(self, nest: KNest) -> None:
         super().__init__()
         self.nest = nest
-        self.conflicts = conflicts
-        self.window = ClosureWindow(
-            nest, prune_interval=prune_interval, conflicts=conflicts
-        )
-        self.use_locks = use_locks
-        self.locks = LockManager() if use_locks else None
+        self.window = ClosureWindow(nest)
         # waiter -> blocking transaction names (for circular-wait checks)
         self._waiting_on: dict[str, set[str]] = {}
 
@@ -118,35 +102,6 @@ class MLAPreventScheduler(Scheduler):
 
     def on_request(self, txn, access) -> Decision:
         assert self.engine is not None
-        if self.locks is not None:
-            mode = (
-                LockMode.SHARED
-                if access.kind is StepKind.READ
-                else LockMode.EXCLUSIVE
-            )
-            if not self.locks.try_acquire(txn.name, access.entity, mode):
-                cycle = self.locks.deadlock_cycle()
-                emit = self.emit
-                if cycle:
-                    states = [self.engine.txns[n] for n in cycle]
-                    victim = max(states, key=lambda t: (t.priority, t.name))
-                    self.engine.metrics.deadlocks += 1
-                    if emit:
-                        emit(
-                            "deadlock",
-                            cycle=list(cycle),
-                            victim=victim.name,
-                            cause="lock",
-                        )
-                    return Decision.abort([victim.name], "lock deadlock")
-                if emit:
-                    emit(
-                        "lock.wait",
-                        txn=txn.name,
-                        entity=access.entity,
-                        mode=mode,
-                    )
-                return Decision.wait(f"scheduled: lock on {access.entity!r}")
         blockers = self._breakpoint_blockers(txn, access)
         emit = self.emit
         if blockers:
@@ -181,18 +136,10 @@ class MLAPreventScheduler(Scheduler):
         graph = WaitGraph()
         for waiter, blockers in self._waiting_on.items():
             graph.add_waits(waiter, blockers)
-        if self.locks is not None:
-            for u, v in self.locks.waits_for_edges():
-                graph.add_edge(u, v)
         return graph.find_cycle()
 
     def after_performed(self, txn, record) -> Decision | None:
         assert self.engine is not None
-        if self.locks is not None:
-            # The paper's lock covers only the scheduled-but-not-performed
-            # window of a single step; holding it to commit would collapse
-            # prevention into two-phase locking.
-            self.locks.release_all(txn.name)
         result = self.window.observe(
             txn.name, record.step, record.entity, record.kind,
             txn.live.cut_levels,
@@ -228,8 +175,6 @@ class MLAPreventScheduler(Scheduler):
         return certify_commit(self, txn)
 
     def on_commit(self, txn) -> None:
-        if self.locks is not None:
-            self.locks.release_all(txn.name)
         self._waiting_on.pop(txn.name, None)
         self.window.mark_committed(txn.name)
 
@@ -240,8 +185,6 @@ class MLAPreventScheduler(Scheduler):
             self.window.truncate(txn.name, keep_steps)
 
     def on_abort(self, txn) -> None:
-        if self.locks is not None:
-            self.locks.release_all(txn.name)
         self._waiting_on.pop(txn.name, None)
         self.window.drop(txn.name)
 
@@ -254,9 +197,6 @@ class MLAPreventScheduler(Scheduler):
                 (waiter, sorted(blockers))
                 for waiter, blockers in self._waiting_on.items()
             ],
-            "locks": (
-                self.locks.snapshot_state() if self.locks is not None else None
-            ),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -265,5 +205,3 @@ class MLAPreventScheduler(Scheduler):
             waiter: set(blockers)
             for waiter, blockers in state["waiting_on"]
         }
-        if self.locks is not None and state["locks"] is not None:
-            self.locks.restore_state(state["locks"])

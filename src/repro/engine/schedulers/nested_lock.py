@@ -51,26 +51,14 @@ class _EntityLock:
 class NestedLockScheduler(Scheduler):
     name = "mla-nested-lock"
 
-    def __init__(
-        self,
-        nest: KNest,
-        certify: bool = True,
-        conflicts: str = "all",
-        prune_interval: int = 16,
-    ) -> None:
+    def __init__(self, nest: KNest, certify: bool = True) -> None:
         super().__init__()
         self.nest = nest
         self.certify = certify
         self._locks: dict[str, _EntityLock] = {}
         self._waiting_on: dict[str, set[str]] = {}
         self.certification_failures = 0
-        self.window = (
-            ClosureWindow(
-                nest, prune_interval=prune_interval, conflicts=conflicts
-            )
-            if certify
-            else None
-        )
+        self.window = ClosureWindow(nest) if certify else None
 
     def counters(self, metrics):
         return (

@@ -25,19 +25,14 @@ class _Marks:
 
 
 class TimestampScheduler(Scheduler):
-    """``conflicts`` selects which accesses the timestamp checks order:
-
-    * ``"all"`` (default, paper-faithful) — every access is treated as a
-      read-modify-write, so even two reads of one entity are forced into
-      timestamp order, matching the paper's dependency relation;
-    * ``"rw"`` — classical timestamp ordering where reads commute.
-    """
+    """Every access is treated as a read-modify-write, so even two reads
+    of one entity are forced into timestamp order, matching the paper's
+    dependency relation."""
 
     name = "timestamp"
 
-    def __init__(self, conflicts: str = "all") -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.conflicts = conflicts
         self._marks: dict[str, _Marks] = {}
         self._ts: dict[str, int] = {}
 
@@ -71,14 +66,6 @@ class TimestampScheduler(Scheduler):
     def on_request(self, txn, access) -> Decision:
         ts = self._timestamp(txn)
         marks = self._marks.setdefault(access.entity, _Marks())
-        if access.kind is StepKind.READ and self.conflicts == "rw":
-            if ts < marks.write_ts:
-                self._conflict(txn, access, ts, marks)
-                return Decision.abort(
-                    [txn.name], f"read of {access.entity!r} too late"
-                )
-            marks.read_ts = max(marks.read_ts, ts)
-            return Decision.perform()
         if ts < marks.read_ts or ts < marks.write_ts:
             self._conflict(txn, access, ts, marks)
             return Decision.abort(
@@ -86,8 +73,8 @@ class TimestampScheduler(Scheduler):
             )
         marks.write_ts = ts
         if access.kind is not StepKind.WRITE:
-            # UPDATE always reads; under the "all" model a READ is treated
-            # as a read-modify-write and marks both timestamps.
+            # UPDATE always reads, and a READ is treated as a
+            # read-modify-write: both mark both timestamps.
             marks.read_ts = max(marks.read_ts, ts)
         return Decision.perform()
 

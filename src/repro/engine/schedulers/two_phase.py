@@ -1,8 +1,9 @@
 """Strict two-phase locking ([EGLT]) — the classical serializability
 baseline.
 
-Shared locks for reads, exclusive locks for writes/updates, all held to
-commit (strictness also gives recoverability: no dirty reads, so the
+Every access takes its entity's exclusive lock — the paper's dependency
+order makes reads conflict too — and every lock is held to commit
+(strictness also gives recoverability: no dirty reads, so the
 engine's cascade machinery stays idle under this scheduler).  Deadlocks
 are detected on the waits-for graph; the youngest transaction in the
 cycle is rolled back.
@@ -10,29 +11,18 @@ cycle is rolled back.
 
 from __future__ import annotations
 
-from repro.engine.locks import LockManager, LockMode
+from repro.engine.locks import LockManager
 from repro.engine.schedulers.base import Decision, Scheduler
-from repro.model.steps import StepKind
 
 __all__ = ["TwoPhaseLockingScheduler"]
 
 
 class TwoPhaseLockingScheduler(Scheduler):
-    """``shared_reads`` selects the conflict model the locks realise:
-
-    * ``False`` (default) — every access takes an exclusive lock,
-      matching the paper's dependency order in which *all* same-entity
-      accesses conflict (reads included);
-    * ``True`` — reads take shared locks, sound only under the classical
-      read-write conflict model (check results with ``conflicts="rw"``).
-    """
-
     name = "2pl"
 
-    def __init__(self, shared_reads: bool = False) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.locks = LockManager()
-        self.shared_reads = shared_reads
 
     def counters(self, metrics):
         detail = metrics.detail
@@ -47,20 +37,15 @@ class TwoPhaseLockingScheduler(Scheduler):
         )
 
     def on_request(self, txn, access) -> Decision:
-        mode = (
-            LockMode.SHARED
-            if self.shared_reads and access.kind is StepKind.READ
-            else LockMode.EXCLUSIVE
-        )
         emit = self.emit
-        if self.locks.try_acquire(txn.name, access.entity, mode):
+        if self.locks.try_acquire(txn.name, access.entity):
             self.engine.metrics.detail["lock_acquires"] += 1
             if emit:
                 emit(
                     "lock.acquire",
                     txn=txn.name,
                     entity=access.entity,
-                    mode=mode,
+                    mode="X",
                 )
             return Decision.perform()
         cycle = self.locks.deadlock_cycle()
@@ -80,12 +65,13 @@ class TwoPhaseLockingScheduler(Scheduler):
             return Decision.abort([victim.name], "2pl deadlock")
         self.engine.metrics.detail["lock_waits"] += 1
         if emit:
+            holder = self.locks.holder(access.entity)
             emit(
                 "lock.wait",
                 txn=txn.name,
                 entity=access.entity,
-                mode=mode,
-                holders=sorted(self.locks.holders(access.entity)),
+                mode="X",
+                holders=[] if holder is None else [holder],
             )
         return Decision.wait(f"lock conflict on {access.entity!r}")
 

@@ -140,9 +140,8 @@ class Execution:
     ) -> list[tuple[StepId, StepId]]:
         """Immediate generating edges of ``<=_e``: each step's
         same-transaction predecessor, then its same-entity predecessors
-        under the ``conflicts`` model (see :class:`EntityFold`; ``"rw"``
-        is the model under which shared read locks are sound, provided
-        as an explicit deviation for the baseline ablations).
+        under the ``conflicts`` model (see :class:`EntityFold`; ``"rw"``,
+        where two reads commute, serves audits of outside histories).
         """
         if conflicts not in ("all", "rw"):
             raise ExecutionError(f"unknown conflict model {conflicts!r}")

@@ -121,6 +121,5 @@ def closure_frontier(window: Any) -> dict[str, Any]:
         "size": getattr(window, "size", len(steps)),
         "edges": getattr(window, "edges_last", 0),
         "shortcuts": len(getattr(window, "_shortcut_edges", ())),
-        "mode": getattr(window, "mode", "?"),
         "transactions": transactions,
     }

@@ -37,7 +37,7 @@ from repro.audit.history import HISTORY_FORMAT_VERSION, NULL_HISTORY
 from repro.core.nests import PathNest
 from repro.durability.wal import NULL_WAL
 from repro.engine.runtime import Engine, EngineResult
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecificationError, load_json_object
 from repro.obs import (
     AbortCauses,
     MetricsRegistry,
@@ -454,6 +454,22 @@ _HTTP_VERBS = (b"GET ", b"HEAD", b"POST")
 _MAX_LINE = 4 * 1024 * 1024
 
 
+async def _next_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line (``b""`` at EOF), or ``None`` for one longer than
+    ``_MAX_LINE`` — which ``readline`` reports as a ``ValueError``."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        return None
+
+
+def _int_field(request: dict, key: str, default: int) -> int:
+    try:
+        return int(request.get(key, default))
+    except (TypeError, ValueError):
+        raise SpecificationError(f"{key} must be an integer") from None
+
+
 class _Server:
     """Socket front end: newline-JSON with just-enough-HTTP sniffing."""
 
@@ -493,10 +509,10 @@ class _Server:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
         try:
-            first = await reader.readline()
-            if not first:
+            first = await _next_line(reader)
+            if first == b"":
                 return
-            if first[:4] in _HTTP_VERBS:
+            if first is not None and first[:4] in _HTTP_VERBS:
                 await self._handle_http(first, reader, writer)
                 return
             await self._handle_jsonl(first, reader, writer)
@@ -521,16 +537,21 @@ class _Server:
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
-            line = await reader.readline()
+            line = await _next_line(reader)
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        if line is None:
+            # No framing survives an over-long line: refuse it, then
+            # close the connection.
+            await self._write(writer, lock, {
+                "ok": False,
+                "error": f"bad request: line longer than {_MAX_LINE} bytes",
+            })
 
     async def _answer(self, raw: bytes, writer, lock) -> None:
         try:
-            request = json.loads(raw)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
+            request = load_json_object(raw, "request")
+        except SpecificationError as exc:
             response: dict = {"ok": False, "error": f"bad request: {exc}"}
             await self._write(writer, lock, response)
             return
@@ -580,8 +601,8 @@ class _Server:
                 return {
                     "ok": True,
                     "rows": service.admission_report(
-                        samples=int(request.get("samples", 20)),
-                        seed=int(request.get("seed", 0)),
+                        samples=_int_field(request, "samples", 20),
+                        seed=_int_field(request, "seed", 0),
                     ),
                 }
             if op == "drain":

@@ -80,6 +80,12 @@ class TestCli:
         assert main(["audit", str(path)]) == 2
         assert "audit:" in capsys.readouterr().err
 
+    def test_deeply_nested_history_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "\n")
+        assert main(["audit", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_tampered_capture_exits_two(self, tmp_path, capsys):
         path = self.capture(tmp_path, capsys)
         lines = open(path, encoding="utf-8").read().splitlines()

@@ -237,6 +237,14 @@ class TestRejection:
         with pytest.raises(SpecificationError, match="not valid JSON"):
             load_history(str(path))
 
+    def test_deeply_nested_rejected(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "\n")
+        with pytest.raises(SpecificationError, match="nested too deeply"):
+            load_history(str(path))
+        with pytest.raises(SpecificationError, match="nested too deeply"):
+            History.from_json("{\"a\": " * 200_000)
+
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe{\x00}\x00\n\x00")

@@ -1,5 +1,5 @@
 """The online correctability monitor: verdict agreement with the
-offline checker, violation witnesses, batching/lag, observability
+offline checker, violation witnesses, per-commit checking, observability
 surfaces, and the zero-interference guarantee."""
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ProgramSpec
-from repro.audit import OnlineMonitor, TeeHistory, HistoryRecorder
+from repro.audit import HistoryRecorder, HistorySink, OnlineMonitor, TeeHistory
 from repro.core import check_correctability
 from repro.obs import MetricsRegistry, RingTracer
 from tests.audit.conftest import SCHEDULERS, run_specs
@@ -56,7 +56,6 @@ class TestAgreement:
         assert offline.correctable  # every real scheduler is guarded
         assert monitor.correctable == offline.correctable
         assert monitor.checked == len(result.commit_order)
-        assert monitor.lag == 0
         report = monitor.report()
         assert report["violations"] == 0
         assert report["cycle"] == []
@@ -100,36 +99,34 @@ class TestInterference:
         assert monitored.metrics.ticks == bare.metrics.ticks
 
 
-class TestBatching:
-    def test_lag_accumulates_until_drain(self, mixed_specs, mixed_initial):
+class TestPerCommit:
+    def test_each_commit_is_checked_as_it_arrives(self, mixed_specs,
+                                                  mixed_initial):
         from repro.core.nests import KNest
 
         nest = KNest.from_paths({s.name: s.path for s in mixed_specs})
         registry = MetricsRegistry()
-        monitor = OnlineMonitor(nest, registry=registry, batch=10_000)
+        monitor = OnlineMonitor(nest, registry=registry)
+        seen = []
+
+        class Probe(HistorySink):
+            """Behind the monitor on the same stream: reads its counts
+            as each commit leaves it."""
+
+            enabled = True
+
+            def on_commit(self, *args):
+                seen.append((
+                    monitor.checked,
+                    registry.value("repro_audit_checked_commits_total"),
+                ))
+
         result, _ = run_specs(
-            mixed_specs, mixed_initial, history=monitor
+            mixed_specs, mixed_initial, history=TeeHistory(monitor, Probe())
         )
         commits = len(result.commit_order)
-        assert monitor.lag == commits
-        assert monitor.checked == 0
-        assert registry.value("repro_audit_lag") == commits
-        monitor.close()  # close() drains the backlog
-        assert monitor.lag == 0
-        assert monitor.checked == commits
+        assert seen == [(n, n) for n in range(1, commits + 1)]
         assert monitor.correctable
-        assert registry.value("repro_audit_lag") == 0
-
-    def test_small_batch_drains_incrementally(self, mixed_specs,
-                                              mixed_initial):
-        from repro.core.nests import KNest
-
-        nest = KNest.from_paths({s.name: s.path for s in mixed_specs})
-        monitor = OnlineMonitor(nest, batch=2)
-        result, _ = run_specs(mixed_specs, mixed_initial, history=monitor)
-        monitor.close()
-        assert monitor.checked == len(result.commit_order)
-        assert monitor.lag == 0
 
 
 class TestObservability:
@@ -145,7 +142,7 @@ class TestObservability:
         commits = len(result.commit_order)
         assert registry.value("repro_audit_checked_commits_total") == commits
         assert registry.value("repro_audit_violations_total") == 0
-        assert registry.value("repro_audit_lag") == 0
+        assert registry.value("repro_audit_lag") is None
 
     def test_registry_counts_violation(self):
         seed, nest = find_unguarded_violation()

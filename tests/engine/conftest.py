@@ -62,18 +62,16 @@ def bank_nest():
 
 
 def scheduler_zoo(nest):
-    """Every scheduler under its paper-faithful configuration, with the
-    conflict model the results should be checked under."""
+    """Every scheduler, labelled (plus mla-detect on the batch-recompute
+    oracle window)."""
     return [
-        ("serial", SerialScheduler(), "all"),
-        ("2pl", TwoPhaseLockingScheduler(), "all"),
-        ("2pl-shared", TwoPhaseLockingScheduler(shared_reads=True), "rw"),
-        ("timestamp", TimestampScheduler(), "all"),
-        ("mla-detect", MLADetectScheduler(nest), "all"),
-        ("mla-detect-full", with_full_window(MLADetectScheduler(nest)), "all"),
-        ("mla-prevent", MLAPreventScheduler(nest), "all"),
-        ("mla-prevent-locked", MLAPreventScheduler(nest, use_locks=True), "all"),
-        ("mla-nested-lock", NestedLockScheduler(nest), "all"),
+        ("serial", SerialScheduler()),
+        ("2pl", TwoPhaseLockingScheduler()),
+        ("timestamp", TimestampScheduler()),
+        ("mla-detect", MLADetectScheduler(nest)),
+        ("mla-detect-full", with_full_window(MLADetectScheduler(nest))),
+        ("mla-prevent", MLAPreventScheduler(nest)),
+        ("mla-nested-lock", NestedLockScheduler(nest)),
     ]
 
 

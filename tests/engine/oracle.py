@@ -100,8 +100,6 @@ def with_full_window(scheduler):
     configuration."""
     window = scheduler.window
     scheduler.window = FullClosureWindow(
-        window.nest,
-        prune_interval=window.prune_interval,
-        conflicts=window.conflicts,
+        window.nest, prune_interval=window.prune_interval
     )
     return scheduler

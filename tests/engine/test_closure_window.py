@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import KNest
 from repro.engine import ClosureWindow
-from repro.errors import EngineError
 from repro.model import StepId, StepKind
 
 
@@ -113,21 +112,8 @@ class TestLifecycle:
         result = window.observe("u", sid("u", 0), "A", StepKind.UPDATE, {})
         assert result.is_partial_order
 
-    def test_conflict_model_validated(self, nest):
-        with pytest.raises(EngineError):
-            ClosureWindow(nest, conflicts="bogus")
-
-    def test_rw_conflicts_ignore_read_read(self, nest):
-        window = ClosureWindow(nest, conflicts="rw")
-        window.observe("t", sid("t", 0), "A", StepKind.READ, {})
-        acyclic, predecessors, _ = window.hypothetical(
-            "u", sid("u", 0), "A", StepKind.READ
-        )
-        assert acyclic
-        assert sid("t", 0) not in predecessors
-
     def test_all_conflicts_order_read_read(self, nest):
-        window = ClosureWindow(nest, conflicts="all")
+        window = ClosureWindow(nest)
         window.observe("t", sid("t", 0), "A", StepKind.READ, {})
         _, predecessors, _ = window.hypothetical(
             "u", sid("u", 0), "A", StepKind.READ

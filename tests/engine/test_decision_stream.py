@@ -50,15 +50,21 @@ CONFIG = BankingConfig(
     creditor_audits=1, seed=11,
 )
 SEED = 11
+
+
+def short_prunes(scheduler):
+    """``scheduler`` with its closure window pruning every 4 commits."""
+    scheduler.window.prune_interval = 4
+    return scheduler
+
+
 SCHEDULERS = {
     "serial": lambda nest: SerialScheduler(),
     "2pl": lambda nest: TwoPhaseLockingScheduler(),
     "timestamp": lambda nest: TimestampScheduler(),
-    "mla-detect": lambda nest: MLADetectScheduler(nest, prune_interval=4),
-    "mla-prevent": lambda nest: MLAPreventScheduler(nest, prune_interval=4),
-    "mla-nested-lock": lambda nest: NestedLockScheduler(
-        nest, prune_interval=4
-    ),
+    "mla-detect": lambda nest: short_prunes(MLADetectScheduler(nest)),
+    "mla-prevent": lambda nest: short_prunes(MLAPreventScheduler(nest)),
+    "mla-nested-lock": lambda nest: short_prunes(NestedLockScheduler(nest)),
 }
 RECOVERY = ("transaction", "segment")
 #: Keys an event may have gained over its golden.

@@ -9,94 +9,78 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import LockManager, LockMode
+from repro.engine import LockManager
 
 
 class TestAcquire:
     def test_exclusive_then_conflict(self):
         locks = LockManager()
-        assert locks.try_acquire("a", "X", LockMode.EXCLUSIVE)
-        assert not locks.try_acquire("b", "X", LockMode.EXCLUSIVE)
-        assert not locks.try_acquire("b", "X", LockMode.SHARED)
+        assert locks.try_acquire("a", "X")
+        assert not locks.try_acquire("b", "X")
+        assert locks.holder("X") == "a"
 
-    def test_shared_locks_coexist(self):
+    def test_holder_reacquires(self):
         locks = LockManager()
-        assert locks.try_acquire("a", "X", LockMode.SHARED)
-        assert locks.try_acquire("b", "X", LockMode.SHARED)
-        assert not locks.try_acquire("c", "X", LockMode.EXCLUSIVE)
+        assert locks.try_acquire("a", "X")
+        assert locks.try_acquire("a", "X")
+        assert locks.waits_for_edges() == []
 
-    def test_reacquire_same_mode(self):
+    def test_waiter_is_queued_once(self):
         locks = LockManager()
-        assert locks.try_acquire("a", "X", LockMode.SHARED)
-        assert locks.try_acquire("a", "X", LockMode.SHARED)
-
-    def test_exclusive_holder_may_read(self):
-        locks = LockManager()
-        assert locks.try_acquire("a", "X", LockMode.EXCLUSIVE)
-        assert locks.try_acquire("a", "X", LockMode.SHARED)
-
-    def test_upgrade_when_sole_holder(self):
-        locks = LockManager()
-        assert locks.try_acquire("a", "X", LockMode.SHARED)
-        assert locks.try_acquire("a", "X", LockMode.EXCLUSIVE)
-
-    def test_upgrade_blocked_by_other_sharer(self):
-        locks = LockManager()
-        assert locks.try_acquire("a", "X", LockMode.SHARED)
-        assert locks.try_acquire("b", "X", LockMode.SHARED)
-        assert not locks.try_acquire("a", "X", LockMode.EXCLUSIVE)
+        locks.try_acquire("a", "X")
+        assert not locks.try_acquire("b", "X")
+        assert not locks.try_acquire("b", "X")
+        assert locks.waits_for_edges() == [("b", "a")]
 
 
 class TestFIFO:
     def test_first_waiter_gets_lock_after_release(self):
         locks = LockManager()
-        locks.try_acquire("a", "X", LockMode.EXCLUSIVE)
-        assert not locks.try_acquire("b", "X", LockMode.EXCLUSIVE)
-        assert not locks.try_acquire("c", "X", LockMode.EXCLUSIVE)
+        locks.try_acquire("a", "X")
+        assert not locks.try_acquire("b", "X")
+        assert not locks.try_acquire("c", "X")
         locks.release_all("a")
         # b is at the head of the queue; c must still wait behind b.
-        assert not locks.try_acquire("c", "X", LockMode.EXCLUSIVE)
-        assert locks.try_acquire("b", "X", LockMode.EXCLUSIVE)
+        assert not locks.try_acquire("c", "X")
+        assert locks.try_acquire("b", "X")
 
     def test_release_removes_from_queue(self):
         locks = LockManager()
-        locks.try_acquire("a", "X", LockMode.EXCLUSIVE)
-        locks.try_acquire("b", "X", LockMode.EXCLUSIVE)
-        locks.try_acquire("c", "X", LockMode.EXCLUSIVE)
+        locks.try_acquire("a", "X")
+        locks.try_acquire("b", "X")
+        locks.try_acquire("c", "X")
         locks.release_all("b")
         locks.release_all("a")
-        assert locks.try_acquire("c", "X", LockMode.EXCLUSIVE)
+        assert locks.try_acquire("c", "X")
 
 
 class TestDeadlock:
     def test_simple_cycle_detected(self):
         locks = LockManager()
-        locks.try_acquire("a", "X", LockMode.EXCLUSIVE)
-        locks.try_acquire("b", "Y", LockMode.EXCLUSIVE)
-        locks.try_acquire("a", "Y", LockMode.EXCLUSIVE)
-        locks.try_acquire("b", "X", LockMode.EXCLUSIVE)
+        locks.try_acquire("a", "X")
+        locks.try_acquire("b", "Y")
+        locks.try_acquire("a", "Y")
+        locks.try_acquire("b", "X")
         cycle = locks.deadlock_cycle()
         assert cycle is not None
         assert set(cycle) == {"a", "b"}
 
     def test_no_cycle_when_waiting_chain(self):
         locks = LockManager()
-        locks.try_acquire("a", "X", LockMode.EXCLUSIVE)
-        locks.try_acquire("b", "X", LockMode.EXCLUSIVE)
+        locks.try_acquire("a", "X")
+        locks.try_acquire("b", "X")
         assert locks.deadlock_cycle() is None
 
-    def test_shared_waiters_do_not_conflict_with_sharers(self):
+    def test_released_lock_yields_no_edges(self):
+        """Waiters of a lock nobody holds wait on nobody until the head
+        of the queue re-requests it."""
         locks = LockManager()
-        locks.try_acquire("a", "X", LockMode.SHARED)
-        locks.try_acquire("b", "X", LockMode.EXCLUSIVE)  # waits
-        edges = locks.waits_for_edges()
-        assert ("b", "a") in edges
-
-    def test_consistency_assertion(self):
-        locks = LockManager()
-        locks.try_acquire("a", "X", LockMode.SHARED)
-        locks.try_acquire("b", "X", LockMode.SHARED)
-        locks.assert_consistent()
+        locks.try_acquire("a", "X")
+        locks.try_acquire("b", "X")
+        locks.try_acquire("c", "X")
+        locks.release_all("a")
+        assert locks.holder("X") is None
+        assert locks.waits_for_edges() == []
 
 
 def _full_scan_edges(locks: LockManager) -> list[tuple[str, str]]:
@@ -104,12 +88,9 @@ def _full_scan_edges(locks: LockManager) -> list[tuple[str, str]]:
     every lock ever created, in creation order."""
     edges = []
     for lock in locks._locks.values():
-        for waiter, mode in lock.waiters:
-            for holder, held_mode in lock.holders.items():
-                if holder == waiter:
-                    continue
-                if mode == LockMode.EXCLUSIVE or held_mode == LockMode.EXCLUSIVE:
-                    edges.append((waiter, holder))
+        for waiter in lock.waiters:
+            if lock.holder is not None and lock.holder != waiter:
+                edges.append((waiter, lock.holder))
     return edges
 
 
@@ -129,7 +110,6 @@ _operations = st.lists(
             st.just("acquire"),
             st.sampled_from(_OWNERS),
             st.sampled_from(_ENTITIES),
-            st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE]),
         ),
         st.tuples(st.just("release"), st.sampled_from(_OWNERS)),
     ),

@@ -197,12 +197,11 @@ class TestSchedulerZoo:
         self, bank_programs, bank_nest, zoo
     ):
         programs, accounts = bank_programs
-        for label, scheduler, conflicts in zoo:
+        for label, scheduler in zoo:
             result = Engine(programs, accounts, scheduler, seed=5).run()
             assert result.metrics.commits == len(programs), label
             report = check_correctability(
-                result.spec(bank_nest),
-                result.execution.dependency_edges(conflicts),
+                result.spec(bank_nest), result.execution.dependency_edges()
             )
             assert report.correctable, label
             assert result.results["aud"] == 400, label

@@ -14,7 +14,7 @@ from repro.engine import (
     TimestampScheduler,
     TwoPhaseLockingScheduler,
 )
-from repro.model import TransactionProgram, read, update, write
+from repro.model import TransactionProgram, update, write
 from repro.model.programs import Breakpoint
 from tests.engine.conftest import audit, transfer
 from tests.engine.oracle import with_full_window
@@ -82,20 +82,6 @@ class TestTimestampOrdering:
             assert engine.store.value("X") == 2
             total_aborts += result.metrics.aborts
         assert total_aborts >= 0  # restarts possible, correctness above
-
-    def test_rw_mode_lets_reads_commute(self):
-        def reader(name):
-            def body():
-                yield read("X")
-
-            return TransactionProgram(name, body)
-
-        programs = [reader("r0"), reader("r1")]
-        for seed in range(5):
-            result = Engine(
-                programs, {"X": 0}, TimestampScheduler(conflicts="rw"), seed=seed
-            ).run()
-            assert result.metrics.aborts == 0
 
 
 class TestMLASchedulers:
@@ -195,10 +181,10 @@ def test_every_scheduler_yields_correctable_executions(
     paths = {f"t{i}": ("transfers",) for i in range(3)}
     paths["aud"] = ("audit:aud",)
     nest = KNest.from_paths(paths)
-    for label, scheduler, conflicts in scheduler_zoo(nest):
+    for label, scheduler in scheduler_zoo(nest):
         result = Engine(programs, accounts, scheduler, seed=seed).run()
         report = check_correctability(
-            result.spec(nest), result.execution.dependency_edges(conflicts)
+            result.spec(nest), result.execution.dependency_edges()
         )
         assert report.correctable, (label, seed)
         assert result.results["aud"] == 400, (label, seed)

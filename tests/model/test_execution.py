@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.model import Execution, StepId, StepKind, StepRecord
+from repro.model.execution import EntityFold
 
 
 def record(txn, index, entity, before, after, kind=StepKind.UPDATE):
@@ -46,6 +47,43 @@ class TestDependency:
     def test_duplicate_step_rejected(self):
         with pytest.raises(ExecutionError, match="twice"):
             Execution([record("t", 0, "X", 0, 1), record("t", 0, "X", 1, 2)])
+
+
+class TestConflictModels:
+    """The paper's ``"all"`` model orders every same-entity pair; the
+    classical ``"rw"`` model, kept for auditing outside histories, lets
+    two reads commute."""
+
+    def test_rw_conflicts_ignore_read_read(self):
+        t0, u0 = StepId("t", 0), StepId("u", 0)
+        fold = EntityFold("rw")
+        assert fold.feed(t0, "A", StepKind.READ) == []
+        assert fold.feed(u0, "A", StepKind.READ) == []
+        fold = EntityFold("all")
+        assert fold.feed(t0, "A", StepKind.READ) == []
+        assert fold.feed(u0, "A", StepKind.READ) == [(t0, u0)]
+
+    def test_write_after_reads_depends_on_every_read(self):
+        execution = Execution(
+            [
+                record("t", 0, "X", 0, 1),
+                record("u", 0, "X", 1, 1, StepKind.READ),
+                record("v", 0, "X", 1, 1, StepKind.READ),
+                record("w", 0, "X", 1, 2, StepKind.WRITE),
+            ],
+            {"X": 0},
+        )
+        t0, u0, v0, w0 = (StepId(n, 0) for n in "tuvw")
+        assert set(execution.dependency_edges("rw")) == {
+            (t0, u0), (t0, v0), (t0, w0), (u0, w0), (v0, w0),
+        }
+        assert set(execution.dependency_edges("all")) == {
+            (t0, u0), (u0, v0), (v0, w0),
+        }
+
+    def test_unknown_conflict_model_rejected(self, simple):
+        with pytest.raises(ExecutionError):
+            simple.dependency_edges("bogus")
 
 
 class TestEquivalence:

@@ -89,7 +89,7 @@ def monitored_engine(scheduler: str):
     workload = BankingWorkload(BANKING)
     registry = MetricsRegistry()
     profiler = PhaseProfiler()
-    monitor = OnlineMonitor(workload.nest, registry=registry, batch=3)
+    monitor = OnlineMonitor(workload.nest, registry=registry)
     engine = workload.engine(
         make_scheduler(scheduler, workload.nest), seed=11,
         registry=registry, profiler=profiler, history=monitor,
@@ -153,7 +153,6 @@ def test_goldens_cover_every_pushed_series():
         "repro_service_pump_batches_total",
         "repro_audit_checked_commits_total",
         "repro_audit_violations_total",
-        "repro_audit_lag",
         'repro_phase_calls_total{phase="schedule"}',
         'repro_phase_calls_total{phase="rollback"}',
     } <= nonzero

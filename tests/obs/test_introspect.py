@@ -73,7 +73,7 @@ class TestClosureFrontier:
         engine.run(until_tick=10)
         frontier = closure_frontier(engine.scheduler.window)
         assert set(frontier) == {
-            "size", "edges", "shortcuts", "mode", "transactions",
+            "size", "edges", "shortcuts", "transactions",
         }
         assert frontier["size"] >= 1
         assert frontier["transactions"], "no live prefixes after 10 ticks"

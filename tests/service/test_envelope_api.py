@@ -132,6 +132,14 @@ class TestValidation:
         with pytest.raises(SpecificationError, match="malformed"):
             ProgramSpec.from_json("{nope")
 
+    def test_deeply_nested_json(self):
+        """Nesting past the parser's recursion limit is malformed input,
+        not a ``RecursionError``."""
+        blob = "[" * 200_000
+        for decode in (ProgramSpec.from_json, Submission.from_json):
+            with pytest.raises(SpecificationError, match="nested too deeply"):
+                decode(blob)
+
     def test_non_object_json(self):
         with pytest.raises(SpecificationError, match="JSON object"):
             ProgramSpec.from_json("[1, 2]")

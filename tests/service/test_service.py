@@ -16,7 +16,7 @@ from repro.api import ProgramSpec, Submission, make_scheduler
 from repro.core.nests import PathNest
 from repro.engine.runtime import Engine
 from repro.service import AdmissionConfig, ServiceConfig, TransactionService
-from repro.service.server import serve
+from repro.service.server import _MAX_LINE, serve
 from repro.workloads.traffic import (
     TrafficConfig,
     drive,
@@ -674,6 +674,49 @@ class TestSocketServer:
             await asyncio.wait_for(task, timeout=5)
 
         run(go())
+
+    def test_hostile_lines_are_refused(self, caplog):
+        """A non-integer field, nesting past the JSON parser's recursion
+        limit and a line over the read limit each get an error reply —
+        the last one then closes its connection — and nothing escapes
+        to the event loop's exception handler."""
+
+        async def exchange(port, line: bytes):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(line + b"\n")
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.readline(), timeout=10)
+            return reader, writer, json.loads(reply)
+
+        async def go():
+            task, port = await _start_server(ServiceConfig(nest_depth=0))
+            _, writer, reply = await exchange(
+                port, b'{"op": "admission", "samples": "x"}'
+            )
+            assert reply == {
+                "ok": False, "error": "samples must be an integer",
+            }
+            writer.close()
+            _, writer, reply = await exchange(port, b"[" * 200_000)
+            assert not reply["ok"] and "nested too deeply" in reply["error"]
+            writer.close()
+            reader, writer, reply = await exchange(
+                port, b"x" * (_MAX_LINE + 1)
+            )
+            assert reply == {
+                "ok": False,
+                "error": f"bad request: line longer than {_MAX_LINE} bytes",
+            }
+            assert await asyncio.wait_for(reader.read(), timeout=10) == b""
+            writer.close()
+            (health,) = await _jsonl_request(port, [{"op": "health"}])
+            assert health["ok"]
+            await _jsonl_request(port, [{"op": "shutdown"}])
+            await asyncio.wait_for(task, timeout=5)
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            run(go())
+        assert caplog.records == []
 
     def test_http_metrics_and_healthz(self):
         async def http(port, target):

@@ -13,7 +13,10 @@ imports networkx (it is the tests' oracle).  And
 for cycle finding: one finder, and set-valued waits enter it sorted in
 one place (``WaitGraph.add_waits``).  And for the tick loop: it draws
 from a list kept in name order instead of sorting every tick, and
-deadlock detection walks the contended locks, not every lock.
+deadlock detection walks the contended locks, not every lock.  And for
+configuration: every concurrency control runs the paper's one conflict
+model with exclusive locks, so no constructor takes a conflict model,
+a lock mode or a prune interval.
 """
 
 from __future__ import annotations
@@ -105,6 +108,43 @@ def test_the_closure_window_has_one_mode():
         DistributedPreventControl,
     ):
         assert "mode" not in inspect.signature(owner).parameters, owner
+
+
+def test_every_concurrency_control_is_built_from_its_nest_alone():
+    import inspect
+
+    from repro.distributed import controller
+    from repro.engine import (
+        ClosureWindow,
+        MLADetectScheduler,
+        MLAPreventScheduler,
+        NestedLockScheduler,
+        TimestampScheduler,
+        TwoPhaseLockingScheduler,
+    )
+    from repro.engine.schedulers.base import Scheduler
+
+    for owner in (
+        ClosureWindow, MLADetectScheduler, MLAPreventScheduler,
+        NestedLockScheduler, TimestampScheduler, TwoPhaseLockingScheduler,
+        controller.DistributedPreventControl,
+    ):
+        parameters = inspect.signature(owner).parameters
+        for option in ("conflicts", "use_locks", "shared_reads"):
+            assert option not in parameters, (owner, option)
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    controls = [
+        *subclasses(Scheduler), *subclasses(controller.NoControl),
+    ]
+    assert len(controls) >= 8, controls
+    for control in controls:
+        assert "prune_interval" not in inspect.signature(control).parameters
+    assert grep(r"\bLockMode\b") == []
 
 
 def test_no_module_reaches_into_the_window_for_its_closure():
