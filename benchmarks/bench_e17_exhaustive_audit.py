@@ -15,8 +15,9 @@ Three claims are measured:
   the monitor attached must pay <5% of the bare run's wall time in
   closure maintenance (``OnlineMonitor.seconds`` — the honest
   numerator), and the monitored history must be bit-identical to the
-  bare one.  The disabled seam costs one attribute load + branch per
-  commit (``if self._sinks:``), measured analytically.
+  bare one.  The disabled seam costs one attribute load, one lookup
+  and a branch per commit (``if "txn.commit" in self._routes:``),
+  measured analytically.
 * **Capture → import → classify round-trips.**  Each scheduler's run is
   streamed to JSONL, re-imported black-box, and classified; the
   multilevel verdict must pass for every guarded scheduler.
@@ -203,11 +204,13 @@ def monitor_overhead(transfers: int = 150,
             f"({name}) exceeds the {budget}% budget"
         )
     # Disabled seam: what a commit of an unobserved engine executes —
-    # ``if self._sinks:`` on an empty tuple — net of an empty branch.
+    # its kind tested against the empty route table — net of an empty
+    # branch.
     n = 200_000
     unobserved = workload.engine(make_scheduler("serial", workload.nest))
     guard = timeit.timeit(
-        "if engine._sinks: pass", globals={"engine": unobserved}, number=n
+        'if "txn.commit" in engine._routes: pass',
+        globals={"engine": unobserved}, number=n,
     )
     empty = timeit.timeit("if (): pass", number=n)
     guard_seconds = max(guard - empty, 0.0) / n

@@ -243,12 +243,13 @@ def trace_smoke() -> dict:
         )
         events_per_run[name] = len(events)
     # Guard micro-cost: what a decision site of an unobserved engine
-    # executes — ``if self._sinks:`` on an empty tuple — net of an empty
-    # branch.
+    # executes — its kind tested against the engine's empty route
+    # table — net of an empty branch.
     n = 200_000
     bare_engine = workload.engine(zoo["serial"](workload.nest))
     guard = timeit.timeit(
-        "if engine._sinks: pass", globals={"engine": bare_engine}, number=n
+        'if "step.perform" in engine._routes: pass',
+        globals={"engine": bare_engine}, number=n,
     )
     empty = timeit.timeit("if (): pass", number=n)
     guard_seconds = max(guard - empty, 0.0) / n

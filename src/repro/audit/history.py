@@ -20,7 +20,7 @@ Two encodings share one canonical object, :class:`History`:
   a captured file cross-checks against the engine's own result.
 
 Capture is a sink of the engine's decision stream (DESIGN.md §4e): an
-enabled sink receives every record and keeps the commits; sinks never
+enabled sink reads the commit records and no other; sinks never
 touch the engine rng, so captured runs are bit-identical to bare runs.
 A captured stream is readable only once its footer is written: commit
 lines are buffered, not flushed one by one, and a stream without a
@@ -431,14 +431,15 @@ class HistorySink:
     never wired in, and no sink ever touches the engine rng."""
 
     enabled = False
+    #: History reads commits; the engine hands it no other decision.
+    reads = frozenset({"txn.commit"})
 
     def on_decision(self, kind: str, tick: int, fields: dict) -> None:
-        """The engine's sink interface: history keeps commits."""
-        if kind == "txn.commit":
-            self.on_commit(
-                fields["txn"], fields["attempt"], tick, fields["steps"],
-                fields["cut_levels"], fields["result"],
-            )
+        """The engine's sink interface: every call is a commit."""
+        self.on_commit(
+            fields["txn"], fields["attempt"], tick, fields["steps"],
+            fields["cut_levels"], fields["result"],
+        )
 
     def on_commit(
         self,

@@ -132,6 +132,7 @@ class DistributedPreventControl(NoControl):
     def attach(self, sequencer: "Sequencer") -> None:
         super().attach(sequencer)
         self.window.emit = sequencer.network.emit
+        self.window.reads = sequencer.network.reads
         self.window.profiler = sequencer.profiler
 
     def _at_breakpoint(self, name: str, level: int) -> bool:
@@ -855,7 +856,10 @@ class Sequencer:
         self.doomed.clear()
         seeds = {(name, self.attempts[name]) for name in victims}
         emit = self.network.emit
-        cascade = cascade_closure(self.log, seeds, emit=emit)
+        cascade = cascade_closure(
+            self.log, seeds,
+            emit=emit if "cascade.join" in self.network.reads else None,
+        )
         overlap = cascade & self.committed
         if overlap:
             raise NetworkError(

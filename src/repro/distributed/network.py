@@ -72,15 +72,13 @@ class Network:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: The runtime's one emission point, ``emit(kind, /, **fields)``:
         #: the flight recorder at simulation time — for the sequencer and
-        #: the nodes too — or ``None`` when nobody listens.  Emission
-        #: never touches ``rng``/``fault_rng``, so traced runs are
-        #: identical; the same holds for the ``network`` phase of handler
-        #: execution and the registry source.
-        self.emit = (
-            (lambda kind, /, **data: self.tracer.emit(kind, self.now, **data))
-            if self.tracer.enabled
-            else None
-        )
+        #: the nodes too — or ``None`` when nobody listens; ``reads`` are
+        #: the kinds the tracer reads, and the only ones it is handed.
+        #: Emission never touches ``rng``/``fault_rng``, so traced runs
+        #: are identical; the same holds for the ``network`` phase of
+        #: handler execution and the registry source.
+        self.reads = self.tracer.reads if self.tracer.enabled else frozenset()
+        self.emit = self._record if self.reads else None
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         if registry is not None:
             registry.derive("network", self._publish)
@@ -122,6 +120,12 @@ class Network:
                            Message("recover", {"node": event.node}))
 
     # ------------------------------------------------------------------
+
+    def _record(self, kind: str, /, **data: Any) -> None:
+        """``emit`` while the tracer reads anything: hand it ``kind``,
+        stamped with simulation time, if it reads that kind."""
+        if kind in self.reads:
+            self.tracer.emit(kind, self.now, **data)
 
     def _publish(self, registry: MetricsRegistry) -> None:
         """Set the traffic series from the counts above; the registry

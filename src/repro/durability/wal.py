@@ -221,6 +221,8 @@ class EngineWal:
     """
 
     enabled = True
+    #: The decision kinds the log holds; the engine hands it no other.
+    reads = frozenset(WAL_RECORDS)
 
     def __init__(
         self,
@@ -267,16 +269,14 @@ class EngineWal:
     # -- the seam -------------------------------------------------------
 
     def on_decision(self, kind: str, tick: int, fields: dict) -> None:
-        """The engine's sink interface: log the decisions
-        :data:`WAL_RECORDS` names, ignore everything else.  The frame's
-        dict is built here, once, in the on-disk field order."""
-        entry = WAL_RECORDS.get(kind)
-        if entry is not None:
-            rtype, logged = entry
-            record = {"t": rtype, "tick": tick}
-            for name in logged:
-                record[name] = fields[name]
-            self.append(record)
+        """The engine's sink interface: log a decision of a kind
+        :data:`WAL_RECORDS` names (the only kinds it reads).  The
+        frame's dict is built here, once, in the on-disk field order."""
+        rtype, logged = WAL_RECORDS[kind]
+        record = {"t": rtype, "tick": tick}
+        for name in logged:
+            record[name] = fields[name]
+        self.append(record)
 
     def append(self, record: dict) -> None:
         """Frame one record ``{"t": type, ...}`` onto the log, or in

@@ -44,7 +44,7 @@ kept."""
 from __future__ import annotations
 
 import pickle
-from collections.abc import Mapping
+from collections.abc import Container, Mapping
 from time import perf_counter
 
 from repro.core.coherence import ClosureEngine, ClosureResult, coherent_closure
@@ -56,6 +56,13 @@ from repro.model.steps import StepId, StepKind
 from repro.obs.profile import NULL_PROFILER
 
 __all__ = ["ClosureWindow"]
+
+#: What a window reports: a rebuild of its live engine, and a prune.
+_WINDOW_KINDS = frozenset({"closure.rebuild", "closure.prune"})
+
+
+def _unowned(kind: str, /, **fields) -> None:
+    """A window's emission point before an owner binds one."""
 
 
 class _LiveState:
@@ -101,14 +108,17 @@ class ClosureWindow:
         self.closure_seconds = 0.0
         self.closure_edges_propagated = 0
         self.closure_word_ops = 0
-        # The owner's emission point and phase profiler, injected by
-        # Scheduler.attach (the window has no engine reference):
-        # ``emit(kind, /, **fields)`` or ``None`` when nobody listens.
-        # Rebuilds and prunes are reported through it — prunes reach the
-        # WAL because they restructure the window.  The window donates
-        # its already-metered closure intervals to the profiler via
-        # ``add`` rather than opening spans.
-        self.emit = None
+        # The owner's emission point, the kinds its sinks read and its
+        # phase profiler, injected by Scheduler.attach (the window has
+        # no engine reference): ``emit(kind, /, **fields)`` is called
+        # only for a kind in ``reads``.  Rebuilds and prunes are
+        # reported through it — prunes reach the WAL because they
+        # restructure the window.  Until an owner binds its own, the
+        # window reports both kinds to ``emit``, which drops them.  The
+        # window donates its already-metered closure intervals to the
+        # profiler via ``add`` rather than opening spans.
+        self.emit = _unowned
+        self.reads: Container[str] = _WINDOW_KINDS
         self.profiler = NULL_PROFILER
 
     # ------------------------------------------------------------------
@@ -232,7 +242,7 @@ class ClosureWindow:
         self._last_result = result
         if engine.cyclic:
             self._cycle_result = result
-        if self.emit is not None:
+        if "closure.rebuild" in self.reads:
             self.emit(
                 "closure.rebuild",
                 size=self.size,
@@ -520,7 +530,7 @@ class ClosureWindow:
             (u, v) for u, outs in succ.items() for v in outs
         }
         self._invalidate()
-        if self.emit is not None:
+        if "closure.prune" in self.reads:
             self.emit(
                 "closure.prune",
                 pruned=sorted(prunable),

@@ -40,10 +40,11 @@ def cascade_closure(
 
     ``entries`` is the live access log in global performance order, as
     ``(attempt key, record)`` pairs.  With ``emit`` (a caller's
-    ``emit(kind, /, **fields)``), every attempt the rule pulls in is
-    reported as a ``cascade.join`` naming the entity and the
-    already-cascading attempt whose undone write tainted it — the link
-    the abort explainer follows back to the seed victim.
+    ``emit(kind, /, **fields)``, passed only when one of its sinks reads
+    ``cascade.join``), every attempt the rule pulls in is reported as a
+    ``cascade.join`` naming the entity and the already-cascading attempt
+    whose undone write tainted it — the link the abort explainer follows
+    back to the seed victim.
     """
     cascade = set(seeds)
     # The per-entity index depends only on ``entries``; building it once

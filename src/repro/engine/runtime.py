@@ -266,13 +266,14 @@ class Engine:
         uniform in ``[1, backoff * attempts]``.
     history, wal, tracer:
         The sinks of the engine's *decision stream* (DESIGN.md §4e):
-        every decision is built once, by :meth:`_emit`, and handed in
-        this order to whichever are given — a
-        :class:`repro.audit.HistorySink` keeps the commits, a
-        :class:`repro.durability.EngineWal` logs the seven kinds
-        recovery verifies, a :class:`repro.obs.Tracer` keeps
-        everything.  No sink consumes ``self.rng``: a run is
-        bit-identical whatever is attached.
+        each declares the decision kinds it ``reads`` — a
+        :class:`repro.audit.HistorySink` the commits, a
+        :class:`repro.durability.EngineWal` the seven kinds recovery
+        verifies, a :class:`repro.obs.Tracer` everything — and a
+        decision is built once, by :meth:`_emit`, only when some given
+        sink reads its kind, and handed to those in this order.  No
+        sink consumes ``self.rng``: a run is bit-identical whatever is
+        attached.
     registry:
         Optional :class:`repro.obs.MetricsRegistry`.  Never written
         while the engine runs: the ``scheduler=``-labeled series are
@@ -311,10 +312,11 @@ class Engine:
         self.history = history if history is not None else NULL_HISTORY
         self.wal = wal if wal is not None else NULL_WAL
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # The enabled ones of the three above, in that order; read from
-        # the attributes on every ``advance`` because the service hands
-        # a recovered engine its history sink only after replay.
-        self._sinks: tuple = ()
+        # Decision kind -> the enabled ones of the three above that read
+        # it, in that order.  Rebuilt from the attributes on every
+        # ``advance`` because the service hands a recovered engine its
+        # history sink only after replay.
+        self._routes: dict[str, tuple] = {}
         if registry is not None:
             registry.derive(("scheduler", scheduler.name), self._publish)
         self.profiler = profiler if profiler is not None else NULL_PROFILER
@@ -406,14 +408,26 @@ class Engine:
 
     def _emit(self, kind: str, /, **fields: Any) -> None:
         """The one emission point: hand a decision, stamped with the
-        tick, to every sink — the same dict to each.  Sinks are looked
-        up here, never pre-bound: callers wrap ``wal.append`` and
-        ``history.on_commit`` on the instance after construction.
-        ``kind`` is positional-only because ``step.perform`` has a field
-        of that name.  Sites guard with ``if self._sinks:`` so an
-        unobserved run never builds the dict."""
-        for sink in self._sinks:
-            sink.on_decision(kind, self.tick, fields)
+        tick, to every sink that reads its kind — the same dict to
+        each.  Sinks' workers are looked up by the sinks, never
+        pre-bound: callers wrap ``wal.append`` and ``history.on_commit``
+        on the instance after construction.  ``kind`` is positional-only
+        because ``step.perform`` has a field of that name.  Sites guard
+        with ``if kind in self._routes:`` so a decision nobody reads is
+        never built."""
+        tick = self.tick
+        for sink in self._routes.get(kind, ()):
+            sink.on_decision(kind, tick, fields)
+
+    def _route(self) -> None:
+        """Rebuild :attr:`_routes` from the enabled sinks' read sets,
+        keeping the history -> WAL -> tracer order within each kind."""
+        routes: dict[str, tuple] = {}
+        for sink in (self.history, self.wal, self.tracer):
+            if sink.enabled:
+                for kind in sink.reads:
+                    routes[kind] = routes.get(kind, ()) + (sink,)
+        self._routes = routes
 
     def _publish(self, registry: MetricsRegistry) -> None:
         """Set this engine's series from :attr:`metrics`; the registry
@@ -521,8 +535,7 @@ class Engine:
         rebuild + re-validation only once, when it finally wants the
         :class:`EngineResult`.
         """
-        sinks = (self.history, self.wal, self.tracer)
-        self._sinks = tuple(sink for sink in sinks if sink.enabled)
+        self._route()
         self.scheduler.attach(self)
         wal = self.wal
         while self._active:
@@ -554,7 +567,7 @@ class Engine:
                 if decision.action is Action.ABORT and decision.victims:
                     self.metrics.deadlocks += 1
                     self.metrics.detail["engine_deadlocks"] += 1
-                    if self._sinks:
+                    if "engine.stall" in self._routes:
                         self._emit(
                             "engine.stall",
                             victims=list(decision.victims),
@@ -672,7 +685,7 @@ class Engine:
             return True
         self.metrics.waits += 1
         txn.waits += 1
-        if self._sinks:
+        if "txn.wait" in self._routes:
             self._emit("txn.wait", txn=txn.name, reason=decision.reason)
         txn.wake_tick = self.tick + 1
         return False
@@ -689,7 +702,7 @@ class Engine:
         if record.kind is not StepKind.READ:
             self._last_writer[access.entity] = txn.key
         self.metrics.steps_performed += 1
-        if self._sinks:
+        if "step.perform" in self._routes:
             self._emit(
                 "step.perform",
                 txn=txn.name,
@@ -712,7 +725,7 @@ class Engine:
                 victim = max(cycle, key=lambda t: (t.priority, t.name))
                 self.metrics.deadlocks += 1
                 self.metrics.detail["engine_deadlocks"] += 1
-                if self._sinks:
+                if "deadlock" in self._routes:
                     self._emit(
                         "deadlock",
                         cycle=[t.name for t in cycle],
@@ -765,7 +778,7 @@ class Engine:
             )
             # Commit identity lives in the log: the commit record lands
             # before ``on_commit`` so any prune it triggers follows it.
-            if self._sinks:
+            if "txn.commit" in self._routes:
                 self._emit(
                     "txn.commit",
                     txn=txn.name,
@@ -797,7 +810,7 @@ class Engine:
         ``pending`` dependencies, or for the scheduler's ``reason``."""
         self.metrics.commit_waits += 1
         txn.waits += 1
-        if self._sinks:
+        if "txn.commit-wait" in self._routes:
             self._emit("txn.commit-wait", txn=txn.name, **why)
         txn.wake_tick = self.tick + 1
         return False
@@ -843,7 +856,7 @@ class Engine:
         return cascade_closure(
             [(entry.key, entry.record) for entry in self._live_log],
             seeds,
-            emit=self._emit if self._sinks else None,
+            emit=self._emit if "cascade.join" in self._routes else None,
         )
 
     def _abort(
@@ -888,7 +901,7 @@ class Engine:
                         f"({reason})"
                     )
         self.metrics.record_cascade(len(cascade))
-        if self._sinks:
+        if "txn.abort" in self._routes:
             self._emit(
                 "txn.abort",
                 victims=sorted(name for name, _ in seeds),
@@ -925,7 +938,7 @@ class Engine:
             self.metrics.restarts += 1
             # After the rng draw: the wake tick is the decision being
             # made durable (and verified on replay).
-            if self._sinks:
+            if "txn.restart" in self._routes:
                 self._emit(
                     "txn.restart",
                     txn=name,
@@ -947,7 +960,7 @@ class Engine:
         record = entry.record
         self.store.restore(record.entity, record.value_before)
         self.metrics.steps_undone += 1
-        if self._sinks:
+        if "step.undo" in self._routes:
             self._emit(
                 "step.undo",
                 txn=entry.key[0],
@@ -1038,7 +1051,10 @@ class Engine:
                         invalid[entry.key] = min(current, point)
                         changed = True
                         undone = True
-                        if tainter is not None and self._sinks:
+                        if (
+                            tainter is not None
+                            and "cascade.join" in self._routes
+                        ):
                             self._emit(
                                 "cascade.join",
                                 entity=entity,
@@ -1052,7 +1068,7 @@ class Engine:
                         tainter = entry.key
 
         self.metrics.record_cascade(len(invalid))
-        if self._sinks:
+        if "txn.abort" in self._routes:
             self._emit(
                 "txn.abort",
                 victims=sorted(name for name, _ in seed_keys),
@@ -1098,21 +1114,21 @@ class Engine:
                 self.metrics.partial_rollbacks += 1
                 self.metrics.steps_preserved += keep
             self._back_off(txn, txn.rollbacks)
-            if self._sinks:
-                if keep == 0:
+            if keep == 0:
+                if "txn.restart" in self._routes:
                     self._emit(
                         "txn.restart",
                         txn=name,
                         attempt=txn.attempt,
                         wake=txn.wake_tick,
                     )
-                else:
-                    self._emit(
-                        "txn.partial-rollback",
-                        txn=name,
-                        keep=keep,
-                        wake=txn.wake_tick,
-                    )
+            elif "txn.partial-rollback" in self._routes:
+                self._emit(
+                    "txn.partial-rollback",
+                    txn=name,
+                    keep=keep,
+                    wake=txn.wake_tick,
+                )
 
     def _recompute_dependencies(self) -> None:
         """Rebuild last-writer tracking and all active attempts' commit

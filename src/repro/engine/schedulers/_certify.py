@@ -48,7 +48,7 @@ def certify_commit(scheduler, txn) -> Decision:
         (engine.txns[name] for name in owners),
         key=lambda t: (t.priority, t.name),
     )
-    if scheduler.emit:
+    if "cycle.detect" in scheduler.reads:
         scheduler.emit(
             "cycle.detect",
             witness=[str(step) for step in result.cycle or ()],

@@ -16,6 +16,7 @@ names whose *current attempts* the engine will roll back and restart.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -83,8 +84,10 @@ class Scheduler:
 
     name = "none"
     #: The engine's emission point (``emit(kind, /, **fields)``, the tick
-    #: is stamped there), or ``None`` while nothing observes the run.
+    #: is stamped there), and the kinds some sink of it reads: a site
+    #: reports ``kind`` only ``if kind in self.reads``.
     emit = None
+    reads: Container[str] = frozenset()
 
     def __init__(self) -> None:
         self.engine: "Engine | None" = None
@@ -96,15 +99,17 @@ class Scheduler:
     def attach(self, engine: "Engine") -> None:
         """Called by the engine on entry to every ``advance``.
 
-        Binds the engine's emission point for the scheduler and for its
-        closure window, if it has one (the window has no engine
-        reference of its own) — ``None`` when the engine has no sinks,
-        so an unobserved run never builds a record."""
+        Binds the engine's emission point and the kinds its sinks read
+        for the scheduler and for its closure window, if it has one (the
+        window has no engine reference of its own), so a decision no
+        sink reads is never built."""
         self.engine = engine
-        self.emit = engine._emit if engine._sinks else None
+        self.emit = engine._emit
+        self.reads = engine._routes
         window = getattr(self, "window", None)
         if window is not None:
             window.emit = self.emit
+            window.reads = self.reads
             window.profiler = engine.profiler
 
     # ------------------------------------------------------------------

@@ -81,9 +81,9 @@ class MLADetectScheduler(Scheduler):
         self.engine.metrics.closure_checks += 1
         self.engine.metrics.closure_edges_added += result.edges_added
         self.window.sync_metrics(self.engine.metrics)
-        emit = self.emit
-        if emit:
-            emit(
+        reads = self.reads
+        if "closure.check" in reads:
+            self.emit(
                 "closure.check",
                 txn=txn.name,
                 step=record.step.index,
@@ -133,19 +133,19 @@ class MLADetectScheduler(Scheduler):
         ]
         if self._parked[victim.name]:
             self.engine.metrics.detail["parks"] += 1
-        if emit:
-            emit(
+        if "cycle.detect" in reads:
+            self.emit(
                 "cycle.detect",
                 witness=[str(step) for step in result.cycle or ()],
                 victim=victim.name,
                 txns=sorted(cycle_names),
             )
-            if self._parked[victim.name]:
-                emit(
-                    "park",
-                    txn=victim.name,
-                    behind=[entry[0] for entry in self._parked[victim.name]],
-                )
+        if self._parked[victim.name] and "park" in reads:
+            self.emit(
+                "park",
+                txn=victim.name,
+                behind=[entry[0] for entry in self._parked[victim.name]],
+            )
         return Decision.abort([victim.name], "closure cycle", points=points)
 
     def may_commit(self, txn) -> Decision:

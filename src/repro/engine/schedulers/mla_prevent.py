@@ -103,7 +103,7 @@ class MLAPreventScheduler(Scheduler):
     def on_request(self, txn, access) -> Decision:
         assert self.engine is not None
         blockers = self._breakpoint_blockers(txn, access)
-        emit = self.emit
+        reads = self.reads
         if blockers:
             self._waiting_on[txn.name] = blockers
             cycle = self._wait_cycle()
@@ -111,8 +111,8 @@ class MLAPreventScheduler(Scheduler):
                 states = [self.engine.txns[n] for n in cycle]
                 victim = max(states, key=lambda t: (t.priority, t.name))
                 self.engine.metrics.deadlocks += 1
-                if emit:
-                    emit(
+                if "deadlock" in reads:
+                    self.emit(
                         "deadlock",
                         cycle=list(cycle),
                         victim=victim.name,
@@ -120,8 +120,8 @@ class MLAPreventScheduler(Scheduler):
                     )
                 return Decision.abort([victim.name], "breakpoint-wait cycle")
             self.engine.metrics.detail["breakpoint_waits"] += 1
-            if emit:
-                emit(
+            if "breakpoint.wait" in reads:
+                self.emit(
                     "breakpoint.wait",
                     txn=txn.name,
                     blockers=sorted(blockers),
@@ -146,9 +146,9 @@ class MLAPreventScheduler(Scheduler):
         )
         self.engine.metrics.closure_edges_added += result.edges_added
         self.window.sync_metrics(self.engine.metrics)
-        emit = self.emit
-        if emit:
-            emit(
+        reads = self.reads
+        if "closure.check" in reads:
+            self.emit(
                 "closure.check",
                 txn=txn.name,
                 step=record.step.index,
@@ -159,8 +159,8 @@ class MLAPreventScheduler(Scheduler):
             # Prevention should make this unreachable; treat it as a
             # detected cycle and recover rather than corrupt the run.
             self.engine.metrics.cycles_detected += 1
-            if emit:
-                emit(
+            if "cycle.detect" in reads:
+                self.emit(
                     "cycle.detect",
                     witness=[str(step) for step in result.cycle or ()],
                     victim=txn.name,

@@ -109,7 +109,7 @@ class NestedLockScheduler(Scheduler):
     def on_request(self, txn, access) -> Decision:
         assert self.engine is not None
         blockers = self._blockers(txn, access.entity)
-        emit = self.emit
+        reads = self.reads
         if blockers:
             self._waiting_on[txn.name] = blockers
             graph = WaitGraph()
@@ -118,8 +118,8 @@ class NestedLockScheduler(Scheduler):
             cycle = graph.find_cycle()
             if cycle is None:
                 self.engine.metrics.detail["retention_waits"] += 1
-                if emit:
-                    emit(
+                if "retention.wait" in reads:
+                    self.emit(
                         "retention.wait",
                         txn=txn.name,
                         entity=access.entity,
@@ -131,8 +131,8 @@ class NestedLockScheduler(Scheduler):
             states = [self.engine.txns[name] for name in cycle]
             victim = max(states, key=lambda t: (t.priority, t.name))
             self.engine.metrics.deadlocks += 1
-            if emit:
-                emit(
+            if "deadlock" in reads:
+                self.emit(
                     "deadlock",
                     cycle=list(cycle),
                     victim=victim.name,
@@ -172,9 +172,8 @@ class NestedLockScheduler(Scheduler):
             (self.engine.txns[name] for name in victims),
             key=lambda t: (t.priority, t.name),
         )
-        emit = self.emit
-        if emit:
-            emit(
+        if "certify.fail" in self.reads:
+            self.emit(
                 "certify.fail",
                 witness=[str(step) for step in result.cycle or ()],
                 victim=victim.name,

@@ -52,7 +52,7 @@ class TimestampScheduler(Scheduler):
 
     def _conflict(self, txn, access, ts: int, marks: _Marks) -> None:
         self.engine.metrics.detail["ts_conflicts"] += 1
-        if self.emit:
+        if "ts.conflict" in self.reads:
             self.emit(
                 "ts.conflict",
                 txn=txn.name,

@@ -37,11 +37,11 @@ class TwoPhaseLockingScheduler(Scheduler):
         )
 
     def on_request(self, txn, access) -> Decision:
-        emit = self.emit
+        reads = self.reads
         if self.locks.try_acquire(txn.name, access.entity):
             self.engine.metrics.detail["lock_acquires"] += 1
-            if emit:
-                emit(
+            if "lock.acquire" in reads:
+                self.emit(
                     "lock.acquire",
                     txn=txn.name,
                     entity=access.entity,
@@ -55,8 +55,8 @@ class TwoPhaseLockingScheduler(Scheduler):
             victim = max(states, key=lambda t: (t.priority, t.name))
             self.engine.metrics.deadlocks += 1
             self.engine.metrics.detail["lock_deadlocks"] += 1
-            if emit:
-                emit(
+            if "deadlock" in reads:
+                self.emit(
                     "deadlock",
                     cycle=list(cycle),
                     victim=victim.name,
@@ -64,9 +64,9 @@ class TwoPhaseLockingScheduler(Scheduler):
                 )
             return Decision.abort([victim.name], "2pl deadlock")
         self.engine.metrics.detail["lock_waits"] += 1
-        if emit:
+        if "lock.wait" in reads:
             holder = self.locks.holder(access.entity)
-            emit(
+            self.emit(
                 "lock.wait",
                 txn=txn.name,
                 entity=access.entity,
@@ -80,7 +80,7 @@ class TwoPhaseLockingScheduler(Scheduler):
 
     def _release(self, txn) -> None:
         released = self.locks.release_all(txn.name)
-        if self.emit and released:
+        if released and "lock.release" in self.reads:
             self.emit(
                 "lock.release",
                 txn=txn.name,

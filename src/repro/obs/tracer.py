@@ -1,22 +1,23 @@
 """Tracers: where flight-recorder events go.
 
 No instrumented site talks to a tracer.  Each producer reports through
-its owner's one emission point, which is ``None`` when nobody listens::
+its owner's one emission point, and first asks whether any sink reads
+the kind it is about to report::
 
-    emit = self.emit
-    if emit:
-        emit("lock.wait", txn=name, entity=entity)
+    if "lock.wait" in self.reads:
+        self.emit("lock.wait", txn=name, entity=entity)
 
-The test is the whole unobserved cost: no kwargs dict, no
-:class:`~repro.obs.events.Event` and no string formatting is ever built.
-There are four owners — the engine (``Engine._emit``, which stamps the
-tick and fans out to history, WAL and tracer through
+The test is the whole cost of a decision nobody reads: no kwargs dict,
+no :class:`~repro.obs.events.Event` and no string formatting is ever
+built.  Every sink declares the kinds it reads as a class attribute,
+``reads``; a tracer reads every kind of the taxonomy.  There are four
+owners — the engine (``Engine._emit``, which stamps the tick and hands
+each record to the history, WAL and tracer that read its kind, through
 :meth:`Tracer.on_decision`), the scheduler and its closure window (both
 handed the engine's), and the network (``Network.emit``, which stamps
 simulation time for the sequencer, the nodes and itself) — and they are
-the only code that tests ``tracer.enabled`` (DESIGN.md §4e).
-:data:`NULL_TRACER`, the default everywhere, is what makes that test
-false.
+the only code that reads a tracer's ``reads`` (DESIGN.md §4e).
+:data:`NULL_TRACER`, the default everywhere, reads nothing.
 
 Sinks:
 
@@ -25,8 +26,8 @@ Sinks:
   everything.
 * :class:`StreamTracer` — append-only JSONL stream for recordings that
   outlive the process (or exceed memory).
-* :class:`repro.obs.explain.AbortCauses` — keeps only what
-  ``explain_abort`` will read; the service's.
+* :class:`repro.obs.explain.AbortCauses` — reads only what
+  ``explain_abort`` will; the service's.
 """
 
 from __future__ import annotations
@@ -35,15 +36,18 @@ import json
 from collections import deque
 from typing import IO, Any
 
-from repro.obs.events import Event, event_to_dict
+from repro.obs.events import EVENT_KINDS, Event, event_to_dict
 
 __all__ = ["NULL_TRACER", "NullTracer", "RingTracer", "StreamTracer", "Tracer"]
 
 
 class Tracer:
-    """Interface: ``enabled`` gates emission; ``emit`` records one event."""
+    """Interface: ``enabled`` gates emission; ``emit`` records one event
+    of a kind in ``reads``."""
 
     enabled: bool = True
+    #: The kinds this sink reads; an owner hands it no other.
+    reads: frozenset[str] = EVENT_KINDS
 
     def emit(self, kind: str, at: float, /, **data: Any) -> None:
         raise NotImplementedError
@@ -69,6 +73,7 @@ class NullTracer(Tracer):
 
     __slots__ = ()
     enabled = False
+    reads = frozenset()
 
     def emit(self, kind: str, at: float, /, **data: Any) -> None:
         pass

@@ -132,8 +132,10 @@ class TransactionService:
         )
         self.nest, self.engine = self._boot(config)
         self._queue: asyncio.Queue = asyncio.Queue()
-        #: name -> future resolving to a ResultEnvelope, until it commits.
-        self._pending: dict[str, asyncio.Future] = {}
+        #: name -> the futures its submissions wait on, one per waiter
+        #: (the first run and each in-flight duplicate of its key),
+        #: until it commits.
+        self._pending: dict[str, list[asyncio.Future]] = {}
         self._pump_task: asyncio.Task | None = None
         self.registry.derive("service", self._publish)
         self.registry.derive("phases", self.profiler.publish)
@@ -266,14 +268,13 @@ class TransactionService:
             if position is not None:
                 envelope = self._envelope_for(name, position)
             else:
-                future = self._pending.get(name)
-                if future is None:
-                    # Logged before a crash, not yet re-attached: the
-                    # replayed transaction resumes.
-                    future = asyncio.get_running_loop().create_future()
-                    self._pending[name] = future
-                    self._ensure_pump()
-                envelope = await asyncio.shield(future)
+                # Waiting beside the first run, or — logged before a
+                # crash and not yet re-attached — resuming the replayed
+                # transaction.
+                future = asyncio.get_running_loop().create_future()
+                self._pending.setdefault(name, []).append(future)
+                self._ensure_pump()
+                envelope = await future
             return {"ok": True, "duplicate": True,
                     "envelope": envelope.to_dict()}
         decision = self.admission.check(
@@ -298,11 +299,11 @@ class TransactionService:
             return response
         name = submission.program.name
         future = asyncio.get_running_loop().create_future()
-        self._pending[name] = future
+        self._pending[name] = [future]
         self._by_key[key] = name
         self._queue.put_nowait(submission)
         self._ensure_pump()
-        envelope = await asyncio.shield(future)
+        envelope = await future
         return {"ok": True, "envelope": envelope.to_dict()}
 
     def _ensure_pump(self) -> None:
@@ -365,9 +366,14 @@ class TransactionService:
             position = len(serial)
             name = order[position]
             serial[name] = position
-            future = self._pending.pop(name, None)
-            if future is not None and not future.done():
-                future.set_result(self._envelope_for(name, position))
+            waiters = self._pending.pop(name, None)
+            if waiters is not None:
+                # Built even when every waiter was cancelled: building
+                # it takes the transaction's causes out of the tracer.
+                envelope = self._envelope_for(name, position)
+                for future in waiters:
+                    if not future.done():
+                        future.set_result(envelope)
 
     def _envelope_for(self, name: str, position: int) -> ResultEnvelope:
         """``name``'s envelope, built from the engine: when it commits,

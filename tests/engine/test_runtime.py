@@ -259,3 +259,96 @@ class TestDecisionStream:
         engine.history = recorder = HistoryRecorder()
         engine.advance()
         assert recorder.commit_order == engine.commit_order[early:]
+
+
+class _CommitReader:
+    """A sink whose read set is the commits alone."""
+
+    enabled = True
+    reads = frozenset({"txn.commit"})
+
+    def __init__(self) -> None:
+        self.seen: list[tuple[str, int, dict]] = []
+
+    def on_decision(self, kind, tick, fields) -> None:
+        self.seen.append((kind, tick, fields))
+
+
+def _contended_bank(seed: int = 11):
+    from repro.workloads import BankingConfig, BankingWorkload
+
+    return BankingWorkload(BankingConfig(
+        families=2, transfers=8, bank_audits=1, creditor_audits=1,
+        seed=seed,
+    ))
+
+
+class TestRouting:
+    """Each sink declares the kinds it reads; the engine hands it those
+    and builds no record that nobody reads."""
+
+    def test_a_commit_reader_receives_exactly_the_commits(self):
+        from repro.engine import MLADetectScheduler
+        from repro.obs import RingTracer
+
+        workload = _contended_bank()
+        reader, tracer = _CommitReader(), RingTracer(None)
+        engine = workload.engine(
+            MLADetectScheduler(workload.nest), seed=3,
+            history=reader, tracer=tracer,
+        )
+        engine.run()
+        assert engine.metrics.aborts > 0
+        commits = [e for e in tracer.events() if e.kind == "txn.commit"]
+        assert [kind for kind, _, _ in reader.seen] == ["txn.commit"] * len(
+            engine.commit_order
+        )
+        # The tracer's copy of each record is the reader's minus the
+        # committed steps, which only the history sinks keep.
+        assert [
+            (tick, {k: v for k, v in fields.items() if k != "steps"})
+            for _, tick, fields in reader.seen
+        ] == [(event.at, event.data) for event in commits]
+        log = {(e.key[0], e.seq): e.record for e in engine.log}
+        for _, _, fields in reader.seen:
+            assert set(fields) == {
+                "txn", "attempt", "latency", "waits", "result",
+                "cut_levels", "steps",
+            }
+            assert fields["steps"] and all(
+                log[fields["txn"], seq] == record
+                for seq, record in fields["steps"]
+            )
+
+    def test_only_what_abort_causes_read_is_built(self):
+        """2PL with waits and deadlocks, observed by ``AbortCauses``
+        alone: no perform, lock or wait record is ever built."""
+        from collections import Counter
+
+        from repro.engine import TwoPhaseLockingScheduler
+        from repro.obs import AbortCauses
+
+        workload = _contended_bank()
+        causes = AbortCauses()
+        engine = workload.engine(
+            TwoPhaseLockingScheduler(), seed=1, tracer=causes
+        )
+        built = Counter()
+        emit = engine._emit
+
+        def counted(kind, /, **fields):
+            built[kind] += 1
+            emit(kind, **fields)
+
+        engine._emit = counted
+        engine.run()
+        metrics = engine.metrics
+        assert metrics.waits > 0 and metrics.detail["lock_deadlocks"] > 0
+        assert built["deadlock"] == metrics.detail["lock_deadlocks"]
+        assert built["txn.abort"] > 0
+        assert not [
+            kind for kind in built
+            if kind in ("step.perform", "txn.wait") or kind.startswith("lock.")
+        ]
+        assert set(built) <= AbortCauses.reads
+        assert causes.dropped == 0

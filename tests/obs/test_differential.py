@@ -39,6 +39,28 @@ class TestEngineDifferential:
         assert events and tracer.dropped == 0
         assert {e.kind for e in events} <= EVENT_KINDS
 
+    @pytest.mark.parametrize("name", sorted(SCHEDULER_ZOO))
+    def test_recording_ignores_the_other_sinks(self, bank, name, tmp_path):
+        """Routing hands the tracer every kind whatever else listens: a
+        recording next to a WAL and a history is the lone recording,
+        event for event."""
+        from repro.audit import HistoryRecorder
+        from repro.durability.wal import EngineWal
+
+        alone, shared = RingTracer(capacity=None), RingTracer(capacity=None)
+        bank.engine(
+            SCHEDULER_ZOO[name](bank.nest), seed=5, tracer=alone
+        ).run()
+        wal = EngineWal(str(tmp_path))
+        bank.engine(
+            SCHEDULER_ZOO[name](bank.nest), seed=5, tracer=shared,
+            wal=wal, history=HistoryRecorder(),
+        ).run()
+        wal.close()
+        assert [(e.kind, e.at, e.data) for e in shared.events()] == [
+            (e.kind, e.at, e.data) for e in alone.events()
+        ]
+
     @pytest.mark.parametrize("seed", range(3))
     def test_seed_sweep_mla_detect(self, bank, seed):
         tracer = RingTracer(capacity=None)

@@ -1,8 +1,10 @@
 """Smoke wiring for the quick benchmark collection.
 
 Runs ``benchmarks/collect_results.py --quick``'s reduced E1/E10 workload
-as part of the test suite and writes ``BENCH.json`` at the repo root.
-Correctness (verdicts, closure activity, behaviour-invariance of the
+as part of the test suite.  It writes a copy of the committed
+``BENCH.json``, so the regression check still compares against the
+committed history and a test run leaves the working tree clean (the
+``--quick`` command line writes the real file).  Correctness (verdicts, closure activity, behaviour-invariance of the
 trace and metrics planes, the count-based overhead gates) is *asserted*
 inside the runner; timings — against the seed baselines, against the
 previous run's history entry, and the modelled metrics-plane overhead —
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sys
 import warnings
 
@@ -25,11 +28,13 @@ if BENCHMARKS not in sys.path:
 import collect_results  # noqa: E402
 
 
-def test_quick_bench_smoke():
-    data = collect_results.write_quick()
+def test_quick_bench_smoke(tmp_path):
     assert os.path.exists(collect_results.QUICK_TARGET)
     assert collect_results.QUICK_TARGET.endswith("BENCH.json")
-    with open(collect_results.QUICK_TARGET, encoding="utf-8") as handle:
+    target = str(tmp_path / "BENCH.json")
+    shutil.copyfile(collect_results.QUICK_TARGET, target)
+    data = collect_results.write_quick(path=target)
+    with open(target, encoding="utf-8") as handle:
         assert json.load(handle) == data
     assert data["timings_ms"]["e1_accept"]
     assert data["timings_ms"]["e10_incremental+prune"]

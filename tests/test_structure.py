@@ -1,11 +1,13 @@
 """One way to report, checked by reading the source.
 
-Events leave a producer through its owner's one ``emit`` (``None`` when
-nobody listens) and counts reach a registry through one source per
-owner, set on read (DESIGN.md §4e, §4f).  The patterns below are the
-spellings of the designs that replaced: a pushed registry child behind
-an ``_mx`` table, a hand-guarded ``tr = ...tracer; if tr.enabled``, the
-null registry, the per-scrape registry copy, the service's trace ring.
+Events leave a producer through its owner's one ``emit``, only when a
+sink reads their kind, and counts reach a registry through one source
+per owner, set on read (DESIGN.md §4e, §4f).  The patterns below are
+the spellings of the designs that replaced: a pushed registry child
+behind an ``_mx`` table, a hand-guarded ``tr = ...tracer; if
+tr.enabled``, a decision site asking whether *any* sink listens
+(``if self._sinks:``, ``if emit:``), the null registry, the per-scrape
+registry copy, the service's trace ring.
 Any hit is a second way growing back.  The same goes for the closure
 window's batch Theorem-2 closure: it has exactly one call site, and the
 window's closure query is public.  And for graph libraries: no module
@@ -60,10 +62,30 @@ def test_no_null_registry_no_registry_copy_no_trace_ring():
 
 
 def test_one_line_outside_obs_asks_whether_a_tracer_listens():
-    hits = grep(r"(tracer|tr)\.enabled", outside=("obs",))
+    hits = grep(r"(tracer|tr)\.(enabled|reads)", outside=("obs",))
     assert len(hits) == 1, hits
-    # ... the one that binds ``Network.emit``.
+    # ... the one that sets ``Network.reads`` and binds ``Network.emit``.
     assert hits[0].startswith(os.path.join("distributed", "network.py"))
+
+
+def test_engine_decision_sites_test_their_own_kind():
+    """Sinks declare what they read and each site asks about its own
+    kind (``if "lock.wait" in self.reads:``); no site under
+    ``engine/`` asks whether anything listens at all.  The one
+    ``emit`` test left is ``cascade_closure``'s parameter, which its
+    callers pass only when ``cascade.join`` is read."""
+    engine = [
+        hit for hit in grep(r"_sinks|\bif (self\.|scheduler\.)?emit\b")
+        if hit.startswith("engine" + os.sep)
+    ]
+    assert engine == [
+        hit for hit in engine
+        if hit.startswith(os.path.join("engine", "rollback.py"))
+        and "if emit is not None:" in hit
+    ]
+    assert len(engine) == 1, engine
+    callers = grep(r'emit=.*"cascade\.join" in .* else None')
+    assert len(callers) == 2, callers
 
 
 def test_window_computes_batch_closures_only_in_prune():
