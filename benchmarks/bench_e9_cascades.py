@@ -49,7 +49,7 @@ def chain_log(n: int):
 def test_e9_cascade_closure_benchmark(benchmark, n):
     entries = chain_log(n)
     benchmark.group = f"E9 n={n}"
-    cascade = benchmark(cascade_closure, entries, {("t0", 0)})
+    cascade = benchmark(cascade_closure, entries, {("t0", 0): 0})
     assert len(cascade) == n  # the whole chain rolls back
 
 
@@ -58,7 +58,7 @@ def test_e9_chain_table():
     for n in CHAIN_LENGTHS:
         entries = chain_log(n)
         start = time.perf_counter()
-        cascade = cascade_closure(entries, {("t0", 0)})
+        cascade = cascade_closure(entries, {("t0", 0): 0})
         elapsed = time.perf_counter() - start
         assert len(cascade) == n
         rows.append([n, len(cascade), f"{elapsed * 1000:.2f}"])

@@ -355,7 +355,7 @@ def explore(
     blocked regions contribute O(candidates x stall_limit) states
     instead of unbounded wait interleavings.
 
-    ``restart_bound`` caps the total aborts+rollbacks along a path — the
+    ``restart_bound`` caps the total rollbacks along a path — the
     explorer's context bound.  Adversarial victim choices can starve one
     transaction forever (shoot the same victim every stall round, never
     schedule the lock holder), a livelock the engine's randomised
@@ -437,9 +437,7 @@ def explore(
         if not engine._active:
             finish(engine)
             continue
-        restarts = sum(
-            t.attempt + t.rollbacks for t in engine.txns.values()
-        )
+        restarts = sum(t.rollbacks for t in engine.txns.values())
         if restarts > restart_bound:
             report.pruned += 1
             continue

@@ -75,6 +75,11 @@ def _scalar_ok(value: Any) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
 
 
+def _int_ok(value: Any) -> bool:
+    """A JSON integer (``bool`` is an ``int`` subclass, not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HistoryStep:
     """One performed step, positioned by its global sequence number."""
@@ -160,6 +165,8 @@ class History:
                 f"unsupported history format version {self.version!r} "
                 f"(this build reads version {HISTORY_FORMAT_VERSION})"
             )
+        if not all(isinstance(name, str) for name in self.commit_order):
+            raise SpecificationError("commit_order names must be strings")
         committed = set(self.commit_order)
         if len(committed) != len(self.commit_order):
             raise SpecificationError("commit_order repeats a transaction")
@@ -171,7 +178,7 @@ class History:
         last_seq: int | None = None
         next_index: dict[str, int] = {}
         for step in self.steps:
-            if not isinstance(step.seq, int) or isinstance(step.seq, bool):
+            if not _int_ok(step.seq):
                 raise SpecificationError(f"step seq {step.seq!r} not an int")
             if last_seq is not None and step.seq <= last_seq:
                 raise SpecificationError(
@@ -179,12 +186,21 @@ class History:
                     f"({step.seq} after {last_seq})"
                 )
             last_seq = step.seq
+            if not (
+                isinstance(step.transaction, str)
+                and isinstance(step.entity, str)
+            ):
+                raise SpecificationError(
+                    f"step {step.seq}: transaction and entity must be strings"
+                )
+            if not _int_ok(step.index):
+                raise SpecificationError(f"step {step.seq}: index not an int")
             if step.transaction not in committed:
                 raise SpecificationError(
                     f"step {step.seq} belongs to uncommitted transaction "
                     f"{step.transaction!r}"
                 )
-            if step.kind not in _KINDS:
+            if not isinstance(step.kind, str) or step.kind not in _KINDS:
                 raise SpecificationError(
                     f"step {step.seq} has unknown kind {step.kind!r}"
                 )
@@ -352,6 +368,11 @@ class History:
         raw_paths = data.get("paths")
         if raw_paths is not None and not isinstance(raw_paths, dict):
             raise SpecificationError("paths must be an object or null")
+        for name, path in (raw_paths or {}).items():
+            if not isinstance(path, list):
+                raise SpecificationError(
+                    f"path for {name!r} must be an array, got {path!r}"
+                )
         raw_steps = data.get("steps")
         if not isinstance(raw_steps, list):
             raise SpecificationError("steps must be an array")
@@ -765,12 +786,17 @@ def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
             f"footer promises {footer['commits']} commits, "
             f"stream holds {len(commits)}"
         )
+    for label in ("initial", "meta"):
+        if not isinstance(header[label], dict):
+            raise SpecificationError(f"header {label} must be an object")
     depth = header["depth"]
     recorder = HistoryRecorder(
         initial=header["initial"], depth=depth, meta=header["meta"]
     )
     for payload in commits:
         name = payload["txn"]
+        if not isinstance(name, str):
+            raise SpecificationError(f"commit txn {name!r} must be a string")
         if depth is not None:
             path = payload["path"]
             if not isinstance(path, list):
@@ -790,6 +816,8 @@ def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
                 set(),
                 "history commit step",
             )
+            if not _int_ok(raw["seq"]):
+                raise SpecificationError(f"commit {name!r}: seq not an int")
             try:
                 kind = StepKind(raw["kind"])
             except ValueError as exc:

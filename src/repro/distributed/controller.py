@@ -856,10 +856,10 @@ class Sequencer:
         self.doomed.clear()
         seeds = {(name, self.attempts[name]) for name in victims}
         emit = self.network.emit
-        cascade = cascade_closure(
-            self.log, seeds,
+        cascade = set(cascade_closure(
+            self.log, dict.fromkeys(seeds, 0),
             emit=emit if "cascade.join" in self.network.reads else None,
-        )
+        ))
         overlap = cascade & self.committed
         if overlap:
             raise NetworkError(

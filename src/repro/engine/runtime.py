@@ -13,10 +13,12 @@ Responsibilities split:
   rolled back too) and the commit rule (an attempt may only commit after
   every attempt whose uncommitted writes it consumed has committed).
 
-Rolled-back attempts restart from scratch after a randomised backoff: the
-whole transaction program is the paper's *unit of recovery* here, a
-documented design choice (the paper allows the recovery unit to sit
-anywhere between a single atomicity segment and the whole transaction).
+Rolled-back attempts resume after a randomised backoff.  The paper lets
+the *unit of recovery* sit anywhere between a single atomicity segment
+and the whole transaction; the engine offers both ends
+(``recovery="transaction"``, the default, restarts every affected
+attempt from scratch; ``"segment"`` rewinds each to a segment start) as
+two settings of one rollback rule.
 
 The run's final, committed-only execution is re-validated against the
 Section 3.1 consistency requirements before being returned — undo and
@@ -42,6 +44,7 @@ from repro.audit.history import NULL_HISTORY
 from repro.durability.wal import NULL_WAL
 from repro.core.nests import KNest
 from repro.engine.metrics import Metrics
+from repro.engine.rollback import cascade_closure
 from repro.engine.schedulers.base import Action, Decision, Scheduler
 from repro.errors import EngineError
 from repro.model.breakpoints import spec_for_execution
@@ -100,6 +103,8 @@ class TxnState:
     arrival_tick: int
     live: _LiveTransaction | None
     attempt: int = 0
+    # Rewinds under either unit of recovery; ``attempt`` counts the
+    # restarts among them.
     rollbacks: int = 0
     attempt_start_tick: int = 0
     wake_tick: int = 0
@@ -507,7 +512,7 @@ class Engine:
         fallback victim may be a transaction that has not arrived, and
         its backoff can end before its arrival does."""
         self._active[state.name] = state
-        if state.arrival_tick <= self.tick or state.attempt or state.rollbacks:
+        if state.arrival_tick <= self.tick or state.rollbacks:
             self._arrive(state)
         else:
             heapq.heappush(
@@ -840,25 +845,6 @@ class Engine:
     # rollback
     # ------------------------------------------------------------------
 
-    def _cascade(self, seeds: set[tuple[str, int]]) -> set[tuple[str, int]]:
-        """Close the victim set: any attempt that accessed an entity
-        *after* a write by a cascading attempt joins the cascade (it read
-        a dirty value or overwrote one).
-
-        Only uncommitted entries participate: a committed entry never
-        taints (it could only join the cascade itself, which is the
-        recoverability violation ``_rollback`` detects separately via
-        the committed-access watermark), so restricting the closure to
-        ``_live_log`` computes the identical set at O(window) cost.
-        """
-        from repro.engine.rollback import cascade_closure
-
-        return cascade_closure(
-            [(entry.key, entry.record) for entry in self._live_log],
-            seeds,
-            emit=self._emit if "cascade.join" in self._routes else None,
-        )
-
     def _abort(
         self,
         victim_names: Iterable[str],
@@ -876,23 +862,65 @@ class Engine:
         reason: str,
         points: dict[str, int] | None = None,
     ) -> None:
-        if self.recovery == "segment":
-            self._abort_segment(victim_names, reason, points or {})
-            return
-        seeds = set()
+        """Roll back ``victim_names`` and every attempt their undone
+        writes reach, in the engine's unit of recovery.
+
+        Under ``recovery="transaction"`` every affected attempt restarts.
+        Under ``"segment"`` a victim rolls back to the start of the
+        segment holding its step ``points[name]`` (default 0), and an
+        attempt the cascade reaches to the start of the segment that
+        made its tainted access; one that keeps nothing restarts.
+        """
+        segment = self.recovery == "segment"
+        given = points or {}
+        seeds: dict[tuple[str, int], int] = {}
         for name in victim_names:
             txn = self.txns[name]
             if txn.committed:
                 raise EngineError(
                     f"scheduler tried to abort committed transaction {name!r}"
                 )
-            seeds.add(txn.key)
-        cascade = self._cascade(seeds)
-        # Recoverability: a committed access sequenced after a doomed
-        # write would have joined the full-log closure; the watermark
-        # detects exactly that case without scanning committed history.
+            point = 0
+            # Chronic partial-rollback victims escalate to a full
+            # restart: rolling back to the same segment start over and
+            # over cannot make progress if the conflict pattern is stable.
+            if segment and not (txn.rollbacks and txn.rollbacks % 8 == 0):
+                point = self._safe_point(txn, given.get(name, 0))
+            seeds[txn.key] = min(seeds.get(txn.key, point), point)
+
+        def rewind(key: tuple[str, int], index: int) -> int:
+            if key in self._committed_keys:
+                raise EngineError(
+                    f"recoverability violated: committed attempt {key} "
+                    f"consumed an undone write ({reason})"
+                )
+            return self._safe_point(self.txns[key[0]], index)
+
+        # A transaction-unit cascade reads only the uncommitted window: a
+        # committed entry never taints (it could only join the cascade,
+        # the recoverability violation the watermark below detects).  A
+        # segment-unit cascade reads the whole log: its per-entity pass
+        # visits entities in the order the whole log first touches them,
+        # and that order decides which ``cascade.join`` events it reports.
+        log = self.log if segment else self._live_log
+        points = cascade_closure(
+            [(entry.key, entry.record) for entry in log],
+            seeds,
+            emit=self._emit if "cascade.join" in self._routes else None,
+            rewind=rewind if segment else None,
+        )
+        doomed: list[_LogEntry] = []
+        kept: list[_LogEntry] = []
         for entry in self._live_log:
-            if entry.key in cascade and entry.record.kind is not StepKind.READ:
+            point = points.get(entry.key)
+            if point is None or entry.record.step.index < point:
+                kept.append(entry)
+                continue
+            doomed.append(entry)
+            # Recoverability: a committed access sequenced after a doomed
+            # write would have joined the full-log closure; the watermark
+            # detects exactly that case without scanning committed history.
+            if entry.record.kind is not StepKind.READ:
                 stamp = self._committed_access.get(entry.record.entity)
                 if stamp is not None and stamp[0] > entry.seq:
                     raise EngineError(
@@ -900,49 +928,78 @@ class Engine:
                         f"{stamp[1]} is in the cascade of {sorted(seeds)} "
                         f"({reason})"
                     )
-        self.metrics.record_cascade(len(cascade))
+        self.metrics.record_cascade(len(points))
         if "txn.abort" in self._routes:
             self._emit(
                 "txn.abort",
                 victims=sorted(name for name, _ in seeds),
-                cascade=sorted(name for name, _ in cascade - seeds),
+                cascade=sorted(
+                    name for name, _ in points.keys() - seeds.keys()
+                ),
                 reason=reason,
-                chain=len(cascade),
-                unit="transaction",
+                chain=len(points),
+                unit=self.recovery,
             )
-        # Undo every cascading write, newest first (cascade members are
-        # all uncommitted, so the live log holds every affected record).
-        for entry in reversed(self._live_log):
-            if entry.key in cascade and entry.record.kind is not StepKind.READ:
-                self._undo(entry)
-        self._live_log = [
-            e for e in self._live_log if e.key not in cascade
-        ]
-        # Recompute last uncommitted writers from the surviving log.
-        self._last_writer = {}
-        for entry in self._live_log:
+        # Undo every doomed write, newest first (cascade members are all
+        # uncommitted, so the live log holds every affected record).
+        for entry in reversed(doomed):
             if entry.record.kind is not StepKind.READ:
-                self._last_writer[entry.record.entity] = entry.key
-        # Restart the cascading attempts (sorted: deterministic across
+                self._undo(entry)
+        self._live_log = kept
+        # One pass over the surviving window: the last uncommitted writer
+        # per entity, and the commit dependencies of every attempt that
+        # keeps a prefix (restarted attempts start with none, and no
+        # survivor depends on an undone write: it would have cascaded).
+        rewound = {key for key, keep in points.items() if keep}
+        for name, _attempt in rewound:
+            self.txns[name].deps = set()
+        last_writer: dict[str, tuple[str, int]] = {}
+        for entry in kept:
+            record = entry.record
+            if entry.key in rewound:
+                writer = last_writer.get(record.entity)
+                if writer is not None and writer != entry.key:
+                    self.txns[entry.key[0]].deps.add(writer)
+            if record.kind is not StepKind.READ:
+                last_writer[record.entity] = entry.key
+        self._last_writer = last_writer
+        # Rewind the affected attempts (sorted: deterministic across
         # processes regardless of hash randomisation).
-        for name, _attempt in sorted(cascade):
+        for (name, _attempt), keep in sorted(points.items()):
             txn = self.txns[name]
             self._arrive(txn)  # a victim need not have arrived
-            self.scheduler.on_abort(txn)
-            txn.attempt += 1
-            txn.live = _LiveTransaction(txn.program)
-            txn.deps = set()
-            txn.attempt_start_tick = self.tick
-            self._back_off(txn, txn.attempt)
-            self.metrics.aborts += 1
-            self.metrics.restarts += 1
+            txn.rollbacks += 1
+            if keep == 0:
+                self.scheduler.on_abort(txn)
+                txn.attempt += 1
+                txn.live = _LiveTransaction(txn.program)
+                txn.deps = set()
+                txn.attempt_start_tick = self.tick
+                self.metrics.aborts += 1
+                self.metrics.restarts += 1
+            else:
+                self.scheduler.on_rollback(txn, keep)
+                fresh = _LiveTransaction(txn.program)
+                fresh.fast_forward(txn.live.results_log[:keep])
+                txn.live = fresh
+                self.metrics.partial_rollbacks += 1
+                self.metrics.steps_preserved += keep
+            self._back_off(txn, txn.rollbacks)
             # After the rng draw: the wake tick is the decision being
             # made durable (and verified on replay).
-            if "txn.restart" in self._routes:
+            if keep == 0:
+                if "txn.restart" in self._routes:
+                    self._emit(
+                        "txn.restart",
+                        txn=name,
+                        attempt=txn.attempt,
+                        wake=txn.wake_tick,
+                    )
+            elif "txn.partial-rollback" in self._routes:
                 self._emit(
-                    "txn.restart",
+                    "txn.partial-rollback",
                     txn=name,
-                    attempt=txn.attempt,
+                    keep=keep,
                     wake=txn.wake_tick,
                 )
 
@@ -970,10 +1027,6 @@ class Engine:
                 restored=record.value_before,
             )
 
-    # ------------------------------------------------------------------
-    # segment-unit recovery (the paper's intermediate recovery unit)
-    # ------------------------------------------------------------------
-
     def _safe_point(self, txn: TxnState, index: int) -> int:
         """The latest declared breakpoint boundary at or before ``index``
         in the transaction's current attempt: the start of the atomicity
@@ -985,171 +1038,6 @@ class Engine:
             if gap + 1 <= index
         ]
         return max(boundaries, default=0)
-
-    def _abort_segment(
-        self,
-        victim_names: Iterable[str],
-        reason: str,
-        points: dict[str, int],
-    ) -> None:
-        """Roll each victim back to the latest breakpoint before its
-        invalidated step (whole-transaction when no point is given), then
-        cascade at *record* granularity: any access after an undone write
-        is itself invalidated back to its own segment boundary."""
-        infinity = 1 << 60
-        invalid: dict[tuple[str, int], int] = {}
-        for name in victim_names:
-            txn = self.txns[name]
-            if txn.committed:
-                raise EngineError(
-                    f"scheduler tried to abort committed transaction {name!r}"
-                )
-            point = self._safe_point(txn, points.get(name, 0))
-            invalid[txn.key] = min(invalid.get(txn.key, infinity), point)
-
-        # Escalate chronic partial-rollback victims to a full restart:
-        # rolling back to the same segment start over and over cannot make
-        # progress if the conflict pattern is stable.
-        for key in list(invalid):
-            txn = self.txns[key[0]]
-            if invalid[key] > 0 and txn.rollbacks and txn.rollbacks % 8 == 0:
-                invalid[key] = 0
-
-        seed_keys = set(invalid)
-        # Segment cascades work at record granularity and must see
-        # committed entries interleaved (to catch recoverability
-        # violations mid-sequence), so this path materialises the full
-        # log.  It stays O(history) per abort — acceptable for the
-        # closed-system workloads that use segment recovery; the
-        # open-system service runs transaction recovery, which scans
-        # only the live window.
-        full_log = self.log
-        changed = True
-        while changed:
-            changed = False
-            per_entity: dict[str, list[_LogEntry]] = {}
-            for entry in full_log:
-                per_entity.setdefault(entry.record.entity, []).append(entry)
-            for entity, entries in per_entity.items():
-                tainted = False
-                tainter: tuple[str, int] | None = None
-                for entry in entries:
-                    undone = (
-                        entry.key in invalid
-                        and entry.record.step.index >= invalid[entry.key]
-                    )
-                    if tainted and not undone:
-                        if entry.key in self._committed_keys:
-                            raise EngineError(
-                                "recoverability violated: committed attempt "
-                                f"{entry.key} consumed an undone write "
-                                f"({reason})"
-                            )
-                        txn = self.txns[entry.key[0]]
-                        point = self._safe_point(txn, entry.record.step.index)
-                        current = invalid.get(entry.key, infinity)
-                        invalid[entry.key] = min(current, point)
-                        changed = True
-                        undone = True
-                        if (
-                            tainter is not None
-                            and "cascade.join" in self._routes
-                        ):
-                            self._emit(
-                                "cascade.join",
-                                entity=entity,
-                                txn=entry.key[0],
-                                txn_attempt=entry.key[1],
-                                cause=tainter[0],
-                                cause_attempt=tainter[1],
-                            )
-                    if undone and entry.record.kind is not StepKind.READ:
-                        tainted = True
-                        tainter = entry.key
-
-        self.metrics.record_cascade(len(invalid))
-        if "txn.abort" in self._routes:
-            self._emit(
-                "txn.abort",
-                victims=sorted(name for name, _ in seed_keys),
-                cascade=sorted(name for name, _ in set(invalid) - seed_keys),
-                reason=reason,
-                chain=len(invalid),
-                unit="segment",
-            )
-        # Undo invalidated writes, newest first (invalid keys are all
-        # uncommitted, so the live log holds every affected record).
-        for entry in reversed(self._live_log):
-            if (
-                entry.key in invalid
-                and entry.record.step.index >= invalid[entry.key]
-                and entry.record.kind is not StepKind.READ
-            ):
-                self._undo(entry)
-        self._live_log = [
-            e
-            for e in self._live_log
-            if not (
-                e.key in invalid
-                and e.record.step.index >= invalid[e.key]
-            )
-        ]
-        self._recompute_dependencies()
-        # Rewind the affected attempts.
-        for (name, _attempt), keep in sorted(invalid.items()):
-            txn = self.txns[name]
-            self._arrive(txn)  # a victim need not have arrived
-            txn.rollbacks += 1
-            self.scheduler.on_rollback(txn, keep)
-            if keep == 0:
-                txn.attempt += 1
-                txn.live = _LiveTransaction(txn.program)
-                txn.attempt_start_tick = self.tick
-                self.metrics.aborts += 1
-                self.metrics.restarts += 1
-            else:
-                fresh = _LiveTransaction(txn.program)
-                fresh.fast_forward(txn.live.results_log[:keep])
-                txn.live = fresh
-                self.metrics.partial_rollbacks += 1
-                self.metrics.steps_preserved += keep
-            self._back_off(txn, txn.rollbacks)
-            if keep == 0:
-                if "txn.restart" in self._routes:
-                    self._emit(
-                        "txn.restart",
-                        txn=name,
-                        attempt=txn.attempt,
-                        wake=txn.wake_tick,
-                    )
-            elif "txn.partial-rollback" in self._routes:
-                self._emit(
-                    "txn.partial-rollback",
-                    txn=name,
-                    keep=keep,
-                    wake=txn.wake_tick,
-                )
-
-    def _recompute_dependencies(self) -> None:
-        """Rebuild last-writer tracking and all active attempts' commit
-        dependencies from the surviving log."""
-        self._last_writer = {}
-        for txn in self._active.values():
-            txn.deps = set()
-        last_writer: dict[str, tuple[str, int]] = {}
-        for entry in self.log:
-            writer = last_writer.get(entry.record.entity)
-            if (
-                writer is not None
-                and writer != entry.key
-                and writer not in self._committed_keys
-                and entry.key not in self._committed_keys
-            ):
-                self.txns[entry.key[0]].deps.add(writer)
-            if entry.record.kind is not StepKind.READ:
-                last_writer[entry.record.entity] = entry.key
-                if entry.key not in self._committed_keys:
-                    self._last_writer[entry.record.entity] = entry.key
 
     # ------------------------------------------------------------------
     # durability snapshots

@@ -159,14 +159,15 @@ class Scheduler:
         pass
 
     def on_abort(self, txn: "TxnState") -> None:
-        pass
+        """The attempt ``txn.key`` is rolled back whole and restarts
+        (under either unit of recovery); called exactly once per
+        restart, before ``txn.attempt`` moves on."""
 
     def on_rollback(self, txn: "TxnState", keep_steps: int) -> None:
         """Partial-rollback notification (``recovery="segment"``): the
-        transaction keeps its first ``keep_steps`` steps.  Default: treat
-        a rollback-to-zero like a full abort and ignore the rest."""
-        if keep_steps == 0:
-            self.on_abort(txn)
+        attempt keeps its first ``keep_steps`` steps, always at least
+        one — a rewind that keeps nothing is a restart, reported through
+        :meth:`on_abort` instead.  Default: ignore it."""
 
     def on_stall(self, active: list["TxnState"]) -> Decision:
         """Called when no transaction has made progress for a while.

@@ -179,10 +179,7 @@ class MLAPreventScheduler(Scheduler):
         self.window.mark_committed(txn.name)
 
     def on_rollback(self, txn, keep_steps: int) -> None:
-        if keep_steps == 0:
-            self.on_abort(txn)
-        else:
-            self.window.truncate(txn.name, keep_steps)
+        self.window.truncate(txn.name, keep_steps)
 
     def on_abort(self, txn) -> None:
         self._waiting_on.pop(txn.name, None)

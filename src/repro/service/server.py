@@ -65,7 +65,6 @@ class ServiceConfig:
     #: Engine ticks per pump slice; between slices the event loop runs
     #: (new submissions are ingested, responses written).
     tick_batch: int = 256
-    recovery: str = "transaction"
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: Directory for the durability WAL (+ snapshots).  ``None`` runs
     #: the service purely in memory; with a directory, a restarted
@@ -159,7 +158,6 @@ class TransactionService:
             {},
             make_scheduler(config.scheduler, nest),
             seed=config.seed,
-            recovery=config.recovery,
             max_ticks=1 << 62,
             tracer=self.tracer,
             registry=self.registry,
@@ -171,7 +169,7 @@ class TransactionService:
             self.wal.log_genesis(
                 seed=config.seed,
                 scheduler=config.scheduler,
-                recovery=config.recovery,
+                recovery=engine.recovery,
                 stall_limit=engine.stall_limit,
                 backoff=engine.backoff,
                 max_ticks=1 << 62,
@@ -381,8 +379,8 @@ class TransactionService:
         state = self.engine.txns[name]
         causes = self._causes.get(name)
         if causes is None:
-            # Taken whatever the outcome: under segment recovery a victim
-            # can be rolled back without ever restarting.
+            # Taken whatever the outcome: the tracer holds nothing for a
+            # transaction once its envelope has been built.
             events = self.tracer.take(name)
             causes = ()
             if state.attempt > 0:

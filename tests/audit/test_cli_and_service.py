@@ -80,6 +80,18 @@ class TestCli:
         assert main(["audit", str(path)]) == 2
         assert "audit:" in capsys.readouterr().err
 
+    def test_mistyped_history_exits_two(self, tmp_path, capsys):
+        """A wrongly typed field is malformed input (2), not a crash
+        reported as a violated criterion (1)."""
+        with open(os.path.join(FIXTURES, "clean-serial.json"),
+                  encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["commit_order"][0] = ["x"]
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(data) + "\n")
+        assert main(["audit", str(path)]) == 2
+        assert "must be strings" in capsys.readouterr().err
+
     def test_deeply_nested_history_exits_two(self, tmp_path, capsys):
         path = tmp_path / "nested.json"
         path.write_text("[" * 200_000 + "\n")

@@ -5,6 +5,7 @@ guarantee of the engine seam."""
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -21,6 +22,8 @@ from repro.audit import (
 )
 from repro.errors import SpecificationError
 from tests.audit.conftest import recorder_for, run_specs
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def simple_history(**overrides) -> History:
@@ -188,6 +191,61 @@ class TestRejection:
         steps = (HistoryStep(0, "t", 0, "x", "read", 9, 9),)
         with pytest.raises(SpecificationError):
             simple_history(steps=steps).validate()
+
+    @staticmethod
+    def fixture(name: str) -> dict:
+        path = os.path.join(FIXTURES, name)
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+        data.pop("sha256", None)
+        return data
+
+    def test_names_must_be_strings(self):
+        data = self.fixture("clean-serial.json")
+        data["commit_order"][0] = ["x"]
+        with pytest.raises(SpecificationError, match="strings"):
+            History.from_dict(data)
+        data = self.fixture("clean-serial.json")
+        data["steps"][0]["transaction"] = {"a": 1}
+        with pytest.raises(SpecificationError, match="strings"):
+            History.from_dict(data)
+
+    def test_entities_must_be_strings(self):
+        data = self.fixture("clean-serial.json")
+        data["steps"][0]["entity"] = {"a": 1}
+        with pytest.raises(SpecificationError, match="strings"):
+            History.from_dict(data)
+
+    def test_index_must_be_an_int_not_a_bool(self):
+        data = self.fixture("clean-serial.json")
+        data["steps"][1]["index"] = True
+        with pytest.raises(SpecificationError, match="not an int"):
+            History.from_dict(data)
+
+    def test_paths_must_be_arrays(self):
+        data = self.fixture("mixed-level-ok.json")
+        data["paths"]["t1"] = 5
+        with pytest.raises(SpecificationError, match="must be an array"):
+            History.from_dict(data)
+
+    def test_stream_step_entity_must_be_a_string(self, tmp_path,
+                                                 mixed_specs, mixed_initial):
+        path = str(tmp_path / "run.jsonl")
+        depth = len(mixed_specs[0].path)
+        writer = HistoryWriter(path, initial=dict(mixed_initial), depth=depth)
+        for spec in mixed_specs:
+            writer.declare_path(spec.name, spec.path)
+        run_specs(mixed_specs, mixed_initial, history=writer)
+        writer.close()
+        lines = open(path, encoding="utf-8").read().splitlines()
+        commit = next(i for i, l in enumerate(lines)
+                      if json.loads(l)["kind"] == "commit")
+        record = json.loads(lines[commit])
+        record["steps"][0]["entity"] = {"a": 1}
+        lines[commit] = json.dumps(record, sort_keys=True)
+        (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecificationError, match="strings"):
+            load_history(str(tmp_path / "bad.jsonl"))
 
     def test_truncated_stream_rejected(self, tmp_path, mixed_specs,
                                        mixed_initial):

@@ -18,7 +18,8 @@ from a list kept in name order instead of sorting every tick, and
 deadlock detection walks the contended locks, not every lock.  And for
 configuration: every concurrency control runs the paper's one conflict
 model with exclusive locks, so no constructor takes a conflict model,
-a lock mode or a prune interval.
+a lock mode or a prune interval.  And for rollback: both units of
+recovery share one cascade fixpoint, reached from one engine method.
 """
 
 from __future__ import annotations
@@ -226,3 +227,53 @@ def test_tick_loop_pays_for_its_decision_not_for_the_window():
         os.path.join("engine", "locks.py"), "LockManager.waits_for_edges"
     )
     assert "self._locks.values()" not in edges
+
+
+def _parse(relpath: str) -> ast.Module:
+    with open(os.path.join(SRC, relpath), encoding="utf-8") as handle:
+        return ast.parse(handle.read())
+
+
+def test_one_rollback_rule():
+    """Both units of recovery run one cascade fixpoint: only
+    ``engine/rollback.py`` reports a ``cascade.join`` among the engine
+    and the distributed runtime, and one ``Engine`` method calls it."""
+    from repro.engine.runtime import Engine
+
+    emitters = []
+    for directory, _, files in sorted(os.walk(SRC)):
+        for name in sorted(files):
+            path = os.path.relpath(os.path.join(directory, name), SRC)
+            if not name.endswith(".py") or not path.startswith(
+                ("engine" + os.sep, "distributed" + os.sep)
+            ):
+                continue
+            for node in ast.walk(_parse(path)):
+                if (
+                    isinstance(node, ast.Call)
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == "cascade.join"
+                ):
+                    emitters.append(path)
+    assert emitters == [os.path.join("engine", "rollback.py")]
+
+    runtime = _parse(os.path.join("engine", "runtime.py"))
+    engine = next(
+        node for node in runtime.body
+        if isinstance(node, ast.ClassDef) and node.name == "Engine"
+    )
+    callers = [
+        item.name
+        for item in engine.body
+        if isinstance(item, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "cascade_closure"
+            for node in ast.walk(item)
+        )
+    ]
+    assert callers == ["_rollback"]
+    for gone in ("_abort_segment", "_recompute_dependencies", "_cascade"):
+        assert not hasattr(Engine, gone), gone
