@@ -25,8 +25,8 @@ same commit order), round-trips the recording through JSONL, and
 measures the disabled-tracer guard overhead on the E1 quick workload
 (asserted < 3%).
 
-The obs smoke does the same for the metrics plane: one registry- and
-profiler-instrumented banking run per scheduler, asserted
+The obs smoke does the same for the metrics plane: one registry-
+instrumented, profiled banking run per scheduler, asserted
 behaviour-identical to the bare run, with the *enabled* overhead
 estimated analytically (measured primitive costs times the run's actual
 instrumentation traffic; asserted < 5%).
@@ -151,11 +151,12 @@ TRACE_OVERHEAD_BUDGET_PCT = 3.0
 #: Information only: the gate is the deterministic pair in ``obs_smoke``.
 OBS_OVERHEAD_BUDGET_PCT = 5.0
 
-#: Places a tick can open or donate a phase span: the five
-#: ``profiler.phase`` sites of ``engine/runtime.py`` (stall, request,
-#: after-performed, certify, rollback) and the four ``profiler.add``
-#: sites of ``engine/closure_window.py``.
-PROFILER_HOOK_SITES = 9
+#: Callables ``PhaseProfiler.install`` times on an engine, each a place
+#: a tick can open a phase span: the scheduler's ``on_request``,
+#: ``after_performed``, ``on_stall`` and ``may_commit``,
+#: ``Engine._rollback``, and the closure window's ``_recompute`` and
+#: ``_extend``.
+PROFILER_HOOK_SITES = 7
 
 
 def _scheduler_zoo() -> dict:
@@ -301,7 +302,7 @@ def _counting_child_writes():
 
 
 def obs_smoke() -> dict:
-    """Metrics-plane smoke: one registry- and profiler-instrumented
+    """Metrics-plane smoke: one registry-instrumented, profiled
     banking run per scheduler, asserted behaviour-identical to the bare
     run and asserted *not to touch the registry while it runs*.
 
@@ -316,7 +317,8 @@ def obs_smoke() -> dict:
     only (every timing in ``BENCH.json`` is warn-only: bare wall times
     are single-digit milliseconds and swing run to run).  It models what
     an instrumented run pays over a bare one: the measured cost of a
-    phase span times the spans the run opened, plus one registry read.
+    profiler proxy times the spans the run opened, plus one registry
+    read.
     """
     import timeit
 
@@ -332,11 +334,10 @@ def obs_smoke() -> dict:
     read_seconds: dict[str, float] = {}
     for name, factory in _scheduler_zoo().items():
         registry = MetricsRegistry()
-        profiler = PhaseProfiler()
         engine = workload.engine(
-            factory(workload.nest), seed=7,
-            registry=registry, profiler=profiler,
+            factory(workload.nest), seed=7, registry=registry,
         )
+        profiler = PhaseProfiler().install(engine)
         with _counting_child_writes() as tally:
             engine.advance()
         instrumented = engine.run()
@@ -382,13 +383,13 @@ def obs_smoke() -> dict:
             timeit.repeat(registry.families, number=1, repeat=5)
         )
     n = 100_000
-    profiler = PhaseProfiler()
+
+    def hook() -> None:
+        pass
+
+    proxy = PhaseProfiler()._timed("schedule", hook)
     span_seconds = max(
-        timeit.timeit(
-            "\nwith p.phase('schedule'):\n    pass",
-            globals={"p": profiler},
-            number=n,
-        ) - timeit.timeit("pass", number=n),
+        timeit.timeit(proxy, number=n) - timeit.timeit(hook, number=n),
         0.0,
     ) / n
 

@@ -92,6 +92,12 @@ def make_scheduler(name: str, nest) -> Scheduler:
 _OP_ARITY = {"read": 1, "add": 2, "set": 2, "bp": 1}
 
 
+def _is_int(value) -> bool:
+    """An ``int`` and not a ``bool`` — what a value, a delta or a level
+    must be (entity values are integers; the engine adds to them)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProgramSpec:
     """A declarative transaction program with its k-nest placement.
@@ -104,6 +110,10 @@ class ProgramSpec:
     * ``("set", entity, value)`` — blind overwrite;
     * ``("bp", level)`` — declare a breakpoint at ``level`` (and all
       finer levels) between the surrounding accesses.
+
+    Deltas, values and levels are ints (a ``bool`` is not one): entity
+    values stay integers, so no later ``add`` or read can fail inside
+    the engine.
 
     ``path`` places the transaction in the hierarchy exactly as a
     ``KNest.from_paths`` path does; all specs submitted to one engine
@@ -149,7 +159,7 @@ class ProgramSpec:
                         f"program {self.name!r}: breakpoints must sit "
                         f"between two accesses"
                     )
-                if not isinstance(op[1], int) or op[1] < 1:
+                if not _is_int(op[1]) or op[1] < 1:
                     raise SpecificationError(
                         f"program {self.name!r}: breakpoint level must be "
                         f"a positive integer, got {op[1]!r}"
@@ -163,9 +173,10 @@ class ProgramSpec:
                     f"program {self.name!r}: entity must be a non-empty "
                     f"string in {op!r}"
                 )
-            if kind == "add" and not isinstance(op[2], int):
+            if kind != "read" and not _is_int(op[2]):
+                what = "delta" if kind == "add" else "value"
                 raise SpecificationError(
-                    f"program {self.name!r}: add delta must be an int "
+                    f"program {self.name!r}: {kind} {what} must be an int "
                     f"in {op!r}"
                 )
         if previous_bp and accesses:

@@ -381,14 +381,14 @@ def cmd_metrics(args) -> int:
     profiler = PhaseProfiler()
     registry.derive("phases", profiler.publish)
     if args.distributed:
-        _build_distributed(
-            args, workload, registry=registry, profiler=profiler
-        ).run()
+        owner = _build_distributed(args, workload, registry=registry)
     else:
-        run_workload(
-            workload, args.scheduler, seed=args.seed,
-            registry=registry, profiler=profiler,
+        owner = workload.engine(
+            make_scheduler(args.scheduler, workload.nest),
+            seed=args.seed, registry=registry,
         )
+    profiler.install(owner)
+    owner.run()
     if args.format == "json":
         text = json.dumps(json_snapshot(registry), indent=2, sort_keys=True)
     else:
@@ -528,9 +528,8 @@ def cmd_top(args) -> int:
     clear = sys.stdout.isatty() and not args.no_clear
     frames = 0
     if args.distributed:
-        runtime = _build_distributed(
-            args, workload, registry=registry, profiler=profiler
-        )
+        runtime = _build_distributed(args, workload, registry=registry)
+        profiler.install(runtime)
         runtime.start()
         now = 0.0
         while not runtime.network.idle and frames < args.max_frames:
@@ -557,9 +556,9 @@ def cmd_top(args) -> int:
         )
     engine = workload.engine(
         make_scheduler(args.scheduler, workload.nest),
-        seed=args.seed, registry=registry, profiler=profiler,
-        **engine_kwargs,
+        seed=args.seed, registry=registry, **engine_kwargs,
     )
+    profiler.install(engine)
     budget = 0
     result = None
     while frames < args.max_frames:

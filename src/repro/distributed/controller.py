@@ -44,7 +44,6 @@ from repro.engine.locks import LockManager
 from repro.engine.rollback import cascade_closure, undo_plan
 from repro.errors import NetworkError
 from repro.model.breakpoints import spec_for_execution
-from repro.obs.profile import NULL_PROFILER, PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.model.execution import Execution
 from repro.model.programs import TransactionProgram
@@ -133,7 +132,6 @@ class DistributedPreventControl(NoControl):
         super().attach(sequencer)
         self.window.emit = sequencer.network.emit
         self.window.reads = sequencer.network.reads
-        self.window.profiler = sequencer.profiler
 
     def _at_breakpoint(self, name: str, level: int) -> bool:
         seq = self.sequencer
@@ -260,12 +258,10 @@ class Sequencer:
         commit_retry: float = 2.0,
         rexmit_delay: float = 4.0,
         registry: MetricsRegistry | None = None,
-        profiler: PhaseProfiler | None = None,
     ) -> None:
         self.name = name
         self.network = network
         self.control = control
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         if registry is not None:
             registry.derive(("sequencer", control.name), self._publish)
         self.entity_owner = dict(entity_owner)
@@ -444,12 +440,7 @@ class Sequencer:
             # computed over a stable log and no step overtakes an undo.
             self._send_deny(node, name, attempt, steps)
             return
-        pr = self.profiler
-        if pr.enabled:
-            with pr.phase("schedule"):
-                decision = self.control.decide(payload)
-        else:
-            decision = self.control.decide(payload)
+        decision = self.control.decide(payload)
         if decision == "grant":
             self._send_grant(node, name, attempt, steps)
         elif decision == "wait":
@@ -763,12 +754,7 @@ class Sequencer:
             dep for dep in self.deps.get(key, ()) if dep not in self.committed
         }
         if not pending:
-            pr = self.profiler
-            if pr.enabled:
-                with pr.phase("certify"):
-                    victims = self.control.certify_commit(name)
-            else:
-                victims = self.control.certify_commit(name)
+            victims = self.control.certify_commit(name)
             if victims:
                 self.deadlocks += 1
                 self._abort(victims)
@@ -844,12 +830,7 @@ class Sequencer:
             return  # drain first; grants are quiesced meanwhile
         if self._undo_outstanding:
             return  # a previous rollback's undo barrier is still up
-        pr = self.profiler
-        if pr.enabled:
-            with pr.phase("rollback"):
-                self._execute_rollback()
-        else:
-            self._execute_rollback()
+        self._execute_rollback()
 
     def _execute_rollback(self) -> None:
         victims = set(self.doomed)
@@ -985,7 +966,6 @@ class DistributedRuntime:
         rexmit_delay: float = 4.0,
         tracer=None,
         registry: MetricsRegistry | None = None,
-        profiler: PhaseProfiler | None = None,
         wal_dir: str | None = None,
     ) -> None:
         programs = list(programs)
@@ -1007,7 +987,7 @@ class DistributedRuntime:
                     )
         self.network = Network(
             latency=latency, seed=seed, faults=faults, tracer=tracer,
-            registry=registry, profiler=profiler,
+            registry=registry,
         )
         entity_owner = {
             entity: node_names[i % nodes]
@@ -1033,7 +1013,6 @@ class DistributedRuntime:
             backoff=backoff,
             rexmit_delay=rexmit_delay,
             registry=registry,
-            profiler=profiler,
         )
         self.nodes: list[DataNode] = []
         for node_name in node_names:

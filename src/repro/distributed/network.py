@@ -24,7 +24,6 @@ from typing import Any
 
 from repro.distributed.faults import FaultPlan
 from repro.errors import NetworkError
-from repro.obs.profile import NULL_PROFILER, PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -62,7 +61,6 @@ class Network:
         faults: FaultPlan | None = None,
         tracer: Tracer | None = None,
         registry: MetricsRegistry | None = None,
-        profiler: PhaseProfiler | None = None,
     ) -> None:
         lo, hi = latency
         if lo < 0 or hi < lo:
@@ -75,11 +73,9 @@ class Network:
         #: the nodes too — or ``None`` when nobody listens; ``reads`` are
         #: the kinds the tracer reads, and the only ones it is handed.
         #: Emission never touches ``rng``/``fault_rng``, so traced runs
-        #: are identical; the same holds for the ``network`` phase of
-        #: handler execution and the registry source.
+        #: are identical; the same holds for the registry source.
         self.reads = self.tracer.reads if self.tracer.enabled else frozenset()
         self.emit = self._record if self.reads else None
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         if registry is not None:
             registry.derive("network", self._publish)
         self.max_events = max_events
@@ -321,12 +317,7 @@ class Network:
             self.deliveries_by_node[delivery.target] = (
                 self.deliveries_by_node.get(delivery.target, 0) + 1
             )
-            pr = self.profiler
-            if pr.enabled:
-                with pr.phase("network"):
-                    self._handlers[delivery.target](delivery.message)
-            else:
-                self._handlers[delivery.target](delivery.message)
+            self._handlers[delivery.target](delivery.message)
         return self.now
 
     @property

@@ -58,7 +58,6 @@ def recover(
     use_snapshot: bool = True,
     tracer=None,
     registry=None,
-    profiler=None,
 ) -> RecoveryReport:
     """Recover an engine from ``directory``'s WAL (+ snapshots).
 
@@ -165,7 +164,6 @@ def recover(
         recovery=genesis["recovery"],
         tracer=tracer,
         registry=registry,
-        profiler=profiler,
         wal=wal,
     )
     if snap is not None:

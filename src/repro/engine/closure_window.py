@@ -53,7 +53,6 @@ from repro.core.nests import KNest
 from repro.core.segmentation import BreakpointDescription
 from repro.model.execution import EntityFold
 from repro.model.steps import StepId, StepKind
-from repro.obs.profile import NULL_PROFILER
 
 __all__ = ["ClosureWindow"]
 
@@ -108,18 +107,15 @@ class ClosureWindow:
         self.closure_seconds = 0.0
         self.closure_edges_propagated = 0
         self.closure_word_ops = 0
-        # The owner's emission point, the kinds its sinks read and its
-        # phase profiler, injected by Scheduler.attach (the window has
-        # no engine reference): ``emit(kind, /, **fields)`` is called
-        # only for a kind in ``reads``.  Rebuilds and prunes are
-        # reported through it — prunes reach the WAL because they
-        # restructure the window.  Until an owner binds its own, the
-        # window reports both kinds to ``emit``, which drops them.  The
-        # window donates its already-metered closure intervals to the
-        # profiler via ``add`` rather than opening spans.
+        # The owner's emission point and the kinds its sinks read,
+        # injected by Scheduler.attach (the window has no engine
+        # reference): ``emit(kind, /, **fields)`` is called only for a
+        # kind in ``reads``.  Rebuilds and prunes are reported through
+        # it — prunes reach the WAL because they restructure the
+        # window.  Until an owner binds its own, the window reports both
+        # kinds to ``emit``, which drops them.
         self.emit = _unowned
         self.reads: Container[str] = _WINDOW_KINDS
-        self.profiler = NULL_PROFILER
 
     # ------------------------------------------------------------------
     # window contents
@@ -231,9 +227,7 @@ class ClosureWindow:
         engine = live.engine
         index = engine.index
         self.closure_calls += 1
-        elapsed = perf_counter() - t0
-        self.closure_seconds += elapsed
-        self.profiler.add("closure", elapsed)
+        self.closure_seconds += perf_counter() - t0
         self.closure_edges_propagated += index.edges_propagated
         self.closure_word_ops += index.word_ops
         self.edges_last = index.edges
@@ -273,26 +267,33 @@ class ClosureWindow:
                 return base
         assert self._live is not None
         name, step, entity, kind = extra
-        base_index = self._live.engine.index
-        t0 = perf_counter()
-        ep0 = base_index.edges_propagated
-        wo0 = base_index.word_ops
-        ea0 = self._live.engine.edges_added
-        probe = self._live.clone()
-        engine = probe.engine
-        engine.add_step(
-            name, step, self._cut_before(name, len(self._steps.get(name, ())))
+        return self._extend(
+            self._live.clone(), name, step, entity, kind,
+            len(self._steps.get(name, ())),
         )
+
+    def _extend(
+        self, live: _LiveState, name: str, step: StepId, entity: str,
+        kind: StepKind, pos: int,
+    ) -> ClosureResult:
+        """Add ``step`` at position ``pos`` of ``name``'s attempt to
+        ``live`` — the window's own state, or a clone for a probe — and
+        saturate; the counters are charged with what it cost."""
+        engine = live.engine
+        index = engine.index
+        t0 = perf_counter()
+        ep0 = index.edges_propagated
+        wo0 = index.word_ops
+        ea0 = engine.edges_added
+        engine.add_step(name, step, self._cut_before(name, pos))
         if not engine.cyclic:
-            for u, v in probe.fold.feed(step, entity, kind):
+            for u, v in live.fold.feed(step, entity, kind):
                 if not engine.add_edge(u, v):
                     break
             engine.saturate()
         index = engine.index
         self.closure_calls += 1
-        elapsed = perf_counter() - t0
-        self.closure_seconds += elapsed
-        self.profiler.add("closure", elapsed)
+        self.closure_seconds += perf_counter() - t0
         self.closure_edges_propagated += index.edges_propagated - ep0
         self.closure_word_ops += index.word_ops - wo0
         return self._result_of(engine, ea0)
@@ -323,27 +324,11 @@ class ClosureWindow:
         live = self._live
         if live is None:
             return self._recompute()
-        engine = live.engine
-        index = engine.index
-        t0 = perf_counter()
-        ep0 = index.edges_propagated
-        wo0 = index.word_ops
-        ea0 = engine.edges_added
-        engine.add_step(
-            name, step, self._cut_before(name, len(self._steps[name]) - 1)
+        result = self._extend(
+            live, name, step, entity, kind, len(self._steps[name]) - 1
         )
-        for u, v in live.fold.feed(step, entity, kind):
-            if not engine.add_edge(u, v):
-                break
-        engine.saturate()
-        self.closure_calls += 1
-        elapsed = perf_counter() - t0
-        self.closure_seconds += elapsed
-        self.profiler.add("closure", elapsed)
-        self.closure_edges_propagated += index.edges_propagated - ep0
-        self.closure_word_ops += index.word_ops - wo0
-        self.edges_last = index.edges
-        result = self._result_of(engine, ea0)
+        engine = live.engine
+        self.edges_last = engine.index.edges
         self._last_result = result
         if engine.cyclic:
             # Terminal: the engine stops maintaining reachability after a

@@ -53,7 +53,6 @@ from repro.model.programs import TransactionProgram
 from repro.model.steps import StepId, StepKind, StepRecord
 from repro.model.system import _LiveTransaction
 from repro.model.variables import EntityStore
-from repro.obs.profile import NULL_PROFILER, PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -283,10 +282,12 @@ class Engine:
         Optional :class:`repro.obs.MetricsRegistry`.  Never written
         while the engine runs: the ``scheduler=``-labeled series are
         set from :attr:`metrics` whenever the registry is read.
-    profiler:
-        Optional :class:`repro.obs.PhaseProfiler` attributing wall time
-        to the ``schedule`` / ``closure`` / ``rollback`` / ``certify``
-        phases.  ``None`` (the default) profiles nothing.
+
+    Where the engine's time goes is measured from outside
+    (:mod:`repro.obs.profile`): timing proxies are swapped in, on the
+    instances, around the scheduler's hooks, :meth:`_rollback` and the
+    closure window's calls, so the engine looks each of them up at
+    every call and binds none early.
     """
 
     def __init__(
@@ -303,7 +304,6 @@ class Engine:
         schedule: list[str] | None = None,
         tracer: Tracer | None = None,
         registry: MetricsRegistry | None = None,
-        profiler: PhaseProfiler | None = None,
         wal=None,
         history=None,
     ) -> None:
@@ -324,7 +324,6 @@ class Engine:
         self._routes: dict[str, tuple] = {}
         if registry is not None:
             registry.derive(("scheduler", scheduler.name), self._publish)
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.max_ticks = max_ticks
         self.stall_limit = stall_limit
         self.backoff = backoff
@@ -563,12 +562,7 @@ class Engine:
             if self.tick - self._last_progress > self.stall_limit:
                 # A copy: ``candidates`` may be ``_ranked`` itself.
                 stalled = list(candidates)
-                pr = self.profiler
-                if pr.enabled:
-                    with pr.phase("schedule"):
-                        decision = self.scheduler.on_stall(stalled)
-                else:
-                    decision = self.scheduler.on_stall(stalled)
+                decision = self.scheduler.on_stall(stalled)
                 if decision.action is Action.ABORT and decision.victims:
                     self.metrics.deadlocks += 1
                     self.metrics.detail["engine_deadlocks"] += 1
@@ -578,7 +572,7 @@ class Engine:
                             victims=list(decision.victims),
                             reason=decision.reason or "stall",
                         )
-                    self._abort(
+                    self._rollback(
                         decision.victims,
                         decision.reason or "stall",
                         dict(decision.victim_points),
@@ -663,26 +657,17 @@ class Engine:
             return self._try_commit(txn)
         access = txn.live.pending
         assert access is not None
-        pr = self.profiler
-        if pr.enabled:
-            with pr.phase("schedule"):
-                decision = self.scheduler.on_request(txn, access)
-        else:
-            decision = self.scheduler.on_request(txn, access)
+        decision = self.scheduler.on_request(txn, access)
         if decision.action is Action.PERFORM:
             record = self._perform(txn)
-            if pr.enabled:
-                with pr.phase("schedule"):
-                    veto = self.scheduler.after_performed(txn, record)
-            else:
-                veto = self.scheduler.after_performed(txn, record)
+            veto = self.scheduler.after_performed(txn, record)
             if veto is not None and veto.action is Action.ABORT:
-                self._abort(
+                self._rollback(
                     veto.victims, veto.reason, dict(veto.victim_points)
                 )
             return True
         if decision.action is Action.ABORT:
-            self._abort(
+            self._rollback(
                 decision.victims or (txn.name,),
                 decision.reason,
                 dict(decision.victim_points),
@@ -737,17 +722,12 @@ class Engine:
                         victim=victim.name,
                         cause="commit-dependency",
                     )
-                self._abort([victim.name], "commit-dependency cycle")
+                self._rollback([victim.name], "commit-dependency cycle")
                 return True
             return self._commit_wait(
                 txn, pending=sorted(d[0] for d in pending_deps)
             )
-        pr = self.profiler
-        if pr.enabled:
-            with pr.phase("certify"):
-                decision = self.scheduler.may_commit(txn)
-        else:
-            decision = self.scheduler.may_commit(txn)
+        decision = self.scheduler.may_commit(txn)
         if decision.action is Action.PERFORM:
             txn.committed = True
             txn.commit_tick = self.tick
@@ -802,7 +782,7 @@ class Engine:
             txn.deps = _NO_DEPS
             return True
         if decision.action is Action.ABORT:
-            self._abort(
+            self._rollback(
                 decision.victims or (txn.name,),
                 decision.reason,
                 dict(decision.victim_points),
@@ -844,17 +824,6 @@ class Engine:
     # ------------------------------------------------------------------
     # rollback
     # ------------------------------------------------------------------
-
-    def _abort(
-        self,
-        victim_names: Iterable[str],
-        reason: str,
-        points: dict[str, int] | None = None,
-    ) -> None:
-        # Cold path: the null profiler's span is a shared no-op, so this
-        # needs no guard (unlike the per-tick schedule/certify sites).
-        with self.profiler.phase("rollback"):
-            self._rollback(victim_names, reason, points)
 
     def _rollback(
         self,

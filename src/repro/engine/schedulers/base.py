@@ -110,7 +110,6 @@ class Scheduler:
         if window is not None:
             window.emit = self.emit
             window.reads = self.reads
-            window.profiler = engine.profiler
 
     # ------------------------------------------------------------------
     # durability

@@ -21,7 +21,9 @@ The *aggregate* half (how much, and where):
   backing ``Metrics`` percentiles and registry histogram families.
 * :mod:`repro.obs.profile` — the deterministic phase profiler
   (exclusive wall-time attribution over schedule / closure / rollback /
-  certify / network); ``profiler.publish`` is its registry source.
+  certify / network), installed on an engine or a distributed runtime
+  from outside and only on demand; ``profiler.publish`` is its registry
+  source.
 * :mod:`repro.obs.spans` — folds the event stream into per-transaction
   and per-message causal spans as Chrome trace-event JSON (Perfetto).
 * :mod:`repro.obs.export` — Prometheus text exposition and lossless
@@ -57,7 +59,7 @@ from repro.obs.export import (
 )
 from repro.obs.histogram import Histogram
 from repro.obs.introspect import closure_frontier, wait_for_snapshot
-from repro.obs.profile import NULL_PROFILER, PHASES, NullProfiler, PhaseProfiler
+from repro.obs.profile import PHASES, PhaseProfiler
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -85,9 +87,7 @@ __all__ = [
     "HistogramChild",
     "MetricFamily",
     "MetricsRegistry",
-    "NULL_PROFILER",
     "NULL_TRACER",
-    "NullProfiler",
     "NullTracer",
     "PHASES",
     "PhaseProfiler",

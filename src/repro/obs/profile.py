@@ -4,34 +4,24 @@ The engine and the distributed runtime spend their time in a small,
 closed set of activities — making a scheduling decision, maintaining the
 coherent closure, rolling a transaction back, certifying a commit, and
 delivering network messages.  :class:`PhaseProfiler` attributes wall
-time to exactly those :data:`PHASES` via nestable context managers::
+time to exactly those :data:`PHASES`.
 
-    with profiler.phase("schedule"):
-        decision = scheduler.on_request(...)
+It works **outside-in**: ``install(owner)`` swaps a timing proxy in,
+on the instances, around each callable of an engine or a distributed
+runtime that does one phase's work, and ``uninstall()`` puts back
+exactly what was there.  Nothing it times names it, so an owner nobody
+profiles pays nothing: the service installs its profiler only while a
+``profile`` request is open, ``repro top`` and ``repro metrics`` for
+their own runs.  ``phase(name)`` records a block timed by hand.
 
 Attribution is **exclusive**: while a nested phase is open, the elapsed
-time is charged to the *inner* phase, not the enclosing one — so the
-per-phase seconds sum to (at most) the instrumented wall time and a
-stacked-bar over the phases is honest.
-
-The contract mirrors the tracer:
-
-* **Guarded use.**  Components default to :data:`NULL_PROFILER`
-  (``enabled = False``) whose ``phase()`` returns one shared inert
-  context manager; hot sites additionally guard with
-  ``if profiler.enabled`` so the disabled cost is one attribute load and
-  one branch.
-* **Zero RNG, behaviour-free.**  The profiler only reads a clock; it
-  never feeds back into any decision, so profiled runs are bit-identical
-  to unprofiled ones (differential-tested).
-* **Deterministic in tests.**  The clock is injectable
-  (``PhaseProfiler(clock=fake)``) so the nesting arithmetic is tested
-  against exact integers, not wall time.
-
-``add(phase, seconds)`` lets components that already meter themselves
-with ``perf_counter`` (the closure window's ``closure_seconds``) donate
-an interval without opening a context manager; the donated interval is
-carved out of whatever phase is currently open, preserving exclusivity.
+time is charged to the *inner* phase — a closure rebuild inside a
+scheduler hook counts as closure time, not both — so the per-phase
+seconds sum to (at most) the profiled wall time.  A proxy only reads a
+clock and calls through, so a profiled run is bit-identical to a bare
+one (differential-tested); the clock is injectable
+(``PhaseProfiler(clock=fake)``), so the nesting arithmetic is tested
+against exact integers.
 """
 
 from __future__ import annotations
@@ -40,16 +30,25 @@ from time import perf_counter
 
 from repro.errors import SpecificationError
 
-__all__ = [
-    "NULL_PROFILER",
-    "NullProfiler",
-    "PHASES",
-    "PhaseProfiler",
-]
+__all__ = ["PHASES", "PhaseProfiler"]
 
 #: The closed phase taxonomy.  Adding a phase is a spec change: update
 #: DESIGN.md §4f and the exposition tests alongside.
 PHASES = ("schedule", "closure", "rollback", "certify", "network")
+
+#: What :meth:`PhaseProfiler.install` times, as ``(attribute, phase)``:
+#: on an engine's scheduler, on a sequencer's control, on a window.
+_SCHEDULER_HOOKS = (
+    ("on_request", "schedule"),
+    ("after_performed", "schedule"),
+    ("on_stall", "schedule"),
+    ("may_commit", "certify"),
+)
+_CONTROL_HOOKS = (("decide", "schedule"), ("certify_commit", "certify"))
+_WINDOW_CALLS = (("_recompute", "closure"), ("_extend", "closure"))
+
+#: Marks an attribute the instance did not hold itself before a swap.
+_ABSENT = object()
 
 
 class _Span:
@@ -58,7 +57,7 @@ class _Span:
     Spans are stateless beyond that pair — enter/exit only push/pop the
     profiler's stack — so one cached instance per phase serves arbitrary
     nesting, including the same phase nested inside itself, without a
-    per-call allocation on the hot path."""
+    per-call allocation."""
 
     __slots__ = ("_profiler", "_name")
 
@@ -77,9 +76,9 @@ class _Span:
 class PhaseProfiler:
     """Exclusive-time attribution over the closed :data:`PHASES` set."""
 
-    enabled = True
-
-    __slots__ = ("seconds", "calls", "_clock", "_stack", "_mark", "_spans")
+    __slots__ = (
+        "seconds", "calls", "_clock", "_stack", "_mark", "_spans", "_undo",
+    )
 
     def __init__(self, clock=perf_counter) -> None:
         self.seconds = {name: 0.0 for name in PHASES}
@@ -88,6 +87,73 @@ class PhaseProfiler:
         self._stack: list[str] = []
         self._mark = 0.0
         self._spans = {name: _Span(self, name) for name in PHASES}
+        # (namespace, key, what it held or _ABSENT) per swapped callable
+        # while installed, else None.
+        self._undo: list[tuple[dict, str, object]] | None = None
+
+    # -- installing -----------------------------------------------------
+
+    def install(self, owner) -> "PhaseProfiler":
+        """Time ``owner``'s phase callables until :meth:`uninstall`.
+
+        For an engine, its scheduler's hooks and its ``_rollback``; for
+        a distributed runtime (it has a ``sequencer``), every network
+        handler, the control's hooks and the sequencer's
+        ``_execute_rollback``; for either, the control's closure window
+        if it has one.  Each proxy goes in on the instance, over
+        whatever the instance held (another proxy included)."""
+        if self._undo is not None:
+            raise SpecificationError("the phase profiler is already installed")
+        self._undo = []
+        sequencer = getattr(owner, "sequencer", None)
+        if sequencer is None:
+            control, hooks = owner.scheduler, _SCHEDULER_HOOKS
+            self._swap(owner, (("_rollback", "rollback"),))
+        else:
+            control, hooks = sequencer.control, _CONTROL_HOOKS
+            self._swap(sequencer, (("_execute_rollback", "rollback"),))
+            handlers = owner.network._handlers
+            for target, handler in list(handlers.items()):
+                self._wrap(handlers, target, handler, "network")
+        self._swap(control, hooks)
+        window = getattr(control, "window", None)
+        if window is not None:
+            self._swap(window, _WINDOW_CALLS)
+        return self
+
+    def uninstall(self) -> None:
+        """Put back every swapped callable: what the instance held, or
+        nothing where it held none (the class's method shows again)."""
+        undo, self._undo = self._undo or [], None
+        while undo:
+            namespace, key, original = undo.pop()
+            if original is _ABSENT:
+                del namespace[key]
+            else:
+                namespace[key] = original
+
+    def _swap(self, owner, calls) -> None:
+        namespace = vars(owner)
+        for attribute, phase in calls:
+            call = getattr(owner, attribute)
+            self._wrap(namespace, attribute, call, phase)
+
+    def _wrap(self, namespace: dict, key: str, call, phase: str) -> None:
+        self._undo.append((namespace, key, namespace.get(key, _ABSENT)))
+        namespace[key] = self._timed(phase, call)
+
+    def _timed(self, name: str, call):
+        """A proxy charging the calls of ``call`` to phase ``name``."""
+        push, pop = self._push, self._pop
+
+        def proxy(*args, **kwargs):
+            push(name)
+            try:
+                return call(*args, **kwargs)
+            finally:
+                pop(name)
+
+        return proxy
 
     # -- recording ------------------------------------------------------
 
@@ -116,22 +182,6 @@ class PhaseProfiler:
         self.seconds[name] += now - self._mark
         self.calls[name] += 1
         self._mark = now
-
-    def add(self, name: str, seconds: float) -> None:
-        """Donate an externally metered interval ending *now*.
-
-        The donated time is subtracted from the currently open phase (by
-        advancing its mark) so exclusivity holds: a closure rebuild that
-        ran inside a ``schedule`` span counts as closure time, not both.
-        """
-        if name not in self.seconds:
-            raise SpecificationError(
-                f"unknown phase {name!r}; phases are {PHASES}"
-            )
-        self.seconds[name] += seconds
-        self.calls[name] += 1
-        if self._stack:
-            self._mark += seconds
 
     # -- reading --------------------------------------------------------
 
@@ -166,32 +216,3 @@ class PhaseProfiler:
                 "Completed spans (or donated intervals) per phase.",
                 self.calls[name], phase=name,
             )
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullProfiler(PhaseProfiler):
-    """The disabled profiler: one shared inert span, no clock reads."""
-
-    enabled = False
-
-    def phase(self, name: str) -> _NullSpan:  # type: ignore[override]
-        return _NULL_SPAN
-
-    def add(self, name: str, seconds: float) -> None:
-        pass
-
-
-#: Shared disabled profiler — the default for every instrumented component.
-NULL_PROFILER = NullProfiler()

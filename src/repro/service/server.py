@@ -19,9 +19,9 @@ same submissions at the recorded arrival ticks — the differential test
 in tier 1 holds the service to that.
 
 The socket protocol is one JSON object per line.  Ops: ``submit``,
-``submit_batch``, ``health``, ``metrics``, ``admission``, ``drain``,
-``shutdown``.  Responses echo the request's ``seq`` (responses to
-pipelined requests may interleave).  For convenience the same port also
+``submit_batch``, ``health``, ``metrics``, ``admission``, ``profile``,
+``drain``, ``shutdown``.  Responses echo the request's ``seq``
+(responses to pipelined requests may interleave).  For convenience the same port also
 speaks just enough HTTP for ``curl``: ``GET /metrics`` (Prometheus text
 exposition) and ``GET /healthz``.
 """
@@ -92,6 +92,8 @@ class TransactionService:
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.registry = MetricsRegistry()
+        #: Installed on the engine only while a ``profile`` request is
+        #: open (:meth:`profile`); ``/metrics`` reports what it timed.
         self.profiler = PhaseProfiler()
         #: Consumes the decision stream: keeps what explains each
         #: rollback until the victim's envelope is built.
@@ -161,7 +163,6 @@ class TransactionService:
             max_ticks=1 << 62,
             tracer=self.tracer,
             registry=self.registry,
-            profiler=self.profiler,
             wal=self.wal,
             history=self.history,
         )
@@ -194,7 +195,6 @@ class TransactionService:
             wal=wal,
             tracer=self.tracer,
             registry=self.registry,
-            profiler=self.profiler,
         )
         self.wal = report.wal
         self.arrivals = {
@@ -435,6 +435,23 @@ class TransactionService:
             self.config.initial_value, samples=samples, seed=seed
         )
 
+    async def profile(self, seconds: float) -> dict:
+        """Time the engine's phases for ``seconds`` of wall time and
+        return each phase's seconds and calls over that window.  The
+        profiler is installed only while this is open; a second open
+        profile is refused."""
+        profiler = self.profiler
+        before = profiler.snapshot()
+        profiler.install(self.engine)
+        try:
+            await asyncio.sleep(seconds)
+        finally:
+            profiler.uninstall()
+        return {
+            name: {key: stat[key] - before[name][key] for key in stat}
+            for name, stat in profiler.snapshot().items()
+        }
+
     async def drain(self) -> dict:
         """Wait until every admitted submission has resolved.  With a
         WAL, the log is fsynced before replying — the drain ack promises
@@ -472,6 +489,17 @@ def _int_field(request: dict, key: str, default: int) -> int:
         return int(request.get(key, default))
     except (TypeError, ValueError):
         raise SpecificationError(f"{key} must be an integer") from None
+
+
+def _seconds_field(request: dict) -> float:
+    seconds = request.get("seconds")
+    if (
+        isinstance(seconds, bool)
+        or not isinstance(seconds, (int, float))
+        or not 0 < seconds <= 60
+    ):
+        raise SpecificationError("seconds must be a number in (0, 60]")
+    return float(seconds)
 
 
 class _Server:
@@ -609,6 +637,9 @@ class _Server:
                         seed=_int_field(request, "seed", 0),
                     ),
                 }
+            if op == "profile":
+                phases = await service.profile(_seconds_field(request))
+                return {"ok": True, "phases": phases}
             if op == "drain":
                 return {"ok": True, **(await service.drain())}
             if op == "shutdown":

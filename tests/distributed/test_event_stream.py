@@ -70,13 +70,12 @@ def build_cluster(control: str, plan: str):
     workload = BankingWorkload(CONFIG)
     tracer = RingTracer(None)
     registry = MetricsRegistry()
-    profiler = PhaseProfiler()
     runtime = DistributedRuntime(
         workload.programs, workload.accounts,
         CONTROLS[control](workload.nest), nodes=3, seed=SEED,
         faults=PLANS[plan], tracer=tracer, registry=registry,
-        profiler=profiler,
     )
+    profiler = PhaseProfiler().install(runtime)
     return runtime, tracer, registry, profiler
 
 

@@ -74,9 +74,7 @@ class FullClosureWindow(ClosureWindow):
         index = result.index
         assert index is not None
         self.closure_calls += 1
-        elapsed = perf_counter() - t0
-        self.closure_seconds += elapsed
-        self.profiler.add("closure", elapsed)
+        self.closure_seconds += perf_counter() - t0
         self.closure_edges_propagated += index.edges_propagated
         self.closure_word_ops += index.word_ops
         self.edges_last = index.edges

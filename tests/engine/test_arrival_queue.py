@@ -207,7 +207,7 @@ def test_unarrived_fallback_victim_keeps_its_early_wake():
             backoff=1,
         )
         engine.advance(until_tick=2)
-        engine._abort([specs[1].name], "fallback victim")
+        engine._rollback([specs[1].name], "fallback victim")
         assert engine.txns[specs[1].name].wake_tick == 3
         engine.advance(until_tick=40)
         # Committed long before its arrival tick came round.

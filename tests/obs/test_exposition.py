@@ -9,7 +9,10 @@ of the registry with the profiler added in: family names, help strings,
 label sets and values, for an in-process service under load (rejects,
 duplicates, restarts) and for a ``repro top --audit``-style monitored
 engine scraped mid-run and after.  Phase *seconds* are wall time and
-left out; phase *calls* are counts and stay.
+left out; phase *calls* are counts and stay.  The service installs its
+profiler only while a ``profile`` request is open, which these runs
+never send, so the service cells' phase calls read 0 — the one change
+since the service stopped profiling every request.
 
 Regenerate — only ever from a commit whose behaviour is the reference —
 with ``PYTHONPATH=<that checkout>/src python tests/obs/test_exposition.py``.
@@ -88,12 +91,12 @@ def monitored_engine(scheduler: str):
     what ``repro top --audit`` builds."""
     workload = BankingWorkload(BANKING)
     registry = MetricsRegistry()
-    profiler = PhaseProfiler()
     monitor = OnlineMonitor(workload.nest, registry=registry)
     engine = workload.engine(
         make_scheduler(scheduler, workload.nest), seed=11,
-        registry=registry, profiler=profiler, history=monitor,
+        registry=registry, history=monitor,
     )
+    profiler = PhaseProfiler().install(engine)
     return engine, monitor, registry, profiler
 
 

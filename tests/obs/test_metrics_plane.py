@@ -6,11 +6,13 @@ Four contracts under test:
   set by sources on read, and a ``merge`` that mirrors ``Metrics.merge``
   (counters add, gauges max, histograms bucket-exact).
 * **Profiler arithmetic** — exclusive attribution under nesting,
-  checked against an injected fake clock with exact integers.
+  checked against an injected fake clock with exact integers, and an
+  outside-in install that times exactly the hook calls and leaves no
+  trace once uninstalled.
 * **Exposition** — ``prometheus_text`` output parses as Prometheus text
   format (checked by a strict line grammar, not substring poking), and
   ``json_snapshot`` round-trips losslessly.
-* **Behaviour invariance** — a registry+profiler-instrumented run is
+* **Behaviour invariance** — a registry-instrumented, profiled run is
   bit-identical to a bare run, for every scheduler and for the
   distributed runtime, and the trace-to-spans pipeline validates
   against the Chrome trace-event schema.
@@ -38,7 +40,6 @@ from repro.obs import (
     validate_trace,
     write_chrome_trace,
 )
-from repro.obs.profile import NULL_PROFILER
 
 from .conftest import SCHEDULER_ZOO
 
@@ -178,36 +179,30 @@ class TestPhaseProfiler:
         assert profiler.seconds["rollback"] == 6.0
         assert profiler.calls["rollback"] == 2
 
-    def test_add_donates_out_of_open_phase(self):
-        clock = FakeClock()
-        profiler = PhaseProfiler(clock=clock)
-        with profiler.phase("schedule"):
-            clock.now = 10.0
-            profiler.add("closure", 4.0)
-        # The donated interval is carved out of the enclosing phase.
-        assert profiler.seconds["closure"] == 4.0
-        assert profiler.seconds["schedule"] == 6.0
-        assert profiler.total() == 10.0
-
     def test_unknown_phase_rejected(self):
         profiler = PhaseProfiler(clock=FakeClock())
         with pytest.raises(SpecificationError):
             profiler.phase("sleeping")
-        with pytest.raises(SpecificationError):
-            profiler.add("sleeping", 1.0)
 
     def test_merge_adds_seconds_and_calls(self):
-        a, b = PhaseProfiler(clock=FakeClock()), PhaseProfiler(clock=FakeClock())
-        a.add("network", 2.0)
-        b.add("network", 3.0)
-        b.add("certify", 1.0)
-        a.merge(b)
+        def timed(*spans: tuple[str, float]) -> PhaseProfiler:
+            clock = FakeClock()
+            profiler = PhaseProfiler(clock=clock)
+            for name, seconds in spans:
+                with profiler.phase(name):
+                    clock.now += seconds
+            return profiler
+
+        a = timed(("network", 2.0))
+        a.merge(timed(("network", 3.0), ("certify", 1.0)))
         assert a.seconds["network"] == 5.0 and a.calls["network"] == 2
         assert a.seconds["certify"] == 1.0 and a.calls["certify"] == 1
 
     def test_publish_exports_every_phase(self):
-        profiler = PhaseProfiler(clock=FakeClock())
-        profiler.add("schedule", 2.5)
+        clock = FakeClock()
+        profiler = PhaseProfiler(clock=clock)
+        with profiler.phase("schedule"):
+            clock.now = 2.5
         registry = MetricsRegistry()
         profiler.publish(registry)
         profiler.publish(registry)  # sets, so twice is once
@@ -219,12 +214,202 @@ class TestPhaseProfiler:
                 "repro_phase_calls_total", phase=name
             ) == (1 if name == "schedule" else 0)
 
-    def test_null_profiler_is_inert(self):
-        assert not NULL_PROFILER.enabled
-        with NULL_PROFILER.phase("anything"):
-            pass
-        NULL_PROFILER.add("anything", 1.0)
-        assert NULL_PROFILER.total() == 0.0
+
+#: Per phase, what ``install`` times on an engine and on a cluster.
+ENGINE_SITES = {
+    "schedule": ("scheduler", ("on_request", "after_performed", "on_stall")),
+    "certify": ("scheduler", ("may_commit",)),
+    "rollback": ("engine", ("_rollback",)),
+    "closure": ("window", ("_recompute", "_extend")),
+}
+CLUSTER_SITES = {
+    "schedule": ("control", ("decide",)),
+    "certify": ("control", ("certify_commit",)),
+    "rollback": ("sequencer", ("_execute_rollback",)),
+    "closure": ("window", ("_recompute", "_extend")),
+}
+
+
+def engine_owners(engine) -> dict:
+    return {
+        "engine": engine,
+        "scheduler": engine.scheduler,
+        "window": getattr(engine.scheduler, "window", None),
+    }
+
+
+def cluster_owners(runtime) -> dict:
+    control = runtime.sequencer.control
+    return {
+        "sequencer": runtime.sequencer,
+        "control": control,
+        "window": getattr(control, "window", None),
+    }
+
+
+def counting(owners: dict, sites: dict) -> dict[str, int]:
+    """Swap a call counter in around every site, on the instances (as a
+    tracing harness would, before the profiler): phase -> calls."""
+    counts = dict.fromkeys(sites, 0)
+    for phase, (owner, attributes) in sites.items():
+        target = owners[owner]
+        if target is None:
+            continue
+        for attribute in attributes:
+            call = getattr(target, attribute)
+
+            def counted(*args, _call=call, _phase=phase, **kwargs):
+                counts[_phase] += 1
+                return _call(*args, **kwargs)
+
+            setattr(target, attribute, counted)
+    return counts
+
+
+def cluster(bank, **kwargs) -> DistributedRuntime:
+    return DistributedRuntime(
+        bank.programs,
+        bank.accounts,
+        DistributedPreventControl(bank.nest),
+        nodes=3,
+        seed=4,
+        **kwargs,
+    )
+
+
+class TestOutsideIn:
+    def test_closure_nested_in_after_performed_is_exclusive(self, bank):
+        """Each ``after_performed`` spends 3 s of its own and each closure
+        call 4 s; the closure calls ``after_performed`` makes are carved
+        out of it, so every second lands in exactly one phase."""
+        clock = FakeClock()
+        engine = bank.engine(SCHEDULER_ZOO["mla-detect"](bank.nest), seed=5)
+        scheduler, window = engine.scheduler, engine.scheduler.window
+        calls = {"after_performed": 0, "closure": 0, "nested": 0}
+        profiler = PhaseProfiler(clock=clock)
+
+        def costing(call, seconds, key):
+            def timed(*args, **kwargs):
+                calls[key] += 1
+                if key == "closure" and profiler._stack[:1] == ["schedule"]:
+                    calls["nested"] += 1
+                result = call(*args, **kwargs)
+                clock.now += seconds
+                return result
+            return timed
+
+        scheduler.after_performed = costing(
+            scheduler.after_performed, 3.0, "after_performed"
+        )
+        for name in ("_recompute", "_extend"):
+            call = costing(getattr(window, name), 4.0, "closure")
+            setattr(window, name, call)
+        profiler.install(engine)
+        engine.run()
+        assert calls["nested"] > 0 and calls["after_performed"] > 0
+        assert profiler.calls["closure"] == calls["closure"]
+        assert profiler.seconds["closure"] == 4.0 * calls["closure"]
+        assert profiler.seconds["schedule"] == 3.0 * calls["after_performed"]
+        assert profiler.seconds["rollback"] == profiler.seconds["certify"] == 0
+        assert profiler.total() == clock.now
+
+    @staticmethod
+    def assert_restored(owners, before) -> None:
+        """Each owner's ``vars()`` holds the same keys, each bound to
+        the very object it held before the install."""
+        for owner, held in zip(owners, before):
+            after = vars(owner)
+            assert after.keys() == held.keys(), type(owner).__name__
+            assert all(after[key] is held[key] for key in held), (
+                type(owner).__name__
+            )
+
+    @pytest.mark.parametrize("name", ["mla-detect", "mla-nested-lock", "2pl"])
+    def test_uninstall_restores_every_attribute(self, bank, name):
+        engine = bank.engine(SCHEDULER_ZOO[name](bank.nest), seed=5)
+        # A proxy some harness swapped in first must come back, too.
+        engine.scheduler.on_request = held = engine.scheduler.on_request
+        engine.advance(until_tick=30)
+        owners = [o for o in engine_owners(engine).values() if o is not None]
+        before = [dict(vars(owner)) for owner in owners]
+        profiler = PhaseProfiler().install(engine)
+        assert engine.scheduler.on_request is not held
+        assert "_rollback" in vars(engine)
+        profiler.uninstall()
+        self.assert_restored(owners, before)
+        # Uninstalled mid-run, after the proxies ran.
+        profiler.install(engine)
+        engine.advance(until_tick=60)
+        profiler.uninstall()
+        assert profiler.calls["schedule"] > 0
+        assert engine.scheduler.on_request is held
+        swapped = {n for _, names in ENGINE_SITES.values() for n in names}
+        for owner in owners:
+            assert swapped & vars(owner).keys() <= {"on_request"}
+
+    def test_uninstall_restores_a_cluster(self, bank):
+        runtime = cluster(bank)
+        runtime.start()
+        runtime.pump(until=10.0)
+        owners = list(cluster_owners(runtime).values())
+        owners.append(runtime.network)
+        before = [dict(vars(owner)) for owner in owners]
+        handlers = dict(runtime.network._handlers)
+        profiler = PhaseProfiler().install(runtime)
+        wrapped = runtime.network._handlers
+        assert all(wrapped[n] is not handlers[n] for n in handlers)
+        runtime.pump(until=20.0)
+        profiler.uninstall()
+        assert profiler.calls["network"] > 0
+        assert runtime.network._handlers == handlers
+        assert all(
+            runtime.network._handlers[n] is handlers[n] for n in handlers
+        )
+        swapped = {n for _, names in CLUSTER_SITES.values() for n in names}
+        for owner in owners:
+            assert not swapped & vars(owner).keys()
+        before = [dict(vars(owner)) for owner in owners]
+        profiler.install(runtime).uninstall()
+        self.assert_restored(owners, before)
+
+    def test_double_install_rejected(self, bank):
+        engine = bank.engine(SCHEDULER_ZOO["mla-detect"](bank.nest), seed=5)
+        other = bank.engine(SCHEDULER_ZOO["2pl"](bank.nest), seed=5)
+        profiler = PhaseProfiler().install(engine)
+        with pytest.raises(SpecificationError, match="already installed"):
+            profiler.install(other)
+        with pytest.raises(SpecificationError, match="already installed"):
+            profiler.install(engine)
+        profiler.uninstall()
+        assert "_rollback" not in vars(engine)
+        profiler.install(other).uninstall()
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULER_ZOO))
+    def test_phase_calls_equal_hook_calls(self, bank, name):
+        engine = bank.engine(
+            SCHEDULER_ZOO[name](bank.nest), seed=5, recovery="segment"
+        )
+        counts = counting(engine_owners(engine), ENGINE_SITES)
+        profiler = PhaseProfiler().install(engine)
+        engine.run()
+        assert {p: profiler.calls[p] for p in counts} == counts
+        assert profiler.calls["network"] == 0
+        assert counts["schedule"] > 0
+
+    def test_phase_calls_equal_hook_calls_in_a_cluster(self, bank):
+        runtime = cluster(bank)
+        counts = counting(cluster_owners(runtime), CLUSTER_SITES)
+        deliveries = []
+        for node, handler in list(runtime.network._handlers.items()):
+            def counted(message, _handler=handler):
+                deliveries.append(message)
+                return _handler(message)
+            runtime.network._handlers[node] = counted
+        profiler = PhaseProfiler().install(runtime)
+        runtime.run()
+        assert {p: profiler.calls[p] for p in counts} == counts
+        assert profiler.calls["network"] == len(deliveries) > 0
+        assert counts["closure"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +526,14 @@ class TestMetricsDifferential:
     @pytest.mark.parametrize("name", sorted(SCHEDULER_ZOO))
     def test_instrumented_engine_run_identical(self, bank, name):
         registry = MetricsRegistry()
-        profiler = PhaseProfiler()
-        instrumented = bank.engine(
-            SCHEDULER_ZOO[name](bank.nest), seed=5,
-            registry=registry, profiler=profiler,
-        ).run()
+        engine = bank.engine(
+            SCHEDULER_ZOO[name](bank.nest), seed=5, registry=registry,
+        )
+        profiler = PhaseProfiler().install(engine)
+        instrumented = engine.run()
         bare = bank.engine(SCHEDULER_ZOO[name](bank.nest), seed=5).run()
 
+        assert instrumented.history_digest() == bare.history_digest()
         assert instrumented.commit_order == bare.commit_order
         assert _comparable(instrumented.metrics) == _comparable(bare.metrics)
         # The registry agrees with the engine's own counters.
@@ -366,12 +552,11 @@ class TestMetricsDifferential:
         ``engine.metrics`` and the profiler between scrapes — every
         source sets its series on read."""
         registry = MetricsRegistry()
-        profiler = PhaseProfiler()
-        registry.derive("phases", profiler.publish)
         engine = bank.engine(
-            SCHEDULER_ZOO["mla-detect"](bank.nest), seed=5,
-            registry=registry, profiler=profiler,
+            SCHEDULER_ZOO["mla-detect"](bank.nest), seed=5, registry=registry,
         )
+        profiler = PhaseProfiler().install(engine)
+        registry.derive("phases", profiler.publish)
         # Scraped before the first tick: every family is there, at zero.
         for series in ("repro_commits_total", "repro_parks_total"):
             assert registry.value(series, scheduler="mla-detect") == 0
@@ -409,20 +594,10 @@ class TestMetricsDifferential:
         assert latency.total == metrics.latency_total
 
     def test_instrumented_cluster_identical_and_snapshot_stable(self, bank):
-        def cluster(**kwargs):
-            return DistributedRuntime(
-                bank.programs,
-                bank.accounts,
-                DistributedPreventControl(bank.nest),
-                nodes=3,
-                seed=4,
-                **kwargs,
-            )
-
         registry = MetricsRegistry()
-        profiler = PhaseProfiler()
+        runtime = cluster(bank, registry=registry)
+        profiler = PhaseProfiler().install(runtime)
         registry.derive("phases", profiler.publish)
-        runtime = cluster(registry=registry, profiler=profiler)
         assert runtime.registry is registry
         runtime.start()
         runtime.pump(until=20.0)
@@ -436,8 +611,11 @@ class TestMetricsDifferential:
         ) == runtime.network.messages_by_kind["request"] > 0
         runtime.network.run()
         instrumented = runtime.finish()
-        bare = cluster().run()
+        bare = cluster(bank).run()
 
+        assert profiler.calls["network"] > 0
+        assert instrumented.execution == bare.execution
+        assert instrumented.results == bare.results
         assert instrumented.summary() == bare.summary()
         assert instrumented.messages_by_kind == bare.messages_by_kind
         assert instrumented.makespan == bare.makespan

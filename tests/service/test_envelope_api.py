@@ -6,6 +6,8 @@ client could use to crash a connection handler)."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -122,6 +124,31 @@ class TestValidation:
             ProgramSpec(
                 "t", (("read", "x"), ("bp", "two"), ("read", "y"))
             )
+
+    def test_bool_breakpoint_level(self):
+        with pytest.raises(SpecificationError, match="breakpoint level"):
+            ProgramSpec(
+                "t", (("read", "x"), ("bp", True), ("read", "y"))
+            )
+
+    @pytest.mark.parametrize(
+        "value", ["str", {"a": 1}, [1], None, 1.5, True]
+    )
+    def test_set_value_must_be_an_int(self, value):
+        """A non-int value would commit and then fail the next ``add``
+        (or sum of reads) inside the engine."""
+        with pytest.raises(SpecificationError, match="set value must be"):
+            ProgramSpec("t", (("set", "x", value),))
+        blob = json.dumps(
+            {"name": "w1", "path": ["g"], "ops": [["set", "x", value]]}
+        )
+        with pytest.raises(SpecificationError, match="set value must be"):
+            ProgramSpec.from_json(blob)
+
+    @pytest.mark.parametrize("delta", [True, False, "1", 2.0])
+    def test_add_delta_must_be_an_int(self, delta):
+        with pytest.raises(SpecificationError, match="add delta must be"):
+            ProgramSpec("t", (("add", "x", delta),))
 
     def test_unknown_wire_keys_rejected(self):
         blob = '{"name": "t", "ops": [["read", "x"]], "bogus": 1}'

@@ -838,6 +838,38 @@ class TestSocketServer:
 
         run(go())
 
+    def test_hostile_set_value_is_refused_and_the_service_keeps_serving(
+        self,
+    ):
+        """A ``set`` of a string used to commit, and the next ``add`` to
+        the entity then raised inside the pump, so no later submission
+        was ever answered."""
+
+        def submit(name, *ops):
+            return {"op": "submit", "submission": {
+                "program": {"name": name, "path": ["g"], "ops": list(ops)},
+            }}
+
+        async def go():
+            task, port = await _start_server(ServiceConfig(nest_depth=1))
+            (hostile,) = await _jsonl_request(
+                port, [submit("w1", ["set", "x", "str"])]
+            )
+            assert not hostile["ok"]
+            assert "set value must be an int" in hostile["error"]
+            replies = await asyncio.wait_for(_jsonl_request(port, [
+                submit("w2", ["add", "x", 1]),
+                submit("w3", ["read", "y"]),
+            ]), timeout=10)
+            assert [r["envelope"]["status"] for r in replies] == [
+                "committed", "committed",
+            ]
+            await _jsonl_request(port, [{"op": "shutdown"}])
+            return await asyncio.wait_for(task, timeout=5)
+
+        service = run(go())
+        assert sorted(service.engine.commit_order) == ["w2", "w3"]
+
     def test_traffic_drive_with_backpressure(self):
         """The bundled traffic driver against a tiny admission window:
         retries happen, nothing is lost, everything commits."""
@@ -866,6 +898,133 @@ class TestSocketServer:
         assert len(service.engine.commit_order) == 30
         statuses = {e["status"] for e in stats["envelopes"]}
         assert statuses <= {"committed", "restarted"}
+
+
+# ----------------------------------------------------------------------
+# on-demand phase profile
+# ----------------------------------------------------------------------
+
+
+class TestProfileOp:
+    """``{"op": "profile", "seconds": S}`` installs the service's phase
+    profiler on its engine for S seconds and answers with what it
+    timed; outside such a window the serve path times nothing."""
+
+    def test_profile_open_during_traffic(self):
+        async def go():
+            task, port = await _start_server(ServiceConfig(nest_depth=1))
+            service_profile = asyncio.ensure_future(_jsonl_request(
+                port, [{"op": "profile", "seconds": 1.0, "seq": 1}]
+            ))
+            await asyncio.sleep(0.1)
+            (second,) = await _jsonl_request(
+                port, [{"op": "profile", "seconds": 1}]
+            )
+            submissions = traffic_submissions(
+                TrafficConfig(transactions=200, seed=9, contention=0.05)
+            )
+            stats = await drive(
+                "127.0.0.1", port, submissions, connections=2, batch=16
+            )
+            (reply,) = await asyncio.wait_for(service_profile, timeout=10)
+            (metrics,) = await _jsonl_request(port, [{"op": "metrics"}])
+            await _jsonl_request(port, [{"op": "shutdown"}])
+            service = await asyncio.wait_for(task, timeout=10)
+            return service, stats, second, reply, metrics["text"]
+
+        service, stats, second, reply, text = run(go())
+        assert len(stats["envelopes"]) == 200
+        assert second == {
+            "ok": False, "error": "the phase profiler is already installed",
+        }
+        assert reply["ok"] and reply["seq"] == 1
+        phases = reply["phases"]
+        assert phases["schedule"]["calls"] > 0
+        assert phases["certify"]["calls"] > 0
+        assert phases["schedule"]["seconds"] > 0
+        # /metrics counts exactly the one profiled window.
+        calls = phases["schedule"]["calls"]
+        assert f'repro_phase_calls_total{{phase="schedule"}} {calls}\n' in text
+        # Closed again: the scheduler's hooks are the class's methods.
+        assert not {"on_request", "may_commit"} & vars(
+            service.engine.scheduler
+        ).keys()
+        assert "_rollback" not in vars(service.engine)
+
+    @pytest.mark.parametrize(
+        "seconds", [0, -1, 60.5, "2", True, None, [1], float("inf")]
+    )
+    def test_bad_seconds_get_a_typed_error(self, seconds):
+        async def go():
+            task, port = await _start_server(ServiceConfig(nest_depth=0))
+            request = {"op": "profile"}
+            if seconds is not None:
+                request["seconds"] = seconds
+            (reply,) = await _jsonl_request(port, [request])
+            (health,) = await _jsonl_request(port, [{"op": "health"}])
+            await _jsonl_request(port, [{"op": "shutdown"}])
+            await asyncio.wait_for(task, timeout=5)
+            return reply, health
+
+        reply, health = run(go())
+        assert reply == {
+            "ok": False, "error": "seconds must be a number in (0, 60]",
+        }
+        assert health["ok"]
+
+    @pytest.mark.parametrize("scheduler", ["2pl", "mla-detect"])
+    def test_snapshots_under_a_profile_are_byte_identical(
+        self, tmp_path, monkeypatch, scheduler
+    ):
+        """The WAL and every ``wal_snapshot_every`` snapshot taken while
+        a profile is open equal an unprofiled run's, byte for byte.  The
+        closure window's wall-time counter is frozen: it is pickled into
+        the snapshot and differs between any two runs."""
+        from repro.engine import closure_window
+
+        monkeypatch.setattr(closure_window, "perf_counter", lambda: 0.0)
+        submissions = traffic_submissions(
+            TrafficConfig(transactions=300, contention=0.15, seed=18)
+        )
+
+        def files(profiled: bool) -> tuple[dict, dict]:
+            wal_dir = tmp_path / ("profiled" if profiled else "bare")
+            service = TransactionService(ServiceConfig(
+                scheduler=scheduler,
+                admission=AdmissionConfig(window=32),
+                wal_dir=str(wal_dir),
+                wal_snapshot_every=64,
+            ))
+
+            async def go():
+                window = None
+                if profiled:
+                    window = asyncio.ensure_future(service.profile(60))
+                    await asyncio.sleep(0)
+                for start in range(0, len(submissions), 32):
+                    await asyncio.gather(*(
+                        service.submit(s)
+                        for s in submissions[start:start + 32]
+                    ))
+                await service.drain()
+                if window is not None:
+                    assert "on_request" in vars(service.engine.scheduler)
+                    window.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await window
+
+            run(go())
+            service.wal.close()
+            return (
+                {path.name: path.read_bytes() for path in wal_dir.iterdir()},
+                service.profiler.calls,
+            )
+
+        bare, bare_calls = files(False)
+        profiled, profiled_calls = files(True)
+        assert sum(name.startswith("snap-") for name in bare) >= 2
+        assert bare == profiled
+        assert sum(bare_calls.values()) == 0 < profiled_calls["schedule"]
 
 
 # ----------------------------------------------------------------------
@@ -929,7 +1088,9 @@ class TestFrozenSurface:
         service.history.close()
         assert service.engine.metrics.aborts > 0
         assert calls["on_commit"] == len(service.engine.commit_order) == 200
-        frames = len(LogFile(f"{wal_dir}/engine.wal").payloads)
+        log = LogFile(f"{wal_dir}/engine.wal")
+        frames = len(log.payloads)
+        log.close()
         # The genesis frame was written during construction.
         assert calls["append"] == frames - 1
         assert service.wal.enabled and service.history.enabled
@@ -938,7 +1099,12 @@ class TestFrozenSurface:
         # nothing it does not read.
         assert service.tracer.events() == []
         assert service.tracer.dropped == 0
-        assert service.profiler.snapshot()["schedule"]["calls"] > 0
+        # The phases the traced run reads from ``service.profiler``; the
+        # service times nothing while no ``profile`` request is open.
+        phases = service.profiler.snapshot()
+        for phase in ("schedule", "closure", "rollback", "certify"):
+            assert phases[phase]["calls"] == 0
+            assert set(phases[phase]) == {"seconds", "calls"}
 
     def test_explain_abort_is_called_through_the_module_global(
         self, monkeypatch

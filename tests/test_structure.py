@@ -20,6 +20,8 @@ configuration: every concurrency control runs the paper's one conflict
 model with exclusive locks, so no constructor takes a conflict model,
 a lock mode or a prune interval.  And for rollback: both units of
 recovery share one cascade fixpoint, reached from one engine method.
+And for timing: the phase profiler is swapped in from outside, so the
+code it times never names it.
 """
 
 from __future__ import annotations
@@ -277,3 +279,18 @@ def test_one_rollback_rule():
     assert callers == ["_rollback"]
     for gone in ("_abort_segment", "_recompute_dependencies", "_cascade"):
         assert not hasattr(Engine, gone), gone
+
+
+def test_the_phase_profiler_works_from_outside():
+    """The profiler swaps its proxies in on the instances it times: no
+    module under ``engine/``, ``distributed/`` or ``durability/`` names
+    it, nothing outside ``obs/`` opens a phase by hand, and there is no
+    disabled profiler to thread through."""
+    inside = ("engine", "distributed", "durability")
+    named = [
+        hit for hit in grep(r"\bprofiler\b")
+        if hit.startswith(tuple(part + os.sep for part in inside))
+    ]
+    assert named == []
+    assert grep(r"NullProfiler|NULL_PROFILER") == []
+    assert grep(r"with .*\.phase\(", outside=("obs",)) == []
