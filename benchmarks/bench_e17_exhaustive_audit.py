@@ -155,9 +155,27 @@ def negative_control(configs):
     return rows
 
 
+def _timed(obj, method: str) -> list[float]:
+    """Swap a wall-clock proxy onto ``obj.<method>``; the returned
+    one-element list accumulates the seconds spent inside it."""
+    inner = getattr(obj, method)
+    spent = [0.0]
+
+    def proxy(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - start
+
+    setattr(obj, method, proxy)
+    return spent
+
+
 def monitor_overhead(transfers: int = 150,
                      budget: float = AUDIT_OVERHEAD_BUDGET_PCT) -> dict:
-    """E1-scale monitor overhead: closure seconds vs bare wall.
+    """E1-scale monitor overhead: seconds inside ``monitor.on_commit``
+    (timed from outside, by a proxy) vs bare wall.
 
     The budget only holds once per-commit closure maintenance amortizes
     against real engine contention — the smoke's reduced scale passes a
@@ -181,6 +199,7 @@ def monitor_overhead(transfers: int = 150,
             ).run()
             bare_s.append(time.perf_counter() - start)
         monitor = OnlineMonitor(workload.nest)
+        closure_s = _timed(monitor, "on_commit")
         start = time.perf_counter()
         monitored = workload.engine(
             make_scheduler(name, workload.nest), seed=7, history=monitor
@@ -191,11 +210,11 @@ def monitor_overhead(transfers: int = 150,
             f"E17: attaching the monitor changed the run ({name})"
         )
         assert monitor.correctable
-        pct = 100.0 * monitor.seconds / min(bare_s)
+        pct = 100.0 * closure_s[0] / min(bare_s)
         summary["schedulers"][name] = {
             "bare_ms": round(min(bare_s) * 1000, 2),
             "monitored_ms": round(monitored_wall * 1000, 2),
-            "closure_ms": round(monitor.seconds * 1000, 2),
+            "closure_ms": round(closure_s[0] * 1000, 2),
             "closure_pct_of_bare": round(pct, 2),
             "commits": monitor.checked,
         }

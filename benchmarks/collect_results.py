@@ -215,12 +215,7 @@ def trace_smoke() -> dict:
         assert traced.commit_order == untraced.commit_order, (
             f"trace smoke: commit order diverged under tracing ({name})"
         )
-        traced_summary = traced.metrics.summary()
-        untraced_summary = untraced.metrics.summary()
-        # closure_seconds is wall-clock, inherently run-to-run noisy.
-        traced_summary.pop("closure_seconds")
-        untraced_summary.pop("closure_seconds")
-        assert traced_summary == untraced_summary, (
+        assert traced.metrics.summary() == untraced.metrics.summary(), (
             f"trace smoke: metrics diverged under tracing ({name})"
         )
         events = tracer.events()
@@ -352,12 +347,7 @@ def obs_smoke() -> dict:
         assert instrumented.commit_order == bare.commit_order, (
             f"obs smoke: commit order diverged under metrics ({name})"
         )
-        instrumented_summary = instrumented.metrics.summary()
-        bare_summary = bare.metrics.summary()
-        # closure_seconds is wall-clock, inherently run-to-run noisy.
-        instrumented_summary.pop("closure_seconds")
-        bare_summary.pop("closure_seconds")
-        assert instrumented_summary == bare_summary, (
+        assert instrumented.metrics.summary() == bare.metrics.summary(), (
             f"obs smoke: metrics diverged under instrumentation ({name})"
         )
         # The registry must agree with the engine's own counters.

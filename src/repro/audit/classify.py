@@ -131,8 +131,7 @@ def _serializability_axis(execution: Execution, conflicts: str):
     return verdicts, witnesses
 
 
-def _multilevel_axis(history: History, conflicts: str):
-    execution = history.execution()
+def _multilevel_axis(history: History, execution: Execution, conflicts: str):
     nest = history.nest()
     verdicts = {t: True for t in execution.transactions}
     witnesses: list[str] = []
@@ -163,8 +162,7 @@ def _multilevel_axis(history: History, conflicts: str):
     return verdicts, witnesses
 
 
-def _snapshot_axis(history: History):
-    execution = history.execution()
+def _snapshot_axis(history: History, execution: Execution):
     records = execution.records
     txns = execution.transactions
     first: dict[str, int] = {}
@@ -253,16 +251,17 @@ def audit_history(history: History, conflicts: str = "rw") -> AuditReport:
         raise SpecificationError(
             f"unknown conflict model {conflicts!r}; choose 'all' or 'rw'"
         )
-    history.validate()
-    execution = history.execution()
+    execution = history.validate()
     txns = tuple(execution.transactions)
     if not txns:
         return AuditReport(
             transactions=(), verdicts={}, witnesses={}, conflicts=conflicts
         )
     ser_verdicts, ser_witnesses = _serializability_axis(execution, conflicts)
-    mla_verdicts, mla_witnesses = _multilevel_axis(history, conflicts)
-    si_verdicts, si_witnesses = _snapshot_axis(history)
+    mla_verdicts, mla_witnesses = _multilevel_axis(
+        history, execution, conflicts
+    )
+    si_verdicts, si_witnesses = _snapshot_axis(history, execution)
     verdicts = {
         name: {
             "serializable": ser_verdicts[name],

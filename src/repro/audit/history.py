@@ -157,9 +157,11 @@ class History:
     # validation
     # ------------------------------------------------------------------
 
-    def validate(self) -> None:
+    def validate(self) -> Execution:
         """Check every structural invariant of format v1; raises
-        :class:`SpecificationError` (never anything else) on violation."""
+        :class:`SpecificationError` (never anything else) on violation.
+        Returns the committed execution it checked, so a caller that
+        goes on to read it need not build it again."""
         if self.version != HISTORY_FORMAT_VERSION:
             raise SpecificationError(
                 f"unsupported history format version {self.version!r} "
@@ -221,12 +223,12 @@ class History:
                     f"cut_levels name unknown transaction {name!r}"
                 )
             for gap, level in cuts.items():
-                if not isinstance(gap, int) or gap < 0:
+                if not _int_ok(gap) or gap < 0:
                     raise SpecificationError(
                         f"{name!r}: gap index {gap!r} must be a "
                         f"non-negative int"
                     )
-                if not isinstance(level, int) or level < 1:
+                if not _int_ok(level) or level < 1:
                     raise SpecificationError(
                         f"{name!r}: breakpoint level {level!r} must be a "
                         f"positive int"
@@ -236,7 +238,7 @@ class History:
                 "depth and paths must be given together (or both omitted)"
             )
         if self.paths is not None:
-            if not isinstance(self.depth, int) or self.depth < 0:
+            if not _int_ok(self.depth) or self.depth < 0:
                 raise SpecificationError(
                     f"nest depth {self.depth!r} must be a non-negative int"
                 )
@@ -258,12 +260,14 @@ class History:
                     f"results name unknown transaction {name!r}"
                 )
         # The Section 3.1 value-chain requirements, via the model itself.
+        execution = self.execution()
         try:
-            self.execution().validate()
+            execution.validate()
         except ExecutionError as exc:
             raise SpecificationError(
                 f"history is not a valid execution: {exc}"
             ) from exc
+        return execution
 
     # ------------------------------------------------------------------
     # model views

@@ -23,7 +23,6 @@ bit-identical to bare runs.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, insort
 from typing import Any
 
@@ -64,9 +63,6 @@ class OnlineMonitor(HistorySink):
         self.checked = 0
         self.violations = 0
         self.cycle: list | None = None
-        #: wall seconds spent inside closure maintenance (the honest
-        #: numerator of the monitor-overhead budget in benchmarks).
-        self.seconds = 0.0
         if registry is not None:
             registry.derive("monitor", self._publish)
 
@@ -107,7 +103,6 @@ class OnlineMonitor(HistorySink):
             # Terminal: the closure engine is pinned on its witness; we
             # keep counting commits but stop paying for closure work.
             return
-        started = time.perf_counter()
         closure = self._closure
         k = closure.k
         ok = True
@@ -143,7 +138,6 @@ class OnlineMonitor(HistorySink):
             insort(chain, entry)
         if ok:
             ok = closure.saturate()
-        self.seconds += time.perf_counter() - started
         tracer = self.tracer
         if ok:
             if tracer is not None:
@@ -179,5 +173,4 @@ class OnlineMonitor(HistorySink):
             "violations": self.violations,
             "correctable": self.correctable,
             "cycle": [repr(step) for step in (self.cycle or [])],
-            "closure_seconds": self.seconds,
         }

@@ -330,13 +330,6 @@ def cmd_trace(args) -> int:
 DISTRIBUTED_CONTROLS = ("none", "2pl", "mla-prevent")
 
 
-def _initial_values(workload) -> dict:
-    values = getattr(workload, "accounts", None)
-    if values is None:
-        values = workload.entities
-    return values
-
-
 def _build_distributed(args, workload, **kwargs):
     from repro.distributed.controller import (
         DistributedLockControl,
@@ -358,7 +351,7 @@ def _build_distributed(args, workload, **kwargs):
     control = factories[args.scheduler](workload.nest)
     return DistributedRuntime(
         workload.programs,
-        _initial_values(workload),
+        _workload_initial(workload),
         control,
         nodes=args.nodes,
         seed=args.seed,

@@ -111,7 +111,6 @@ class ClosureResult:
     __slots__ = (
         "is_partial_order",
         "cycle",
-        "iterations",
         "edges_added",
         "index",
     )
@@ -120,13 +119,11 @@ class ClosureResult:
         self,
         is_partial_order: bool,
         cycle: list | None = None,
-        iterations: int = 0,
         edges_added: int = 0,
         index: ReachabilityIndex | None = None,
     ) -> None:
         self.is_partial_order = is_partial_order
         self.cycle = cycle
-        self.iterations = iterations
         self.edges_added = edges_added
         self.index = index
 
@@ -322,7 +319,6 @@ class ClosureEngine:
         "_pending",
         "cycle",
         "edges_added",
-        "iterations",
     )
 
     def __init__(self, nest) -> None:
@@ -340,7 +336,6 @@ class ClosureEngine:
         self._pending: deque[int] = deque()
         self.cycle: list | None = None
         self.edges_added = 0
-        self.iterations = 0
 
     @property
     def cyclic(self) -> bool:
@@ -532,7 +527,6 @@ class ClosureEngine:
         radj = index._radj
         changed = index.last_changed
         while True:
-            self.iterations += 1
             # Only segments whose first member's reach changed can owe a
             # new edge; one-member segments never do (first == last).
             scan: list[int] = []
@@ -653,7 +647,6 @@ class ClosureEngine:
             si = pending.popleft()
             seg = segs[si]
             seg.dirty = False
-            self.iterations += 1
             partner = self._partners(seg.txn, seg.level)
             if not partner:
                 continue
@@ -682,7 +675,6 @@ class ClosureEngine:
         return ClosureResult(
             self.cycle is None,
             cycle=self.cycle,
-            iterations=self.iterations,
             edges_added=self.edges_added,
             index=self.index,
         )
@@ -703,7 +695,6 @@ class ClosureEngine:
         other._pending = deque(self._pending)
         other.cycle = list(self.cycle) if self.cycle else None
         other.edges_added = self.edges_added
-        other.iterations = self.iterations
         return other
 
 

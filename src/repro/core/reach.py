@@ -58,17 +58,7 @@ class ReachabilityIndex:
     *including* ``i`` itself (the reflexive-transitive closure), kept
     exact after every :meth:`add_edge` while the graph stays acyclic.
 
-    Counters
-    --------
-    edges:
-        Number of distinct edges inserted.
-    edges_propagated:
-        Number of (node, delta) propagation events — how many ancestor
-        bitsets an insertion actually had to touch.  This is the
-        "O(affected)" quantity of the incremental algorithm.
-    word_ops:
-        Approximate machine-word operations spent on bitset algebra
-        (each big-int op is charged ``ceil(n / 64)`` words).
+    ``edges`` counts the distinct edges inserted.
     """
 
     __slots__ = (
@@ -77,12 +67,9 @@ class ReachabilityIndex:
         "_adj",
         "_radj",
         "_reach",
-        "_words",
         "_topo",
         "cycle_ids",
         "edges",
-        "edges_propagated",
-        "word_ops",
         "last_changed",
     )
 
@@ -92,12 +79,9 @@ class ReachabilityIndex:
         self._adj: list[int] = []
         self._radj: list[int] = []
         self._reach: list[int] = []
-        self._words = 1
         self._topo: list[int] | None = None
         self.cycle_ids: list[int] | None = None
         self.edges = 0
-        self.edges_propagated = 0
-        self.word_ops = 0
         self.last_changed = 0
 
     # ------------------------------------------------------------------
@@ -135,7 +119,6 @@ class ReachabilityIndex:
         self._adj.append(0)
         self._radj.append(0)
         self._reach.append(1 << nid)
-        self._words = (len(self._nodes) + 63) >> 6
         return nid
 
     # ------------------------------------------------------------------
@@ -162,9 +145,7 @@ class ReachabilityIndex:
         for nid, mask in enumerate(self._reach):
             if mask & bit:
                 out |= 1 << nid
-        out &= ~bit
-        self.word_ops += len(self._nodes) * self._words
-        return out
+        return out & ~bit
 
     def add_edge(self, u: N, v: N) -> tuple[bool, list[int]]:
         """Insert edge ``u -> v`` and propagate reachability.
@@ -190,14 +171,10 @@ class ReachabilityIndex:
         reach = self._reach
         delta = reach[iv] & ~reach[iu]
         if not delta:
-            self.word_ops += self._words
             return True, []
         reach[iu] |= delta
         affected = [iu]
         stack = [(iu, delta)]
-        words = self._words
-        ops = 2 * words
-        propagated = 1
         radj = self._radj
         while stack:
             nid, delta = stack.pop()
@@ -207,15 +184,10 @@ class ReachabilityIndex:
                 pid = low.bit_length() - 1
                 preds ^= low
                 fresh = delta & ~reach[pid]
-                ops += words
                 if fresh:
                     reach[pid] |= fresh
-                    ops += words
-                    propagated += 1
                     affected.append(pid)
                     stack.append((pid, fresh))
-        self.word_ops += ops
-        self.edges_propagated += propagated
         return True, affected
 
     def add_edge_silent_ids(self, iu: int, iv: int) -> None:
@@ -274,7 +246,6 @@ class ReachabilityIndex:
                 changed |= 1 << nid
         self._topo = order
         self.last_changed = changed
-        self.word_ops += (n + self.edges) * self._words
         return True
 
     def refresh(
@@ -309,7 +280,6 @@ class ReachabilityIndex:
             return (1 << n) - 1
         radj = self._radj
         reach = self._reach
-        words = self._words
         delta: list[int] = [0] * n
         flags = bytearray(n)
         pending = 0
@@ -319,8 +289,6 @@ class ReachabilityIndex:
                 flags[iu] = 1
                 pending += 1
         changed = 0
-        ops = 0
-        propagated = 0
         while pending:
             for pos in range(n - 1, -1, -1):
                 nid = topo[pos]
@@ -330,23 +298,18 @@ class ReachabilityIndex:
                 pending -= 1
                 fresh = delta[nid] & ~reach[nid]
                 delta[nid] = 0
-                ops += words
                 if fresh:
                     reach[nid] |= fresh
                     changed |= 1 << nid
-                    propagated += 1
                     preds = radj[nid]
                     while preds:
                         low = preds & -preds
                         pid = low.bit_length() - 1
                         preds ^= low
                         delta[pid] |= fresh
-                        ops += words
                         if not flags[pid]:
                             flags[pid] = 1
                             pending += 1
-        self.word_ops += ops
-        self.edges_propagated += propagated
         # The sweeps above are monotone and bounded, so they terminate
         # even around a cycle; a new cycle necessarily contains one of
         # the new edges, whose target then reaches its source.
@@ -436,13 +399,10 @@ class ReachabilityIndex:
         other._adj = list(self._adj)
         other._radj = list(self._radj)
         other._reach = list(self._reach)
-        other._words = self._words
         other._topo = self._topo
         other.last_changed = self.last_changed
         other.cycle_ids = list(self.cycle_ids) if self.cycle_ids else None
         other.edges = self.edges
-        other.edges_propagated = self.edges_propagated
-        other.word_ops = self.word_ops
         return other
 
 

@@ -232,17 +232,15 @@ class FuzzReport:
 
 
 def _normalized_state(engine) -> dict:
-    """Engine state with replay-exempt fields removed: wall-clock
-    seconds and the pickled closure caches (cache fidelity is checked
-    behaviourally by the continuation diff instead of bytewise)."""
+    """Engine state with the pickled closure caches set aside (cache
+    fidelity is checked behaviourally by the continuation diff instead
+    of bytewise); everything else, metrics included, is compared."""
     state = engine.snapshot_state()
-    state.pop("metrics")
     sched = state.get("scheduler") or {}
     blob = sched.get("window")
     if isinstance(blob, bytes):
         window = pickle.loads(blob)
-        for key in ("live", "last_result", "cycle_result",
-                    "closure_seconds"):
+        for key in ("live", "last_result", "cycle_result"):
             window.pop(key, None)
         window["shortcut_edges"] = sorted(
             window.get("shortcut_edges", ())
@@ -250,12 +248,6 @@ def _normalized_state(engine) -> dict:
         window["committed"] = sorted(window.get("committed", ()))
         sched["window"] = window
     return state
-
-
-def _metrics_summary(engine) -> dict:
-    summary = dict(engine.metrics.summary())
-    summary.pop("closure_seconds", None)
-    return summary
 
 
 def _diff(recovered, oracle) -> str:
@@ -272,10 +264,10 @@ def _diff(recovered, oracle) -> str:
         return "entity values diverged"
     if a.results != b.results:
         return "committed results diverged"
-    if _metrics_summary(recovered) != _metrics_summary(oracle):
+    if recovered.metrics.summary() != oracle.metrics.summary():
         return (
-            f"metrics diverged: {_metrics_summary(recovered)} != "
-            f"{_metrics_summary(oracle)}"
+            f"metrics diverged: {recovered.metrics.summary()} != "
+            f"{oracle.metrics.summary()}"
         )
     sa = _normalized_state(recovered)
     sb = _normalized_state(oracle)

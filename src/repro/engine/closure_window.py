@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import pickle
 from collections.abc import Container, Mapping
-from time import perf_counter
 
 from repro.core.coherence import ClosureEngine, ClosureResult, coherent_closure
 from repro.core.interleaving import InterleavingSpec
@@ -104,9 +103,6 @@ class ClosureWindow:
         self._cycle_result: ClosureResult | None = None
         self.closure_calls = 0
         self.edges_last = 0
-        self.closure_seconds = 0.0
-        self.closure_edges_propagated = 0
-        self.closure_word_ops = 0
         # The owner's emission point and the kinds its sinks read,
         # injected by Scheduler.attach (the window has no engine
         # reference): ``emit(kind, /, **fields)`` is called only for a
@@ -215,21 +211,16 @@ class ClosureWindow:
         return ClosureResult(
             engine.cycle is None,
             cycle=engine.cycle,
-            iterations=engine.iterations,
             edges_added=engine.edges_added - edges_added_before,
             index=engine.index,
         )
 
     def _recompute(self) -> ClosureResult:
         """Rebuild the live engine from scratch and cache its verdict."""
-        t0 = perf_counter()
         live = self._rebuild_live()
         engine = live.engine
         index = engine.index
         self.closure_calls += 1
-        self.closure_seconds += perf_counter() - t0
-        self.closure_edges_propagated += index.edges_propagated
-        self.closure_word_ops += index.word_ops
         self.edges_last = index.edges
         result = self._result_of(engine)
         self._live = None if engine.cyclic else live
@@ -278,12 +269,8 @@ class ClosureWindow:
     ) -> ClosureResult:
         """Add ``step`` at position ``pos`` of ``name``'s attempt to
         ``live`` — the window's own state, or a clone for a probe — and
-        saturate; the counters are charged with what it cost."""
+        saturate."""
         engine = live.engine
-        index = engine.index
-        t0 = perf_counter()
-        ep0 = index.edges_propagated
-        wo0 = index.word_ops
         ea0 = engine.edges_added
         engine.add_step(name, step, self._cut_before(name, pos))
         if not engine.cyclic:
@@ -291,11 +278,7 @@ class ClosureWindow:
                 if not engine.add_edge(u, v):
                     break
             engine.saturate()
-        index = engine.index
         self.closure_calls += 1
-        self.closure_seconds += perf_counter() - t0
-        self.closure_edges_propagated += index.edges_propagated - ep0
-        self.closure_word_ops += index.word_ops - wo0
         return self._result_of(engine, ea0)
 
     def observe(self, name: str, step: StepId, entity: str,
@@ -354,15 +337,6 @@ class ClosureWindow:
             owners = {s.transaction for s in result.cycle or ()}
             return False, set(), owners
         return True, result.ancestors(step), set()
-
-    def sync_metrics(self, metrics) -> None:
-        """Publish the window's cumulative closure-cost counters into an
-        engine :class:`~repro.engine.metrics.Metrics` object (the window
-        lives one-to-one with a scheduler run, so plain assignment is the
-        correct accumulation)."""
-        metrics.closure_seconds = self.closure_seconds
-        metrics.closure_edges_propagated = self.closure_edges_propagated
-        metrics.closure_word_ops = self.closure_word_ops
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -532,10 +506,10 @@ class ClosureWindow:
 
         The incremental caches (live engine, last/cyclic verdicts) are
         captured *wholesale* rather than rebuilt on restore: a lazy
-        rebuild bumps the closure-cost counters by the rebuild's cost,
-        which would make a recovered run's counter trajectory diverge
-        from the live one.  ``closure_seconds`` is wall time and is the
-        one counter exempted from the replay-identity invariant.
+        rebuild bumps ``closure_calls`` and ``edges_last``, which would
+        make a recovered run's counter trajectory diverge from the live
+        one.  Every field is a function of the observed steps, so a
+        replay reproduces the blob byte for byte.
         """
         payload = {
             "steps": {n: list(s) for n, s in self._steps.items()},
@@ -550,9 +524,6 @@ class ClosureWindow:
             "cycle_result": self._cycle_result,
             "closure_calls": self.closure_calls,
             "edges_last": self.edges_last,
-            "closure_seconds": self.closure_seconds,
-            "closure_edges_propagated": self.closure_edges_propagated,
-            "closure_word_ops": self.closure_word_ops,
         }
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -575,6 +546,3 @@ class ClosureWindow:
             self._live.engine.nest = self.nest
         self.closure_calls = payload["closure_calls"]
         self.edges_last = payload["edges_last"]
-        self.closure_seconds = payload["closure_seconds"]
-        self.closure_edges_propagated = payload["closure_edges_propagated"]
-        self.closure_word_ops = payload["closure_word_ops"]

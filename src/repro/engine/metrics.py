@@ -10,8 +10,12 @@ Latency and per-transaction wait counts are kept in fixed-bucket
 histograms (:class:`repro.obs.Histogram`), so ``summary()`` reports
 p50/p95/p99 tails rather than only a total and a maximum — tail latency
 is where "waits less" actually shows.  The old total/max keys remain for
-backward compatibility.  ``merge`` combines per-node metrics from
-distributed runs (counters add, maxima max, histograms add bucket-wise).
+backward compatibility.
+
+Every field is a deterministic count of the engine's decisions, so two
+runs of the same seed — or a run and its recovery — have equal metrics
+and byte-equal summaries.  Wall time is not kept here: it is measured
+from outside (:mod:`repro.obs.profile`).
 """
 
 from __future__ import annotations
@@ -46,21 +50,16 @@ class Metrics:
     steps_preserved: int = 0
     closure_edges_added: int = 0
     closure_checks: int = 0
-    closure_seconds: float = 0.0
-    closure_edges_propagated: int = 0
-    closure_word_ops: int = 0
     commit_waits: int = 0
     latency_total: int = 0
     latency_max: int = 0
     cascade_chain_max: int = 0
-    merge_collisions: int = 0
     #: Finer-grained event counts that only registry series report —
     #: lock traffic, conflicts, parks, which layer broke a deadlock —
-    #: kept here so snapshots and ``merge`` carry them like every other
-    #: count; not part of ``summary()``.
+    #: kept here so snapshots carry them like every other count; not
+    #: part of ``summary()``.
     detail: Counter = field(default_factory=Counter)
     per_transaction_latency: dict[str, int] = field(default_factory=dict)
-    per_transaction_waits: dict[str, int] = field(default_factory=dict)
     latency_histogram: Histogram = field(default_factory=Histogram)
     wait_histogram: Histogram = field(default_factory=Histogram)
 
@@ -71,7 +70,6 @@ class Metrics:
         self.latency_total += latency
         self.latency_max = max(self.latency_max, latency)
         self.per_transaction_latency[name] = latency
-        self.per_transaction_waits[name] = waited
         self.latency_histogram.record(latency)
         self.wait_histogram.record(waited)
 
@@ -79,49 +77,6 @@ class Metrics:
         if size > 1:
             self.cascade_aborts += size - 1
         self.cascade_chain_max = max(self.cascade_chain_max, size)
-
-    def merge(self, other: "Metrics") -> "Metrics":
-        """Fold another run's (or node's) metrics into this one.
-
-        Counters add; maxima take the max (``ticks`` too: parallel nodes
-        overlap in time, so the merged run is as long as its longest
-        participant, not the sum); per-transaction dicts union (a
-        transaction commits on exactly one node); histograms add
-        bucket-wise, which is exact.
-
-        A per-transaction key present on both sides violates the
-        commits-on-exactly-one-node invariant — almost certainly a
-        protocol bug upstream.  The union keeps the incoming value (last
-        writer wins, as before) but every such duplicate is counted in
-        ``merge_collisions`` so the breach is visible in ``summary()``
-        instead of silently overwritten.
-        """
-        self.ticks = max(self.ticks, other.ticks)
-        for counter in (
-            "steps_performed", "steps_undone", "waits", "commits", "aborts",
-            "restarts", "deadlocks", "cycles_detected", "cascade_aborts",
-            "partial_rollbacks", "steps_preserved", "closure_edges_added",
-            "closure_checks", "closure_edges_propagated", "closure_word_ops",
-            "commit_waits", "latency_total", "merge_collisions",
-        ):
-            setattr(self, counter, getattr(self, counter) + getattr(other, counter))
-        self.detail.update(other.detail)
-        self.closure_seconds += other.closure_seconds
-        self.latency_max = max(self.latency_max, other.latency_max)
-        self.cascade_chain_max = max(
-            self.cascade_chain_max, other.cascade_chain_max
-        )
-        for ours, theirs in (
-            (self.per_transaction_latency, other.per_transaction_latency),
-            (self.per_transaction_waits, other.per_transaction_waits),
-        ):
-            for key in theirs:
-                if key in ours:
-                    self.merge_collisions += 1
-            ours.update(theirs)
-        self.latency_histogram.merge(other.latency_histogram)
-        self.wait_histogram.merge(other.wait_histogram)
-        return self
 
     # ------------------------------------------------------------------
 
@@ -161,7 +116,6 @@ class Metrics:
             "cycles_detected": self.cycles_detected,
             "cascade_aborts": self.cascade_aborts,
             "cascade_chain_max": self.cascade_chain_max,
-            "merge_collisions": self.merge_collisions,
             "partial_rollbacks": self.partial_rollbacks,
             "steps_performed": self.steps_performed,
             "steps_undone": self.steps_undone,
@@ -179,7 +133,4 @@ class Metrics:
             "abort_rate": abort_rate,
             "closure_checks": self.closure_checks,
             "closure_edges_added": self.closure_edges_added,
-            "closure_seconds": round(self.closure_seconds, 6),
-            "closure_edges_propagated": self.closure_edges_propagated,
-            "closure_word_ops": self.closure_word_ops,
         }

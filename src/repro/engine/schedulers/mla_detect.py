@@ -80,7 +80,6 @@ class MLADetectScheduler(Scheduler):
         assert self.engine is not None
         self.engine.metrics.closure_checks += 1
         self.engine.metrics.closure_edges_added += result.edges_added
-        self.window.sync_metrics(self.engine.metrics)
         reads = self.reads
         if "closure.check" in reads:
             self.emit(

@@ -145,7 +145,6 @@ class MLAPreventScheduler(Scheduler):
             txn.live.cut_levels,
         )
         self.engine.metrics.closure_edges_added += result.edges_added
-        self.window.sync_metrics(self.engine.metrics)
         reads = self.reads
         if "closure.check" in reads:
             self.emit(

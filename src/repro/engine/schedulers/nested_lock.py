@@ -154,7 +154,6 @@ class NestedLockScheduler(Scheduler):
             txn.live.cut_levels,
         )
         self.engine.metrics.closure_edges_added += result.edges_added
-        self.window.sync_metrics(self.engine.metrics)
         if result.is_partial_order:
             return None
         # Certification failure: the per-entity retention rule admitted a

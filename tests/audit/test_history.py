@@ -20,6 +20,7 @@ from repro.audit import (
     history_from_result,
     load_history,
 )
+from repro.cli import main
 from repro.errors import SpecificationError
 from tests.audit.conftest import recorder_for, run_specs
 
@@ -221,6 +222,37 @@ class TestRejection:
         data["steps"][1]["index"] = True
         with pytest.raises(SpecificationError, match="not an int"):
             History.from_dict(data)
+
+    def test_depth_and_cut_levels_must_be_ints_not_bools(self, tmp_path):
+        """``"depth": true`` is not depth 1: a single-object file and a
+        JSONL header carrying it are refused, and ``repro audit`` exits
+        2 on both; a ``true`` breakpoint level or gap is refused too."""
+        placed = simple_history(depth=1, paths={"t": ("a",)})
+        data = placed.to_dict()
+        data["depth"] = True
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps(data) + "\n")
+        step = {"seq": 0, "index": 0, "entity": "x", "kind": "read",
+                "before": 1, "after": 1}
+        lines = [
+            {"kind": "header", "version": HISTORY_FORMAT_VERSION,
+             "meta": {}, "initial": {"x": 1}, "depth": True},
+            {"kind": "commit", "txn": "t", "attempt": 0, "tick": 0,
+             "position": 0, "path": ["a"], "cut_levels": {},
+             "result": None, "steps": [step]},
+            {"kind": "footer", "commits": 1, "steps": 1,
+             "sha256": placed.digest()},
+        ]
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        for path in (single, stream):
+            with pytest.raises(SpecificationError, match="nest depth"):
+                load_history(str(path))
+            assert main(["audit", str(path)]) == 2
+        with pytest.raises(SpecificationError, match="breakpoint level"):
+            simple_history(cut_levels={"t": {0: True}}).validate()
+        with pytest.raises(SpecificationError, match="gap index"):
+            simple_history(cut_levels={"t": {False: 1}}).validate()
 
     def test_paths_must_be_arrays(self):
         data = self.fixture("mixed-level-ok.json")

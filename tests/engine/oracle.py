@@ -12,8 +12,6 @@ two against each other.
 
 from __future__ import annotations
 
-from time import perf_counter
-
 from repro.core.coherence import ClosureResult, coherent_closure
 from repro.core.interleaving import InterleavingSpec
 from repro.core.segmentation import BreakpointDescription
@@ -56,7 +54,6 @@ class FullClosureWindow(ClosureWindow):
     def closure(
         self, extra: tuple[str, StepId, str, StepKind] | None = None
     ) -> ClosureResult | None:
-        t0 = perf_counter()
         order = list(self._order)
         extra_key = None
         if extra is not None:
@@ -74,9 +71,6 @@ class FullClosureWindow(ClosureWindow):
         index = result.index
         assert index is not None
         self.closure_calls += 1
-        self.closure_seconds += perf_counter() - t0
-        self.closure_edges_propagated += index.edges_propagated
-        self.closure_word_ops += index.word_ops
         self.edges_last = index.edges
         if extra is not None:
             del self._access_of[extra[1]]

@@ -52,15 +52,8 @@ class FullScanEngine(Engine):
 
 
 def _snapshot_bytes(engine) -> bytes:
-    """``snapshot_state()`` pickled, wall-clock seconds zeroed."""
-    state = engine.snapshot_state()
-    state["metrics"].closure_seconds = 0.0
-    scheduler = state["scheduler"]
-    if isinstance(scheduler, dict) and isinstance(scheduler.get("window"), bytes):
-        window = pickle.loads(scheduler["window"])
-        window["closure_seconds"] = 0.0
-        scheduler["window"] = window
-    return pickle.dumps(state)
+    """``snapshot_state()`` pickled whole."""
+    return pickle.dumps(engine.snapshot_state())
 
 
 class RankedEngine(Engine):
@@ -81,12 +74,10 @@ def _observe(engine) -> tuple:
     if isinstance(engine, RankedEngine):
         assert [t.name for t in engine._ranked] == sorted(engine._arrived)
     result = engine.run(until_tick=engine.tick)
-    metrics = dict(engine.metrics.summary())
-    metrics.pop("closure_seconds")
     return (
         result.history_digest(),
         result.commit_order,
-        metrics,
+        engine.metrics.summary(),
         engine.rng.getstate(),
         [state.name for state in engine.active_states()],
         _snapshot_bytes(engine),

@@ -43,41 +43,3 @@ class TestAbortRateTruthfulness:
         assert summary["partial_rollbacks"] == 2
         assert summary["latency_max"] == 9
 
-
-class TestMergeCollisions:
-    """``merge`` unions per-transaction dicts under the invariant that a
-    transaction commits on exactly one node.  A key on both sides means
-    that invariant broke upstream; it used to be silently overwritten,
-    now it is counted."""
-
-    def test_disjoint_merge_has_no_collisions(self):
-        left, right = Metrics(), Metrics()
-        left.record_commit("t0", latency=3, waited=1)
-        right.record_commit("t1", latency=5, waited=0)
-        merged = left.merge(right)
-        assert merged.merge_collisions == 0
-        assert merged.summary()["merge_collisions"] == 0
-        assert merged.per_transaction_latency == {"t0": 3, "t1": 5}
-
-    def test_duplicate_transaction_is_counted_not_silently_overwritten(self):
-        left, right = Metrics(), Metrics()
-        left.record_commit("t0", latency=3, waited=1)
-        right.record_commit("t0", latency=9, waited=4)
-        merged = left.merge(right)
-        # One collision per colliding dict (latency and waits both hit).
-        assert merged.merge_collisions == 2
-        assert merged.summary()["merge_collisions"] == 2
-        # Union semantics are unchanged: the incoming value wins.
-        assert merged.per_transaction_latency["t0"] == 9
-        assert merged.per_transaction_waits["t0"] == 4
-
-    def test_collision_counts_accumulate_through_chained_merges(self):
-        a, b, c = Metrics(), Metrics(), Metrics()
-        a.record_commit("t0", latency=1)
-        b.record_commit("t0", latency=2)
-        c.record_commit("t1", latency=3)
-        # b's merge into a records 2 collisions; folding c adds none but
-        # must carry any collisions c itself had accumulated.
-        c.merge_collisions = 5
-        merged = a.merge(b).merge(c)
-        assert merged.merge_collisions == 2 + 5

@@ -2,8 +2,7 @@
 
 The recorder's core promise: a traced run and an untraced run of the
 same seeded workload are *identical* — same commit order, same metrics
-(modulo ``closure_seconds``, which is wall-clock), and for the
-distributed runtime the same message/fault counters.  Emission never
+summary, and for the distributed runtime the same message/fault counters.  Emission never
 consumes engine or network randomness, and these tests are the fence.
 """
 
@@ -17,12 +16,6 @@ from repro.obs import EVENT_KINDS, RingTracer
 from .conftest import SCHEDULER_ZOO
 
 
-def _comparable(metrics) -> dict:
-    summary = metrics.summary()
-    summary.pop("closure_seconds", None)  # wall-clock, not behaviour
-    return summary
-
-
 class TestEngineDifferential:
     @pytest.mark.parametrize("name", sorted(SCHEDULER_ZOO))
     def test_traced_run_identical(self, bank, name):
@@ -33,7 +26,7 @@ class TestEngineDifferential:
         untraced = bank.engine(SCHEDULER_ZOO[name](bank.nest), seed=5).run()
 
         assert traced.commit_order == untraced.commit_order
-        assert _comparable(traced.metrics) == _comparable(untraced.metrics)
+        assert traced.metrics.summary() == untraced.metrics.summary()
         # And the recording itself is complete and schema-clean.
         events = tracer.events()
         assert events and tracer.dropped == 0
@@ -71,7 +64,7 @@ class TestEngineDifferential:
             SCHEDULER_ZOO["mla-detect"](bank.nest), seed=seed
         ).run()
         assert traced.commit_order == untraced.commit_order
-        assert _comparable(traced.metrics) == _comparable(untraced.metrics)
+        assert traced.metrics.summary() == untraced.metrics.summary()
 
 
 class TestDistributedDifferential:

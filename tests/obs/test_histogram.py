@@ -70,19 +70,3 @@ class TestMetricsPercentiles:
         # Backward-compatible keys survive.
         assert summary["latency_max"] == 200
         assert summary["mean_latency"] == 54.0
-
-    def test_merge_combines_per_node_metrics(self):
-        a, b = Metrics(), Metrics()
-        a.record_commit("t0", latency=4, waited=1)
-        a.commits, a.aborts, a.ticks = 1, 2, 10
-        b.record_commit("t1", latency=16, waited=0)
-        b.commits, b.aborts, b.ticks = 1, 1, 25
-        merged = a.merge(b)
-        assert merged is a
-        assert merged.commits == 2
-        assert merged.aborts == 3
-        assert merged.ticks == 25  # max, not sum: nodes run concurrently
-        summary = merged.summary()
-        assert summary["latency_total"] == 20
-        assert summary["latency_max"] == 16
-        assert summary["latency_p99"] <= 16

@@ -516,12 +516,6 @@ class TestPrometheusExposition:
 # Behaviour invariance + span validation
 
 
-def _comparable(metrics) -> dict:
-    summary = metrics.summary()
-    summary.pop("closure_seconds", None)
-    return summary
-
-
 class TestMetricsDifferential:
     @pytest.mark.parametrize("name", sorted(SCHEDULER_ZOO))
     def test_instrumented_engine_run_identical(self, bank, name):
@@ -535,7 +529,7 @@ class TestMetricsDifferential:
 
         assert instrumented.history_digest() == bare.history_digest()
         assert instrumented.commit_order == bare.commit_order
-        assert _comparable(instrumented.metrics) == _comparable(bare.metrics)
+        assert instrumented.metrics.summary() == bare.metrics.summary()
         # The registry agrees with the engine's own counters.
         assert registry.value(
             "repro_commits_total", scheduler=name

@@ -974,15 +974,10 @@ class TestProfileOp:
 
     @pytest.mark.parametrize("scheduler", ["2pl", "mla-detect"])
     def test_snapshots_under_a_profile_are_byte_identical(
-        self, tmp_path, monkeypatch, scheduler
+        self, tmp_path, scheduler
     ):
         """The WAL and every ``wal_snapshot_every`` snapshot taken while
-        a profile is open equal an unprofiled run's, byte for byte.  The
-        closure window's wall-time counter is frozen: it is pickled into
-        the snapshot and differs between any two runs."""
-        from repro.engine import closure_window
-
-        monkeypatch.setattr(closure_window, "perf_counter", lambda: 0.0)
+        a profile is open equal an unprofiled run's, byte for byte."""
         submissions = traffic_submissions(
             TrafficConfig(transactions=300, contention=0.15, seed=18)
         )

@@ -21,7 +21,7 @@ model with exclusive locks, so no constructor takes a conflict model,
 a lock mode or a prune interval.  And for rollback: both units of
 recovery share one cascade fixpoint, reached from one engine method.
 And for timing: the phase profiler is swapped in from outside, so the
-code it times never names it.
+code it times never names it, and the engine stack reads no clock.
 """
 
 from __future__ import annotations
@@ -294,3 +294,18 @@ def test_the_phase_profiler_works_from_outside():
     assert named == []
     assert grep(r"NullProfiler|NULL_PROFILER") == []
     assert grep(r"with .*\.phase\(", outside=("obs",)) == []
+
+
+def test_the_engine_state_holds_no_clock():
+    """No module of the deterministic engine stack — ``core/``,
+    ``engine/`` and the online monitor — reads the wall clock, so its
+    state is a function of its decisions and replays byte for byte;
+    time is measured from outside, by the phase profiler."""
+    clocked = [
+        hit for hit in grep(
+            r"^\s*(import time\b|from time import)|perf_counter"
+        )
+        if hit.startswith(("core" + os.sep, "engine" + os.sep,
+                           os.path.join("audit", "monitor.py")))
+    ]
+    assert clocked == []
