@@ -4,10 +4,9 @@ overhead.
 The durability tentpole's acceptance run.  Three claims are measured:
 
 * **Every seeded kill recovers.**  ``fuzz_crash_points`` truncates the
-  engine WAL at record boundaries, mid-record (torn writes), and at
-  fault-plan crash ticks; each cut must recover to a bitwise-identical
-  engine (state + metrics, modulo wall-clock) and *continue* to the
-  reference history.  Any divergence fails the run.
+  engine WAL at record boundaries and mid-record (torn writes); each
+  cut must recover to a bitwise-identical engine (state + metrics) and
+  *continue* to the reference history.  Any divergence fails the run.
 * **Recovery is cheap.**  Recovery time is measured twice — full log
   replay from genesis, and snapshot + WAL-suffix replay — so the
   snapshot shortcut's payoff is visible in ``BENCH.json``.
@@ -190,7 +189,7 @@ def append_bench(summary: dict, path: str = BENCH_JSON) -> None:
     data["e16_durability"] = summary
     data.setdefault("workloads", {})["e16"] = (
         "crash-point fuzz (seeded kills at record boundaries + torn "
-        "tails + fault-plan ticks, recover-and-continue differential) "
+        "tails, recover-and-continue differential) "
         "plus recovery time and WAL overhead"
     )
     with open(path, "w", encoding="utf-8") as handle:

@@ -13,9 +13,9 @@ Three claims are measured:
   itself is dead.
 * **The online monitor is affordable.**  An E1-scale banking run with
   the monitor attached must pay <5% of the bare run's wall time in
-  closure maintenance (``OnlineMonitor.seconds`` — the honest
-  numerator), and the monitored history must be bit-identical to the
-  bare one.  The disabled seam costs one attribute load, one lookup
+  closure maintenance (the seconds inside ``monitor.on_commit``, timed
+  by a proxy swapped on from outside — the honest numerator), and the
+  monitored history must be bit-identical to the bare one.  The disabled seam costs one attribute load, one lookup
   and a branch per commit (``if "txn.commit" in self._routes:``),
   measured analytically.
 * **Capture → import → classify round-trips.**  Each scheduler's run is

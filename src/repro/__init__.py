@@ -52,12 +52,10 @@ from repro.api import (
     ProgramSpec,
     ResultEnvelope,
     Submission,
-    envelopes_from_engine,
     make_scheduler,
     run_workload,
 )
 from repro.errors import (
-    DeadlockDetected,
     EngineError,
     ExecutionError,
     NetworkError,
@@ -66,7 +64,6 @@ from repro.errors import (
     NotCorrectableError,
     ReproError,
     SpecificationError,
-    TransactionAborted,
 )
 
 __version__ = "1.0.0"
@@ -80,15 +77,12 @@ __all__ = [
     "SCHEDULER_FACTORIES",
     "make_scheduler",
     "run_workload",
-    "envelopes_from_engine",
     "ReproError",
     "SpecificationError",
     "NotAPartialOrderError",
     "NotCoherentError",
     "NotCorrectableError",
     "ExecutionError",
-    "TransactionAborted",
-    "DeadlockDetected",
     "EngineError",
     "NetworkError",
 ]

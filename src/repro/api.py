@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.engine.runtime import Engine, EngineResult
+from repro.engine.runtime import EngineResult
 from repro.engine.schedulers.base import Scheduler
 from repro.engine.schedulers.mla_detect import MLADetectScheduler
 from repro.engine.schedulers.mla_prevent import MLAPreventScheduler
@@ -56,7 +56,6 @@ __all__ = [
     "ResultEnvelope",
     "ENVELOPE_STATUSES",
     "run_workload",
-    "envelopes_from_engine",
 ]
 
 #: Scheduler name -> factory taking the workload's k-nest.  The CLI's
@@ -293,11 +292,8 @@ class Submission:
 
 #: ``committed``: first attempt committed.  ``restarted``: committed
 #: after at least one rollback (the cause chain explains why).
-#: ``aborted``: still uncommitted when the run was cut off.
 #: ``rejected``: refused at admission (never reached the engine).
-ENVELOPE_STATUSES = frozenset(
-    {"committed", "restarted", "aborted", "rejected"}
-)
+ENVELOPE_STATUSES = frozenset({"committed", "restarted", "rejected"})
 
 
 @dataclass(frozen=True)
@@ -394,49 +390,3 @@ def run_workload(
     control = make_scheduler(scheduler, workload.nest)
     return workload.engine(control, seed=seed, **engine_kwargs).run()
 
-
-def envelopes_from_engine(
-    engine: Engine,
-    result: EngineResult,
-    abort_causes: dict[str, list[str]] | None = None,
-) -> dict[str, ResultEnvelope]:
-    """Fold an engine's per-transaction state into result envelopes.
-
-    ``abort_causes`` (name -> explainer lines) is attached to restarted
-    and aborted transactions; the service fills it from the flight
-    recorder, the library path may omit it.
-    """
-    causes = abort_causes or {}
-    serial = {name: i for i, name in enumerate(result.commit_order)}
-    envelopes: dict[str, ResultEnvelope] = {}
-    for name, state in engine.txns.items():
-        chain = tuple(causes.get(name, ()))
-        if state.committed:
-            status = "restarted" if state.attempt > 0 else "committed"
-            latency = (
-                state.commit_tick - state.arrival_tick
-                if state.commit_tick is not None
-                else None
-            )
-            envelopes[name] = ResultEnvelope(
-                name=name,
-                status=status,
-                serial_position=serial.get(name),
-                arrival_tick=state.arrival_tick,
-                commit_tick=state.commit_tick,
-                latency_ticks=latency,
-                attempts=state.attempt + 1,
-                waits=state.waits,
-                result=result.results.get(name),
-                abort_causes=chain,
-            )
-        else:
-            envelopes[name] = ResultEnvelope(
-                name=name,
-                status="aborted",
-                arrival_tick=state.arrival_tick,
-                attempts=state.attempt + 1,
-                waits=state.waits,
-                abort_causes=chain,
-            )
-    return envelopes

@@ -405,7 +405,7 @@ def explore(
             return
         digests.add(digest)
         outcome = check_correctability(
-            result.spec(nest), result.execution.dependency_pairs()
+            result.spec(nest), result.execution.dependency_edges()
         )
         if not outcome.correctable:
             report.all_correctable = False

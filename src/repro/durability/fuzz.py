@@ -1,13 +1,12 @@
 """Crash-point fuzzing: kill the WAL at arbitrary byte offsets, recover,
 and diff against an oracle that never crashed.
 
-Every cut of a completed run's log — at a record boundary, mid-record
-(a torn write), or derived from a :class:`repro.distributed.faults`
-crash schedule — must recover to an engine whose partial history,
-committed state, metrics (modulo wall time) and full dynamic state are
-bitwise-identical to a never-crashed engine advanced to the same
-horizon, and whose continuation reaches the same final history.  Every
-divergence this harness finds is a bug.
+Every cut of a completed run's log — at a record boundary or mid-record
+(a torn write) — must recover to an engine whose partial history,
+committed state, metrics and full dynamic state are bitwise-identical
+to a never-crashed engine advanced to the same horizon, and whose
+continuation reaches the same final history.  Every divergence this
+harness finds is a bug.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.durability.recovery import recover
-from repro.durability.wal import DECISION_TYPES, EngineWal, scan_frames
+from repro.durability.wal import LOG_NAME, EngineWal, scan_frames
 from repro.errors import RecoveryError
 
 __all__ = [
@@ -145,20 +144,15 @@ def enumerate_cuts(
     *,
     torn_per_record: int = 1,
     seed: int = 0,
-    fault_plan=None,
     limit: int | None = None,
 ) -> list[tuple[int, str]]:
     """Byte offsets at which to kill the log: every record boundary
-    after genesis, seeded mid-record torn offsets, and — when a
-    :class:`~repro.distributed.faults.FaultPlan` is given — the record
-    boundaries matching its crash-event ticks."""
+    after genesis and seeded mid-record torn offsets."""
     with open(log_path, "rb") as fh:
         buf = fh.read()
-    payloads, offsets, valid_end, _ = scan_frames(buf)
-    records = [pickle.loads(p) for p in payloads]
+    _, offsets, valid_end, _ = scan_frames(buf)
     if not offsets:
         return []
-    genesis_end = offsets[1] if len(offsets) > 1 else valid_end
     rng = random.Random(seed)
     cuts: list[tuple[int, str]] = []
     for i, start in enumerate(offsets[1:], start=1):
@@ -168,20 +162,10 @@ def enumerate_cuts(
             if end - start > 1:
                 cuts.append((rng.randrange(start + 1, end), "torn"))
     cuts.append((valid_end, "boundary"))
-    if fault_plan is not None:
-        for event in getattr(fault_plan, "crashes", ()):
-            for i, record in enumerate(records):
-                if (
-                    record.get("t") in DECISION_TYPES
-                    and record["tick"] >= event.at
-                    and offsets[i] >= genesis_end
-                ):
-                    cuts.append((offsets[i], "fault"))
-                    break
     seen: set[int] = set()
     unique = []
     for offset, kind in cuts:
-        if offset < genesis_end or offset in seen:
+        if offset in seen:
             continue
         seen.add(offset)
         unique.append((offset, kind))
@@ -284,8 +268,6 @@ def crash_recover_diff(
     scratch_dir: str,
     *,
     reference_result=None,
-    specs=None,
-    log_name: str = "engine.wal",
 ) -> CutResult:
     """Copy the log truncated at ``cut_offset`` (plus any snapshots)
     into ``scratch_dir``, recover, and diff against a fresh oracle
@@ -293,9 +275,9 @@ def crash_recover_diff(
     engine to quiescence and diff the final history against the
     reference run."""
     os.makedirs(scratch_dir, exist_ok=True)
-    with open(os.path.join(source_dir, log_name), "rb") as fh:
+    with open(os.path.join(source_dir, LOG_NAME), "rb") as fh:
         blob = fh.read(cut_offset)
-    with open(os.path.join(scratch_dir, log_name), "wb") as fh:
+    with open(os.path.join(scratch_dir, LOG_NAME), "wb") as fh:
         fh.write(blob)
     for name in os.listdir(source_dir):
         if name.startswith("snap-") and name.endswith(".bin"):
@@ -308,10 +290,10 @@ def crash_recover_diff(
     except RecoveryError as exc:
         return CutResult(cut_offset, kind, False, error=f"recover: {exc}")
     # Oracle: a never-crashed engine advanced to the same horizon.
-    oracle_report = _oracle(report)
-    if report.horizon > oracle_report.engine.tick:
-        oracle_report.engine.advance(until_tick=report.horizon)
-    error = _diff(report.engine, oracle_report.engine)
+    oracle = _oracle(report)
+    if report.horizon > oracle.tick:
+        oracle.advance(until_tick=report.horizon)
+    error = _diff(report.engine, oracle)
     if not error and reference_result is not None:
         report.engine.advance()
         final = report.engine.run(until_tick=report.engine.tick)
@@ -355,7 +337,7 @@ def _oracle(report):
         arrivals[add["name"]] = add["arrival"]
         for entity, value in add["entities"]:
             initial.setdefault(entity, value)
-    engine = Engine(
+    return Engine(
         list(table.values()),
         initial,
         make_scheduler(genesis["scheduler"], nest),
@@ -366,13 +348,6 @@ def _oracle(report):
         backoff=genesis["backoff"],
         recovery=genesis["recovery"],
     )
-
-    class _Oracle:
-        pass
-
-    out = _Oracle()
-    out.engine = engine
-    return out
 
 
 def fuzz_crash_points(
@@ -385,7 +360,6 @@ def fuzz_crash_points(
     recovery_unit: str = "transaction",
     torn_per_record: int = 1,
     cut_limit: int | None = None,
-    fault_plan=None,
 ) -> FuzzReport:
     """End-to-end sweep: reference run, cut enumeration, recover-and-
     diff at every cut.  ``workdir`` gets a ``ref/`` log and one scratch
@@ -402,10 +376,9 @@ def fuzz_crash_points(
         recovery_unit=recovery_unit,
     )
     cuts = enumerate_cuts(
-        os.path.join(ref_dir, "engine.wal"),
+        os.path.join(ref_dir, LOG_NAME),
         torn_per_record=torn_per_record,
         seed=seed,
-        fault_plan=fault_plan,
         limit=cut_limit,
     )
     report = FuzzReport(reference_digest=result.history_digest())
@@ -419,7 +392,6 @@ def fuzz_crash_points(
                 kind,
                 scratch,
                 reference_result=result,
-                specs=specs,
             )
         )
     return report

@@ -37,7 +37,6 @@ class RecoveryReport:
     engine: Any
     wal: EngineWal
     nest: Any
-    scheduler: Any
     genesis: dict
     adds: list[dict] = field(default_factory=list)
     horizon: int = 0
@@ -51,10 +50,6 @@ def recover(
     directory: str,
     *,
     wal: EngineWal | None = None,
-    programs=None,
-    scheduler=None,
-    nest=None,
-    snapshot_every: int = 0,
     use_snapshot: bool = True,
     tracer=None,
     registry=None,
@@ -64,22 +59,22 @@ def recover(
     ``wal`` is the log when the caller has already opened it (opening
     reads and CRC-scans the whole file, so the service hands over the
     one it opened to see whether there was anything to recover);
-    otherwise it is opened here with ``snapshot_every``.
+    otherwise it is opened here.
 
-    ``programs`` supplies native generator programs for genesis entries
-    that carry no declarative spec (the closed-system/library path —
-    generator closures cannot be serialised).  ``scheduler`` and
-    ``nest`` likewise override reconstruction from the genesis record;
-    the service path omits all three and rebuilds everything from the
-    logged specs.  The returned WAL stays attached to the engine in
-    append mode, so post-recovery execution extends the same log.
+    The log is the only source: programs compile from the declarative
+    specs of the genesis and ``add`` records, and the nest and the
+    scheduler are rebuilt from the genesis record.  A genesis program
+    with no spec (a native generator, which cannot be serialised) is a
+    :class:`RecoveryError`.  The returned WAL stays attached to the
+    engine in append mode, so post-recovery execution extends the same
+    log.
     """
     from repro.api import ProgramSpec, make_scheduler
     from repro.core.nests import PathNest
     from repro.engine.runtime import Engine
 
     if wal is None:
-        wal = EngineWal(directory, snapshot_every=snapshot_every)
+        wal = EngineWal(directory)
     durable_end = wal.log.tell()
     payloads, offsets = wal.log.take()
     if not payloads:
@@ -98,19 +93,17 @@ def recover(
     # -- one pass over the log ------------------------------------------
     # Inputs (``add``) rebuild the workload whatever the snapshot
     # covers; decisions and entity declarations matter only past it.
-    table = {p.name: p for p in (programs or ())}
     genesis_specs = genesis.get("specs", {})
-    for name, spec in genesis_specs.items():
-        if name not in table:
-            table[name] = ProgramSpec.from_dict(spec).compile()
+    table = {
+        name: ProgramSpec.from_dict(spec).compile()
+        for name, spec in genesis_specs.items()
+    }
     arrivals = {name: arrival for name, arrival in genesis["programs"]}
     order = [name for name, _ in genesis["programs"]]
-    build_nest = nest is None
-    if build_nest:
-        nest = PathNest(genesis.get("meta", {}).get("nest_depth", 1))
-        for name in order:
-            if name in genesis_specs:
-                nest.add(name, tuple(genesis_specs[name].get("path", ())))
+    nest = PathNest(genesis.get("meta", {}).get("nest_depth", 1))
+    for name in order:
+        if name in genesis_specs:
+            nest.add(name, tuple(genesis_specs[name].get("path", ())))
     adds: list[dict] = []
     declared: list[list] = []
     decisions: list[dict] = []
@@ -133,8 +126,7 @@ def recover(
             arrivals[name] = arrival
             if name not in table:
                 table[name] = ProgramSpec.from_dict(spec).compile()
-            if build_nest:
-                nest.add(name, tuple(spec.get("path", ())))
+            nest.add(name, tuple(spec.get("path", ())))
             if offsets[index] >= covered:
                 declared.append(entities)
         elif kind in DECISION_TYPES and offsets[index] >= covered:
@@ -146,16 +138,13 @@ def recover(
     missing = [name for name in arrivals if name not in table]
     if missing:
         raise RecoveryError(
-            f"no program source for {sorted(missing)}; pass programs= "
-            f"for generator workloads"
+            f"no program spec in the log for {sorted(missing)}"
         )
-    if scheduler is None:
-        scheduler = make_scheduler(genesis["scheduler"], nest)
 
     engine = Engine(
         [table[name] for name in order],
         dict(genesis["initial"]),
-        scheduler,
+        make_scheduler(genesis["scheduler"], nest),
         seed=genesis["seed"],
         arrivals=arrivals,
         max_ticks=genesis["max_ticks"],
@@ -186,7 +175,6 @@ def recover(
         engine=engine,
         wal=wal,
         nest=nest,
-        scheduler=scheduler,
         genesis=genesis,
         adds=adds,
         horizon=horizon,

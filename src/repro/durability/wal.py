@@ -40,6 +40,7 @@ from repro.errors import RecoveryError
 __all__ = [
     "DECISION_TYPES",
     "EngineWal",
+    "LOG_NAME",
     "LogFile",
     "NULL_WAL",
     "WAL_RECORDS",
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 MAGIC = b"REPROWAL"
+#: The engine log's file name inside its directory.
+LOG_NAME = "engine.wal"
 _HEADER = struct.Struct("<II")  # payload length, crc32
 
 #: The durable encoding of the engine's decision stream, and with it the
@@ -229,12 +232,11 @@ class EngineWal:
         directory: str,
         *,
         snapshot_every: int = 0,
-        log_name: str = "engine.wal",
     ) -> None:
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.snapshot_every = snapshot_every
-        self.log = LogFile(os.path.join(directory, log_name))
+        self.log = LogFile(os.path.join(directory, LOG_NAME))
         self._pending: deque[dict] = deque()
         self.verifying = False
         self.verified = 0

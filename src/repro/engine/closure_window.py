@@ -102,7 +102,6 @@ class ClosureWindow:
         # ``_invalidate`` and on interior cut rewrites.
         self._cycle_result: ClosureResult | None = None
         self.closure_calls = 0
-        self.edges_last = 0
         # The owner's emission point and the kinds its sinks read,
         # injected by Scheduler.attach (the window has no engine
         # reference): ``emit(kind, /, **fields)`` is called only for a
@@ -219,9 +218,7 @@ class ClosureWindow:
         """Rebuild the live engine from scratch and cache its verdict."""
         live = self._rebuild_live()
         engine = live.engine
-        index = engine.index
         self.closure_calls += 1
-        self.edges_last = index.edges
         result = self._result_of(engine)
         self._live = None if engine.cyclic else live
         self._last_result = result
@@ -231,7 +228,7 @@ class ClosureWindow:
             self.emit(
                 "closure.rebuild",
                 size=self.size,
-                edges=index.edges,
+                edges=engine.index.edges,
                 acyclic=result.is_partial_order,
             )
         return result
@@ -311,7 +308,6 @@ class ClosureWindow:
             live, name, step, entity, kind, len(self._steps[name]) - 1
         )
         engine = live.engine
-        self.edges_last = engine.index.edges
         self._last_result = result
         if engine.cyclic:
             # Terminal: the engine stops maintaining reachability after a
@@ -506,10 +502,10 @@ class ClosureWindow:
 
         The incremental caches (live engine, last/cyclic verdicts) are
         captured *wholesale* rather than rebuilt on restore: a lazy
-        rebuild bumps ``closure_calls`` and ``edges_last``, which would
-        make a recovered run's counter trajectory diverge from the live
-        one.  Every field is a function of the observed steps, so a
-        replay reproduces the blob byte for byte.
+        rebuild bumps ``closure_calls``, which would make a recovered
+        run's counter trajectory diverge from the live one.  Every field
+        is a function of the observed steps, so a replay reproduces the
+        blob byte for byte.
         """
         payload = {
             "steps": {n: list(s) for n, s in self._steps.items()},
@@ -523,7 +519,6 @@ class ClosureWindow:
             "last_result": self._last_result,
             "cycle_result": self._cycle_result,
             "closure_calls": self.closure_calls,
-            "edges_last": self.edges_last,
         }
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -545,4 +540,3 @@ class ClosureWindow:
             # restored engine must observe the same instance.
             self._live.engine.nest = self.nest
         self.closure_calls = payload["closure_calls"]
-        self.edges_last = payload["edges_last"]

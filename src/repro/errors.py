@@ -71,19 +71,6 @@ class ExecutionError(ReproError):
     (stale process state or stale variable value)."""
 
 
-class TransactionAborted(ReproError):
-    """Raised inside a transaction program when the engine rolls it back."""
-
-    def __init__(self, transaction_id: str, reason: str = "") -> None:
-        super().__init__(f"transaction {transaction_id!r} aborted: {reason}")
-        self.transaction_id = transaction_id
-        self.reason = reason
-
-
-class DeadlockDetected(ReproError):
-    """The scheduler found a cycle in its waits-for graph."""
-
-
 class EngineError(ReproError):
     """Generic engine misuse (e.g. accessing an unknown entity)."""
 

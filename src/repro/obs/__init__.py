@@ -6,8 +6,6 @@ The *event* half (PR 4 — what happened, in what order):
   format (emit -> dump -> parse round-trips).
 * :mod:`repro.obs.tracer` — sinks: the allocation-free null tracer (the
   default everywhere), a bounded in-memory ring, a JSONL stream.
-* :mod:`repro.obs.introspect` — on-demand wait-for-graph and
-  closure-frontier snapshots of live components.
 * :mod:`repro.obs.explain` — timeline playback and abort cause-chain
   reconstruction from an event stream alone, and the tracer that keeps
   of a live stream only what that reconstruction reads.
@@ -16,7 +14,7 @@ The *aggregate* half (how much, and where):
 
 * :mod:`repro.obs.registry` — labeled Counter/Gauge/Histogram families
   whose every series a registered source sets when the registry is read
-  (nothing pushes), with a ``merge`` mirroring ``Metrics.merge``.
+  (nothing pushes).
 * :mod:`repro.obs.histogram` — the fixed-bucket latency histogram
   backing ``Metrics`` percentiles and registry histogram families.
 * :mod:`repro.obs.profile` — the deterministic phase profiler
@@ -58,7 +56,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.histogram import Histogram
-from repro.obs.introspect import closure_frontier, wait_for_snapshot
 from repro.obs.profile import PHASES, PhaseProfiler
 from repro.obs.registry import (
     Counter,
@@ -97,7 +94,6 @@ __all__ = [
     "aborted_transactions",
     "build_spans",
     "chrome_trace",
-    "closure_frontier",
     "dump_jsonl",
     "event_from_dict",
     "event_to_dict",
@@ -108,6 +104,5 @@ __all__ = [
     "prometheus_text",
     "registry_from_snapshot",
     "validate_trace",
-    "wait_for_snapshot",
     "write_chrome_trace",
 ]

@@ -11,8 +11,8 @@ estimate whose relative error is bounded by the bucket width (2x).
 That is the right trade for the Section 6 conjectures, which compare
 distributions across schedulers rather than absolute values.
 
-Histograms merge by bucket-wise addition, which is exact — the property
-``Metrics.merge`` relies on for combining per-node distributed metrics.
+Histograms merge by bucket-wise addition, which is exact: a registry
+series copies its owner's histogram by merging it into an empty one.
 """
 
 from __future__ import annotations

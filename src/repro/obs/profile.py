@@ -194,13 +194,6 @@ class PhaseProfiler:
             for name in PHASES
         }
 
-    def merge(self, other: "PhaseProfiler") -> "PhaseProfiler":
-        """Fold another profiler in (phase seconds and calls add)."""
-        for name in PHASES:
-            self.seconds[name] += other.seconds[name]
-            self.calls[name] += other.calls[name]
-        return self
-
     def publish(self, registry) -> None:
         """Set the phase series from the attribution so far — the
         profiler's registry source (``registry.derive("phases",

@@ -16,10 +16,6 @@ Prometheus text format or a JSON snapshot (:mod:`repro.obs.export`).
   tests that once, at construction.
 * **Behaviour invariance.**  A source only reads; a metered run is
   bit-identical to a bare one (asserted by the differential tests).
-* **Merge mirrors ``Metrics.merge``.**  Registries fold into one view:
-  counters add, gauges take the maximum (the convention ``Metrics`` uses
-  for ``ticks`` and maxima — parallel participants overlap rather than
-  sum), histograms add bucket-wise (exact).
 
 Families are identified by name; re-requesting a family with the same
 kind and label names returns the existing one (so every data node can
@@ -122,8 +118,8 @@ class MetricsRegistry:
     """A registry of metric families, every series derived on read.
 
     A component registers a *source* with :meth:`derive`; every read
-    (:meth:`families`, :meth:`get`, :meth:`value`, hence exposition and
-    :meth:`merge`) first calls each source, which sets its series
+    (:meth:`families`, :meth:`get`, :meth:`value`, hence exposition)
+    first calls each source, which sets its series
     (:meth:`put`) from the counts the component keeps anyway.  A source
     sets, so scraping twice changes nothing, and a restarted engine's
     series agree with its restored ``Metrics``, not with the work done
@@ -133,8 +129,7 @@ class MetricsRegistry:
     per ``scheduler=`` label per registry** (likewise one sequencer per
     ``control=``, one node per ``node=``).  A second source under the
     same key *replaces* the first (the series restart from its counts,
-    the old owner is released); to aggregate engines under one label,
-    give each its own registry and :meth:`merge` them.
+    the old owner is released).
     """
 
     def __init__(self) -> None:
@@ -208,29 +203,3 @@ class MetricsRegistry:
             return None
         child = family.labels(**kv)
         return child.hist if isinstance(child, HistogramChild) else child.value
-
-    # ------------------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry into this one.
-
-        Mirrors :meth:`repro.engine.metrics.Metrics.merge`: counters
-        add, gauges take the max (parallel participants overlap in time,
-        they do not sum), histograms add bucket-wise (exact).  Families
-        must agree on kind and label names.
-        """
-        for family in other.families():
-            mine = self._family(
-                family.name, family.kind, family.help, family.label_names
-            )
-            for key, child in family.series():
-                target = mine._children.get(key)
-                if target is None:
-                    target = mine._children[key] = _CHILD_TYPES[family.kind]()
-                if family.kind == "counter":
-                    target.value += child.value
-                elif family.kind == "gauge":
-                    target.value = max(target.value, child.value)
-                else:
-                    target.hist.merge(child.hist)
-        return self

@@ -12,7 +12,7 @@ import json
 import socket
 from typing import Any
 
-from repro.api import ResultEnvelope, Submission
+from repro.api import Submission
 from repro.errors import ReproError
 
 __all__ = ["ServiceClient", "ServiceError"]
@@ -66,22 +66,11 @@ class ServiceClient:
             {"op": "submit", "submission": submission.to_dict()}
         )
 
-    def submit_or_raise(self, submission: Submission) -> ResultEnvelope:
-        response = self.submit(submission)
-        if not response.get("ok"):
-            raise ServiceError(response.get("error", "rejected"))
-        return ResultEnvelope.from_dict(response["envelope"])
-
     def health(self) -> dict:
         return self._ok(self.request({"op": "health"}))
 
     def metrics_text(self) -> str:
         return self._ok(self.request({"op": "metrics"}))["text"]
-
-    def metrics_snapshot(self) -> dict:
-        return self._ok(
-            self.request({"op": "metrics", "format": "json"})
-        )["snapshot"]
 
     def admission(self, samples: int = 20, seed: int = 0) -> list[dict]:
         return self._ok(

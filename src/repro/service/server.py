@@ -473,6 +473,11 @@ class TransactionService:
 
 _HTTP_VERBS = (b"GET ", b"HEAD", b"POST")
 _MAX_LINE = 4 * 1024 * 1024
+#: The most samples one ``admission`` request may ask for.  The report
+#: replays the workload once per sample inside the event loop, so the
+#: cap bounds how long it holds every other connection (about a second
+#: on a 40-transaction ``2pl`` service).
+_MAX_SAMPLES = 500
 
 
 async def _next_line(reader: asyncio.StreamReader) -> bytes | None:
@@ -485,10 +490,19 @@ async def _next_line(reader: asyncio.StreamReader) -> bytes | None:
 
 
 def _int_field(request: dict, key: str, default: int) -> int:
-    try:
-        return int(request.get(key, default))
-    except (TypeError, ValueError):
-        raise SpecificationError(f"{key} must be an integer") from None
+    value = request.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecificationError(f"{key} must be an integer")
+    return value
+
+
+def _samples_field(request: dict) -> int:
+    samples = _int_field(request, "samples", 20)
+    if not 1 <= samples <= _MAX_SAMPLES:
+        raise SpecificationError(
+            f"samples must be an integer in [1, {_MAX_SAMPLES}]"
+        )
+    return samples
 
 
 def _seconds_field(request: dict) -> float:
@@ -633,7 +647,7 @@ class _Server:
                 return {
                     "ok": True,
                     "rows": service.admission_report(
-                        samples=_int_field(request, "samples", 20),
+                        samples=_samples_field(request),
                         seed=_int_field(request, "seed", 0),
                     ),
                 }

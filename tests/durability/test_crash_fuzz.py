@@ -1,9 +1,8 @@
 """Crash-point fuzzing: every seeded kill of the WAL — at record
-boundaries, mid-record (torn writes), and at fault-plan crash ticks —
-must recover to a bitwise-identical engine and continue to the
-reference history.  The sweeps below cover well over 200 kill points
-across all five schedulers, both recovery units, and both snapshot
-regimes."""
+boundaries and mid-record (torn writes) — must recover to a
+bitwise-identical engine and continue to the reference history.  The
+sweeps below cover well over 200 kill points across all five
+schedulers, both recovery units, and both snapshot regimes."""
 
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ import random
 import pytest
 
 from repro.api import ProgramSpec
-from repro.distributed.faults import CrashEvent, FaultPlan
 from repro.durability.fuzz import fuzz_crash_points
 
 SCHEDULERS = ["serial", "2pl", "timestamp", "mla-detect", "mla-prevent",
@@ -90,20 +88,6 @@ def test_contended_workload_with_prunes(tmp_path):
     assert report.ok, report.failures[0].error
     kinds = report.summary()["kinds"]
     assert kinds.get("torn", 0) > 0  # mid-record cuts were exercised
-
-
-def test_fault_plan_derived_cuts(tmp_path):
-    """Kill points derived from a FaultPlan crash schedule: the crash
-    tick maps to the first decision record at or after it."""
-    plan = FaultPlan(crashes=(
-        CrashEvent("node0", at=3.0, duration=1.0),
-        CrashEvent("node0", at=9.0, duration=1.0),
-    ))
-    report = fuzz_crash_points(
-        str(tmp_path), scheduler="2pl", seed=5, cut_limit=12,
-        fault_plan=plan,
-    )
-    assert report.ok, report.failures[0].error
 
 
 def test_dense_sweep_mla_detect(tmp_path):

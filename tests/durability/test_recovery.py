@@ -101,7 +101,7 @@ def test_generator_workload_requires_programs(tmp_path):
         programs=[("gen", 0)], specs={}, meta={"nest_depth": 1},
     )
     wal.close()
-    with pytest.raises(RecoveryError, match="programs="):
+    with pytest.raises(RecoveryError, match=r"no program spec .*'gen'"):
         recover(str(tmp_path))
 
 

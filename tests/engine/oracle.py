@@ -68,10 +68,8 @@ class FullClosureWindow(ClosureWindow):
             return None
         seed = set(self._entity_edges(order)) | self._shortcut_edges
         result = coherent_closure(spec, seed)
-        index = result.index
-        assert index is not None
+        assert result.index is not None
         self.closure_calls += 1
-        self.edges_last = index.edges
         if extra is not None:
             del self._access_of[extra[1]]
         return result

@@ -2,9 +2,8 @@
 
 Four contracts under test:
 
-* **Registry semantics** — family identity, label discipline, series
-  set by sources on read, and a ``merge`` that mirrors ``Metrics.merge``
-  (counters add, gauges max, histograms bucket-exact).
+* **Registry semantics** — family identity, label discipline, and
+  series set by sources on read.
 * **Profiler arithmetic** — exclusive attribution under nesting,
   checked against an injected fake clock with exact integers, and an
   outside-in install that times exactly the hook calls and leaves no
@@ -96,33 +95,6 @@ class TestRegistry:
         assert registry.value("repro_x_total", scheduler="other") == 0
         assert registry.value("repro_missing") is None
 
-    def test_merge_mirrors_metrics_merge(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        for registry, count, gauge, sample in (
-            (left, 2, 7, 3), (right, 5, 4, 200),
-        ):
-            registry.put("counter", "repro_c_total", "", count, node="n0")
-            registry.put("gauge", "repro_g", "", gauge, node="n0")
-            registry.put(
-                "histogram", "repro_h", "", histogram_of(sample), node="n0"
-            )
-        right.put("counter", "repro_c_total", "", 11, node="n1")
-
-        left.merge(right)
-        assert left.value("repro_c_total", node="n0") == 7  # counters add
-        assert left.value("repro_c_total", node="n1") == 11  # new series
-        assert left.value("repro_g", node="n0") == 7  # gauges take max
-        hist = left.value("repro_h", node="n0")
-        assert hist.count == 2 and hist.total == 203  # bucket-exact
-
-    def test_merge_is_reconstructible(self):
-        # Merging into a fresh registry reproduces the source exactly.
-        source = MetricsRegistry()
-        source.put("counter", "repro_c_total", "", 9)
-        source.put("histogram", "repro_h", "", histogram_of(5))
-        merged = MetricsRegistry().merge(source)
-        assert json_snapshot(merged) == json_snapshot(source)
-
     def test_sources_set_their_series_on_every_read(self):
         """``derive`` is the pull half: a source sets (never adds), so
         reading twice changes nothing, and re-registering under the same
@@ -140,7 +112,6 @@ class TestRegistry:
         state["n"] = 5
         assert [f.name for f in registry.families()] == ["repro_n_total"]
         assert registry.get("repro_n_total").labels().value == 5
-        assert MetricsRegistry().merge(registry).value("repro_n_total") == 5
         reads = state["reads"]
         registry.derive("n", lambda reg: None)
         registry.families()
@@ -183,20 +154,6 @@ class TestPhaseProfiler:
         profiler = PhaseProfiler(clock=FakeClock())
         with pytest.raises(SpecificationError):
             profiler.phase("sleeping")
-
-    def test_merge_adds_seconds_and_calls(self):
-        def timed(*spans: tuple[str, float]) -> PhaseProfiler:
-            clock = FakeClock()
-            profiler = PhaseProfiler(clock=clock)
-            for name, seconds in spans:
-                with profiler.phase(name):
-                    clock.now += seconds
-            return profiler
-
-        a = timed(("network", 2.0))
-        a.merge(timed(("network", 3.0), ("certify", 1.0)))
-        assert a.seconds["network"] == 5.0 and a.calls["network"] == 2
-        assert a.seconds["certify"] == 1.0 and a.calls["certify"] == 1
 
     def test_publish_exports_every_phase(self):
         clock = FakeClock()

@@ -807,6 +807,41 @@ class TestSocketServer:
             run(go())
         assert caplog.records == []
 
+    def test_admission_samples_are_bounded_json_integers(self):
+        """The ``admission`` op replays the workload once per sample in
+        the event loop: a count past the cap, a bool, a string or a
+        count below one gets a typed rejection instead of running, and
+        ``health`` answers right after."""
+
+        async def go():
+            task, port = await _start_server(ServiceConfig(nest_depth=0))
+            sub = Submission(program=spec("t1", ("add", "x", 1)))
+            (submitted,) = await _jsonl_request(
+                port, [{"op": "submit", "submission": sub.to_dict()}]
+            )
+            (served,) = await _jsonl_request(
+                port, [{"op": "admission", "samples": 2}]
+            )
+            assert submitted["ok"] and served["ok"] and served["rows"]
+            range_error = "samples must be an integer in [1, 500]"
+            for samples, error in (
+                (1_000_000, range_error),
+                (True, "samples must be an integer"),
+                (0, range_error),
+                (-5, range_error),
+                ("20", "samples must be an integer"),
+            ):
+                (reply,) = await _jsonl_request(
+                    port, [{"op": "admission", "samples": samples}]
+                )
+                assert reply == {"ok": False, "error": error}, samples
+            (health,) = await _jsonl_request(port, [{"op": "health"}])
+            assert health["ok"]
+            await _jsonl_request(port, [{"op": "shutdown"}])
+            await asyncio.wait_for(task, timeout=5)
+
+        run(go())
+
     def test_http_metrics_and_healthz(self):
         async def http(port, target):
             reader, writer = await asyncio.open_connection("127.0.0.1", port)

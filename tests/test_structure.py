@@ -22,6 +22,9 @@ a lock mode or a prune interval.  And for rollback: both units of
 recovery share one cascade fixpoint, reached from one engine method.
 And for timing: the phase profiler is swapped in from outside, so the
 code it times never names it, and the engine stack reads no clock.
+And for reading state: no module duck-types another's private
+attributes by name, and recovery takes no override of what the log
+holds.
 """
 
 from __future__ import annotations
@@ -309,3 +312,20 @@ def test_the_engine_state_holds_no_clock():
                            os.path.join("audit", "monitor.py")))
     ]
     assert clocked == []
+
+
+def test_no_module_reads_private_state_by_name():
+    assert grep(r"getattr\([^,]+,\s*[\"']_[^_]") == []
+
+
+def test_recovery_rebuilds_from_the_log_alone():
+    import inspect
+
+    from repro.durability import recover
+
+    parameters = inspect.signature(recover).parameters.values()
+    keywords = [
+        parameter.name for parameter in parameters
+        if parameter.kind is parameter.KEYWORD_ONLY
+    ]
+    assert keywords == ["wal", "use_snapshot", "tracer", "registry"]
