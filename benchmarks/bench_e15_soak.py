@@ -179,7 +179,7 @@ def replay_differential(service, transactions: int) -> None:
     """Replay the soak stream through the library path and assert the
     committed history is bit-identical to the service's."""
     from repro.api import make_scheduler
-    from repro.core.nests import PathNest
+    from repro.core.nests import KNest
     from repro.engine.runtime import Engine
     from repro.workloads.traffic import TrafficConfig, traffic_specs
 
@@ -190,7 +190,7 @@ def replay_differential(service, transactions: int) -> None:
             TrafficConfig(transactions=transactions, **TRAFFIC)
         )
     }
-    nest = PathNest(config.nest_depth)
+    nest = KNest(config.nest_depth)
     initial: dict = {}
     for name in service.arrivals:  # ingest order
         nest.add(name, specs[name].path)

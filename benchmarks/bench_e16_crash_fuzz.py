@@ -61,11 +61,11 @@ def run_without_wal(specs, *, scheduler: str, seed: int,
     """The same deterministic run ``run_reference`` performs, with no
     log attached — the overhead baseline and the bit-identity oracle."""
     from repro.api import make_scheduler
-    from repro.core.nests import PathNest
+    from repro.core.nests import KNest
     from repro.engine.runtime import Engine
 
     depth = len(specs[0].path) if specs else 1
-    nest = PathNest(depth)
+    nest = KNest(depth)
     for spec in specs:
         nest.add(spec.name, spec.path)
     initial: dict[str, int] = {}

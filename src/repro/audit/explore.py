@@ -5,12 +5,12 @@ them.  For a small configuration (a few declarative programs and a
 scheduler) it walks every reachable scheduling decision of the real
 :class:`~repro.engine.runtime.Engine` — not a model of it — by forking
 the engine at each decision point through the ``snapshot_state`` /
-``restore_state`` seam and forcing each runnable transaction in turn
-through the deterministic ``schedule`` override.  The engine's seeded
-rng is replaced by a pinned stand-in (:class:`_ExplorerRng`): backoff
-delays collapse to their minimum (longer delays only defer wakeups,
-which the scheduling choice already enumerates) and stall victims are
-branched over explicitly, so randomness contributes no state.
+``restore_state`` seam.  The engine's seeded rng is replaced by a pinned
+stand-in (:class:`_ExplorerRng`) that forces each runnable transaction in
+turn as the tick's attention pick and branches over stall victims the
+same way; backoff delays collapse to their minimum (longer delays only
+defer wakeups, which the scheduling choice already enumerates), so
+randomness contributes no state.
 
 State-space reduction is sleep-set-free but sound: explored states are
 deduplicated under a canonical key that normalises away everything
@@ -43,14 +43,15 @@ __all__ = ["ExplorationReport", "SMALL_CONFIGS", "explore", "make_config"]
 class _ExplorerRng:
     """Deterministic stand-in for the engine's seeded rng.
 
-    The engine consumes randomness in exactly two places the explorer
-    must control: the post-rollback backoff draw and the stall-victim
-    pick.  Backoff is pinned to the *minimum* delay — a longer delay
-    only defers a wakeup, and deferral is already enumerated by the
-    explorer's scheduling choice, so delay-1 loses no behaviours while
-    keeping the rng state inert (and out of the state key).  The victim
-    pick honours ``pick`` when the preferred name is in the offered
-    tier, which is how the explorer branches over stall resolutions.
+    The engine consumes randomness in exactly three places the explorer
+    must control: the attention pick, the post-rollback backoff draw and
+    the stall-victim pick.  Backoff is pinned to the *minimum* delay — a
+    longer delay only defers a wakeup, and deferral is already
+    enumerated by the explorer's scheduling choice, so delay-1 loses no
+    behaviours while keeping the rng state inert (and out of the state
+    key).  A pick honours ``pick`` when the preferred name is offered,
+    and consumes it: that is how the explorer forces each scheduling
+    choice and branches over stall resolutions.
     """
 
     __slots__ = ("pick",)
@@ -65,6 +66,7 @@ class _ExplorerRng:
         if self.pick is not None:
             for item in seq:
                 if getattr(item, "name", item) == self.pick:
+                    self.pick = None
                     return item
         return seq[0]
 
@@ -212,7 +214,6 @@ def _state_key(state: dict, stall_limit: int):
     return (
         min(tick - state["last_progress"], stall_limit + 1),
         repr(state["rng"]),
-        _canon(state["schedule"]),
         store_key,
         txns,
         tuple(sorted(state["active"])),
@@ -458,19 +459,17 @@ def explore(
         for choice in choices:
             child = child_engine
             child.restore_state(base, deep=False, programs=by_name)
-            if stalled:
-                # The stall handler, not the attention pick, decides
-                # this tick; branch over its victim preference instead.
-                # A scheduler whose handler ignores the rng collapses
-                # these children into one state at dedup.
-                child.rng.pick = choice
-            else:
-                child._schedule = [choice]
+            # Unless the tick stalls, the attention pick takes ``choice``.
+            # On a stall the handler decides this tick instead, and the
+            # pick is its victim preference; a scheduler whose handler
+            # ignores the rng collapses these children into one state at
+            # dedup.
+            child.rng.pick = choice
             child.advance(until_tick=target)
-            if not stalled and child._schedule:
+            if not stalled and child.rng.pick is not None:
                 raise SpecificationError(
-                    f"forced schedule entry {choice!r} was not consumed "
-                    f"at tick {target} (explorer invariant broken)"
+                    f"forced pick {choice!r} was not consumed at tick "
+                    f"{target} (explorer invariant broken)"
                 )
             child.rng.pick = None
             report.transitions += 1

@@ -429,8 +429,7 @@ class History:
 def paths_from_nest(nest, items) -> tuple[int, dict[str, tuple[str, ...]]]:
     """Serialize a nest's placement of ``items`` as ``from_paths`` paths.
 
-    Works for any nest exposing ``k``/``class_id`` (KNest, PathNest):
-    level-``i`` class ids become the path labels, and because a k-nest's
+    Level-``i`` class ids become the path labels, and because a k-nest's
     levels refine each other, two items share a class-id *prefix* exactly
     when they share the class — so ``KNest.from_paths`` on the output
     reconstructs an equivalent nest.  Returns ``(depth, paths)``.

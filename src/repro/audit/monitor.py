@@ -40,9 +40,8 @@ class OnlineMonitor(HistorySink):
     Parameters
     ----------
     nest:
-        The k-nest placing every transaction that may commit (a KNest
-        for closed workloads, the service's growable PathNest for open
-        ones).
+        The k-nest placing every transaction that may commit; an open
+        stream grows it through :meth:`declare_path`.
     registry:
         Optional :class:`~repro.obs.MetricsRegistry`; when given, the
         monitor registers as the source of the checked/violation
@@ -84,9 +83,7 @@ class OnlineMonitor(HistorySink):
     # ------------------------------------------------------------------
 
     def declare_path(self, name, path) -> None:
-        nest_add = getattr(self.nest, "add", None)
-        if nest_add is not None:
-            nest_add(name, path)
+        self.nest.add(name, path)
 
     def on_commit(
         self,

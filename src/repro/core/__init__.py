@@ -38,7 +38,7 @@ from repro.core.extension import (
     extend_to_coherent_total_order,
 )
 from repro.core.interleaving import InterleavingSpec
-from repro.core.nests import KNest, PathNest
+from repro.core.nests import KNest
 from repro.core.segmentation import BreakpointDescription
 from repro.core.serializability import (
     compatibility_sets_spec,
@@ -49,7 +49,6 @@ from repro.core.serializability import (
 
 __all__ = [
     "KNest",
-    "PathNest",
     "BreakpointDescription",
     "InterleavingSpec",
     "Violation",

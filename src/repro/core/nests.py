@@ -28,15 +28,18 @@ __all__ = ["KNest", "PathNest"]
 
 
 class KNest:
-    """An immutable k-nest over a finite set of hashable items.
+    """A growable k-nest, stored as one hierarchy path per item.
 
-    Parameters
-    ----------
-    partitions:
-        ``partitions[i - 1]`` is the partition for level ``i`` (1-based
-        levels, as in the paper), given as an iterable of iterables of
-        items.  Level 1 must be a single class, level ``k`` must be all
-        singletons, and each level must refine the previous one.
+    Each item maps to a path of ``k - 2`` group labels.  Two distinct
+    items are ``pi(i)``-equivalent exactly when their paths agree on the
+    first ``i - 1`` labels; level 1 relates everything and level ``k`` is
+    the singleton partition.  Adding an item interns its path prefixes,
+    so :meth:`add` and the per-pair queries (:meth:`level`,
+    :meth:`class_id`, :meth:`same_class`) cost O(depth) whatever the
+    number of items — an open system admits transactions one at a time.
+
+    ``KNest(depth)`` is an empty nest; :meth:`from_paths`, :meth:`flat`
+    and :meth:`from_partitions` (the paper's form) build a populated one.
 
     Examples
     --------
@@ -44,7 +47,7 @@ class KNest:
     ``t1, t2, t3`` (``t1`` and ``t2`` from a common family) and one bank
     audit ``a``::
 
-        >>> nest = KNest([
+        >>> nest = KNest.from_partitions([
         ...     [["t1", "t2", "t3", "a"]],
         ...     [["t1", "t2", "t3"], ["a"]],
         ...     [["t1", "t2"], ["t3"], ["a"]],
@@ -58,246 +61,6 @@ class KNest:
         1
         >>> nest.level("a", "a")
         4
-    """
-
-    __slots__ = ("_k", "_items", "_class_ids", "_classes")
-
-    def __init__(self, partitions: Sequence[Iterable[Iterable[T]]]) -> None:
-        if not partitions:
-            raise SpecificationError("a k-nest needs at least one level")
-        self._k = len(partitions)
-        # Per level: item -> class id, and tuple of frozenset classes.
-        self._class_ids: list[dict[T, int]] = []
-        self._classes: list[tuple[frozenset[T], ...]] = []
-        for level0, raw_classes in enumerate(partitions):
-            classes = tuple(frozenset(c) for c in raw_classes)
-            ids: dict[T, int] = {}
-            for cid, cls in enumerate(classes):
-                if not cls:
-                    raise SpecificationError(
-                        f"level {level0 + 1} contains an empty class"
-                    )
-                for item in cls:
-                    if item in ids:
-                        raise SpecificationError(
-                            f"item {item!r} appears in two classes of level "
-                            f"{level0 + 1}"
-                        )
-                    ids[item] = cid
-            self._class_ids.append(ids)
-            self._classes.append(classes)
-        self._items = frozenset(self._class_ids[0])
-        self._validate()
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_paths(cls, paths: Mapping[T, Sequence[Hashable]]) -> "KNest":
-        """Build a k-nest from hierarchy *paths*.
-
-        Each item maps to a sequence of ``k - 2`` group labels; two items
-        are ``pi(i)``-equivalent exactly when their paths agree on the
-        first ``i - 1`` labels.  Level 1 relates everything and level ``k``
-        is automatically the singleton partition, so all paths must have
-        the same length and ``k = len(path) + 2``.
-
-        This is the natural encoding for organisational hierarchies: the
-        banking nest uses paths like ``("customer", "family-1")`` for
-        transfers and ``("audit:a1", "audit:a1")`` for audits (unique
-        labels put the audit in a singleton class from level 2 on).
-        """
-        if not paths:
-            raise SpecificationError("from_paths needs at least one item")
-        lengths = {len(p) for p in paths.values()}
-        if len(lengths) != 1:
-            raise SpecificationError(
-                f"all paths must have equal length, got lengths {sorted(lengths)}"
-            )
-        depth = lengths.pop()
-        k = depth + 2
-        partitions: list[list[list[T]]] = []
-        for level in range(1, k + 1):
-            groups: dict[tuple, list[T]] = {}
-            for item, path in paths.items():
-                if level == k:
-                    key = ("item", item)
-                else:
-                    key = ("prefix", tuple(path[: level - 1]))
-                groups.setdefault(key, []).append(item)
-            partitions.append(list(groups.values()))
-        return cls(partitions)
-
-    @classmethod
-    def flat(cls, items: Iterable[T]) -> "KNest":
-        """The 2-nest: everything related at level 1, nothing at level 2.
-
-        Under this nest, multilevel atomicity degenerates to classical
-        serializability (Section 4.3's first example).
-        """
-        items = list(items)
-        return cls([[items], [[item] for item in items]])
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-
-    @property
-    def k(self) -> int:
-        """Number of levels."""
-        return self._k
-
-    @property
-    def items(self) -> frozenset:
-        """The underlying set ``X``."""
-        return self._items
-
-    def level(self, x: T, y: T) -> int:
-        """``level(x, y)``: the largest ``i`` with ``(x, y) in pi(i)``."""
-        self._require(x)
-        self._require(y)
-        if x == y:
-            return self._k
-        # Walk down from the finest level; classes only merge going up.
-        for i in range(self._k, 0, -1):
-            ids = self._class_ids[i - 1]
-            if ids[x] == ids[y]:
-                return i
-        raise SpecificationError(
-            f"{x!r} and {y!r} unrelated even at level 1; not a valid k-nest"
-        )
-
-    def classes(self, i: int) -> tuple[frozenset, ...]:
-        """The equivalence classes of ``pi(i)``."""
-        self._require_level(i)
-        return self._classes[i - 1]
-
-    def class_of(self, i: int, x: T) -> frozenset:
-        """The ``pi(i)``-class containing ``x``."""
-        self._require_level(i)
-        self._require(x)
-        return self._classes[i - 1][self._class_ids[i - 1][x]]
-
-    def class_id(self, i: int, x: T) -> int:
-        """A canonical integer id of the ``pi(i)``-class containing ``x``."""
-        self._require_level(i)
-        self._require(x)
-        return self._class_ids[i - 1][x]
-
-    def same_class(self, i: int, x: T, y: T) -> bool:
-        """Whether ``(x, y) in pi(i)``."""
-        self._require_level(i)
-        self._require(x)
-        self._require(y)
-        ids = self._class_ids[i - 1]
-        return ids[x] == ids[y]
-
-    # ------------------------------------------------------------------
-    # derivation
-    # ------------------------------------------------------------------
-
-    def restrict(self, items: Iterable[T]) -> "KNest":
-        """The induced k-nest on a subset of the items.
-
-        Used when deriving the interleaving specification for a particular
-        execution, which mentions only the transactions that actually took
-        steps (Section 4.3).
-        """
-        keep = set(items)
-        missing = keep - self._items
-        if missing:
-            raise SpecificationError(f"unknown items: {sorted(map(repr, missing))}")
-        if not keep:
-            raise SpecificationError("cannot restrict a nest to the empty set")
-        partitions = []
-        for classes in self._classes:
-            partitions.append(
-                [cls & keep for cls in classes if cls & keep]
-            )
-        return KNest(partitions)
-
-    def truncate(self, k: int) -> "KNest":
-        """Coarsen to a ``k``-nest by keeping levels ``1..k-1`` and forcing
-        level ``k`` to singletons.
-
-        This is the ablation used by experiment E6: truncating the CAD
-        5-nest to depth 2 yields plain serializability; each extra level
-        re-admits one tier of interleaving.
-        """
-        if not 2 <= k <= self._k:
-            raise SpecificationError(
-                f"truncation depth must be in [2, {self._k}], got {k}"
-            )
-        partitions: list[list[list[T]]] = [
-            [list(cls) for cls in self._classes[i]] for i in range(k - 1)
-        ]
-        partitions.append([[item] for item in self._items])
-        return KNest(partitions)
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-
-    def _require(self, x: T) -> None:
-        if x not in self._items:
-            raise SpecificationError(f"unknown item: {x!r}")
-
-    def _require_level(self, i: int) -> None:
-        if not 1 <= i <= self._k:
-            raise SpecificationError(f"level must be in [1, {self._k}], got {i}")
-
-    def _validate(self) -> None:
-        if len(self._classes[0]) != 1:
-            raise SpecificationError("pi(1) must consist of exactly one class")
-        if any(len(cls) != 1 for cls in self._classes[-1]):
-            raise SpecificationError("pi(k) must consist of singleton classes")
-        for i in range(1, self._k):
-            if set(self._class_ids[i]) != self._items:
-                raise SpecificationError(
-                    f"level {i + 1} does not partition the same item set as level 1"
-                )
-            # pi(i+1) refines pi(i): each finer class sits inside one coarser
-            # class.
-            coarse = self._class_ids[i - 1]
-            for cls in self._classes[i]:
-                owners = {coarse[item] for item in cls}
-                if len(owners) != 1:
-                    raise SpecificationError(
-                        f"level {i + 1} does not refine level {i}: class "
-                        f"{sorted(map(repr, cls))} straddles two level-{i} classes"
-                    )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KNest):
-            return NotImplemented
-        return self._k == other._k and all(
-            set(a) == set(b) for a, b in zip(self._classes, other._classes)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._k, tuple(frozenset(c) for c in self._classes[-2])))
-
-    def __repr__(self) -> str:
-        return f"KNest(k={self._k}, items={len(self._items)})"
-
-
-class PathNest:
-    """A growable k-nest over fixed-depth hierarchy paths.
-
-    :class:`KNest` is immutable — the right shape for the paper's closed
-    experiments, but an open system admitting transactions one at a time
-    would pay a full ``from_paths`` rebuild (linear in every item ever
-    admitted) per arrival.  ``PathNest`` keeps the *path* encoding as its
-    primary representation: adding an item is O(depth) prefix interning,
-    ``level``/``class_id`` queries are O(depth) with no per-item scans,
-    and the class structure agrees with ``KNest.from_paths`` over the
-    same mapping (property-tested against that oracle).
-
-    Levels mean exactly what ``from_paths`` makes them mean: two distinct
-    items are ``pi(i)``-equivalent iff their paths agree on the first
-    ``i - 1`` labels, level 1 relates everything, and level
-    ``k = depth + 2`` is the singleton partition.
     """
 
     __slots__ = ("_depth", "_k", "_paths", "_prefix_ids", "_item_ids")
@@ -314,10 +77,19 @@ class PathNest:
         ]
         self._item_ids: dict[T, int] = {}
 
+    # ------------------------------------------------------------------
+    # construction
+    # ------------------------------------------------------------------
+
     @classmethod
-    def from_paths(cls, paths: Mapping[T, Sequence[Hashable]]) -> "PathNest":
-        """Seed a growable nest from an initial path mapping (the same
-        input shape as :meth:`KNest.from_paths`)."""
+    def from_paths(cls, paths: Mapping[T, Sequence[Hashable]]) -> "KNest":
+        """Build a k-nest from hierarchy *paths*, all of one length.
+
+        This is the natural encoding for organisational hierarchies: the
+        banking nest uses paths like ``("customer", "family-1")`` for
+        transfers and ``("audit:a1", "audit:a1")`` for audits (unique
+        labels put the audit in a singleton class from level 2 on).
+        """
         if not paths:
             raise SpecificationError("from_paths needs at least one item")
         lengths = {len(p) for p in paths.values()}
@@ -330,9 +102,69 @@ class PathNest:
             nest.add(item, path)
         return nest
 
-    # ------------------------------------------------------------------
-    # growth
-    # ------------------------------------------------------------------
+    @classmethod
+    def flat(cls, items: Iterable[T]) -> "KNest":
+        """The 2-nest: everything related at level 1, nothing at level 2.
+
+        Under this nest, multilevel atomicity degenerates to classical
+        serializability (Section 4.3's first example).
+        """
+        nest = cls(0)
+        for item in items:
+            nest.add(item, ())
+        return nest
+
+    @classmethod
+    def from_partitions(
+        cls, partitions: Sequence[Iterable[Iterable[T]]]
+    ) -> "KNest":
+        """Build a k-nest from the paper's form: ``partitions[i - 1]`` is
+        the partition for level ``i``, an iterable of classes.
+
+        Level 1 must be a single class, level ``k`` all singletons, and
+        each level must refine the previous one.  An item's path is the
+        index of its class at each of the levels ``2..k-1``.
+        """
+        if len(partitions) < 2:
+            raise SpecificationError("a k-nest needs at least two levels")
+        levels = [[frozenset(c) for c in classes] for classes in partitions]
+        owners: list[dict[T, int]] = []
+        for level, classes in enumerate(levels, 1):
+            owner: dict[T, int] = {}
+            for cid, members in enumerate(classes):
+                if not members:
+                    raise SpecificationError(
+                        f"level {level} contains an empty class"
+                    )
+                for item in members:
+                    if item in owner:
+                        raise SpecificationError(
+                            f"item {item!r} appears in two classes of "
+                            f"level {level}"
+                        )
+                    owner[item] = cid
+            owners.append(owner)
+        if len(levels[0]) != 1:
+            raise SpecificationError("pi(1) must consist of exactly one class")
+        if any(len(members) != 1 for members in levels[-1]):
+            raise SpecificationError("pi(k) must consist of singleton classes")
+        for i in range(1, len(levels)):
+            if owners[i].keys() != owners[0].keys():
+                raise SpecificationError(
+                    f"level {i + 1} does not partition the same item set as level 1"
+                )
+            coarse = owners[i - 1]
+            for members in levels[i]:
+                if len({coarse[item] for item in members}) != 1:
+                    raise SpecificationError(
+                        f"level {i + 1} does not refine level {i}: class "
+                        f"{sorted(map(repr, members))} straddles two "
+                        f"level-{i} classes"
+                    )
+        nest = cls(len(levels) - 2)
+        for (item,) in levels[-1]:
+            nest.add(item, tuple(owner[item] for owner in owners[1:-1]))
+        return nest
 
     def add(self, item: T, path: Sequence[Hashable]) -> None:
         """Admit ``item`` at ``path``.  Re-adding with the same path is a
@@ -359,15 +191,17 @@ class PathNest:
                 ids[prefix] = len(ids)
 
     # ------------------------------------------------------------------
-    # queries (the KNest surface the engine path consumes)
+    # queries
     # ------------------------------------------------------------------
 
     @property
     def k(self) -> int:
+        """Number of levels."""
         return self._k
 
     @property
     def items(self) -> frozenset:
+        """The underlying set ``X``."""
         return frozenset(self._paths)
 
     def path_of(self, x: T) -> tuple[Hashable, ...]:
@@ -375,41 +209,30 @@ class PathNest:
         return self._paths[x]
 
     def level(self, x: T, y: T) -> int:
-        """O(depth): ``min(lcp(paths) + 1, k - 1)`` for distinct items,
-        ``k`` on the diagonal — the ``from_paths`` relation."""
+        """``level(x, y)``: the largest ``i`` with ``(x, y) in pi(i)`` —
+        one more than the common prefix of two distinct items' paths."""
         self._require(x)
         self._require(y)
         if x == y:
             return self._k
-        px, py = self._paths[x], self._paths[y]
         agree = 0
-        for a, b in zip(px, py):
+        for a, b in zip(self._paths[x], self._paths[y]):
             if a != b:
                 break
             agree += 1
         return agree + 1
 
-    def class_id(self, i: int, x: T) -> int:
+    def classes(self, i: int) -> tuple[frozenset, ...]:
+        """The equivalence classes of ``pi(i)`` (a scan of every path)."""
         self._require_level(i)
-        self._require(x)
-        if i == 1:
-            return 0
-        if i == self._k:
-            return self._item_ids[x]
-        return self._prefix_ids[i - 2][self._paths[x][: i - 1]]
-
-    def same_class(self, i: int, x: T, y: T) -> bool:
-        self._require_level(i)
-        self._require(x)
-        self._require(y)
-        if i == 1:
-            return True
-        if i == self._k:
-            return x == y
-        return self._paths[x][: i - 1] == self._paths[y][: i - 1]
+        groups: dict[Hashable, set] = {}
+        for item, path in self._paths.items():
+            key = item if i == self._k else path[: i - 1]
+            groups.setdefault(key, set()).add(item)
+        return tuple(frozenset(members) for members in groups.values())
 
     def class_of(self, i: int, x: T) -> frozenset:
-        """O(n) scan — fine for inspection, not for the hot path."""
+        """The ``pi(i)``-class containing ``x`` (a scan of every path)."""
         self._require_level(i)
         self._require(x)
         if i == self._k:
@@ -421,26 +244,68 @@ class PathNest:
             if path[: i - 1] == prefix
         )
 
-    def restrict(self, items: Iterable[T]) -> KNest:
-        """Materialise the induced (small, immutable) nest on a subset.
+    def class_id(self, i: int, x: T) -> int:
+        """A canonical integer id of the ``pi(i)``-class containing ``x``."""
+        self._require_level(i)
+        self._require(x)
+        if i == 1:
+            return 0
+        if i == self._k:
+            return self._item_ids[x]
+        return self._prefix_ids[i - 2][self._paths[x][: i - 1]]
 
-        The closure window calls this with only its live-window
-        transactions, so the open system's per-check cost stays bounded
-        by the window size, never by total admissions.
+    def same_class(self, i: int, x: T, y: T) -> bool:
+        """Whether ``(x, y) in pi(i)``."""
+        self._require_level(i)
+        self._require(x)
+        self._require(y)
+        if i == 1:
+            return True
+        if i == self._k:
+            return x == y
+        return self._paths[x][: i - 1] == self._paths[y][: i - 1]
+
+    # ------------------------------------------------------------------
+    # derivation
+    # ------------------------------------------------------------------
+
+    def restrict(self, items: Iterable[T]) -> "KNest":
+        """The induced k-nest on a subset of the items.
+
+        Used when deriving the interleaving specification for a particular
+        execution, which mentions only the transactions that actually took
+        steps (Section 4.3), and by the closure window on its committed
+        transactions: the cost follows the subset, not the whole nest.
         """
-        keep = set(items)
-        missing = keep - set(self._paths)
+        keep = dict.fromkeys(items)
+        missing = [x for x in keep if x not in self._paths]
         if missing:
             raise SpecificationError(
                 f"unknown items: {sorted(map(repr, missing))}"
             )
         if not keep:
             raise SpecificationError("cannot restrict a nest to the empty set")
-        return KNest.from_paths({item: self._paths[item] for item in keep})
+        nest = KNest(self._depth)
+        for item in keep:
+            nest.add(item, self._paths[item])
+        return nest
 
-    def to_knest(self) -> KNest:
-        """The equivalent immutable nest over everything admitted so far."""
-        return KNest.from_paths(dict(self._paths))
+    def truncate(self, k: int) -> "KNest":
+        """Coarsen to a ``k``-nest by keeping levels ``1..k-1`` and forcing
+        level ``k`` to singletons.
+
+        This is the ablation used by experiment E6: truncating the CAD
+        5-nest to depth 2 yields plain serializability; each extra level
+        re-admits one tier of interleaving.
+        """
+        if not 2 <= k <= self._k:
+            raise SpecificationError(
+                f"truncation depth must be in [2, {self._k}], got {k}"
+            )
+        nest = KNest(k - 2)
+        for item, path in self._paths.items():
+            nest.add(item, path[: k - 2])
+        return nest
 
     # ------------------------------------------------------------------
     # plumbing
@@ -460,5 +325,17 @@ class PathNest:
     def __contains__(self, item: object) -> bool:
         return item in self._paths
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KNest):
+            return NotImplemented
+        return self._k == other._k and all(
+            set(self.classes(i)) == set(other.classes(i))
+            for i in range(1, self._k + 1)
+        )
+
     def __repr__(self) -> str:
-        return f"PathNest(k={self._k}, items={len(self._paths)})"
+        return f"KNest(k={self._k}, items={len(self._paths)})"
+
+
+#: The growable nest's former name; ``benchmarks/e18/inproc.py`` builds one.
+PathNest = KNest

@@ -71,7 +71,7 @@ def compatibility_sets_spec(
         raise SpecificationError("need at least one transaction")
     txns = list(step_orders)
     classes = [list(c) for c in compatibility_classes]
-    nest = KNest([
+    nest = KNest.from_partitions([
         [txns],
         classes,
         [[t] for t in txns],

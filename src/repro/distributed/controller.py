@@ -42,6 +42,7 @@ from repro.engine.closure_window import ClosureWindow
 from repro.engine.cycles import WaitGraph
 from repro.engine.locks import LockManager
 from repro.engine.rollback import cascade_closure, undo_plan
+from repro.engine.schedulers._certify import certify_victim
 from repro.errors import NetworkError
 from repro.model.breakpoints import spec_for_execution
 from repro.obs.registry import MetricsRegistry
@@ -145,12 +146,6 @@ class DistributedPreventControl(NoControl):
         seq = self.sequencer
         name = request["name"]
         step = StepId(name, request["steps_taken"])
-        # The window must know the requester's latest breakpoints for the
-        # hypothetical prefix description.
-        self.window._cuts[name] = {
-            g: lv
-            for g, lv in request["cut_levels"].items()
-        }
         acyclic, predecessors, cycle_owners = self.window.hypothetical(
             name, step, request["entity"], request["kind"]
         )
@@ -219,15 +214,13 @@ class DistributedPreventControl(NoControl):
             if step.transaction not in seq.committed_names
             and step.transaction in seq.attempts
         }
-        if not owners:
-            owners = {
-                other
-                for other in seq.progress
-                if other not in seq.committed_names
-            }
-        if not owners:
-            return [name]
-        return [max(owners, key=seq.priority_key)]
+        candidates = [
+            other for other in seq.progress
+            if other not in seq.committed_names
+        ]
+        return [certify_victim(
+            self.window, result.cycle, owners, candidates, seq.priority_key
+        )]
 
     def on_commit(self, name: str) -> None:
         self.sequencer.waiting_on.pop(name, None)

@@ -92,11 +92,11 @@ def run_reference(
     """Run the workload to completion with an engine WAL in
     ``directory``; returns ``(engine, result)``."""
     from repro.api import make_scheduler
-    from repro.core.nests import PathNest
+    from repro.core.nests import KNest
     from repro.engine.runtime import Engine
 
     depth = len(specs[0].path) if specs else 1
-    nest = PathNest(depth)
+    nest = KNest(depth)
     for spec in specs:
         nest.add(spec.name, spec.path)
     initial: dict[str, Any] = {}
@@ -317,12 +317,12 @@ def _oracle(report):
     """A fresh engine built from the same genesis, never crashed, with
     no snapshot shortcut and no WAL."""
     from repro.api import ProgramSpec, make_scheduler
-    from repro.core.nests import PathNest
+    from repro.core.nests import KNest
     from repro.engine.runtime import Engine
 
     genesis = report.genesis
     depth = genesis.get("meta", {}).get("nest_depth", 1)
-    nest = PathNest(depth)
+    nest = KNest(depth)
     table = {}
     for name, _ in genesis["programs"]:
         spec = ProgramSpec.from_dict(genesis["specs"][name])

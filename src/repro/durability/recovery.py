@@ -70,7 +70,7 @@ def recover(
     log.
     """
     from repro.api import ProgramSpec, make_scheduler
-    from repro.core.nests import PathNest
+    from repro.core.nests import KNest
     from repro.engine.runtime import Engine
 
     if wal is None:
@@ -100,7 +100,7 @@ def recover(
     }
     arrivals = {name: arrival for name, arrival in genesis["programs"]}
     order = [name for name, _ in genesis["programs"]]
-    nest = PathNest(genesis.get("meta", {}).get("nest_depth", 1))
+    nest = KNest(genesis.get("meta", {}).get("nest_depth", 1))
     for name in order:
         if name in genesis_specs:
             nest.add(name, tuple(genesis_specs[name].get("path", ())))

@@ -171,8 +171,9 @@ class ClosureWindow:
     # closure
     # ------------------------------------------------------------------
 
-    def _rebuild_live(self) -> _LiveState:
-        """Batch-load the current window contents into a fresh engine.
+    def _rebuild_live(self, without: str | None = None) -> _LiveState:
+        """Batch-load the current window contents, less the attempt of
+        ``without`` when given, into a fresh engine.
 
         Transactions are loaded whole (chain edges and segments built in
         one pass), entity and shortcut edges are inserted silently, and a
@@ -180,8 +181,19 @@ class ClosureWindow:
         saturates everything — much cheaper than replaying the performed
         order step by step with online propagation.  The engine stays
         usable for subsequent online updates afterwards."""
+        steps_of, order, shortcuts = (
+            self._steps, self._order, self._shortcut_edges
+        )
+        if without is not None:
+            gone = set(steps_of.get(without, ()))
+            steps_of = {n: s for n, s in steps_of.items() if n != without}
+            order = [s for s in order if s not in gone]
+            shortcuts = {
+                (u, v) for u, v in shortcuts
+                if u not in gone and v not in gone
+            }
         engine = ClosureEngine(self.nest)
-        for name, steps in self._steps.items():
+        for name, steps in steps_of.items():
             if steps:
                 engine.load_transaction(
                     name,
@@ -192,14 +204,20 @@ class ClosureWindow:
                     ],
                 )
         fold = EntityFold("all")
-        for step in self._order:
+        for step in order:
             entity, kind = self._access_of[step]
             for u, v in fold.feed(step, entity, kind):
                 engine.add_edge_silent(u, v)
-        for u, v in self._shortcut_edges:
+        for u, v in shortcuts:
             engine.add_edge_silent(u, v)
         engine.bootstrap()
         return _LiveState(engine, fold)
+
+    def acyclic_without(self, name: str) -> bool:
+        """Whether the closure is acyclic once ``name``'s attempt leaves
+        the window: a cold-path probe on a fresh engine that changes
+        nothing in the window, its caches or its counters."""
+        return not self._rebuild_live(without=name).engine.cyclic
 
     def _result_of(
         self, engine: ClosureEngine, edges_added_before: int = 0

@@ -301,7 +301,6 @@ class Engine:
         stall_limit: int = 500,
         backoff: int = 4,
         recovery: str = "transaction",
-        schedule: list[str] | None = None,
         tracer: Tracer | None = None,
         registry: MetricsRegistry | None = None,
         wal=None,
@@ -328,10 +327,6 @@ class Engine:
         self.stall_limit = stall_limit
         self.backoff = backoff
         self.recovery = recovery
-        # Optional deterministic attention order (names consumed one per
-        # tick; unknown/sleeping entries are skipped; falls back to the
-        # seeded random pick when exhausted).  Used by adversarial tests.
-        self._schedule = list(schedule or [])
         self.tick = 0
         self._seq = 0
         self._timestamp = 0
@@ -579,17 +574,9 @@ class Engine:
                     )
                 self._last_progress = self.tick
                 continue
-            txn = None
-            while self._schedule:
-                name = self._schedule.pop(0)
-                state = self.txns.get(name)
-                if state is not None and not state.committed and state.wake_tick <= self.tick:
-                    txn = state
-                    break
-            if txn is None:
-                # Already in name order: the same list, and so the same
-                # draw, as sorting the candidates by name.
-                txn = self.rng.choice(candidates)
+            # Already in name order: the same list, and so the same
+            # draw, as sorting the candidates by name.
+            txn = self.rng.choice(candidates)
             progressed = self._attend(txn)
             if progressed:
                 self._last_progress = self.tick
@@ -1058,7 +1045,6 @@ class Engine:
             "timestamp": self._timestamp,
             "last_progress": self._last_progress,
             "rng": self.rng.getstate(),
-            "schedule": list(self._schedule),
             "metrics": self.metrics,
             "store": self.store.snapshot_state(),
             "txns": txns,
@@ -1154,7 +1140,6 @@ class Engine:
         self._timestamp = state["timestamp"]
         self._last_progress = state["last_progress"]
         self.rng.setstate(state["rng"])
-        self._schedule = list(state["schedule"])
         self.metrics = (
             state["metrics"] if deep else copy.copy(state["metrics"])
         )

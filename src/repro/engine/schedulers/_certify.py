@@ -8,17 +8,51 @@ the window — permanently, since committed steps never leave.
 
 The fix is an induction invariant: **no transaction commits while the
 window's closure is cyclic.**  ``certify_commit`` re-checks the closure
-when a finished transaction asks to commit and, on a cycle, rolls back an
-active participant (or, when a cycle consists purely of committed steps —
-possible only through a still-active justifier — the youngest active
-transaction, whose rollback removes the justification).
+when a finished transaction asks to commit and, on a cycle, rolls back a
+victim that :func:`certify_victim` picks — the rule the distributed
+sequencer's certification uses too.
+
+A witness cycle may consist purely of committed steps.  By the invariant
+the committed part of the window is acyclic, so such a cycle is justified
+through the reachability of some still-active attempt — typically an old
+one that has finished its steps, not the youngest.  Rolling back a
+transaction outside that justification leaves the cycle standing, and
+certification would then abort forever.  So the victim is the youngest
+active transaction whose removal leaves the window acyclic, found by
+probing each candidate on a rebuilt closure.
 """
 
 from __future__ import annotations
 
-from repro.engine.schedulers.base import Decision
+from collections.abc import Callable, Iterable
 
-__all__ = ["certify_commit"]
+from repro.engine.schedulers.base import Decision
+from repro.errors import EngineError
+
+__all__ = ["certify_commit", "certify_victim"]
+
+
+def certify_victim(
+    window, cycle, owners: set[str], candidates: Iterable[str],
+    key: Callable[[str], object],
+) -> str:
+    """The transaction to roll back when certification finds ``cycle``.
+
+    ``owners`` are the uncommitted transactions with a step on the
+    witness; the youngest of them (largest ``key``) is the victim.  With
+    no owner, the youngest of ``candidates`` whose removal makes
+    ``window`` acyclic is.  If no removal does, the committed steps alone
+    are cyclic, which only an admission bug can cause.
+    """
+    if owners:
+        return max(owners, key=key)
+    for name in sorted(candidates, key=key, reverse=True):
+        if window.acyclic_without(name):
+            return name
+    raise EngineError(
+        "committed steps close a cycle no active transaction justifies: "
+        + " -> ".join(str(step) for step in cycle or ())
+    )
 
 
 def certify_commit(scheduler, txn) -> Decision:
@@ -32,30 +66,23 @@ def certify_commit(scheduler, txn) -> Decision:
     engine = scheduler.engine
     assert engine is not None
     engine.metrics.cycles_detected += 1
-    owners = {
-        step.transaction
-        for step in result.cycle or ()
-        if step.transaction in engine.txns
-        and not engine.txns[step.transaction].committed
-    }
-    if not owners:
-        # The cycle lies among committed steps, justified through some
-        # still-active transaction's reachability; remove a justifier.
-        owners = {
-            state.name for state in engine.active_states()
-        }
-    victim = max(
-        (engine.txns[name] for name in owners),
-        key=lambda t: (t.priority, t.name),
+    active = {state.name: state for state in engine.active_states()}
+    victim = certify_victim(
+        window,
+        result.cycle,
+        {step.transaction for step in result.cycle or ()
+         if step.transaction in active},
+        active,
+        lambda name: (active[name].priority, name),
     )
     if "cycle.detect" in scheduler.reads:
         scheduler.emit(
             "cycle.detect",
             witness=[str(step) for step in result.cycle or ()],
-            victim=victim.name,
+            victim=victim,
             txns=sorted(
                 step.transaction for step in result.cycle or ()
             ),
             when="commit-certify",
         )
-    return Decision.abort([victim.name], "commit-time certification")
+    return Decision.abort([victim], "commit-time certification")

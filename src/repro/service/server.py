@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.api import ResultEnvelope, Submission, make_scheduler
 from repro.audit.history import HISTORY_FORMAT_VERSION, NULL_HISTORY
-from repro.core.nests import PathNest
+from repro.core.nests import KNest
 from repro.durability.wal import NULL_WAL
 from repro.engine.runtime import Engine, EngineResult
 from repro.errors import ReproError, SpecificationError, load_json_object
@@ -154,7 +154,7 @@ class TransactionService:
             if wal.log.payloads:
                 return self._recover(config, wal)
             self.wal = wal
-        nest = PathNest(config.nest_depth)
+        nest = KNest(config.nest_depth)
         engine = Engine(
             [],
             {},

@@ -164,7 +164,7 @@ def abstract_example():
     steps = {
         t: [f"a{t[1]}{j}" for j in range(1, 5)] for t in ("t1", "t2", "t3")
     }
-    nest = KNest([
+    nest = KNest.from_partitions([
         [["t1", "t2", "t3"]],
         [["t1", "t2"], ["t3"]],
         [["t1"], ["t2"], ["t3"]],

@@ -28,7 +28,7 @@ from tests.core.strategies import specs_with_seeds, specs_with_sequences
 def two_transaction_spec(k=2, cut_levels_a=None, cut_levels_b=None):
     nest = KNest.flat(["A", "B"]) if k == 2 else None
     if nest is None:
-        nest = KNest([
+        nest = KNest.from_partitions([
             [["A", "B"]],
             [["A", "B"]],
             [["A"], ["B"]],

@@ -10,7 +10,7 @@ from repro.errors import SpecificationError
 
 @pytest.fixture()
 def spec():
-    nest = KNest([
+    nest = KNest.from_partitions([
         [["t", "u", "v"]],
         [["t", "u"], ["v"]],
         [["t"], ["u"], ["v"]],

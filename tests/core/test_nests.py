@@ -12,7 +12,7 @@ from repro.errors import SpecificationError
 
 @pytest.fixture()
 def banking4():
-    return KNest([
+    return KNest.from_partitions([
         [["t1", "t2", "t3", "a"]],
         [["t1", "t2", "t3"], ["a"]],
         [["t1", "t2"], ["t3"], ["a"]],
@@ -27,15 +27,15 @@ class TestConstruction:
 
     def test_level_one_must_be_single_class(self):
         with pytest.raises(SpecificationError):
-            KNest([[["x"], ["y"]], [["x"], ["y"]]])
+            KNest.from_partitions([[["x"], ["y"]], [["x"], ["y"]]])
 
     def test_level_k_must_be_singletons(self):
         with pytest.raises(SpecificationError):
-            KNest([[["x", "y"]], [["x", "y"]]])
+            KNest.from_partitions([[["x", "y"]], [["x", "y"]]])
 
     def test_refinement_enforced(self):
         with pytest.raises(SpecificationError, match="refine"):
-            KNest([
+            KNest.from_partitions([
                 [["x", "y", "z"]],
                 [["x", "y"], ["z"]],
                 [["x", "z"], ["y"]],  # not a refinement of level 2
@@ -44,15 +44,15 @@ class TestConstruction:
 
     def test_same_item_set_at_all_levels(self):
         with pytest.raises(SpecificationError):
-            KNest([[["x", "y"]], [["x"]]])
+            KNest.from_partitions([[["x", "y"]], [["x"]]])
 
     def test_duplicate_item_in_level(self):
         with pytest.raises(SpecificationError):
-            KNest([[["x", "y"]], [["x", "y"], ["y"]]])
+            KNest.from_partitions([[["x", "y"]], [["x", "y"], ["y"]]])
 
     def test_empty_class_rejected(self):
         with pytest.raises(SpecificationError):
-            KNest([[["x"]], [[], ["x"]]])
+            KNest.from_partitions([[["x"]], [[], ["x"]]])
 
 
 class TestLevel:
@@ -108,6 +108,37 @@ class TestFromPaths:
     def test_empty_rejected(self):
         with pytest.raises(SpecificationError):
             KNest.from_paths({})
+
+
+class TestGrowth:
+    def test_readd_same_path_is_noop(self):
+        nest = KNest(2)
+        nest.add("t", ("a", "b"))
+        nest.add("t", ("a", "b"))
+        assert len(nest) == 1
+
+    def test_readd_conflicting_path_rejected(self):
+        nest = KNest(2)
+        nest.add("t", ("a", "b"))
+        with pytest.raises(SpecificationError, match="already placed"):
+            nest.add("t", ("a", "c"))
+
+    def test_wrong_depth_rejected(self):
+        nest = KNest(2)
+        with pytest.raises(SpecificationError, match="length 1"):
+            nest.add("t", ("a",))
+
+    def test_unknown_item_rejected(self):
+        nest = KNest(1)
+        nest.add("t", ("a",))
+        with pytest.raises(SpecificationError, match="unknown item"):
+            nest.level("t", "ghost")
+
+    def test_membership_and_paths(self):
+        nest = KNest(1)
+        nest.add("t", ("fam",))
+        assert "t" in nest and "u" not in nest
+        assert nest.path_of("t") == ("fam",)
 
 
 class TestFlat:
@@ -201,3 +232,60 @@ def test_level_is_ultrametric(paths, data):
     y = data.draw(st.sampled_from(items))
     z = data.draw(st.sampled_from(items))
     assert nest.level(x, z) >= min(nest.level(x, y), nest.level(y, z))
+
+
+labels = st.sampled_from(["a", "b", "c", "d"])
+names = st.text(alphabet="tuvw0123456789", min_size=1, max_size=6)
+
+
+@st.composite
+def path_maps(draw):
+    depth = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 8))
+    items = draw(st.lists(names, min_size=n, max_size=n, unique=True))
+    return {
+        item: tuple(draw(st.lists(labels, min_size=depth, max_size=depth)))
+        for item in items
+    }
+
+
+@given(paths=path_maps())
+def test_partition_form_agrees_with_path_form(paths):
+    """The paper's partition form of a nest, rebuilt from its classes,
+    relates every pair exactly as the path form it came from."""
+    nest = KNest.from_paths(paths)
+    rebuilt = KNest.from_partitions(
+        [nest.classes(i) for i in range(1, nest.k + 1)]
+    )
+    assert rebuilt == nest
+    for i in range(1, nest.k + 1):
+        for x in paths:
+            assert rebuilt.class_of(i, x) == nest.class_of(i, x)
+            for y in paths:
+                assert rebuilt.level(x, y) == nest.level(x, y)
+                same = nest.same_class(i, x, y)
+                assert rebuilt.same_class(i, x, y) == same
+                assert (nest.class_id(i, x) == nest.class_id(i, y)) == same
+
+
+@given(paths=path_maps(), data=st.data())
+def test_restrict_matches_from_paths(paths, data):
+    subset = data.draw(
+        st.lists(st.sampled_from(sorted(paths)), min_size=1, unique=True)
+    )
+    assert KNest.from_paths(paths).restrict(subset) == KNest.from_paths(
+        {item: paths[item] for item in subset}
+    )
+
+
+@given(paths=path_maps())
+def test_incremental_add_equals_bulk(paths):
+    """Adding one item at a time gives the same relation as seeding
+    everything up front — the open-system growth property."""
+    bulk = KNest.from_paths(paths)
+    grown = KNest(len(next(iter(paths.values()))))
+    for item, path in paths.items():
+        grown.add(item, path)
+    for x in paths:
+        for y in paths:
+            assert grown.level(x, y) == bulk.level(x, y)

@@ -1,17 +1,15 @@
-"""PathNest against the KNest.from_paths oracle.
+"""A nest grown one path at a time against the KNest.from_paths oracle.
 
-PathNest is the growable nest the service builds one admission at a
-time; its documented contract is that the class structure it reports is
-*exactly* what ``KNest.from_paths`` would compute over the same mapping.
-These properties hold PathNest to that oracle over random path sets."""
+The service grows its nest one admission at a time with ``KNest.add``;
+its contract is that the class structure it reports is *exactly* what
+``KNest.from_paths`` computes over the same mapping.  These properties
+hold the grown nest to that oracle over random path sets."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.nests import KNest, PathNest
-from repro.errors import SpecificationError
+from repro.core.nests import KNest
 
 labels = st.sampled_from(["a", "b", "c", "d"])
 names = st.text(alphabet="tuvw0123456789", min_size=1, max_size=6)
@@ -32,10 +30,17 @@ def path_maps(draw):
     }
 
 
+def grow(paths):
+    nest = KNest(len(next(iter(paths.values()))))
+    for item, path in paths.items():
+        nest.add(item, path)
+    return nest
+
+
 class TestOracle:
     @given(path_maps())
     def test_level_matches_from_paths(self, paths):
-        grown = PathNest.from_paths(paths)
+        grown = grow(paths)
         oracle = KNest.from_paths(paths)
         assert grown.k == oracle.k
         assert grown.items == oracle.items
@@ -45,7 +50,7 @@ class TestOracle:
 
     @given(path_maps())
     def test_same_class_and_class_id_consistent(self, paths):
-        grown = PathNest.from_paths(paths)
+        grown = grow(paths)
         oracle = KNest.from_paths(paths)
         for i in range(1, grown.k + 1):
             for x in paths:
@@ -54,68 +59,7 @@ class TestOracle:
                     same = oracle.same_class(i, x, y)
                     assert grown.same_class(i, x, y) == same
                     # class_id partitions identically (ids themselves may
-                    # differ between implementations; equality must not).
+                    # differ between nests; equality must not).
                     assert (
                         grown.class_id(i, x) == grown.class_id(i, y)
                     ) == same
-
-    @given(path_maps(), st.data())
-    def test_restrict_matches_oracle(self, paths, data):
-        grown = PathNest.from_paths(paths)
-        subset = data.draw(
-            st.lists(
-                st.sampled_from(sorted(paths)), min_size=1, unique=True
-            )
-        )
-        assert grown.restrict(subset) == KNest.from_paths(
-            {item: paths[item] for item in subset}
-        )
-
-    @given(path_maps())
-    def test_to_knest_roundtrip(self, paths):
-        assert PathNest.from_paths(paths).to_knest() == KNest.from_paths(
-            paths
-        )
-
-    @given(path_maps())
-    def test_incremental_add_equals_bulk(self, paths):
-        """Adding one item at a time gives the same relation as seeding
-        everything up front — the open-system growth property."""
-        bulk = PathNest.from_paths(paths)
-        grown = PathNest(len(next(iter(paths.values()))))
-        for item, path in paths.items():
-            grown.add(item, path)
-        for x in paths:
-            for y in paths:
-                assert grown.level(x, y) == bulk.level(x, y)
-
-
-class TestGrowth:
-    def test_readd_same_path_is_noop(self):
-        nest = PathNest(2)
-        nest.add("t", ("a", "b"))
-        nest.add("t", ("a", "b"))
-        assert len(nest) == 1
-
-    def test_readd_conflicting_path_rejected(self):
-        nest = PathNest(2)
-        nest.add("t", ("a", "b"))
-        with pytest.raises(SpecificationError, match="already placed"):
-            nest.add("t", ("a", "c"))
-
-    def test_wrong_depth_rejected(self):
-        nest = PathNest(2)
-        with pytest.raises(SpecificationError, match="length 1"):
-            nest.add("t", ("a",))
-
-    def test_unknown_item_rejected(self):
-        nest = PathNest(1)
-        nest.add("t", ("a",))
-        with pytest.raises(SpecificationError, match="unknown item"):
-            nest.level("t", "ghost")
-
-    def test_membership_and_paths(self):
-        nest = PathNest(1)
-        nest.add("t", ("fam",))
-        assert "t" in nest and "u" not in nest
-        assert nest.path_of("t") == ("fam",)

@@ -35,7 +35,7 @@ import pickle
 import pytest
 
 from repro.api import ProgramSpec, Submission, make_scheduler
-from repro.core.nests import PathNest
+from repro.core.nests import KNest
 from repro.durability import recover, snapshot
 from repro.durability.fuzz import default_specs, run_reference
 from repro.durability.wal import EngineWal
@@ -117,7 +117,7 @@ def test_closure_window_restore_repoints_nest(tmp_path):
     """The unpickled window's live closure engine must alias the
     scheduler's own nest object, not a stale pickled copy: transactions
     registered after restore are invisible to a stale copy."""
-    nest = PathNest(1)
+    nest = KNest(1)
     nest.add("a", ("fam",))
     scheduler = make_scheduler("mla-detect", nest)
     engine = Engine(
@@ -128,7 +128,7 @@ def test_closure_window_restore_repoints_nest(tmp_path):
     )
     engine.run()
     blob = scheduler.snapshot_state()
-    nest2 = PathNest(1)
+    nest2 = KNest(1)
     nest2.add("a", ("fam",))
     scheduler2 = make_scheduler("mla-detect", nest2)
     engine2 = Engine(
@@ -245,7 +245,7 @@ def test_restore_never_runs_a_committed_program(monkeypatch, recovery_unit):
     initial = {e: 100 for spec in specs for e in spec.entities}
 
     def fresh() -> Engine:
-        nest = PathNest(2)
+        nest = KNest(2)
         for spec in specs:
             nest.add(spec.name, spec.path)
         return Engine(

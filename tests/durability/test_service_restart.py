@@ -8,7 +8,7 @@ import asyncio
 import os
 
 from repro.api import ProgramSpec, Submission, make_scheduler
-from repro.core.nests import PathNest
+from repro.core.nests import KNest
 from repro.durability import recover
 from repro.engine.runtime import Engine
 from repro.obs import RingTracer, explain_abort
@@ -81,7 +81,7 @@ class TestServiceRestart:
         # The library replay at the recorded arrival ticks (the E15
         # differential path), recorded completely.
         specs = {s.program.name: s.program for s in submissions}
-        nest = PathNest(contended.nest_depth)
+        nest = KNest(contended.nest_depth)
         initial: dict = {}
         for name in first.arrivals:
             nest.add(name, specs[name].path)

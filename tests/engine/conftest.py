@@ -3,6 +3,8 @@ scheduler zoo."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import KNest
@@ -18,6 +20,28 @@ from repro.engine import (
 from repro.model import TransactionProgram, read, update, write
 from repro.model.programs import Breakpoint
 from tests.engine.oracle import with_full_window
+
+
+class ScriptedRng:
+    """An engine rng whose attention picks follow ``script``: each pick
+    takes the next scripted name on offer, skipping those that are not
+    (committed or asleep).  Once the script is spent, and for every
+    other draw, it is ``random.Random(seed)``."""
+
+    def __init__(self, seed, script) -> None:
+        self.rng = random.Random(seed)
+        self.script = list(script)
+
+    def choice(self, seq):
+        while self.script:
+            name = self.script.pop(0)
+            for item in seq:
+                if item.name == name:
+                    return item
+        return self.rng.choice(seq)
+
+    def randint(self, lo, hi):
+        return self.rng.randint(lo, hi)
 
 
 def transfer(name, src, dst, amount):

@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Submission, make_scheduler
-from repro.core.nests import PathNest
+from repro.core.nests import KNest
 from repro.durability import recover
 from repro.engine.runtime import Engine
 from repro.service import AdmissionConfig, ServiceConfig, TransactionService
@@ -124,7 +124,7 @@ def _play(engine_class, scheduler: str, script: dict) -> list[tuple]:
     upfront = script["upfront"]
 
     def construct(registered, arrivals):
-        nest = PathNest(1)
+        nest = KNest(1)
         for spec in registered:
             nest.add(spec.name, spec.path)
         engine = engine_class(
@@ -187,7 +187,7 @@ def test_unarrived_fallback_victim_keeps_its_early_wake():
     wake tick on.  The queue must as well."""
     specs = traffic_specs(TrafficConfig(transactions=2, seed=3))
     for engine_class in (Engine, FullScanEngine):
-        nest = PathNest(1)
+        nest = KNest(1)
         for spec in specs:
             nest.add(spec.name, spec.path)
         engine = engine_class(

@@ -14,17 +14,26 @@ scheduler.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import check_correctability
+from repro.core import KNest, check_correctability
 from repro.engine import (
     MLADetectScheduler,
     MLAPreventScheduler,
     NestedLockScheduler,
 )
+from repro.engine.closure_window import ClosureWindow
+from repro.engine.schedulers._certify import certify_victim
+from repro.errors import EngineError
+from repro.model.steps import StepId, StepKind
+from repro.service import ServiceConfig
+from repro.service.server import TransactionService
 from repro.workloads import BankingConfig, BankingWorkload
+from repro.workloads.traffic import TrafficConfig, traffic_submissions
 
 
 def adversarial_bank() -> BankingWorkload:
@@ -85,3 +94,87 @@ def test_certification_counts_cycles():
         ).run()
         totals += result.metrics.cycles_detected
     assert totals > 0
+
+
+# ---------------------------------------------------------------------------
+# the victim of a cycle among committed steps
+# ---------------------------------------------------------------------------
+
+
+def _window_with_cycles(*pairs):
+    """A flat-nest window in which each pair of transactions closes a
+    cycle: ``a`` then ``b`` write ``x<i>``, ``b`` then ``a`` write
+    ``y<i>``."""
+    names = [name for pair in pairs for name in pair]
+    window = ClosureWindow(KNest.flat(names + ["bystander"]))
+    for i, (a, b) in enumerate(pairs):
+        for name, entity, pos in (
+            (a, f"x{i}", 0), (b, f"x{i}", 0), (b, f"y{i}", 1),
+            (a, f"y{i}", 1),
+        ):
+            window.observe(
+                name, StepId(name, pos), entity, StepKind.WRITE, {}
+            )
+    window.observe(
+        "bystander", StepId("bystander", 0), "z", StepKind.WRITE, {}
+    )
+    return window
+
+
+def test_probe_leaves_the_window_as_it_was():
+    window = _window_with_cycles(("t1", "t2"))
+    before = window.snapshot_state()
+    assert window.acyclic_without("t1")
+    assert not window.acyclic_without("bystander")
+    assert window.snapshot_state() == before
+    assert not window.closure().is_partial_order
+
+
+def test_victim_is_the_youngest_whose_removal_breaks_the_cycle():
+    """The youngest candidate (``bystander``) justifies nothing; rolling
+    it back would leave the cycle, so the next one is the victim."""
+    window = _window_with_cycles(("t1", "t2"))
+    cycle = window.closure().cycle
+    victim = certify_victim(
+        window, cycle, set(), ["t1", "t2", "bystander"], lambda n: n
+    )
+    assert victim == "t2"
+    # An owner on the witness is taken without probing.
+    assert certify_victim(
+        window, cycle, {"t1"}, ["bystander"], lambda n: n
+    ) == "t1"
+
+
+def test_a_cycle_no_removal_breaks_is_an_error():
+    window = _window_with_cycles(("t1", "t2"), ("t3", "t4"))
+    cycle = window.closure().cycle
+    with pytest.raises(EngineError, match="no active transaction"):
+        certify_victim(
+            window, cycle, set(), ["t1", "t2", "t3", "t4"], lambda n: n
+        )
+
+
+def test_service_stream_that_wedged_certification_commits_everything():
+    """The first 43 batches of the stream E18 runs as lane 0 of seed 6
+    at contention 0.15, one batch awaited at a time.  Certification
+    used to roll back the youngest active transaction whenever a witness
+    cycle held only committed steps; here that transaction never
+    justified the cycle, so the service aborted forever at commit 1 362.
+    The run takes well under a second; the bound only turns a relapse
+    into a failure instead of a hang."""
+    submissions = traffic_submissions(TrafficConfig(
+        transactions=1376, seed="6/0", contention=0.15, families=32,
+        entities_per_family=8, shared_entities=4, name_prefix="a",
+    ))
+
+    async def run():
+        service = TransactionService(ServiceConfig(scheduler="mla-detect"))
+        for start in range(0, len(submissions), 32):
+            await asyncio.gather(*(
+                service.submit(submission)
+                for submission in submissions[start:start + 32]
+            ))
+        return service
+
+    service = asyncio.run(asyncio.wait_for(run(), timeout=60))
+    assert len(service.engine.commit_order) == len(submissions)

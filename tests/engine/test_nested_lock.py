@@ -16,6 +16,7 @@ from repro.engine import Engine, NestedLockScheduler
 from repro.model import TransactionProgram, read, update
 from repro.model.programs import Breakpoint
 from repro.workloads import BankingConfig, BankingWorkload
+from tests.engine.conftest import ScriptedRng
 
 
 def chain_fixture():
@@ -58,8 +59,9 @@ class TestCounterexample:
         scheduler = NestedLockScheduler(nest, certify=False)
         engine = Engine(
             programs, {"x": 0, "y": 0, "z": 0}, scheduler,
-            seed=0, schedule=list(schedule),
+            seed=0,
         )
+        engine.rng = ScriptedRng(0, schedule)
         result = engine.run()
         assert result.metrics.waits == 0  # every lock check passed
         report = check_correctability(
@@ -72,8 +74,9 @@ class TestCounterexample:
         scheduler = NestedLockScheduler(nest, certify=True)
         engine = Engine(
             programs, {"x": 0, "y": 0, "z": 0}, scheduler,
-            seed=0, schedule=list(schedule),
+            seed=0,
         )
+        engine.rng = ScriptedRng(0, schedule)
         result = engine.run()
         assert scheduler.certification_failures == 1
         report = check_correctability(
@@ -106,8 +109,8 @@ class TestRetentionRule:
         scheduler = NestedLockScheduler(nest)
         engine = Engine(
             programs, {"x": 0, "w": 0}, scheduler, seed=0,
-            schedule=["holder", "rival", "rival", "holder"],
         )
+        engine.rng = ScriptedRng(0, ["holder", "rival", "rival", "holder"])
         result = engine.run()
         assert result.metrics.waits >= 1
         report = check_correctability(
@@ -135,8 +138,8 @@ class TestRetentionRule:
         scheduler = NestedLockScheduler(nest)
         engine = Engine(
             programs, {"x": 0, "w": 0}, scheduler, seed=0,
-            schedule=["holder", "rival", "holder"],
         )
+        engine.rng = ScriptedRng(0, ["holder", "rival", "holder"])
         result = engine.run()
         assert result.metrics.waits == 0
 

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.api import ProgramSpec, Submission, make_scheduler
-from repro.core.nests import PathNest
+from repro.core.nests import KNest
 from repro.engine.runtime import Engine
 from repro.service import AdmissionConfig, ServiceConfig, TransactionService
 from repro.service.server import _MAX_LINE, serve
@@ -654,7 +654,7 @@ class TestDifferential:
         # socket server.
         specs = {s.name: s for s in traffic_specs(traffic)}
         ingest_order = list(service.arrivals)
-        nest = PathNest(config.nest_depth)
+        nest = KNest(config.nest_depth)
         initial = {}
         for name in ingest_order:
             nest.add(name, specs[name].path)

@@ -35,6 +35,7 @@ from repro.workloads import (
     FGLConfig,
     FGLWorkload,
 )
+from tests.engine.conftest import ScriptedRng
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +169,9 @@ class TestOtherWorkloads:
         model_run = db.serial_run(order)
         engine = Engine(
             bank.programs, bank.accounts, SerialScheduler(),
-            seed=0, schedule=[name for name in order for _ in range(40)],
+            seed=0,
         )
+        engine.rng = ScriptedRng(0, [name for name in order for _ in range(40)])
         engine_result = engine.run()
         model_values = {
             entity: values[-1]

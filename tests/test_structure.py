@@ -24,7 +24,8 @@ And for timing: the phase profiler is swapped in from outside, so the
 code it times never names it, and the engine stack reads no clock.
 And for reading state: no module duck-types another's private
 attributes by name, and recovery takes no override of what the log
-holds.
+holds.  Nor does any module write another object's private state.  And
+for the k-nest: one class, whatever the nest is built from.
 """
 
 from __future__ import annotations
@@ -316,6 +317,95 @@ def test_the_engine_state_holds_no_clock():
 
 def test_no_module_reads_private_state_by_name():
     assert grep(r"getattr\([^,]+,\s*[\"']_[^_]") == []
+
+
+def _private_writes(tree: ast.AST) -> list[str]:
+    """``obj._x = ...`` / ``obj._x[k] = ...`` (and augmented, annotated
+    and ``del`` forms) inside a function, where ``obj`` is neither
+    ``self``/``cls`` nor an object the same function built with
+    ``__new__``."""
+    hits = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        built = {"self", "cls"}
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "__new__"
+            ):
+                built.update(
+                    t.id for t in node.targets if isinstance(t, ast.Name)
+                )
+        for node in ast.walk(function):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = list(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            while targets:
+                target = targets.pop()
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    targets.extend(target.elts)
+                    continue
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr.startswith("_")
+                    and not target.attr.startswith("__")
+                    and not (
+                        isinstance(target.value, ast.Name)
+                        and target.value.id in built
+                    )
+                ):
+                    hits.append(f"{target.lineno}: {ast.unparse(target)}")
+    return hits
+
+
+def test_no_module_writes_another_objects_private_state():
+    hits = []
+    for directory, _, files in sorted(os.walk(SRC)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read())
+                hits.extend(
+                    f"{os.path.relpath(path, SRC)}:{hit}"
+                    for hit in _private_writes(tree)
+                )
+    assert hits == []
+
+
+def test_private_write_check_sees_both_spellings():
+    tree = ast.parse(
+        "def f(other):\n"
+        "    other._a = 1\n"
+        "    other.window._b[0] = 2\n"
+        "    self._c = 3\n"
+        "    fresh = Thing.__new__(Thing)\n"
+        "    fresh._d = 4\n"
+    )
+    assert sorted(_private_writes(tree)) == [
+        "2: other._a", "3: other.window._b",
+    ]
+
+
+def test_one_nest_class():
+    import inspect
+
+    from repro.core import nests
+
+    classes = {
+        value for value in vars(nests).values()
+        if inspect.isclass(value) and value.__module__ == nests.__name__
+    }
+    assert classes == {nests.KNest}
+    assert nests.PathNest is nests.KNest
 
 
 def test_recovery_rebuilds_from_the_log_alone():
