@@ -2,6 +2,11 @@
 monitoring, black-box classification and exhaustive interleaving
 exploration (DESIGN.md §4i).
 
+A history is built in memory by :class:`HistoryRecorder` (or streamed
+by :class:`HistoryWriter`, which keeps one) and read back by
+:func:`load_history`, whose two file forms share one validator,
+:meth:`History.from_dict`.
+
 The explorer is loaded lazily (PEP 562): it drives the real engine via
 :mod:`repro.api`, which itself imports the engine — and the engine
 imports this package for its capture seam.  Deferring the explorer
@@ -18,7 +23,6 @@ from repro.audit.history import (
     HistoryWriter,
     NULL_HISTORY,
     TeeHistory,
-    history_from_result,
     load_history,
     paths_from_nest,
 )
@@ -40,7 +44,6 @@ __all__ = [
     "TeeHistory",
     "audit_history",
     "explore",
-    "history_from_result",
     "load_history",
     "make_config",
     "paths_from_nest",

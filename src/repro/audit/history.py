@@ -15,9 +15,17 @@ Two encodings share one canonical object, :class:`History`:
 * **JSONL** — the streaming form :class:`HistoryWriter` appends while a
   run is live: a ``header`` line, one ``commit`` line per committed
   transaction (its records, declared cut levels, nest path and result),
-  and a ``footer`` carrying the canonical SHA-256 — the same digest
+  and a ``footer`` carrying its counts and the canonical SHA-256 — the
+  same :func:`repro.model.execution.canonical_digest`
   :meth:`repro.engine.runtime.EngineResult.history_digest` computes, so
   a captured file cross-checks against the engine's own result.
+
+Both forms are read by one validator: :func:`load_history` checks only
+a stream's framing (line kinds and order, key sets, the footer's
+counts), reshapes it into the single-object dict and hands that to
+:meth:`History.from_dict`, which makes every value check.
+:class:`HistoryRecorder` is the one in-memory builder; the JSONL writer
+keeps its rows and its path table.
 
 Capture is a sink of the engine's decision stream (DESIGN.md §4e): an
 enabled sink reads the commit records and no other; sinks never
@@ -29,7 +37,6 @@ footer is rejected by :func:`load_history`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -42,7 +49,7 @@ from repro.errors import (
     require_keys,
 )
 from repro.model.breakpoints import spec_for_execution
-from repro.model.execution import Execution
+from repro.model.execution import Execution, canonical_digest
 from repro.model.steps import StepId, StepKind, StepRecord
 
 __all__ = [
@@ -54,7 +61,6 @@ __all__ = [
     "HistoryWriter",
     "NULL_HISTORY",
     "TeeHistory",
-    "history_from_result",
     "load_history",
     "paths_from_nest",
 ]
@@ -162,9 +168,10 @@ class History:
         :class:`SpecificationError` (never anything else) on violation.
         Returns the committed execution it checked, so a caller that
         goes on to read it need not build it again."""
-        if self.version != HISTORY_FORMAT_VERSION:
+        version = self.version
+        if not _int_ok(version) or version != HISTORY_FORMAT_VERSION:
             raise SpecificationError(
-                f"unsupported history format version {self.version!r} "
+                f"unsupported history format version {version!r} "
                 f"(this build reads version {HISTORY_FORMAT_VERSION})"
             )
         if not all(isinstance(name, str) for name in self.commit_order):
@@ -303,19 +310,10 @@ class History:
     def digest(self) -> str:
         """The canonical SHA-256 — byte-for-byte the digest
         :meth:`EngineResult.history_digest` computes over the same run."""
-        canon = [
-            [
-                s.transaction,
-                s.index,
-                s.entity,
-                s.kind,
-                repr(s.before),
-                repr(s.after),
-            ]
+        return canonical_digest(
+            (s.transaction, s.index, s.entity, s.kind, s.before, s.after)
             for s in self.steps
-        ]
-        blob = json.dumps(canon, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()
+        )
 
     # ------------------------------------------------------------------
     # wire shape
@@ -507,7 +505,8 @@ class HistoryRecorder(HistorySink):
     ) -> None:
         self.initial = dict(initial or {})
         self.depth = depth
-        self._paths: dict[str, tuple[str, ...]] = {
+        #: name -> declared nest path; the writer reads it too.
+        self.paths: dict[str, tuple[str, ...]] = {
             str(t): tuple(p) for t, p in (paths or {}).items()
         }
         self.meta = dict(meta or {})
@@ -517,7 +516,7 @@ class HistoryRecorder(HistorySink):
         self.rows: list[tuple] = []
 
     def declare_path(self, name: str, path: tuple[str, ...]) -> None:
-        self._paths[str(name)] = tuple(str(label) for label in path)
+        self.paths[str(name)] = tuple(str(label) for label in path)
 
     def on_commit(self, name, attempt, tick, entries, cut_levels, result):
         self.commit_order.append(name)
@@ -540,9 +539,9 @@ class HistoryRecorder(HistorySink):
         paths = None
         if self.depth is not None:
             paths = {
-                name: self._paths[name]
+                name: self.paths[name]
                 for name in self.commit_order
-                if name in self._paths
+                if name in self.paths
             }
             missing = set(self.commit_order) - set(paths)
             if missing:
@@ -587,11 +586,8 @@ class HistoryWriter(HistorySink):
     ) -> None:
         self.path = path
         self.depth = depth
-        self._paths: dict[str, tuple[str, ...]] = {
-            str(t): tuple(p) for t, p in (paths or {}).items()
-        }
         self._recorder = HistoryRecorder(
-            initial=initial, depth=depth, paths=self._paths, meta=meta
+            initial=initial, depth=depth, paths=paths, meta=meta
         )
         self._closed = False
         self._handle = open(path, "w", encoding="utf-8")
@@ -608,12 +604,10 @@ class HistoryWriter(HistorySink):
         self._handle.write(_LINE_ENCODER.encode(payload) + "\n")
 
     def declare_path(self, name: str, path: tuple[str, ...]) -> None:
-        clean = tuple(str(label) for label in path)
-        self._paths[str(name)] = clean
-        self._recorder.declare_path(name, clean)
+        self._recorder.declare_path(name, path)
 
     def on_commit(self, name, attempt, tick, entries, cut_levels, result):
-        path = self._paths.get(name)
+        path = self._recorder.paths.get(name)
         if self.depth is not None and path is None:
             raise SpecificationError(
                 f"committed transaction {name!r} has no declared nest path"
@@ -688,131 +682,58 @@ class TeeHistory(HistorySink):
 
 
 # ----------------------------------------------------------------------
-# import / conversion
+# import
 # ----------------------------------------------------------------------
 
 
-def history_from_result(
-    result,
-    nest=None,
-    meta: dict[str, Any] | None = None,
-) -> History:
-    """Convert a completed :class:`EngineResult` into a :class:`History`
-    (seqs are the record positions; the digest is unchanged by
-    construction, which :meth:`History.digest` asserts round-trip)."""
-    execution = result.execution
-    depth = None
-    paths = None
-    if nest is not None:
-        depth, paths = paths_from_nest(nest, execution.transactions)
-    steps = tuple(
-        HistoryStep(
-            seq=position,
-            transaction=record.step.transaction,
-            index=record.step.index,
-            entity=record.entity,
-            kind=record.kind.value,
-            before=record.value_before,
-            after=record.value_after,
-        )
-        for position, record in enumerate(execution.records)
-    )
-    history = History(
-        commit_order=tuple(result.commit_order),
-        steps=steps,
-        cut_levels={t: dict(c) for t, c in result.cut_levels.items()},
-        results=dict(result.results),
-        initial=dict(execution.initial_values),
-        depth=depth,
-        paths=paths,
-        meta=dict(meta or {}),
-    )
-    history.validate()
-    return history
+#: The key set of each JSONL line, by its ``kind``.
+_LINE_KEYS = {
+    "header": {"kind", "version", "meta", "initial", "depth"},
+    "commit": {"kind", "txn", "attempt", "tick", "position", "path",
+               "cut_levels", "result", "steps"},
+    "footer": {"kind", "commits", "steps", "sha256"},
+}
 
 
 def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
+    """Check a stream's framing and reshape it into the single-object
+    form; :meth:`History.from_dict` makes every value check, so both
+    forms are read by one validator."""
     header: dict | None = None
     footer: dict | None = None
     commits: list[dict] = []
     for number, payload in lines:
         kind = payload.get("kind")
-        if kind == "header":
-            if header is not None:
-                raise SpecificationError(
-                    f"line {number}: duplicate header"
-                )
-            require_keys(
-                payload,
-                {"kind", "version", "meta", "initial", "depth"},
-                set(),
-                "history header",
-            )
-            header = payload
-        elif kind == "commit":
-            if header is None:
-                raise SpecificationError(
-                    f"line {number}: commit before header"
-                )
-            if footer is not None:
-                raise SpecificationError(
-                    f"line {number}: commit after footer"
-                )
-            require_keys(
-                payload,
-                {"kind", "txn", "attempt", "tick", "position", "path",
-                 "cut_levels", "result", "steps"},
-                set(),
-                "history commit",
-            )
-            commits.append(payload)
-        elif kind == "footer":
-            require_keys(
-                payload,
-                {"kind", "commits", "steps", "sha256"},
-                set(),
-                "history footer",
-            )
-            footer = payload
-        else:
+        if not isinstance(kind, str) or kind not in _LINE_KEYS:
             raise SpecificationError(
                 f"line {number}: unknown history line kind {kind!r}"
             )
+        if (kind == "header") != (header is None) or footer is not None:
+            raise SpecificationError(
+                f"line {number}: {kind} line out of order (one header, "
+                f"then commits, then one footer)"
+            )
+        require_keys(payload, _LINE_KEYS[kind], set(), f"history {kind}")
+        if kind == "header":
+            header = payload
+        elif kind == "commit":
+            commits.append(payload)
+        else:
+            footer = payload
     if header is None:
         raise SpecificationError("history stream has no header line")
     if footer is None:
         raise SpecificationError(
             "history stream has no footer (truncated capture?)"
         )
-    if footer["commits"] != len(commits):
-        raise SpecificationError(
-            f"footer promises {footer['commits']} commits, "
-            f"stream holds {len(commits)}"
-        )
-    for label in ("initial", "meta"):
-        if not isinstance(header[label], dict):
-            raise SpecificationError(f"header {label} must be an object")
-    depth = header["depth"]
-    recorder = HistoryRecorder(
-        initial=header["initial"], depth=depth, meta=header["meta"]
-    )
+    steps: list[dict] = []
     for payload in commits:
         name = payload["txn"]
         if not isinstance(name, str):
             raise SpecificationError(f"commit txn {name!r} must be a string")
-        if depth is not None:
-            path = payload["path"]
-            if not isinstance(path, list):
-                raise SpecificationError(
-                    f"commit {name!r} must carry a nest path "
-                    f"(stream depth {depth})"
-                )
-            recorder.declare_path(name, tuple(path))
-        steps = payload["steps"]
-        if not isinstance(steps, list):
+        if not isinstance(payload["steps"], list):
             raise SpecificationError(f"commit {name!r}: steps must be an array")
-        entries = []
-        for raw in steps:
+        for raw in payload["steps"]:
             require_keys(
                 raw,
                 {"seq", "index", "entity", "kind", "before", "after"},
@@ -821,48 +742,31 @@ def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
             )
             if not _int_ok(raw["seq"]):
                 raise SpecificationError(f"commit {name!r}: seq not an int")
-            try:
-                kind = StepKind(raw["kind"])
-            except ValueError as exc:
-                raise SpecificationError(
-                    f"commit {name!r}: unknown step kind {raw['kind']!r}"
-                ) from exc
-            entries.append((
-                raw["seq"],
-                StepRecord(
-                    step=StepId(name, raw["index"]),
-                    entity=raw["entity"],
-                    kind=kind,
-                    value_before=raw["before"],
-                    value_after=raw["after"],
-                ),
-            ))
-        raw_cuts = payload["cut_levels"]
-        if not isinstance(raw_cuts, dict):
+            steps.append({**raw, "transaction": name})
+    for label, count in (("commits", len(commits)), ("steps", len(steps))):
+        promised = footer[label]
+        if not _int_ok(promised) or promised != count:
             raise SpecificationError(
-                f"commit {name!r}: cut_levels must be an object"
+                f"footer promises {promised!r} {label}, stream holds {count}"
             )
-        try:
-            cuts = {int(gap): lvl for gap, lvl in raw_cuts.items()}
-        except (TypeError, ValueError) as exc:
-            raise SpecificationError(
-                f"commit {name!r}: bad cut gap key"
-            ) from exc
-        recorder.on_commit(
-            name,
-            payload["attempt"],
-            payload["tick"],
-            entries,
-            cuts,
-            payload["result"],
-        )
-    history = recorder.history()
-    if history.digest() != footer["sha256"]:
-        raise SpecificationError(
-            f"history digest mismatch: footer says {footer['sha256']}, "
-            f"content hashes to {history.digest()}"
-        )
-    return history
+    if not isinstance(footer["sha256"], str):
+        raise SpecificationError("footer sha256 must be a string")
+    paths = {c["txn"]: c["path"] for c in commits}
+    if header["depth"] is None and all(p is None for p in paths.values()):
+        paths = None
+    steps.sort(key=itemgetter("seq"))
+    return History.from_dict({
+        "version": header["version"],
+        "meta": header["meta"],
+        "initial": header["initial"],
+        "depth": header["depth"],
+        "paths": paths,
+        "commit_order": [c["txn"] for c in commits],
+        "cut_levels": {c["txn"]: c["cut_levels"] for c in commits},
+        "results": {c["txn"]: c["result"] for c in commits},
+        "steps": steps,
+        "sha256": footer["sha256"],
+    })
 
 
 def load_history(path: str) -> History:

@@ -37,6 +37,11 @@ Commands
     every transaction against multilevel atomicity, serializability and
     snapshot isolation, with witness-cycle explanations.  Exit codes are
     CI-friendly: 0 pass, 1 violation, 2 malformed input.
+``serve`` / ``submit``
+    Run the ingest server / send it programs or generated traffic.  A
+    failure is one ``serve:`` / ``submit:`` line on stderr: exit 2 for
+    bad input or configuration, 1 for a socket that cannot be bound or
+    a server that cannot be reached.
 
 Everything is seeded and deterministic; pass ``--seed`` to vary.
 """
@@ -575,26 +580,18 @@ def cmd_top(args) -> int:
 def cmd_serve(args) -> int:
     import asyncio
 
+    from repro.errors import RecoveryError, SpecificationError
     from repro.service import AdmissionConfig, ServiceConfig, serve
 
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        scheduler=args.scheduler,
-        seed=args.seed,
-        nest_depth=args.nest_depth,
-        tick_batch=args.batch,
-        admission=AdmissionConfig(window=args.window),
-        wal_dir=args.wal,
-        wal_snapshot_every=args.wal_snapshot_every,
-        history_path=args.history,
-    )
-
-    async def _run() -> int:
+    async def _run(config: ServiceConfig) -> int:
         loop = asyncio.get_running_loop()
         ready: asyncio.Future = loop.create_future()
         task = asyncio.ensure_future(serve(config, ready=ready))
-        port = await ready
+        # A service that cannot start fails its task before ``ready``.
+        await asyncio.wait({ready, task}, return_when=asyncio.FIRST_COMPLETED)
+        if not ready.done():
+            return await task
+        port = ready.result()
         print(f"serving on {config.host}:{port} "
               f"(scheduler={config.scheduler}, "
               f"window={config.admission.window}, "
@@ -608,16 +605,50 @@ def cmd_serve(args) -> int:
         return 0
 
     try:
-        return asyncio.run(_run())
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            scheduler=args.scheduler,
+            seed=args.seed,
+            nest_depth=args.nest_depth,
+            tick_batch=args.batch,
+            admission=AdmissionConfig(window=args.window),
+            wal_dir=args.wal,
+            wal_snapshot_every=args.wal_snapshot_every,
+            history_path=args.history,
+        )
+        return asyncio.run(_run(config))
     except KeyboardInterrupt:
         print("interrupted")
         return 130
+    except (SpecificationError, RecoveryError) as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 1
 
 
 def cmd_submit(args) -> int:
+    from repro.errors import SpecificationError
+    from repro.service.client import ServiceError
+
+    try:
+        return _submit(args)
+    except SpecificationError as exc:
+        print(f"submit: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ServiceError) as exc:
+        print(f"submit: cannot reach {args.host}:{args.port}: {exc}",
+              file=sys.stderr)
+        return 1
+
+
+def _submit(args) -> int:
     import json
 
     from repro.api import ProgramSpec, Submission
+    from repro.errors import SpecificationError
     from repro.service import ServiceClient
 
     if args.traffic:
@@ -645,13 +676,18 @@ def cmd_submit(args) -> int:
               f"retries={stats['retries']} gave_up={len(stats['gave_up'])}")
         return 0 if done == args.traffic else 1
     if not args.program:
-        raise SystemExit("submit needs --program JSON or --traffic N")
+        raise SpecificationError("needs --program JSON or --traffic N")
     text = args.program
     if text == "-":
         text = sys.stdin.read()
     elif text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(text[1:], encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise SpecificationError(
+                f"cannot read program {text[1:]!r}: {exc}"
+            ) from exc
     spec = ProgramSpec.from_json(text)
     submission = Submission(
         program=spec, client_id=args.client, idempotency_key=args.key

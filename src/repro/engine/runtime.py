@@ -28,9 +28,7 @@ cascade bugs cannot silently corrupt experiment results.
 from __future__ import annotations
 
 import copy
-import hashlib
 import heapq
-import json
 import math
 import random
 from bisect import bisect_left, insort
@@ -48,7 +46,7 @@ from repro.engine.rollback import cascade_closure
 from repro.engine.schedulers.base import Action, Decision, Scheduler
 from repro.errors import EngineError
 from repro.model.breakpoints import spec_for_execution
-from repro.model.execution import Execution
+from repro.model.execution import Execution, canonical_digest
 from repro.model.programs import TransactionProgram
 from repro.model.steps import StepId, StepKind, StepRecord
 from repro.model.system import _LiveTransaction
@@ -200,19 +198,11 @@ class EngineResult:
         so it is the one-line witness the service/library differential
         compares (bit-identical histories, not just equal aggregates).
         """
-        canon = [
-            [
-                r.step.transaction,
-                r.step.index,
-                r.entity,
-                r.kind.value,
-                repr(r.value_before),
-                repr(r.value_after),
-            ]
+        return canonical_digest(
+            (r.step.transaction, r.step.index, r.entity, r.kind.value,
+             r.value_before, r.value_after)
             for r in self.execution.records
-        ]
-        blob = json.dumps(canon, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()
+        )
 
     def to_dict(self) -> dict[str, Any]:
         """A stable, JSON-safe serialization of the outcome.

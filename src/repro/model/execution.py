@@ -16,6 +16,8 @@ so the transitive closure of these immediate edges is exactly ``<=_e``.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -23,7 +25,25 @@ from repro.core.reach import transitive_pairs
 from repro.errors import ExecutionError
 from repro.model.steps import StepId, StepKind, StepRecord
 
-__all__ = ["EntityFold", "Execution"]
+__all__ = ["EntityFold", "Execution", "canonical_digest"]
+
+
+def canonical_digest(rows: Iterable[tuple]) -> str:
+    """SHA-256 of a committed history, given its performed steps in
+    order as ``(transaction, index, entity, kind, before, after)`` rows.
+
+    This is the one canonical rule behind both the engine's result
+    digest and a portable history's: each row becomes ``[transaction,
+    index, entity, kind, repr(before), repr(after)]``, and the compact
+    JSON array of those is hashed.  Two runs produced the same execution
+    exactly when their digests agree.
+    """
+    canon = [
+        [txn, index, entity, kind, repr(before), repr(after)]
+        for txn, index, entity, kind, before, after in rows
+    ]
+    blob = json.dumps(canon, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 class EntityFold:

@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.api import ProgramSpec, Submission
+from repro.errors import SpecificationError
 
 __all__ = ["AdmissionConfig", "AdmissionController", "AdmissionDecision"]
 
@@ -45,9 +46,9 @@ class AdmissionConfig:
 
     def __post_init__(self) -> None:
         if self.window < 1:
-            raise ValueError("admission window must be at least 1")
+            raise SpecificationError("admission window must be at least 1")
         if self.max_ops < 1:
-            raise ValueError("max_ops must be at least 1")
+            raise SpecificationError("max_ops must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,13 @@ class ServiceConfig:
     #: After recovery the capture resumes with post-recovery commits.
     history_path: str | None = None
 
+    def __post_init__(self) -> None:
+        # A zero batch would spin the pump without ever ticking.
+        if self.tick_batch < 1:
+            raise SpecificationError("tick_batch must be at least 1")
+        if self.wal_snapshot_every < 0:
+            raise SpecificationError("wal_snapshot_every must be at least 0")
+
 
 class TransactionService:
     """The engine-owning core, independent of any transport.

@@ -8,11 +8,14 @@ captured history against the engine's own view.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import ProgramSpec, make_scheduler
 from repro.core.nests import KNest
 from repro.engine import Engine
+from repro.model.execution import canonical_digest
 
 SCHEDULERS = ("serial", "2pl", "timestamp", "mla-detect", "mla-prevent",
               "mla-nested-lock")
@@ -39,6 +42,58 @@ def recorder_for(specs, initial, meta=None):
     for spec in specs:
         recorder.declare_path(spec.name, spec.path)
     return recorder
+
+
+#: Single-object keys a stream spreads over its commit lines and footer;
+#: every other key (known or not) rides on the header.
+_BODY_KEYS = {"paths", "commit_order", "cut_levels", "results", "steps",
+              "sha256"}
+
+
+def stream_lines(data: dict, **footer) -> list[dict]:
+    """The JSONL lines of the single-object history dict ``data``: a
+    header, one commit line per ``commit_order`` name holding its steps,
+    and a footer whose counts and digest match what the lines hold
+    (``footer`` overrides any of them).  A hostile dict stays hostile:
+    unknown keys ride on the header, malformed values are copied as
+    they are, and a recorded ``sha256`` is kept."""
+    header = {"kind": "header", "meta": {}, "initial": {}, "depth": None}
+    header.update((k, v) for k, v in data.items() if k not in _BODY_KEYS)
+    order = data["commit_order"]
+    paths = data.get("paths") or {}
+    cuts = data.get("cut_levels", {})
+    results = data.get("results", {})
+    placed = [s for s in data["steps"] if s.get("transaction") in order]
+    commits = []
+    for position, name in enumerate(order):
+        known = isinstance(name, str)
+        commits.append({
+            "kind": "commit", "txn": name, "attempt": 0, "tick": position,
+            "position": position,
+            "path": paths.get(name) if known else None,
+            "cut_levels": cuts.get(name, {}) if known else {},
+            "result": results.get(name) if known else None,
+            "steps": [
+                {k: v for k, v in s.items() if k != "transaction"}
+                for s in placed if s["transaction"] == name
+            ],
+        })
+    digest = data.get("sha256") or canonical_digest(
+        (s["transaction"], s["index"], s["entity"], s["kind"], s["before"],
+         s["after"])
+        for s in placed
+    )
+    tail = {"kind": "footer", "commits": len(commits),
+            "steps": len(placed), "sha256": digest}
+    tail.update(footer)
+    return [header, *commits, tail]
+
+
+def write_stream(path, data: dict, **footer) -> None:
+    """Write :func:`stream_lines` as a JSONL history file."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for line in stream_lines(data, **footer):
+            handle.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 @pytest.fixture()

@@ -4,6 +4,7 @@ guarantee of the engine seam."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -17,12 +18,11 @@ from repro.audit import (
     HistoryWriter,
     NULL_HISTORY,
     TeeHistory,
-    history_from_result,
     load_history,
 )
 from repro.cli import main
 from repro.errors import SpecificationError
-from tests.audit.conftest import recorder_for, run_specs
+from tests.audit.conftest import recorder_for, run_specs, write_stream
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -53,16 +53,6 @@ class TestRoundTrip:
         recorder = recorder_for(mixed_specs, mixed_initial)
         result, _ = run_specs(mixed_specs, mixed_initial, history=recorder)
         assert recorder.history().digest() == result.history_digest()
-
-    def test_history_from_result_same_digest(self, mixed_specs,
-                                             mixed_initial):
-        recorder = recorder_for(mixed_specs, mixed_initial)
-        result, nest = run_specs(mixed_specs, mixed_initial, history=recorder)
-        converted = history_from_result(result, nest)
-        assert converted.digest() == recorder.history().digest()
-        # Seq values differ (positions vs engine seqs) but the canonical
-        # content — and therefore every audit verdict — is identical.
-        assert converted.commit_order == recorder.history().commit_order
 
     def test_jsonl_writer_agrees_with_recorder(self, tmp_path, mixed_specs,
                                                mixed_initial):
@@ -340,3 +330,141 @@ class TestRejection:
         path.write_bytes(b"\xff\xfe{\x00}\x00\n\x00")
         with pytest.raises(SpecificationError, match="not UTF-8"):
             load_history(str(path))
+
+
+def placed_dict() -> dict:
+    """``simple_history`` placed in a 3-nest, as a dict without its
+    digest (the single-object form may omit it; ``write_stream``
+    computes the footer's)."""
+    data = simple_history(depth=1, paths={"t": ("a",)}).to_dict()
+    del data["sha256"]
+    return data
+
+
+def _set(*where_and_value):
+    """A mutation that sets ``data[k1][k2]... = value``."""
+    *where, value = where_and_value
+
+    def mutate(data):
+        target = data
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+
+    return mutate
+
+
+def _drop(key):
+    return lambda data: data.pop(key)
+
+
+def _add_step_key(data):
+    data["steps"][0]["extra"] = True
+
+
+def _tamper(data):
+    data["sha256"] = "0" * 64
+
+
+def _repeat_seq(data):
+    data["steps"] = [
+        {**data["steps"][0], "seq": 5},
+        {**data["steps"][0], "seq": 5, "index": 1},
+    ]
+
+
+#: Hostile single-object histories, each refused with the same error
+#: by both forms: the ``TestRejection`` cases a stream can express
+#: (a stream places each step and path on its commit's line, so steps
+#: of an uncommitted transaction cannot be written), then the cases the
+#: stream decoder used to accept.
+BOTH_FORMS = [
+    pytest.param(_set("surprise", 1), "unknown keys", id="unknown-key"),
+    pytest.param(_drop("version"), "missing keys", id="missing-key"),
+    pytest.param(_add_step_key, "unknown keys", id="unknown-step-key"),
+    pytest.param(_set("version", HISTORY_FORMAT_VERSION + 1), "version",
+                 id="wrong-version"),
+    pytest.param(_tamper, "digest mismatch", id="digest-tamper"),
+    pytest.param(_repeat_seq, "strictly increase", id="repeated-seq"),
+    pytest.param(_set("paths", "t", None), "must be an array",
+                 id="missing-path"),
+    pytest.param(_set("steps", 0, "before", 9), "not a valid execution",
+                 id="broken-value-chain"),
+    pytest.param(_set("commit_order", 0, ["x"]), "string",
+                 id="name-not-a-string"),
+    pytest.param(_set("steps", 0, "entity", {"a": 1}), "strings",
+                 id="entity-not-a-string"),
+    pytest.param(_set("steps", 0, "index", True), "not an int",
+                 id="index-a-bool"),
+    pytest.param(_set("depth", True), "nest depth", id="depth-a-bool"),
+    pytest.param(_set("cut_levels", {"t": {"0": True}}), "breakpoint level",
+                 id="level-a-bool"),
+    pytest.param(_set("paths", "t", 5), "must be an array",
+                 id="path-not-an-array"),
+    pytest.param(_set("version", 99), "version", id="version-99"),
+    pytest.param(_set("version", True), "version", id="version-a-bool"),
+    pytest.param(_set("paths", "t", [7]), "string labels", id="int-label"),
+    pytest.param(_set("paths", "t", [{"a": 1}]), "string labels",
+                 id="dict-label"),
+    pytest.param(_set("depth", None), "together", id="paths-without-depth"),
+]
+
+
+class TestBothForms:
+    """The JSONL stream and the single-object form are read by one
+    validator: whatever one refuses, the other refuses too."""
+
+    @pytest.mark.parametrize("mutate, match", BOTH_FORMS)
+    def test_rejected_in_both_forms(self, tmp_path, mutate, match):
+        data = placed_dict()
+        mutate(data)
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps(data) + "\n")
+        stream = tmp_path / "stream.jsonl"
+        write_stream(stream, data)
+        for path in (single, stream):
+            with pytest.raises(SpecificationError, match=match):
+                load_history(str(path))
+            assert main(["audit", str(path)]) == 2
+
+    def test_footer_step_count_is_checked(self, tmp_path):
+        stream = tmp_path / "stream.jsonl"
+        write_stream(stream, placed_dict(), steps=99)
+        with pytest.raises(SpecificationError, match="99 steps"):
+            load_history(str(stream))
+        assert main(["audit", str(stream)]) == 2
+
+    @staticmethod
+    def per_commit(history: History) -> History:
+        """``history`` with a cut-level map and a result for every
+        commit: a stream's commit line always carries both, where the
+        single-object form may leave them out."""
+        order = history.commit_order
+        return dataclasses.replace(
+            history,
+            cut_levels={t: history.cut_levels.get(t, {}) for t in order},
+            results={t: history.results.get(t) for t in order},
+        )
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in os.listdir(FIXTURES) if n.endswith(".json")
+    ))
+    def test_fixtures_load_equal_in_both_forms(self, tmp_path, name):
+        single = load_history(os.path.join(FIXTURES, name))
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as handle:
+            data = json.load(handle)
+        stream = tmp_path / "stream.jsonl"
+        write_stream(stream, data)
+        assert load_history(str(stream)) == self.per_commit(single)
+
+    def test_stream_fixture_is_the_single_object_fixture(self, capsys):
+        single = os.path.join(FIXTURES, "clean-serial.json")
+        stream = os.path.join(FIXTURES, "clean-serial.jsonl")
+        assert load_history(stream) == self.per_commit(load_history(single))
+        reports = []
+        for path in (single, stream):
+            assert main(["audit", "--json", path]) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["path"]
+            reports.append(report)
+        assert reports[0] == reports[1]

@@ -196,7 +196,10 @@ with open(os.path.join(HERE, "golden_reports.json"), encoding="utf-8") as _fh:
 
 
 def test_every_fixture_has_a_golden():
-    names = {name[:-len(".json")] for name in os.listdir(FIXTURES)}
+    names = {
+        name[:-len(".json")] for name in os.listdir(FIXTURES)
+        if name.endswith(".json")
+    }
     assert set(GOLDEN) == {
         f"{name}:{conflicts}" for name in names for conflicts in ("rw", "all")
     }

@@ -15,6 +15,7 @@ import pytest
 from repro.api import ProgramSpec, Submission, make_scheduler
 from repro.core.nests import KNest
 from repro.engine.runtime import Engine
+from repro.errors import SpecificationError
 from repro.service import AdmissionConfig, ServiceConfig, TransactionService
 from repro.service.server import _MAX_LINE, serve
 from repro.workloads.traffic import (
@@ -39,6 +40,29 @@ def run(coro):
 
 
 class TestServiceCore:
+    @pytest.mark.parametrize("field, value", [
+        ("tick_batch", 0), ("tick_batch", -3), ("wal_snapshot_every", -1),
+    ])
+    def test_config_that_cannot_pump_is_refused(self, field, value):
+        """A tick batch below 1 used to spin the pump at engine tick 0
+        and never reply; the bound turns a relapse into a failure."""
+
+        async def go():
+            service = TransactionService(
+                ServiceConfig(nest_depth=0, **{field: value})
+            )
+            return await service.submit(
+                Submission(program=spec("t1", ("add", "x", 1)))
+            )
+
+        with pytest.raises(SpecificationError, match=field):
+            run(asyncio.wait_for(go(), 10))
+
+    @pytest.mark.parametrize("field", ["window", "max_ops"])
+    def test_admission_config_refuses_an_empty_gate(self, field):
+        with pytest.raises(SpecificationError):
+            AdmissionConfig(**{field: 0})
+
     def test_single_submit_commits(self):
         async def go():
             service = TransactionService(ServiceConfig(nest_depth=0))

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import socket
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import SCHEDULERS, build_parser, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 class TestParser:
@@ -198,3 +206,66 @@ class TestTopCommand:
         out = capsys.readouterr().out
         assert "node" in out
         assert "quiesced" in out or "commits" in out
+
+
+def _unused_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestServeAndSubmitFailures:
+    """A service that cannot start, and a submission that cannot be
+    made, end in one line on stderr and an exit code, never a hang or a
+    traceback: 2 for bad input or configuration, 1 for the network."""
+
+    @staticmethod
+    def serve(*argv: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=SRC)
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "serve", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_serve_on_a_busy_port_exits(self):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            done = self.serve("--port", str(busy.getsockname()[1]))
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("serve: ")
+        assert done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, reason", [
+        pytest.param(["--nest-depth", "-1"], "depth", id="nest-depth"),
+        pytest.param(["--window", "0"], "window", id="window"),
+        pytest.param(["--batch", "0"], "tick_batch", id="batch"),
+    ])
+    def test_serve_with_a_bad_configuration_exits(self, argv, reason):
+        done = self.serve("--port", "0", *argv)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("serve: ")
+        assert reason in done.stderr
+        assert done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("program, code, reason", [
+        pytest.param("{not json", 2, "not valid JSON", id="malformed"),
+        pytest.param("@" + os.path.join(os.devnull, "program.json"), 2,
+                     "cannot read program", id="missing-file"),
+        pytest.param('{"name": "t", "ops": [["read", "x"]]}', 1,
+                     "cannot reach", id="refused"),
+    ])
+    def test_submit_failure_is_one_line(self, capsys, program, code, reason):
+        port = str(_unused_port())
+        assert main(["submit", "--port", port, "--program", program]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("submit: ")
+        assert reason in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_submit_needs_a_program(self, capsys):
+        assert main(["submit", "--port", str(_unused_port())]) == 2
+        assert capsys.readouterr().err.startswith("submit: needs --program")

@@ -25,7 +25,9 @@ code it times never names it, and the engine stack reads no clock.
 And for reading state: no module duck-types another's private
 attributes by name, and recovery takes no override of what the log
 holds.  Nor does any module write another object's private state.  And
-for the k-nest: one class, whatever the nest is built from.
+for the k-nest: one class, whatever the nest is built from.  And for
+the history digest: one function owns the canonical rule, so one
+module imports ``hashlib``.
 """
 
 from __future__ import annotations
@@ -183,6 +185,13 @@ def test_no_module_reaches_into_the_window_for_its_closure():
 
 def test_no_module_imports_networkx():
     assert grep(r"^\s*(import|from) networkx\b") == []
+
+
+def test_one_module_hashes_a_history():
+    hits = grep(r"^\s*(import|from) hashlib\b")
+    assert [hit.split(":")[0] for hit in hits] == [
+        os.path.join("model", "execution.py")
+    ]
 
 
 def test_schedulers_report_through_the_engine():
