@@ -46,43 +46,53 @@ Quickstart
     print(db.is_atomic(run), db.is_correctable(run))
 """
 
-from repro.api import (
-    ENVELOPE_STATUSES,
-    SCHEDULER_FACTORIES,
-    ProgramSpec,
-    ResultEnvelope,
-    Submission,
-    make_scheduler,
-    run_workload,
-)
-from repro.errors import (
-    EngineError,
-    ExecutionError,
-    NetworkError,
-    NotAPartialOrderError,
-    NotCoherentError,
-    NotCorrectableError,
-    ReproError,
-    SpecificationError,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ProgramSpec",
-    "Submission",
-    "ResultEnvelope",
-    "ENVELOPE_STATUSES",
-    "SCHEDULER_FACTORIES",
-    "make_scheduler",
-    "run_workload",
-    "ReproError",
-    "SpecificationError",
-    "NotAPartialOrderError",
-    "NotCoherentError",
-    "NotCorrectableError",
-    "ExecutionError",
-    "EngineError",
-    "NetworkError",
-]
+
+def _lazy_exports(namespace: dict, exports: dict[str, str]):
+    """The PEP 562 module ``__getattr__`` every package here re-exports
+    through: ``exports`` maps each public name to the submodule (relative
+    to the package) that defines it.  A submodule is imported the first
+    time one of its names is read, and all of its names are then bound in
+    ``namespace``, so importing a package loads none of its layers until
+    a caller reads from one (DESIGN.md §3).  Binding them all at once also
+    lets a name shadow a submodule of the same name (``repro.audit``'s
+    ``explore``), which the import just bound on the package."""
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        where = exports[name]
+        module = import_module(f"{package}.{where}")
+        for export, defined_in in exports.items():
+            if defined_in == where:
+                namespace[export] = getattr(module, export)
+        return namespace[name]
+
+    return __getattr__
+
+
+_EXPORTS = {
+    "ProgramSpec": "api",
+    "Submission": "api",
+    "ResultEnvelope": "api",
+    "ENVELOPE_STATUSES": "api",
+    "SCHEDULER_FACTORIES": "api",
+    "make_scheduler": "api",
+    "run_workload": "api",
+    "ReproError": "errors",
+    "SpecificationError": "errors",
+    "NotAPartialOrderError": "errors",
+    "NotCoherentError": "errors",
+    "NotCorrectableError": "errors",
+    "ExecutionError": "errors",
+    "EngineError": "errors",
+    "NetworkError": "errors",
+}
+__all__ = ["__version__", *_EXPORTS]
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,39 +1,22 @@
 """Offline checkers, graph exports and statistics for experiments."""
 
-from repro.analysis.checker import (
-    ScheduleReport,
-    classify_execution,
-    is_conflict_serializable,
-    serialization_graph,
-)
-from repro.analysis.graphs import (
-    ascii_schedule,
-    condensed_transaction_order,
-    dependency_dot,
-    to_dot,
-)
-from repro.analysis.stats import (
-    Summary,
-    confidence_half_width,
-    format_table,
-    mean,
-    stddev,
-    summarize,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ScheduleReport",
-    "serialization_graph",
-    "is_conflict_serializable",
-    "classify_execution",
-    "to_dot",
-    "dependency_dot",
-    "condensed_transaction_order",
-    "ascii_schedule",
-    "mean",
-    "stddev",
-    "confidence_half_width",
-    "Summary",
-    "summarize",
-    "format_table",
-]
+_EXPORTS = {
+    "ScheduleReport": "checker",
+    "serialization_graph": "checker",
+    "is_conflict_serializable": "checker",
+    "classify_execution": "checker",
+    "to_dot": "graphs",
+    "dependency_dot": "graphs",
+    "condensed_transaction_order": "graphs",
+    "ascii_schedule": "graphs",
+    "mean": "stats",
+    "stddev": "stats",
+    "confidence_half_width": "stats",
+    "Summary": "stats",
+    "summarize": "stats",
+    "format_table": "stats",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -7,60 +7,34 @@ by :class:`HistoryWriter`, which keeps one) and read back by
 :func:`load_history`, whose two file forms share one validator,
 :meth:`History.from_dict`.
 
-The explorer is loaded lazily (PEP 562): it drives the real engine via
-:mod:`repro.api`, which itself imports the engine — and the engine
-imports this package for its capture seam.  Deferring the explorer
-import keeps that seam cycle-free.
+Every name is loaded on first read (PEP 562, DESIGN.md §3).  The
+engine and the service import :mod:`repro.audit.history` for their
+capture seam, which must load neither the classifier nor the explorer:
+the explorer drives the real engine via :mod:`repro.api`, so loading it
+from the seam would be a cycle.
 """
 
-from repro.audit.classify import CRITERIA, AuditReport, audit_history
-from repro.audit.history import (
-    HISTORY_FORMAT_VERSION,
-    History,
-    HistoryRecorder,
-    HistorySink,
-    HistoryStep,
-    HistoryWriter,
-    NULL_HISTORY,
-    TeeHistory,
-    load_history,
-    paths_from_nest,
-)
-from repro.audit.monitor import OnlineMonitor
+from repro import _lazy_exports
 
-__all__ = [
-    "AuditReport",
-    "CRITERIA",
-    "ExplorationReport",
-    "HISTORY_FORMAT_VERSION",
-    "History",
-    "HistoryRecorder",
-    "HistorySink",
-    "HistoryStep",
-    "HistoryWriter",
-    "NULL_HISTORY",
-    "OnlineMonitor",
-    "SMALL_CONFIGS",
-    "TeeHistory",
-    "audit_history",
-    "explore",
-    "load_history",
-    "make_config",
-    "paths_from_nest",
-]
-
-_LAZY = {"ExplorationReport", "SMALL_CONFIGS", "explore", "make_config"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        module = importlib.import_module("repro.audit.explore")
-        # Cache the lazy names here; ``explore`` (the function) then
-        # shadows the submodule attribute of the same name, which is
-        # what ``from repro.audit import explore`` should resolve to.
-        for lazy in _LAZY:
-            globals()[lazy] = getattr(module, lazy)
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+_EXPORTS = {
+    "AuditReport": "classify",
+    "CRITERIA": "classify",
+    "ExplorationReport": "explore",
+    "HISTORY_FORMAT_VERSION": "history",
+    "History": "history",
+    "HistoryRecorder": "history",
+    "HistorySink": "history",
+    "HistoryStep": "history",
+    "HistoryWriter": "history",
+    "NULL_HISTORY": "history",
+    "OnlineMonitor": "monitor",
+    "SMALL_CONFIGS": "explore",
+    "TeeHistory": "history",
+    "audit_history": "classify",
+    "explore": "explore",
+    "load_history": "history",
+    "make_config": "explore",
+    "paths_from_nest": "history",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

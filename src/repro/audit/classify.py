@@ -212,7 +212,9 @@ def _snapshot_axis(history: History, execution: Execution):
                 own[record.entity] = record.value_after
     # First committer wins: concurrent transactions must write disjoint
     # entity sets.  The later committer (greater last record) is the one
-    # an SI system would have refused.
+    # an SI system would have refused.  ``txns`` is in order of first
+    # record, so one sweep keeps the writers still running when each
+    # starts; the pairs are then reported in (rank, rank) order.
     writes: dict[str, set[str]] = {
         name: {
             r.entity
@@ -221,20 +223,26 @@ def _snapshot_axis(history: History, execution: Execution):
         }
         for name in txns
     }
-    for i, a in enumerate(txns):
-        for b in txns[i + 1:]:
-            overlap = not (last[a] < first[b] or last[b] < first[a])
-            if not overlap:
-                continue
-            shared = writes[a] & writes[b]
-            if not shared:
-                continue
-            loser = a if last[a] > last[b] else b
-            verdicts[loser] = False
-            witnesses.append(
-                f"{a} and {b} both wrote {sorted(shared)} while "
-                f"concurrent; first committer wins rejects {loser}"
-            )
+    running: list[int] = []  # ranks of the writers not yet finished
+    concurrent: list[tuple[int, int, set[str]]] = []
+    for j, b in enumerate(txns):
+        if not writes[b]:
+            continue
+        running = [i for i in running if last[txns[i]] > first[b]]
+        for i in running:
+            shared = writes[txns[i]] & writes[b]
+            if shared:
+                concurrent.append((i, j, shared))
+        running.append(j)
+    concurrent.sort(key=lambda pair: pair[:2])
+    for i, j, shared in concurrent:
+        a, b = txns[i], txns[j]
+        loser = a if last[a] > last[b] else b
+        verdicts[loser] = False
+        witnesses.append(
+            f"{a} and {b} both wrote {sorted(shared)} while "
+            f"concurrent; first committer wins rejects {loser}"
+        )
     return verdicts, witnesses
 
 

@@ -51,25 +51,33 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.api import SCHEDULER_FACTORIES, make_scheduler, run_workload
-from repro.workloads import (
-    BankingConfig,
-    BankingWorkload,
-    CADConfig,
-    CADWorkload,
-    FGLConfig,
-    FGLWorkload,
-    admission_by_depth,
-)
-
 __all__ = ["main"]
 
-#: Back-compat alias: the scheduler table lives in :mod:`repro.api` now,
-#: so the CLI and the service accept exactly the same names.
-SCHEDULERS = SCHEDULER_FACTORIES
+#: The names of :data:`repro.api.SCHEDULER_FACTORIES`, in its order
+#: (``tests/test_cli.py`` pins the two equal): the parser's choices
+#: import no engine.  Each ``cmd_*`` imports the layers it runs, and
+#: only those.
+SCHEDULERS = (
+    "serial",
+    "2pl",
+    "timestamp",
+    "mla-detect",
+    "mla-prevent",
+    "mla-nested-lock",
+    "none",
+)
 
 
 def _build_workload(args):
+    from repro.workloads import (
+        BankingConfig,
+        BankingWorkload,
+        CADConfig,
+        CADWorkload,
+        FGLConfig,
+        FGLWorkload,
+    )
+
     if args.workload == "banking":
         return BankingWorkload(BankingConfig(
             families=args.families,
@@ -136,6 +144,8 @@ def cmd_schedulers(args) -> int:
 def cmd_run(args) -> int:
     import json
 
+    from repro.api import run_workload
+
     workload = _build_workload(args)
     writer = None
     engine_kwargs = {}
@@ -184,6 +194,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     from repro.analysis import format_table
+    from repro.api import run_workload
 
     workload = _build_workload(args)
     rows = []
@@ -266,6 +277,7 @@ def cmd_audit(args) -> int:
 
 def cmd_admission(args) -> int:
     from repro.analysis import format_table
+    from repro.workloads import admission_by_depth
 
     workload = _build_workload(args)
     db = workload.application_database()
@@ -287,6 +299,7 @@ def cmd_walkthrough(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from repro.api import run_workload
     from repro.obs import (
         RingTracer,
         aborted_transactions,
@@ -367,6 +380,7 @@ def _build_distributed(args, workload, **kwargs):
 def cmd_metrics(args) -> int:
     import json
 
+    from repro.api import make_scheduler
     from repro.obs import (
         MetricsRegistry,
         PhaseProfiler,
@@ -403,6 +417,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_spans(args) -> int:
+    from repro.api import run_workload
     from repro.obs import RingTracer, chrome_trace, validate_trace, write_chrome_trace
 
     workload = _build_workload(args)
@@ -518,6 +533,7 @@ def _distributed_frame(args, runtime, profiler, now: float) -> list[str]:
 
 
 def cmd_top(args) -> int:
+    from repro.api import make_scheduler
     from repro.obs import MetricsRegistry, PhaseProfiler
 
     workload = _build_workload(args)

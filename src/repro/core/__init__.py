@@ -15,60 +15,32 @@ Public surface:
 * :mod:`~repro.core.serializability` — the k=2 and k=3 special cases.
 """
 
-from repro.core.atomicity import (
-    CorrectabilityReport,
-    atomicity_violations,
-    check_correctability,
-    equivalent_atomic_order,
-    is_correctable,
-    is_multilevel_atomic,
-)
-from repro.core.coherence import (
-    ClosureResult,
-    Violation,
-    coherence_violations,
-    coherent_closure,
-    coherent_closure_pairs,
-    is_coherent,
-    is_coherent_total_order,
-    total_order_violations,
-)
-from repro.core.extension import (
-    enumerate_coherent_extensions,
-    extend_to_coherent_total_order,
-)
-from repro.core.interleaving import InterleavingSpec
-from repro.core.nests import KNest
-from repro.core.segmentation import BreakpointDescription
-from repro.core.serializability import (
-    compatibility_sets_spec,
-    is_serial,
-    is_serializable,
-    serializability_spec,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "KNest",
-    "BreakpointDescription",
-    "InterleavingSpec",
-    "Violation",
-    "ClosureResult",
-    "coherence_violations",
-    "is_coherent",
-    "coherent_closure",
-    "coherent_closure_pairs",
-    "is_coherent_total_order",
-    "total_order_violations",
-    "extend_to_coherent_total_order",
-    "enumerate_coherent_extensions",
-    "CorrectabilityReport",
-    "is_multilevel_atomic",
-    "atomicity_violations",
-    "check_correctability",
-    "is_correctable",
-    "equivalent_atomic_order",
-    "serializability_spec",
-    "compatibility_sets_spec",
-    "is_serializable",
-    "is_serial",
-]
+_EXPORTS = {
+    "KNest": "nests",
+    "BreakpointDescription": "segmentation",
+    "InterleavingSpec": "interleaving",
+    "Violation": "coherence",
+    "ClosureResult": "coherence",
+    "coherence_violations": "coherence",
+    "is_coherent": "coherence",
+    "coherent_closure": "coherence",
+    "coherent_closure_pairs": "coherence",
+    "is_coherent_total_order": "coherence",
+    "total_order_violations": "coherence",
+    "extend_to_coherent_total_order": "extension",
+    "enumerate_coherent_extensions": "extension",
+    "CorrectabilityReport": "atomicity",
+    "is_multilevel_atomic": "atomicity",
+    "atomicity_violations": "atomicity",
+    "check_correctability": "atomicity",
+    "is_correctable": "atomicity",
+    "equivalent_atomic_order": "atomicity",
+    "serializability_spec": "serializability",
+    "compatibility_sets_spec": "serializability",
+    "is_serializable": "serializability",
+    "is_serial": "serializability",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -8,37 +8,23 @@ of each control and checks that prevention yields only correctable
 executions.
 """
 
-from repro.distributed.controller import (
-    DistributedLockControl,
-    DistributedPreventControl,
-    DistributedResult,
-    DistributedRuntime,
-    NoControl,
-    Sequencer,
-)
-from repro.distributed.faults import (
-    CrashEvent,
-    FaultPlan,
-    LinkFaults,
-    Partition,
-)
-from repro.distributed.migration import MigratingTransaction
-from repro.distributed.network import Message, Network
-from repro.distributed.node import DataNode
+from repro import _lazy_exports
 
-__all__ = [
-    "Message",
-    "Network",
-    "DataNode",
-    "MigratingTransaction",
-    "Sequencer",
-    "NoControl",
-    "DistributedLockControl",
-    "DistributedPreventControl",
-    "DistributedResult",
-    "DistributedRuntime",
-    "LinkFaults",
-    "CrashEvent",
-    "Partition",
-    "FaultPlan",
-]
+_EXPORTS = {
+    "Message": "network",
+    "Network": "network",
+    "DataNode": "node",
+    "MigratingTransaction": "migration",
+    "Sequencer": "controller",
+    "NoControl": "controller",
+    "DistributedLockControl": "controller",
+    "DistributedPreventControl": "controller",
+    "DistributedResult": "controller",
+    "DistributedRuntime": "controller",
+    "LinkFaults": "faults",
+    "CrashEvent": "faults",
+    "Partition": "faults",
+    "FaultPlan": "faults",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -10,35 +10,19 @@ raises :class:`repro.errors.RecoveryError` instead of silently forking
 history.
 """
 
-from repro.durability.snapshot import load_latest_snapshot, write_snapshot
-from repro.durability.wal import (
-    DECISION_TYPES,
-    NULL_WAL,
-    EngineWal,
-    LogFile,
-    frame_record,
-    scan_frames,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "DECISION_TYPES",
-    "EngineWal",
-    "LogFile",
-    "NULL_WAL",
-    "RecoveryReport",
-    "frame_record",
-    "load_latest_snapshot",
-    "recover",
-    "scan_frames",
-    "write_snapshot",
-]
-
-
-def __getattr__(name):
-    # recovery imports the engine/api layers, which themselves import
-    # this package's wal module — resolve lazily to break the cycle.
-    if name in ("recover", "RecoveryReport"):
-        from repro.durability import recovery
-
-        return getattr(recovery, name)
-    raise AttributeError(name)
+_EXPORTS = {
+    "DECISION_TYPES": "wal",
+    "EngineWal": "wal",
+    "LogFile": "wal",
+    "NULL_WAL": "wal",
+    "RecoveryReport": "recovery",
+    "frame_record": "wal",
+    "load_latest_snapshot": "snapshot",
+    "recover": "recovery",
+    "scan_frames": "wal",
+    "write_snapshot": "snapshot",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -8,36 +8,24 @@ levels and metrics.  The MLA schedulers take the k-nest describing the
 transaction hierarchy; the classical baselines need nothing.
 """
 
-from repro.engine.closure_window import ClosureWindow
-from repro.engine.locks import LockManager
-from repro.engine.metrics import Metrics
-from repro.engine.runtime import Engine, EngineResult, TxnState
-from repro.engine.schedulers import (
-    Action,
-    Decision,
-    MLADetectScheduler,
-    MLAPreventScheduler,
-    NestedLockScheduler,
-    Scheduler,
-    SerialScheduler,
-    TimestampScheduler,
-    TwoPhaseLockingScheduler,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Engine",
-    "EngineResult",
-    "TxnState",
-    "Metrics",
-    "LockManager",
-    "ClosureWindow",
-    "Action",
-    "Decision",
-    "Scheduler",
-    "SerialScheduler",
-    "TwoPhaseLockingScheduler",
-    "TimestampScheduler",
-    "MLADetectScheduler",
-    "MLAPreventScheduler",
-    "NestedLockScheduler",
-]
+_EXPORTS = {
+    "Engine": "runtime",
+    "EngineResult": "runtime",
+    "TxnState": "runtime",
+    "Metrics": "metrics",
+    "LockManager": "locks",
+    "ClosureWindow": "closure_window",
+    "Action": "schedulers.base",
+    "Decision": "schedulers.base",
+    "Scheduler": "schedulers.base",
+    "SerialScheduler": "schedulers.serial",
+    "TwoPhaseLockingScheduler": "schedulers.two_phase",
+    "TimestampScheduler": "schedulers.timestamp",
+    "MLADetectScheduler": "schedulers.mla_detect",
+    "MLAPreventScheduler": "schedulers.mla_prevent",
+    "NestedLockScheduler": "schedulers.nested_lock",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

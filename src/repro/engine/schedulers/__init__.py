@@ -15,22 +15,18 @@
   Section 6 cycle prevention by waiting for breakpoints.
 """
 
-from repro.engine.schedulers.base import Action, Decision, Scheduler
-from repro.engine.schedulers.mla_detect import MLADetectScheduler
-from repro.engine.schedulers.mla_prevent import MLAPreventScheduler
-from repro.engine.schedulers.nested_lock import NestedLockScheduler
-from repro.engine.schedulers.serial import SerialScheduler
-from repro.engine.schedulers.timestamp import TimestampScheduler
-from repro.engine.schedulers.two_phase import TwoPhaseLockingScheduler
+from repro import _lazy_exports
 
-__all__ = [
-    "Action",
-    "Decision",
-    "Scheduler",
-    "SerialScheduler",
-    "TwoPhaseLockingScheduler",
-    "TimestampScheduler",
-    "MLADetectScheduler",
-    "MLAPreventScheduler",
-    "NestedLockScheduler",
-]
+_EXPORTS = {
+    "Action": "base",
+    "Decision": "base",
+    "Scheduler": "base",
+    "SerialScheduler": "serial",
+    "TwoPhaseLockingScheduler": "two_phase",
+    "TimestampScheduler": "timestamp",
+    "MLADetectScheduler": "mla_detect",
+    "MLAPreventScheduler": "mla_prevent",
+    "NestedLockScheduler": "nested_lock",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

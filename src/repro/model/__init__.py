@@ -15,52 +15,33 @@ Public surface:
   multilevel-atomicity criterion (the top-level user API).
 """
 
-from repro.model.appdb import ApplicationDatabase, ClassifiedRun
-from repro.model.automata import Automaton, Transition, automaton_program
-from repro.model.breakpoints import (
-    check_program_compatibility,
-    description_from_cut_levels,
-    prefix_compatible,
-    spec_for_execution,
-    spec_for_run,
-)
-from repro.model.execution import Execution
-from repro.model.programs import (
-    Access,
-    Breakpoint,
-    TransactionProgram,
-    read,
-    straight_line_program,
-    update,
-    write,
-)
-from repro.model.steps import StepId, StepKind, StepRecord
-from repro.model.system import System, SystemRun
-from repro.model.variables import EntityStore
+from repro import _lazy_exports
 
-__all__ = [
-    "Automaton",
-    "Transition",
-    "automaton_program",
-    "StepId",
-    "StepKind",
-    "StepRecord",
-    "EntityStore",
-    "Access",
-    "Breakpoint",
-    "read",
-    "write",
-    "update",
-    "TransactionProgram",
-    "straight_line_program",
-    "System",
-    "SystemRun",
-    "Execution",
-    "description_from_cut_levels",
-    "spec_for_run",
-    "spec_for_execution",
-    "prefix_compatible",
-    "check_program_compatibility",
-    "ApplicationDatabase",
-    "ClassifiedRun",
-]
+_EXPORTS = {
+    "Automaton": "automata",
+    "Transition": "automata",
+    "automaton_program": "automata",
+    "StepId": "steps",
+    "StepKind": "steps",
+    "StepRecord": "steps",
+    "EntityStore": "variables",
+    "Access": "programs",
+    "Breakpoint": "programs",
+    "read": "programs",
+    "write": "programs",
+    "update": "programs",
+    "TransactionProgram": "programs",
+    "straight_line_program": "programs",
+    "System": "system",
+    "SystemRun": "system",
+    "Execution": "execution",
+    "description_from_cut_levels": "breakpoints",
+    "spec_for_run": "breakpoints",
+    "spec_for_execution": "breakpoints",
+    "prefix_compatible": "breakpoints",
+    "check_program_compatibility": "breakpoints",
+    "ApplicationDatabase": "appdb",
+    "ClassifiedRun": "appdb",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -7,7 +7,13 @@ constructs the tree; :func:`verify_action_tree` checks the structural
 property the paper states.
 """
 
-from repro.nested.action_tree import ActionNode, StepLeaf, verify_action_tree
-from repro.nested.encoding import encode_action_tree
+from repro import _lazy_exports
 
-__all__ = ["ActionNode", "StepLeaf", "verify_action_tree", "encode_action_tree"]
+_EXPORTS = {
+    "ActionNode": "action_tree",
+    "StepLeaf": "action_tree",
+    "verify_action_tree": "action_tree",
+    "encode_action_tree": "encoding",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -34,75 +34,40 @@ commits the same order with the same metrics as an uninstrumented one
 (asserted by the differential tests in ``tests/obs``).
 """
 
-from repro.obs.events import (
-    EVENT_KINDS,
-    EVENT_TAXONOMY,
-    Event,
-    dump_jsonl,
-    event_from_dict,
-    event_to_dict,
-    load_jsonl,
-)
-from repro.obs.explain import (
-    AbortCauses,
-    aborted_transactions,
-    explain_abort,
-    format_timeline,
-)
-from repro.obs.export import (
-    json_snapshot,
-    prometheus_text,
-    registry_from_snapshot,
-    write_chrome_trace,
-)
-from repro.obs.histogram import Histogram
-from repro.obs.profile import PHASES, PhaseProfiler
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    HistogramChild,
-    MetricFamily,
-    MetricsRegistry,
-)
-from repro.obs.spans import build_spans, chrome_trace, validate_trace
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    RingTracer,
-    StreamTracer,
-    Tracer,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "EVENT_TAXONOMY",
-    "AbortCauses",
-    "Counter",
-    "Event",
-    "Gauge",
-    "Histogram",
-    "HistogramChild",
-    "MetricFamily",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "PHASES",
-    "PhaseProfiler",
-    "RingTracer",
-    "StreamTracer",
-    "Tracer",
-    "aborted_transactions",
-    "build_spans",
-    "chrome_trace",
-    "dump_jsonl",
-    "event_from_dict",
-    "event_to_dict",
-    "explain_abort",
-    "format_timeline",
-    "json_snapshot",
-    "load_jsonl",
-    "prometheus_text",
-    "registry_from_snapshot",
-    "validate_trace",
-    "write_chrome_trace",
-]
+_EXPORTS = {
+    "EVENT_KINDS": "events",
+    "EVENT_TAXONOMY": "events",
+    "AbortCauses": "explain",
+    "Counter": "registry",
+    "Event": "events",
+    "Gauge": "registry",
+    "Histogram": "histogram",
+    "HistogramChild": "registry",
+    "MetricFamily": "registry",
+    "MetricsRegistry": "registry",
+    "NULL_TRACER": "tracer",
+    "NullTracer": "tracer",
+    "PHASES": "profile",
+    "PhaseProfiler": "profile",
+    "RingTracer": "tracer",
+    "StreamTracer": "tracer",
+    "Tracer": "tracer",
+    "aborted_transactions": "explain",
+    "build_spans": "spans",
+    "chrome_trace": "spans",
+    "dump_jsonl": "events",
+    "event_from_dict": "events",
+    "event_to_dict": "events",
+    "explain_abort": "explain",
+    "format_timeline": "explain",
+    "json_snapshot": "export",
+    "load_jsonl": "events",
+    "prometheus_text": "export",
+    "registry_from_snapshot": "export",
+    "validate_trace": "spans",
+    "write_chrome_trace": "export",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -10,20 +10,16 @@ ticks (differential-tested), so every correctness result from the paper
 carries over to served traffic unchanged.
 """
 
-from repro.service.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    AdmissionDecision,
-)
-from repro.service.client import ServiceClient
-from repro.service.server import ServiceConfig, TransactionService, serve
+from repro import _lazy_exports
 
-__all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
-    "AdmissionDecision",
-    "ServiceClient",
-    "ServiceConfig",
-    "TransactionService",
-    "serve",
-]
+_EXPORTS = {
+    "AdmissionConfig": "admission",
+    "AdmissionController": "admission",
+    "AdmissionDecision": "admission",
+    "ServiceClient": "client",
+    "ServiceConfig": "server",
+    "TransactionService": "server",
+    "serve": "server",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

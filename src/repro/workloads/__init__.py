@@ -9,68 +9,34 @@
   ingest server (E15).
 """
 
-from repro.workloads.banking import (
-    BankingConfig,
-    BankingWorkload,
-    bank_audit_program,
-    conditional_transfer_program,
-    creditor_audit_program,
-    transfer_program,
-)
-from repro.workloads.cad import (
-    CADConfig,
-    CADWorkload,
-    modification_program,
-    snapshot_program,
-)
-from repro.workloads.fgl_audit import (
-    FGLConfig,
-    FGLWorkload,
-    fgl_audit_program,
-    ledgered_transfer_program,
-)
-from repro.workloads.generators import (
-    RandomWorkloadConfig,
-    random_dependency_pairs,
-    random_workload,
-)
-from repro.workloads.traces import (
-    AdmissionStats,
-    admission_by_depth,
-    classify_sample,
-)
-from repro.workloads.traffic import (
-    TrafficConfig,
-    drive,
-    drive_sync,
-    traffic_specs,
-    traffic_submissions,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BankingConfig",
-    "BankingWorkload",
-    "transfer_program",
-    "conditional_transfer_program",
-    "bank_audit_program",
-    "creditor_audit_program",
-    "CADConfig",
-    "CADWorkload",
-    "modification_program",
-    "snapshot_program",
-    "FGLConfig",
-    "FGLWorkload",
-    "ledgered_transfer_program",
-    "fgl_audit_program",
-    "RandomWorkloadConfig",
-    "random_workload",
-    "random_dependency_pairs",
-    "AdmissionStats",
-    "classify_sample",
-    "admission_by_depth",
-    "TrafficConfig",
-    "traffic_specs",
-    "traffic_submissions",
-    "drive",
-    "drive_sync",
-]
+_EXPORTS = {
+    "BankingConfig": "banking",
+    "BankingWorkload": "banking",
+    "transfer_program": "banking",
+    "conditional_transfer_program": "banking",
+    "bank_audit_program": "banking",
+    "creditor_audit_program": "banking",
+    "CADConfig": "cad",
+    "CADWorkload": "cad",
+    "modification_program": "cad",
+    "snapshot_program": "cad",
+    "FGLConfig": "fgl_audit",
+    "FGLWorkload": "fgl_audit",
+    "ledgered_transfer_program": "fgl_audit",
+    "fgl_audit_program": "fgl_audit",
+    "RandomWorkloadConfig": "generators",
+    "random_workload": "generators",
+    "random_dependency_pairs": "generators",
+    "AdmissionStats": "traces",
+    "classify_sample": "traces",
+    "admission_by_depth": "traces",
+    "TrafficConfig": "traffic",
+    "traffic_specs": "traffic",
+    "traffic_submissions": "traffic",
+    "drive": "traffic",
+    "drive_sync": "traffic",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from repro.api import SCHEDULER_FACTORIES
 from repro.cli import SCHEDULERS, build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -21,6 +22,11 @@ class TestParser:
         out = capsys.readouterr().out
         for name in SCHEDULERS:
             assert name in out
+
+    def test_scheduler_names_are_the_factory_table(self):
+        # The parser's choices, kept as names so the CLI's top imports no
+        # engine, must be the service's table, in its order.
+        assert SCHEDULERS == tuple(SCHEDULER_FACTORIES)
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
