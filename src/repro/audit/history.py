@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Any
 
@@ -167,7 +168,13 @@ class History:
         """Check every structural invariant of format v1; raises
         :class:`SpecificationError` (never anything else) on violation.
         Returns the committed execution it checked, so a caller that
-        goes on to read it need not build it again."""
+        goes on to read it need not build it again.  A history does not
+        change, so the check runs once: a later call returns the
+        execution the first one built."""
+        return self._checked
+
+    @cached_property
+    def _checked(self) -> Execution:
         version = self.version
         if not _int_ok(version) or version != HISTORY_FORMAT_VERSION:
             raise SpecificationError(
@@ -309,7 +316,12 @@ class History:
 
     def digest(self) -> str:
         """The canonical SHA-256 — byte-for-byte the digest
-        :meth:`EngineResult.history_digest` computes over the same run."""
+        :meth:`EngineResult.history_digest` computes over the same run;
+        hashed once per history."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         return canonical_digest(
             (s.transaction, s.index, s.entity, s.kind, s.before, s.after)
             for s in self.steps

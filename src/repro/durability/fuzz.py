@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.durability.recovery import recover
-from repro.durability.wal import LOG_NAME, EngineWal, scan_frames
+from repro.durability.wal import (
+    LOG_NAME,
+    EngineWal,
+    decode_record,
+    scan_frames,
+)
 from repro.errors import RecoveryError
 
 __all__ = [
@@ -290,7 +295,7 @@ def crash_recover_diff(
     except RecoveryError as exc:
         return CutResult(cut_offset, kind, False, error=f"recover: {exc}")
     # Oracle: a never-crashed engine advanced to the same horizon.
-    oracle = _oracle(report)
+    oracle = _oracle(blob)
     if report.horizon > oracle.tick:
         oracle.advance(until_tick=report.horizon)
     error = _diff(report.engine, oracle)
@@ -313,14 +318,21 @@ def crash_recover_diff(
     )
 
 
-def _oracle(report):
-    """A fresh engine built from the same genesis, never crashed, with
-    no snapshot shortcut and no WAL."""
+def _oracle(blob: bytes):
+    """A fresh engine built from the genesis and ``add`` records of the
+    log ``blob``, never crashed, with no snapshot shortcut and no WAL.
+    It reads the log itself, not recovery's reduced view of it."""
     from repro.api import ProgramSpec, make_scheduler
     from repro.core.nests import KNest
     from repro.engine.runtime import Engine
 
-    genesis = report.genesis
+    payloads, _, _, _ = scan_frames(blob)
+    genesis = decode_record(payloads[0])
+    adds = [
+        record
+        for record in map(decode_record, payloads[1:])
+        if record["t"] == "add"
+    ]
     depth = genesis.get("meta", {}).get("nest_depth", 1)
     nest = KNest(depth)
     table = {}
@@ -330,7 +342,7 @@ def _oracle(report):
         table[name] = spec.compile()
     arrivals = dict(genesis["programs"])
     initial = dict(genesis["initial"])
-    for add in report.adds:
+    for add in adds:
         spec = ProgramSpec.from_dict(add["spec"])
         nest.add(add["name"], spec.path)
         table[add["name"]] = spec.compile()

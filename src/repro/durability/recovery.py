@@ -18,27 +18,48 @@ appended remainder can only cover unacknowledged work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.durability.snapshot import load_latest_snapshot
-from repro.durability.wal import DECISION_TYPES, EngineWal, decode_record
+from repro.durability.wal import (
+    DECISION_TYPES,
+    EngineWal,
+    decision_row,
+    decode_record,
+)
 from repro.errors import RecoveryError
 
-__all__ = ["RecoveryReport", "recover"]
+__all__ = ["LoggedAdd", "RecoveryReport", "recover"]
 
 #: What recovery reads from every ``add`` record.
 _ADD_FIELDS = ("name", "spec", "arrival", "entities")
 
 
+class LoggedAdd(NamedTuple):
+    """What an ``add`` record leaves once recovery has compiled its spec
+    and declared its entities: the four fields the restarted service
+    reads.  ``key`` is None when the record carries none."""
+
+    name: str
+    arrival: int
+    key: str | None
+    path: tuple
+
+
 @dataclass
 class RecoveryReport:
-    """What :func:`recover` rebuilt."""
+    """What :func:`recover` rebuilt.
+
+    ``adds`` holds one :class:`LoggedAdd` per logged ``add`` record, in
+    log order, not the records themselves: a reader that needs a whole
+    spec reads it from the log.  ``records`` counts the log's frames and
+    ``replayed`` the logged decisions verify mode matched."""
 
     engine: Any
     wal: EngineWal
     nest: Any
     genesis: dict
-    adds: list[dict] = field(default_factory=list)
+    adds: list[LoggedAdd] = field(default_factory=list)
     horizon: int = 0
     snapshot_tick: int | None = None
     truncated: bool = False
@@ -65,9 +86,15 @@ def recover(
     specs of the genesis and ``add`` records, and the nest and the
     scheduler are rebuilt from the genesis record.  A genesis program
     with no spec (a native generator, which cannot be serialised) is a
-    :class:`RecoveryError`.  The returned WAL stays attached to the
+    :class:`RecoveryError`, as is a checksum-valid frame that does not
+    hold a well-formed record.  The returned WAL stays attached to the
     engine in append mode, so post-recovery execution extends the same
     log.
+
+    Each frame's bytes are dropped as the frame is decoded, and each
+    record as soon as it is read: a decision is kept as its
+    :func:`decision_row` (strings shared across rows) until replay
+    matches it, an ``add`` as its :class:`LoggedAdd`.
     """
     from repro.api import ProgramSpec, make_scheduler
     from repro.core.nests import KNest
@@ -79,7 +106,7 @@ def recover(
     payloads, offsets = wal.log.take()
     if not payloads:
         raise RecoveryError(f"write-ahead log in {directory!r} is empty")
-    genesis = decode_record(payloads[0])
+    genesis = _decode(payloads, 0)
     if genesis.get("t") != "genesis":
         raise RecoveryError(
             f"log does not start with a genesis record (got "
@@ -104,12 +131,13 @@ def recover(
     for name in order:
         if name in genesis_specs:
             nest.add(name, tuple(genesis_specs[name].get("path", ())))
-    adds: list[dict] = []
+    adds: list[LoggedAdd] = []
     declared: list[list] = []
-    decisions: list[dict] = []
+    decisions: list[tuple] = []
+    strings: dict[str, str] = {}
     horizon = snap["tick"] if snap is not None else 0
     for index in range(1, len(payloads)):
-        record = decode_record(payloads[index])
+        record = _decode(payloads, index)
         kind = record.get("t")
         if kind == "add":
             try:
@@ -121,18 +149,37 @@ def recover(
                     f"add record {index} of the write-ahead log lacks "
                     f"{exc.args[0]!r}"
                 ) from None
-            adds.append(record)
+            path = tuple(spec.get("path", ()))
+            adds.append(LoggedAdd(name, arrival, record.get("key"), path))
             order.append(name)
             arrivals[name] = arrival
             if name not in table:
                 table[name] = ProgramSpec.from_dict(spec).compile()
-            nest.add(name, tuple(spec.get("path", ())))
+            nest.add(name, path)
             if offsets[index] >= covered:
                 declared.append(entities)
-        elif kind in DECISION_TYPES and offsets[index] >= covered:
-            decisions.append(record)
-            if record["tick"] > horizon:
-                horizon = record["tick"]
+        elif kind in DECISION_TYPES:
+            if offsets[index] < covered:
+                continue
+            try:
+                row = decision_row(record, strings)
+            except RecoveryError as exc:
+                raise RecoveryError(
+                    f"record {index} of the write-ahead log: {exc}"
+                ) from None
+            if type(row[1]) is not int:
+                raise RecoveryError(
+                    f"record {index} of the write-ahead log has tick "
+                    f"{row[1]!r}, not an int"
+                )
+            decisions.append(row)
+            if row[1] > horizon:
+                horizon = row[1]
+        else:
+            raise RecoveryError(
+                f"record {index} of the write-ahead log has unknown "
+                f"type {kind!r}"
+            )
     records = len(payloads)
     del payloads, offsets
     missing = [name for name in arrivals if name not in table]
@@ -183,3 +230,30 @@ def recover(
         records=records,
         replayed=wal.verified,
     )
+
+
+def _decode(payloads: list, index: int) -> dict:
+    """Frame ``index``'s record, decoded; the frame's bytes are released
+    as they are read.  A checksum-valid frame that does not hold a
+    record dict with a string type ``t`` is a :class:`RecoveryError`
+    naming the record."""
+    payload = payloads[index]
+    payloads[index] = None
+    try:
+        record = decode_record(payload)
+    except Exception as exc:  # unpickling can raise almost any type
+        raise RecoveryError(
+            f"record {index} of the write-ahead log does not decode: "
+            f"{type(exc).__name__}: {exc}"
+        ) from None
+    if not isinstance(record, dict):
+        raise RecoveryError(
+            f"record {index} of the write-ahead log is a "
+            f"{type(record).__name__}, not a record"
+        )
+    if type(record.get("t")) is not str:
+        raise RecoveryError(
+            f"record {index} of the write-ahead log has no type "
+            f"(t={record.get('t')!r})"
+        )
+    return record

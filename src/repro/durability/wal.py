@@ -33,6 +33,7 @@ import pickle
 import struct
 import zlib
 from collections import deque
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from repro.errors import RecoveryError
@@ -44,6 +45,7 @@ __all__ = [
     "LogFile",
     "NULL_WAL",
     "WAL_RECORDS",
+    "decision_row",
     "frame_record",
     "scan_frames",
 ]
@@ -76,6 +78,46 @@ WAL_RECORDS = {
 #: workload and are skipped by verify mode.
 DECISION_TYPES = frozenset(rtype for rtype, _ in WAL_RECORDS.values())
 INPUT_TYPES = frozenset({"genesis", "add"})
+#: Record type -> the fields its frame logs after ``t`` and ``tick``.
+_LOGGED = {rtype: logged for rtype, logged in WAL_RECORDS.values()}
+#: Record type -> what reads its row's values out of a record by name.
+_ROW_OF = {
+    rtype: itemgetter("t", "tick", *logged)
+    for rtype, logged in _LOGGED.items()
+}
+
+
+def decision_row(record: dict, strings: dict | None = None) -> tuple:
+    """A logged decision as verify mode holds and compares it: the row
+    ``(type, tick, *fields)`` in :data:`WAL_RECORDS` order, read from
+    the record by field name.  A record whose keys are not exactly its
+    type's is a :class:`RecoveryError`, so two rows are equal exactly
+    when their records are.  ``strings`` maps each string seen so far
+    to one shared copy, so rows held together repeat no name."""
+    rtype = record.get("t")
+    row_of = _ROW_OF.get(rtype)
+    if row_of is None:
+        raise RecoveryError(f"{rtype!r} is not a decision type")
+    try:
+        row = row_of(record)
+    except KeyError:
+        row = ()
+    if len(row) != len(record):  # a field missing, or one unknown
+        raise RecoveryError(
+            f"a {rtype!r} decision logs {['t', 'tick', *_LOGGED[rtype]]}, "
+            f"not {list(record)}"
+        )
+    if strings is None:
+        return row
+    share = strings.setdefault
+    return tuple([
+        share(value, value) if type(value) is str else value for value in row
+    ])
+
+
+def _as_record(row: tuple) -> dict:
+    """A row read back as the record it was logged as (for messages)."""
+    return {"t": row[0], "tick": row[1], **dict(zip(_LOGGED[row[0]], row[2:]))}
 
 
 def frame_record(payload: bytes) -> bytes:
@@ -217,10 +259,12 @@ class EngineWal:
 
     In *append* mode every decision record is framed and written.  In
     *verify* mode (recovery) the pending logged decisions are held in a
-    deque; each decision the re-executing engine reports is compared
-    field-for-field against the next logged one, and the WAL flips to
-    append mode when the deque drains — so post-recovery execution
-    seamlessly extends the same log.
+    deque as the positional rows :func:`decision_row` builds, and each
+    is dropped once it has matched.  Every decision the re-executing
+    engine reports is built into the same row form, never a dict, and
+    compared with the next logged row; the WAL flips to append mode
+    when the deque drains, so post-recovery execution seamlessly
+    extends the same log.
     """
 
     enabled = True
@@ -237,26 +281,25 @@ class EngineWal:
         self.directory = directory
         self.snapshot_every = snapshot_every
         self.log = LogFile(os.path.join(directory, LOG_NAME))
-        self._pending: deque[dict] = deque()
+        self._pending: deque[tuple] = deque()
         self.verifying = False
         self.verified = 0
         self._last_snap_tick = 0
 
     # -- recovery-side setup -------------------------------------------
 
-    def begin_verify(self, decisions: Iterable[dict]) -> None:
-        """Arm verify mode with the logged decisions to replay (records
-        of :data:`DECISION_TYPES` only, in log order)."""
-        self._pending = deque(decisions)
+    def begin_verify(self, rows: Iterable[tuple]) -> None:
+        """Arm verify mode with the logged decisions to replay, as
+        :func:`decision_row` rows in log order."""
+        self._pending = deque(rows)
         self.verifying = bool(self._pending)
 
     def finish_verify(self) -> None:
         if self._pending:
-            nxt = self._pending[0]
+            rtype, tick = self._pending[0][:2]
             raise RecoveryError(
                 f"replay ended with {len(self._pending)} logged decision(s) "
-                f"unconsumed; next is {nxt.get('t')!r} at tick "
-                f"{nxt.get('tick')!r}"
+                f"unconsumed; next is {rtype!r} at tick {tick!r}"
             )
         self.verifying = False
 
@@ -273,8 +316,12 @@ class EngineWal:
     def on_decision(self, kind: str, tick: int, fields: dict) -> None:
         """The engine's sink interface: log a decision of a kind
         :data:`WAL_RECORDS` names (the only kinds it reads).  The
-        frame's dict is built here, once, in the on-disk field order."""
+        frame's dict is built here, once, in the on-disk field order;
+        in verify mode its row is built instead and checked."""
         rtype, logged = WAL_RECORDS[kind]
+        if self.verifying:
+            self._verify((rtype, tick, *map(fields.__getitem__, logged)))
+            return
         record = {"t": rtype, "tick": tick}
         for name in logged:
             record[name] = fields[name]
@@ -282,28 +329,31 @@ class EngineWal:
 
     def append(self, record: dict) -> None:
         """Frame one record ``{"t": type, ...}`` onto the log, or in
-        verify mode check it against the next logged decision."""
+        verify mode check a decision against the next logged one."""
         if self.verifying:
-            rtype = record["t"]
-            if rtype in INPUT_TYPES:
-                return
-            if not self._pending:
-                raise RecoveryError(
-                    f"replay produced an extra {rtype!r} decision at tick "
-                    f"{record.get('tick')!r} beyond the logged history"
-                )
-            logged = self._pending.popleft()
-            if logged != record:
-                raise RecoveryError(
-                    "replay diverged from the write-ahead log:\n"
-                    f"  logged:   {logged!r}\n"
-                    f"  replayed: {record!r}"
-                )
-            self.verified += 1
-            if not self._pending:
-                self.verifying = False
+            if record["t"] not in INPUT_TYPES:
+                self._verify(decision_row(record))
             return
         self.log.append(encode_record(record))
+
+    def _verify(self, row: tuple) -> None:
+        """Match one re-derived decision row against the next logged
+        one, and flip to append mode once the logged ones are used up."""
+        if not self._pending:
+            raise RecoveryError(
+                f"replay produced an extra {row[0]!r} decision at tick "
+                f"{row[1]!r} beyond the logged history"
+            )
+        logged = self._pending.popleft()
+        if logged != row:
+            raise RecoveryError(
+                "replay diverged from the write-ahead log:\n"
+                f"  logged:   {_as_record(logged)!r}\n"
+                f"  replayed: {_as_record(row)!r}"
+            )
+        self.verified += 1
+        if not self._pending:
+            self.verifying = False
 
     def maybe_snapshot(self, engine) -> None:
         """Write a snapshot when the cadence is due (append mode only)."""

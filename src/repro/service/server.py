@@ -204,16 +204,12 @@ class TransactionService:
             registry=self.registry,
         )
         self.wal = report.wal
-        self.arrivals = {
-            add["name"]: add["arrival"] for add in report.adds
-        }
+        self.arrivals = {add.name: add.arrival for add in report.adds}
         # An ``add`` record is an admission; rejections, duplicates and
         # pump slices are not logged and restart at 0.
         self.admission.admitted = len(report.adds)
         self._by_key = {
-            add["key"]: add["name"]
-            for add in report.adds
-            if "key" in add
+            add.key: add.name for add in report.adds if add.key is not None
         }
         self._recovered = len(self._by_key)
         self._serial = {
@@ -225,11 +221,7 @@ class TransactionService:
             # but recovered in-flight transactions may still commit, so
             # their nest paths must be known to the writer.
             for add in report.adds:
-                spec = add.get("spec")
-                if spec is not None:
-                    self.history.declare_path(
-                        spec["name"], tuple(spec.get("path", ()))
-                    )
+                self.history.declare_path(add.name, add.path)
             report.engine.history = self.history
         return report.nest, report.engine
 

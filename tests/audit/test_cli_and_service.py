@@ -56,6 +56,35 @@ class TestCli:
         assert payload["commits"] > 0
         assert payload["sha256"] == load_history(path).digest()
 
+    def test_audit_validates_and_hashes_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``repro audit --json`` reuses the execution ``load_history``
+        validated and the digest it checked, instead of validating the
+        history again in ``audit_history`` and hashing it again for the
+        payload."""
+        from repro.audit import history as history_module
+        from repro.model.execution import Execution
+
+        path = self.capture(tmp_path, capsys)
+        calls = {"validate": 0, "digest": 0}
+        validate, digest = Execution.validate, history_module.canonical_digest
+
+        def counted_validate(execution):
+            calls["validate"] += 1
+            return validate(execution)
+
+        def counted_digest(rows):
+            calls["digest"] += 1
+            return digest(rows)
+
+        monkeypatch.setattr(Execution, "validate", counted_validate)
+        monkeypatch.setattr(history_module, "canonical_digest", counted_digest)
+        assert main(["audit", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sha256"]
+        assert calls == {"validate": 1, "digest": 1}
+
     def test_require_failing_criterion_exits_one(self, capsys):
         fixture = os.path.join(FIXTURES, "lost-update.json")
         assert main(["audit", fixture]) == 1  # multilevel fails

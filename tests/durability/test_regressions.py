@@ -26,11 +26,22 @@ failure shape so the bug class cannot return:
    program through its replay tape, committed ones included, so each
    restore cost the whole history (the explorer restores thousands of
    times) and every snapshot carried every committed tape.
+7. A checksum-valid frame whose payload is not a well-formed record
+   escaped ``recover()`` as whatever the decoder raised (an
+   ``UnpicklingError``, an ``AttributeError`` for a non-dict, a
+   ``KeyError`` for a decision without ``tick``), and a record of
+   unknown type was skipped: inserted, it was accepted; in place of a
+   decision, the replay reported a divergence.  Each is a
+   ``RecoveryError`` naming the record, and ``repro serve`` says so in
+   one line.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -38,7 +49,13 @@ from repro.api import ProgramSpec, Submission, make_scheduler
 from repro.core.nests import KNest
 from repro.durability import recover, snapshot
 from repro.durability.fuzz import default_specs, run_reference
-from repro.durability.wal import EngineWal
+from repro.durability.wal import (
+    LOG_NAME,
+    MAGIC,
+    EngineWal,
+    frame_record,
+    scan_frames,
+)
 from repro.engine.runtime import Engine
 from repro.errors import RecoveryError
 from repro.model.programs import TransactionProgram
@@ -282,3 +299,87 @@ def test_restore_never_runs_a_committed_program(monkeypatch, recovery_unit):
     )
     assert all(restored.txns[name].live is None for name in committed)
     assert restored.run().history_digest() == live.run().history_digest()
+
+
+def _rewrite_log(directory: str, edit) -> int:
+    """Rewrite ``directory``'s log with ``edit(payloads, middle)``
+    applied to its frames, every frame checksummed anew; returns
+    ``middle``, the index of a decision record in the log's middle."""
+    path = os.path.join(directory, LOG_NAME)
+    with open(path, "rb") as fh:
+        payloads = scan_frames(fh.read())[0]
+    middle = len(payloads) // 2
+    while pickle.loads(payloads[middle])["t"] not in {"perform", "commit"}:
+        middle += 1
+    edit(payloads, middle)
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + b"".join(frame_record(p) for p in payloads))
+    return middle
+
+
+def _without_tick(payloads, index):
+    record = pickle.loads(payloads[index])
+    del record["tick"]
+    payloads[index] = pickle.dumps(record)
+
+
+def _unknown_type(tick):
+    return pickle.dumps({"t": "bogus", "tick": tick})
+
+
+@pytest.mark.parametrize("edit, reason", [
+    pytest.param(
+        lambda payloads, i: payloads.__setitem__(i, b"not a pickle"),
+        "does not decode", id="not-a-pickle",
+    ),
+    pytest.param(
+        lambda payloads, i: payloads.__setitem__(i, pickle.dumps([1, 2])),
+        "is a list, not a record", id="not-a-dict",
+    ),
+    pytest.param(
+        lambda payloads, i: payloads.__setitem__(
+            i, pickle.dumps({"t": ["perform"], "tick": 1})
+        ),
+        "has no type", id="unhashable-type",
+    ),
+    pytest.param(_without_tick, "'perform' decision logs|'commit' "
+                 "decision logs", id="no-tick"),
+    pytest.param(
+        lambda payloads, i: payloads.__setitem__(i, _unknown_type(1)),
+        "unknown type 'bogus'", id="unknown-type-replacing",
+    ),
+    pytest.param(
+        lambda payloads, i: payloads.insert(i, _unknown_type(1)),
+        "unknown type 'bogus'", id="unknown-type-inserted",
+    ),
+])
+def test_malformed_frame_is_a_typed_error(tmp_path, edit, reason):
+    """Regression 7: the frame checks out, its payload is no record."""
+    d = str(tmp_path)
+    run_reference(d, default_specs(seed=3), scheduler="2pl", seed=3)
+    index = _rewrite_log(d, edit)
+    with pytest.raises(RecoveryError, match=f"record {index} .*({reason})"):
+        recover(d)
+
+
+def test_serve_on_a_malformed_frame_exits_with_one_line(tmp_path):
+    """Regression 7 from the command line: one ``serve:`` line, exit 2,
+    no traceback."""
+    d = str(tmp_path)
+    run_reference(d, default_specs(seed=3), scheduler="2pl", seed=3)
+    index = _rewrite_log(
+        d, lambda payloads, i: payloads.__setitem__(i, b"not a pickle")
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["repro"].__file__
+    )))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--wal", d],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"serve: record {index} ")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr

@@ -11,6 +11,7 @@ from repro.durability.wal import (
     MAGIC,
     EngineWal,
     LogFile,
+    decision_row,
     frame_record,
     scan_frames,
 )
@@ -113,43 +114,85 @@ class TestLogFile:
         assert not final.truncated
 
 
+def perform(tick: int, txn: str) -> dict:
+    """A whole ``perform`` record, fields in the on-disk order."""
+    return {"t": "perform", "tick": tick, "txn": txn, "attempt": 0,
+            "step": 0, "entity": "x", "kind": "write", "before": 0,
+            "after": 1}
+
+
+def commit(tick: int, txn: str) -> dict:
+    return {"t": "commit", "tick": tick, "txn": txn, "attempt": 0,
+            "result": None}
+
+
+class TestDecisionRow:
+    """A row is equal to another exactly when their records are equal as
+    dicts: fields are read by name, and a record whose key set is not
+    its type's is refused rather than compared."""
+
+    def test_fields_are_read_by_name(self):
+        record = perform(3, "a")
+        reordered = dict(reversed(list(record.items())))
+        assert decision_row(reordered) == decision_row(record)
+        assert decision_row(record) == (
+            "perform", 3, "a", 0, 0, "x", "write", 0, 1
+        )
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda r: r.pop("tick"), id="missing"),
+        pytest.param(lambda r: r.update(latency=1), id="unknown"),
+    ])
+    def test_a_record_off_its_key_set_is_refused(self, edit):
+        record = perform(3, "a")
+        edit(record)
+        with pytest.raises(RecoveryError, match="'perform' decision logs"):
+            decision_row(record)
+
+    def test_rows_held_together_share_their_strings(self):
+        strings: dict = {}
+        first = decision_row(perform(1, "".join(["t", "17"])), strings)
+        second = decision_row(commit(2, "".join(["t", "17"])), strings)
+        assert first[2] == second[2] == "t17"
+        assert first[2] is second[2]
+
+
 class TestEngineWalVerify:
     def test_verify_matches_then_flips_to_append(self, tmp_path):
         wal = EngineWal(str(tmp_path))
-        wal.append({"t": "perform", "tick": 1, "txn": "a"})
-        wal.append({"t": "commit", "tick": 2, "txn": "a"})
+        wal.append(perform(1, "a"))
+        wal.append(commit(2, "a"))
         wal.sync()
         wal.begin_verify(
-            [{"t": "perform", "tick": 1, "txn": "a"},
-             {"t": "commit", "tick": 2, "txn": "a"}]
+            [decision_row(perform(1, "a")), decision_row(commit(2, "a"))]
         )
         assert wal.verifying
-        wal.append({"t": "perform", "tick": 1, "txn": "a"})
+        wal.append(perform(1, "a"))
         assert wal.verifying
-        wal.append({"t": "commit", "tick": 2, "txn": "a"})
+        wal.append(commit(2, "a"))
         assert not wal.verifying  # drained: round-up to append mode
         wal.finish_verify()
         assert wal.verified == 2
 
     def test_verify_mismatch_raises(self, tmp_path):
         wal = EngineWal(str(tmp_path))
-        wal.begin_verify([{"t": "perform", "tick": 1, "txn": "a"}])
+        wal.begin_verify([decision_row(perform(1, "a"))])
         with pytest.raises(RecoveryError, match="diverged"):
-            wal.append({"t": "perform", "tick": 1, "txn": "b"})
+            wal.append(perform(1, "b"))
 
     def test_verify_leftover_raises(self, tmp_path):
         wal = EngineWal(str(tmp_path))
-        wal.begin_verify([{"t": "perform", "tick": 1, "txn": "a"}])
+        wal.begin_verify([decision_row(perform(1, "a"))])
         with pytest.raises(RecoveryError, match="unconsumed"):
             wal.finish_verify()
 
     def test_verify_extra_decision_raises(self, tmp_path):
         wal = EngineWal(str(tmp_path))
-        wal.begin_verify([{"t": "perform", "tick": 1, "txn": "a"}])
+        wal.begin_verify([decision_row(perform(1, "a"))])
         wal._pending.clear()
         wal.verifying = True
         with pytest.raises(RecoveryError, match="extra"):
-            wal.append({"t": "commit", "tick": 9, "txn": "z"})
+            wal.append(commit(9, "z"))
 
     def test_log_genesis_is_once_only(self, tmp_path):
         wal = EngineWal(str(tmp_path))
