@@ -39,7 +39,7 @@ from repro.distributed.migration import MigratingTransaction
 from repro.distributed.network import Message, Network
 from repro.distributed.node import DataNode
 from repro.engine.closure_window import ClosureWindow
-from repro.engine.cycles import WaitGraph
+from repro.engine.cycles import WaitsFor
 from repro.engine.locks import LockManager
 from repro.engine.rollback import cascade_closure, undo_plan
 from repro.engine.schedulers._certify import certify_victim
@@ -74,6 +74,8 @@ class NoControl:
         self.sequencer = sequencer
 
     def decide(self, request: dict):
+        """``"grant"``, ``"wait"``, ``"abort"`` (the requester), or a
+        waits-for ``(cycle, cause)`` for the sequencer to break."""
         return "grant"
 
     def on_performed(self, name: str, record: StepRecord | None,
@@ -109,8 +111,7 @@ class DistributedLockControl(NoControl):
             return "grant"
         cycle = self.locks.deadlock_cycle()
         if cycle:
-            victim = max(cycle, key=self.sequencer.priority_key)
-            return ("abort", [victim])
+            return cycle, "lock"
         return "wait"
 
     def on_commit(self, name: str) -> None:
@@ -134,68 +135,47 @@ class DistributedPreventControl(NoControl):
         self.window.emit = sequencer.network.emit
         self.window.reads = sequencer.network.reads
 
-    def _at_breakpoint(self, name: str, level: int) -> bool:
-        seq = self.sequencer
-        state = seq.progress.get(name)
+    def _at_breakpoint(self, name: str, requester: str) -> bool:
+        state = self.sequencer.progress.get(name)
         if state is None or state["steps"] == 0 or state["finished"]:
             return True
         declared = state["cuts"].get(state["steps"] - 1)
-        return declared is not None and declared <= level
+        return (
+            declared is not None
+            and declared <= self.nest.level(name, requester)
+        )
 
     def decide(self, request: dict):
         seq = self.sequencer
         name = request["name"]
+        live = [
+            other for other in seq.progress
+            if other != name and other not in seq.committed_names
+        ]
         step = StepId(name, request["steps_taken"])
         acyclic, predecessors, cycle_owners = self.window.hypothetical(
             name, step, request["entity"], request["kind"]
         )
-        if not acyclic:
+        if acyclic:
             blockers = {
-                owner
-                for owner in cycle_owners
-                if owner != name and owner not in seq.committed_names
+                other for other in live
+                if self.window.last_step_of(other) in predecessors
+                and not self._at_breakpoint(other, name)
             }
-            return self._wait_or_break(name, blockers or None)
-        blockers = set()
-        for other, state in seq.progress.items():
-            if other == name or other in seq.committed_names:
-                continue
-            last = self.window.last_step_of(other)
-            if last is None or last not in predecessors:
-                continue
-            if not self._at_breakpoint(other, self.nest.level(other, name)):
-                blockers.add(other)
-        if blockers:
-            seq.waiting_on[name] = blockers
-            return self._wait_or_break(name, blockers)
-        seq.waiting_on.pop(name, None)
-        return "grant"
-
-    def _wait_or_break(self, name: str, blockers: set[str] | None = None):
-        seq = self.sequencer
-        if not blockers:
-            blockers = {
-                other
-                for other in seq.progress
-                if other != name and other not in seq.committed_names
-            }
+            if not blockers:
+                return "grant"
+        else:
+            blockers = cycle_owners.intersection(live) or set(live)
         if not blockers:
             # Nothing live to wait for: the conflict is against committed
             # history, so this attempt's own prefix is unextendable.
             # Roll it back and let a fresh attempt run behind the
             # committed work.
-            return ("abort", [name])
+            return "abort"
         # Every wait must be visible to the deadlock check, whatever its
         # cause (breakpoint blocker or would-be closure cycle).
-        seq.waiting_on[name] = blockers
-        graph = WaitGraph()
-        for waiter, blocking in seq.waiting_on.items():
-            graph.add_waits(waiter, blocking)
-        cycle = graph.find_cycle()
-        if cycle is None:
-            return "wait"
-        victim = max(cycle, key=seq.priority_key)
-        return ("abort", [victim])
+        found = seq.waits.wait(name, blockers, "breakpoint-wait")
+        return "wait" if found is None else found
 
     def on_performed(self, name, record, cut_levels, finished) -> None:
         if record is not None:
@@ -223,11 +203,9 @@ class DistributedPreventControl(NoControl):
         )]
 
     def on_commit(self, name: str) -> None:
-        self.sequencer.waiting_on.pop(name, None)
         self.window.mark_committed(name)
 
     def on_abort(self, name: str) -> None:
-        self.sequencer.waiting_on.pop(name, None)
         self.window.drop(name)
 
 
@@ -275,7 +253,13 @@ class Sequencer:
         self.committed: set[tuple[str, int]] = set()
         self.committed_names: set[str] = set()
         self.pending_commit: dict[str, MigratingTransaction] = {}
-        self.waiting_on: dict[str, set[str]] = {}
+        # The control's grant waits and ``deps``; a transaction has
+        # finished when it awaits its commit.
+        self.waits = WaitsFor(
+            self._dependencies,
+            lambda name: name in self.pending_commit,
+            self.priority_key,
+        )
         self.results: dict[str, Any] = {}
         self.final_cut_levels: dict[str, dict[int, int]] = {}
         # Grants sent whose performed-report has not come back yet, and
@@ -435,15 +419,15 @@ class Sequencer:
             return
         decision = self.control.decide(payload)
         if decision == "grant":
+            self.waits.done(name)
             self._send_grant(node, name, attempt, steps)
         elif decision == "wait":
             self._send_deny(node, name, attempt, steps)
-        else:
-            _tag, victims = decision
+        elif decision == "abort":
             self.deadlocks += 1
-            self._abort(victims)
-            if name not in victims:
-                self._send_deny(node, name, attempt, steps)
+            self._abort([name])
+        elif self._break(*decision) != name:
+            self._send_deny(node, name, attempt, steps)
 
     def _on_performed(self, payload: dict) -> None:
         if not self.reliable:
@@ -763,6 +747,7 @@ class Sequencer:
                     )
                 return
             del self.pending_commit[name]
+            self.waits.done(name)
             self.committed.add(key)
             self.committed_names.add(name)
             self.results[name] = txn.result
@@ -776,17 +761,9 @@ class Sequencer:
                 )
             self.control.on_commit(name)
             return
-        cycle = self._dep_cycle(name)
+        cycle = self.waits.dependency_cycle(name)
         if cycle:
-            victim = max(cycle, key=self.priority_key)
-            self.deadlocks += 1
-            emit = self.network.emit
-            if emit:
-                emit(
-                    "deadlock", cycle=list(cycle), victim=victim,
-                    cause="commit-dependency",
-                )
-            self._abort([victim])
+            self._break(cycle, "commit-dependency")
             return
         self.network.send(
             self.name,
@@ -795,18 +772,30 @@ class Sequencer:
             timer=True,
         )
 
-    def _dep_cycle(self, name: str) -> list[str] | None:
-        graph = WaitGraph()
+    def _dependencies(self):
+        """Each current attempt with the uncommitted ones whose writes it
+        consumed."""
         attempts = self.attempts
         for (txn_name, attempt), deps in self.deps.items():
             if attempt == attempts[txn_name]:
-                graph.add_waits(txn_name, {
+                yield txn_name, {
                     dep_name
                     for dep_name, dep_attempt in deps
                     if dep_name not in self.committed_names
                     and dep_attempt == attempts[dep_name]
-                })
-        return graph.find_cycle(source=name)
+                }
+
+    def _break(self, cycle: list[str], cause: str) -> str:
+        """Roll back and return the youngest member of a waits-for
+        ``cycle``: the one place the sequencer breaks one.  As ever, only
+        a dependency cycle is reported as a ``deadlock`` event."""
+        victim = self.waits.victim(cycle)
+        self.deadlocks += 1
+        emit = self.network.emit
+        if emit and cause == "commit-dependency":
+            emit("deadlock", cycle=list(cycle), victim=victim, cause=cause)
+        self._abort([victim])
+        return victim
 
     # ------------------------------------------------------------------
 
@@ -879,6 +868,7 @@ class Sequencer:
                 self.last_writer[record.entity] = key
         for name, _attempt in sorted(cascade):
             self.control.on_abort(name)
+            self.waits.done(name)
             old_attempt = self.attempts[name]
             self.attempts[name] += 1
             self.progress.pop(name, None)

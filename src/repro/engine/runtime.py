@@ -41,6 +41,7 @@ from repro.core.interleaving import InterleavingSpec
 from repro.audit.history import NULL_HISTORY
 from repro.durability.wal import NULL_WAL
 from repro.core.nests import KNest
+from repro.engine.cycles import WaitsFor
 from repro.engine.metrics import Metrics
 from repro.engine.rollback import cascade_closure
 from repro.engine.schedulers.base import Action, Decision, Scheduler
@@ -83,6 +84,15 @@ _SERIES = (
      "WAIT decisions absorbed per committed transaction.", "wait_histogram"),
     ("gauge", "repro_ticks", "Engine logical-clock high-water mark.", "ticks"),
 )
+
+#: A broken waits-for cycle's cause -> the rollback's reason and the
+#: ``Metrics.detail`` count a series reports it under.
+_CYCLE_CAUSES = {
+    "lock": ("2pl deadlock", "lock_deadlocks"),
+    "breakpoint-wait": ("breakpoint-wait cycle", None),
+    "retention": ("retention deadlock", None),
+    "commit-dependency": ("commit-dependency cycle", "engine_deadlocks"),
+}
 
 
 @dataclass(slots=True)
@@ -391,6 +401,12 @@ class Engine:
         # Last uncommitted writer per entity, as (name, attempt).
         self._last_writer: dict[str, tuple[str, int]] = {}
         self._committed_keys: set[tuple[str, int]] = set()
+        # The schedulers' grant waits and ``deps``.
+        self.waits = WaitsFor(
+            self._dependencies,
+            lambda name: self.txns[name].finished,
+            lambda name: (self.txns[name].priority, name),
+        )
         self._commit_order: list[str] = []
         self._results: dict[str, Any] = {}
         self._cut_levels: dict[str, dict[int, int]] = {}
@@ -636,6 +652,7 @@ class Engine:
         assert access is not None
         decision = self.scheduler.on_request(txn, access)
         if decision.action is Action.PERFORM:
+            self.waits.done(txn.name)
             record = self._perform(txn)
             veto = self.scheduler.after_performed(txn, record)
             if veto is not None and veto.action is Action.ABORT:
@@ -687,19 +704,10 @@ class Engine:
             dep for dep in txn.deps if dep not in self._committed_keys
         }
         if pending_deps:
-            cycle = self._commit_dependency_cycle(txn)
+            cycle = self.waits.dependency_cycle(txn.name)
             if cycle:
-                victim = max(cycle, key=lambda t: (t.priority, t.name))
-                self.metrics.deadlocks += 1
-                self.metrics.detail["engine_deadlocks"] += 1
-                if "deadlock" in self._routes:
-                    self._emit(
-                        "deadlock",
-                        cycle=[t.name for t in cycle],
-                        victim=victim.name,
-                        cause="commit-dependency",
-                    )
-                self._rollback([victim.name], "commit-dependency cycle")
+                decision = self.break_cycle(cycle, "commit-dependency")
+                self._rollback(decision.victims, decision.reason)
                 return True
             return self._commit_wait(
                 txn, pending=sorted(d[0] for d in pending_deps)
@@ -714,6 +722,7 @@ class Engine:
                 del ranked[bisect_left(ranked, txn.name, key=_by_name)]
             key = txn.key
             self._committed_keys.add(key)
+            self.waits.done(txn.name)
             # Retire the attempt's records out of the abort-scannable
             # window (entries are in seq order, so the last touch per
             # entity wins the watermark).
@@ -777,26 +786,32 @@ class Engine:
         txn.wake_tick = self.tick + 1
         return False
 
-    def _commit_dependency_cycle(self, txn: TxnState) -> list[TxnState] | None:
-        """Transactions mutually blocked by uncommitted-write consumption
-        (e.g. two attempts that overwrote each other's entities in
-        opposite orders can never satisfy each other's commit rule)."""
-        from repro.engine.cycles import WaitGraph
-
-        graph = WaitGraph()
+    def _dependencies(self):
+        """Each arrived transaction with the uncommitted attempts whose
+        writes it consumed: it cannot commit before they do."""
         txns = self.txns
         for state in self.arrived_states():
-            graph.add_waits(state.name, {
+            yield state.name, {
                 dep_name
                 for dep_name, dep_attempt in state.deps
                 if (other := txns.get(dep_name)) is not None
                 and not other.committed
                 and other.attempt == dep_attempt
-            })
-        cycle = graph.find_cycle(source=txn.name)
-        if cycle is None:
-            return None
-        return [txns[u] for u in cycle]
+            }
+
+    def break_cycle(self, cycle: list[str], cause: str) -> Decision:
+        """Roll back the youngest member of a waits-for ``cycle``: the
+        one place the engine counts and reports a deadlock."""
+        victim = self.waits.victim(cycle)
+        reason, count = _CYCLE_CAUSES[cause]
+        self.metrics.deadlocks += 1
+        if count is not None:
+            self.metrics.detail[count] += 1
+        if "deadlock" in self._routes:
+            self._emit(
+                "deadlock", cycle=list(cycle), victim=victim, cause=cause
+            )
+        return Decision.abort([victim], reason)
 
     # ------------------------------------------------------------------
     # rollback
@@ -917,6 +932,7 @@ class Engine:
             txn.rollbacks += 1
             if keep == 0:
                 self.scheduler.on_abort(txn)
+                self.waits.done(name)
                 txn.attempt += 1
                 txn.live = _LiveTransaction(txn.program)
                 txn.deps = set()
@@ -1051,6 +1067,7 @@ class Engine:
             "cut_levels": {
                 name: dict(cuts) for name, cuts in self._cut_levels.items()
             },
+            "waits": list(self.waits.waits.items()),
             "scheduler": self.scheduler.snapshot_state(),
         }
         # Deep-copied so the snapshot cannot alias state the engine will
@@ -1165,6 +1182,7 @@ class Engine:
         self._cut_levels = {
             name: dict(cuts) for name, cuts in state["cut_levels"].items()
         }
+        self.waits.waits = dict(state["waits"])
         self.scheduler.restore_state(state["scheduler"])
 
     # ------------------------------------------------------------------

@@ -96,14 +96,14 @@ class MLADetectScheduler(Scheduler):
             step.transaction
             for step in result.cycle or ()
         }
-        active = [
-            self.engine.txns[name]
+        active = {
+            name
             for name in cycle_names
             if name in self.engine.txns
             and not self.engine.txns[name].committed
-        ]
+        }
         if active:
-            victim = max(active, key=lambda t: (t.priority, t.name))
+            victim = self.engine.txns[self.engine.waits.victim(active)]
         else:
             # The cycle closed between already-committed steps through the
             # new step's reachability; removing the new step's attempt

@@ -13,12 +13,14 @@ Implementation: a request for step ``b`` of ``t'`` asks the closure
 window for ``b``'s would-be closure predecessors; if some active
 transaction's *last* performed step is among them and that transaction is
 not currently at a breakpoint of level ``level(t, t')`` (nor finished),
-``b`` waits.  The engine's stall handler plus the waits-for-breakpoint
-graph resolve circular waits by rolling back the youngest participant —
-the paper's assumed "priority - rollback mechanism for preventing
-blocking".  The paper's "scheduled" lock has no counterpart: the engine
-performs a step atomically within its tick, so nothing can slip between
-scheduling ``b`` and performing it.
+``b`` waits.  The wait goes into the engine's one waits-for relation
+(:class:`repro.engine.cycles.WaitsFor`), which rolls back the youngest
+member of any circular wait it closes — through other waits, or through
+the commit dependencies of a finished blocker — the paper's assumed
+"priority - rollback mechanism for preventing blocking".  The paper's
+"scheduled" lock has no counterpart: the engine performs a step
+atomically within its tick, so nothing can slip between scheduling
+``b`` and performing it.
 
 Because performed steps then never precede earlier steps in the closure,
 the committed execution is always correctable — experiment E7/E4's
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 from repro.core.nests import KNest
 from repro.engine.closure_window import ClosureWindow
-from repro.engine.cycles import WaitGraph
 from repro.engine.schedulers._certify import certify_commit
 from repro.engine.schedulers.base import Decision, Scheduler
 from repro.model.steps import StepId
@@ -44,8 +45,6 @@ class MLAPreventScheduler(Scheduler):
         super().__init__()
         self.nest = nest
         self.window = ClosureWindow(nest)
-        # waiter -> blocking transaction names (for circular-wait checks)
-        self._waiting_on: dict[str, set[str]] = {}
 
     def counters(self, metrics):
         return (
@@ -103,40 +102,19 @@ class MLAPreventScheduler(Scheduler):
     def on_request(self, txn, access) -> Decision:
         assert self.engine is not None
         blockers = self._breakpoint_blockers(txn, access)
-        reads = self.reads
-        if blockers:
-            self._waiting_on[txn.name] = blockers
-            cycle = self._wait_cycle()
-            if cycle:
-                states = [self.engine.txns[n] for n in cycle]
-                victim = max(states, key=lambda t: (t.priority, t.name))
-                self.engine.metrics.deadlocks += 1
-                if "deadlock" in reads:
-                    self.emit(
-                        "deadlock",
-                        cycle=list(cycle),
-                        victim=victim.name,
-                        cause="breakpoint-wait",
-                    )
-                return Decision.abort([victim.name], "breakpoint-wait cycle")
-            self.engine.metrics.detail["breakpoint_waits"] += 1
-            if "breakpoint.wait" in reads:
-                self.emit(
-                    "breakpoint.wait",
-                    txn=txn.name,
-                    blockers=sorted(blockers),
-                )
-            return Decision.wait(
-                f"waiting for breakpoints of {sorted(blockers)}"
+        if not blockers:
+            return Decision.perform()
+        found = self.engine.waits.wait(txn.name, blockers, "breakpoint-wait")
+        if found:
+            return self.engine.break_cycle(*found)
+        self.engine.metrics.detail["breakpoint_waits"] += 1
+        if "breakpoint.wait" in self.reads:
+            self.emit(
+                "breakpoint.wait",
+                txn=txn.name,
+                blockers=sorted(blockers),
             )
-        self._waiting_on.pop(txn.name, None)
-        return Decision.perform()
-
-    def _wait_cycle(self) -> list[str] | None:
-        graph = WaitGraph()
-        for waiter, blockers in self._waiting_on.items():
-            graph.add_waits(waiter, blockers)
-        return graph.find_cycle()
+        return Decision.wait(f"waiting for breakpoints of {sorted(blockers)}")
 
     def after_performed(self, txn, record) -> Decision | None:
         assert self.engine is not None
@@ -174,30 +152,16 @@ class MLAPreventScheduler(Scheduler):
         return certify_commit(self, txn)
 
     def on_commit(self, txn) -> None:
-        self._waiting_on.pop(txn.name, None)
         self.window.mark_committed(txn.name)
 
     def on_rollback(self, txn, keep_steps: int) -> None:
         self.window.truncate(txn.name, keep_steps)
 
     def on_abort(self, txn) -> None:
-        self._waiting_on.pop(txn.name, None)
         self.window.drop(txn.name)
 
     def snapshot_state(self) -> dict:
-        # ``_waiting_on`` insertion order feeds ``_wait_cycle``'s edge
-        # order (victim identity); keep it as an ordered list.
-        return {
-            "window": self.window.snapshot_state(),
-            "waiting_on": [
-                (waiter, sorted(blockers))
-                for waiter, blockers in self._waiting_on.items()
-            ],
-        }
+        return {"window": self.window.snapshot_state()}
 
     def restore_state(self, state: dict) -> None:
         self.window.restore_state(state["window"])
-        self._waiting_on = {
-            waiter: set(blockers)
-            for waiter, blockers in state["waiting_on"]
-        }

@@ -12,7 +12,8 @@ is that idea specialised to multilevel atomicity:
   ``t`` has passed a breakpoint of level ``<= level(t, t')`` *since its
   last access to that entity* (or finished) — the per-entity analogue of
   the Section 6 prevention rule, with no closure computation at all;
-* locks die at commit/rollback; waits-for cycles abort the youngest.
+* locks die at commit/rollback; a wait goes into the engine's one
+  waits-for relation, whose cycles abort the youngest.
 
 The per-entity rule is cheaper but *weaker* than the closure rule: it
 ignores transitive constraints through third parties, so it can admit a
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 
 from repro.core.nests import KNest
 from repro.engine.closure_window import ClosureWindow
-from repro.engine.cycles import WaitGraph
 from repro.engine.schedulers._certify import certify_commit
 from repro.engine.schedulers.base import Decision, Scheduler
 
@@ -56,7 +56,6 @@ class NestedLockScheduler(Scheduler):
         self.nest = nest
         self.certify = certify
         self._locks: dict[str, _EntityLock] = {}
-        self._waiting_on: dict[str, set[str]] = {}
         self.certification_failures = 0
         self.window = ClosureWindow(nest) if certify else None
 
@@ -109,38 +108,22 @@ class NestedLockScheduler(Scheduler):
     def on_request(self, txn, access) -> Decision:
         assert self.engine is not None
         blockers = self._blockers(txn, access.entity)
-        reads = self.reads
-        if blockers:
-            self._waiting_on[txn.name] = blockers
-            graph = WaitGraph()
-            for waiter, blocking in self._waiting_on.items():
-                graph.add_waits(waiter, blocking)
-            cycle = graph.find_cycle()
-            if cycle is None:
-                self.engine.metrics.detail["retention_waits"] += 1
-                if "retention.wait" in reads:
-                    self.emit(
-                        "retention.wait",
-                        txn=txn.name,
-                        entity=access.entity,
-                        holders=sorted(blockers),
-                    )
-                return Decision.wait(
-                    f"{access.entity!r} retained by {sorted(blockers)}"
-                )
-            states = [self.engine.txns[name] for name in cycle]
-            victim = max(states, key=lambda t: (t.priority, t.name))
-            self.engine.metrics.deadlocks += 1
-            if "deadlock" in reads:
-                self.emit(
-                    "deadlock",
-                    cycle=list(cycle),
-                    victim=victim.name,
-                    cause="retention",
-                )
-            return Decision.abort([victim.name], "retention deadlock")
-        self._waiting_on.pop(txn.name, None)
-        return Decision.perform()
+        if not blockers:
+            return Decision.perform()
+        found = self.engine.waits.wait(txn.name, blockers, "retention")
+        if found:
+            return self.engine.break_cycle(*found)
+        self.engine.metrics.detail["retention_waits"] += 1
+        if "retention.wait" in self.reads:
+            self.emit(
+                "retention.wait",
+                txn=txn.name,
+                entity=access.entity,
+                holders=sorted(blockers),
+            )
+        return Decision.wait(
+            f"{access.entity!r} retained by {sorted(blockers)}"
+        )
 
     def after_performed(self, txn, record) -> Decision | None:
         assert self.engine is not None
@@ -166,19 +149,15 @@ class NestedLockScheduler(Scheduler):
             if step.transaction in self.engine.txns
             and not self.engine.txns[step.transaction].committed
         }
-        victims = owners or {txn.name}
-        victim = max(
-            (self.engine.txns[name] for name in victims),
-            key=lambda t: (t.priority, t.name),
-        )
+        victim = self.engine.waits.victim(owners or {txn.name})
         if "certify.fail" in self.reads:
             self.emit(
                 "certify.fail",
                 witness=[str(step) for step in result.cycle or ()],
-                victim=victim.name,
+                victim=victim,
                 when="step",
             )
-        return Decision.abort([victim.name], "certification failure")
+        return Decision.abort([victim], "certification failure")
 
     def may_commit(self, txn) -> Decision:
         return certify_commit(self, txn)
@@ -186,7 +165,6 @@ class NestedLockScheduler(Scheduler):
     def _release(self, name: str) -> None:
         for lock in self._locks.values():
             lock.holders.pop(name, None)
-        self._waiting_on.pop(name, None)
 
     def on_commit(self, txn) -> None:
         self._release(txn.name)
@@ -210,10 +188,6 @@ class NestedLockScheduler(Scheduler):
                 )
                 for entity, lock in self._locks.items()
             ],
-            "waiting_on": [
-                (waiter, sorted(blockers))
-                for waiter, blockers in self._waiting_on.items()
-            ],
             "certification_failures": self.certification_failures,
             "window": (
                 self.window.snapshot_state()
@@ -228,10 +202,6 @@ class NestedLockScheduler(Scheduler):
                 {name: _Hold(step) for name, step in holders}
             )
             for entity, holders in state["locks"]
-        }
-        self._waiting_on = {
-            waiter: set(blockers)
-            for waiter, blockers in state["waiting_on"]
         }
         self.certification_failures = state["certification_failures"]
         if self.window is not None and state["window"] is not None:

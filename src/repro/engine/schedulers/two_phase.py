@@ -50,19 +50,7 @@ class TwoPhaseLockingScheduler(Scheduler):
             return Decision.perform()
         cycle = self.locks.deadlock_cycle()
         if cycle:
-            assert self.engine is not None
-            states = [self.engine.txns[name] for name in cycle]
-            victim = max(states, key=lambda t: (t.priority, t.name))
-            self.engine.metrics.deadlocks += 1
-            self.engine.metrics.detail["lock_deadlocks"] += 1
-            if "deadlock" in reads:
-                self.emit(
-                    "deadlock",
-                    cycle=list(cycle),
-                    victim=victim.name,
-                    cause="lock",
-                )
-            return Decision.abort([victim.name], "2pl deadlock")
+            return self.engine.break_cycle(cycle, "lock")
         self.engine.metrics.detail["lock_waits"] += 1
         if "lock.wait" in reads:
             holder = self.locks.holder(access.entity)

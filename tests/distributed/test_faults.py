@@ -251,3 +251,41 @@ class TestFaultyRuns:
             result.spec(nest), result.execution.dependency_edges()
         )
         assert report.correctable
+
+
+class TestWaitOnFinishedOwner:
+    """A request that waits on a finished transaction which
+    commit-depends on the requester is a deadlock across the two halves
+    of the sequencer's waits-for relation: the grant wait ``t5 ->
+    creditor0`` and the commit dependency ``creditor0 -> t5``.  Each
+    half alone is acyclic, so a sequencer that checked them apart denied
+    ``t5`` forever and the run hit the network's event cap with one
+    commit."""
+
+    CONFIG = BankingConfig(
+        families=3, accounts_per_family=2, transfers=6, bank_audits=1,
+        creditor_audits=1, seed=1,
+    )
+    PLAN = FaultPlan(
+        default=LinkFaults(drop=0.05, duplicate=0.05),
+        crashes=(CrashEvent("node1", at=12.0, duration=10.0),),
+        seed=6,
+    )
+
+    @pytest.mark.parametrize("control", ["mla-prevent", "2pl"])
+    def test_every_transaction_commits(self, control):
+        workload = BankingWorkload(self.CONFIG)
+        runtime = DistributedRuntime(
+            workload.programs, workload.accounts,
+            DistributedPreventControl(workload.nest)
+            if control == "mla-prevent" else DistributedLockControl(),
+            nodes=3, seed=1, faults=self.PLAN,
+        )
+        runtime.network.max_events = 20_000
+        result = runtime.run()
+        assert result.commits == len(workload.programs) == 8
+        report = check_correctability(
+            result.spec(workload.nest), result.execution.dependency_edges()
+        )
+        assert report.correctable
+        assert workload.invariant_violations(result) == []
