@@ -2,10 +2,10 @@
 monitoring, black-box classification and exhaustive interleaving
 exploration (DESIGN.md §4i).
 
-A history is built in memory by :class:`HistoryRecorder` (or streamed
-by :class:`HistoryWriter`, which keeps one) and read back by
-:func:`load_history`, whose two file forms share one validator,
-:meth:`History.from_dict`.
+A history is built in memory by :class:`HistoryRecorder`, or streamed
+to a file by :class:`HistoryWriter`, which keeps no copy of what it
+writes, and read back by :func:`load_history`, whose two file forms
+share one validator, :meth:`History.from_dict`.
 
 Every name is loaded on first read (PEP 562, DESIGN.md §3).  The
 engine and the service import :mod:`repro.audit.history` for their

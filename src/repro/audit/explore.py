@@ -231,7 +231,6 @@ def _state_key(state: dict, stall_limit: int):
             for entity, (seq, key) in state["committed_access"].items()
         )),
         _canon(state["last_writer"]),
-        _canon(state["committed_keys"]),
         tuple(state["commit_order"]),
         _canon(state["results"]),
         _canon(state["cut_levels"]),

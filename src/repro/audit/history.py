@@ -24,8 +24,9 @@ Both forms are read by one validator: :func:`load_history` checks only
 a stream's framing (line kinds and order, key sets, the footer's
 counts), reshapes it into the single-object dict and hands that to
 :meth:`History.from_dict`, which makes every value check.
-:class:`HistoryRecorder` is the one in-memory builder; the JSONL writer
-keeps its rows and its path table.
+:class:`HistoryRecorder` builds a history in memory; the JSONL writer
+keeps no copy of what it streams (the engine holds the committed state)
+and reads its own file back to validate and hash it at close.
 
 Capture is a sink of the engine's decision stream (DESIGN.md §4e): an
 enabled sink reads the commit records and no other; sinks never
@@ -517,7 +518,7 @@ class HistoryRecorder(HistorySink):
     ) -> None:
         self.initial = dict(initial or {})
         self.depth = depth
-        #: name -> declared nest path; the writer reads it too.
+        #: name -> declared nest path.
         self.paths: dict[str, tuple[str, ...]] = {
             str(t): tuple(p) for t, p in (paths or {}).items()
         }
@@ -582,9 +583,14 @@ class HistoryWriter(HistorySink):
     The header is flushed as it is written; commit lines are buffered
     until :meth:`close` writes the footer.  A stream without its footer
     is unreadable by design, and a restarted server truncates it, so
-    nothing is gained by flushing earlier.  The in-memory
-    :class:`HistoryRecorder` it delegates to keeps the rows each commit
-    line is built from."""
+    nothing is gained by flushing earlier.
+
+    A commit line is encoded straight from the entries the engine hands
+    over, and the engine already holds the committed state, so the
+    writer keeps no copy of it: two counts, and the declared path of
+    each transaction that has not committed yet (popped at its commit).
+    :meth:`close` reads back the commit lines it wrote and validates
+    and hashes them as any reader of the file would."""
 
     enabled = True
 
@@ -598,9 +604,12 @@ class HistoryWriter(HistorySink):
     ) -> None:
         self.path = path
         self.depth = depth
-        self._recorder = HistoryRecorder(
-            initial=initial, depth=depth, paths=paths, meta=meta
-        )
+        #: name -> declared nest path, for transactions not yet committed.
+        self.paths: dict[str, tuple[str, ...]] = {}
+        for name, declared in (paths or {}).items():
+            self.declare_path(name, declared)
+        self.commits = 0
+        self.steps = 0
         self._closed = False
         self._handle = open(path, "w", encoding="utf-8")
         self._write({
@@ -616,23 +625,20 @@ class HistoryWriter(HistorySink):
         self._handle.write(_LINE_ENCODER.encode(payload) + "\n")
 
     def declare_path(self, name: str, path: tuple[str, ...]) -> None:
-        self._recorder.declare_path(name, path)
+        self.paths[str(name)] = tuple(str(label) for label in path)
 
     def on_commit(self, name, attempt, tick, entries, cut_levels, result):
-        path = self._recorder.paths.get(name)
+        path = self.paths.pop(name, None)
         if self.depth is not None and path is None:
             raise SpecificationError(
                 f"committed transaction {name!r} has no declared nest path"
             )
-        recorder = self._recorder
-        start = len(recorder.rows)
-        recorder.on_commit(name, attempt, tick, entries, cut_levels, result)
         self._write({
             "kind": "commit",
             "txn": name,
             "attempt": attempt,
             "tick": tick,
-            "position": len(recorder.commit_order) - 1,
+            "position": self.commits,
             "path": None if self.depth is None else list(path),
             "cut_levels": {
                 str(gap): lvl for gap, lvl in sorted(cut_levels.items())
@@ -641,34 +647,44 @@ class HistoryWriter(HistorySink):
             "steps": [
                 {
                     "seq": seq,
-                    "index": index,
-                    "entity": entity,
-                    "kind": kind,
-                    "before": before,
-                    "after": after,
+                    "index": record.step.index,
+                    "entity": record.entity,
+                    "kind": record.kind.value,
+                    "before": record.value_before,
+                    "after": record.value_after,
                 }
-                for seq, _, index, entity, kind, before, after
-                in recorder.rows[start:]
+                for seq, record in entries
             ],
         })
-
-    def history(self) -> History:
-        return self._recorder.history()
+        self.commits += 1
+        self.steps += len(entries)
 
     def close(self) -> str | None:
-        """Write the footer; returns the canonical digest (idempotent)."""
+        """Write the footer; returns the canonical digest (idempotent).
+
+        The digest is taken from the file, not from the commits as they
+        were handed over: the written lines are read back through the
+        stream decoder and validated whole, so a capture bug fails here
+        instead of producing a file no reader accepts."""
         if self._closed:
             return None
         self._closed = True
-        recorder = self._recorder
-        digest = recorder.history().digest()
-        self._write({
-            "kind": "footer",
-            "commits": len(recorder.commit_order),
-            "steps": len(recorder.rows),
-            "sha256": digest,
-        })
-        self._handle.close()
+        try:
+            self._handle.flush()
+            with open(self.path, encoding="utf-8") as handle:
+                lines = [
+                    (number, load_json_object(line, f"history line {number}"))
+                    for number, line in enumerate(handle, start=1)
+                ]
+            digest = _history_from_jsonl(lines, sealed=False).digest()
+            self._write({
+                "kind": "footer",
+                "commits": self.commits,
+                "steps": self.steps,
+                "sha256": digest,
+            })
+        finally:
+            self._handle.close()
         return digest
 
 
@@ -707,10 +723,15 @@ _LINE_KEYS = {
 }
 
 
-def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
+def _history_from_jsonl(
+    lines: list[tuple[int, dict]], sealed: bool = True
+) -> History:
     """Check a stream's framing and reshape it into the single-object
     form; :meth:`History.from_dict` makes every value check, so both
-    forms are read by one validator."""
+    forms are read by one validator.
+
+    An unsealed stream is a writer's own, read back before its footer
+    exists: there are no promised counts or digest to check."""
     header: dict | None = None
     footer: dict | None = None
     commits: list[dict] = []
@@ -734,7 +755,7 @@ def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
             footer = payload
     if header is None:
         raise SpecificationError("history stream has no header line")
-    if footer is None:
+    if sealed and footer is None:
         raise SpecificationError(
             "history stream has no footer (truncated capture?)"
         )
@@ -755,14 +776,18 @@ def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
             if not _int_ok(raw["seq"]):
                 raise SpecificationError(f"commit {name!r}: seq not an int")
             steps.append({**raw, "transaction": name})
-    for label, count in (("commits", len(commits)), ("steps", len(steps))):
-        promised = footer[label]
-        if not _int_ok(promised) or promised != count:
-            raise SpecificationError(
-                f"footer promises {promised!r} {label}, stream holds {count}"
-            )
-    if not isinstance(footer["sha256"], str):
-        raise SpecificationError("footer sha256 must be a string")
+    if sealed:
+        for label, count in (
+            ("commits", len(commits)), ("steps", len(steps))
+        ):
+            promised = footer[label]
+            if not _int_ok(promised) or promised != count:
+                raise SpecificationError(
+                    f"footer promises {promised!r} {label}, stream holds "
+                    f"{count}"
+                )
+        if not isinstance(footer["sha256"], str):
+            raise SpecificationError("footer sha256 must be a string")
     paths = {c["txn"]: c["path"] for c in commits}
     if header["depth"] is None and all(p is None for p in paths.values()):
         paths = None
@@ -777,7 +802,7 @@ def _history_from_jsonl(lines: list[tuple[int, dict]]) -> History:
         "cut_levels": {c["txn"]: c["cut_levels"] for c in commits},
         "results": {c["txn"]: c["result"] for c in commits},
         "steps": steps,
-        "sha256": footer["sha256"],
+        "sha256": footer["sha256"] if sealed else None,
     })
 
 

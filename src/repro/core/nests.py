@@ -63,7 +63,9 @@ class KNest:
         4
     """
 
-    __slots__ = ("_depth", "_k", "_paths", "_prefix_ids", "_item_ids")
+    __slots__ = (
+        "_depth", "_k", "_paths", "_shared", "_prefix_ids", "_item_ids"
+    )
 
     def __init__(self, depth: int) -> None:
         if depth < 0:
@@ -71,6 +73,9 @@ class KNest:
         self._depth = depth
         self._k = depth + 2
         self._paths: dict[T, tuple[Hashable, ...]] = {}
+        # One tuple per distinct path, shared by every item placed there:
+        # an open system admits many items onto a few paths.
+        self._shared: dict[tuple, tuple] = {}
         # _prefix_ids[j] interns length-(j + 1) prefixes for level j + 2.
         self._prefix_ids: list[dict[tuple, int]] = [
             {} for _ in range(depth)
@@ -182,6 +187,7 @@ class KNest:
                     f"item {item!r} already placed at {known!r}"
                 )
             return
+        path = self._shared.setdefault(path, path)
         self._paths[item] = path
         self._item_ids[item] = len(self._item_ids)
         for j in range(self._depth):

@@ -400,7 +400,6 @@ class Engine:
         self._committed_access: dict[str, tuple[int, tuple[str, int]]] = {}
         # Last uncommitted writer per entity, as (name, attempt).
         self._last_writer: dict[str, tuple[str, int]] = {}
-        self._committed_keys: set[tuple[str, int]] = set()
         # The schedulers' grant waits and ``deps``.
         self.waits = WaitsFor(
             self._dependencies,
@@ -409,7 +408,12 @@ class Engine:
         )
         self._commit_order: list[str] = []
         self._results: dict[str, Any] = {}
+        # name -> the cut levels its committed attempt declared.  Commits
+        # share one dict per distinct shape (see ``_shared_cuts``): a
+        # workload declares a handful of shapes over any number of
+        # commits.
         self._cut_levels: dict[str, dict[int, int]] = {}
+        self._cut_shapes: dict[tuple, dict[int, int]] = {}
 
     def _emit(self, kind: str, /, **fields: Any) -> None:
         """The one emission point: hand a decision, stamped with the
@@ -699,10 +703,24 @@ class Engine:
             )
         return record
 
+    def _committed(self, key: tuple[str, int]) -> bool:
+        """Whether attempt ``key`` = (name, attempt) has committed: a
+        transaction commits once, in its last attempt."""
+        txn = self.txns[key[0]]
+        return txn.committed and txn.attempt == key[1]
+
+    def _shared_cuts(self, cuts: dict[int, int]) -> dict[int, int]:
+        """The engine's one copy of a cut-level dict equal to ``cuts``,
+        items in the same order.  Shared by every commit of that shape,
+        so it is never mutated."""
+        shape = tuple(cuts.items())
+        shared = self._cut_shapes.get(shape)
+        if shared is None:
+            shared = self._cut_shapes[shape] = dict(shape)
+        return shared
+
     def _try_commit(self, txn: TxnState) -> bool:
-        pending_deps = {
-            dep for dep in txn.deps if dep not in self._committed_keys
-        }
+        pending_deps = {dep for dep in txn.deps if not self._committed(dep)}
         if pending_deps:
             cycle = self.waits.dependency_cycle(txn.name)
             if cycle:
@@ -721,7 +739,6 @@ class Engine:
                 ranked = self._ranked
                 del ranked[bisect_left(ranked, txn.name, key=_by_name)]
             key = txn.key
-            self._committed_keys.add(key)
             self.waits.done(txn.name)
             # Retire the attempt's records out of the abort-scannable
             # window (entries are in seq order, so the last touch per
@@ -743,7 +760,9 @@ class Engine:
             live = txn.live
             self._commit_order.append(txn.name)
             self._results[txn.name] = live.result
-            self._cut_levels[txn.name] = cut_levels = dict(live.cut_levels)
+            self._cut_levels[txn.name] = cut_levels = self._shared_cuts(
+                live.cut_levels
+            )
             self.metrics.record_commit(
                 txn.name, self.tick - txn.arrival_tick, waited=txn.waits
             )
@@ -850,7 +869,7 @@ class Engine:
             seeds[txn.key] = min(seeds.get(txn.key, point), point)
 
         def rewind(key: tuple[str, int], index: int) -> int:
-            if key in self._committed_keys:
+            if self._committed(key):
                 raise EngineError(
                     f"recoverability violated: committed attempt {key} "
                     f"consumed an undone write ({reason})"
@@ -1061,7 +1080,6 @@ class Engine:
             "committed_log": list(self._committed_log),
             "committed_access": dict(self._committed_access),
             "last_writer": list(self._last_writer.items()),
-            "committed_keys": sorted(self._committed_keys),
             "commit_order": list(self._commit_order),
             "results": dict(self._results),
             "cut_levels": {
@@ -1176,11 +1194,11 @@ class Engine:
         self._last_writer = {
             entity: tuple(key) for entity, key in state["last_writer"]
         }
-        self._committed_keys = set(map(tuple, state["committed_keys"]))
         self._commit_order = list(state["commit_order"])
         self._results = dict(state["results"])
         self._cut_levels = {
-            name: dict(cuts) for name, cuts in state["cut_levels"].items()
+            name: self._shared_cuts(cuts)
+            for name, cuts in state["cut_levels"].items()
         }
         self.waits.waits = dict(state["waits"])
         self.scheduler.restore_state(state["scheduler"])
@@ -1194,7 +1212,7 @@ class Engine:
         records = [
             entry.record
             for entry in self.log
-            if entry.key in self._committed_keys
+            if self._committed(entry.key)
             or (partial and entry.key in live_keys)
         ]
         execution = Execution(records, self.store.initial_snapshot())

@@ -219,9 +219,12 @@ class TransactionService:
         if self.history.enabled:
             # Capture resumes post-recovery: replay is not re-recorded,
             # but recovered in-flight transactions may still commit, so
-            # their nest paths must be known to the writer.
+            # their nest paths must be known to the writer.  A committed
+            # one never reaches it again, and its path would stay there.
+            txns = report.engine.txns
             for add in report.adds:
-                self.history.declare_path(add.name, add.path)
+                if not txns[add.name].committed:
+                    self.history.declare_path(add.name, add.path)
             report.engine.history = self.history
         return report.nest, report.engine
 

@@ -22,6 +22,7 @@ from repro.audit import (
 )
 from repro.cli import main
 from repro.errors import SpecificationError
+from repro.model.steps import StepId, StepKind, StepRecord
 from tests.audit.conftest import recorder_for, run_specs, write_stream
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -69,6 +70,21 @@ class TestRoundTrip:
         assert digest == recorder.history().digest()
         loaded = load_history(path)
         assert loaded.to_json() == recorder.history().to_json()
+
+    def test_writer_close_validates_what_it_wrote(self, tmp_path):
+        """The writer keeps no copy of its commits: ``close`` reads its
+        commit lines back and validates them whole before it seals the
+        file, so a capture no reader would accept fails there and the
+        file gets no footer."""
+        path = str(tmp_path / "bad.jsonl")
+        writer = HistoryWriter(path, initial={"x": 1})
+        # The write claims ``x`` held 2 before it; the initial value is 1.
+        record = StepRecord(StepId("t", 0), "x", StepKind.WRITE, 2, 3)
+        writer.on_commit("t", 0, 1, [(1, record)], {}, None)
+        with pytest.raises(SpecificationError, match="not a valid execution"):
+            writer.close()
+        with pytest.raises(SpecificationError, match="no footer"):
+            load_history(path)
 
     def test_writer_close_is_idempotent(self, tmp_path):
         path = str(tmp_path / "empty.jsonl")
