@@ -37,8 +37,8 @@ from repro.workloads import random_dependency_pairs
 SIZES = [100, 400]          # timed-fixture sizes (kept light)
 TABLE_SIZES = [100, 400, 1600, 6400]
 
-#: Live quick-run history; the *only* remaining role of BENCH_PR2.json
-#: is as collect_results' frozen seed-baseline source.
+#: Live quick-run history, with the seed baselines collect_results
+#: records from its ``SEED_BASELINES_MS``.
 BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH.json")
 
 

@@ -45,12 +45,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 RESULTS = os.path.join(HERE, "results")
 TARGET = os.path.join(HERE, os.pardir, "EXPERIMENTS.md")
 QUICK_TARGET = os.path.join(HERE, os.pardir, "BENCH.json")
-#: Frozen seed-baseline artefact (the quick run recorded immediately
-#: before the incremental reachability core landed).  It is *only* a
-#: source of seed-revision baselines — live numbers come from
-#: ``BENCH.json``'s own history; nothing else should read this file.
-SEED_BASELINE_SOURCE = os.path.join(HERE, os.pardir, "BENCH_PR2.json")
-
 #: Seed-revision timings (ms) from benchmarks/results/*.md before the
 #: incremental reachability core landed, at the quick-mode sizes.
 SEED_BASELINES_MS = {
@@ -67,19 +61,6 @@ REGRESSION_FACTOR = 1.5
 #: History entries kept in ``BENCH.json`` (oldest dropped first).
 HISTORY_LIMIT = 100
 
-
-def seed_baselines() -> dict:
-    """The seed-revision timings, read from ``BENCH_PR2.json`` when the
-    artefact is present, else the inlined fallback copy."""
-    try:
-        with open(SEED_BASELINE_SOURCE, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError):
-        return SEED_BASELINES_MS
-    baselines = data.get("seed_baselines_ms")
-    if isinstance(baselines, dict) and baselines:
-        return baselines
-    return SEED_BASELINES_MS
 
 ORDER = [
     "x_paper_examples",
@@ -498,10 +479,9 @@ def run_quick(
         str(len(audit_summary["proofs"]) + len(audit_summary["capped"])):
             (time.perf_counter() - start) * 1000,
     }
-    baselines = seed_baselines()
     speedups = {
         f"{key}_{size}": round(base / timings[key][size], 2)
-        for key, sizes in baselines.items()
+        for key, sizes in SEED_BASELINES_MS.items()
         for size, base in sizes.items()
         if key in timings and size in timings[key] and timings[key][size] > 0
     }
@@ -540,7 +520,7 @@ def run_quick(
             key: {size: round(ms, 2) for size, ms in sizes.items()}
             for key, sizes in timings.items()
         },
-        "seed_baselines_ms": baselines,
+        "seed_baselines_ms": SEED_BASELINES_MS,
         "speedup_vs_seed": speedups,
     }
 

@@ -183,7 +183,9 @@ def _state_key(state: dict, stall_limit: int):
     different absolute times but with identical futures collide, which
     is exactly the reduction.  Telemetry (metrics, wait counts, commit
     ticks) is excluded: nothing in the tick loop or any scheduler reads
-    it; the waits-for rows, which the next wait searches, are kept.
+    it; the waits-for rows, which the next wait searches, are kept, in
+    sorted order: a wait is searched from its waiter, so the order the
+    rows were recorded in decides nothing.
     """
     tick = state["tick"]
     store = state["store"]
@@ -234,7 +236,7 @@ def _state_key(state: dict, stall_limit: int):
         tuple(state["commit_order"]),
         _canon(state["results"]),
         _canon(state["cut_levels"]),
-        _canon(state["waits"]),
+        tuple(sorted(_canon(state["waits"]))),
         _canon_scheduler(state["scheduler"], live_keys),
     )
 

@@ -105,14 +105,19 @@ class DistributedLockControl(NoControl):
     def __init__(self) -> None:
         self.locks = LockManager()
 
+    def attach(self, sequencer: "Sequencer") -> None:
+        super().attach(sequencer)
+        self.locks.waits = sequencer.waits
+
     def decide(self, request: dict):
-        name = request["name"]
-        if self.locks.try_acquire(name, request["entity"]):
+        name, entity = request["name"], request["entity"]
+        if self.locks.try_acquire(name, entity):
             return "grant"
-        cycle = self.locks.deadlock_cycle()
-        if cycle:
-            return cycle, "lock"
-        return "wait"
+        holder = self.locks.holder(entity)
+        found = holder is not None and self.sequencer.waits.wait(
+            name, [holder], "lock"
+        )
+        return found or "wait"
 
     def on_commit(self, name: str) -> None:
         self.locks.release_all(name)

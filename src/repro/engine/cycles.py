@@ -2,10 +2,11 @@
 
 Every §6 scheduler decides who waits and who rolls back by finding a
 cycle, and the offline checkers decide serializability the same way.
-The graphs are nearly always tiny (a handful of live transactions) but
-are rebuilt and searched on *every* blocked request, so this is a plain
-insertion-ordered successor dict searched by an iterative colour DFS —
-``nx.find_cycle`` spent most of its time in dispatch and views.
+One iterative colour DFS over a successor dict serves both:
+``WaitGraph.find_cycle`` runs it over an insertion-ordered graph built
+for one question (``nx.find_cycle`` spent most of its time in dispatch
+and views), and ``WaitsFor.wait`` runs it in place over the runtime's
+relation, from the waiter alone — no graph is built per blocked request.
 
 Exactness matters: *which* cycle is surfaced decides which victim is
 rolled back, and the service/library bit-identical differentials pin
@@ -30,6 +31,35 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable
 
 __all__ = ["WaitGraph", "WaitsFor"]
+
+
+def _find_cycle(succ, roots: Iterable[Hashable]) -> list | None:
+    """The one cycle search: an iterative colour DFS over ``succ`` (node
+    -> its successors, in order; a node without an entry has none) from
+    each of ``roots`` in turn.  Returns the first cycle closed, from the
+    node the back edge reaches, or ``None``."""
+    done: set[Hashable] = set()
+    for root in roots:
+        if root in done:
+            continue
+        path = [root]
+        on_path = {root}
+        successors = [iter(succ.get(root, ()))]
+        while successors:
+            for head in successors[-1]:
+                if head in on_path:
+                    return path[path.index(head):]
+                if head not in done:
+                    path.append(head)
+                    on_path.add(head)
+                    successors.append(iter(succ.get(head, ())))
+                    break
+            else:
+                node = path.pop()
+                on_path.remove(node)
+                done.add(node)
+                successors.pop()
+    return None
 
 
 class WaitGraph:
@@ -86,33 +116,8 @@ class WaitGraph:
         """
         succ = self._succ
         if source is None:
-            roots: Iterable[Hashable] = succ
-        elif source in succ:
-            roots = (source,)
-        else:
-            return None
-        done: set[Hashable] = set()
-        for root in roots:
-            if root in done:
-                continue
-            path = [root]
-            on_path = {root}
-            successors = [iter(succ[root])]
-            while successors:
-                for head in successors[-1]:
-                    if head in on_path:
-                        return path[path.index(head):]
-                    if head not in done:
-                        path.append(head)
-                        on_path.add(head)
-                        successors.append(iter(succ[head]))
-                        break
-                else:
-                    node = path.pop()
-                    on_path.remove(node)
-                    done.add(node)
-                    successors.pop()
-        return None
+            return _find_cycle(succ, succ)
+        return _find_cycle(succ, (source,)) if source in succ else None
 
     def components(self) -> list[set]:
         """The strongly connected components, each a set of nodes.
@@ -163,7 +168,9 @@ class WaitsFor:
     """Who cannot proceed until whom, and the one victim rule: the
     waits-for relation of a runtime (DESIGN.md §4b item 8).
 
-    The *grant relation* is every wait recorded by :meth:`wait`.  The
+    The *grant relation* is every wait recorded by :meth:`wait`, plus
+    the rows a :class:`~repro.engine.locks.LockManager` attached to this
+    relation keeps equal to its queues.  The
     *dependency relation* is the owner's commit dependencies
     (``dependencies()`` yields each name with the names it must see
     commit first), plus — while a waiter asks — its wait on owners that
@@ -175,8 +182,8 @@ class WaitsFor:
 
     def __init__(self, dependencies: Callable[[], Iterable],
                  finished: Callable, priority: Callable) -> None:
-        # waiter -> its blockers, sorted, in recording order: that order
-        # decides the cycle found, hence the victim.
+        # waiter -> its blockers, sorted: their order decides the cycle
+        # found from a waiter, hence the victim.
         self.waits: dict[Hashable, list] = {}
         self._dependencies = dependencies
         self._finished = finished
@@ -187,15 +194,15 @@ class WaitsFor:
     ) -> tuple[list, str] | None:
         """Record that ``waiter`` cannot proceed until ``blockers`` have,
         and return the cycle this closes with its cause, or ``None``.
-        The grant relation is searched whole (a cycle there is
-        ``cause``'s); only if it is acyclic and a blocker has finished,
-        the dependency relation from ``waiter``."""
-        blockers = self.waits[waiter] = sorted(blockers)
-        cycle = WaitGraph(
-            (name, blocker)
-            for name, blocking in self.waits.items()
-            for blocker in blocking
-        ).find_cycle()
+        Every cycle is broken when found, so the grant relation was
+        acyclic before this wait and a new cycle passes through
+        ``waiter``: it is searched from there, in place, and reported
+        from ``waiter`` on (a cycle there is ``cause``'s).  Only if
+        there is none and a blocker has finished, the dependency
+        relation from ``waiter``."""
+        waits = self.waits
+        blockers = waits[waiter] = sorted(blockers)
+        cycle = _find_cycle(waits, (waiter,))
         if cycle is not None:
             return cycle, cause
         finished = [name for name in blockers if self._finished(name)]

@@ -3,23 +3,30 @@
 Used by the strict two-phase-locking baseline ([EGLT]) and the
 sequencer's distributed locking: under the paper's dependency order
 every pair of same-entity accesses conflicts, reads included, so every
-lock is exclusive.  Deadlock handling is the caller's job: the manager
-exposes the waits-for edges; the engine detects cycles and picks
-victims.
+lock is exclusive.
+
+The manager keeps no graph of its own.  Its ``waits`` is the runtime's
+one waits-for relation (:class:`~repro.engine.cycles.WaitsFor`, set
+when the scheduler or control is attached), and the manager keeps it
+equal to its queues at every holder change: a queued waiter waits on
+the lock's holder, and a free lock blocks no one.  A caller refused a
+held lock records that wait itself with ``waits.wait(owner, [holder],
+"lock")``, which returns the cycle it closes; breaking it is the
+runtime's job.  An owner waits in one queue at a time: a refused owner
+asks again for the same entity, or releases everything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.cycles import WaitGraph
+from repro.engine.cycles import WaitsFor
 
 __all__ = ["LockManager"]
 
 
 @dataclass(slots=True)
 class _Lock:
-    rank: int  # creation order: waits-for edges are listed in it
     holder: str | None = None
     waiters: list[str] = field(default_factory=list)  # FIFO owners
 
@@ -29,19 +36,11 @@ class LockManager:
 
     def __init__(self) -> None:
         self._locks: dict[str, _Lock] = {}
-        # Entities whose lock has a non-empty wait queue: only those
-        # yield waits-for edges, so detection walks these, not every
-        # lock ever created.
-        self._waited: set[str] = set()
         # Per owner: entities it holds or waits on (insertion-ordered),
         # so releasing scans only the owner's footprint rather than
         # every lock ever created.
         self._owned: dict[str, dict[str, None]] = {}
-        # The last waits-for edge set proven acyclic.  Acyclicity
-        # depends only on the edge *set*, so while the set is unchanged
-        # (the common case: a blocked transaction re-requesting each
-        # tick) detection is a set comparison, not a graph search.
-        self._acyclic_sig: frozenset | None = None
+        self.waits: WaitsFor | None = None
 
     # ------------------------------------------------------------------
 
@@ -58,7 +57,7 @@ class LockManager:
         """
         lock = self._locks.get(entity)
         if lock is None:
-            lock = self._locks[entity] = _Lock(len(self._locks))
+            lock = self._locks[entity] = _Lock()
         if lock.holder == owner:
             return True
         waiters = lock.waiters
@@ -66,13 +65,13 @@ class LockManager:
             lock.holder = owner
             if waiters:
                 del waiters[0]
-                if not waiters:
-                    self._waited.discard(entity)
+                rows = self.waits.waits
+                for waiter in waiters:
+                    rows[waiter] = [owner]
             self._owned.setdefault(owner, {})[entity] = None
             return True
         if owner not in waiters:
             waiters.append(owner)
-            self._waited.add(entity)
             self._owned.setdefault(owner, {})[entity] = None
         return False
 
@@ -80,57 +79,26 @@ class LockManager:
         """Release everything ``owner`` holds or waits for; returns the
         entities whose queues may now make progress (order unspecified,
         possibly with duplicates — callers treat it as a set)."""
+        done = self.waits.done
         touched = []
         for entity in self._owned.pop(owner, ()):
-            lock = self._locks.get(entity)
-            if lock is None:
-                continue
+            lock = self._locks[entity]
             if lock.holder == owner:
                 lock.holder = None
                 touched.append(entity)
-            if owner in lock.waiters:
+                for waiter in lock.waiters:
+                    done(waiter)
+            elif owner in lock.waiters:
                 lock.waiters.remove(owner)
                 touched.append(entity)
-                if not lock.waiters:
-                    self._waited.discard(entity)
+        done(owner)
         return touched
 
     # ------------------------------------------------------------------
 
-    def waits_for_edges(self) -> list[tuple[str, str]]:
-        """Edges ``waiter -> holder`` for deadlock detection, in lock
-        creation order (which decides the cycle found, hence the
-        victim).  Only a lock with waiters yields an edge, so only the
-        contended ones are walked; sorting them by rank keeps the set's
-        hash-seed-dependent order out of the edge list."""
-        locks = self._locks
-        edges = []
-        for entity in sorted(self._waited, key=lambda e: locks[e].rank):
-            lock = locks[entity]
-            if lock.holder is not None:
-                edges.extend((waiter, lock.holder) for waiter in lock.waiters)
-        return edges
-
-    def deadlock_cycle(self) -> list[str] | None:
-        """One waits-for cycle (as a list of owners), or None.
-
-        Results are memoised on the acyclic side only: cycle *identity*
-        can depend on edge order, but "no cycle" depends only on the
-        edge set, so an unchanged set short-circuits the search.
-        """
-        edges = self.waits_for_edges()
-        sig = frozenset(edges)
-        if sig == self._acyclic_sig:
-            return None
-        cycle = WaitGraph(edges).find_cycle()
-        if cycle is None:
-            self._acyclic_sig = sig
-        return cycle
-
     def snapshot_state(self) -> dict:
-        """Picklable state preserving every iteration order (lock
-        creation order feeds waits-for edge order, which decides cycle
-        identity and hence victim choice)."""
+        """Picklable state preserving every iteration order.  The waits
+        rows the manager keeps travel with the runtime's relation."""
         return {
             "locks": [
                 (entity, lock.holder, list(lock.waiters))
@@ -144,16 +112,10 @@ class LockManager:
 
     def restore_state(self, state: dict) -> None:
         self._locks = {
-            entity: _Lock(rank, holder, list(waiters))
-            for rank, (entity, holder, waiters) in enumerate(state["locks"])
-        }
-        self._waited = {
-            entity for entity, lock in self._locks.items() if lock.waiters
+            entity: _Lock(holder, list(waiters))
+            for entity, holder, waiters in state["locks"]
         }
         self._owned = {
             owner: {entity: None for entity in entities}
             for owner, entities in state["owned"]
         }
-        # Dropped, not saved: recomputing "no cycle" from the restored
-        # edge set gives the identical answer.
-        self._acyclic_sig = None

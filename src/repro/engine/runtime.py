@@ -639,6 +639,10 @@ class Engine:
     def active_states(self) -> list[TxnState]:
         return list(self._active.values())
 
+    def active_count(self) -> int:
+        """How many registered transactions have not committed."""
+        return len(self._active)
+
     def arrived_states(self) -> list[TxnState]:
         """The active transactions the tick loop scans — every one that
         has performed a step, holds a lock or awaits commit is here."""

@@ -4,9 +4,9 @@ baseline.
 Every access takes its entity's exclusive lock — the paper's dependency
 order makes reads conflict too — and every lock is held to commit
 (strictness also gives recoverability: no dirty reads, so the
-engine's cascade machinery stays idle under this scheduler).  Deadlocks
-are detected on the waits-for graph; the youngest transaction in the
-cycle is rolled back.
+engine's cascade machinery stays idle under this scheduler).  A lock
+wait goes into the engine's one waits-for relation, searched from the
+waiter; the youngest transaction in the cycle it closes is rolled back.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ class TwoPhaseLockingScheduler(Scheduler):
     def __init__(self) -> None:
         super().__init__()
         self.locks = LockManager()
+
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        self.locks.waits = engine.waits
 
     def counters(self, metrics):
         detail = metrics.detail
@@ -48,12 +52,13 @@ class TwoPhaseLockingScheduler(Scheduler):
                     mode="X",
                 )
             return Decision.perform()
-        cycle = self.locks.deadlock_cycle()
-        if cycle:
-            return self.engine.break_cycle(cycle, "lock")
+        holder = self.locks.holder(access.entity)
+        if holder is not None:
+            found = self.engine.waits.wait(txn.name, [holder], "lock")
+            if found is not None:
+                return self.engine.break_cycle(*found)
         self.engine.metrics.detail["lock_waits"] += 1
         if "lock.wait" in reads:
-            holder = self.locks.holder(access.entity)
             self.emit(
                 "lock.wait",
                 txn=txn.name,

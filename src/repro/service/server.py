@@ -29,6 +29,7 @@ exposition) and ``GET /healthz``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 from dataclasses import dataclass, field
 
@@ -147,6 +148,12 @@ class TransactionService:
         self._pump_task: asyncio.Task | None = None
         self.registry.derive("service", self._publish)
         self.registry.derive("phases", self.profiler.publish)
+        if self.engine.active_count():
+            # Recovery left admitted work: finish it without waiting for
+            # a client.  Built outside a running loop, the service starts
+            # its pump at the first drain or submission instead.
+            with contextlib.suppress(RuntimeError):
+                self._ensure_pump()
 
     def _boot(self, config: ServiceConfig):
         """Build the (nest, engine) pair — fresh, or recovered from the
@@ -239,7 +246,7 @@ class TransactionService:
             )
         registry.put(
             "gauge", "repro_service_in_flight",
-            "Admitted submissions not yet resolved.", len(self._pending),
+            "Admitted submissions not yet resolved.", self._in_flight(),
         )
         registry.put(
             "counter", "repro_service_pump_batches_total",
@@ -280,7 +287,7 @@ class TransactionService:
         decision = self.admission.check(
             submission,
             known_names=self.engine.txns,
-            in_flight=len(self._pending),
+            in_flight=self._in_flight(),
         )
         if not decision.admitted:
             rejected = ResultEnvelope(
@@ -305,6 +312,11 @@ class TransactionService:
         self._ensure_pump()
         envelope = await future
         return {"ok": True, "envelope": envelope.to_dict()}
+
+    def _in_flight(self) -> int:
+        """Admitted work not yet committed: queued, or in the engine
+        (which after a restart holds what the log admitted)."""
+        return self.engine.active_count() + self._queue.qsize()
 
     def _ensure_pump(self) -> None:
         if self._pump_task is None or self._pump_task.done():
@@ -341,7 +353,7 @@ class TransactionService:
             try:
                 submission = self._queue.get_nowait()
             except asyncio.QueueEmpty:
-                if not self._pending:
+                if not self.engine.active_count():
                     return  # idle; the next submit restarts the pump
                 submission = None
             if submission is not None:
@@ -366,14 +378,14 @@ class TransactionService:
             position = len(serial)
             name = order[position]
             serial[name] = position
-            waiters = self._pending.pop(name, None)
-            if waiters is not None:
-                # Built even when every waiter was cancelled: building
-                # it takes the transaction's causes out of the tracer.
-                envelope = self._envelope_for(name, position)
-                for future in waiters:
-                    if not future.done():
-                        future.set_result(envelope)
+            # Built even when no waiter is left (each was cancelled, or
+            # recovery resumed the transaction before its key came
+            # back): building it takes the transaction's causes out of
+            # the tracer, and keeps them for a resubmission.
+            envelope = self._envelope_for(name, position)
+            for future in self._pending.pop(name, ()):
+                if not future.done():
+                    future.set_result(envelope)
 
     def _envelope_for(self, name: str, position: int) -> ResultEnvelope:
         """``name``'s envelope, built from the engine: when it commits,
@@ -410,7 +422,7 @@ class TransactionService:
             "status": "serving",
             "scheduler": self.config.scheduler,
             "tick": self.engine.tick,
-            "in_flight": len(self._pending),
+            "in_flight": self._in_flight(),
             "queued": self._queue.qsize(),
             "submitted": self.admission.admitted,
             "committed": len(self.engine.commit_order),
@@ -455,10 +467,11 @@ class TransactionService:
         }
 
     async def drain(self) -> dict:
-        """Wait until every admitted submission has resolved.  With a
-        WAL, the log is fsynced before replying — the drain ack promises
-        the drained history survives a crash."""
-        while self._pending or self._queue.qsize():
+        """Wait until every admitted transaction has committed — the
+        engine quiesced, whether a client is waiting on it or recovery
+        resumed it.  With a WAL, the log is fsynced before replying —
+        the drain ack promises the drained history survives a crash."""
+        while self._in_flight():
             self._ensure_pump()
             await asyncio.sleep(0)
         self.wal.sync()

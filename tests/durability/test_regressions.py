@@ -222,7 +222,11 @@ def test_add_record_lacking_a_field_is_a_typed_error(tmp_path, missing):
 
 
 @pytest.mark.parametrize(
-    "stamp", [b"", b"repro-snapshot-0\n"], ids=["unstamped", "other-stamp"]
+    "stamp",
+    [b"", b"repro-snapshot-0\n", b"repro-snapshot-13\n"],
+    # ``previous-stamp``: the layout whose ``2pl`` snapshots carry no
+    # waits rows for lock waiters.
+    ids=["unstamped", "other-stamp", "previous-stamp"],
 )
 @pytest.mark.parametrize("scheduler", ["2pl", "mla-detect"])
 def test_foreign_layout_snapshot_is_skipped(

@@ -210,9 +210,12 @@ def waits_for(deps=None, finished=()):
 def test_grant_cycles_match_a_wait_graph_of_the_recorded_waits():
     """With every owner live, each ``wait`` finds the cycle (and so the
     victim) that a ``WaitGraph`` of all recorded waits, in recording
-    order, finds — the search the schedulers ran on their own waits."""
+    order, finds — the whole-graph search the relation once ran —
+    rotated to start at the waiter: every cycle is broken when found,
+    so the one a wait closes passes through its waiter."""
     rng = random.Random(43)
     nodes = [f"t{i}" for i in range(6)]
+    cycles = 0
     for _ in range(300):
         relation, _ = waits_for()
         recorded: dict[str, set] = {}
@@ -230,9 +233,13 @@ def test_grant_cycles_match_a_wait_graph_of_the_recorded_waits():
             if expected is None:
                 assert found is None
                 continue
-            assert found == (expected, "breakpoint-wait")
+            start = expected.index(waiter)
+            rotated = expected[start:] + expected[:start]
+            assert found == (rotated, "breakpoint-wait")
             assert relation.victim(found[0]) == max(expected)
+            cycles += 1
             break
+    assert cycles > 50
 
 
 def test_wait_on_a_finished_owner_closes_a_dependency_cycle():

@@ -22,6 +22,15 @@ ticks until the stall rule rolled back a random member at tick 733
 same youngest member, ``t6``; the run ends at tick 278.  ``STALL_RUN``
 was added then, so the stall rule stays pinned.
 
+They were regenerated once more when a wait came to be searched from
+its waiter over the one relation (with ``2pl``'s lock waits in it)
+instead of searching a graph of every recorded wait from its first
+node.  Every run kept its WAL and history bytes, and every event but
+28 ``deadlock`` events stayed byte-identical.  Each of those 28 reports
+the parent's cycle rotated to start at the waiter, with the same victim
+and cause: ``2pl`` 4 + 4 (transaction + segment), ``mla-nested-lock``
+3 + 5, ``mla-prevent`` 3 + 3 and ``STALL_RUN`` 6.
+
 Regenerate — only ever from the commit whose behaviour is the reference
 — with ``PYTHONPATH=<that checkout>/src python
 tests/engine/test_decision_stream.py``.

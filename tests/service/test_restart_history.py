@@ -1,15 +1,16 @@
-"""A restart with ``--history`` records what commits after it, and its
-writer holds only the nest paths it can still use.
+"""A restart finishes what the log admitted, and with ``--history`` it
+records what commits after it, its writer holding only the nest paths it
+can still use.
 
 The run: 400 ``2pl`` transactions submitted in closed-loop batches of
 32, and an unclean stop at the first commit of the seventh batch, so
 the log holds 224 admissions and 193 commits.  A restart on that log
-with a fresh history file replays it, and the same 400 submissions are
-sent again: the committed keys are answered from the replayed engine,
-the in-flight ones wait for the resumed transactions, and the rest run
-fresh.  The restarted writer is told the paths of the in-flight
-transactions only, and pops each at its commit, so once the service
-has drained it holds none.
+with a fresh history file replays it and resumes the 31 in-flight
+transactions with no client asking: a drain commits all 224.  Then the
+same 400 submissions are sent again: the 224 logged keys are answered
+from the engine as duplicates, and the rest run fresh.  The restarted
+writer is told the paths of the in-flight transactions only, and pops
+each at its commit, so once the service has drained it holds none.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import re
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 from repro.audit import load_history
 from repro.service import (
@@ -37,8 +40,10 @@ SUBMISSIONS = traffic_submissions(
 BATCHES = [SUBMISSIONS[i:i + 32] for i in range(0, len(SUBMISSIONS), 32)]
 #: The batches that commit before the unclean stop.
 CLEAN = 6
-#: The restarted history's footer digest, as the previous build (whose
-#: writer kept every recovered path) wrote it for the same run.
+#: The restarted history's footer digest, as the build whose writer
+#: kept every recovered path wrote it for the same run (resuming the 31
+#: in-flight transactions then waited for their keys to come back; they
+#: committed before any fresh work either way).
 DIGEST = "dc2795c77a93eeff37ab4914192c2d3fef594c8ec6d0b8efab5fa263ebb84337"
 
 
@@ -85,8 +90,9 @@ def resubmit(service: TransactionService) -> list[dict]:
 
 def serve_restart(directory: str, history: str) -> tuple[dict, dict, dict]:
     """Restart a real ``repro serve`` child on ``directory`` with a new
-    ``history``, resubmit every key and shut it down; returns health
-    before and after the resubmission, and the shutdown reply."""
+    ``history``, drain it, resubmit every key and shut it down; returns
+    the drain reply, health after the resubmission, and the shutdown
+    reply."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["repro"].__file__
     )))
@@ -99,7 +105,7 @@ def serve_restart(directory: str, history: str) -> tuple[dict, dict, dict]:
     try:
         port = int(re.search(r":(\d+) ", child.stdout.readline()).group(1))
         with ServiceClient("127.0.0.1", port, timeout=60) as client:
-            before = client.health()
+            before = client.drain()
             responses = []
             for batch in BATCHES:
                 reply = client.request({
@@ -129,20 +135,60 @@ def assert_resubmitted(responses: list[dict], admitted: int) -> None:
     assert all(r["ok"] for r in responses)
 
 
-def test_restart_history_holds_only_post_restart_commits(tmp_path):
-    admitted, crashed = crash_log(str(tmp_path / "crashed"))
-    assert (admitted, crashed) == (224, 193)
+@pytest.fixture(scope="module")
+def crashed(tmp_path_factory) -> tuple[str, int, int]:
+    """The crashed run's log directory, admitted and committed counts."""
+    directory = str(tmp_path_factory.mktemp("crashed"))
+    admitted, committed = crash_log(directory)
+    assert (admitted, committed) == (224, 193)
+    return directory, admitted, committed
+
+
+def restart(log: str, directory: str, history: str) -> TransactionService:
+    shutil.copytree(log, directory)
+    return TransactionService(ServiceConfig(
+        scheduler="2pl", wal_dir=directory, history_path=history,
+        admission=AdmissionConfig(window=32),
+    ))
+
+
+def test_a_restart_commits_what_it_admitted_with_no_submission(
+    crashed, tmp_path
+):
+    """Nobody resubmits: a drain alone commits the 31 transactions the
+    log admitted but did not commit, and the restarted history's footer
+    counts exactly those."""
+    log, admitted, committed = crashed
+    history = str(tmp_path / "drained.jsonl")
+    service = restart(log, str(tmp_path / "drained"), history)
+    health = service.health()
+    assert health["in_flight"] == admitted - committed
+    assert service.registry.value("repro_service_in_flight") == (
+        admitted - committed
+    )
+    drained = asyncio.run(service.drain())
+    assert drained["committed"] == drained["submitted"] == admitted
+    assert drained["in_flight"] == 0
+    assert service.history.paths == {}
+    service.wal.close()
+    digest = service.history.close()
+    with open(history, encoding="utf-8") as handle:
+        footer = json.loads(handle.readlines()[-1])
+    assert footer["commits"] == admitted - committed == 31
+    assert footer["sha256"] == digest
+    assert len(load_history(history).commit_order) == 31
+
+
+def test_restart_history_holds_only_post_restart_commits(crashed, tmp_path):
+    log, admitted, crashed = crashed
 
     # In process: the writer learns only the in-flight paths, and has
     # popped every one once the service has drained.
-    in_process = str(tmp_path / "in-process")
-    shutil.copytree(tmp_path / "crashed", in_process)
-    service = TransactionService(ServiceConfig(
-        scheduler="2pl", wal_dir=in_process,
-        history_path=str(tmp_path / "in-process.jsonl"),
-        admission=AdmissionConfig(window=32),
-    ))
+    service = restart(
+        log, str(tmp_path / "in-process"), str(tmp_path / "in-process.jsonl")
+    )
     assert len(service.history.paths) == admitted - crashed
+    assert asyncio.run(service.drain())["committed"] == admitted
     assert_resubmitted(resubmit(service), admitted)
     assert len(service.engine.commit_order) == len(SUBMISSIONS)
     assert service.history.paths == {}
@@ -151,11 +197,11 @@ def test_restart_history_holds_only_post_restart_commits(tmp_path):
 
     # A real server on the same log, driven through the client.
     served = str(tmp_path / "served")
-    shutil.copytree(tmp_path / "crashed", served)
+    shutil.copytree(log, served)
     history = str(tmp_path / "served.jsonl")
     before, after, summary = serve_restart(served, history)
-    assert before["committed"] == crashed
-    assert before["submitted"] == before["wal"]["recovered"] == admitted
+    assert before["committed"] == before["submitted"] == admitted
+    assert before["wal"]["recovered"] == admitted
     assert before["history"]["path"] == history
     assert after["committed"] == summary["committed"] == len(SUBMISSIONS)
 
@@ -167,3 +213,39 @@ def test_restart_history_holds_only_post_restart_commits(tmp_path):
     assert len(loaded.commit_order) == len(SUBMISSIONS) - crashed
     assert loaded.digest() == footer["sha256"] == in_process_digest
     assert footer["sha256"] == DIGEST
+
+
+def test_a_resubmitted_key_is_answered_before_or_after_its_commit(
+    crashed, tmp_path
+):
+    """A key whose transaction recovery resumed gets the same envelope
+    whether it comes back while the transaction is still running or
+    after the pump has committed it with nobody waiting."""
+    log, admitted, committed = crashed
+    service = restart(
+        log, str(tmp_path / "resubmitted"), str(tmp_path / "h.jsonl")
+    )
+    by_name = {s.program.name: s for s in SUBMISSIONS[:admitted]}
+    resumed = [
+        by_name[state.name] for state in service.engine.active_states()
+    ]
+    assert len(resumed) == admitted - committed
+
+    async def go():
+        early = asyncio.ensure_future(service.submit(resumed[0]))
+        await asyncio.sleep(0)
+        assert not early.done()
+        await service.drain()
+        late = [await service.submit(s) for s in resumed]
+        return await early, late
+
+    early, late = asyncio.run(go())
+    service.wal.close()
+    service.history.close()
+    assert early["duplicate"] and all(r["duplicate"] for r in late)
+    assert early["envelope"] == late[0]["envelope"]
+    positions = [r["envelope"]["serial_position"] for r in late]
+    assert sorted(positions) == list(range(committed, admitted))
+    assert all(
+        r["envelope"]["status"] in ("committed", "restarted") for r in late
+    )

@@ -15,7 +15,7 @@ imports networkx (it is the tests' oracle).  And
 for cycle finding: one finder, and set-valued waits enter it sorted in
 one place (``WaitGraph.add_waits``).  And for the tick loop: it draws
 from a list kept in name order instead of sorting every tick, and
-deadlock detection walks the contended locks, not every lock.  And for
+deadlock detection searches from the waiter, building no graph.  And for
 configuration: every concurrency control runs the paper's one conflict
 model with exclusive locks, so no constructor takes a conflict model,
 a lock mode or a prune interval.  And for rollback: both units of
@@ -238,10 +238,12 @@ def test_tick_loop_pays_for_its_decision_not_for_the_window():
         os.path.join("engine", "runtime.py"), "Engine.advance"
     )
     assert "sorted(" not in advance
-    edges = _function_source(
-        os.path.join("engine", "locks.py"), "LockManager.waits_for_edges"
-    )
-    assert "self._locks.values()" not in edges
+    # Deadlock detection searches the one relation from the waiter: the
+    # lock manager builds no graph, and no wait rebuilds one.
+    with open(os.path.join(SRC, "engine", "locks.py"), encoding="utf-8") as fh:
+        assert "WaitGraph" not in fh.read()
+    wait = _function_source(os.path.join("engine", "cycles.py"), "WaitsFor.wait")
+    assert "WaitGraph(" not in wait
 
 
 def _parse(relpath: str) -> ast.Module:
