@@ -34,7 +34,7 @@ from typing import Any
 from repro.api import ProgramSpec, make_scheduler
 from repro.core.atomicity import check_correctability
 from repro.core.nests import KNest
-from repro.engine.runtime import Engine
+from repro.engine.runtime import Engine, unpack_commit
 from repro.errors import SpecificationError
 
 __all__ = ["ExplorationReport", "SMALL_CONFIGS", "explore", "make_config"]
@@ -190,9 +190,15 @@ def _state_key(state: dict, stall_limit: int):
     tick = state["tick"]
     store = state["store"]
     store_key = (_canon(store["initial"]), _canon(store["values"]))
-    seqs = sorted({
-        entry[0] for entry in state["live_log"] + state["committed_log"]
-    })
+    committed = [
+        (seq, name, attempt, *rest)
+        for name, attempt, rows in map(unpack_commit, state["committed_log"])
+        for seq, *rest in rows
+    ]
+    seqs = sorted(
+        {entry[0] for entry in state["live_log"]}
+        | {row[0] for row in committed}
+    )
     rank = {seq: position for position, seq in enumerate(seqs)}
     txns = tuple(
         (
@@ -224,10 +230,7 @@ def _state_key(state: dict, stall_limit: int):
             (rank[seq], _canon(key), repr(record))
             for seq, key, record in state["live_log"]
         ),
-        tuple(
-            (rank[seq], *map(repr, rest))
-            for seq, *rest in state["committed_log"]
-        ),
+        tuple((rank[seq], *map(repr, rest)) for seq, *rest in committed),
         tuple(sorted(
             (entity, rank[seq], _canon(key))
             for entity, (seq, key) in state["committed_access"].items()

@@ -504,8 +504,8 @@ class HistoryRecorder(HistorySink):
 
     Each committed step is kept as a flat row ``(seq, txn, index,
     entity, kind, before, after)`` of JSON scalars — a tuple the cyclic
-    GC stops tracking, like the engine's committed log — and becomes a
-    :class:`HistoryStep` only in :meth:`history`."""
+    GC stops tracking — and becomes a :class:`HistoryStep` only in
+    :meth:`history`."""
 
     enabled = True
 

@@ -777,18 +777,18 @@ class Sequencer:
             timer=True,
         )
 
-    def _dependencies(self):
-        """Each current attempt with the uncommitted ones whose writes it
-        consumed."""
+    def _dependencies(self, name: str) -> set[str]:
+        """The uncommitted attempts whose writes ``name``'s current
+        attempt consumed."""
         attempts = self.attempts
-        for (txn_name, attempt), deps in self.deps.items():
-            if attempt == attempts[txn_name]:
-                yield txn_name, {
-                    dep_name
-                    for dep_name, dep_attempt in deps
-                    if dep_name not in self.committed_names
-                    and dep_attempt == attempts[dep_name]
-                }
+        return {
+            dep_name
+            for dep_name, dep_attempt in self.deps.get(
+                (name, attempts[name]), ()
+            )
+            if dep_name not in self.committed_names
+            and dep_attempt == attempts[dep_name]
+        }
 
     def _break(self, cycle: list[str], cause: str) -> str:
         """Roll back and return the youngest member of a waits-for

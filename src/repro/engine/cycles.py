@@ -2,11 +2,12 @@
 
 Every §6 scheduler decides who waits and who rolls back by finding a
 cycle, and the offline checkers decide serializability the same way.
-One iterative colour DFS over a successor dict serves both:
+One iterative colour DFS over a successor map serves both:
 ``WaitGraph.find_cycle`` runs it over an insertion-ordered graph built
 for one question (``nx.find_cycle`` spent most of its time in dispatch
-and views), and ``WaitsFor.wait`` runs it in place over the runtime's
-relation, from the waiter alone — no graph is built per blocked request.
+and views), and ``WaitsFor`` runs it in place over the runtime's
+relations, from the waiter alone — no graph is built per blocked
+request or per commit that waits on a dependency.
 
 Exactness matters: *which* cycle is surfaced decides which victim is
 rolled back, and the service/library bit-identical differentials pin
@@ -33,18 +34,18 @@ from collections.abc import Callable, Hashable, Iterable
 __all__ = ["WaitGraph", "WaitsFor"]
 
 
-def _find_cycle(succ, roots: Iterable[Hashable]) -> list | None:
+def _find_cycle(succ: Callable, roots: Iterable[Hashable]) -> list | None:
     """The one cycle search: an iterative colour DFS over ``succ`` (node
-    -> its successors, in order; a node without an entry has none) from
-    each of ``roots`` in turn.  Returns the first cycle closed, from the
-    node the back edge reaches, or ``None``."""
+    -> its successors, in order; asked once per node reached) from each
+    of ``roots`` in turn.  Returns the first cycle closed, from the node
+    the back edge reaches, or ``None``."""
     done: set[Hashable] = set()
     for root in roots:
         if root in done:
             continue
         path = [root]
         on_path = {root}
-        successors = [iter(succ.get(root, ()))]
+        successors = [iter(succ(root))]
         while successors:
             for head in successors[-1]:
                 if head in on_path:
@@ -52,7 +53,7 @@ def _find_cycle(succ, roots: Iterable[Hashable]) -> list | None:
                 if head not in done:
                     path.append(head)
                     on_path.add(head)
-                    successors.append(iter(succ.get(head, ())))
+                    successors.append(iter(succ(head)))
                     break
             else:
                 node = path.pop()
@@ -116,8 +117,10 @@ class WaitGraph:
         """
         succ = self._succ
         if source is None:
-            return _find_cycle(succ, succ)
-        return _find_cycle(succ, (source,)) if source in succ else None
+            return _find_cycle(succ.__getitem__, succ)
+        if source not in succ:
+            return None
+        return _find_cycle(succ.__getitem__, (source,))
 
     def components(self) -> list[set]:
         """The strongly connected components, each a set of nodes.
@@ -172,10 +175,10 @@ class WaitsFor:
     the rows a :class:`~repro.engine.locks.LockManager` attached to this
     relation keeps equal to its queues.  The
     *dependency relation* is the owner's commit dependencies
-    (``dependencies()`` yields each name with the names it must see
-    commit first), plus — while a waiter asks — its wait on owners that
-    have ``finished``, which can only commit or abort.  A cycle's victim
-    is its youngest member: the largest ``priority`` key.
+    (``dependencies(name)`` is the set of names ``name`` must see commit
+    first), plus — while a waiter asks — its wait on owners that have
+    ``finished``, which can only commit or abort.  A cycle's victim is
+    its youngest member: the largest ``priority`` key.
     """
 
     __slots__ = ("waits", "_dependencies", "_finished", "_priority")
@@ -202,7 +205,7 @@ class WaitsFor:
         relation from ``waiter``."""
         waits = self.waits
         blockers = waits[waiter] = sorted(blockers)
-        cycle = _find_cycle(waits, (waiter,))
+        cycle = _find_cycle(lambda name: waits.get(name, ()), (waiter,))
         if cycle is not None:
             return cycle, cause
         finished = [name for name in blockers if self._finished(name)]
@@ -216,12 +219,25 @@ class WaitsFor:
 
     def dependency_cycle(self, source: Hashable, finished=()) -> list | None:
         """A cycle through ``source`` of the commit dependencies, with
-        ``source`` also waiting on the ``finished`` owners given."""
-        graph = WaitGraph()
-        for name, blocking in self._dependencies():
-            graph.add_waits(name, blocking)
-        graph.add_waits(source, finished)
-        return graph.find_cycle(source=source)
+        ``source`` also waiting on the ``finished`` owners given.
+
+        Searched in place from ``source``, asking only the names it
+        reaches: each one's dependencies sorted, then, for ``source``,
+        the ``finished`` owners sorted, a repeated name dropped — the
+        successors, in order, of a ``WaitGraph`` built with
+        ``add_waits`` from every name's dependencies and then
+        ``add_waits(source, finished)``, so the cycle is the one that
+        graph's ``find_cycle(source)`` returns."""
+        dependencies = self._dependencies
+        finished = sorted(finished)
+
+        def successors(name: Hashable) -> Iterable:
+            heads = sorted(dependencies(name))
+            if name == source and finished:
+                return dict.fromkeys(heads + finished)
+            return heads
+
+        return _find_cycle(successors, (source,))
 
     def victim(self, cycle: Iterable[Hashable]) -> Hashable:
         """The youngest member of ``cycle``."""

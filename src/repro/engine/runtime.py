@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import copy
 import heapq
+import io
 import math
+import pickle
 import random
 from bisect import bisect_left, insort
 from collections.abc import Iterable, Mapping
@@ -55,7 +57,7 @@ from repro.model.variables import EntityStore
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["Engine", "EngineResult", "TxnState"]
+__all__ = ["Engine", "EngineResult", "TxnState", "unpack_commit"]
 
 #: The attention pick's order: arrived transactions are kept sorted by it.
 _by_name = attrgetter("name")
@@ -164,17 +166,35 @@ class _LogEntry:
 #: A committed transaction's ``deps``: one shared empty set, not one each.
 _NO_DEPS: frozenset = frozenset()
 
-def _entry(row: tuple) -> _LogEntry:
-    """A committed-log row ``(seq, txn, attempt, index, entity, kind,
-    before, after)`` back as the entry it was committed from.  The row
-    holds ``kind.value``: an enum member is an object the cyclic GC
-    tracks, and so would be every row that held one."""
-    seq, name, attempt, index, entity, kind, before, after = row
-    return _LogEntry(
-        seq,
-        (name, attempt),
-        StepRecord(StepId(name, index), entity, StepKind(kind), before, after),
-    )
+class _Packer:
+    """Packs a committed attempt ``(name, attempt, rows)`` into one
+    immutable ``bytes``.  The pickler's memo is off, so the bytes depend
+    only on the values, never on which copy of an equal string a row
+    holds: a replayed or restored engine packs the same commit to the
+    same bytes, and its snapshot pickles them unchanged.  One pickler
+    per engine, reused: building one costs twice what a commit's
+    packing does."""
+
+    __slots__ = ("_buffer", "_pickler")
+
+    def __init__(self) -> None:
+        self._buffer = io.BytesIO()
+        self._pickler = pickle.Pickler(self._buffer, 5)
+        self._pickler.fast = True
+
+    def __call__(self, commit: tuple) -> bytes:
+        buffer = self._buffer
+        buffer.seek(0)
+        buffer.truncate()
+        self._pickler.dump(commit)
+        return buffer.getvalue()
+
+
+def unpack_commit(packed: bytes) -> tuple[str, int, list[tuple]]:
+    """A committed-log record back as ``(name, attempt, rows)``, each
+    row ``(seq, index, entity, kind, before, after)`` with ``kind`` a
+    :class:`StepKind` value."""
+    return pickle.loads(packed)
 
 
 @dataclass
@@ -380,18 +400,13 @@ class Engine:
         # split is what keeps abort-time cascade work proportional to the
         # in-flight window instead of to the whole history — essential
         # for the open-system service, whose log otherwise grows without
-        # bound while aborts scan it end to end.  Committed records are
-        # kept as flat rows of atomic values (see ``_entry``), which the
-        # cyclic GC stops tracking: the log grows with every commit, and
-        # a tracked object per record made every full collection scan it.
+        # bound while aborts scan it end to end.  Each committed attempt
+        # is kept as one packed ``bytes`` record (see ``_Packer``): one
+        # object per commit, which the cyclic GC does not track and
+        # which pins no row tuples or integers.
         self._live_log: list[_LogEntry] = []
-        self._committed_log: list[tuple] = []
-        # One copy of each entity name for the committed rows: every
-        # program decodes its own, and the rows outlive the programs.
-        # Per engine, not ``sys.intern``: which copy a row holds shows
-        # in a pickled snapshot, so it must not depend on what else the
-        # process has interned.
-        self._entity_names: dict[str, str] = {}
+        self._committed_log: list[bytes] = []
+        self._pack = _Packer()
         # Per entity: (seq, key) of the latest committed access.  A
         # doomed write older than this watermark means a committed
         # attempt consumed state we are about to roll back — the same
@@ -630,11 +645,19 @@ class Engine:
     def log(self) -> list[_LogEntry]:
         """The live access log in global performance order (committed
         and in-flight attempts merged — materialised on demand, with
-        fresh entries and records built from the committed rows)."""
-        return sorted(
-            [_entry(row) for row in self._committed_log] + self._live_log,
-            key=attrgetter("seq"),
-        )
+        fresh entries and records unpacked from the committed log)."""
+        entries = list(self._live_log)
+        for packed in self._committed_log:
+            name, attempt, rows = unpack_commit(packed)
+            key = (name, attempt)
+            entries.extend(
+                _LogEntry(seq, key, StepRecord(
+                    StepId(name, index), entity, StepKind(kind), before, after
+                ))
+                for seq, index, entity, kind, before, after in rows
+            )
+        entries.sort(key=attrgetter("seq"))
+        return entries
 
     def active_states(self) -> list[TxnState]:
         return list(self._active.values())
@@ -750,17 +773,17 @@ class Engine:
             mine = [e for e in self._live_log if e.key == key]
             if mine:
                 self._live_log = [e for e in self._live_log if e.key != key]
-                name, attempt = key
-                names = self._entity_names
-                for entry in mine:
-                    record = entry.record
-                    entity = names.setdefault(record.entity, record.entity)
-                    self._committed_log.append((
-                        entry.seq, name, attempt, record.step.index,
-                        entity, record.kind.value,
-                        record.value_before, record.value_after,
-                    ))
-                    self._committed_access[entity] = (entry.seq, key)
+            rows = []
+            for entry in mine:
+                record = entry.record
+                rows.append((
+                    entry.seq, record.step.index, record.entity,
+                    record.kind.value, record.value_before, record.value_after,
+                ))
+                self._committed_access[record.entity] = (entry.seq, key)
+            self._committed_log.append(
+                self._pack((txn.name, txn.attempt, rows))
+            )
             live = txn.live
             self._commit_order.append(txn.name)
             self._results[txn.name] = live.result
@@ -809,18 +832,18 @@ class Engine:
         txn.wake_tick = self.tick + 1
         return False
 
-    def _dependencies(self):
-        """Each arrived transaction with the uncommitted attempts whose
-        writes it consumed: it cannot commit before they do."""
+    def _dependencies(self, name: str) -> set[str]:
+        """The uncommitted attempts whose writes ``name`` consumed: it
+        cannot commit before they do.  (Only an arrived transaction has
+        any: one that has not arrived has taken no step, and a commit
+        drops them.)"""
         txns = self.txns
-        for state in self.arrived_states():
-            yield state.name, {
-                dep_name
-                for dep_name, dep_attempt in state.deps
-                if (other := txns.get(dep_name)) is not None
-                and not other.committed
-                and other.attempt == dep_attempt
-            }
+        return {
+            dep_name
+            for dep_name, dep_attempt in txns[name].deps
+            if not (other := txns[dep_name]).committed
+            and other.attempt == dep_attempt
+        }
 
     def break_cycle(self, cycle: list[str], cause: str) -> Decision:
         """Roll back the youngest member of a waits-for ``cycle``: the
@@ -1040,11 +1063,12 @@ class Engine:
         uncommitted attempt is rebuilt on restore from its
         ``results_log`` replay tape, and a committed transaction carries
         no tape (``None``) because nothing runs its program again.  The
-        committed log is carried as the engine holds it, in flat rows.
+        committed log is carried as the engine holds it, one packed
+        record per commit (:func:`unpack_commit` reads one).
 
         ``deep=False`` skips the final defensive deep copy.  Every
         container in the dict is freshly built and step records and
-        committed rows are immutable, so the only live object a shallow
+        committed records are immutable, so the only live object a shallow
         snapshot would alias is ``metrics`` — which is copied one level
         regardless.  Nested metrics structures may still alias the
         engine's; callers that never read snapshot telemetry (the audit

@@ -223,9 +223,9 @@ def test_add_record_lacking_a_field_is_a_typed_error(tmp_path, missing):
 
 @pytest.mark.parametrize(
     "stamp",
-    [b"", b"repro-snapshot-0\n", b"repro-snapshot-13\n"],
-    # ``previous-stamp``: the layout whose ``2pl`` snapshots carry no
-    # waits rows for lock waiters.
+    [b"", b"repro-snapshot-0\n", b"repro-snapshot-14\n"],
+    # ``previous-stamp``: the layout whose committed log holds flat
+    # rows, not one packed record per commit.
     ids=["unstamped", "other-stamp", "previous-stamp"],
 )
 @pytest.mark.parametrize("scheduler", ["2pl", "mla-detect"])

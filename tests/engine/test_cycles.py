@@ -202,7 +202,8 @@ def waits_for(deps=None, finished=()):
     deps = deps or {}
     finished = set(finished)
     relation = WaitsFor(
-        lambda: deps.items(), finished.__contains__, lambda name: name
+        lambda name: deps.get(name, ()), finished.__contains__,
+        lambda name: name,
     )
     return relation, finished
 
@@ -264,6 +265,32 @@ def test_longer_dependency_cycles_through_a_finished_owner():
     assert found == (["t0", "t4", "t3", "t6"], "commit-dependency")
     assert relation.victim(found[0]) == "t6"
 
+
+
+def test_dependency_cycles_match_a_wait_graph_of_every_dependency():
+    """The in-place search from ``source`` finds the cycle (and so the
+    victim) that a ``WaitGraph`` of every name's dependencies, then
+    ``source``'s wait on the ``finished`` owners, finds from ``source``
+    — the graph the relation once built on every commit wait."""
+    rng = random.Random(47)
+    nodes = [f"t{i}" for i in range(7)]
+    cycles = 0
+    for _ in range(2000):
+        deps = {
+            name: set(rng.sample(nodes, rng.randint(0, 3))) - {name}
+            for name in rng.sample(nodes, rng.randint(0, len(nodes)))
+        }
+        source = rng.choice(nodes)
+        finished = rng.sample(nodes, rng.randint(0, 3))
+        relation, _ = waits_for(deps=deps)
+        graph = WaitGraph()
+        for name, blocking in deps.items():
+            graph.add_waits(name, blocking)
+        graph.add_waits(source, finished)
+        expected = graph.find_cycle(source=source)
+        assert relation.dependency_cycle(source, finished) == expected
+        cycles += expected is not None
+    assert 200 < cycles < 1800
 
 def test_the_same_shape_with_a_live_owner_is_no_cycle():
     """A live owner can step to a breakpoint and release its waiter, and

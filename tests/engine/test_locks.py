@@ -19,7 +19,7 @@ def _manager() -> LockManager:
     """A lock manager attached to a waits-for relation of its own, as a
     scheduler or control attaches its runtime's; age is the name."""
     locks = LockManager()
-    locks.waits = WaitsFor(lambda: (), lambda name: False, lambda name: name)
+    locks.waits = WaitsFor(lambda name: (), lambda name: False, lambda name: name)
     return locks
 
 

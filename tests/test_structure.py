@@ -154,11 +154,14 @@ def test_every_concurrency_control_is_built_from_its_nest_alone():
         TwoPhaseLockingScheduler,
     )
     from repro.engine.schedulers.base import Scheduler
+    # Imported here so the subclass count below does not depend on which
+    # other tests ran first: ``repro.engine`` does not export it.
+    from repro.engine.schedulers.serial import SerialScheduler
 
     for owner in (
         ClosureWindow, MLADetectScheduler, MLAPreventScheduler,
-        NestedLockScheduler, TimestampScheduler, TwoPhaseLockingScheduler,
-        controller.DistributedPreventControl,
+        NestedLockScheduler, SerialScheduler, TimestampScheduler,
+        TwoPhaseLockingScheduler, controller.DistributedPreventControl,
     ):
         parameters = inspect.signature(owner).parameters
         for option in ("conflicts", "use_locks", "shared_reads"):
@@ -239,11 +242,13 @@ def test_tick_loop_pays_for_its_decision_not_for_the_window():
     )
     assert "sorted(" not in advance
     # Deadlock detection searches the one relation from the waiter: the
-    # lock manager builds no graph, and no wait rebuilds one.
+    # lock manager builds no graph, and no wait or commit wait rebuilds
+    # one.
     with open(os.path.join(SRC, "engine", "locks.py"), encoding="utf-8") as fh:
         assert "WaitGraph" not in fh.read()
-    wait = _function_source(os.path.join("engine", "cycles.py"), "WaitsFor.wait")
-    assert "WaitGraph(" not in wait
+    cycles = os.path.join("engine", "cycles.py")
+    for method in ("WaitsFor.wait", "WaitsFor.dependency_cycle"):
+        assert "WaitGraph(" not in _function_source(cycles, method), method
 
 
 def _parse(relpath: str) -> ast.Module:
