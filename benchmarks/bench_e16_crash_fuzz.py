@@ -4,9 +4,11 @@ overhead.
 The durability tentpole's acceptance run.  Three claims are measured:
 
 * **Every seeded kill recovers.**  ``fuzz_crash_points`` truncates the
-  engine WAL at record boundaries and mid-record (torn writes); each
-  cut must recover to a bitwise-identical engine (state + metrics) and
-  *continue* to the reference history.  Any divergence fails the run.
+  engine WAL — its inputs and one check frame per pump slice of the
+  reference run — at record boundaries and mid-record (torn writes);
+  each cut must recover to a bitwise-identical engine (state + metrics)
+  and *continue* to the reference history.  Any divergence fails the
+  run.
 * **Recovery is cheap.**  Recovery time is measured twice — full log
   replay from genesis, and snapshot + WAL-suffix replay — so the
   snapshot shortcut's payoff is visible in ``BENCH.json``.
@@ -139,8 +141,8 @@ def measure(cuts: int | None = SMOKE_CUTS, *, scheduler: str = "mla-detect",
         full.wal.close()
         shortcut.wal.close()
         summary["snapshot_tick"] = shortcut.snapshot_tick
-        summary["replayed_records_full"] = full.replayed
-        summary["replayed_records_snapshot"] = shortcut.replayed
+        summary["replayed_checks_full"] = full.replayed
+        summary["replayed_checks_snapshot"] = shortcut.replayed
         # -- The sweep itself: every cut must recover and continue.
         start = time.perf_counter()
         report = fuzz_crash_points(
@@ -222,8 +224,11 @@ def main() -> None:
             ["sweep time (ms)", summary["fuzz_ms"]],
             ["recovery, full replay (ms)", summary["recovery_full_replay_ms"]],
             ["recovery, snapshot+suffix (ms)", summary["recovery_snapshot_ms"]],
-            ["records replayed (full)", summary["replayed_records_full"]],
-            ["records replayed (snapshot)", summary["replayed_records_snapshot"]],
+            ["check frames replayed (full)", summary["replayed_checks_full"]],
+            [
+                "check frames replayed (snapshot)",
+                summary["replayed_checks_snapshot"],
+            ],
             ["run, no WAL (ms)", summary["run_no_wal_ms"]],
             ["run, WAL enabled (ms)", summary["run_with_wal_ms"]],
             ["WAL overhead ratio (warn-only)", summary["wal_overhead_ratio"]],
@@ -231,7 +236,10 @@ def main() -> None:
         notes=(
             "Every kill point must recover to a bitwise-identical engine "
             "and continue to the reference history; the overhead ratio is "
-            "recorded, never asserted."
+            "recorded, never asserted.  The log holds the run's inputs "
+            "and one check frame per 4-tick slice (a digest of the "
+            "slice's decisions), not every decision, so it has fewer "
+            "frames, and fewer kill points, than a decision log."
         ),
     )
     append_bench(summary)

@@ -179,7 +179,10 @@ def monitor_overhead(transfers: int = 150,
 
     The budget only holds once per-commit closure maintenance amortizes
     against real engine contention — the smoke's reduced scale passes a
-    looser bound and the full run gates the honest one.
+    looser bound and the full run gates the honest one.  The budget is
+    recorded, not asserted, here: :func:`check_overhead` fails on it,
+    which the full run calls only after its table and ``BENCH.json``
+    entry are written.
     """
     from repro.api import make_scheduler
     from repro.audit import OnlineMonitor
@@ -217,11 +220,8 @@ def monitor_overhead(transfers: int = 150,
             "closure_ms": round(closure_s[0] * 1000, 2),
             "closure_pct_of_bare": round(pct, 2),
             "commits": monitor.checked,
+            "within_budget": pct < budget,
         }
-        assert pct < budget, (
-            f"E17: monitor closure cost {pct:.2f}% of the bare run "
-            f"({name}) exceeds the {budget}% budget"
-        )
     # Disabled seam: what a commit of an unobserved engine executes —
     # its kind tested against the empty route table — net of an empty
     # branch.
@@ -241,6 +241,17 @@ def monitor_overhead(transfers: int = 150,
     )
     summary["budget_pct"] = budget
     return summary
+
+
+def check_overhead(overhead: dict) -> None:
+    """Fail when a scheduler's monitor closure cost broke the budget
+    :func:`monitor_overhead` measured it against."""
+    for name, entry in overhead["schedulers"].items():
+        assert entry["within_budget"], (
+            f"E17: monitor closure cost {entry['closure_pct_of_bare']}% of "
+            f"the bare run ({name}) exceeds the {overhead['budget_pct']}% "
+            f"budget"
+        )
 
 
 def classification_round_trip() -> dict:
@@ -338,6 +349,7 @@ def smoke() -> dict:
     summary["overhead"] = monitor_overhead(
         transfers=60, budget=2 * AUDIT_OVERHEAD_BUDGET_PCT
     )
+    check_overhead(summary["overhead"])
     summary["classification"] = classification_round_trip()
     return summary
 
@@ -421,6 +433,9 @@ def main() -> None:
         ),
     )
     append_bench(summary)
+    # After the table and the BENCH.json entry: a tripped budget still
+    # leaves the sweep's results behind.
+    check_overhead(overhead)
 
 
 if __name__ == "__main__":

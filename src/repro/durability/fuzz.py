@@ -80,6 +80,9 @@ def default_specs(
 # reference run
 # ----------------------------------------------------------------------
 
+#: Ticks per pump slice of a reference run.
+SLICE_TICKS = 4
+
 
 def run_reference(
     directory: str,
@@ -95,7 +98,10 @@ def run_reference(
     arrivals=None,
 ):
     """Run the workload to completion with an engine WAL in
-    ``directory``; returns ``(engine, result)``."""
+    ``directory``; returns ``(engine, result)``.  The engine advances
+    the way the service's pump drives it, :data:`SLICE_TICKS` ticks at a
+    time with a WAL flush after each, so the log holds a check frame per
+    slice to cut at."""
     from repro.api import make_scheduler
     from repro.core.nests import KNest
     from repro.engine.runtime import Engine
@@ -133,10 +139,11 @@ def run_reference(
         recovery=recovery_unit,
         wal=wal,
     )
-    result = engine.run()
+    while not engine.advance(until_tick=engine.tick + SLICE_TICKS):
+        wal.flush()
     wal.sync()
     wal.close()
-    return engine, result
+    return engine, engine.run()
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,20 @@
-"""Recovery: snapshot + deterministic WAL-suffix replay.
+"""Recovery: rebuild the engine from its logged inputs and replay it.
 
-The engine re-derives every decision from its inputs, so recovery does
-not *apply* the log — it re-executes the engine from the latest usable
-snapshot (or genesis) with the WAL in verify mode, which checks each
-re-derived decision against the logged one.  The replay is asserted
-bitwise-identical: any mismatch, leftover logged decision, or extra
-re-derived decision raises :class:`repro.errors.RecoveryError`.
+The WAL holds the engine's inputs — genesis and the ``add`` records —
+and one check frame per flush (:mod:`repro.durability.wal`), so
+recovery does not *apply* the log.  It registers every logged program,
+restores the latest usable snapshot, and re-runs the engine to the tick
+of each check frame past that snapshot, comparing the frame with the one
+the replay re-derives (:meth:`EngineWal.check`): the decisions' digest
+and the commit count.  A mismatch is a :class:`repro.errors.RecoveryError`
+that names the check frame's tick, so replay stays a proof, checked
+once per pump slice.
 
-The *round-up rule* handles a crash mid-tick: replay runs through the
-last logged tick, verify consumes the logged prefix of that tick, and
-once the logged decisions drain the WAL flips to append mode — the
-re-executed remainder of the torn tick is appended to the same log.
-Safe because results are only acknowledged after a flush, so the
-appended remainder can only cover unacknowledged work.
+``add`` records after the last check frame are admissions no reply was
+sent for.  Recovery registers them with the rest; replay stops at the
+last check frame's tick, and the restarted engine runs them (the
+service's pump starts on its own when the engine has work), extending
+the same log.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Any, NamedTuple
 
 from repro.durability.snapshot import load_latest_snapshot
 from repro.durability.wal import (
-    DECISION_TYPES,
+    CHECK_FIELDS,
+    LOG_FORMAT,
     EngineWal,
-    decision_row,
     decode_record,
 )
 from repro.errors import RecoveryError
@@ -53,7 +55,8 @@ class RecoveryReport:
     ``adds`` holds one :class:`LoggedAdd` per logged ``add`` record, in
     log order, not the records themselves: a reader that needs a whole
     spec reads it from the log.  ``records`` counts the log's frames and
-    ``replayed`` the logged decisions verify mode matched."""
+    ``replayed`` the check frames replay matched; ``horizon`` is the
+    tick replay ended at."""
 
     engine: Any
     wal: EngineWal
@@ -84,17 +87,16 @@ def recover(
 
     The log is the only source: programs compile from the declarative
     specs of the genesis and ``add`` records, and the nest and the
-    scheduler are rebuilt from the genesis record.  A genesis program
-    with no spec (a native generator, which cannot be serialised) is a
-    :class:`RecoveryError`, as is a checksum-valid frame that does not
-    hold a well-formed record.  The returned WAL stays attached to the
-    engine in append mode, so post-recovery execution extends the same
-    log.
+    scheduler are rebuilt from the genesis record.  A log of another
+    format, a genesis program with no spec (a native generator, which
+    cannot be serialised), and a checksum-valid frame that does not hold
+    a well-formed record are each a :class:`RecoveryError`.  The
+    returned WAL stays attached to the engine, so post-recovery
+    execution extends the same log.
 
     Each frame's bytes are dropped as the frame is decoded, and each
-    record as soon as it is read: a decision is kept as its
-    :func:`decision_row` (strings shared across rows) until replay
-    matches it, an ``add`` as its :class:`LoggedAdd`.
+    record as soon as it is read: an ``add`` is kept as its
+    :class:`LoggedAdd`, a check frame as ``(tick, commits, digest)``.
     """
     from repro.api import ProgramSpec, make_scheduler
     from repro.core.nests import KNest
@@ -112,6 +114,12 @@ def recover(
             f"log does not start with a genesis record (got "
             f"{genesis.get('t')!r})"
         )
+    found = genesis.get("format", 1)
+    if found != LOG_FORMAT:
+        raise RecoveryError(
+            f"write-ahead log in {directory!r} has format {found!r}; this "
+            f"build reads format {LOG_FORMAT} only"
+        )
     snap = None
     if use_snapshot:
         snap = load_latest_snapshot(directory, max_wal_offset=durable_end)
@@ -119,7 +127,7 @@ def recover(
 
     # -- one pass over the log ------------------------------------------
     # Inputs (``add``) rebuild the workload whatever the snapshot
-    # covers; decisions and entity declarations matter only past it.
+    # covers; check frames and entity declarations matter only past it.
     genesis_specs = genesis.get("specs", {})
     table = {
         name: ProgramSpec.from_dict(spec).compile()
@@ -133,9 +141,8 @@ def recover(
             nest.add(name, tuple(genesis_specs[name].get("path", ())))
     adds: list[LoggedAdd] = []
     declared: list[list] = []
-    decisions: list[tuple] = []
-    strings: dict[str, str] = {}
-    horizon = snap["tick"] if snap is not None else 0
+    checks: list[tuple[int, int, str]] = []
+    last_tick = 0
     for index in range(1, len(payloads)):
         record = _decode(payloads, index)
         kind = record.get("t")
@@ -158,23 +165,17 @@ def recover(
             nest.add(name, path)
             if offsets[index] >= covered:
                 declared.append(entities)
-        elif kind in DECISION_TYPES:
-            if offsets[index] < covered:
-                continue
-            try:
-                row = decision_row(record, strings)
-            except RecoveryError as exc:
+        elif kind == "check":
+            check = _check(record, index)
+            if check[0] < last_tick:
                 raise RecoveryError(
-                    f"record {index} of the write-ahead log: {exc}"
-                ) from None
-            if type(row[1]) is not int:
-                raise RecoveryError(
-                    f"record {index} of the write-ahead log has tick "
-                    f"{row[1]!r}, not an int"
+                    f"record {index} of the write-ahead log is a check "
+                    f"frame of tick {check[0]}, below the previous one's "
+                    f"{last_tick}"
                 )
-            decisions.append(row)
-            if row[1] > horizon:
-                horizon = row[1]
+            last_tick = check[0]
+            if offsets[index] >= covered:
+                checks.append(check)
         else:
             raise RecoveryError(
                 f"record {index} of the write-ahead log has unknown "
@@ -204,7 +205,6 @@ def recover(
     )
     if snap is not None:
         engine.restore_state(snap["state"])
-        wal.note_snapshot_tick(snap["tick"])
     # Entities declared by ingests the restored state does not cover
     # (all of them when replaying from genesis — declare is idempotent
     # and order-faithful to the live ingest path).
@@ -213,11 +213,18 @@ def recover(
             engine.store.declare(entity, value)
 
     # -- replay ---------------------------------------------------------
-    wal.begin_verify(decisions)
-    del decisions  # verify mode frees each logged decision as it matches
-    if horizon > engine.tick:
-        engine.advance(until_tick=horizon)
-    wal.finish_verify()
+    horizon = checks[-1][0] if checks else engine.tick
+    wal.note_snapshot_tick(horizon)
+    wal.commits = len(engine.commit_order)
+    for logged in checks:
+        engine.advance(until_tick=logged[0])
+        replayed = wal.check()
+        if replayed != logged:
+            raise RecoveryError(
+                f"replay diverged from the write-ahead log at the check "
+                f"frame of tick {logged[0]}: (tick, commits, digest) "
+                f"logged {logged}, replayed {replayed}"
+            )
     return RecoveryReport(
         engine=engine,
         wal=wal,
@@ -228,8 +235,26 @@ def recover(
         snapshot_tick=snap["tick"] if snap is not None else None,
         truncated=wal.log.truncated,
         records=records,
-        replayed=wal.verified,
+        replayed=len(checks),
     )
+
+
+def _check(record: dict, index: int) -> tuple[int, int, str]:
+    """Check frame ``index`` as ``(tick, commits, digest)``; one off its
+    field set or its field types is a :class:`RecoveryError`."""
+    if record.keys() != {"t", *CHECK_FIELDS}:
+        raise RecoveryError(
+            f"record {index} of the write-ahead log is a check frame with "
+            f"fields {sorted(record)}, not {sorted(['t', *CHECK_FIELDS])}"
+        )
+    for name, kind in CHECK_FIELDS.items():
+        if type(record[name]) is not kind:
+            raise RecoveryError(
+                f"record {index} of the write-ahead log has {name} "
+                f"{record[name]!r}, of type {type(record[name]).__name__}, "
+                f"not {kind.__name__}"
+            )
+    return tuple(record[name] for name in CHECK_FIELDS)
 
 
 def _decode(payloads: list, index: int) -> dict:

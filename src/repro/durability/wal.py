@@ -16,14 +16,17 @@ a killed process can therefore only cover unacknowledged work; an
 acknowledged frame that was flushed but never fsynced survives
 ``SIGKILL``, not power loss.
 
-The :class:`EngineWal` layered on top records *decisions* (perform,
-commit, abort, undo, restart, rewind, prune) in commit-identity order.
-Because the engine is deterministic, recovery re-executes from genesis
-(or a snapshot) with the WAL in *verify* mode: each decision the engine
-re-derives is checked against the next logged one, and a mismatch is a
-:class:`repro.errors.RecoveryError` rather than a silent fork.  Once the
-logged suffix is consumed the WAL flips to append mode and the engine
-continues writing new history to the same file.
+The :class:`EngineWal` layered on top logs the engine's *inputs*, not
+its decisions — command logging (Malviya et al., "Rethinking Main
+Memory OLTP Recovery", ICDE 2014): the ``genesis`` record, each ``add``
+with its arrival tick, and one *check frame* per flush,
+``{"t": "check", "tick", "commits", "digest"}``.  The engine re-derives
+every decision from its inputs, so a check frame holds only what replay
+must reproduce: ``digest`` hashes the decisions made since the previous
+check frame (the kinds and fields :data:`WAL_RECORDS` names), ``tick``
+is the tick of the last of them, and ``commits`` counts every commit so
+far.  Recovery (:mod:`repro.durability.recovery`) re-runs the engine to
+each check frame's tick and compares the two.
 """
 
 from __future__ import annotations
@@ -32,20 +35,19 @@ import os
 import pickle
 import struct
 import zlib
-from collections import deque
-from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.errors import RecoveryError
+from repro.model.execution import RowDigest
 
 __all__ = [
-    "DECISION_TYPES",
+    "CHECK_FIELDS",
     "EngineWal",
+    "LOG_FORMAT",
     "LOG_NAME",
     "LogFile",
     "NULL_WAL",
     "WAL_RECORDS",
-    "decision_row",
     "frame_record",
     "scan_frames",
 ]
@@ -53,71 +55,29 @@ __all__ = [
 MAGIC = b"REPROWAL"
 #: The engine log's file name inside its directory.
 LOG_NAME = "engine.wal"
+#: The engine log's format, written into its genesis record.  Format 2
+#: logs inputs and check frames; a log without the field is format 1,
+#: which logged every decision.
+LOG_FORMAT = 2
 _HEADER = struct.Struct("<II")  # payload length, crc32
 
-#: The durable encoding of the engine's decision stream, and with it the
-#: on-disk format: decision kind -> (record type, logged fields).  A
-#: frame is the pickled dict ``{"t": type, "tick": tick, **logged}`` in
-#: exactly this field order; whatever else a decision carries (latency,
-#: cascade chain length, the committed steps) is for the other sinks.
+#: What a check frame's digest covers: decision kind -> the fields of
+#: it hashed, in this order, after the kind and the tick.  Whatever
+#: else a decision carries (latency, cascade chain length, the
+#: committed steps) is for the other sinks.
 WAL_RECORDS = {
     "step.perform": (
-        "perform",
-        ("txn", "attempt", "step", "entity", "kind", "before", "after"),
+        "txn", "attempt", "step", "entity", "kind", "before", "after",
     ),
-    "txn.commit": ("commit", ("txn", "attempt", "result")),
-    "txn.abort": ("abort", ("victims", "cascade", "reason", "unit")),
-    "step.undo": ("undo", ("txn", "attempt", "step", "entity", "restored")),
-    "txn.restart": ("restart", ("txn", "attempt", "wake")),
-    "txn.partial-rollback": ("rewind", ("txn", "keep", "wake")),
-    "closure.prune": ("prune", ("pruned", "shortcuts", "size")),
+    "txn.commit": ("txn", "attempt", "result"),
+    "txn.abort": ("victims", "cascade", "reason", "unit"),
+    "step.undo": ("txn", "attempt", "step", "entity", "restored"),
+    "txn.restart": ("txn", "attempt", "wake"),
+    "txn.partial-rollback": ("txn", "keep", "wake"),
+    "closure.prune": ("pruned", "shortcuts", "size"),
 }
-#: Record types that are engine *decisions* — re-derived on replay and
-#: verified against the log.  ``genesis`` and ``add`` are inputs, not
-#: decisions: they are consumed up-front by recovery to reconstruct the
-#: workload and are skipped by verify mode.
-DECISION_TYPES = frozenset(rtype for rtype, _ in WAL_RECORDS.values())
-INPUT_TYPES = frozenset({"genesis", "add"})
-#: Record type -> the fields its frame logs after ``t`` and ``tick``.
-_LOGGED = {rtype: logged for rtype, logged in WAL_RECORDS.values()}
-#: Record type -> what reads its row's values out of a record by name.
-_ROW_OF = {
-    rtype: itemgetter("t", "tick", *logged)
-    for rtype, logged in _LOGGED.items()
-}
-
-
-def decision_row(record: dict, strings: dict | None = None) -> tuple:
-    """A logged decision as verify mode holds and compares it: the row
-    ``(type, tick, *fields)`` in :data:`WAL_RECORDS` order, read from
-    the record by field name.  A record whose keys are not exactly its
-    type's is a :class:`RecoveryError`, so two rows are equal exactly
-    when their records are.  ``strings`` maps each string seen so far
-    to one shared copy, so rows held together repeat no name."""
-    rtype = record.get("t")
-    row_of = _ROW_OF.get(rtype)
-    if row_of is None:
-        raise RecoveryError(f"{rtype!r} is not a decision type")
-    try:
-        row = row_of(record)
-    except KeyError:
-        row = ()
-    if len(row) != len(record):  # a field missing, or one unknown
-        raise RecoveryError(
-            f"a {rtype!r} decision logs {['t', 'tick', *_LOGGED[rtype]]}, "
-            f"not {list(record)}"
-        )
-    if strings is None:
-        return row
-    share = strings.setdefault
-    return tuple([
-        share(value, value) if type(value) is str else value for value in row
-    ])
-
-
-def _as_record(row: tuple) -> dict:
-    """A row read back as the record it was logged as (for messages)."""
-    return {"t": row[0], "tick": row[1], **dict(zip(_LOGGED[row[0]], row[2:]))}
+#: A check frame's fields after ``t``, with the type each must have.
+CHECK_FIELDS = {"tick": int, "commits": int, "digest": str}
 
 
 def frame_record(payload: bytes) -> bytes:
@@ -255,20 +215,18 @@ NULL_WAL = _NullWal()
 
 
 class EngineWal:
-    """Decision log + snapshot trigger for one :class:`Engine`.
+    """Input log + snapshot trigger for one :class:`Engine`.
 
-    In *append* mode every decision record is framed and written.  In
-    *verify* mode (recovery) the pending logged decisions are held in a
-    deque as the positional rows :func:`decision_row` builds, and each
-    is dropped once it has matched.  Every decision the re-executing
-    engine reports is built into the same row form, never a dict, and
-    compared with the next logged row; the WAL flips to append mode
-    when the deque drains, so post-recovery execution seamlessly
-    extends the same log.
+    Inputs are framed as they are appended.  Every decision of a kind
+    :data:`WAL_RECORDS` names is folded into a running digest, and
+    :meth:`flush` frames the check frame of those folded since the last
+    one before handing the log to the OS.  Recovery attaches the same
+    object to the engine it replays and compares :meth:`check` with each
+    logged check frame; afterwards the engine extends the same log.
     """
 
     enabled = True
-    #: The decision kinds the log holds; the engine hands it no other.
+    #: The decision kinds the digest covers; the engine hands it no other.
     reads = frozenset(WAL_RECORDS)
 
     def __init__(
@@ -281,89 +239,56 @@ class EngineWal:
         self.directory = directory
         self.snapshot_every = snapshot_every
         self.log = LogFile(os.path.join(directory, LOG_NAME))
-        self._pending: deque[tuple] = deque()
-        self.verifying = False
-        self.verified = 0
+        #: Commits the engine has made, counted from the decisions (set
+        #: by recovery to the restored engine's count).
+        self.commits = 0
+        self._digest = RowDigest()
+        self._tick = 0  # the tick of the last decision folded in
         self._last_snap_tick = 0
-
-    # -- recovery-side setup -------------------------------------------
-
-    def begin_verify(self, rows: Iterable[tuple]) -> None:
-        """Arm verify mode with the logged decisions to replay, as
-        :func:`decision_row` rows in log order."""
-        self._pending = deque(rows)
-        self.verifying = bool(self._pending)
-
-    def finish_verify(self) -> None:
-        if self._pending:
-            rtype, tick = self._pending[0][:2]
-            raise RecoveryError(
-                f"replay ended with {len(self._pending)} logged decision(s) "
-                f"unconsumed; next is {rtype!r} at tick {tick!r}"
-            )
-        self.verifying = False
 
     def log_genesis(self, **fields) -> None:
         """Write the genesis record on a *fresh* log; no-op when the log
         already has history (a restarted service extends its old log)."""
         if self.log.tell() > len(MAGIC):
             return
-        self.append({"t": "genesis", **fields})
+        self.append({"t": "genesis", "format": LOG_FORMAT, **fields})
         self.sync()
 
     # -- the seam -------------------------------------------------------
 
     def on_decision(self, kind: str, tick: int, fields: dict) -> None:
-        """The engine's sink interface: log a decision of a kind
-        :data:`WAL_RECORDS` names (the only kinds it reads).  The
-        frame's dict is built here, once, in the on-disk field order;
-        in verify mode its row is built instead and checked."""
-        rtype, logged = WAL_RECORDS[kind]
-        if self.verifying:
-            self._verify((rtype, tick, *map(fields.__getitem__, logged)))
-            return
-        record = {"t": rtype, "tick": tick}
-        for name in logged:
-            record[name] = fields[name]
-        self.append(record)
+        """The engine's sink interface: fold a decision of a kind
+        :data:`WAL_RECORDS` names (the only kinds it reads) into the
+        digest of the next check frame."""
+        logged = map(fields.__getitem__, WAL_RECORDS[kind])
+        self._digest.add((kind, tick, *logged))
+        self._tick = tick
+        if kind == "txn.commit":
+            self.commits += 1
 
     def append(self, record: dict) -> None:
-        """Frame one record ``{"t": type, ...}`` onto the log, or in
-        verify mode check a decision against the next logged one."""
-        if self.verifying:
-            if record["t"] not in INPUT_TYPES:
-                self._verify(decision_row(record))
-            return
+        """Frame one record ``{"t": type, ...}`` onto the log."""
         self.log.append(encode_record(record))
 
-    def _verify(self, row: tuple) -> None:
-        """Match one re-derived decision row against the next logged
-        one, and flip to append mode once the logged ones are used up."""
-        if not self._pending:
-            raise RecoveryError(
-                f"replay produced an extra {row[0]!r} decision at tick "
-                f"{row[1]!r} beyond the logged history"
-            )
-        logged = self._pending.popleft()
-        if logged != row:
-            raise RecoveryError(
-                "replay diverged from the write-ahead log:\n"
-                f"  logged:   {_as_record(logged)!r}\n"
-                f"  replayed: {_as_record(row)!r}"
-            )
-        self.verified += 1
-        if not self._pending:
-            self.verifying = False
+    def check(self) -> tuple[int, int, str] | None:
+        """``(tick, commits, digest)`` of the decisions folded in since
+        the last call, which starts a fresh digest; None when there were
+        none."""
+        if not self._digest.rows:
+            return None
+        return self._tick, self.commits, self._digest.take()
 
     def maybe_snapshot(self, engine) -> None:
-        """Write a snapshot when the cadence is due (append mode only)."""
-        if self.verifying or not self.snapshot_every:
+        """Write a snapshot when the cadence is due.  The log is flushed
+        first, so the offset it covers ends with a check frame and the
+        next one starts a fresh digest."""
+        if not self.snapshot_every:
             return
         if engine.tick - self._last_snap_tick < self.snapshot_every:
             return
         from repro.durability.snapshot import write_snapshot
 
-        self.log.flush()
+        self.flush()
         write_snapshot(
             self.directory,
             tick=engine.tick,
@@ -373,13 +298,21 @@ class EngineWal:
         self._last_snap_tick = engine.tick
 
     def note_snapshot_tick(self, tick: int) -> None:
-        """After restoring from a snapshot, restart the cadence there."""
+        """Restart the snapshot cadence at ``tick``.  Recovery passes
+        the tick its replay ends at, so no replayed tick is snapshotted
+        (or checked) again."""
         self._last_snap_tick = tick
 
     def flush(self) -> None:
+        """Frame the pending check frame, if any, and hand the log to
+        the OS."""
+        check = self.check()
+        if check is not None:
+            self.append({"t": "check", **dict(zip(CHECK_FIELDS, check))})
         self.log.flush()
 
     def sync(self) -> None:
+        self.flush()
         self.log.sync()
 
     def close(self) -> None:

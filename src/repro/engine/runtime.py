@@ -292,8 +292,8 @@ class Engine:
         The sinks of the engine's *decision stream* (DESIGN.md §4e):
         each declares the decision kinds it ``reads`` — a
         :class:`repro.audit.HistorySink` the commits, a
-        :class:`repro.durability.EngineWal` the seven kinds recovery
-        verifies, a :class:`repro.obs.Tracer` everything — and a
+        :class:`repro.durability.EngineWal` the seven kinds its check
+        frames hash, a :class:`repro.obs.Tracer` everything — and a
         decision is built once, by :meth:`_emit`, only when some given
         sink reads its kind, and handed to those in this order.  No
         sink consumes ``self.rng``: a run is bit-identical whatever is

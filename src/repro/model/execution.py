@@ -25,7 +25,7 @@ from repro.core.reach import transitive_pairs
 from repro.errors import ExecutionError
 from repro.model.steps import StepId, StepKind, StepRecord
 
-__all__ = ["EntityFold", "Execution", "canonical_digest"]
+__all__ = ["EntityFold", "Execution", "RowDigest", "canonical_digest"]
 
 
 def canonical_digest(rows: Iterable[tuple]) -> str:
@@ -44,6 +44,31 @@ def canonical_digest(rows: Iterable[tuple]) -> str:
     ]
     blob = json.dumps(canon, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+class RowDigest:
+    """SHA-256 over a stream of rows, each hashed by :func:`canonical_digest`'s
+    rule for values: as its ``repr``.  ``add`` folds in one row,
+    ``take`` returns the hex digest of the rows added since the last
+    ``take`` and starts afresh.  Equal row streams of strings, numbers,
+    lists and tuples digest equally in any process, whatever its hash
+    seed."""
+
+    __slots__ = ("_sha", "rows")
+
+    def __init__(self) -> None:
+        self._sha = hashlib.sha256()
+        self.rows = 0
+
+    def add(self, row: tuple) -> None:
+        self._sha.update(repr(row).encode())
+        self.rows += 1
+
+    def take(self) -> str:
+        digest = self._sha.hexdigest()
+        self._sha = hashlib.sha256()
+        self.rows = 0
+        return digest
 
 
 class EntityFold:

@@ -1,13 +1,14 @@
 """A snapshot the parent commit wrote must not crash recovery.
 
-``tests/durability/fixtures/parent_snapshot/mla-detect/`` holds a WAL
-and one ``snap-*.bin`` written by a contended ``mla-detect`` service at
-the commit before the step types became tuples (regenerate — only from
-a commit whose snapshots must stay harmless — with
-``PYTHONPATH=<that checkout>/src python
-tests/durability/test_parent_snapshot.py``).  Its pickle holds
+``tests/durability/fixtures/parent_snapshot/mla-detect/`` holds one
+``snap-*.bin`` written by a contended ``mla-detect`` service at the
+commit before the step types became tuples.  Its pickle holds
 ``StepRecord`` dataclass instances, which cannot be unpickled into the
-tuple type of the same name.
+tuple type of the same name.  Beside it is the WAL of the same run,
+re-recorded when the log became one of inputs and check frames
+(regenerate the WAL — only from a commit whose logs must stay readable
+— with ``PYTHONPATH=<that checkout>/src python
+tests/durability/test_parent_snapshot.py``, which keeps the snapshot).
 
 Recovery must reach the recorded history digest both ways a stale
 snapshot can meet it: carrying an old stamp (skipped unread), and —
@@ -73,42 +74,45 @@ def test_parent_snapshot_is_skipped_and_the_wal_replays(
     report = recover(directory)
     assert report.snapshot_tick is None
     assert not report.truncated
-    assert report.replayed == expected["decisions"]
+    assert report.replayed == expected["checks"]
     assert not report.engine.active_states()
     assert _summary(report.engine) == expected["summary"]
     report.wal.close()
 
 
 if __name__ == "__main__":
-    from repro.durability.wal import DECISION_TYPES, LogFile
+    import tempfile
 
-    shutil.rmtree(FIXTURE, ignore_errors=True)
+    from repro.durability.wal import LOG_NAME, LogFile
 
-    async def serve() -> TransactionService:
-        service = TransactionService(ServiceConfig(
-            scheduler="mla-detect", wal_dir=FIXTURE, wal_snapshot_every=24,
-            admission=AdmissionConfig(window=TRAFFIC.transactions),
-        ))
-        await asyncio.gather(
-            *(service.submit(s) for s in traffic_submissions(TRAFFIC))
+    with tempfile.TemporaryDirectory() as scratch:
+
+        async def serve() -> TransactionService:
+            service = TransactionService(ServiceConfig(
+                scheduler="mla-detect", wal_dir=scratch,
+                wal_snapshot_every=24,
+                admission=AdmissionConfig(window=TRAFFIC.transactions),
+            ))
+            await asyncio.gather(
+                *(service.submit(s) for s in traffic_submissions(TRAFFIC))
+            )
+            await service.drain()
+            service.wal.close()
+            return service
+
+        service = asyncio.run(serve())
+        # The run's own snapshots are dropped: the fixture's is the
+        # parent's, which no later build can write.
+        shutil.copy(
+            os.path.join(scratch, LOG_NAME), os.path.join(FIXTURE, LOG_NAME)
         )
-        await service.drain()
-        service.wal.close()
-        return service
-
-    service = asyncio.run(serve())
-    # Keep only the newest snapshot: the one recovery would load.
-    snaps = sorted(n for n in os.listdir(FIXTURE) if n.startswith("snap-"))
-    for name in snaps[:-1]:
-        os.remove(os.path.join(FIXTURE, name))
-    log = LogFile(os.path.join(FIXTURE, "engine.wal"))
-    decisions = sum(record["t"] in DECISION_TYPES for record in log.records())
+    log = LogFile(os.path.join(FIXTURE, LOG_NAME))
+    checks = sum(record["t"] == "check" for record in log.records())
     with open(os.path.join(FIXTURE, "expected.json"), "w",
               encoding="utf-8") as fh:
         json.dump(
-            {"decisions": decisions, "summary": _summary(service.engine)},
+            {"checks": checks, "summary": _summary(service.engine)},
             fh, indent=1, sort_keys=True,
         )
         fh.write("\n")
-    print(decisions, "decisions,", service.engine.metrics.aborts, "aborts,",
-          snaps[-1])
+    print(checks, "check frames,", service.engine.metrics.aborts, "aborts")

@@ -1,13 +1,15 @@
 """Logs the parent commit wrote must replay under this one.
 
 ``tests/durability/fixtures/parent_wal/<scheduler>/engine.wal`` was
-written by a contended in-process service run at the commit before the
-engine's sinks were folded into one decision stream (regenerate — only
-from a commit whose logs must stay readable — with ``PYTHONPATH=<that
-checkout>/src python tests/durability/test_parent_wal.py``).  Verify-mode
-replay compares every re-derived decision with the logged one field for
-field, so replaying to completion *is* the format check: same record
-types, same fields, same order.
+written by a contended in-process service run at the commit that made
+the log one of inputs and check frames (regenerate — only from a
+commit whose logs must stay readable — with ``PYTHONPATH=<that
+checkout>/src python tests/durability/test_parent_wal.py``).  Replay
+re-derives every decision and matches each check frame's digest and
+commit count, so replaying to completion *is* the format check: same
+record types, same fields, same decisions.  A log in the format before
+that, which logged every decision, is refused
+(``test_regressions.py``, ``fixtures/format1_wal``).
 """
 
 from __future__ import annotations
@@ -54,15 +56,14 @@ def test_parent_written_wal_replays_to_completion(scheduler, tmp_path):
     assert expected["summary"]["aborts"] > 0, "must exercise rollback"
     report = recover(directory)
     assert not report.truncated
-    assert report.replayed == expected["decisions"]
-    assert not report.wal.verifying
+    assert report.replayed == expected["checks"]
     assert not report.engine.active_states()
     assert _summary(report.engine) == expected["summary"]
     report.wal.close()
 
 
 if __name__ == "__main__":
-    from repro.durability.wal import DECISION_TYPES, LogFile
+    from repro.durability.wal import LogFile
 
     for scheduler in SCHEDULERS:
         directory = os.path.join(FIXTURES, scheduler)
@@ -82,15 +83,13 @@ if __name__ == "__main__":
 
         service = asyncio.run(serve())
         log = LogFile(os.path.join(directory, "engine.wal"))
-        decisions = sum(
-            record["t"] in DECISION_TYPES for record in log.records()
-        )
+        checks = sum(record["t"] == "check" for record in log.records())
         with open(os.path.join(directory, "expected.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(
-                {"decisions": decisions, "summary": _summary(service.engine)},
+                {"checks": checks, "summary": _summary(service.engine)},
                 fh, indent=1, sort_keys=True,
             )
             fh.write("\n")
-        print(scheduler, decisions, "decisions,",
+        print(scheduler, checks, "check frames,",
               service.engine.metrics.aborts, "aborts")

@@ -53,10 +53,11 @@ def test_snapshot_plus_suffix_matches_full_replay(tmp_path, scheduler):
         without_snap.engine.store.snapshot()
 
 
-def test_round_up_appends_torn_tick_remainder(tmp_path):
-    """A cut mid-tick replays the logged prefix of that tick, then the
-    re-executed remainder is appended to the same log: a second recovery
-    over the rounded-up log replays it in full."""
+def test_recovered_engine_extends_its_log(tmp_path):
+    """A cut three frames before the end replays to the last check
+    frame it kept; the recovered engine runs on from there and appends
+    its own check frames to the same log, and a second recovery over
+    that log replays them in full."""
     d = str(tmp_path / "ref")
     cut_dir = str(tmp_path / "cut")
     _, result = run_reference(d, default_specs(seed=1), scheduler="2pl",
@@ -65,7 +66,6 @@ def test_round_up_appends_torn_tick_remainder(tmp_path):
     offsets = list(wal.log.offsets)
     wal.close()
     os.makedirs(cut_dir)
-    # Cut three records before the end: mid-history, usually mid-tick.
     cut = offsets[-3]
     with open(os.path.join(d, "engine.wal"), "rb") as fh:
         blob = fh.read(cut)
@@ -76,6 +76,7 @@ def test_round_up_appends_torn_tick_remainder(tmp_path):
     first.wal.sync()
     first.wal.close()
     second = recover(cut_dir)
+    assert second.replayed > first.replayed
     final = second.engine.run(until_tick=second.engine.tick)
     assert final.history_digest() == result.history_digest()
     assert final.commit_order == result.commit_order
@@ -118,15 +119,14 @@ def test_recovered_metrics_match_modulo_wall_time(tmp_path):
     assert report.engine.metrics.summary() == engine.metrics.summary()
 
 
-def test_recovery_peak_memory_per_logged_record(tmp_path):
+def test_recovery_peak_memory_per_logged_transaction(tmp_path):
     """Recovery holds each logged record only as long as it needs it:
-    a frame's bytes until it is decoded, a decision as a positional row
-    with shared strings until replay matches it, an ``add`` as the four
-    fields its callers read.  On this 800-transaction ``2pl`` service
-    log (5 409 frames, a few hundred aborts), ``recover()``'s traced
-    peak was 1.41 KB per record while it held every decoded record
-    whole, and is 0.59 KB now; the bound leaves room for allocator and
-    interpreter drift without letting the decoded log back in."""
+    a frame's bytes until it is decoded, an ``add`` as the four fields
+    its callers read, a check frame as three values.  On this
+    800-transaction ``2pl`` service log (206 aborts), ``recover()``'s
+    traced peak was 4 235 B per transaction when the log held every
+    decision, and is 3 298 B now; the bound leaves room for allocator
+    and interpreter drift without letting decoded records back in."""
     d = str(tmp_path)
     submissions = traffic_submissions(
         TrafficConfig(transactions=800, contention=0.05, seed=18)
@@ -142,13 +142,13 @@ def test_recovery_peak_memory_per_logged_record(tmp_path):
             )
         await svc.drain()
         svc.wal.close()
+        return svc.engine.metrics.aborts
 
-    asyncio.run(serve_log())
+    assert asyncio.run(serve_log()) > 0
     log = EngineWal(d).log
     kinds = [pickle.loads(payload)["t"] for payload in log.payloads]
     log.close()
     assert kinds.count("add") == 800
-    assert kinds.count("abort") > 0
 
     tracemalloc.start()
     try:
@@ -158,8 +158,71 @@ def test_recovery_peak_memory_per_logged_record(tmp_path):
         tracemalloc.stop()
     report.wal.close()
     assert report.records == len(kinds)
+    assert report.replayed == kinds.count("check")
     assert len(report.engine.commit_order) == 800
-    assert peak / report.records <= 1000, (
-        f"recover() peaked at {peak / report.records:.0f} bytes per "
-        f"logged record"
+    assert peak / 800 <= 4300, (
+        f"recover() peaked at {peak / 800:.0f} bytes per logged "
+        f"transaction"
     )
+
+
+#: Writes a contended ``mla-detect`` service log into ``argv[1]``, or
+#: with ``argv[2] == "recover"`` recovers it and prints the commit count.
+_HASH_SEED_SCRIPT = """
+import asyncio, sys
+from repro.durability import recover
+from repro.service import AdmissionConfig, ServiceConfig, TransactionService
+from repro.workloads.traffic import TrafficConfig, traffic_submissions
+
+directory = sys.argv[1]
+if sys.argv[2] == "recover":
+    report = recover(directory)
+    print(len(report.engine.commit_order), report.replayed)
+    sys.exit(0)
+
+async def serve():
+    service = TransactionService(ServiceConfig(
+        scheduler="mla-detect", wal_dir=directory,
+        admission=AdmissionConfig(window=32),
+    ))
+    submissions = traffic_submissions(
+        TrafficConfig(transactions=300, contention=0.15, seed=18)
+    )
+    for start in range(0, len(submissions), 32):
+        await asyncio.gather(
+            *(service.submit(s) for s in submissions[start:start + 32])
+        )
+    await service.drain()
+    service.wal.close()
+    print(service.engine.metrics.aborts)
+
+asyncio.run(serve())
+"""
+
+
+def test_recovery_does_not_depend_on_the_hash_seed(tmp_path):
+    """A check frame's digest hashes each decision's ``repr``, so it
+    must not depend on anything the process's hash seed orders: a log
+    written under one ``PYTHONHASHSEED`` recovers under another."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    d = str(tmp_path)
+
+    def child(step: str, seed: str) -> str:
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, d, step],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    (aborts,) = child("write", "1")
+    assert int(aborts) > 0
+    commits, checks = child("recover", "2")
+    assert int(commits) == 300
+    assert int(checks) > 1

@@ -33,13 +33,16 @@ failure shape so the bug class cannot return:
    unknown type was skipped: inserted, it was accepted; in place of a
    decision, the replay reported a divergence.  Each is a
    ``RecoveryError`` naming the record, and ``repro serve`` says so in
-   one line.
+   one line.  So is a check frame off its fields or their types, or
+   one whose tick runs backwards, and a log an older build wrote in
+   another format.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 
@@ -60,6 +63,13 @@ from repro.engine.runtime import Engine
 from repro.errors import RecoveryError
 from repro.model.programs import TransactionProgram
 from repro.service import ServiceConfig, TransactionService
+
+#: A log the build before check frames wrote: a contended ``2pl``
+#: service run whose genesis carries no format and whose frames log
+#: every decision.
+FORMAT1 = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "fixtures", "format1_wal"
+)
 
 
 def test_restore_state_keeps_post_snapshot_programs(tmp_path):
@@ -308,12 +318,12 @@ def test_restore_never_runs_a_committed_program(monkeypatch, recovery_unit):
 def _rewrite_log(directory: str, edit) -> int:
     """Rewrite ``directory``'s log with ``edit(payloads, middle)``
     applied to its frames, every frame checksummed anew; returns
-    ``middle``, the index of a decision record in the log's middle."""
+    ``middle``, the index of a check frame in the log's middle."""
     path = os.path.join(directory, LOG_NAME)
     with open(path, "rb") as fh:
         payloads = scan_frames(fh.read())[0]
     middle = len(payloads) // 2
-    while pickle.loads(payloads[middle])["t"] not in {"perform", "commit"}:
+    while pickle.loads(payloads[middle])["t"] != "check":
         middle += 1
     edit(payloads, middle)
     with open(path, "wb") as fh:
@@ -321,10 +331,24 @@ def _rewrite_log(directory: str, edit) -> int:
     return middle
 
 
-def _without_tick(payloads, index):
-    record = pickle.loads(payloads[index])
-    del record["tick"]
-    payloads[index] = pickle.dumps(record)
+def _edited(**changes):
+    """An edit that sets (or, for None, deletes) fields of the frame."""
+
+    def edit(payloads, index):
+        record = pickle.loads(payloads[index])
+        for name, value in changes.items():
+            if value is None:
+                del record[name]
+            else:
+                record[name] = value
+        payloads[index] = pickle.dumps(record)
+
+    return edit
+
+
+def _tick_below_previous(payloads, index):
+    previous = pickle.loads(payloads[index - 1])
+    _edited(tick=previous["tick"] - 1)(payloads, index)
 
 
 def _unknown_type(tick):
@@ -342,12 +366,24 @@ def _unknown_type(tick):
     ),
     pytest.param(
         lambda payloads, i: payloads.__setitem__(
-            i, pickle.dumps({"t": ["perform"], "tick": 1})
+            i, pickle.dumps({"t": ["check"], "tick": 1})
         ),
         "has no type", id="unhashable-type",
     ),
-    pytest.param(_without_tick, "'perform' decision logs|'commit' "
-                 "decision logs", id="no-tick"),
+    pytest.param(_edited(tick=None), "is a check frame with fields",
+                 id="no-tick"),
+    pytest.param(_edited(digest=None), "is a check frame with fields",
+                 id="check-missing-field"),
+    pytest.param(_edited(latency=3), "is a check frame with fields",
+                 id="check-unknown-field"),
+    pytest.param(_edited(tick="9"), "has tick '9', of type str, not int",
+                 id="check-non-int-tick"),
+    pytest.param(_edited(tick=True), "has tick True, of type bool, not int",
+                 id="check-bool-tick"),
+    pytest.param(_edited(digest=b"00"), "has digest b'00', of type bytes, not str",
+                 id="check-non-str-digest"),
+    pytest.param(_tick_below_previous, "below the previous one's",
+                 id="check-tick-below-previous"),
     pytest.param(
         lambda payloads, i: payloads.__setitem__(i, _unknown_type(1)),
         "unknown type 'bogus'", id="unknown-type-replacing",
@@ -368,22 +404,37 @@ def test_malformed_frame_is_a_typed_error(tmp_path, edit, reason):
 
 def test_serve_on_a_malformed_frame_exits_with_one_line(tmp_path):
     """Regression 7 from the command line: one ``serve:`` line, exit 2,
-    no traceback."""
-    d = str(tmp_path)
+    no traceback — for a frame that does not decode, and for a log an
+    older build wrote, whose genesis has no format and whose frames
+    are decisions (``fixtures/format1_wal``)."""
+    d = str(tmp_path / "malformed")
     run_reference(d, default_specs(seed=3), scheduler="2pl", seed=3)
     index = _rewrite_log(
         d, lambda payloads, i: payloads.__setitem__(i, b"not a pickle")
     )
+    assert _serve_refuses(d).startswith(f"serve: record {index} ")
+    old = str(tmp_path / "format1")
+    shutil.copytree(FORMAT1, old)
+    assert _serve_refuses(old) == (
+        f"serve: write-ahead log in {old!r} has format 1; this build "
+        f"reads format 2 only\n"
+    )
+
+
+def _serve_refuses(directory: str) -> str:
+    """``repro serve --wal directory``'s stderr, asserted to be one
+    line and exit 2."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["repro"].__file__
     )))
     done = subprocess.run(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", "--wal", d],
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--wal", directory],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr.startswith(f"serve: record {index} ")
     assert done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+    return done.stderr

@@ -7,11 +7,15 @@ import struct
 
 import pytest
 
+from repro.api import ProgramSpec
+from repro.durability import recover
 from repro.durability.wal import (
+    LOG_NAME,
     MAGIC,
     EngineWal,
     LogFile,
-    decision_row,
+    decode_record,
+    encode_record,
     frame_record,
     scan_frames,
 )
@@ -114,85 +118,132 @@ class TestLogFile:
         assert not final.truncated
 
 
-def perform(tick: int, txn: str) -> dict:
-    """A whole ``perform`` record, fields in the on-disk order."""
-    return {"t": "perform", "tick": tick, "txn": txn, "attempt": 0,
-            "step": 0, "entity": "x", "kind": "write", "before": 0,
-            "after": 1}
+def _serve(directory: str, count: int = 4) -> None:
+    """``count`` programs on one entity, each submitted once the one
+    before it has committed: each pump slice's check frame follows the
+    ``add`` frame of the one program it ran."""
+    import asyncio
 
+    from repro.api import ProgramSpec, Submission
+    from repro.service import ServiceConfig, TransactionService
 
-def commit(tick: int, txn: str) -> dict:
-    return {"t": "commit", "tick": tick, "txn": txn, "attempt": 0,
-            "result": None}
-
-
-class TestDecisionRow:
-    """A row is equal to another exactly when their records are equal as
-    dicts: fields are read by name, and a record whose key set is not
-    its type's is refused rather than compared."""
-
-    def test_fields_are_read_by_name(self):
-        record = perform(3, "a")
-        reordered = dict(reversed(list(record.items())))
-        assert decision_row(reordered) == decision_row(record)
-        assert decision_row(record) == (
-            "perform", 3, "a", 0, 0, "x", "write", 0, 1
+    async def go():
+        service = TransactionService(
+            ServiceConfig(nest_depth=0, wal_dir=directory)
         )
+        for i in range(count):
+            await service.submit(Submission(program=ProgramSpec(
+                f"p{i}", (("add", "x", i + 1), ("read", "x")),
+            )))
+            await service.drain()
+        service.wal.close()
 
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda r: r.pop("tick"), id="missing"),
-        pytest.param(lambda r: r.update(latency=1), id="unknown"),
-    ])
-    def test_a_record_off_its_key_set_is_refused(self, edit):
-        record = perform(3, "a")
-        edit(record)
-        with pytest.raises(RecoveryError, match="'perform' decision logs"):
-            decision_row(record)
+    asyncio.run(go())
 
-    def test_rows_held_together_share_their_strings(self):
-        strings: dict = {}
-        first = decision_row(perform(1, "".join(["t", "17"])), strings)
-        second = decision_row(commit(2, "".join(["t", "17"])), strings)
-        assert first[2] == second[2] == "t17"
-        assert first[2] is second[2]
+
+def _frames(directory: str) -> list[dict]:
+    log = LogFile(os.path.join(directory, LOG_NAME))
+    records = [decode_record(payload) for payload in log.payloads]
+    log.close()
+    return records
+
+
+def _rewrite(directory: str, records: list[dict]) -> None:
+    with open(os.path.join(directory, LOG_NAME), "wb") as fh:
+        fh.write(MAGIC + b"".join(
+            frame_record(encode_record(record)) for record in records
+        ))
 
 
 class TestEngineWalVerify:
+    """Recovery verifies a replay against the log's check frames: at
+    each one's tick, the digest of the decisions re-derived since the
+    previous one and the commit count must be the logged ones."""
+
     def test_verify_matches_then_flips_to_append(self, tmp_path):
-        wal = EngineWal(str(tmp_path))
-        wal.append(perform(1, "a"))
-        wal.append(commit(2, "a"))
-        wal.sync()
-        wal.begin_verify(
-            [decision_row(perform(1, "a")), decision_row(commit(2, "a"))]
-        )
-        assert wal.verifying
-        wal.append(perform(1, "a"))
-        assert wal.verifying
-        wal.append(commit(2, "a"))
-        assert not wal.verifying  # drained: round-up to append mode
-        wal.finish_verify()
-        assert wal.verified == 2
+        """The log holds inputs and one check frame per pump slice;
+        replay matches them all, and the recovered engine's own check
+        frames extend the same log."""
+        d = str(tmp_path)
+        _serve(d)
+        kinds = [record["t"] for record in _frames(d)]
+        assert kinds == ["genesis"] + ["add", "check"] * 4
+        report = recover(d)
+        assert report.replayed == 4
+        assert report.engine.commit_order == ["p0", "p1", "p2", "p3"]
+        engine = report.engine
+        engine.add_program(ProgramSpec("p4", (("read", "x"),)).compile())
+        report.wal.append({"t": "add", "name": "p4",
+                           "arrival": engine.txns["p4"].arrival_tick,
+                           "spec": ProgramSpec("p4", (("read", "x"),))
+                           .to_dict(), "entities": []})
+        engine.advance()
+        report.wal.sync()
+        report.wal.close()
+        again = recover(d)
+        assert again.replayed == 5
+        assert again.engine.commit_order == ["p0", "p1", "p2", "p3", "p4"]
+        again.wal.close()
 
     def test_verify_mismatch_raises(self, tmp_path):
-        wal = EngineWal(str(tmp_path))
-        wal.begin_verify([decision_row(perform(1, "a"))])
-        with pytest.raises(RecoveryError, match="diverged"):
-            wal.append(perform(1, "b"))
+        """One tampered ``add`` spec: replay re-derives other decisions
+        in that program's slice, and the error names the tick of the
+        check frame that ends it."""
+        d = str(tmp_path)
+        _serve(d)
+        records = _frames(d)
+        index = next(
+            i for i, record in enumerate(records)
+            if record["t"] == "add" and record["name"] == "p2"
+        )
+        records[index]["spec"]["ops"][0][2] = 7
+        tick = records[index + 1]["tick"]
+        _rewrite(d, records)
+        with pytest.raises(
+            RecoveryError,
+            match=f"diverged from the write-ahead log at the check frame "
+                  f"of tick {tick}:",
+        ):
+            recover(d)
 
     def test_verify_leftover_raises(self, tmp_path):
-        wal = EngineWal(str(tmp_path))
-        wal.begin_verify([decision_row(perform(1, "a"))])
-        with pytest.raises(RecoveryError, match="unconsumed"):
-            wal.finish_verify()
+        """A check frame past the end of the run: replay makes no
+        decision before its tick."""
+        d = str(tmp_path)
+        _serve(d)
+        records = _frames(d)
+        last = dict(records[-1], tick=records[-1]["tick"] + 10)
+        _rewrite(d, records + [last])
+        with pytest.raises(RecoveryError, match="replayed None"):
+            recover(d)
 
     def test_verify_extra_decision_raises(self, tmp_path):
-        wal = EngineWal(str(tmp_path))
-        wal.begin_verify([decision_row(perform(1, "a"))])
-        wal._pending.clear()
-        wal.verifying = True
-        with pytest.raises(RecoveryError, match="extra"):
-            wal.append(commit(9, "z"))
+        """Replay commits more than the check frame counted."""
+        d = str(tmp_path)
+        _serve(d)
+        records = _frames(d)
+        records[-1]["commits"] -= 1
+        _rewrite(d, records)
+        with pytest.raises(RecoveryError, match=r"logged \(\d+, 3, '[0-9a-f]+'\), replayed \(\d+, 4, "):
+            recover(d)
+
+    def test_digest_reads_fields_by_name(self, tmp_path):
+        """A decision's fields enter the digest by name, in the order
+        :data:`WAL_RECORDS` gives, and the fields it does not name stay
+        out."""
+        fields = {"txn": "a", "attempt": 0, "result": 3}
+        checks = []
+        for extra in ({}, {"latency": 9, "waits": 2}):
+            wal = EngineWal(str(tmp_path / str(len(checks))))
+            wal.on_decision(
+                "txn.commit", 4, dict(reversed([*fields.items(),
+                                                *extra.items()])),
+            )
+            checks.append(wal.check())
+            assert wal.check() is None  # a fresh digest
+            wal.close()
+        assert checks[0] == checks[1]
+        assert checks[0][:2] == (4, 1)
 
     def test_log_genesis_is_once_only(self, tmp_path):
         wal = EngineWal(str(tmp_path))

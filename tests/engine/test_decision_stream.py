@@ -31,6 +31,12 @@ the parent's cycle rotated to start at the waiter, with the same victim
 and cause: ``2pl`` 4 + 4 (transaction + segment), ``mla-nested-lock``
 3 + 5, ``mla-prevent`` 3 + 3 and ``STALL_RUN`` 6.
 
+Their ``wal_sha256`` values alone were re-recorded when the WAL came to
+log inputs and check frames instead of every decision.  A run here logs
+no input, so its WAL is one check frame whose digest covers every
+decision the WAL reads; every history digest and every event stayed
+byte-identical.
+
 Regenerate — only ever from the commit whose behaviour is the reference
 — with ``PYTHONPATH=<that checkout>/src python
 tests/engine/test_decision_stream.py``.

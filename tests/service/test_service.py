@@ -611,19 +611,21 @@ def _sha256(path) -> str:
 
 
 class TestDurableLogs:
-    """What the service writes to its two logs: the decision WAL and
-    the audit history."""
+    """What the service writes to its two logs: the input WAL and the
+    audit history."""
 
     #: SHA-256 of ``engine.wal`` and of the JSONL history for this fixed
     #: run, taken from an earlier build: however the logs are encoded
-    #: and flushed, the bytes on disk may not move.
+    #: and flushed, the bytes on disk may not move.  The WAL halves were
+    #: re-recorded when the log came to hold inputs and check frames
+    #: instead of every decision; the history halves are older.
     PINNED = {
         "2pl": (
-            "0a1d00ea267fb09dc55d1aa71f3a06443f6d094e27f516b776d179c2e04c7072",
+            "806304f7fb04dacec198cabd780ca88c0bf51854a42696c0617409cbc199e940",
             "18f839988d20ba7a4b6db1bcdc819a2d11030a5003efaa435d4e247916003b21",
         ),
         "mla-detect": (
-            "c9ff12382eb30f84cf67f2320b8974caa5d1fef6fca39bfb4d4329a232be877b",
+            "71d08d0e772d1ea68084d058767512c6661e0674092b4ee4822282dc870b5eec",
             "4fa7260a18d876a27bd28eca8035c6b6e1fabcf335a48b0e47f63f0c06321aab",
         ),
     }
@@ -650,9 +652,13 @@ class TestDurableLogs:
         ) == self.PINNED[scheduler]
 
     def test_acknowledged_commits_are_in_the_wal(self, tmp_path):
-        """A reply follows the pump slice's WAL flush: a second reader
-        sees every acknowledged commit's frame before any drain or
-        close."""
+        """A reply follows the pump slice's WAL flush: before any drain
+        or close, a second reader's last check frame counts every
+        acknowledged commit, and a recovery from a copy of the log
+        commits each of them."""
+        import shutil
+
+        from repro.durability import recover
         from repro.durability.wal import decode_record, scan_frames
 
         wal_path = tmp_path / "wal" / "engine.wal"
@@ -668,11 +674,16 @@ class TestDurableLogs:
             with open(wal_path, "rb") as handle:
                 payloads, _, _, clean = scan_frames(handle.read())
             assert clean
-            framed = {
-                record["txn"] for record in map(decode_record, payloads)
-                if record["t"] == "commit"
-            }
-            assert set(acknowledged) <= framed
+            checks = [
+                record for record in map(decode_record, payloads)
+                if record["t"] == "check"
+            ]
+            assert checks[-1]["commits"] >= len(acknowledged)
+            copy = tmp_path / f"copy{len(acknowledged)}"
+            shutil.copytree(wal_path.parent, copy)
+            report = recover(str(copy))
+            report.wal.close()
+            assert set(acknowledged) <= set(report.engine.commit_order)
 
         submissions = traffic_submissions(TrafficConfig(
             transactions=200, contention=0.02, seed=9
