@@ -46,11 +46,10 @@ def test_e11_audit_styles_table():
         ):
             latencies, aborts, violations, ticks = [], [], 0, []
             for seed in SEEDS:
-                result = fgl.engine(factory(), seed=seed).run()
+                engine = fgl.engine(factory(), seed=seed)
+                result = engine.run()
                 violations += len(fgl.invariant_violations(result))
-                latencies.append(
-                    result.metrics.per_transaction_latency["audit0"]
-                )
+                latencies.append(engine.commit_of("audit0").latency)
                 aborts.append(result.metrics.aborts)
                 ticks.append(result.metrics.ticks)
                 report = check_correctability(

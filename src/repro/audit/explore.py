@@ -190,10 +190,11 @@ def _state_key(state: dict, stall_limit: int):
     tick = state["tick"]
     store = state["store"]
     store_key = (_canon(store["initial"]), _canon(store["values"]))
+    commits = [unpack_commit(packed) for packed in state["committed_log"]]
     committed = [
-        (seq, name, attempt, *rest)
-        for name, attempt, rows in map(unpack_commit, state["committed_log"])
-        for seq, *rest in rows
+        (seq, commit.name, commit.attempt, *rest)
+        for commit in commits
+        for seq, *rest in commit.rows
     ]
     seqs = sorted(
         {entry[0] for entry in state["live_log"]}
@@ -205,7 +206,6 @@ def _state_key(state: dict, stall_limit: int):
             saved["name"],
             saved["attempt"],
             saved["rollbacks"],
-            saved["committed"],
             max(0, saved["wake_tick"] - tick),
             _canon(saved["deps"]),
             _canon(saved["results_log"]),
@@ -213,9 +213,7 @@ def _state_key(state: dict, stall_limit: int):
         for saved in sorted(state["txns"], key=lambda s: s["name"])
     )
     live_keys = {
-        f"{saved['name']}#{saved['attempt']}"
-        for saved in state["txns"]
-        if not saved["committed"]
+        f"{saved['name']}#{saved['attempt']}" for saved in state["txns"]
     }
     # The raw timestamp counter is omitted: a fresh draw always exceeds
     # every assigned value, so only the (rank-compressed) assignments in
@@ -225,7 +223,6 @@ def _state_key(state: dict, stall_limit: int):
         repr(state["rng"]),
         store_key,
         txns,
-        tuple(sorted(state["active"])),
         tuple(
             (rank[seq], _canon(key), repr(record))
             for seq, key, record in state["live_log"]
@@ -236,9 +233,18 @@ def _state_key(state: dict, stall_limit: int):
             for entity, (seq, key) in state["committed_access"].items()
         )),
         _canon(state["last_writer"]),
-        tuple(state["commit_order"]),
-        _canon(state["results"]),
-        _canon(state["cut_levels"]),
+        # In commit order; a committed transaction's wake tick, deps and
+        # tape are spent, and its commit tick and waits are telemetry.
+        tuple(
+            (
+                commit.name,
+                commit.attempt,
+                commit.rollbacks,
+                _canon(commit.result),
+                _canon(commit.cut_levels),
+            )
+            for commit in commits
+        ),
         tuple(sorted(_canon(state["waits"]))),
         _canon_scheduler(state["scheduler"], live_keys),
     )
@@ -441,17 +447,16 @@ def explore(
             break
         engine = node_engine
         engine.restore_state(state, deep=False, programs=by_name)
-        if not engine._active:
+        if not engine.txns:
             finish(engine)
             continue
-        restarts = sum(t.rollbacks for t in engine.txns.values())
-        if restarts > restart_bound:
+        if engine.metrics.rollbacks > restart_bound:
             report.pruned += 1
             continue
         # Advance through candidate-free ticks in place: they consume no
         # rng and take no decision, so they belong to the edge, not to a
         # node of their own.
-        wake = min(t.wake_tick for t in engine._active.values())
+        wake = min(t.wake_tick for t in engine.txns.values())
         target = max(engine.tick + 1, wake)
         if target - 1 > engine.tick:
             engine.advance(until_tick=target - 1)
@@ -459,7 +464,7 @@ def explore(
         stalled = target - engine._last_progress > engine.stall_limit
         choices = sorted(
             t.name
-            for t in engine._active.values()
+            for t in engine.txns.values()
             if t.wake_tick <= target
         )
         for choice in choices:

@@ -22,7 +22,7 @@ _KEEP = 3
 #: Names the pickled layout.  Engine, scheduler and closure-window state
 #: are pickled by class path and slot, so any change to those must change
 #: this stamp: a snapshot carrying another one is never unpickled.
-_STAMP = b"repro-snapshot-15\n"
+_STAMP = b"repro-snapshot-16\n"
 
 
 def write_snapshot(

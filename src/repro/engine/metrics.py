@@ -59,17 +59,15 @@ class Metrics:
     #: kept here so snapshots carry them like every other count; not
     #: part of ``summary()``.
     detail: Counter = field(default_factory=Counter)
-    per_transaction_latency: dict[str, int] = field(default_factory=dict)
     latency_histogram: Histogram = field(default_factory=Histogram)
     wait_histogram: Histogram = field(default_factory=Histogram)
 
     # ------------------------------------------------------------------
 
-    def record_commit(self, name: str, latency: int, waited: int = 0) -> None:
+    def record_commit(self, latency: int, waited: int = 0) -> None:
         self.commits += 1
         self.latency_total += latency
         self.latency_max = max(self.latency_max, latency)
-        self.per_transaction_latency[name] = latency
         self.latency_histogram.record(latency)
         self.wait_histogram.record(waited)
 
@@ -84,6 +82,12 @@ class Metrics:
     def throughput(self) -> float:
         """Committed transactions per tick."""
         return self.commits / self.ticks if self.ticks else 0.0
+
+    @property
+    def rollbacks(self) -> int:
+        """Rewinds under either unit of recovery: restarts and partial
+        rollbacks."""
+        return self.aborts + self.partial_rollbacks
 
     @property
     def mean_latency(self) -> float:

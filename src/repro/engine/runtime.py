@@ -33,11 +33,12 @@ import io
 import math
 import pickle
 import random
+from array import array
 from bisect import bisect_left, insort
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.interleaving import InterleavingSpec
 from repro.audit.history import NULL_HISTORY
@@ -57,7 +58,7 @@ from repro.model.variables import EntityStore
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["Engine", "EngineResult", "TxnState", "unpack_commit"]
+__all__ = ["Commit", "Engine", "EngineResult", "TxnState", "unpack_commit"]
 
 #: The attention pick's order: arrived transactions are kept sorted by it.
 _by_name = attrgetter("name")
@@ -99,27 +100,23 @@ _CYCLE_CAUSES = {
 
 @dataclass(slots=True)
 class TxnState:
-    """Engine-side state of one transaction across attempts.
+    """Engine-side state of one uncommitted transaction across attempts.
 
-    A committed transaction keeps only what envelopes and schedulers
-    read after its commit: ``program`` and ``live`` are ``None`` (the
-    compiled program, the finished generator and its replay tape are
-    released) and ``deps`` is empty.
+    A commit folds what is left worth keeping into the transaction's
+    :class:`Commit` record and drops this state.
     """
 
     name: str
-    program: TransactionProgram | None
+    program: TransactionProgram
     arrival_tick: int
-    live: _LiveTransaction | None
+    live: _LiveTransaction
     attempt: int = 0
     # Rewinds under either unit of recovery; ``attempt`` counts the
     # restarts among them.
     rollbacks: int = 0
     attempt_start_tick: int = 0
     wake_tick: int = 0
-    committed: bool = False
-    commit_tick: int | None = None
-    deps: set[tuple[str, int]] | frozenset = field(default_factory=set)
+    deps: set[tuple[str, int]] = field(default_factory=set)
     # WAIT decisions received across all attempts (admission + commit),
     # feeding the per-transaction wait histogram at commit time.
     waits: int = 0
@@ -135,7 +132,7 @@ class TxnState:
 
     @property
     def finished(self) -> bool:
-        return self.live is None or self.live.finished
+        return self.live.finished
 
     @property
     def steps_taken(self) -> int:
@@ -163,17 +160,37 @@ class _LogEntry:
     record: StepRecord
 
 
-#: A committed transaction's ``deps``: one shared empty set, not one each.
-_NO_DEPS: frozenset = frozenset()
+class Commit(NamedTuple):
+    """What a committed transaction leaves behind, packed into one
+    record (see ``_Packer``): its place in history — the attempt that
+    committed and that attempt's accesses, each row ``(seq, index,
+    entity, kind, before, after)`` with ``kind`` a :class:`StepKind`
+    value — and what its envelope reports."""
+
+    name: str
+    attempt: int
+    rows: list[tuple]
+    arrival_tick: int
+    commit_tick: int
+    rollbacks: int
+    waits: int
+    result: Any
+    cut_levels: dict[int, int]
+
+    @property
+    def latency(self) -> int:
+        """Arrival-to-commit latency in ticks."""
+        return self.commit_tick - self.arrival_tick
+
 
 class _Packer:
-    """Packs a committed attempt ``(name, attempt, rows)`` into one
-    immutable ``bytes``.  The pickler's memo is off, so the bytes depend
-    only on the values, never on which copy of an equal string a row
-    holds: a replayed or restored engine packs the same commit to the
-    same bytes, and its snapshot pickles them unchanged.  One pickler
-    per engine, reused: building one costs twice what a commit's
-    packing does."""
+    """Packs a committed transaction's :class:`Commit` fields, as a
+    plain tuple, into one immutable ``bytes``.  The pickler's memo is
+    off, so the bytes depend only on the values, never on which copy of
+    an equal string a row holds: a replayed or restored engine packs the
+    same commit to the same bytes, and its snapshot pickles them
+    unchanged.  One pickler per engine, reused: building one costs twice
+    what a commit's packing does."""
 
     __slots__ = ("_buffer", "_pickler")
 
@@ -190,11 +207,9 @@ class _Packer:
         return buffer.getvalue()
 
 
-def unpack_commit(packed: bytes) -> tuple[str, int, list[tuple]]:
-    """A committed-log record back as ``(name, attempt, rows)``, each
-    row ``(seq, index, entity, kind, before, after)`` with ``kind`` a
-    :class:`StepKind` value."""
-    return pickle.loads(packed)
+def unpack_commit(packed: bytes) -> Commit:
+    """A committed-log record back as its :class:`Commit`."""
+    return Commit._make(pickle.loads(packed))
 
 
 @dataclass
@@ -355,13 +370,12 @@ class Engine:
         # sees exactly the stall pattern of one uninterrupted run.
         self._last_progress = 0
         arrivals = dict(arrivals or {})
-        self.txns: dict[str, TxnState] = {}
-        # Uncommitted transactions, in registration order.  The tick loop
-        # iterates this instead of ``txns`` so a long-lived open-system
+        # Uncommitted transactions, in registration order: a commit
+        # drops its transaction's state, so a long-lived open-system
         # engine pays per-tick cost proportional to the in-flight window,
         # not to every transaction it has ever committed.
-        self._active: dict[str, TxnState] = {}
-        # The part of ``_active`` the tick loop scans for candidates:
+        self.txns: dict[str, TxnState] = {}
+        # The part of ``txns`` the tick loop scans for candidates:
         # transactions whose arrival tick has been reached.  The rest
         # wait in ``_unarrived``, a heap keyed (arrival tick, filing
         # sequence), so a tick never pays for work that has not arrived
@@ -378,20 +392,6 @@ class Engine:
         # Any other wait ends by the next tick, so once the clock passes
         # this mark every entry of ``_ranked`` is awake.
         self._wake_mark = 0
-        for program in programs:
-            if program.name in self.txns:
-                raise EngineError(f"duplicate transaction {program.name!r}")
-            arrival = arrivals.get(program.name, 0)
-            state = TxnState(
-                name=program.name,
-                program=program,
-                arrival_tick=arrival,
-                live=_LiveTransaction(program),
-                attempt_start_tick=arrival,
-                wake_tick=arrival,
-            )
-            self.txns[program.name] = state
-            self._file(state)
         # Live (not rolled back) performed records, split by commit
         # status.  Uncommitted attempts' records stay in ``_live_log``
         # (global performance order); a committing attempt's records move
@@ -400,13 +400,22 @@ class Engine:
         # split is what keeps abort-time cascade work proportional to the
         # in-flight window instead of to the whole history — essential
         # for the open-system service, whose log otherwise grows without
-        # bound while aborts scan it end to end.  Each committed attempt
-        # is kept as one packed ``bytes`` record (see ``_Packer``): one
-        # object per commit, which the cyclic GC does not track and
-        # which pins no row tuples or integers.
+        # bound while aborts scan it end to end.  Each commit is kept as
+        # one packed ``bytes`` :class:`Commit` record (see ``_Packer``),
+        # the only per-commit state besides its name's place in
+        # ``_commit_order`` and ``_positions`` and its attempt in
+        # ``_attempts``: one object per commit, which the cyclic GC does
+        # not track and which pins no row tuples or integers.
         self._live_log: list[_LogEntry] = []
         self._committed_log: list[bytes] = []
         self._pack = _Packer()
+        self._commit_order: list[str] = []
+        # name -> its commit's position in ``_commit_order`` and
+        # ``_committed_log``; ``_attempts`` holds each position's
+        # committed attempt, so "did (name, attempt) commit" reads no
+        # record.
+        self._positions: dict[str, int] = {}
+        self._attempts = array("I")
         # Per entity: (seq, key) of the latest committed access.  A
         # doomed write older than this watermark means a committed
         # attempt consumed state we are about to roll back — the same
@@ -421,14 +430,8 @@ class Engine:
             lambda name: self.txns[name].finished,
             lambda name: (self.txns[name].priority, name),
         )
-        self._commit_order: list[str] = []
-        self._results: dict[str, Any] = {}
-        # name -> the cut levels its committed attempt declared.  Commits
-        # share one dict per distinct shape (see ``_shared_cuts``): a
-        # workload declares a handful of shapes over any number of
-        # commits.
-        self._cut_levels: dict[str, dict[int, int]] = {}
-        self._cut_shapes: dict[tuple, dict[int, int]] = {}
+        for program in programs:
+            self._register(program, arrivals.get(program.name, 0))
 
     def _emit(self, kind: str, /, **fields: Any) -> None:
         """The one emission point: hand a decision, stamped with the
@@ -505,13 +508,16 @@ class Engine:
         both runs.  The service/library bit-identical differential rests
         on exactly this property.
         """
-        if program.name in self.txns:
-            raise EngineError(f"duplicate transaction {program.name!r}")
         arrival = self.tick + 1 if arrival_tick is None else arrival_tick
         if arrival <= self.tick:
             raise EngineError(
                 f"arrival tick {arrival} already processed (now {self.tick})"
             )
+        return self._register(program, arrival)
+
+    def _register(self, program: TransactionProgram, arrival: int) -> TxnState:
+        if program.name in self:
+            raise EngineError(f"duplicate transaction {program.name!r}")
         state = TxnState(
             name=program.name,
             program=program,
@@ -524,13 +530,16 @@ class Engine:
         self._file(state)
         return state
 
+    def __contains__(self, name: str) -> bool:
+        """Whether ``name`` is registered, committed or not."""
+        return name in self.txns or name in self._positions
+
     def _file(self, state: TxnState) -> None:
-        """Enter an uncommitted transaction into ``_active`` and into
-        the scanned set or the arrival queue.  A rolled-back attempt
+        """Enter an uncommitted transaction into the scanned set or the
+        arrival queue.  A rolled-back attempt
         counts as arrived whatever its arrival tick: a scheduler's
         fallback victim may be a transaction that has not arrived, and
         its backoff can end before its arrival does."""
-        self._active[state.name] = state
         if state.arrival_tick <= self.tick or state.rollbacks:
             self._arrive(state)
         else:
@@ -562,7 +571,7 @@ class Engine:
         self._route()
         self.scheduler.attach(self)
         wal = self.wal
-        while self._active:
+        while self.txns:
             if until_tick is not None and self.tick >= until_tick:
                 self.metrics.ticks = self.tick
                 return False
@@ -618,7 +627,7 @@ class Engine:
         unarrived = self._unarrived
         while unarrived and unarrived[0][0] <= tick:
             state = heapq.heappop(unarrived)[2]
-            if not state.committed:
+            if state.name in self.txns:  # a rollback victim may commit first
                 self._arrive(state)
         if self._wake_mark <= tick:
             return self._ranked
@@ -635,36 +644,53 @@ class Engine:
         newly committed without assembling a full result."""
         return self._commit_order
 
+    def position_of(self, name: str) -> int | None:
+        """``name``'s position in the commit order, or ``None`` while it
+        has not committed."""
+        return self._positions.get(name)
+
+    def commit_of(self, name: str) -> Commit:
+        """``name``'s :class:`Commit` record (EngineError if
+        uncommitted)."""
+        position = self._positions.get(name)
+        if position is None:
+            raise EngineError(f"transaction {name!r} has not committed")
+        return unpack_commit(self._committed_log[position])
+
     def result_of(self, name: str) -> Any:
         """The committed result of ``name`` (EngineError if uncommitted)."""
-        if name not in self._results:
-            raise EngineError(f"transaction {name!r} has not committed")
-        return self._results[name]
+        return self.commit_of(name).result
 
     @property
     def log(self) -> list[_LogEntry]:
         """The live access log in global performance order (committed
         and in-flight attempts merged — materialised on demand, with
         fresh entries and records unpacked from the committed log)."""
-        entries = list(self._live_log)
-        for packed in self._committed_log:
-            name, attempt, rows = unpack_commit(packed)
-            key = (name, attempt)
+        return self._merged(map(unpack_commit, self._committed_log))
+
+    def _merged(
+        self, commits: Iterable[Commit], live: bool = True
+    ) -> list[_LogEntry]:
+        """The entries of ``commits`` and, with ``live``, of the
+        uncommitted attempts, in global performance order."""
+        entries = list(self._live_log) if live else []
+        for commit in commits:
+            name, key = commit.name, (commit.name, commit.attempt)
             entries.extend(
                 _LogEntry(seq, key, StepRecord(
                     StepId(name, index), entity, StepKind(kind), before, after
                 ))
-                for seq, index, entity, kind, before, after in rows
+                for seq, index, entity, kind, before, after in commit.rows
             )
         entries.sort(key=attrgetter("seq"))
         return entries
 
     def active_states(self) -> list[TxnState]:
-        return list(self._active.values())
+        return list(self.txns.values())
 
     def active_count(self) -> int:
         """How many registered transactions have not committed."""
-        return len(self._active)
+        return len(self.txns)
 
     def arrived_states(self) -> list[TxnState]:
         """The active transactions the tick loop scans — every one that
@@ -733,18 +759,8 @@ class Engine:
     def _committed(self, key: tuple[str, int]) -> bool:
         """Whether attempt ``key`` = (name, attempt) has committed: a
         transaction commits once, in its last attempt."""
-        txn = self.txns[key[0]]
-        return txn.committed and txn.attempt == key[1]
-
-    def _shared_cuts(self, cuts: dict[int, int]) -> dict[int, int]:
-        """The engine's one copy of a cut-level dict equal to ``cuts``,
-        items in the same order.  Shared by every commit of that shape,
-        so it is never mutated."""
-        shape = tuple(cuts.items())
-        shared = self._cut_shapes.get(shape)
-        if shared is None:
-            shared = self._cut_shapes[shape] = dict(shape)
-        return shared
+        position = self._positions.get(key[0])
+        return position is not None and self._attempts[position] == key[1]
 
     def _try_commit(self, txn: TxnState) -> bool:
         pending_deps = {dep for dep in txn.deps if not self._committed(dep)}
@@ -759,14 +775,13 @@ class Engine:
             )
         decision = self.scheduler.may_commit(txn)
         if decision.action is Action.PERFORM:
-            txn.committed = True
-            txn.commit_tick = self.tick
-            self._active.pop(txn.name, None)
-            if self._arrived.pop(txn.name, None) is not None:
+            name = txn.name
+            del self.txns[name]
+            if self._arrived.pop(name, None) is not None:
                 ranked = self._ranked
-                del ranked[bisect_left(ranked, txn.name, key=_by_name)]
+                del ranked[bisect_left(ranked, name, key=_by_name)]
             key = txn.key
-            self.waits.done(txn.name)
+            self.waits.done(name)
             # Retire the attempt's records out of the abort-scannable
             # window (entries are in seq order, so the last touch per
             # entity wins the watermark).
@@ -781,37 +796,30 @@ class Engine:
                     record.kind.value, record.value_before, record.value_after,
                 ))
                 self._committed_access[record.entity] = (entry.seq, key)
-            self._committed_log.append(
-                self._pack((txn.name, txn.attempt, rows))
-            )
             live = txn.live
-            self._commit_order.append(txn.name)
-            self._results[txn.name] = live.result
-            self._cut_levels[txn.name] = cut_levels = self._shared_cuts(
-                live.cut_levels
-            )
-            self.metrics.record_commit(
-                txn.name, self.tick - txn.arrival_tick, waited=txn.waits
-            )
+            self._positions[name] = len(self._commit_order)
+            self._commit_order.append(name)
+            self._attempts.append(txn.attempt)
+            self._committed_log.append(self._pack((
+                name, txn.attempt, rows, txn.arrival_tick, self.tick,
+                txn.rollbacks, txn.waits, live.result, live.cut_levels,
+            )))
+            latency = self.tick - txn.arrival_tick
+            self.metrics.record_commit(latency, waited=txn.waits)
             # Commit identity lives in the log: the commit record lands
             # before ``on_commit`` so any prune it triggers follows it.
             if "txn.commit" in self._routes:
                 self._emit(
                     "txn.commit",
-                    txn=txn.name,
+                    txn=name,
                     attempt=txn.attempt,
-                    latency=self.tick - txn.arrival_tick,
+                    latency=latency,
                     waits=txn.waits,
                     result=live.result,
-                    cut_levels=cut_levels,
+                    cut_levels=live.cut_levels,
                     steps=[(e.seq, e.record) for e in mine],
                 )
             self.scheduler.on_commit(txn)
-            # Nothing reads a committed attempt's program, generator,
-            # replay tape or commit dependencies again.
-            txn.program = None
-            txn.live = None
-            txn.deps = _NO_DEPS
             return True
         if decision.action is Action.ABORT:
             self._rollback(
@@ -841,7 +849,7 @@ class Engine:
         return {
             dep_name
             for dep_name, dep_attempt in txns[name].deps
-            if not (other := txns[dep_name]).committed
+            if (other := txns.get(dep_name)) is not None
             and other.attempt == dep_attempt
         }
 
@@ -882,8 +890,8 @@ class Engine:
         given = points or {}
         seeds: dict[tuple[str, int], int] = {}
         for name in victim_names:
-            txn = self.txns[name]
-            if txn.committed:
+            txn = self.txns.get(name)
+            if txn is None:
                 raise EngineError(
                     f"scheduler tried to abort committed transaction {name!r}"
                 )
@@ -1061,10 +1069,10 @@ class Engine:
         decisions, and the scheduler/closure-window internals.  Programs
         themselves (generator functions) are not serialised: an
         uncommitted attempt is rebuilt on restore from its
-        ``results_log`` replay tape, and a committed transaction carries
-        no tape (``None``) because nothing runs its program again.  The
-        committed log is carried as the engine holds it, one packed
-        record per commit (:func:`unpack_commit` reads one).
+        ``results_log`` replay tape.  A committed transaction is carried
+        as the engine holds it, one packed :class:`Commit` record
+        (:func:`unpack_commit` reads one), so ``txns`` grows with the
+        in-flight window, not with history.
 
         ``deep=False`` skips the final defensive deep copy.  Every
         container in the dict is freshly built and step records and
@@ -1082,13 +1090,9 @@ class Engine:
                 "rollbacks": txn.rollbacks,
                 "attempt_start_tick": txn.attempt_start_tick,
                 "wake_tick": txn.wake_tick,
-                "committed": txn.committed,
-                "commit_tick": txn.commit_tick,
                 "deps": sorted(txn.deps),
                 "waits": txn.waits,
-                "results_log": (
-                    None if txn.live is None else list(txn.live.results_log)
-                ),
+                "results_log": list(txn.live.results_log),
             }
             for txn in self.txns.values()
         ]
@@ -1101,18 +1105,14 @@ class Engine:
             "metrics": self.metrics,
             "store": self.store.snapshot_state(),
             "txns": txns,
-            "active": list(self._active),
             "live_log": [
                 (e.seq, e.key, e.record) for e in self._live_log
             ],
             "committed_log": list(self._committed_log),
+            "commit_order": list(self._commit_order),
+            "commit_attempts": array("I", self._attempts),
             "committed_access": dict(self._committed_access),
             "last_writer": list(self._last_writer.items()),
-            "commit_order": list(self._commit_order),
-            "results": dict(self._results),
-            "cut_levels": {
-                name: dict(cuts) for name, cuts in self._cut_levels.items()
-            },
             "waits": list(self.waits.waits.items()),
             "scheduler": self.scheduler.snapshot_state(),
         }
@@ -1138,12 +1138,12 @@ class Engine:
         mutated through the engine — the symmetric fast path to
         ``snapshot_state(deep=False)``.
 
-        An engine releases a program when its transaction commits.
-        Restoring an engine that has committed past the snapshot (the
-        audit explorer reuses its engines) therefore needs the programs
-        of the transactions it committed since: they come from
-        ``programs`` (name -> program), and a missing one is an
-        :class:`EngineError` raised before anything is restored.
+        A commit drops its transaction's program.  Restoring an engine
+        that has committed past the snapshot (the audit explorer reuses
+        its engines) therefore needs the programs of the transactions it
+        committed since: they come from ``programs`` (name -> program),
+        and a missing one is an :class:`EngineError` raised before
+        anything is restored.
         """
         if deep:
             state = copy.deepcopy(state)
@@ -1152,28 +1152,19 @@ class Engine:
         for saved in state["txns"]:
             name = saved["name"]
             base = known.get(name)
-            if base is None:
+            program = base.program if base is not None else (
+                programs or {}
+            ).get(name)
+            if program is None:
                 raise EngineError(
-                    f"snapshot names unknown transaction {name!r}"
+                    f"cannot restore transaction {name!r}: it is "
+                    f"uncommitted in the snapshot, and this engine holds "
+                    f"no program for it (pass the programs of what it "
+                    f"committed since in programs=)"
                 )
-            tape = saved["results_log"]
-            if tape is None:  # committed: its program never runs again
-                program, live, deps = None, None, _NO_DEPS
-            else:
-                program = base.program
-                if program is None and programs is not None:
-                    program = programs.get(name)
-                if program is None:
-                    raise EngineError(
-                        f"cannot restore transaction {name!r}: it is "
-                        f"uncommitted in the snapshot, but this engine "
-                        f"committed it and released its program "
-                        f"(pass it in programs=)"
-                    )
-                live = _LiveTransaction(program)
-                if tape:
-                    live.fast_forward(tape)
-                deps = set(map(tuple, saved["deps"]))
+            live = _LiveTransaction(program)
+            if saved["results_log"]:
+                live.fast_forward(saved["results_log"])
             txns[name] = TxnState(
                 name=name,
                 program=program,
@@ -1183,9 +1174,7 @@ class Engine:
                 rollbacks=saved["rollbacks"],
                 attempt_start_tick=saved["attempt_start_tick"],
                 wake_tick=saved["wake_tick"],
-                committed=saved["committed"],
-                commit_tick=saved["commit_tick"],
-                deps=deps,
+                deps=set(map(tuple, saved["deps"])),
                 waits=saved["waits"],
             )
         self.tick = state["tick"]
@@ -1197,36 +1186,35 @@ class Engine:
             state["metrics"] if deep else copy.copy(state["metrics"])
         )
         self.store.restore_state(state["store"])
+        self._committed_log = list(state["committed_log"])
+        self._commit_order = list(state["commit_order"])
+        self._positions = {
+            name: position for position, name in enumerate(self._commit_order)
+        }
+        self._attempts = array("I", state["commit_attempts"])
         self.txns = txns
-        self._active, self._arrived, self._unarrived = {}, {}, []
+        self._arrived, self._unarrived = {}, []
         self._ranked, self._wake_mark = [], 0
-        for name in state["active"]:
-            self._file(self.txns[name])
+        for txn in txns.values():
+            self._file(txn)
         # Programs registered after the snapshot was taken (open-system
         # ingest) keep their fresh construction-time state, appended in
         # registration order — exactly where a live engine would hold
         # them.
         for name, base in known.items():
-            if name not in self.txns:
-                self.txns[name] = base
+            if name not in self:
+                txns[name] = base
                 self._file(base)
         self._live_log = [
             _LogEntry(seq, tuple(key), record)
             for seq, key, record in state["live_log"]
         ]
-        self._committed_log = list(state["committed_log"])
         self._committed_access = {
             entity: (seq, tuple(key))
             for entity, (seq, key) in state["committed_access"].items()
         }
         self._last_writer = {
             entity: tuple(key) for entity, key in state["last_writer"]
-        }
-        self._commit_order = list(state["commit_order"])
-        self._results = dict(state["results"])
-        self._cut_levels = {
-            name: self._shared_cuts(cuts)
-            for name, cuts in state["cut_levels"].items()
         }
         self.waits.waits = dict(state["waits"])
         self.scheduler.restore_state(state["scheduler"])
@@ -1236,24 +1224,21 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _result(self, partial: bool = False) -> EngineResult:
-        live_keys = {txn.key for txn in self._active.values()}
+        commits = [unpack_commit(packed) for packed in self._committed_log]
         records = [
-            entry.record
-            for entry in self.log
-            if self._committed(entry.key)
-            or (partial and entry.key in live_keys)
+            entry.record for entry in self._merged(commits, live=partial)
         ]
         execution = Execution(records, self.store.initial_snapshot())
         execution.validate()  # undo/cascade bugs cannot pass silently
-        cut_levels = dict(self._cut_levels)
+        cut_levels = {commit.name: commit.cut_levels for commit in commits}
         if partial:
-            for txn in self._active.values():
+            for txn in self.txns.values():
                 if txn.steps_taken:
                     cut_levels[txn.name] = dict(txn.live.cut_levels)
         return EngineResult(
             execution=execution,
             cut_levels=cut_levels,
-            results=dict(self._results),
+            results={commit.name: commit.result for commit in commits},
             metrics=self.metrics,
             commit_order=list(self._commit_order),
             partial=partial,

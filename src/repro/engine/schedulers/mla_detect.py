@@ -61,8 +61,7 @@ class MLADetectScheduler(Scheduler):
             for blocker, steps, attempt in waits:
                 other = self.engine.txns.get(blocker)
                 if (
-                    other is None
-                    or other.committed
+                    other is None  # committed
                     or other.finished  # will never take another step
                     or other.attempt != attempt
                     or other.steps_taken > steps
@@ -96,14 +95,10 @@ class MLADetectScheduler(Scheduler):
             step.transaction
             for step in result.cycle or ()
         }
-        active = {
-            name
-            for name in cycle_names
-            if name in self.engine.txns
-            and not self.engine.txns[name].committed
-        }
+        txns = self.engine.txns  # uncommitted transactions only
+        active = cycle_names & txns.keys()
         if active:
-            victim = self.engine.txns[self.engine.waits.victim(active)]
+            victim = txns[self.engine.waits.victim(active)]
         else:
             # The cycle closed between already-committed steps through the
             # new step's reachability; removing the new step's attempt
@@ -123,12 +118,8 @@ class MLADetectScheduler(Scheduler):
             else None
         )
         self._parked[victim.name] = [
-            (owner, self.engine.txns[owner].steps_taken,
-             self.engine.txns[owner].attempt)
-            for owner in sorted(cycle_names)
-            if owner != victim.name
-            and owner in self.engine.txns
-            and not self.engine.txns[owner].committed
+            (owner, txns[owner].steps_taken, txns[owner].attempt)
+            for owner in sorted(active - {victim.name})
         ]
         if self._parked[victim.name]:
             self.engine.metrics.detail["parks"] += 1

@@ -79,7 +79,6 @@ class MLAPreventScheduler(Scheduler):
                 for owner in cycle_owners
                 if owner != txn.name
                 and owner in self.engine.txns
-                and not self.engine.txns[owner].committed
             } or {
                 other.name
                 for other in self.engine.active_states()
@@ -87,7 +86,7 @@ class MLAPreventScheduler(Scheduler):
             }
         blockers: set[str] = set()
         for other in self.engine.arrived_states():
-            if other.name == txn.name or other.committed:
+            if other.name == txn.name:
                 continue
             last = self.window.last_step_of(other.name)
             if last is None or last not in predecessors:

@@ -94,7 +94,7 @@ class NestedLockScheduler(Scheduler):
             if holder == txn.name:
                 continue
             other = self.engine.txns.get(holder)
-            if other is None or other.committed:
+            if other is None:  # committed
                 continue
             level = self.nest.level(holder, txn.name)
             if not self._passed_breakpoint_since(
@@ -147,7 +147,6 @@ class NestedLockScheduler(Scheduler):
             step.transaction
             for step in result.cycle or ()
             if step.transaction in self.engine.txns
-            and not self.engine.txns[step.transaction].committed
         }
         victim = self.engine.waits.victim(owners or {txn.name})
         if "certify.fail" in self.reads:

@@ -127,13 +127,12 @@ class TransactionService:
         #: from the engine, never re-executed.
         self._by_key: dict[str, str] = {}
         self._recovered = 0  # keys the log held at recovery
-        #: name -> serial position of every commit folded into replies.
-        self._serial: dict[str, int] = {}
+        #: How many commits, a prefix of the commit order, have been
+        #: folded into replies.
+        self._resolved = 0
         #: name -> abort causes of a restarted transaction, explained at
         #: its first envelope (the tracer releases the events it took).
         self._causes: dict[str, tuple[str, ...]] = {}
-        #: name -> arrival tick, recorded at ingest for the differential.
-        self.arrivals: dict[str, int] = {}
         self.duplicates = 0  # resubmitted keys answered from the first run
         self.pump_slices = 0
         self.admission = AdmissionController(
@@ -211,7 +210,6 @@ class TransactionService:
             registry=self.registry,
         )
         self.wal = report.wal
-        self.arrivals = {add.name: add.arrival for add in report.adds}
         # An ``add`` record is an admission; rejections, duplicates and
         # pump slices are not logged and restart at 0.
         self.admission.admitted = len(report.adds)
@@ -219,10 +217,7 @@ class TransactionService:
             add.key: add.name for add in report.adds if add.key is not None
         }
         self._recovered = len(self._by_key)
-        self._serial = {
-            name: position
-            for position, name in enumerate(report.engine.commit_order)
-        }
+        self._resolved = len(report.engine.commit_order)
         if self.history.enabled:
             # Capture resumes post-recovery: replay is not re-recorded,
             # but recovered in-flight transactions may still commit, so
@@ -230,7 +225,7 @@ class TransactionService:
             # one never reaches it again, and its path would stay there.
             txns = report.engine.txns
             for add in report.adds:
-                if not txns[add.name].committed:
+                if add.name in txns:
                     self.history.declare_path(add.name, add.path)
             report.engine.history = self.history
         return report.nest, report.engine
@@ -271,7 +266,7 @@ class TransactionService:
             # replayed engine: committed work from the engine's record,
             # in-flight work by awaiting it — never re-executed.
             self.duplicates += 1
-            position = self._serial.get(name)
+            position = self.engine.position_of(name)
             if position is not None:
                 envelope = self._envelope_for(name, position)
             else:
@@ -286,7 +281,7 @@ class TransactionService:
                     "envelope": envelope.to_dict()}
         decision = self.admission.check(
             submission,
-            known_names=self.engine.txns,
+            known_names=self.engine,
             in_flight=self._in_flight(),
         )
         if not decision.admitted:
@@ -336,7 +331,6 @@ class TransactionService:
         self.nest.add(spec.name, spec.path)
         self.history.declare_path(spec.name, spec.path)
         state = self.engine.add_program(spec.compile())
-        self.arrivals[spec.name] = state.arrival_tick
         if self.wal.enabled:
             self.wal.append({
                 "t": "add",
@@ -371,13 +365,26 @@ class TransactionService:
             # Yield so connection handlers can enqueue and respond.
             await asyncio.sleep(0)
 
+    @property
+    def arrivals(self) -> dict[str, int]:
+        """name -> arrival tick of every transaction in the engine, in
+        ingest order (the order keys were admitted), for the library
+        replay differential."""
+        engine = self.engine
+        return {
+            name: (
+                engine.txns[name].arrival_tick
+                if name in engine.txns
+                else engine.commit_of(name).arrival_tick
+            )
+            for name in self._by_key.values()
+            if name in engine
+        }
+
     def _resolve_commits(self) -> None:
         order = self.engine.commit_order
-        serial = self._serial  # holds a prefix of the commit order
-        while len(serial) < len(order):
-            position = len(serial)
+        for position in range(self._resolved, len(order)):
             name = order[position]
-            serial[name] = position
             # Built even when no waiter is left (each was cancelled, or
             # recovery resumed the transaction before its key came
             # back): building it takes the transaction's causes out of
@@ -386,30 +393,31 @@ class TransactionService:
             for future in self._pending.pop(name, ()):
                 if not future.done():
                     future.set_result(envelope)
+        self._resolved = len(order)
 
     def _envelope_for(self, name: str, position: int) -> ResultEnvelope:
         """``name``'s envelope, built from the engine: when it commits,
         and again for each resubmission of its key."""
-        state = self.engine.txns[name]
+        commit = self.engine.commit_of(name)
         causes = self._causes.get(name)
         if causes is None:
             # Taken whatever the outcome: the tracer holds nothing for a
             # transaction once its envelope has been built.
             events = self.tracer.take(name)
             causes = ()
-            if state.attempt > 0:
+            if commit.attempt > 0:
                 causes = tuple(explain_abort(events, name))
                 self._causes[name] = causes
         return ResultEnvelope(
             name=name,
-            status="restarted" if state.attempt > 0 else "committed",
+            status="restarted" if commit.attempt > 0 else "committed",
             serial_position=position,
-            arrival_tick=state.arrival_tick,
-            commit_tick=state.commit_tick,
-            latency_ticks=(state.commit_tick or 0) - state.arrival_tick,
-            attempts=state.attempt + 1,
-            waits=state.waits,
-            result=self.engine.result_of(name),
+            arrival_tick=commit.arrival_tick,
+            commit_tick=commit.commit_tick,
+            latency_ticks=commit.latency,
+            attempts=commit.attempt + 1,
+            waits=commit.waits,
+            result=commit.result,
             abort_causes=causes,
         )
 

@@ -101,7 +101,7 @@ def test_restore_state_keeps_post_snapshot_programs(tmp_path):
     order = asyncio.run(run_service())
     report = recover(d)
     assert report.snapshot_tick is not None  # the snapshot path ran
-    assert "p7" in report.engine.txns  # the late program survived
+    assert "p7" in report.engine  # the late program survived
     assert report.engine.commit_order == order
 
 
@@ -233,9 +233,9 @@ def test_add_record_lacking_a_field_is_a_typed_error(tmp_path, missing):
 
 @pytest.mark.parametrize(
     "stamp",
-    [b"", b"repro-snapshot-0\n", b"repro-snapshot-14\n"],
-    # ``previous-stamp``: the layout whose committed log holds flat
-    # rows, not one packed record per commit.
+    [b"", b"repro-snapshot-0\n", b"repro-snapshot-15\n"],
+    # ``previous-stamp``: the layout that carries every committed
+    # transaction's state beside its packed record.
     ids=["unstamped", "other-stamp", "previous-stamp"],
 )
 @pytest.mark.parametrize("scheduler", ["2pl", "mla-detect"])
@@ -306,12 +306,10 @@ def test_restore_never_runs_a_committed_program(monkeypatch, recovery_unit):
     restored.restore_state(state)
     monkeypatch.undo()
     assert sorted(started) == sorted(in_flight)
-    # A committed transaction is written without a replay tape.
-    assert all(
-        saved["results_log"] is None
-        for saved in state["txns"] if saved["name"] in committed
-    )
-    assert all(restored.txns[name].live is None for name in committed)
+    # A committed transaction is carried by its commit record alone.
+    assert {saved["name"] for saved in state["txns"]} == in_flight
+    assert not committed & set(restored.txns)
+    assert all(restored.position_of(name) is not None for name in committed)
     assert restored.run().history_digest() == live.run().history_digest()
 
 

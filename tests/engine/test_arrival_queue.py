@@ -1,6 +1,6 @@
 """The arrival queue is invisible: an engine that scans only arrived
-transactions decides exactly what an engine scanning all of ``_active``
-every tick decides.
+transactions decides exactly what an engine scanning all of ``txns``
+(every uncommitted transaction) every tick decides.
 
 ``FullScanEngine`` is the reference — the engine as it was before the
 arrival queue and the name-ranked candidate list, kept here (never in
@@ -43,7 +43,7 @@ class FullScanEngine(Engine):
 
     def _candidates(self):
         return sorted(
-            (t for t in self._active.values() if t.wake_tick <= self.tick),
+            (t for t in self.txns.values() if t.wake_tick <= self.tick),
             key=lambda t: t.name,
         )
 
@@ -202,7 +202,7 @@ def test_unarrived_fallback_victim_keeps_its_early_wake():
         assert engine.txns[specs[1].name].wake_tick == 3
         engine.advance(until_tick=40)
         # Committed long before its arrival tick came round.
-        assert engine.txns[specs[1].name].committed
+        assert engine.position_of(specs[1].name) is not None
         engine.advance(until_tick=450)
         assert not engine.active_states()
 
@@ -244,7 +244,7 @@ def test_replay_walks_only_the_admission_window(tmp_path, monkeypatch):
         candidates = scan(self)
         walked.append(len(self._arrived))
         assert set(self._arrived) == {
-            name for name, state in self._active.items()
+            name for name, state in self.txns.items()
             if state.arrival_tick <= self.tick or state.attempt
         }
         return candidates

@@ -35,7 +35,7 @@ class TestAbortRateTruthfulness:
             commit_waits=5,
             partial_rollbacks=2,
         )
-        metrics.record_commit("t0", latency=9)
+        metrics.record_commit(latency=9)
         summary = metrics.summary()
         assert summary["restarts"] == 3
         assert summary["steps_undone"] == 11

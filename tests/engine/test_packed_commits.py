@@ -1,14 +1,16 @@
-"""Packing is invisible: an engine that keeps each committed attempt as
-one packed record decides and reports exactly what an engine keeping
-the same records unpacked does.
+"""Packing is invisible: an engine that keeps each commit as one packed
+record decides and reports exactly what an engine keeping the same
+records unpacked does.
 
-The reference swaps the engine's packer and unpacker for the identity,
-so its committed log holds each ``(name, attempt, rows)`` tuple as
-built.  Both engines run the same contended traffic under both units of
-recovery (the segment unit reads ``Engine.log`` on every abort), and a
-snapshot taken mid-run is pickled, restored onto a fresh engine and
-continued.  At every observation ``Engine.log``, the history digest,
-the commit order and the metrics must agree.
+The reference swaps the engine's packer for the identity and its
+unpacker for naming the fields, so its committed log holds each
+:class:`Commit` tuple as built.  Both engines run the same contended
+traffic under both units of recovery (the segment unit reads
+``Engine.log`` on every abort), and a snapshot taken mid-run is
+pickled, restored onto a fresh engine and continued slice by slice.  At
+every observation ``Engine.log``, the history digest, the commit order
+and the metrics must agree, and no committed transaction is left in
+``txns`` or in the snapshot's transaction list.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ def _construct(scheduler: str, recovery: str) -> Engine:
 
 def _observe(engine: Engine) -> tuple:
     result = engine.run(until_tick=engine.tick)
+    saved = {txn["name"] for txn in engine.snapshot_state()["txns"]}
+    assert saved == set(engine.txns)
+    assert not saved & set(result.commit_order)
     return (
         [(entry.seq, entry.key, entry.record) for entry in engine.log],
         result.history_digest(),
@@ -64,7 +69,8 @@ def _play(scheduler: str, recovery: str) -> list[tuple]:
     engine = _construct(scheduler, recovery)
     engine.restore_state(snapshot)
     seen.append(_observe(engine))
-    assert engine.advance()
+    while not engine.advance(until_tick=engine.tick + 40):
+        seen.append(_observe(engine))
     seen.append(_observe(engine))
     return seen
 
@@ -77,7 +83,7 @@ def test_packed_commits_match_an_unpacked_reference(
     packed = _play(scheduler, recovery)
     with monkeypatch.context() as patch:
         patch.setattr(runtime, "_Packer", lambda: lambda commit: commit)
-        patch.setattr(runtime, "unpack_commit", lambda commit: commit)
+        patch.setattr(runtime, "unpack_commit", runtime.Commit._make)
         reference = _play(scheduler, recovery)
     for step, (ours, theirs) in enumerate(zip(packed, reference)):
         assert ours == theirs, f"diverged at observation {step}"
@@ -96,6 +102,9 @@ def test_a_commit_is_one_immutable_record():
     log = engine.snapshot_state()["committed_log"]
     assert len(log) == len(SPECS)
     assert all(type(record) is bytes for record in log)
-    name, attempt, rows = runtime.unpack_commit(log[0])
-    assert (name, attempt) == engine.txns[name].key
-    assert rows and all(len(row) == 6 for row in rows)
+    commit = runtime.unpack_commit(log[0])
+    assert commit.name == engine.commit_order[0]
+    assert engine._committed((commit.name, commit.attempt))
+    assert commit.commit_tick >= commit.arrival_tick
+    assert commit.rows and all(len(row) == 6 for row in commit.rows)
+    assert not engine.txns

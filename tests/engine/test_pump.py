@@ -103,12 +103,13 @@ class TestAddProgram:
             pass
         dynamic_result = dynamic.run()
 
+        assert not dynamic.txns  # a commit leaves only its record
+        ingested = ["t0", "t1", "t2", "t3"]
         arrivals = {
-            name: state.arrival_tick
-            for name, state in dynamic.txns.items()
+            name: dynamic.commit_of(name).arrival_tick for name in ingested
         }
         upfront = Engine(
-            [all_specs[name].compile() for name in dynamic.txns],
+            [all_specs[name].compile() for name in ingested],
             dict(INITIAL),
             make_scheduler("2pl", nest),
             seed=11,

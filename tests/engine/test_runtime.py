@@ -148,7 +148,7 @@ class TestRollback:
         class BadScheduler(Scheduler):
             def may_commit(self, txn):
                 if txn.name == "t1":
-                    if not self.engine.txns["t0"].committed:
+                    if "t0" in self.engine.txns:
                         return Decision.wait("let t0 commit first")
                     return Decision.abort(["t0"], "illegal")
                 return Decision.perform()
@@ -163,9 +163,9 @@ class TestRollback:
 
 
 class TestRestoreAfterRelease:
-    """A commit releases the transaction's program.  Restoring an engine
-    to a snapshot taken before that commit needs the program back, and
-    takes it from ``programs=``."""
+    """A commit drops the transaction's state, program included.
+    Restoring an engine to a snapshot taken before that commit needs the
+    program back, and takes it from ``programs=``."""
 
     def test_restore_onto_the_engine_that_committed(self, bank_programs):
         programs, accounts = bank_programs
@@ -177,12 +177,10 @@ class TestRestoreAfterRelease:
         running = engine()
         running.advance(until_tick=5)
         snapshot = running.snapshot_state()
-        pending = [
-            name for name, txn in running.txns.items() if not txn.committed
-        ]
+        pending = list(running.txns)
         assert pending
         running.advance()
-        assert all(txn.program is None for txn in running.txns.values())
+        assert not running.txns
 
         with pytest.raises(EngineError, match=repr(pending[0])):
             running.restore_state(snapshot)

@@ -57,7 +57,7 @@ class TestMetricsPercentiles:
     def test_summary_exposes_percentile_keys(self):
         metrics = Metrics()
         for i, latency in enumerate([3, 5, 8, 200]):
-            metrics.record_commit(f"t{i}", latency=latency, waited=i)
+            metrics.record_commit(latency=latency, waited=i)
         summary = metrics.summary()
         for key in (
             "latency_p50", "latency_p95", "latency_p99",

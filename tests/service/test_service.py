@@ -10,6 +10,7 @@ import asyncio
 import dataclasses
 import gc
 import json
+import pickle
 import tracemalloc
 
 import pytest
@@ -99,7 +100,8 @@ class TestServiceCore:
 
         service = run(go())
         # One engine-side transaction, not two.
-        assert len(service.engine.txns) == 1
+        assert service.engine.commit_order == ["t1"]
+        assert not service.engine.txns
 
     def test_schema_rejections(self):
         async def go():
@@ -289,7 +291,7 @@ class TestRecoveredDuplicates:
                 ServiceConfig(nest_depth=0, wal_dir=wal_dir)
             )
             assert service.engine.commit_order == ["p0", "p1", "p2"]
-            assert not service.engine.txns["p3"].committed
+            assert "p3" in service.engine.txns
             tick = service.engine.tick
 
             committed = await service.submit(Submission(
@@ -317,7 +319,7 @@ class TestRecoveredDuplicates:
             else:
                 # Other traffic commits p3 before its key comes back.
                 fresh = await unknown()
-                assert service.engine.txns["p3"].committed
+                assert service.engine.position_of("p3") is not None
                 resumed = await in_flight()
             await service.drain()
             service.wal.close()
@@ -464,7 +466,8 @@ class TestWaiters:
         service = run(go())
         assert len(service.engine.commit_order) == len(submissions)
         assert any(
-            state.attempt > 0 for state in service.engine.txns.values()
+            service.engine.commit_of(name).attempt > 0
+            for name in service.engine.commit_order
         )
         assert service.tracer.events() == []
         assert service.health()["in_flight"] == 0
@@ -497,10 +500,8 @@ class TestCommitFootprint:
                 ):
                     gc.collect()
                     counts.append((committed, len(gc.get_objects())))
-            # A commit releases the compiled program with the rest.
-            assert all(
-                txn.program is None for txn in service.engine.txns.values()
-            )
+            # A commit leaves only its record behind.
+            assert not service.engine.txns
             service.wal.close()
             service.history.close()
             return counts
@@ -536,9 +537,11 @@ class TestCommitFootprint:
     #: copy of every commit and each commit its own cut-level dict, path
     #: tuple and committed-key tuple, this run retained 1 389 B bare and
     #: 2 048 B logged per commit; while the engine kept each committed
-    #: access as a row tuple, about 1 115 B either way.  With one packed
-    #: record per commit it retains about 760 B either way.
-    RETAINED_BOUND = {"bare": 850, "logged": 900}
+    #: access as a row tuple, about 1 115 B either way; while it kept a
+    #: committed ``TxnState`` and name-keyed tables beside one packed
+    #: record, about 760 B.  With the record alone it retains about
+    #: 400 B either way.
+    RETAINED_BOUND = {"bare": 440, "logged": 450}
 
     @pytest.mark.parametrize("logs", sorted(RETAINED_BOUND))
     def test_retained_bytes_per_commit(self, tmp_path, logs):
@@ -583,6 +586,23 @@ class TestCommitFootprint:
             tracemalloc.stop()
         retained = (bytes_b - bytes_a) / (commits_b - commits_a)
         assert retained <= self.RETAINED_BOUND[logs], retained
+
+    def test_snapshot_bytes_per_commit(self):
+        """A snapshot carries each commit as its one record: about
+        155 B per commit on this stream, where one dict per committed
+        transaction beside the record made it about 240 B."""
+        submissions = traffic_submissions(TrafficConfig(
+            transactions=2_000, contention=0.02, seed=18
+        ))
+        service = TransactionService(ServiceConfig(
+            scheduler="2pl", admission=AdmissionConfig(window=32),
+        ))
+        _drive_batches(service, submissions)
+        state = service.engine.snapshot_state()
+        assert len(state["committed_log"]) == len(submissions)
+        assert not state["txns"]
+        per_commit = len(pickle.dumps(state)) / len(submissions)
+        assert per_commit <= 175, per_commit
 
 
 def _drive_batches(service, submissions, on_batch=None):
