@@ -7,8 +7,11 @@ The durability tentpole's acceptance run.  Three claims are measured:
   engine WAL — its inputs and one check frame per pump slice of the
   reference run — at record boundaries and mid-record (torn writes);
   each cut must recover to a bitwise-identical engine (state + metrics)
-  and *continue* to the reference history.  Any divergence fails the
-  run.
+  and *continue* to the reference history.  Three more kills per kept
+  snapshot interrupt its checkpoint (records frame torn, records lost
+  behind a written snapshot, snapshot never renamed); each must fall
+  back to an older snapshot or genesis, with the same result.  Any
+  divergence fails the run.
 * **Recovery is cheap.**  Recovery time is measured twice — full log
   replay from genesis, and snapshot + WAL-suffix replay — so the
   snapshot shortcut's payoff is visible in ``BENCH.json``.
@@ -124,22 +127,25 @@ def measure(cuts: int | None = SMOKE_CUTS, *, scheduler: str = "mla-detect",
             directory, specs, scheduler=scheduler, seed=seed,
             snapshot_every=SNAPSHOT_EVERY,
         )
-        start = time.perf_counter()
-        full = recover(directory, use_snapshot=False)
-        summary["recovery_full_replay_ms"] = round(
-            (time.perf_counter() - start) * 1000, 2
-        )
+        # The shortcut first: a replay from genesis re-bases the
+        # records file on what it restored, which is nothing.
         start = time.perf_counter()
         shortcut = recover(directory)
         summary["recovery_snapshot_ms"] = round(
+            (time.perf_counter() - start) * 1000, 2
+        )
+        shortcut.wal.close()
+        start = time.perf_counter()
+        full = recover(directory, use_snapshot=False)
+        summary["recovery_full_replay_ms"] = round(
             (time.perf_counter() - start) * 1000, 2
         )
         assert shortcut.snapshot_tick is not None, (
             "E16: the snapshot shortcut did not engage"
         )
         assert full.engine.commit_order == shortcut.engine.commit_order
+        assert full.engine.records == shortcut.engine.records
         full.wal.close()
-        shortcut.wal.close()
         summary["snapshot_tick"] = shortcut.snapshot_tick
         summary["replayed_checks_full"] = full.replayed
         summary["replayed_checks_snapshot"] = shortcut.replayed
@@ -171,7 +177,9 @@ def measure(cuts: int | None = SMOKE_CUTS, *, scheduler: str = "mla-detect",
 def smoke(cuts: int = SMOKE_CUTS) -> dict:
     """The bounded sweep ``collect_results.py --quick`` and CI run."""
     summary = measure(cuts)
-    assert summary["fuzz"]["cuts"] == cuts
+    kinds = summary["fuzz"]["kinds"]
+    assert kinds["boundary"] + kinds["torn"] == cuts
+    assert {"records-torn", "records-short", "unrenamed"} <= set(kinds)
     assert summary["fuzz"]["failures"] == 0
     return summary
 
@@ -239,7 +247,13 @@ def main() -> None:
             "recorded, never asserted.  The log holds the run's inputs "
             "and one check frame per 4-tick slice (a digest of the "
             "slice's decisions), not every decision, so it has fewer "
-            "frames, and fewer kill points, than a decision log."
+            "frames, and fewer kill points, than a decision log.  "
+            "`records-torn`, `records-short` and `unrenamed` kills "
+            "interrupt a checkpoint of each snapshot the run kept: its "
+            "records frame torn mid-append, the snapshot written but "
+            "naming records the file lost, or the snapshot left as its "
+            "temp file; each falls back to an older snapshot or to "
+            "genesis."
         ),
     )
     append_bench(summary)

@@ -173,7 +173,7 @@ def _canon_scheduler(value: Any, live_keys: set):
     return _canon(value)
 
 
-def _state_key(state: dict, stall_limit: int):
+def _state_key(state: dict, records: list, stall_limit: int):
     """A canonical, hashable digest of everything the engine's *future*
     behaviour can depend on.
 
@@ -190,7 +190,7 @@ def _state_key(state: dict, stall_limit: int):
     tick = state["tick"]
     store = state["store"]
     store_key = (_canon(store["initial"]), _canon(store["values"]))
-    commits = [unpack_commit(packed) for packed in state["committed_log"]]
+    commits = [unpack_commit(packed) for packed in records]
     committed = [
         (seq, commit.name, commit.attempt, *rest)
         for commit in commits
@@ -437,16 +437,17 @@ def explore(
     root_state = root.snapshot_state(deep=False)
     node_engine = fresh_engine()
     child_engine = fresh_engine()
-    visited = {_state_key(root_state, stall_limit)}
-    stack = [root_state]
+    visited = {_state_key(root_state, [], stall_limit)}
+    # Each node is a snapshot and the committed log it covers.
+    stack = [(root_state, [])]
     while stack:
-        state = stack.pop()
+        state, records = stack.pop()
         report.nodes += 1
         if report.nodes > max_nodes:
             report.complete = False
             break
         engine = node_engine
-        engine.restore_state(state, deep=False, programs=by_name)
+        engine.restore_state(state, records, deep=False, programs=by_name)
         if not engine.txns:
             finish(engine)
             continue
@@ -469,7 +470,9 @@ def explore(
         )
         for choice in choices:
             child = child_engine
-            child.restore_state(base, deep=False, programs=by_name)
+            child.restore_state(
+                base, engine.records, deep=False, programs=by_name
+            )
             # Unless the tick stalls, the attention pick takes ``choice``.
             # On a stall the handler decides this tick instead, and the
             # pick is its victim preference; a scheduler whose handler
@@ -485,10 +488,11 @@ def explore(
             child.rng.pick = None
             report.transitions += 1
             child_state = child.snapshot_state(deep=False)
-            key = _state_key(child_state, stall_limit)
+            child_records = list(child.records)
+            key = _state_key(child_state, child_records, stall_limit)
             if key in visited:
                 continue
             visited.add(key)
-            stack.append(child_state)
+            stack.append((child_state, child_records))
     report.distinct_histories = len(digests)
     return report

@@ -903,9 +903,10 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshots) there, and recover from it on restart",
     )
     serve.add_argument(
-        "--wal-snapshot-every", type=int, default=0, metavar="TICKS",
-        help="snapshot cadence in ticks (default 0 = never; recovery "
-        "then replays the whole log)",
+        "--wal-snapshot-every", type=int, default=4096, metavar="TICKS",
+        help="checkpoint cadence in ticks (default 4096): a restart "
+        "replays about this much of the log; 0 = never, and recovery "
+        "replays the whole log",
     )
     serve.add_argument(
         "--history", default=None, metavar="PATH",

@@ -5,8 +5,11 @@ Every cut of a completed run's log — at a record boundary or mid-record
 (a torn write) — must recover to an engine whose partial history,
 committed state, metrics and full dynamic state are bitwise-identical
 to a never-crashed engine advanced to the same horizon, and whose
-continuation reaches the same final history.  Every divergence this
-harness finds is a bug.
+continuation reaches the same final history.  So must every crash in
+the middle of a checkpoint (:func:`checkpoint_cuts`: a records frame
+torn mid-append, a snapshot naming records the file lost, a snapshot
+never renamed), by falling back to an older snapshot or to genesis.
+Every divergence this harness finds is a bug.
 """
 
 from __future__ import annotations
@@ -19,17 +22,27 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.durability.recovery import recover
+from repro.durability.snapshot import (
+    RECORDS_NAME,
+    read_records,
+    read_snapshot,
+)
 from repro.durability.wal import (
     LOG_NAME,
+    MAGIC,
     EngineWal,
+    LogFile,
     decode_record,
     scan_frames,
 )
 from repro.errors import RecoveryError
 
 __all__ = [
+    "CheckpointCut",
     "CutResult",
     "FuzzReport",
+    "checkpoint_cuts",
+    "crash_recover_diff",
     "default_specs",
     "enumerate_cuts",
     "fuzz_crash_points",
@@ -141,6 +154,8 @@ def run_reference(
     )
     while not engine.advance(until_tick=engine.tick + SLICE_TICKS):
         wal.flush()
+        if wal.due(engine):
+            wal.snapshot(engine)
     wal.sync()
     wal.close()
     return engine, engine.run()
@@ -256,6 +271,8 @@ def _diff(recovered, oracle) -> str:
         )
     if a.commit_order != b.commit_order:
         return f"commit order diverged: {a.commit_order} != {b.commit_order}"
+    if recovered.records != oracle.records:
+        return "committed records diverged"
     if recovered.store.snapshot() != oracle.store.snapshot():
         return "entity values diverged"
     if a.results != b.results:
@@ -273,6 +290,63 @@ def _diff(recovered, oracle) -> str:
     return ""
 
 
+@dataclass(frozen=True)
+class CheckpointCut:
+    """A crash in the middle of a checkpoint of the reference run: the
+    log ends where the interrupted snapshot would have covered it,
+    ``snapshots`` are the snapshot files that made it, ``records_end``
+    is how many bytes of the records file did, and ``unrenamed`` names a
+    snapshot left as its never-renamed temp file.  Recovery must fall
+    back to a snapshot older than ``tick``, or to genesis."""
+
+    kind: str
+    offset: int
+    tick: int
+    snapshots: tuple[str, ...]
+    records_end: int
+    unrenamed: str | None = None
+
+
+def checkpoint_cuts(source_dir: str) -> list[CheckpointCut]:
+    """Three crashes per snapshot the reference run kept: its records
+    frame torn mid-append (``records-torn``; the snapshot never
+    written), the snapshot written but its records frame lost
+    (``records-short``: it names more records than the file holds), and
+    the snapshot written but never renamed (``unrenamed``).  A snapshot
+    that added no records gets only the last."""
+    names = sorted(
+        name for name in os.listdir(source_dir)
+        if name.startswith("snap-") and name.endswith(".bin")
+    )
+    log = LogFile(os.path.join(source_dir, RECORDS_NAME))
+    frames = read_records(*log.take(), log.tell())
+    log.close()
+    # record count -> the byte span of the frame that brought the file
+    # to it (empty for 0)
+    spans = {0: (len(MAGIC), len(MAGIC))}
+    start = len(MAGIC)
+    for count, stop, *_ in frames:
+        spans[count] = (start, stop)
+        start = stop
+    cuts: list[CheckpointCut] = []
+    for index, name in enumerate(names):
+        snap = read_snapshot(os.path.join(source_dir, name))
+        offset, tick = snap["wal_offset"], snap["tick"]
+        start, stop = spans[snap["commits"]]
+        older = tuple(names[:index])
+        if start < stop:
+            cuts.append(CheckpointCut(
+                "records-torn", offset, tick, older, (start + stop) // 2,
+            ))
+            cuts.append(CheckpointCut(
+                "records-short", offset, tick, (*older, name), start,
+            ))
+        cuts.append(CheckpointCut(
+            "unrenamed", offset, tick, older, stop, unrenamed=name,
+        ))
+    return cuts
+
+
 def crash_recover_diff(
     source_dir: str,
     cut_offset: int,
@@ -280,23 +354,39 @@ def crash_recover_diff(
     scratch_dir: str,
     *,
     reference_result=None,
+    checkpoint: CheckpointCut | None = None,
 ) -> CutResult:
-    """Copy the log truncated at ``cut_offset`` (plus any snapshots)
-    into ``scratch_dir``, recover, and diff against a fresh oracle
-    advanced to the recovered horizon — then continue the recovered
-    engine to quiescence and diff the final history against the
-    reference run."""
+    """Copy the log truncated at ``cut_offset`` (plus the snapshots and
+    the records file) into ``scratch_dir``, recover, and diff against a
+    fresh oracle advanced to the recovered horizon — then continue the
+    recovered engine to quiescence and diff the final history against
+    the reference run.  A ``checkpoint`` cut copies only what its crash
+    left of the checkpoint, and fails unless recovery falls back."""
     os.makedirs(scratch_dir, exist_ok=True)
     with open(os.path.join(source_dir, LOG_NAME), "rb") as fh:
         blob = fh.read(cut_offset)
     with open(os.path.join(scratch_dir, LOG_NAME), "wb") as fh:
         fh.write(blob)
-    for name in os.listdir(source_dir):
-        if name.startswith("snap-") and name.endswith(".bin"):
+    records = os.path.join(source_dir, RECORDS_NAME)
+    with open(records, "rb") as fh:
+        kept = fh.read(None if checkpoint is None else checkpoint.records_end)
+    with open(os.path.join(scratch_dir, RECORDS_NAME), "wb") as fh:
+        fh.write(kept)
+    snapshots = sorted(
+        name for name in os.listdir(source_dir)
+        if name.startswith("snap-") and name.endswith(".bin")
+    )
+    if checkpoint is not None:
+        snapshots = checkpoint.snapshots
+        if checkpoint.unrenamed is not None:
             shutil.copy(
-                os.path.join(source_dir, name),
-                os.path.join(scratch_dir, name),
+                os.path.join(source_dir, checkpoint.unrenamed),
+                os.path.join(scratch_dir, checkpoint.unrenamed + ".tmp"),
             )
+    for name in snapshots:
+        shutil.copy(
+            os.path.join(source_dir, name), os.path.join(scratch_dir, name)
+        )
     try:
         report = recover(scratch_dir)
     except RecoveryError as exc:
@@ -306,6 +396,16 @@ def crash_recover_diff(
     if report.horizon > oracle.tick:
         oracle.advance(until_tick=report.horizon)
     error = _diff(report.engine, oracle)
+    if (
+        not error
+        and checkpoint is not None
+        and report.snapshot_tick is not None
+        and report.snapshot_tick >= checkpoint.tick
+    ):
+        error = (
+            f"restored the snapshot of tick {report.snapshot_tick}, not "
+            f"one older than the interrupted checkpoint's {checkpoint.tick}"
+        )
     if not error and reference_result is not None:
         report.engine.advance()
         final = report.engine.run(until_tick=report.engine.tick)
@@ -315,6 +415,7 @@ def crash_recover_diff(
             error = "continuation commit order diverged"
         elif final.results != reference_result.results:
             error = "continuation results diverged"
+    report.wal.close()
     return CutResult(
         cut_offset,
         kind,
@@ -411,6 +512,18 @@ def fuzz_crash_points(
                 kind,
                 scratch,
                 reference_result=result,
+            )
+        )
+    for checkpoint in checkpoint_cuts(ref_dir):
+        shutil.rmtree(scratch, ignore_errors=True)
+        report.cuts.append(
+            crash_recover_diff(
+                ref_dir,
+                checkpoint.offset,
+                checkpoint.kind,
+                scratch,
+                reference_result=result,
+                checkpoint=checkpoint,
             )
         )
     return report

@@ -2,13 +2,15 @@
 
 The WAL holds the engine's inputs — genesis and the ``add`` records —
 and one check frame per flush (:mod:`repro.durability.wal`), so
-recovery does not *apply* the log.  It registers every logged program,
-restores the latest usable snapshot, and re-runs the engine to the tick
-of each check frame past that snapshot, comparing the frame with the one
-the replay re-derives (:meth:`EngineWal.check`): the decisions' digest
-and the commit count.  A mismatch is a :class:`repro.errors.RecoveryError`
-that names the check frame's tick, so replay stays a proof, checked
-once per pump slice.
+recovery does not *apply* the log.  It restores the latest usable
+checkpoint (:mod:`repro.durability.snapshot`: a snapshot of the live
+state and the records file's committed records it covers), registers
+only the logged programs that checkpoint leaves uncommitted, and re-runs
+the engine to the tick of each check frame past it, comparing the frame
+with the one the replay re-derives (:meth:`EngineWal.check`): the
+decisions' digest and the commit count.  A mismatch is a
+:class:`repro.errors.RecoveryError` that names the check frame's tick,
+so replay stays a proof, checked once per pump slice.
 
 ``add`` records after the last check frame are admissions no reply was
 sent for.  Recovery registers them with the rest; replay stops at the
@@ -22,10 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from repro.durability.snapshot import load_latest_snapshot
+from repro.durability.snapshot import (
+    load_latest_snapshot,
+    read_records,
+    retire_snapshots,
+)
 from repro.durability.wal import (
     CHECK_FIELDS,
     LOG_FORMAT,
+    MAGIC,
     EngineWal,
     decode_record,
 )
@@ -56,7 +63,9 @@ class RecoveryReport:
     log order, not the records themselves: a reader that needs a whole
     spec reads it from the log.  ``records`` counts the log's frames and
     ``replayed`` the check frames replay matched; ``horizon`` is the
-    tick replay ended at."""
+    tick replay ended at.  ``snapshot_commits`` counts the commits the
+    restored snapshot covers (0 without one), and ``causes`` holds the
+    abort causes the records file kept for them."""
 
     engine: Any
     wal: EngineWal
@@ -65,6 +74,8 @@ class RecoveryReport:
     adds: list[LoggedAdd] = field(default_factory=list)
     horizon: int = 0
     snapshot_tick: int | None = None
+    snapshot_commits: int = 0
+    causes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     truncated: bool = False
     records: int = 0
     replayed: int = 0
@@ -78,7 +89,7 @@ def recover(
     tracer=None,
     registry=None,
 ) -> RecoveryReport:
-    """Recover an engine from ``directory``'s WAL (+ snapshots).
+    """Recover an engine from ``directory``'s WAL and checkpoints.
 
     ``wal`` is the log when the caller has already opened it (opening
     reads and CRC-scans the whole file, so the service hands over the
@@ -97,6 +108,11 @@ def recover(
     Each frame's bytes are dropped as the frame is decoded, and each
     record as soon as it is read: an ``add`` is kept as its
     :class:`LoggedAdd`, a check frame as ``(tick, commits, digest)``.
+
+    The records file is cut back to what the restored snapshot covers,
+    and newer snapshots are removed.  ``use_snapshot=False`` replays the
+    whole log and so cuts the records file back to nothing: until the
+    next checkpoint, a later recovery replays from genesis too.
     """
     from repro.api import ProgramSpec, make_scheduler
     from repro.core.nests import KNest
@@ -120,25 +136,59 @@ def recover(
             f"write-ahead log in {directory!r} has format {found!r}; this "
             f"build reads format {LOG_FORMAT} only"
         )
+    # -- the checkpoint -------------------------------------------------
+    # The newest snapshot the durable log and the records file can back;
+    # the records file is cut back to what it covers, and every newer
+    # snapshot is retired.
+    frames = read_records(*wal.records.take(), wal.records.tell())
     snap = None
     if use_snapshot:
-        snap = load_latest_snapshot(directory, max_wal_offset=durable_end)
+        snap = load_latest_snapshot(
+            directory,
+            max_wal_offset=durable_end,
+            commits={0, *(count for count, *_ in frames)},
+        )
+        retire_snapshots(directory, snap["tick"] if snap else None)
     covered = snap["wal_offset"] if snap is not None else 0
+    committed: list[bytes] = []
+    causes: dict[str, tuple[str, ...]] = {}
+    cut = len(MAGIC)
+    for count, stop, records, notes in frames:
+        if snap is None or count > snap["commits"]:
+            break
+        committed.extend(records)
+        causes.update(notes)
+        cut = stop
+    del frames
+    wal.records.truncate(cut)
+    wal.recorded = len(committed)
+    # Only what the snapshot leaves uncommitted, and what the log added
+    # after it, is compiled and registered.
+    live = (
+        None if snap is None
+        else {saved["name"] for saved in snap["state"]["txns"]}
+    )
 
     # -- one pass over the log ------------------------------------------
-    # Inputs (``add``) rebuild the workload whatever the snapshot
-    # covers; check frames and entity declarations matter only past it.
+    # Inputs (``add``) rebuild the workload's nest and arrivals whatever
+    # the snapshot covers; programs, check frames and entity
+    # declarations matter only past it.
     genesis_specs = genesis.get("specs", {})
+    arrivals = {name: arrival for name, arrival in genesis["programs"]}
+    missing = [name for name in arrivals if name not in genesis_specs]
+    if missing:
+        raise RecoveryError(
+            f"no program spec in the log for {sorted(missing)}"
+        )
     table = {
         name: ProgramSpec.from_dict(spec).compile()
         for name, spec in genesis_specs.items()
+        if live is None or name in live
     }
-    arrivals = {name: arrival for name, arrival in genesis["programs"]}
     order = [name for name, _ in genesis["programs"]]
     nest = KNest(genesis.get("meta", {}).get("nest_depth", 1))
     for name in order:
-        if name in genesis_specs:
-            nest.add(name, tuple(genesis_specs[name].get("path", ())))
+        nest.add(name, tuple(genesis_specs[name].get("path", ())))
     adds: list[LoggedAdd] = []
     declared: list[list] = []
     checks: list[tuple[int, int, str]] = []
@@ -160,10 +210,11 @@ def recover(
             adds.append(LoggedAdd(name, arrival, record.get("key"), path))
             order.append(name)
             arrivals[name] = arrival
-            if name not in table:
-                table[name] = ProgramSpec.from_dict(spec).compile()
             nest.add(name, path)
-            if offsets[index] >= covered:
+            past = offsets[index] >= covered
+            if name not in table and (live is None or past or name in live):
+                table[name] = ProgramSpec.from_dict(spec).compile()
+            if past:
                 declared.append(entities)
         elif kind == "check":
             check = _check(record, index)
@@ -183,14 +234,9 @@ def recover(
             )
     records = len(payloads)
     del payloads, offsets
-    missing = [name for name in arrivals if name not in table]
-    if missing:
-        raise RecoveryError(
-            f"no program spec in the log for {sorted(missing)}"
-        )
 
     engine = Engine(
-        [table[name] for name in order],
+        [table[name] for name in order if name in table],
         dict(genesis["initial"]),
         make_scheduler(genesis["scheduler"], nest),
         seed=genesis["seed"],
@@ -204,7 +250,8 @@ def recover(
         wal=wal,
     )
     if snap is not None:
-        engine.restore_state(snap["state"])
+        engine.restore_state(snap["state"], committed, deep=False)
+        engine.tracer.restore_state(snap["tracer"])
     # Entities declared by ingests the restored state does not cover
     # (all of them when replaying from genesis — declare is idempotent
     # and order-faithful to the live ingest path).
@@ -233,6 +280,8 @@ def recover(
         adds=adds,
         horizon=horizon,
         snapshot_tick=snap["tick"] if snap is not None else None,
+        snapshot_commits=len(committed),
+        causes=causes,
         truncated=wal.log.truncated,
         records=records,
         replayed=len(checks),

@@ -1,10 +1,22 @@
-"""Engine state snapshots with the WAL position they cover.
+"""The split checkpoint: a snapshot of live state plus a records file.
 
-A snapshot is one framed+checksummed pickle written atomically (temp
-file + rename), named ``snap-<tick>.bin``.  ``load_latest_snapshot``
-skips torn or corrupt snapshot files and those written under another
-pickled layout — neither a crash mid-snapshot nor an upgrade may block
-recovery, since the WAL alone always suffices.
+A checkpoint has two halves in the WAL directory:
+
+* the **records file** (:data:`RECORDS_NAME`), append-only and framed
+  like the WAL: each checkpoint appends one frame holding the packed
+  commit records made since the previous one (each record is written
+  once), and the abort causes the service explained for them;
+* a **snapshot**, ``snap-<tick>.bin``: one framed+checksummed pickle of
+  the engine's *live* state — uncommitted transactions, store, locks or
+  closure window, rng, metrics — and the count of records it covers,
+  written atomically (temp file + rename).
+
+So a snapshot's cost follows the in-flight window, not the history.
+``load_latest_snapshot`` skips torn or corrupt snapshot files, those
+written under another pickled layout, those past the durable WAL, and
+those naming more records than the records file holds: neither a crash
+mid-checkpoint nor an upgrade may block recovery, since the WAL alone
+always suffices.
 """
 
 from __future__ import annotations
@@ -12,25 +24,87 @@ from __future__ import annotations
 import os
 import pickle
 import zlib
+from collections.abc import Container, Mapping, Sequence
 from typing import Any
 
-__all__ = ["load_latest_snapshot", "write_snapshot"]
+__all__ = [
+    "RECORDS_NAME",
+    "encode_records",
+    "load_latest_snapshot",
+    "read_records",
+    "read_snapshot",
+    "retire_snapshots",
+    "write_snapshot",
+]
 
+#: The records file's name inside the WAL directory.
+RECORDS_NAME = "commits.log"
 _PREFIX = "snap-"
 _SUFFIX = ".bin"
 _KEEP = 3
 #: Names the pickled layout.  Engine, scheduler and closure-window state
 #: are pickled by class path and slot, so any change to those must change
 #: this stamp: a snapshot carrying another one is never unpickled.
-_STAMP = b"repro-snapshot-16\n"
+_STAMP = b"repro-snapshot-17\n"
+#: What every snapshot payload holds.
+_FIELDS = frozenset(("tick", "wal_offset", "commits", "state", "tracer"))
+
+
+def encode_records(
+    first: int, records: Sequence[bytes], causes: Mapping[str, tuple]
+) -> bytes:
+    """One records-file frame: the packed records from commit position
+    ``first`` on, and the abort causes explained for them."""
+    return pickle.dumps(
+        (first, list(records), dict(causes)),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
+def read_records(
+    payloads: Sequence[bytes], offsets: Sequence[int], end: int
+) -> list[tuple[int, int, list[bytes], dict[str, tuple]]]:
+    """Decode a records file's frames, as :class:`LogFile` scanned them
+    (``end`` is the file's durable end): each as ``(count, stop,
+    records, causes)``, where ``count`` is the number of records up to
+    and including it and ``stop`` the byte offset it ends at.  Decoding
+    stops at the first frame that does not continue the previous one;
+    nothing from there on is ever covered by a snapshot."""
+    frames = []
+    count = 0
+    for index, payload in enumerate(payloads):
+        try:
+            first, records, causes = pickle.loads(payload)
+        except Exception:  # unpickling can raise almost any type
+            break
+        if first != count:
+            break
+        count += len(records)
+        stop = offsets[index + 1] if index + 1 < len(offsets) else end
+        frames.append((count, stop, records, causes))
+    return frames
 
 
 def write_snapshot(
-    directory: str, *, tick: int, wal_offset: int, state: dict
+    directory: str,
+    *,
+    tick: int,
+    wal_offset: int,
+    state: dict,
+    commits: int = 0,
+    tracer: Any = None,
 ) -> str:
-    """Atomically persist ``state`` covering the WAL up to ``wal_offset``."""
+    """Atomically persist ``state`` covering the WAL up to ``wal_offset``
+    and the first ``commits`` records of the records file; ``tracer`` is
+    the engine tracer's own state, restored beside it."""
     payload = _STAMP + pickle.dumps(
-        {"tick": tick, "wal_offset": wal_offset, "state": state},
+        {
+            "tick": tick,
+            "wal_offset": wal_offset,
+            "commits": commits,
+            "state": state,
+            "tracer": tracer,
+        },
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     blob = (
@@ -49,20 +123,47 @@ def write_snapshot(
     return path
 
 
-def _prune(directory: str, keep: int) -> None:
-    snaps = sorted(
+def _names(directory: str) -> list[str]:
+    """The snapshot file names in ``directory``, oldest first."""
+    return sorted(
         name
         for name in os.listdir(directory)
         if name.startswith(_PREFIX) and name.endswith(_SUFFIX)
     )
-    for name in snaps[:-keep]:
+
+
+def _prune(directory: str, keep: int) -> None:
+    for name in _names(directory)[:-keep]:
         try:
             os.remove(os.path.join(directory, name))
         except OSError:  # pragma: no cover - best-effort housekeeping
             pass
 
 
-def _read_snapshot(path: str) -> dict | None:
+def retire_snapshots(directory: str, after: int | None) -> None:
+    """Remove every snapshot newer than tick ``after`` (all of them when
+    None) and every temp file a crash left unrenamed.  Recovery calls
+    this once it has chosen: a newer snapshot it could not use must not
+    be used later either, once the log has grown past it again."""
+    stale = [
+        name
+        for name in os.listdir(directory)
+        if name.startswith(_PREFIX) and name.endswith(_SUFFIX + ".tmp")
+    ]
+    newest = None if after is None else f"{_PREFIX}{after:012d}{_SUFFIX}"
+    stale += [
+        name for name in _names(directory) if newest is None or name > newest
+    ]
+    for name in stale:
+        try:
+            os.remove(os.path.join(directory, name))
+        except OSError:  # pragma: no cover - best-effort housekeeping
+            pass
+
+
+def read_snapshot(path: str) -> dict | None:
+    """The snapshot in ``path``, or None when it is torn, corrupt or of
+    another layout."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -75,7 +176,7 @@ def _read_snapshot(path: str) -> dict | None:
             return None
         if not payload.startswith(_STAMP):
             return None
-        return pickle.loads(payload[len(_STAMP):])
+        snap = pickle.loads(payload[len(_STAMP):])
     except (OSError, pickle.UnpicklingError, EOFError):
         return None
     except (TypeError, AttributeError, ImportError):
@@ -83,28 +184,30 @@ def _read_snapshot(path: str) -> dict | None:
         # stamp bump (a tuple type that used to be a dataclass, a moved
         # class): the WAL alone still suffices.
         return None
+    if not isinstance(snap, dict) or snap.keys() != _FIELDS:
+        return None
+    return snap
 
 
 def load_latest_snapshot(
-    directory: str, *, max_wal_offset: int | None = None
+    directory: str,
+    *,
+    max_wal_offset: int | None = None,
+    commits: Container[int] | None = None,
 ) -> dict[str, Any] | None:
     """Newest intact snapshot whose covered WAL position is still within
-    the durable log (``wal_offset <= max_wal_offset``), or None."""
+    the durable log (``wal_offset <= max_wal_offset``) and whose record
+    count the records file can back (``commits`` holds the counts it
+    can: 0 and each frame's count from :func:`read_records`), or None."""
     if not os.path.isdir(directory):
         return None
-    snaps = sorted(
-        (
-            name
-            for name in os.listdir(directory)
-            if name.startswith(_PREFIX) and name.endswith(_SUFFIX)
-        ),
-        reverse=True,
-    )
-    for name in snaps:
-        snap = _read_snapshot(os.path.join(directory, name))
+    for name in reversed(_names(directory)):
+        snap = read_snapshot(os.path.join(directory, name))
         if snap is None:
             continue
         if max_wal_offset is not None and snap["wal_offset"] > max_wal_offset:
+            continue
+        if commits is not None and snap["commits"] not in commits:
             continue
         return snap
     return None

@@ -35,8 +35,14 @@ import os
 import pickle
 import struct
 import zlib
+from collections.abc import Mapping
 from typing import Any, Iterator
 
+from repro.durability.snapshot import (
+    RECORDS_NAME,
+    encode_records,
+    write_snapshot,
+)
 from repro.errors import RecoveryError
 from repro.model.execution import RowDigest
 
@@ -166,6 +172,13 @@ class LogFile:
     def flush(self) -> None:
         self._fh.flush()
 
+    def truncate(self, offset: int) -> None:
+        """Cut the file back to ``offset``, a frame boundary, and write
+        on from there."""
+        self._fh.truncate(offset)
+        self._fh.seek(offset)
+        self._end = offset
+
     def sync(self) -> None:
         self._fh.flush()
         os.fsync(self._fh.fileno())
@@ -215,7 +228,7 @@ NULL_WAL = _NullWal()
 
 
 class EngineWal:
-    """Input log + snapshot trigger for one :class:`Engine`.
+    """Input log + checkpoints for one :class:`Engine`.
 
     Inputs are framed as they are appended.  Every decision of a kind
     :data:`WAL_RECORDS` names is folded into a running digest, and
@@ -239,6 +252,11 @@ class EngineWal:
         self.directory = directory
         self.snapshot_every = snapshot_every
         self.log = LogFile(os.path.join(directory, LOG_NAME))
+        #: The checkpoints' records file, and how many commit records it
+        #: holds that this log's engine made (recovery sets it to what
+        #: the restored snapshot covers).
+        self.records = LogFile(os.path.join(directory, RECORDS_NAME))
+        self.recorded = 0
         #: Commits the engine has made, counted from the decisions (set
         #: by recovery to the restored engine's count).
         self.commits = 0
@@ -278,24 +296,47 @@ class EngineWal:
             return None
         return self._tick, self.commits, self._digest.take()
 
-    def maybe_snapshot(self, engine) -> None:
-        """Write a snapshot when the cadence is due.  The log is flushed
-        first, so the offset it covers ends with a check frame and the
-        next one starts a fresh digest."""
-        if not self.snapshot_every:
-            return
-        if engine.tick - self._last_snap_tick < self.snapshot_every:
-            return
-        from repro.durability.snapshot import write_snapshot
+    def due(self, engine) -> bool:
+        """Whether the snapshot cadence has come round at ``engine.tick``."""
+        return (
+            self.snapshot_every > 0
+            and engine.tick - self._last_snap_tick >= self.snapshot_every
+        )
 
+    def snapshot(
+        self, engine, causes: Mapping[str, tuple[str, ...]] | None = None
+    ) -> str:
+        """Checkpoint ``engine`` between ticks: append the commit records
+        it made since the last checkpoint to the records file, with the
+        ``causes`` (name -> the abort causes its envelope reported) of
+        those that have some, then write a snapshot of its live state
+        and its tracer's, naming how many records it covers.  The log is
+        flushed first, so the offset the snapshot covers ends with a
+        check frame and the next one starts a fresh digest.  Returns
+        the snapshot's path."""
         self.flush()
-        write_snapshot(
+        records = engine.records
+        start = self.recorded
+        if len(records) > start:
+            causes = causes or {}
+            names = engine.commit_order[start:]
+            self.records.append(encode_records(
+                start,
+                records[start:],
+                {name: causes[name] for name in names if name in causes},
+            ))
+            self.records.flush()
+            self.recorded = len(records)
+        path = write_snapshot(
             self.directory,
             tick=engine.tick,
             wal_offset=self.log.tell(),
-            state=engine.snapshot_state(),
+            commits=self.recorded,
+            state=engine.snapshot_state(deep=False),
+            tracer=engine.tracer.snapshot_state(),
         )
         self._last_snap_tick = engine.tick
+        return path
 
     def note_snapshot_tick(self, tick: int) -> None:
         """Restart the snapshot cadence at ``tick``.  Recovery passes
@@ -317,3 +358,4 @@ class EngineWal:
 
     def close(self) -> None:
         self.log.close()
+        self.records.close()

@@ -35,7 +35,7 @@ import pickle
 import random
 from array import array
 from bisect import bisect_left, insort
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, NamedTuple
@@ -570,16 +570,10 @@ class Engine:
         """
         self._route()
         self.scheduler.attach(self)
-        wal = self.wal
         while self.txns:
             if until_tick is not None and self.tick >= until_tick:
                 self.metrics.ticks = self.tick
                 return False
-            # Snapshot between ticks: the state of tick T is fully
-            # settled (including ``_last_progress``) and no decision of
-            # tick T+1 has been taken yet.
-            if wal.enabled:
-                wal.maybe_snapshot(self)
             self.tick += 1
             if self.tick > self.max_ticks:
                 raise EngineError(
@@ -643,6 +637,14 @@ class Engine:
         ``len(commit_order)`` between slices to learn which transactions
         newly committed without assembling a full result."""
         return self._commit_order
+
+    @property
+    def records(self) -> list[bytes]:
+        """The committed log: one packed :class:`Commit` record per
+        commit, in commit order (live view — do not mutate).  It only
+        ever grows, so any prefix of it is the committed log of the
+        moment it was that long; :func:`unpack_commit` reads a record."""
+        return self._committed_log
 
     def position_of(self, name: str) -> int | None:
         """``name``'s position in the commit order, or ``None`` while it
@@ -1060,27 +1062,28 @@ class Engine:
     # ------------------------------------------------------------------
 
     def snapshot_state(self, deep: bool = True) -> dict[str, Any]:
-        """A picklable deep copy of the full dynamic state.
+        """A picklable copy of the live dynamic state.
 
-        Restoring it onto a freshly constructed engine with the *same*
-        configuration (programs, scheduler kind, seed, limits) yields an
-        engine that continues bit-identically to this one — including
-        the rng stream, dict iteration orders that feed deterministic
-        decisions, and the scheduler/closure-window internals.  Programs
-        themselves (generator functions) are not serialised: an
-        uncommitted attempt is rebuilt on restore from its
-        ``results_log`` replay tape.  A committed transaction is carried
-        as the engine holds it, one packed :class:`Commit` record
-        (:func:`unpack_commit` reads one), so ``txns`` grows with the
-        in-flight window, not with history.
+        Restoring it, with the committed log it names, onto a freshly
+        constructed engine with the *same* configuration (programs,
+        scheduler kind, seed, limits) yields an engine that continues
+        bit-identically to this one — including the rng stream, dict
+        iteration orders that feed deterministic decisions, and the
+        scheduler/closure-window internals.  Programs themselves
+        (generator functions) are not serialised: an uncommitted attempt
+        is rebuilt on restore from its ``results_log`` replay tape.
+        Committed transactions are not in it at all: it holds only
+        ``commits``, how many records of :attr:`records` it covers, so
+        its size follows the in-flight window, not the history.
 
         ``deep=False`` skips the final defensive deep copy.  Every
-        container in the dict is freshly built and step records and
-        committed records are immutable, so the only live object a shallow
-        snapshot would alias is ``metrics`` — which is copied one level
-        regardless.  Nested metrics structures may still alias the
-        engine's; callers that never read snapshot telemetry (the audit
-        explorer forks thousands of times per second) opt in for speed.
+        container in the dict is freshly built and step records are
+        immutable, so the only live object a shallow snapshot would
+        alias is ``metrics`` — which is copied one level regardless.
+        Nested metrics structures may still alias the engine's; callers
+        that pickle the state at once (a durability snapshot) or never
+        read its telemetry (the audit explorer forks thousands of times
+        per second) opt in for speed.
         """
         txns = [
             {
@@ -1108,9 +1111,7 @@ class Engine:
             "live_log": [
                 (e.seq, e.key, e.record) for e in self._live_log
             ],
-            "committed_log": list(self._committed_log),
-            "commit_order": list(self._commit_order),
-            "commit_attempts": array("I", self._attempts),
+            "commits": len(self._committed_log),
             "committed_access": dict(self._committed_access),
             "last_writer": list(self._last_writer.items()),
             "waits": list(self.waits.waits.items()),
@@ -1126,11 +1127,17 @@ class Engine:
     def restore_state(
         self,
         state: dict[str, Any],
+        records: Sequence[bytes],
         deep: bool = True,
         programs: Mapping[str, TransactionProgram] | None = None,
     ) -> None:
         """Restore a :meth:`snapshot_state` dict onto this freshly
         constructed engine (same programs and configuration).
+
+        ``records`` is a committed log (:attr:`records`) of the run the
+        snapshot was taken from, at least as long as the ``commits`` it
+        covers; the commit order, the positions and the committed
+        attempts are read back from that prefix.
 
         ``deep=False`` installs from ``state`` without the defensive
         deep copy; every field is rebuilt into fresh containers below
@@ -1147,6 +1154,12 @@ class Engine:
         """
         if deep:
             state = copy.deepcopy(state)
+        count = state["commits"]
+        if len(records) < count:
+            raise EngineError(
+                f"the snapshot covers {count} commits, and the committed "
+                f"log given holds {len(records)}"
+            )
         known = self.txns
         txns: dict[str, TxnState] = {}
         for saved in state["txns"]:
@@ -1186,12 +1199,15 @@ class Engine:
             state["metrics"] if deep else copy.copy(state["metrics"])
         )
         self.store.restore_state(state["store"])
-        self._committed_log = list(state["committed_log"])
-        self._commit_order = list(state["commit_order"])
+        self._committed_log = list(records[:count])
+        self._commit_order, self._attempts = [], array("I")
+        for packed in self._committed_log:
+            commit = unpack_commit(packed)
+            self._commit_order.append(commit.name)
+            self._attempts.append(commit.attempt)
         self._positions = {
             name: position for position, name in enumerate(self._commit_order)
         }
-        self._attempts = array("I", state["commit_attempts"])
         self.txns = txns
         self._arrived, self._unarrived = {}, []
         self._ranked, self._wake_mark = [], 0

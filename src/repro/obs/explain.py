@@ -218,6 +218,19 @@ class AbortCauses(Tracer):
     def emit(self, kind: str, at: float, /, **data) -> None:
         self.on_decision(kind, at, data)
 
+    def snapshot_state(self) -> tuple:
+        """The events held for transactions not yet asked about, and the
+        latest trigger: a restart from an engine snapshot explains their
+        aborts as a replay from genesis would."""
+        return self._trigger, list(self._links), dict(self._first)
+
+    def restore_state(self, state: tuple | None) -> None:
+        if state is not None:
+            trigger, links, first = state
+            self._trigger, self._links, self._first = (
+                trigger, list(links), dict(first)
+            )
+
     def take(self, name: str) -> list[Event]:
         """The events behind ``name``'s first abort (none if it never
         aborted), released from the tracer."""

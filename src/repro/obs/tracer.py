@@ -64,6 +64,14 @@ class Tracer:
         """Recorded events, oldest first (empty for write-only sinks)."""
         return []
 
+    def snapshot_state(self) -> Any:
+        """What a restart from an engine snapshot needs of this tracer
+        (None: a recording is not restored, it starts afresh)."""
+        return None
+
+    def restore_state(self, state: Any) -> None:
+        """Reinstate what :meth:`snapshot_state` returned."""
+
     def close(self) -> None:
         pass
 

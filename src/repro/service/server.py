@@ -72,9 +72,11 @@ class ServiceConfig:
     #: service recovers its engine by deterministic replay and answers
     #: resubmitted idempotency keys from the log instead of re-running.
     wal_dir: str | None = None
-    #: Snapshot cadence in ticks (0 = never; recovery replays the whole
-    #: log from genesis).
-    wal_snapshot_every: int = 0
+    #: Checkpoint cadence in ticks (0 = never; recovery replays the
+    #: whole log from genesis).  A checkpoint is taken after the first
+    #: pump slice that ends this many ticks past the last one, so a
+    #: restart replays about one cadence of the log.
+    wal_snapshot_every: int = 4096
     #: Stream every commit to this JSONL history file (the audit plane's
     #: portable format; ``None`` captures nothing at null-sink cost).
     #: After recovery the capture resumes with post-recovery commits.
@@ -127,11 +129,14 @@ class TransactionService:
         #: from the engine, never re-executed.
         self._by_key: dict[str, str] = {}
         self._recovered = 0  # keys the log held at recovery
+        #: The tick of the snapshot recovery restored, if it restored one.
+        self._snapshot_tick: int | None = None
         #: How many commits, a prefix of the commit order, have been
         #: folded into replies.
         self._resolved = 0
         #: name -> abort causes of a restarted transaction, explained at
-        #: its first envelope (the tracer releases the events it took).
+        #: its first envelope (the tracer releases the events it took);
+        #: each checkpoint records those of the commits it covers.
         self._causes: dict[str, tuple[str, ...]] = {}
         self.duplicates = 0  # resubmitted keys answered from the first run
         self.pump_slices = 0
@@ -144,6 +149,9 @@ class TransactionService:
         #: (the first run and each in-flight duplicate of its key),
         #: until it commits.
         self._pending: dict[str, list[asyncio.Future]] = {}
+        # Commits a recovery replayed past its snapshot are explained
+        # now, as the pump would have explained them.
+        self._resolve_commits()
         self._pump_task: asyncio.Task | None = None
         self.registry.derive("service", self._publish)
         self.registry.derive("phases", self.profiler.publish)
@@ -217,7 +225,9 @@ class TransactionService:
             add.key: add.name for add in report.adds if add.key is not None
         }
         self._recovered = len(self._by_key)
-        self._resolved = len(report.engine.commit_order)
+        self._snapshot_tick = report.snapshot_tick
+        self._causes = report.causes
+        self._resolved = report.snapshot_commits
         if self.history.enabled:
             # Capture resumes post-recovery: replay is not re-recorded,
             # but recovered in-flight transactions may still commit, so
@@ -281,7 +291,7 @@ class TransactionService:
                     "envelope": envelope.to_dict()}
         decision = self.admission.check(
             submission,
-            known_names=self.engine,
+            known_names=self,
             in_flight=self._in_flight(),
         )
         if not decision.admitted:
@@ -307,6 +317,11 @@ class TransactionService:
         self._ensure_pump()
         envelope = await future
         return {"ok": True, "envelope": envelope.to_dict()}
+
+    def __contains__(self, name: str) -> bool:
+        """Whether ``name`` was admitted: registered with the engine, or
+        still waiting in the ingest queue."""
+        return name in self.engine or name in self._pending
 
     def _in_flight(self) -> int:
         """Admitted work not yet committed: queued, or in the engine
@@ -362,6 +377,11 @@ class TransactionService:
             # drain and shutdown; DESIGN §4h).
             self.wal.flush()
             self._resolve_commits()
+            # Between slices every commit has been explained, so a
+            # checkpoint here carries all the causes a resubmission of
+            # its keys may ask for.
+            if self.wal.enabled and self.wal.due(self.engine):
+                self.wal.snapshot(self.engine, self._causes)
             # Yield so connection handlers can enqueue and respond.
             await asyncio.sleep(0)
 
@@ -441,6 +461,7 @@ class TransactionService:
                 "directory": self.wal.directory,
                 "offset": self.wal.log.tell(),
                 "recovered": self._recovered,
+                "snapshot_tick": self._snapshot_tick,
             }
         if self.history.enabled:
             report["history"] = {

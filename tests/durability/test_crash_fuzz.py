@@ -97,8 +97,31 @@ def test_dense_sweep_mla_detect(tmp_path):
         str(tmp_path), scheduler="mla-detect", seed=0, cut_limit=60,
         snapshot_every=8, torn_per_record=2,
     )
-    assert report.summary()["cuts"] == 60
+    kinds = report.summary()["kinds"]
+    assert kinds["boundary"] + kinds["torn"] == 60
+    assert {"records-torn", "records-short", "unrenamed"} <= set(kinds)
     assert report.ok, report.failures[0].error
+
+
+@pytest.mark.parametrize("scheduler", ["2pl", "mla-detect"])
+def test_interrupted_checkpoints_fall_back(tmp_path, scheduler):
+    """A crash in the middle of a checkpoint — its records frame torn
+    mid-append, the snapshot written but its records lost, or the
+    snapshot never renamed from its temp file — recovers from an older
+    snapshot or from genesis, to the same commits and history, and
+    continues to the reference run."""
+    report = fuzz_crash_points(
+        str(tmp_path), specs=contended_specs(seed=4), scheduler=scheduler,
+        seed=4, cut_limit=1, snapshot_every=8,
+    )
+    assert report.ok, report.failures[0].error
+    checkpoint = [
+        cut for cut in report.cuts if cut.kind not in ("boundary", "torn")
+    ]
+    kinds = {cut.kind for cut in checkpoint}
+    assert kinds == {"records-torn", "records-short", "unrenamed"}
+    # One snapshot was still there to fall back to.
+    assert any(cut.snapshot_tick is not None for cut in checkpoint)
 
 
 def test_reference_digest_is_stable(tmp_path):

@@ -133,8 +133,10 @@ def test_recovery_peak_memory_per_logged_transaction(tmp_path):
     )
 
     async def serve_log():
+        # No checkpoints: the bound is on a replay of the whole log.
         svc = TransactionService(ServiceConfig(
             scheduler="2pl", wal_dir=d, admission=AdmissionConfig(window=64),
+            wal_snapshot_every=0,
         ))
         for start in range(0, len(submissions), 32):
             await asyncio.gather(

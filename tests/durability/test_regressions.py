@@ -233,9 +233,9 @@ def test_add_record_lacking_a_field_is_a_typed_error(tmp_path, missing):
 
 @pytest.mark.parametrize(
     "stamp",
-    [b"", b"repro-snapshot-0\n", b"repro-snapshot-15\n"],
-    # ``previous-stamp``: the layout that carries every committed
-    # transaction's state beside its packed record.
+    [b"", b"repro-snapshot-0\n", b"repro-snapshot-16\n"],
+    # ``previous-stamp``: the layout that carries every packed commit
+    # record in the snapshot itself, not in the records file.
     ids=["unstamped", "other-stamp", "previous-stamp"],
 )
 @pytest.mark.parametrize("scheduler", ["2pl", "mla-detect"])
@@ -303,7 +303,7 @@ def test_restore_never_runs_a_committed_program(monkeypatch, recovery_unit):
         return start(program)
 
     monkeypatch.setattr(TransactionProgram, "start", counted)
-    restored.restore_state(state)
+    restored.restore_state(state, live.records)
     monkeypatch.undo()
     assert sorted(started) == sorted(in_flight)
     # A committed transaction is carried by its commit record alone.

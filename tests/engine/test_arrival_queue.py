@@ -52,8 +52,9 @@ class FullScanEngine(Engine):
 
 
 def _snapshot_bytes(engine) -> bytes:
-    """``snapshot_state()`` pickled whole."""
-    return pickle.dumps(engine.snapshot_state())
+    """``snapshot_state()`` pickled whole, with the committed records it
+    covers."""
+    return pickle.dumps((engine.snapshot_state(), engine.records))
 
 
 class RankedEngine(Engine):
@@ -158,8 +159,9 @@ def _play(engine_class, scheduler: str, script: dict) -> list[tuple]:
                 arrivals[spec.name] = state.arrival_tick
         if index == script["restore_after"]:
             snapshot = pickle.loads(pickle.dumps(engine.snapshot_state()))
+            records = list(engine.records)
             engine, nest = construct(registered, arrivals)
-            engine.restore_state(snapshot)
+            engine.restore_state(snapshot, records)
             seen.append(_observe(engine))
     engine.advance(until_tick=engine.tick + 1500)
     seen.append(_observe(engine))
@@ -226,6 +228,7 @@ def test_replay_walks_only_the_admission_window(tmp_path, monkeypatch):
             scheduler="2pl",
             admission=AdmissionConfig(window=window),
             wal_dir=str(tmp_path),
+            wal_snapshot_every=0,  # replay the whole log
         ))
         for start in range(0, count, window):
             replies = await asyncio.gather(*(

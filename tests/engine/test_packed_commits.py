@@ -7,7 +7,8 @@ unpacker for naming the fields, so its committed log holds each
 :class:`Commit` tuple as built.  Both engines run the same contended
 traffic under both units of recovery (the segment unit reads
 ``Engine.log`` on every abort), and a snapshot taken mid-run is
-pickled, restored onto a fresh engine and continued slice by slice.  At
+pickled, restored with the engine's records onto a fresh engine and
+continued slice by slice.  At
 every observation ``Engine.log``, the history digest, the commit order
 and the metrics must agree, and no committed transaction is left in
 ``txns`` or in the snapshot's transaction list.
@@ -66,8 +67,9 @@ def _play(scheduler: str, recovery: str) -> list[tuple]:
         engine.advance(until_tick=engine.tick + 40)
         seen.append(_observe(engine))
     snapshot = pickle.loads(pickle.dumps(engine.snapshot_state()))
+    records = pickle.loads(pickle.dumps(engine.records))
     engine = _construct(scheduler, recovery)
-    engine.restore_state(snapshot)
+    engine.restore_state(snapshot, records)
     seen.append(_observe(engine))
     while not engine.advance(until_tick=engine.tick + 40):
         seen.append(_observe(engine))
@@ -99,7 +101,8 @@ def test_packed_commits_match_an_unpacked_reference(
 def test_a_commit_is_one_immutable_record():
     engine = _construct("2pl", "transaction")
     assert engine.advance()
-    log = engine.snapshot_state()["committed_log"]
+    log = engine.records
+    assert engine.snapshot_state()["commits"] == len(log)
     assert len(log) == len(SPECS)
     assert all(type(record) is bytes for record in log)
     commit = runtime.unpack_commit(log[0])

@@ -183,9 +183,9 @@ class TestRestoreAfterRelease:
         assert not running.txns
 
         with pytest.raises(EngineError, match=repr(pending[0])):
-            running.restore_state(snapshot)
+            running.restore_state(snapshot, running.records)
         running.restore_state(
-            snapshot, programs={p.name: p for p in programs}
+            snapshot, running.records, programs={p.name: p for p in programs}
         )
         assert running.run().history_digest() == reference
 
