@@ -255,11 +255,11 @@ def check_overhead(overhead: dict) -> None:
 
 
 def classification_round_trip() -> dict:
-    """Stream one small run per scheduler to JSONL, re-import black-box,
+    """Export one small run per scheduler to JSONL, re-import black-box,
     classify; guarded schedulers must pass the multilevel criterion."""
     from repro.api import make_scheduler
     from repro.audit import (
-        HistoryWriter,
+        HistoryExport,
         audit_history,
         load_history,
         paths_from_nest,
@@ -278,19 +278,20 @@ def classification_round_trip() -> dict:
         ) as handle:
             path = handle.name
         try:
-            writer = HistoryWriter(
-                path, initial=dict(workload.accounts), depth=depth,
-                paths=paths,
-            )
             bare = workload.engine(
                 make_scheduler(name, workload.nest), seed=7
             ).run()
-            captured = workload.engine(
-                make_scheduler(name, workload.nest), seed=7, history=writer
-            ).run()
+            engine = workload.engine(
+                make_scheduler(name, workload.nest), seed=7
+            )
+            writer = HistoryExport(
+                path, engine, path_of=paths.__getitem__,
+                initial=dict(workload.accounts), depth=depth,
+            )
+            captured = engine.run()
             writer.close()
             assert captured.history_digest() == bare.history_digest(), (
-                f"E17: capture changed the run ({name})"
+                f"E17: export changed the run ({name})"
             )
             history = load_history(path)
             assert history.digest() == captured.history_digest(), (

@@ -2,10 +2,11 @@
 monitoring, black-box classification and exhaustive interleaving
 exploration (DESIGN.md §4i).
 
-A history is built in memory by :class:`HistoryRecorder`, or streamed
-to a file by :class:`HistoryWriter`, which keeps no copy of what it
-writes, and read back by :func:`load_history`, whose two file forms
-share one validator, :meth:`History.from_dict`.
+A history is exported from an engine's committed log, the one copy of
+each commit: :class:`HistoryExport` writes the JSONL file when it is
+closed, at the end of a run or at shutdown, and :func:`export_history`
+builds the same history in memory.  :func:`load_history` reads either
+file form back through one validator, :meth:`History.from_dict`.
 
 Every name is loaded on first read (PEP 562, DESIGN.md §3).  The
 engine and the service import :mod:`repro.audit.history` for their
@@ -22,16 +23,15 @@ _EXPORTS = {
     "ExplorationReport": "explore",
     "HISTORY_FORMAT_VERSION": "history",
     "History": "history",
-    "HistoryRecorder": "history",
+    "HistoryExport": "history",
     "HistorySink": "history",
     "HistoryStep": "history",
-    "HistoryWriter": "history",
     "NULL_HISTORY": "history",
     "OnlineMonitor": "monitor",
     "SMALL_CONFIGS": "explore",
-    "TeeHistory": "history",
     "audit_history": "classify",
     "explore": "explore",
+    "export_history": "history",
     "load_history": "history",
     "make_config": "explore",
     "paths_from_nest": "history",

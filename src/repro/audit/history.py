@@ -1,4 +1,4 @@
-"""The portable history format and its streaming capture sinks.
+"""The portable history format and its export from an engine.
 
 The paper's central artifact is the *history*: a multilevel atomicity
 run is correct exactly when its recorded execution is correctable.  This
@@ -12,11 +12,11 @@ Two encodings share one canonical object, :class:`History`:
 
 * **JSON** — ``History.to_json()`` / ``History.from_json()``: one
   sorted-keys object, the at-rest interchange form.
-* **JSONL** — the streaming form :class:`HistoryWriter` appends while a
-  run is live: a ``header`` line, one ``commit`` line per committed
-  transaction (its records, declared cut levels, nest path and result),
-  and a ``footer`` carrying its counts and the canonical SHA-256 — the
-  same :func:`repro.model.execution.canonical_digest`
+* **JSONL** — the stream :class:`HistoryExport` writes at close: a
+  ``header`` line, one ``commit`` line per committed transaction (its
+  records, declared cut levels, nest path and result), and a ``footer``
+  carrying its counts and the canonical SHA-256 — the same
+  :func:`repro.model.execution.canonical_digest`
   :meth:`repro.engine.runtime.EngineResult.history_digest` computes, so
   a captured file cross-checks against the engine's own result.
 
@@ -24,16 +24,15 @@ Both forms are read by one validator: :func:`load_history` checks only
 a stream's framing (line kinds and order, key sets, the footer's
 counts), reshapes it into the single-object dict and hands that to
 :meth:`History.from_dict`, which makes every value check.
-:class:`HistoryRecorder` builds a history in memory; the JSONL writer
-keeps no copy of what it streams (the engine holds the committed state)
-and reads its own file back to validate and hash it at close.
 
-Capture is a sink of the engine's decision stream (DESIGN.md §4e): an
-enabled sink reads the commit records and no other; sinks never
-touch the engine rng, so captured runs are bit-identical to bare runs.
-A captured stream is readable only once its footer is written: commit
-lines are buffered, not flushed one by one, and a stream without a
-footer is rejected by :func:`load_history`.
+A history is exported from the engine's committed log, the one
+per-commit copy of a commit (DESIGN.md §4g): :class:`HistoryExport`
+writes the JSONL file from ``Engine.records`` when it is closed, and
+:func:`export_history` builds the same history in memory.  Nothing is
+captured while the engine runs.  :class:`HistorySink` remains the
+engine's commit seam for live consumers (the online monitor); sinks
+never touch the engine rng, so observed runs are bit-identical to bare
+runs.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Any
+from typing import Any, Iterator
 
 from repro.errors import (
     ExecutionError,
@@ -57,12 +56,11 @@ from repro.model.steps import StepId, StepKind, StepRecord
 __all__ = [
     "HISTORY_FORMAT_VERSION",
     "History",
-    "HistoryRecorder",
+    "HistoryExport",
     "HistorySink",
     "HistoryStep",
-    "HistoryWriter",
     "NULL_HISTORY",
-    "TeeHistory",
+    "export_history",
     "load_history",
     "paths_from_nest",
 ]
@@ -487,9 +485,6 @@ class HistorySink:
     ) -> None:  # pragma: no cover - never called while disabled
         pass
 
-    def declare_path(self, name: str, path: tuple[str, ...]) -> None:
-        pass
-
     def close(self) -> None:
         pass
 
@@ -498,185 +493,123 @@ class HistorySink:
 NULL_HISTORY = HistorySink()
 
 
-class HistoryRecorder(HistorySink):
-    """In-memory capture: accumulates commits and materialises a
-    validated :class:`History` on demand.
+# ----------------------------------------------------------------------
+# export (from an engine's committed log)
+# ----------------------------------------------------------------------
 
-    Each committed step is kept as a flat row ``(seq, txn, index,
-    entity, kind, before, after)`` of JSON scalars — a tuple the cyclic
-    GC stops tracking — and becomes a :class:`HistoryStep` only in
-    :meth:`history`."""
 
-    enabled = True
+def _header(initial, depth, meta) -> dict:
+    return {
+        "kind": "header",
+        "version": HISTORY_FORMAT_VERSION,
+        "meta": dict(meta or {}),
+        "initial": dict(initial or {}),
+        "depth": depth,
+    }
 
-    def __init__(
-        self,
-        initial: dict[str, Any] | None = None,
-        depth: int | None = None,
-        paths: dict[str, tuple[str, ...]] | None = None,
-        meta: dict[str, Any] | None = None,
-    ) -> None:
-        self.initial = dict(initial or {})
-        self.depth = depth
-        #: name -> declared nest path.
-        self.paths: dict[str, tuple[str, ...]] = {
-            str(t): tuple(p) for t, p in (paths or {}).items()
+
+def _commit_lines(engine, depth, path_of) -> Iterator[dict]:
+    """One commit line per packed record of ``engine.records``, in
+    commit order; ``path_of(name)`` places each in the nest when
+    ``depth`` is given."""
+    from repro.engine.runtime import unpack_commit
+
+    for position, packed in enumerate(engine.records):
+        commit = unpack_commit(packed)
+        yield {
+            "kind": "commit",
+            "txn": commit.name,
+            "attempt": commit.attempt,
+            "tick": commit.commit_tick,
+            "position": position,
+            "path": (
+                None if depth is None
+                else [str(label) for label in path_of(commit.name)]
+            ),
+            "cut_levels": {
+                str(gap): lvl for gap, lvl in sorted(commit.cut_levels.items())
+            },
+            "result": commit.result,
+            "steps": [
+                {"seq": seq, "index": index, "entity": entity, "kind": kind,
+                 "before": before, "after": after}
+                for seq, index, entity, kind, before, after in commit.rows
+            ],
         }
-        self.meta = dict(meta or {})
-        self.commit_order: list[str] = []
-        self.cut_levels: dict[str, dict[int, int]] = {}
-        self.results: dict[str, Any] = {}
-        self.rows: list[tuple] = []
-
-    def declare_path(self, name: str, path: tuple[str, ...]) -> None:
-        self.paths[str(name)] = tuple(str(label) for label in path)
-
-    def on_commit(self, name, attempt, tick, entries, cut_levels, result):
-        self.commit_order.append(name)
-        self.cut_levels[name] = dict(cut_levels)
-        self.results[name] = result
-        rows = self.rows
-        for seq, record in entries:
-            step = record.step
-            rows.append((
-                seq, step.transaction, step.index, record.entity,
-                record.kind.value, record.value_before, record.value_after,
-            ))
-
-    def history(self) -> History:
-        """The captured history so far, sorted into global seq order and
-        validated (so a capture bug cannot produce an unreadable file)."""
-        steps = tuple(
-            HistoryStep(*row) for row in sorted(self.rows, key=itemgetter(0))
-        )
-        paths = None
-        if self.depth is not None:
-            paths = {
-                name: self.paths[name]
-                for name in self.commit_order
-                if name in self.paths
-            }
-            missing = set(self.commit_order) - set(paths)
-            if missing:
-                raise SpecificationError(
-                    f"no declared path for committed transactions "
-                    f"{sorted(missing)}"
-                )
-        history = History(
-            commit_order=tuple(self.commit_order),
-            steps=steps,
-            cut_levels={t: dict(c) for t, c in self.cut_levels.items()},
-            results=dict(self.results),
-            initial=dict(self.initial),
-            depth=self.depth,
-            paths=paths,
-            meta=dict(self.meta),
-        )
-        history.validate()
-        return history
 
 
-class HistoryWriter(HistorySink):
-    """Streaming JSONL capture: header at open, one line per commit,
-    and a footer with counts + the canonical digest at :meth:`close`.
+def export_history(
+    engine, initial=None, depth=None, path_of=None, meta=None
+) -> History:
+    """``engine``'s committed history as a validated :class:`History`:
+    the lines :class:`HistoryExport` writes, read without a file."""
+    lines = [_header(initial, depth, meta), *_commit_lines(
+        engine, depth, path_of
+    )]
+    return _history_from_jsonl(list(enumerate(lines, start=1)), sealed=False)
 
-    The header is flushed as it is written; commit lines are buffered
-    until :meth:`close` writes the footer.  A stream without its footer
-    is unreadable by design, and a restarted server truncates it, so
-    nothing is gained by flushing earlier.
 
-    A commit line is encoded straight from the entries the engine hands
-    over, and the engine already holds the committed state, so the
-    writer keeps no copy of it: two counts, and the declared path of
-    each transaction that has not committed yet (popped at its commit).
-    :meth:`close` reads back the commit lines it wrote and validates
-    and hashes them as any reader of the file would."""
+class HistoryExport(HistorySink):
+    """The JSONL form of an engine's committed log, written at close.
+
+    The engine's packed commit records are the only per-commit copy of
+    a commit, so nothing is captured while the engine runs: opening
+    truncates ``path`` and writes the header, and :meth:`close` walks
+    ``engine.records`` in commit order, writes one commit line per
+    record and then the footer.  A restarted engine holds every record
+    its run committed, so the file covers the whole run.
+
+    It is a sink no engine is handed (``on_commit`` is never called); a
+    stream without its footer is unreadable by design."""
 
     enabled = True
 
     def __init__(
         self,
         path: str,
+        engine,
+        path_of=None,
         initial: dict[str, Any] | None = None,
         depth: int | None = None,
-        paths: dict[str, tuple[str, ...]] | None = None,
         meta: dict[str, Any] | None = None,
     ) -> None:
         self.path = path
+        self.engine = engine
+        self.path_of = path_of
         self.depth = depth
-        #: name -> declared nest path, for transactions not yet committed.
-        self.paths: dict[str, tuple[str, ...]] = {}
-        for name, declared in (paths or {}).items():
-            self.declare_path(name, declared)
         self.commits = 0
         self.steps = 0
         self._closed = False
         self._handle = open(path, "w", encoding="utf-8")
-        self._write({
-            "kind": "header",
-            "version": HISTORY_FORMAT_VERSION,
-            "meta": dict(meta or {}),
-            "initial": dict(initial or {}),
-            "depth": depth,
-        })
+        self._write(_header(initial, depth, meta))
         self._handle.flush()
 
     def _write(self, payload: dict) -> None:
         self._handle.write(_LINE_ENCODER.encode(payload) + "\n")
 
-    def declare_path(self, name: str, path: tuple[str, ...]) -> None:
-        self.paths[str(name)] = tuple(str(label) for label in path)
-
-    def on_commit(self, name, attempt, tick, entries, cut_levels, result):
-        path = self.paths.pop(name, None)
-        if self.depth is not None and path is None:
-            raise SpecificationError(
-                f"committed transaction {name!r} has no declared nest path"
-            )
-        self._write({
-            "kind": "commit",
-            "txn": name,
-            "attempt": attempt,
-            "tick": tick,
-            "position": self.commits,
-            "path": None if self.depth is None else list(path),
-            "cut_levels": {
-                str(gap): lvl for gap, lvl in sorted(cut_levels.items())
-            },
-            "result": result,
-            "steps": [
-                {
-                    "seq": seq,
-                    "index": record.step.index,
-                    "entity": record.entity,
-                    "kind": record.kind.value,
-                    "before": record.value_before,
-                    "after": record.value_after,
-                }
-                for seq, record in entries
-            ],
-        })
-        self.commits += 1
-        self.steps += len(entries)
-
     def close(self) -> str | None:
-        """Write the footer; returns the canonical digest (idempotent).
+        """Write the commit lines and the footer; returns the canonical
+        digest (idempotent).
 
-        The digest is taken from the file, not from the commits as they
-        were handed over: the written lines are read back through the
-        stream decoder and validated whole, so a capture bug fails here
-        instead of producing a file no reader accepts."""
+        The footer's digest is hashed from the steps as written, and
+        must equal :meth:`Engine.history_digest`, which reads them from
+        the engine's committed records: a mismatch raises
+        :class:`SpecificationError` and leaves the file without a
+        footer."""
         if self._closed:
             return None
         self._closed = True
+        from repro.engine.runtime import seq_ordered
+
         try:
-            self._handle.flush()
-            with open(self.path, encoding="utf-8") as handle:
-                lines = [
-                    (number, load_json_object(line, f"history line {number}"))
-                    for number, line in enumerate(handle, start=1)
-                ]
-            digest = _history_from_jsonl(lines, sealed=False).digest()
+            steps = seq_ordered(self.engine.records, self._written())
+            digest = canonical_digest(step[1:] for step in steps)
+            expected = self.engine.history_digest()
+            if digest != expected:
+                raise SpecificationError(
+                    f"history export to {self.path!r} hashes to {digest}, "
+                    f"the engine's committed execution to {expected}"
+                )
             self._write({
                 "kind": "footer",
                 "commits": self.commits,
@@ -687,26 +620,19 @@ class HistoryWriter(HistorySink):
             self._handle.close()
         return digest
 
-
-class TeeHistory(HistorySink):
-    """Fan one capture stream out to several sinks (e.g. a JSONL writer
-    plus the online monitor)."""
-
-    def __init__(self, *sinks: HistorySink) -> None:
-        self.sinks = tuple(s for s in sinks if s.enabled)
-        self.enabled = bool(self.sinks)
-
-    def declare_path(self, name, path):
-        for sink in self.sinks:
-            sink.declare_path(name, path)
-
-    def on_commit(self, name, attempt, tick, entries, cut_levels, result):
-        for sink in self.sinks:
-            sink.on_commit(name, attempt, tick, entries, cut_levels, result)
-
-    def close(self):
-        for sink in self.sinks:
-            sink.close()
+    def _written(self) -> Iterator[list[tuple]]:
+        """Write each commit line; yield its steps as seq-led rows."""
+        for line in _commit_lines(self.engine, self.depth, self.path_of):
+            self._write(line)
+            name = line["txn"]
+            steps = [
+                (s["seq"], name, s["index"], s["entity"], s["kind"],
+                 s["before"], s["after"])
+                for s in line["steps"]
+            ]
+            self.commits += 1
+            self.steps += len(steps)
+            yield steps
 
 
 # ----------------------------------------------------------------------
@@ -730,8 +656,9 @@ def _history_from_jsonl(
     form; :meth:`History.from_dict` makes every value check, so both
     forms are read by one validator.
 
-    An unsealed stream is a writer's own, read back before its footer
-    exists: there are no promised counts or digest to check."""
+    An unsealed stream is an export read without its file
+    (:func:`export_history`): there are no promised counts or digest to
+    check."""
     header: dict | None = None
     footer: dict | None = None
     commits: list[dict] = []

@@ -2,8 +2,7 @@
 
 An incremental black-box checker that consumes the live history stream
 *per commit* (it is a :class:`~repro.audit.history.HistorySink`, so it
-plugs straight into the engine's capture seam or a
-:class:`~repro.audit.history.TeeHistory` fan-out) and maintains the
+plugs straight into the engine's commit seam) and maintains the
 coherent-closure state incrementally on the same
 :class:`~repro.core.coherence.ClosureEngine` /
 :mod:`repro.core.reach` machinery the schedulers use.  By Theorem 2 the
@@ -40,8 +39,7 @@ class OnlineMonitor(HistorySink):
     Parameters
     ----------
     nest:
-        The k-nest placing every transaction that may commit; an open
-        stream grows it through :meth:`declare_path`.
+        The k-nest placing every transaction that may commit.
     registry:
         Optional :class:`~repro.obs.MetricsRegistry`; when given, the
         monitor registers as the source of the checked/violation
@@ -81,9 +79,6 @@ class OnlineMonitor(HistorySink):
     # ------------------------------------------------------------------
     # sink interface
     # ------------------------------------------------------------------
-
-    def declare_path(self, name, path) -> None:
-        self.nest.add(name, path)
 
     def on_commit(
         self,

@@ -115,26 +115,6 @@ def _workload_initial(workload) -> dict:
     return dict(values)
 
 
-def _history_writer(workload, path: str, args):
-    """A streaming JSONL capture sink for one ``repro run`` invocation."""
-    from repro.audit import HistoryWriter, paths_from_nest
-
-    depth, paths = paths_from_nest(
-        workload.nest, sorted(workload.nest.items)
-    )
-    return HistoryWriter(
-        path,
-        initial=_workload_initial(workload),
-        depth=depth,
-        paths=paths,
-        meta={
-            "workload": args.workload,
-            "scheduler": args.scheduler,
-            "seed": args.seed,
-        },
-    )
-
-
 def cmd_schedulers(args) -> int:
     for name in SCHEDULERS:
         print(name)
@@ -144,17 +124,32 @@ def cmd_schedulers(args) -> int:
 def cmd_run(args) -> int:
     import json
 
-    from repro.api import run_workload
+    from repro.api import make_scheduler
 
     workload = _build_workload(args)
-    writer = None
-    engine_kwargs = {}
-    if args.history:
-        writer = _history_writer(workload, args.history, args)
-        engine_kwargs["history"] = writer
-    result = run_workload(
-        workload, args.scheduler, seed=args.seed, **engine_kwargs
+    engine = workload.engine(
+        make_scheduler(args.scheduler, workload.nest), seed=args.seed
     )
+    writer = None
+    if args.history:
+        from repro.audit import HistoryExport, paths_from_nest
+
+        depth, paths = paths_from_nest(
+            workload.nest, sorted(workload.nest.items)
+        )
+        writer = HistoryExport(
+            args.history,
+            engine,
+            path_of=paths.__getitem__,
+            initial=_workload_initial(workload),
+            depth=depth,
+            meta={
+                "workload": args.workload,
+                "scheduler": args.scheduler,
+                "seed": args.seed,
+            },
+        )
+    result = engine.run()
     if writer is not None:
         writer.close()
     report = _classify(workload, result)
@@ -744,8 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--history", default=None, metavar="PATH",
-        help="stream the committed history to this JSONL file as it "
-        "runs (auditable later with `repro audit`)",
+        help="write the committed history to this JSONL file when the "
+        "run ends (auditable later with `repro audit`)",
     )
     run.set_defaults(func=cmd_run)
 
@@ -910,8 +905,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--history", default=None, metavar="PATH",
-        help="stream every commit to this JSONL history file "
-        "(auditable later with `repro audit`)",
+        help="write the committed history to this JSONL file at "
+        "shutdown, from the commit records (auditable later with "
+        "`repro audit`)",
     )
     serve.set_defaults(func=cmd_serve)
 

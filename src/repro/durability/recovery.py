@@ -109,10 +109,11 @@ def recover(
     record as soon as it is read: an ``add`` is kept as its
     :class:`LoggedAdd`, a check frame as ``(tick, commits, digest)``.
 
-    The records file is cut back to what the restored snapshot covers,
-    and newer snapshots are removed.  ``use_snapshot=False`` replays the
-    whole log and so cuts the records file back to nothing: until the
-    next checkpoint, a later recovery replays from genesis too.
+    Newer snapshots are removed, and the records file is cut back to
+    what the restored snapshot covers when the WAL next appends to it
+    (:attr:`EngineWal.records_end`).  ``use_snapshot=False`` replays the
+    whole log and writes nothing: a later recovery that checkpoints
+    nothing in between restores the same snapshot as before it.
     """
     from repro.api import ProgramSpec, make_scheduler
     from repro.core.nests import KNest
@@ -138,8 +139,8 @@ def recover(
         )
     # -- the checkpoint -------------------------------------------------
     # The newest snapshot the durable log and the records file can back;
-    # the records file is cut back to what it covers, and every newer
-    # snapshot is retired.
+    # every newer snapshot is retired, and the records file is cut back
+    # to what it covers before the WAL next appends to it.
     frames = read_records(*wal.records.take(), wal.records.tell())
     snap = None
     if use_snapshot:
@@ -160,7 +161,7 @@ def recover(
         causes.update(notes)
         cut = stop
     del frames
-    wal.records.truncate(cut)
+    wal.records_end = cut
     wal.recorded = len(committed)
     # Only what the snapshot leaves uncommitted, and what the log added
     # after it, is compiled and registered.

@@ -257,6 +257,10 @@ class EngineWal:
         #: the restored snapshot covers).
         self.records = LogFile(os.path.join(directory, RECORDS_NAME))
         self.recorded = 0
+        #: Where recovery left the records file's covered part to end:
+        #: it is cut back there before the next append, so a recovery
+        #: that never checkpoints leaves the file as it found it.
+        self.records_end: int | None = None
         #: Commits the engine has made, counted from the decisions (set
         #: by recovery to the restored engine's count).
         self.commits = 0
@@ -318,6 +322,9 @@ class EngineWal:
         records = engine.records
         start = self.recorded
         if len(records) > start:
+            if self.records_end is not None:
+                self.records.truncate(self.records_end)
+                self.records_end = None
             causes = causes or {}
             names = engine.commit_order[start:]
             self.records.append(encode_records(

@@ -35,7 +35,7 @@ import pickle
 import random
 from array import array
 from bisect import bisect_left, insort
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, NamedTuple
@@ -58,7 +58,10 @@ from repro.model.variables import EntityStore
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["Commit", "Engine", "EngineResult", "TxnState", "unpack_commit"]
+__all__ = [
+    "Commit", "Engine", "EngineResult", "TxnState", "seq_ordered",
+    "unpack_commit",
+]
 
 #: The attention pick's order: arrived transactions are kept sorted by it.
 _by_name = attrgetter("name")
@@ -212,6 +215,34 @@ def unpack_commit(packed: bytes) -> Commit:
     return Commit._make(pickle.loads(packed))
 
 
+#: Above every step's seq: the floor past the last record.
+_NO_SEQ = 1 << 62
+
+
+def seq_ordered(
+    records: Sequence[bytes], groups: Iterable[Iterable[tuple]]
+) -> Iterator[tuple]:
+    """The rows of ``groups`` in seq order.  There is one group per
+    record of ``records``, in the same (commit) order, and each row is
+    a tuple led by its step's seq, a group's in seq order.  Commits
+    interleave their rows only as far as they overlapped in time, so a
+    row is yielded as soon as no later record starts below it (each
+    record's first seq is read up front): the merge holds the rows of
+    overlapping commits, not the whole history."""
+    floors = array("q", [_NO_SEQ]) * (len(records) + 1)
+    for position in range(len(records) - 1, -1, -1):
+        rows = unpack_commit(records[position]).rows
+        first = rows[0][0] if rows else _NO_SEQ
+        floors[position] = min(first, floors[position + 1])
+    heap: list[tuple] = []
+    for position, group in enumerate(groups):
+        for row in group:
+            heapq.heappush(heap, row)
+        floor = floors[position + 1]
+        while heap and heap[0][0] < floor:
+            yield heapq.heappop(heap)
+
+
 @dataclass
 class EngineResult:
     """Outcome of an engine run.
@@ -353,8 +384,8 @@ class Engine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Decision kind -> the enabled ones of the three above that read
         # it, in that order.  Rebuilt from the attributes on every
-        # ``advance`` because the service hands a recovered engine its
-        # history sink only after replay.
+        # ``advance``, so a sink assigned between two advances reads the
+        # decisions of the second.
         self._routes: dict[str, tuple] = {}
         if registry is not None:
             registry.derive(("scheduler", scheduler.name), self._publish)
@@ -645,6 +676,17 @@ class Engine:
         ever grows, so any prefix of it is the committed log of the
         moment it was that long; :func:`unpack_commit` reads a record."""
         return self._committed_log
+
+    def history_digest(self) -> str:
+        """The digest :meth:`EngineResult.history_digest` gives this
+        engine's committed execution: its committed records merged into
+        performance order, without assembling a result."""
+        records = self._committed_log
+        rows = seq_ordered(records, (
+            [(row[0], commit.name, *row[1:]) for row in commit.rows]
+            for commit in map(unpack_commit, records)
+        ))
+        return canonical_digest(row[1:] for row in rows)
 
     def position_of(self, name: str) -> int | None:
         """``name``'s position in the commit order, or ``None`` while it

@@ -20,12 +20,17 @@ import hashlib
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.core.reach import transitive_pairs
 from repro.errors import ExecutionError
 from repro.model.steps import StepId, StepKind, StepRecord
 
 __all__ = ["EntityFold", "Execution", "RowDigest", "canonical_digest"]
+
+
+#: Rows :func:`canonical_digest` encodes per ``json.dumps`` call.
+_DIGEST_CHUNK = 1024
 
 
 def canonical_digest(rows: Iterable[tuple]) -> str:
@@ -36,14 +41,24 @@ def canonical_digest(rows: Iterable[tuple]) -> str:
     digest and a portable history's: each row becomes ``[transaction,
     index, entity, kind, repr(before), repr(after)]``, and the compact
     JSON array of those is hashed.  Two runs produced the same execution
-    exactly when their digests agree.
+    exactly when their digests agree.  The array is encoded and hashed
+    ``_DIGEST_CHUNK`` rows at a time, so hashing a long history holds
+    one chunk's encoding, not the whole array's.
     """
-    canon = [
-        [txn, index, entity, kind, repr(before), repr(after)]
-        for txn, index, entity, kind, before, after in rows
-    ]
-    blob = json.dumps(canon, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    sha = hashlib.sha256(b"[")
+    rows = iter(rows)
+    separator = b""
+    while chunk := list(islice(rows, _DIGEST_CHUNK)):
+        canon = [
+            [txn, index, entity, kind, repr(before), repr(after)]
+            for txn, index, entity, kind, before, after in chunk
+        ]
+        # The compact encoding of a list is its items' joined by ",".
+        encoded = json.dumps(canon, separators=(",", ":"))[1:-1]
+        sha.update(separator + encoded.encode())
+        separator = b","
+    sha.update(b"]")
+    return sha.hexdigest()
 
 
 class RowDigest:

@@ -34,7 +34,11 @@ import json
 from dataclasses import dataclass, field
 
 from repro.api import ResultEnvelope, Submission, make_scheduler
-from repro.audit.history import HISTORY_FORMAT_VERSION, NULL_HISTORY
+from repro.audit.history import (
+    HISTORY_FORMAT_VERSION,
+    NULL_HISTORY,
+    HistoryExport,
+)
 from repro.core.nests import KNest
 from repro.durability.wal import NULL_WAL
 from repro.engine.runtime import Engine, EngineResult
@@ -77,9 +81,10 @@ class ServiceConfig:
     #: pump slice that ends this many ticks past the last one, so a
     #: restart replays about one cadence of the log.
     wal_snapshot_every: int = 4096
-    #: Stream every commit to this JSONL history file (the audit plane's
-    #: portable format; ``None`` captures nothing at null-sink cost).
-    #: After recovery the capture resumes with post-recovery commits.
+    #: Write the committed history to this JSONL file (the audit plane's
+    #: portable format) at close, from the engine's commit records;
+    #: ``None`` writes none.  A recovered engine holds every record of
+    #: the run, so a restarted service's file covers the whole run.
     history_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -109,21 +114,6 @@ class TransactionService:
         #: rollback until the victim's envelope is built.
         self.tracer = AbortCauses()
         self.wal = NULL_WAL
-        self.history = NULL_HISTORY
-        if config.history_path is not None:
-            from repro.audit.history import HistoryWriter
-
-            self.history = HistoryWriter(
-                config.history_path,
-                initial={},
-                depth=config.nest_depth,
-                meta={
-                    "service": True,
-                    "scheduler": config.scheduler,
-                    "seed": config.seed,
-                    "initial_value": config.initial_value,
-                },
-            )
         #: idempotency key -> transaction name, for every admitted key
         #: (rebuilt from the log at recovery): a resubmission is answered
         #: from the engine, never re-executed.
@@ -144,6 +134,21 @@ class TransactionService:
             config.admission, config.nest_depth
         )
         self.nest, self.engine = self._boot(config)
+        self.history = NULL_HISTORY
+        if config.history_path is not None:
+            self.history = HistoryExport(
+                config.history_path,
+                self.engine,
+                path_of=self.nest.path_of,
+                initial={},
+                depth=config.nest_depth,
+                meta={
+                    "service": True,
+                    "scheduler": config.scheduler,
+                    "seed": config.seed,
+                    "initial_value": config.initial_value,
+                },
+            )
         self._queue: asyncio.Queue = asyncio.Queue()
         #: name -> the futures its submissions wait on, one per waiter
         #: (the first run and each in-flight duplicate of its key),
@@ -185,7 +190,6 @@ class TransactionService:
             tracer=self.tracer,
             registry=self.registry,
             wal=self.wal,
-            history=self.history,
         )
         if self.wal.enabled:
             self.wal.log_genesis(
@@ -228,16 +232,6 @@ class TransactionService:
         self._snapshot_tick = report.snapshot_tick
         self._causes = report.causes
         self._resolved = report.snapshot_commits
-        if self.history.enabled:
-            # Capture resumes post-recovery: replay is not re-recorded,
-            # but recovered in-flight transactions may still commit, so
-            # their nest paths must be known to the writer.  A committed
-            # one never reaches it again, and its path would stay there.
-            txns = report.engine.txns
-            for add in report.adds:
-                if add.name in txns:
-                    self.history.declare_path(add.name, add.path)
-            report.engine.history = self.history
         return report.nest, report.engine
 
     def _publish(self, registry: MetricsRegistry) -> None:
@@ -344,7 +338,6 @@ class TransactionService:
         for entity in entities:
             self.engine.store.declare(entity, initial_value)
         self.nest.add(spec.name, spec.path)
-        self.history.declare_path(spec.name, spec.path)
         state = self.engine.add_program(spec.compile())
         if self.wal.enabled:
             self.wal.append({

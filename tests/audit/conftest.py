@@ -1,9 +1,10 @@
 """Shared helpers for the audit-plane tests.
 
 ``run_specs`` drives the real engine over declarative programs with an
-optional history sink attached — the same seam the CLI and service use —
-and returns the result alongside the nest so tests can cross-check the
-captured history against the engine's own view.
+optional history sink attached — the seam the online monitor uses — and
+returns the result alongside the nest; ``captured`` also exports the
+committed history from the engine, the way the CLI and the service
+write it, so tests can cross-check it against the engine's own view.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ SCHEDULERS = ("serial", "2pl", "timestamp", "mla-detect", "mla-prevent",
               "mla-nested-lock")
 
 
-def run_specs(specs, initial, scheduler="mla-detect", seed=0, history=None):
+def build_engine(specs, initial, scheduler="mla-detect", seed=0,
+                 history=None):
     nest = KNest.from_paths({s.name: s.path for s in specs})
     engine = Engine(
         [s.compile() for s in specs],
@@ -30,18 +32,46 @@ def run_specs(specs, initial, scheduler="mla-detect", seed=0, history=None):
         seed=seed,
         history=history,
     )
+    return engine, nest
+
+
+def run_specs(specs, initial, scheduler="mla-detect", seed=0, history=None):
+    engine, nest = build_engine(specs, initial, scheduler, seed, history)
     return engine.run(), nest
 
 
-def recorder_for(specs, initial, meta=None):
-    """A HistoryRecorder pre-declared with every spec's nest path."""
-    from repro.audit import HistoryRecorder
+def export_args(specs, initial, meta=None) -> dict:
+    """The export arguments that place every spec at its nest path."""
+    return {
+        "path_of": {s.name: s.path for s in specs}.__getitem__,
+        "initial": dict(initial),
+        "depth": len(specs[0].path),
+        "meta": meta,
+    }
 
-    depth = len(specs[0].path)
-    recorder = HistoryRecorder(initial=dict(initial), depth=depth, meta=meta)
-    for spec in specs:
-        recorder.declare_path(spec.name, spec.path)
-    return recorder
+
+def captured(specs, initial, scheduler="mla-detect", seed=0, history=None,
+             meta=None):
+    """Run the specs and export the committed history from the engine:
+    ``(result, History)``."""
+    from repro.audit import export_history
+
+    engine, _ = build_engine(specs, initial, scheduler, seed, history)
+    result = engine.run()
+    return result, export_history(engine, **export_args(specs, initial, meta))
+
+
+def export_file(path, specs, initial, scheduler="mla-detect", seed=0):
+    """Run the specs and write their history to ``path`` as ``repro run
+    --history`` does; returns ``(result, footer digest, in-memory
+    export)``."""
+    from repro.audit import HistoryExport, export_history
+
+    engine, _ = build_engine(specs, initial, scheduler, seed)
+    args = export_args(specs, initial)
+    writer = HistoryExport(path, engine, **args)
+    result = engine.run()
+    return result, writer.close(), export_history(engine, **args)
 
 
 #: Single-object keys a stream spreads over its commit lines and footer;

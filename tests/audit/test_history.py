@@ -1,6 +1,6 @@
 """The portable history format: exact round-trips, strict rejection of
-malformed input, streaming capture agreement, and the zero-interference
-guarantee of the engine seam."""
+malformed input, agreement of the file export with the in-memory one
+and with the engine, and exports that leave the run alone."""
 
 from __future__ import annotations
 
@@ -13,17 +13,21 @@ import pytest
 from repro.audit import (
     HISTORY_FORMAT_VERSION,
     History,
-    HistoryRecorder,
+    HistoryExport,
     HistoryStep,
-    HistoryWriter,
     NULL_HISTORY,
-    TeeHistory,
     load_history,
 )
 from repro.cli import main
 from repro.errors import SpecificationError
-from repro.model.steps import StepId, StepKind, StepRecord
-from tests.audit.conftest import recorder_for, run_specs, write_stream
+from tests.audit.conftest import (
+    build_engine,
+    captured,
+    export_args,
+    export_file,
+    run_specs,
+    write_stream,
+)
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -41,9 +45,7 @@ def simple_history(**overrides) -> History:
 
 class TestRoundTrip:
     def test_json_round_trip_is_exact(self, mixed_specs, mixed_initial):
-        recorder = recorder_for(mixed_specs, mixed_initial)
-        run_specs(mixed_specs, mixed_initial, history=recorder)
-        history = recorder.history()
+        _, history = captured(mixed_specs, mixed_initial)
         text = history.to_json()
         again = History.from_json(text)
         assert again.to_json() == text
@@ -51,60 +53,59 @@ class TestRoundTrip:
         assert again == history
 
     def test_digest_matches_engine(self, mixed_specs, mixed_initial):
-        recorder = recorder_for(mixed_specs, mixed_initial)
-        result, _ = run_specs(mixed_specs, mixed_initial, history=recorder)
-        assert recorder.history().digest() == result.history_digest()
+        result, history = captured(mixed_specs, mixed_initial)
+        assert history.digest() == result.history_digest()
 
     def test_jsonl_writer_agrees_with_recorder(self, tmp_path, mixed_specs,
                                                mixed_initial):
+        """The file export and the in-memory export of one engine are
+        the same history."""
         path = str(tmp_path / "run.jsonl")
-        depth = len(mixed_specs[0].path)
-        writer = HistoryWriter(path, initial=dict(mixed_initial), depth=depth)
-        recorder = recorder_for(mixed_specs, mixed_initial)
-        for spec in mixed_specs:
-            writer.declare_path(spec.name, spec.path)
-        run_specs(
-            mixed_specs, mixed_initial, history=TeeHistory(writer, recorder)
+        result, digest, history = export_file(
+            path, mixed_specs, mixed_initial
         )
-        digest = writer.close()
-        assert digest == recorder.history().digest()
+        assert digest == history.digest() == result.history_digest()
         loaded = load_history(path)
-        assert loaded.to_json() == recorder.history().to_json()
+        assert loaded.to_json() == history.to_json()
 
-    def test_writer_close_validates_what_it_wrote(self, tmp_path):
-        """The writer keeps no copy of its commits: ``close`` reads its
-        commit lines back and validates them whole before it seals the
-        file, so a capture no reader would accept fails there and the
-        file gets no footer."""
+    def test_writer_close_validates_what_it_wrote(self, tmp_path,
+                                                  mixed_specs,
+                                                  mixed_initial):
+        """``close`` checks the digest of the steps it wrote against the
+        engine's digest of its committed execution: on a mismatch it
+        raises, and the file gets no footer."""
         path = str(tmp_path / "bad.jsonl")
-        writer = HistoryWriter(path, initial={"x": 1})
-        # The write claims ``x`` held 2 before it; the initial value is 1.
-        record = StepRecord(StepId("t", 0), "x", StepKind.WRITE, 2, 3)
-        writer.on_commit("t", 0, 1, [(1, record)], {}, None)
-        with pytest.raises(SpecificationError, match="not a valid execution"):
+        engine, _ = build_engine(mixed_specs, mixed_initial)
+        writer = HistoryExport(
+            path, engine, **export_args(mixed_specs, mixed_initial)
+        )
+        engine.run()
+        engine.history_digest = lambda: "0" * 64
+        with pytest.raises(SpecificationError, match="committed execution"):
             writer.close()
         with pytest.raises(SpecificationError, match="no footer"):
             load_history(path)
 
-    def test_writer_close_is_idempotent(self, tmp_path):
-        path = str(tmp_path / "empty.jsonl")
-        writer = HistoryWriter(path, initial={})
+    def test_writer_close_is_idempotent(self, tmp_path, mixed_specs,
+                                        mixed_initial):
+        path = str(tmp_path / "run.jsonl")
+        engine, _ = build_engine(mixed_specs, mixed_initial)
+        writer = HistoryExport(
+            path, engine, **export_args(mixed_specs, mixed_initial)
+        )
+        engine.run()
         assert writer.close() is not None
         assert writer.close() is None
 
     def test_single_object_file_loads(self, tmp_path, mixed_specs,
                                       mixed_initial):
-        recorder = recorder_for(mixed_specs, mixed_initial)
-        run_specs(mixed_specs, mixed_initial, history=recorder)
-        history = recorder.history()
+        _, history = captured(mixed_specs, mixed_initial)
         path = tmp_path / "run.json"
         path.write_text(history.to_json() + "\n")
         assert load_history(str(path)).digest() == history.digest()
 
     def test_nest_and_spec_views(self, mixed_specs, mixed_initial):
-        recorder = recorder_for(mixed_specs, mixed_initial)
-        run_specs(mixed_specs, mixed_initial, history=recorder)
-        history = recorder.history()
+        _, history = captured(mixed_specs, mixed_initial)
         assert history.depth == 1
         nest = history.nest()
         assert nest.k == 3
@@ -116,23 +117,18 @@ class TestRoundTrip:
 
 
 class TestCaptureSeam:
-    def test_capture_does_not_change_the_run(self, mixed_specs,
+    def test_capture_does_not_change_the_run(self, tmp_path, mixed_specs,
                                              mixed_initial):
         bare, _ = run_specs(mixed_specs, mixed_initial, seed=3)
-        recorder = recorder_for(mixed_specs, mixed_initial)
-        captured, _ = run_specs(
-            mixed_specs, mixed_initial, seed=3, history=recorder
+        exported, _, _ = export_file(
+            str(tmp_path / "run.jsonl"), mixed_specs, mixed_initial, seed=3
         )
-        assert captured.history_digest() == bare.history_digest()
-        assert captured.execution.steps == bare.execution.steps
-        assert captured.metrics.ticks == bare.metrics.ticks
+        assert exported.history_digest() == bare.history_digest()
+        assert exported.execution.steps == bare.execution.steps
+        assert exported.metrics.ticks == bare.metrics.ticks
 
     def test_null_history_is_disabled(self):
         assert NULL_HISTORY.enabled is False
-
-    def test_tee_of_nothing_is_disabled(self):
-        assert TeeHistory().enabled is False
-        assert TeeHistory(NULL_HISTORY).enabled is False
 
 
 class TestRejection:
@@ -269,12 +265,7 @@ class TestRejection:
     def test_stream_step_entity_must_be_a_string(self, tmp_path,
                                                  mixed_specs, mixed_initial):
         path = str(tmp_path / "run.jsonl")
-        depth = len(mixed_specs[0].path)
-        writer = HistoryWriter(path, initial=dict(mixed_initial), depth=depth)
-        for spec in mixed_specs:
-            writer.declare_path(spec.name, spec.path)
-        run_specs(mixed_specs, mixed_initial, history=writer)
-        writer.close()
+        export_file(path, mixed_specs, mixed_initial)
         lines = open(path, encoding="utf-8").read().splitlines()
         commit = next(i for i, l in enumerate(lines)
                       if json.loads(l)["kind"] == "commit")
@@ -288,12 +279,7 @@ class TestRejection:
     def test_truncated_stream_rejected(self, tmp_path, mixed_specs,
                                        mixed_initial):
         path = str(tmp_path / "run.jsonl")
-        depth = len(mixed_specs[0].path)
-        writer = HistoryWriter(path, initial=dict(mixed_initial), depth=depth)
-        for spec in mixed_specs:
-            writer.declare_path(spec.name, spec.path)
-        run_specs(mixed_specs, mixed_initial, history=writer)
-        writer.close()
+        export_file(path, mixed_specs, mixed_initial)
         lines = open(path, encoding="utf-8").read().splitlines()
         assert json.loads(lines[-1])["kind"] == "footer"
         (tmp_path / "cut.jsonl").write_text("\n".join(lines[:-1]) + "\n")
@@ -303,12 +289,7 @@ class TestRejection:
     def test_footer_count_mismatch_rejected(self, tmp_path, mixed_specs,
                                             mixed_initial):
         path = str(tmp_path / "run.jsonl")
-        depth = len(mixed_specs[0].path)
-        writer = HistoryWriter(path, initial=dict(mixed_initial), depth=depth)
-        for spec in mixed_specs:
-            writer.declare_path(spec.name, spec.path)
-        run_specs(mixed_specs, mixed_initial, history=writer)
-        writer.close()
+        export_file(path, mixed_specs, mixed_initial)
         lines = open(path, encoding="utf-8").read().splitlines()
         commit = next(i for i, l in enumerate(lines)
                       if json.loads(l)["kind"] == "commit")

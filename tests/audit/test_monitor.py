@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ProgramSpec
-from repro.audit import HistoryRecorder, HistorySink, OnlineMonitor, TeeHistory
+from repro.audit import HistorySink, OnlineMonitor
 from repro.core import check_correctability
 from repro.obs import MetricsRegistry, RingTracer
 from tests.audit.conftest import SCHEDULERS, run_specs
@@ -110,20 +110,19 @@ class TestPerCommit:
         seen = []
 
         class Probe(HistorySink):
-            """Behind the monitor on the same stream: reads its counts
-            as each commit leaves it."""
+            """Hands each commit to the monitor, then reads its counts
+            as the commit leaves it."""
 
             enabled = True
 
             def on_commit(self, *args):
+                monitor.on_commit(*args)
                 seen.append((
                     monitor.checked,
                     registry.value("repro_audit_checked_commits_total"),
                 ))
 
-        result, _ = run_specs(
-            mixed_specs, mixed_initial, history=TeeHistory(monitor, Probe())
-        )
+        result, _ = run_specs(mixed_specs, mixed_initial, history=Probe())
         commits = len(result.commit_order)
         assert seen == [(n, n) for n in range(1, commits + 1)]
         assert monitor.correctable
@@ -179,14 +178,13 @@ class TestFanOut:
     def test_monitor_composes_with_capture(self, mixed_specs,
                                            mixed_initial):
         from repro.core.nests import KNest
-        from tests.audit.conftest import recorder_for
+        from tests.audit.conftest import captured
 
         nest = KNest.from_paths({s.name: s.path for s in mixed_specs})
         monitor = OnlineMonitor(nest)
-        recorder = recorder_for(mixed_specs, mixed_initial)
-        result, _ = run_specs(
-            mixed_specs, mixed_initial, history=TeeHistory(recorder, monitor)
+        result, history = captured(
+            mixed_specs, mixed_initial, history=monitor
         )
         monitor.close()
         assert monitor.correctable
-        assert recorder.history().digest() == result.history_digest()
+        assert history.digest() == result.history_digest()

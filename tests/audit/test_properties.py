@@ -13,16 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ProgramSpec
-from repro.audit import (
-    History,
-    HistoryWriter,
-    OnlineMonitor,
-    TeeHistory,
-    load_history,
-)
+from repro.audit import History, OnlineMonitor, load_history
 from repro.core import check_correctability
 from repro.core.nests import KNest
-from tests.audit.conftest import recorder_for, run_specs
+from tests.audit.conftest import captured, export_file, run_specs
 
 SCHEDULERS = ["serial", "2pl", "timestamp", "mla-detect", "mla-prevent",
               "mla-nested-lock", "none"]
@@ -66,9 +60,7 @@ def initial_for(specs):
 )
 def test_export_import_bit_identical(specs, scheduler, seed):
     initial = initial_for(specs)
-    recorder = recorder_for(specs, initial)
-    result, _ = run_specs(specs, initial, scheduler, seed, history=recorder)
-    history = recorder.history()
+    result, history = captured(specs, initial, scheduler, seed)
     text = history.to_json()
     again = History.from_json(text)
     assert again.to_json() == text
@@ -86,14 +78,8 @@ def test_jsonl_stream_reloads_identically(tmp_path_factory, specs,
                                           scheduler, seed):
     initial = initial_for(specs)
     path = str(tmp_path_factory.mktemp("hist") / "run.jsonl")
-    writer = HistoryWriter(path, initial=initial, depth=len(specs[0].path))
-    for spec in specs:
-        writer.declare_path(spec.name, spec.path)
-    recorder = recorder_for(specs, initial)
-    run_specs(specs, initial, scheduler, seed,
-              history=TeeHistory(writer, recorder))
-    writer.close()
-    assert load_history(path).to_json() == recorder.history().to_json()
+    _, _, history = export_file(path, specs, initial, scheduler, seed)
+    assert load_history(path).to_json() == history.to_json()
 
 
 @settings(max_examples=25, deadline=None)
@@ -125,9 +111,9 @@ def test_monitor_agrees_with_offline_checker(specs, scheduler, seed):
 def test_audit_sinks_never_change_the_run(specs, scheduler, seed):
     initial = initial_for(specs)
     bare, nest = run_specs(specs, initial, scheduler, seed)
-    recorder = recorder_for(specs, initial)
-    sink = TeeHistory(recorder, OnlineMonitor(nest))
-    observed, _ = run_specs(specs, initial, scheduler, seed, history=sink)
+    observed, _ = captured(
+        specs, initial, scheduler, seed, history=OnlineMonitor(nest)
+    )
     assert observed.history_digest() == bare.history_digest()
     assert observed.metrics.ticks == bare.metrics.ticks
     assert observed.commit_order == bare.commit_order

@@ -4,6 +4,7 @@ bitwise-identical to the uncrashed run."""
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import os
 import pickle
 import tracemalloc
@@ -51,6 +52,35 @@ def test_snapshot_plus_suffix_matches_full_replay(tmp_path, scheduler):
         result.history_digest()
     assert with_snap.engine.store.snapshot() == \
         without_snap.engine.store.snapshot()
+
+
+def _file_digests(directory: str) -> dict[str, str]:
+    digests = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("scheduler", ["2pl", "mla-detect"])
+def test_a_full_replay_leaves_the_checkpoint_alone(tmp_path, scheduler):
+    """``recover(d, use_snapshot=False)`` is a diagnostic replay: it
+    changes no file in ``d``, so the recovery after it still restores
+    the newest snapshot instead of replaying from genesis."""
+    d = str(tmp_path)
+    run_reference(d, default_specs(seed=5), scheduler=scheduler, seed=5,
+                  snapshot_every=10)
+    snapshots = sorted(n for n in os.listdir(d) if n.startswith("snap-"))
+    assert snapshots
+    before = _file_digests(d)
+    full = recover(d, use_snapshot=False)
+    full.wal.close()
+    assert full.snapshot_tick is None
+    assert _file_digests(d) == before
+    again = recover(d)
+    again.wal.close()
+    assert again.snapshot_tick == int(snapshots[-1][len("snap-"):-4])
+    assert again.engine.records == full.engine.records
 
 
 def test_recovered_engine_extends_its_log(tmp_path):

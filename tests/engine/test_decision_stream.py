@@ -1,10 +1,13 @@
 """The engine's decision stream against goldens.
 
 ``Engine._emit`` builds each decision once — the schedulers' included,
-which report through it too — and fans it out to the history sink, the
-WAL and the tracer.  The goldens pin what every sink received: the WAL
-file and the history file byte for byte (as SHA-256), and every
-flight-recorder event.
+which report through it too — and fans it out to the sinks that read
+its kind: here the WAL and the tracer.  The goldens pin what they
+received, and the history exported from the engine's commit records:
+the WAL file and the history file byte for byte (as SHA-256), and
+every flight-recorder event.  (The history file was written by a
+commit sink when the goldens were recorded; its bytes did not move when
+the export took over.)
 
 They were first recorded before that rewrite, when each site spelled
 its fields once per sink, and were regenerated whole when the engine's
@@ -51,7 +54,7 @@ import os
 
 import pytest
 
-from repro.audit import HistoryWriter, paths_from_nest
+from repro.audit import HistoryExport, paths_from_nest
 from repro.durability.wal import EngineWal
 from repro.engine import (
     MLADetectScheduler,
@@ -122,22 +125,23 @@ def _sha256(path: str) -> str:
 
 
 def run_streams(scheduler: str, recovery: str, directory: str, **options):
-    """One run with all three sinks attached (``options`` go to the
-    engine); returns the tracer and the SHA-256 of the WAL and history
-    files it left in ``directory``."""
+    """One run with the WAL and tracer attached and its history
+    exported (``options`` go to the engine); returns the tracer and the
+    SHA-256 of the WAL and history files it left in ``directory``."""
     workload = BankingWorkload(CONFIG)
     depth, paths = paths_from_nest(workload.nest, sorted(workload.nest.items))
     history_path = os.path.join(directory, "history.jsonl")
-    history = HistoryWriter(
-        history_path, initial=dict(workload.accounts), depth=depth,
-        paths=paths,
-    )
     wal = EngineWal(directory)
     tracer = RingTracer(None)
-    workload.engine(
+    engine = workload.engine(
         SCHEDULERS[scheduler](workload.nest), seed=SEED, recovery=recovery,
-        wal=wal, history=history, tracer=tracer, **options,
-    ).run()
+        wal=wal, tracer=tracer, **options,
+    )
+    history = HistoryExport(
+        history_path, engine, path_of=paths.__getitem__,
+        initial=dict(workload.accounts), depth=depth,
+    )
+    engine.run()
     wal.sync()
     wal.close()
     history.close()

@@ -244,19 +244,18 @@ class TestDecisionStream:
         assert last.data["kind"] == "not the event kind"
 
     def test_sinks_are_read_on_every_advance(self, bank_programs):
-        """The service attaches its history sink to a recovered engine
-        only after replay: a sink assigned between two ``advance`` calls
-        sees the decisions of the second."""
-        from repro.audit import HistoryRecorder
-
+        """A sink assigned between two ``advance`` calls sees the
+        decisions of the second."""
         programs, accounts = bank_programs
         engine = Engine(programs, accounts, SerialScheduler())
         engine.advance(until_tick=6)
         early = len(engine.commit_order)
         assert 0 < early < len(programs)
-        engine.history = recorder = HistoryRecorder()
+        engine.history = reader = _CommitReader()
         engine.advance()
-        assert recorder.commit_order == engine.commit_order[early:]
+        assert [fields["txn"] for _, _, fields in reader.seen] == (
+            engine.commit_order[early:]
+        )
 
 
 class _CommitReader:

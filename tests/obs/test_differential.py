@@ -37,7 +37,7 @@ class TestEngineDifferential:
         """Routing hands the tracer every kind whatever else listens: a
         recording next to a WAL and a history is the lone recording,
         event for event."""
-        from repro.audit import HistoryRecorder
+        from repro.audit import OnlineMonitor
         from repro.durability.wal import EngineWal
 
         alone, shared = RingTracer(capacity=None), RingTracer(capacity=None)
@@ -47,7 +47,7 @@ class TestEngineDifferential:
         wal = EngineWal(str(tmp_path))
         bank.engine(
             SCHEDULER_ZOO[name](bank.nest), seed=5, tracer=shared,
-            wal=wal, history=HistoryRecorder(),
+            wal=wal, history=OnlineMonitor(bank.nest),
         ).run()
         wal.close()
         assert [(e.kind, e.at, e.data) for e in shared.events()] == [

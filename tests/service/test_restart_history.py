@@ -1,6 +1,7 @@
 """A restart finishes what the log admitted, and with ``--history`` it
-records what commits after it, its writer holding only the nest paths it
-can still use.
+writes a history of the whole run: the file is exported at close from
+the engine's commit records, and a recovered engine holds every record
+its run committed (the checkpoint's and the replay's).
 
 The run: 400 ``2pl`` transactions submitted in closed-loop batches of
 32, and an unclean stop at the first commit of the seventh batch, so
@@ -8,9 +9,9 @@ the log holds 224 admissions and 193 commits.  A restart on that log
 with a fresh history file replays it and resumes the 31 in-flight
 transactions with no client asking: a drain commits all 224.  Then the
 same 400 submissions are sent again: the 224 logged keys are answered
-from the engine as duplicates, and the rest run fresh.  The restarted
-writer is told the paths of the in-flight transactions only, and pops
-each at its commit, so once the service has drained it holds none.
+from the engine as duplicates, and the rest run fresh.  The history
+written at shutdown holds all 400 commits, the 193 from before the
+crash included.
 """
 
 from __future__ import annotations
@@ -40,11 +41,9 @@ SUBMISSIONS = traffic_submissions(
 BATCHES = [SUBMISSIONS[i:i + 32] for i in range(0, len(SUBMISSIONS), 32)]
 #: The batches that commit before the unclean stop.
 CLEAN = 6
-#: The restarted history's footer digest, as the build whose writer
-#: kept every recovered path wrote it for the same run (resuming the 31
-#: in-flight transactions then waited for their keys to come back; they
-#: committed before any fresh work either way).
-DIGEST = "dc2795c77a93eeff37ab4914192c2d3fef594c8ec6d0b8efab5fa263ebb84337"
+#: The restarted history's footer digest: every commit of the run, the
+#: ones made before the crash included.
+DIGEST = "a30ec3a58867c1c040fcde241a1b6ec8d0801150d460e455a2021d9b1d6593dd"
 
 
 def crash_log(directory: str) -> tuple[int, int]:
@@ -157,7 +156,7 @@ def test_a_restart_commits_what_it_admitted_with_no_submission(
 ):
     """Nobody resubmits: a drain alone commits the 31 transactions the
     log admitted but did not commit, and the restarted history's footer
-    counts exactly those."""
+    counts every commit the log admitted, before the crash and after."""
     log, admitted, committed = crashed
     history = str(tmp_path / "drained.jsonl")
     service = restart(log, str(tmp_path / "drained"), history)
@@ -169,31 +168,31 @@ def test_a_restart_commits_what_it_admitted_with_no_submission(
     drained = asyncio.run(service.drain())
     assert drained["committed"] == drained["submitted"] == admitted
     assert drained["in_flight"] == 0
-    assert service.history.paths == {}
     service.wal.close()
     digest = service.history.close()
     with open(history, encoding="utf-8") as handle:
         footer = json.loads(handle.readlines()[-1])
-    assert footer["commits"] == admitted - committed == 31
-    assert footer["sha256"] == digest
-    assert len(load_history(history).commit_order) == 31
+    assert footer["commits"] == admitted == 224
+    assert footer["sha256"] == digest == service.engine.history_digest()
+    assert load_history(history).commit_order == tuple(
+        service.engine.commit_order
+    )
 
 
-def test_restart_history_holds_only_post_restart_commits(crashed, tmp_path):
+def test_restart_history_covers_the_whole_run(crashed, tmp_path):
     log, admitted, crashed = crashed
 
-    # In process: the writer learns only the in-flight paths, and has
-    # popped every one once the service has drained.
+    # In process: the export holds the replayed commits and the new.
     service = restart(
         log, str(tmp_path / "in-process"), str(tmp_path / "in-process.jsonl")
     )
-    assert len(service.history.paths) == admitted - crashed
     assert asyncio.run(service.drain())["committed"] == admitted
     assert_resubmitted(resubmit(service), admitted)
     assert len(service.engine.commit_order) == len(SUBMISSIONS)
-    assert service.history.paths == {}
     service.wal.close()
     in_process_digest = service.history.close()
+    assert in_process_digest == service.engine.history_digest()
+    assert in_process_digest == service.result().history_digest()
 
     # A real server on the same log, driven through the client.
     served = str(tmp_path / "served")
@@ -208,9 +207,9 @@ def test_restart_history_holds_only_post_restart_commits(crashed, tmp_path):
     with open(history, encoding="utf-8") as handle:
         footer = json.loads(handle.readlines()[-1])
     assert footer["kind"] == "footer"
-    assert footer["commits"] == len(SUBMISSIONS) - crashed
+    assert footer["commits"] == summary["committed"] == len(SUBMISSIONS)
     loaded = load_history(history)
-    assert len(loaded.commit_order) == len(SUBMISSIONS) - crashed
+    assert len(loaded.commit_order) == len(SUBMISSIONS)
     assert loaded.digest() == footer["sha256"] == in_process_digest
     assert footer["sha256"] == DIGEST
 

@@ -549,8 +549,8 @@ class TestCommitFootprint:
             scheduler="2pl", admission=AdmissionConfig(window=32),
         ))
         assert bare <= 2, bare
-        # Both logs on: the history keeps each committed step as a flat
-        # row, which the GC stops tracking like the engine's own.
+        # Both logs on: the history is written from the engine's records
+        # at close, and keeps nothing per commit while serving.
         logged = self.tracked_per_commit(ServiceConfig(
             scheduler="2pl", admission=AdmissionConfig(window=32),
             wal_dir=str(tmp_path / "wal"),
@@ -574,7 +574,8 @@ class TestCommitFootprint:
     #: access as a row tuple, about 1 115 B either way; while it kept a
     #: committed ``TxnState`` and name-keyed tables beside one packed
     #: record, about 760 B.  With the record alone it retains about
-    #: 400 B either way.
+    #: 400 B either way (the history is exported from the records at
+    #: close).
     RETAINED_BOUND = {"bare": 440, "logged": 450}
 
     @pytest.mark.parametrize("logs", sorted(RETAINED_BOUND))
@@ -644,6 +645,66 @@ class TestCommitFootprint:
         assert sizes[1] <= 1.1 * sizes[0], sizes
         records = os.path.getsize(tmp_path / "commits.log")
         assert records / len(submissions) <= 175, records / len(submissions)
+
+
+    #: What :meth:`test_closing_the_history_stays_within_serving_memory`
+    #: runs in a fresh interpreter: 10 000 ``2pl`` transactions served
+    #: with a WAL and a history, then the peak RSS (MB) after serving
+    #: and after closing both logs.
+    CLOSE_SCRIPT = """
+import asyncio, json, os, resource, sys
+from repro.service import AdmissionConfig, ServiceConfig, TransactionService
+from repro.workloads.traffic import TrafficConfig, traffic_submissions
+
+directory = sys.argv[1]
+submissions = traffic_submissions(TrafficConfig(
+    transactions=10_000, contention=0.02, seed=18
+))
+service = TransactionService(ServiceConfig(
+    scheduler="2pl", admission=AdmissionConfig(window=32),
+    wal_dir=os.path.join(directory, "wal"),
+    history_path=os.path.join(directory, "history.jsonl"),
+))
+
+async def go():
+    for start in range(0, len(submissions), 32):
+        await asyncio.gather(*(
+            service.submit(s) for s in submissions[start:start + 32]
+        ))
+
+asyncio.run(go())
+del submissions
+served = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+service.wal.sync()
+service.wal.close()
+service.history.close()
+closed = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({
+    "commits": len(service.engine.commit_order),
+    "served_mb": served / 1024, "closed_mb": closed / 1024,
+}))
+"""
+
+    def test_closing_the_history_stays_within_serving_memory(self, tmp_path):
+        """Writing the history at close holds about one chunk of steps
+        at a time, not the whole history: the process's peak RSS after
+        closing is at most 1.2x its peak while serving.  A close that
+        read the written file back to validate and hash it peaked at
+        2.5x (40 MB serving, 102 MB closed)."""
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["repro"].__file__
+        )))
+        done = subprocess.run(
+            [sys.executable, "-c", self.CLOSE_SCRIPT, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=600, check=True,
+        )
+        peaks = json.loads(done.stdout.splitlines()[-1])
+        assert peaks["commits"] == 10_000
+        assert peaks["closed_mb"] <= 1.2 * peaks["served_mb"], peaks
 
 
 def _drive_batches(service, submissions, on_batch=None):
@@ -753,6 +814,40 @@ class TestDurableLogs:
         assert len(acknowledged) == len(responses) == 200
         service.wal.close()
         service.history.close()
+
+
+class TestHistoryExport:
+    """The history file a service writes at close is the engine's
+    committed history: what a close that read its file back used to
+    check on every shutdown."""
+
+    @pytest.mark.parametrize("scheduler", [
+        "2pl", "mla-detect", "mla-prevent", "mla-nested-lock", "timestamp",
+    ])
+    def test_export_equals_the_engine(self, tmp_path, scheduler):
+        from repro.audit import load_history
+
+        submissions = traffic_submissions(TrafficConfig(
+            transactions=300, contention=0.15, seed=27
+        ))
+        path = tmp_path / "history.jsonl"
+        service = TransactionService(ServiceConfig(
+            scheduler=scheduler, seed=5, admission=AdmissionConfig(window=32),
+            history_path=str(path),
+        ))
+        responses = _drive_batches(service, submissions)
+        assert all(response["ok"] for response in responses)
+        assert service.engine.metrics.aborts > 0
+        digest = service.history.close()
+        history = load_history(str(path))  # every format and value check
+        with open(path, encoding="utf-8") as handle:
+            footer = json.loads(handle.readlines()[-1])
+        order = service.engine.commit_order
+        assert history.digest() == digest == service.engine.history_digest()
+        assert digest == service.result().history_digest()
+        assert footer["commits"] == len(order) == len(submissions)
+        assert history.commit_order == tuple(order)
+        assert footer["steps"] == len(history.steps)
 
 
 class TestDifferential:
@@ -1268,7 +1363,10 @@ class TestFrozenSurface:
         service.wal.close()
         service.history.close()
         assert service.engine.metrics.aborts > 0
-        assert calls["on_commit"] == len(service.engine.commit_order) == 200
+        # The history is exported from the commit records at close:
+        # swapping its ``on_commit`` still works, and nothing calls it.
+        assert len(service.engine.commit_order) == 200
+        assert calls["on_commit"] == 0
         log = LogFile(f"{wal_dir}/engine.wal")
         frames = len(log.payloads)
         log.close()
