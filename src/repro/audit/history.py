@@ -556,8 +556,11 @@ class HistoryExport(HistorySink):
     a commit, so nothing is captured while the engine runs: opening
     truncates ``path`` and writes the header, and :meth:`close` walks
     ``engine.records`` in commit order, writes one commit line per
-    record and then the footer.  A restarted engine holds every record
-    its run committed, so the file covers the whole run.
+    record and then the footer.  A durable engine reads the records a
+    checkpoint covers back from its records file, a restarted one those
+    of the run before the restart too, and ``path_of`` (name -> nest
+    path) reads theirs from there: the file covers the whole run, and
+    may be written after the WAL has closed.
 
     It is a sink no engine is handed (``on_commit`` is never called); a
     stream without its footer is unreadable by design."""

@@ -906,8 +906,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--history", default=None, metavar="PATH",
         help="write the committed history to this JSONL file at "
-        "shutdown, from the commit records (auditable later with "
-        "`repro audit`)",
+        "shutdown, from the commit records; with --wal the records a "
+        "checkpoint covers are read back from the WAL directory, so the "
+        "file covers the whole run, restarts included (auditable later "
+        "with `repro audit`)",
     )
     serve.set_defaults(func=cmd_serve)
 

@@ -64,7 +64,8 @@ class KNest:
     """
 
     __slots__ = (
-        "_depth", "_k", "_paths", "_shared", "_prefix_ids", "_item_ids"
+        "_depth", "_k", "_paths", "_shared", "_prefix_ids", "_item_ids",
+        "_added",
     )
 
     def __init__(self, depth: int) -> None:
@@ -81,6 +82,8 @@ class KNest:
             {} for _ in range(depth)
         ]
         self._item_ids: dict[T, int] = {}
+        # Items ever added: the next item's id, whatever was discarded.
+        self._added = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -189,12 +192,21 @@ class KNest:
             return
         path = self._shared.setdefault(path, path)
         self._paths[item] = path
-        self._item_ids[item] = len(self._item_ids)
+        self._item_ids[item] = self._added
+        self._added += 1
         for j in range(self._depth):
             prefix = path[: j + 1]
             ids = self._prefix_ids[j]
             if prefix not in ids:
                 ids[prefix] = len(ids)
+
+    def discard(self, item: T) -> None:
+        """Forget ``item`` (a no-op for an unknown one).  No other
+        item's class ids move, nor do those of items added later: an
+        open system retires the committed transactions its concurrency
+        control no longer places this way."""
+        if self._paths.pop(item, None) is not None:
+            del self._item_ids[item]
 
     # ------------------------------------------------------------------
     # queries

@@ -22,16 +22,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.durability.recovery import recover
-from repro.durability.snapshot import (
-    RECORDS_NAME,
-    read_records,
-    read_snapshot,
-)
+from repro.durability.snapshot import RECORDS_NAME, read_snapshot
 from repro.durability.wal import (
     LOG_NAME,
     MAGIC,
     EngineWal,
-    LogFile,
+    RecordsFile,
     decode_record,
     scan_frames,
 )
@@ -155,7 +151,7 @@ def run_reference(
     while not engine.advance(until_tick=engine.tick + SLICE_TICKS):
         wal.flush()
         if wal.due(engine):
-            wal.snapshot(engine)
+            wal.snapshot(engine, nest)
     wal.sync()
     wal.close()
     return engine, engine.run()
@@ -318,16 +314,16 @@ def checkpoint_cuts(source_dir: str) -> list[CheckpointCut]:
         name for name in os.listdir(source_dir)
         if name.startswith("snap-") and name.endswith(".bin")
     )
-    log = LogFile(os.path.join(source_dir, RECORDS_NAME))
-    frames = read_records(*log.take(), log.tell())
+    log = RecordsFile(os.path.join(source_dir, RECORDS_NAME))
+    frames = log.take()
     log.close()
     # record count -> the byte span of the frame that brought the file
     # to it (empty for 0)
     spans = {0: (len(MAGIC), len(MAGIC))}
     start = len(MAGIC)
-    for count, stop, *_ in frames:
-        spans[count] = (start, stop)
-        start = stop
+    for frame in frames:
+        spans[frame.count] = (start, frame.stop)
+        start = frame.stop
     cuts: list[CheckpointCut] = []
     for index, name in enumerate(names):
         snap = read_snapshot(os.path.join(source_dir, name))

@@ -2,14 +2,20 @@
 
 A checkpoint has two halves in the WAL directory:
 
-* the **records file** (:data:`RECORDS_NAME`), append-only and framed
-  like the WAL: each checkpoint appends one frame holding the packed
-  commit records made since the previous one (each record is written
-  once), and the abort causes the service explained for them;
+* the **records file** (:data:`RECORDS_NAME`,
+  :class:`repro.durability.wal.RecordsFile`),
+  append-only and framed like the WAL: each checkpoint appends one frame
+  holding the packed commit records made since the previous one (each
+  record is written once) with each one's transaction name, idempotency
+  key, nest path and ``add`` frame, and the abort causes the service
+  explained for them.  Once written it is the only copy of those
+  commits: the engine and the service drop them from memory and read
+  them back from it by position;
 * a **snapshot**, ``snap-<tick>.bin``: one framed+checksummed pickle of
   the engine's *live* state — uncommitted transactions, store, locks or
-  closure window, rng, metrics — and the count of records it covers,
-  written atomically (temp file + rename).
+  closure window, rng, metrics — the count of records it covers, the
+  nest, and where in the engine log each uncommitted transaction was
+  added, written atomically (temp file + rename).
 
 So a snapshot's cost follows the in-flight window, not the history.
 ``load_latest_snapshot`` skips torn or corrupt snapshot files, those
@@ -24,14 +30,12 @@ from __future__ import annotations
 import os
 import pickle
 import zlib
-from collections.abc import Container, Mapping, Sequence
+from collections.abc import Container, Mapping
 from typing import Any
 
 __all__ = [
     "RECORDS_NAME",
-    "encode_records",
     "load_latest_snapshot",
-    "read_records",
     "read_snapshot",
     "retire_snapshots",
     "write_snapshot",
@@ -44,47 +48,14 @@ _SUFFIX = ".bin"
 _KEEP = 3
 #: Names the pickled layout.  Engine, scheduler and closure-window state
 #: are pickled by class path and slot, so any change to those must change
-#: this stamp: a snapshot carrying another one is never unpickled.
-_STAMP = b"repro-snapshot-17\n"
+#: this stamp: a snapshot carrying another one is never unpickled.  A
+#: snapshot's record count also refers to the records file's frames, so
+#: a change to their layout changes it too.
+_STAMP = b"repro-snapshot-18\n"
 #: What every snapshot payload holds.
-_FIELDS = frozenset(("tick", "wal_offset", "commits", "state", "tracer"))
-
-
-def encode_records(
-    first: int, records: Sequence[bytes], causes: Mapping[str, tuple]
-) -> bytes:
-    """One records-file frame: the packed records from commit position
-    ``first`` on, and the abort causes explained for them."""
-    return pickle.dumps(
-        (first, list(records), dict(causes)),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def read_records(
-    payloads: Sequence[bytes], offsets: Sequence[int], end: int
-) -> list[tuple[int, int, list[bytes], dict[str, tuple]]]:
-    """Decode a records file's frames, as :class:`LogFile` scanned them
-    (``end`` is the file's durable end): each as ``(count, stop,
-    records, causes)``, where ``count`` is the number of records up to
-    and including it and ``stop`` the byte offset it ends at.  Decoding
-    stops at the first frame that does not continue the previous one;
-    nothing from there on is ever covered by a snapshot."""
-    frames = []
-    count = 0
-    for index, payload in enumerate(payloads):
-        try:
-            first, records, causes = pickle.loads(payload)
-        except Exception:  # unpickling can raise almost any type
-            break
-        if first != count:
-            break
-        count += len(records)
-        stop = offsets[index + 1] if index + 1 < len(offsets) else end
-        frames.append((count, stop, records, causes))
-    return frames
-
-
+_FIELDS = frozenset(
+    ("tick", "wal_offset", "commits", "state", "tracer", "nest", "adds")
+)
 def write_snapshot(
     directory: str,
     *,
@@ -93,10 +64,14 @@ def write_snapshot(
     state: dict,
     commits: int = 0,
     tracer: Any = None,
+    nest: Any = None,
+    adds: Mapping[str, int | None] | None = None,
 ) -> str:
     """Atomically persist ``state`` covering the WAL up to ``wal_offset``
     and the first ``commits`` records of the records file; ``tracer`` is
-    the engine tracer's own state, restored beside it."""
+    the engine tracer's own state, restored beside it, ``nest`` the
+    nest its scheduler reads, and ``adds`` the engine-log offset of each
+    uncommitted transaction's ``add`` frame."""
     payload = _STAMP + pickle.dumps(
         {
             "tick": tick,
@@ -104,6 +79,8 @@ def write_snapshot(
             "commits": commits,
             "state": state,
             "tracer": tracer,
+            "nest": nest,
+            "adds": dict(adds or {}),
         },
         protocol=pickle.HIGHEST_PROTOCOL,
     )
@@ -198,7 +175,7 @@ def load_latest_snapshot(
     """Newest intact snapshot whose covered WAL position is still within
     the durable log (``wal_offset <= max_wal_offset``) and whose record
     count the records file can back (``commits`` holds the counts it
-    can: 0 and each frame's count from :func:`read_records`), or None."""
+    can: 0 and each frame's count the records file scanned), or None."""
     if not os.path.isdir(directory):
         return None
     for name in reversed(_names(directory)):

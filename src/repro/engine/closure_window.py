@@ -403,6 +403,11 @@ class ClosureWindow:
         self._last_result = None
         self._cycle_result = None
 
+    def retains(self, name: str) -> bool:
+        """Whether the window still holds ``name`` (its steps, or its
+        mark as committed), and so reads its place in the nest."""
+        return name in self._steps or name in self._committed
+
     def mark_committed(self, name: str) -> None:
         self._committed.add(name)
         self._commits_since_prune += 1

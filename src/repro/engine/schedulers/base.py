@@ -126,6 +126,14 @@ class Scheduler:
         """Restore a :meth:`snapshot_state` dict onto a freshly
         constructed scheduler of the same kind."""
 
+    def retains(self, name: str) -> bool:
+        """Whether this control still reads committed ``name``'s place
+        in the nest: a closure window does until it prunes the
+        transaction.  A service forgets a committed transaction's nest
+        entry only once this says no."""
+        window = getattr(self, "window", None)
+        return window is not None and window.retains(name)
+
     def counters(self, metrics) -> tuple[tuple[str, str, int], ...]:
         """``(series, help, value)`` rows the engine publishes under this
         scheduler's label whenever the registry is read, valued from the

@@ -83,8 +83,11 @@ class ServiceConfig:
     wal_snapshot_every: int = 4096
     #: Write the committed history to this JSONL file (the audit plane's
     #: portable format) at close, from the engine's commit records;
-    #: ``None`` writes none.  A recovered engine holds every record of
-    #: the run, so a restarted service's file covers the whole run.
+    #: ``None`` writes none.  The records a checkpoint covers are read
+    #: back from the WAL directory's records file, with their nest paths,
+    #: and a recovered engine reads the records of the run before the
+    #: restart there too: a restarted service's file covers the whole
+    #: run.
     history_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -115,8 +118,8 @@ class TransactionService:
         self.tracer = AbortCauses()
         self.wal = NULL_WAL
         #: idempotency key -> transaction name, for every admitted key
-        #: (rebuilt from the log at recovery): a resubmission is answered
-        #: from the engine, never re-executed.
+        #: (rebuilt from the log and the records file at recovery): a
+        #: resubmission is answered from the engine, never re-executed.
         self._by_key: dict[str, str] = {}
         self._recovered = 0  # keys the log held at recovery
         #: The tick of the snapshot recovery restored, if it restored one.
@@ -126,8 +129,13 @@ class TransactionService:
         self._resolved = 0
         #: name -> abort causes of a restarted transaction, explained at
         #: its first envelope (the tracer releases the events it took);
-        #: each checkpoint records those of the commits it covers.
+        #: each checkpoint writes those of the commits it covers to the
+        #: records file and drops them here.
         self._causes: dict[str, tuple[str, ...]] = {}
+        #: Committed transactions a checkpoint covers whose nest entries
+        #: the concurrency control still reads: retired from the nest at
+        #: a later checkpoint, once it no longer does.
+        self._retiring: list[str] = []
         self.duplicates = 0  # resubmitted keys answered from the first run
         self.pump_slices = 0
         self.admission = AdmissionController(
@@ -139,7 +147,7 @@ class TransactionService:
             self.history = HistoryExport(
                 config.history_path,
                 self.engine,
-                path_of=self.nest.path_of,
+                path_of=self._path_of,
                 initial={},
                 depth=config.nest_depth,
                 meta={
@@ -224,14 +232,18 @@ class TransactionService:
         self.wal = report.wal
         # An ``add`` record is an admission; rejections, duplicates and
         # pump slices are not logged and restart at 0.
-        self.admission.admitted = len(report.adds)
-        self._by_key = {
-            add.key: add.name for add in report.adds if add.key is not None
-        }
+        self.admission.admitted = report.admitted
+        self._by_key = report.keys
         self._recovered = len(self._by_key)
         self._snapshot_tick = report.snapshot_tick
-        self._causes = report.causes
         self._resolved = report.snapshot_commits
+        # The snapshot's nest still places the covered commits its
+        # concurrency control read when it was taken.
+        self._retiring = [
+            name for name in report.nest.items
+            if (position := report.engine.position_of(name)) is not None
+            and position < report.snapshot_commits
+        ]
         return report.nest, report.engine
 
     def _publish(self, registry: MetricsRegistry) -> None:
@@ -374,9 +386,29 @@ class TransactionService:
             # checkpoint here carries all the causes a resubmission of
             # its keys may ask for.
             if self.wal.enabled and self.wal.due(self.engine):
-                self.wal.snapshot(self.engine, self._causes)
+                self._checkpoint()
             # Yield so connection handlers can enqueue and respond.
             await asyncio.sleep(0)
+
+    def _checkpoint(self) -> str:
+        """Checkpoint the engine and forget what the records file now
+        holds: the engine drops the covered records
+        (:meth:`EngineWal.snapshot`), the service their abort causes
+        and the nest entries of those its concurrency control no longer
+        reads.  Returns the snapshot's path."""
+        engine = self.engine
+        self._retiring.extend(engine.commit_order[self.wal.recorded:])
+        retains = engine.scheduler.retains
+        held = []
+        for name in self._retiring:
+            if retains(name):
+                held.append(name)
+            else:
+                self.nest.discard(name)
+        self._retiring = held
+        path = self.wal.snapshot(engine, self.nest, self._causes)
+        self._causes.clear()
+        return path
 
     @property
     def arrivals(self) -> dict[str, int]:
@@ -395,9 +427,10 @@ class TransactionService:
         }
 
     def _resolve_commits(self) -> None:
-        order = self.engine.commit_order
-        for position in range(self._resolved, len(order)):
-            name = order[position]
+        start = self._resolved
+        for position, name in enumerate(
+            self.engine.commit_order[start:], start
+        ):
             # Built even when no waiter is left (each was cancelled, or
             # recovery resumed the transaction before its key came
             # back): building it takes the transaction's causes out of
@@ -406,13 +439,23 @@ class TransactionService:
             for future in self._pending.pop(name, ()):
                 if not future.done():
                     future.set_result(envelope)
-        self._resolved = len(order)
+        self._resolved = len(self.engine.commit_order)
+
+    def _path_of(self, name: str) -> tuple:
+        """``name``'s nest path: from the nest, or from the records file
+        once a checkpoint has retired it from the nest."""
+        if name in self.nest:
+            return self.nest.path_of(name)
+        return self.wal.records.nest_path(self.engine.position_of(name))
 
     def _envelope_for(self, name: str, position: int) -> ResultEnvelope:
         """``name``'s envelope, built from the engine: when it commits,
         and again for each resubmission of its key."""
         commit = self.engine.commit_of(name)
         causes = self._causes.get(name)
+        if causes is None and position < self.wal.recorded:
+            # Explained before the checkpoint that wrote them down.
+            causes = self.wal.records.causes(position)
         if causes is None:
             # Taken whatever the outcome: the tracer holds nothing for a
             # transaction once its envelope has been built.

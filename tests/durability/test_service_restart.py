@@ -329,3 +329,70 @@ class TestServiceRestart:
             'repro_commits_total{scheduler="2pl"} 400\n' in svc.metrics_text()
         )
         svc.wal.close()
+
+
+class TestRetiredCommits:
+    """A commit a checkpoint covers leaves memory: its record, its nest
+    entry and its abort causes are read back from the records file.
+    What a client can ask of it does not change."""
+
+    def test_duplicates_of_retired_keys(self, tmp_path):
+        """A key whose commit has been retired is answered with its
+        first envelope — serial position, ticks, attempts, result and a
+        restarted transaction's abort causes — in the same process and
+        after a kill and recovery; a new key under a retired name is
+        still refused."""
+        d = str(tmp_path)
+        contended = config(
+            d, scheduler="mla-detect", admission=AdmissionConfig(window=32),
+            wal_snapshot_every=64,
+        )
+        submissions = traffic_submissions(
+            TrafficConfig(transactions=400, contention=0.15, seed=18)
+        )
+        stranger = Submission(
+            program=submissions[0].program, idempotency_key="another-key"
+        )
+
+        def assert_answers(svc, originals, replies, refusal) -> None:
+            assert all(reply["duplicate"] for reply in replies)
+            for original, reply in zip(originals, replies):
+                assert reply["envelope"] == original["envelope"]
+            assert not refusal["ok"] and refusal["rejection"] == "schema"
+            assert "already used" in refusal["error"]
+
+        async def first():
+            svc = TransactionService(contended)
+            originals = await submit_in_batches(svc, submissions)
+            retired = svc.wal.recorded
+            replies = await submit_in_batches(svc, submissions)
+            refusal = await svc.submit(stranger)
+            # Killed: the slices' flushes are all the log gets.
+            svc.wal.close()
+            return svc, originals, retired, replies, refusal
+
+        svc, originals, retired, replies, refusal = run(first())
+        assert retired >= 0.8 * len(submissions)
+        restarted = [
+            r["envelope"] for r in originals
+            if r["envelope"]["status"] == "restarted"
+            and r["envelope"]["serial_position"] < retired
+        ]
+        assert len(restarted) > 20
+        assert all(envelope["abort_causes"] for envelope in restarted)
+        assert not svc._causes and len(svc.engine._committed_log) < 40
+        assert_answers(svc, originals, replies, refusal)
+
+        async def second():
+            svc = TransactionService(contended)
+            assert svc.health()["wal"]["snapshot_tick"] is not None
+            tick = svc.engine.tick
+            replies = await submit_in_batches(svc, submissions)
+            assert svc.engine.tick == tick  # answered, not re-run
+            refusal = await svc.submit(stranger)
+            svc.wal.close()
+            return svc, replies, refusal
+
+        svc, replies, refusal = run(second())
+        assert svc.wal.recorded == retired
+        assert_answers(svc, originals, replies, refusal)
