@@ -111,3 +111,17 @@ def test_a_commit_is_one_immutable_record():
     assert commit.commit_tick >= commit.arrival_tick
     assert commit.rows and all(len(row) == 6 for row in commit.rows)
     assert not engine.txns
+
+
+@pytest.mark.parametrize("name", ["t1", "s2002", "tx-é☃", "n" * 255, "n" * 300])
+def test_a_packed_name_reads_as_the_unpacked_one(name):
+    """``packed_name`` reads a record's name off its front (the records
+    file's scan reads one per commit); a name too long for that front
+    is unpacked instead.  Either way it is the unpacked record's name,
+    from ``bytes`` or from a view into a larger buffer."""
+    commit = (name, 2, [(7, 0, "e", 1, 0, 5)], 3, 9, 2, 1, None, {})
+    packed = runtime._Packer()(commit)
+    buffer = memoryview(b"head" + packed + b"tail")
+    assert runtime.unpack_commit(packed).name == name
+    assert runtime.packed_name(packed) == name
+    assert runtime.packed_name(buffer[4:4 + len(packed)]) == name
