@@ -6,8 +6,9 @@ Three claims are measured:
 * **The schedulers are proven, not sampled.**  The bounded exhaustive
   explorer enumerates *every* schedule of the small canned
   configurations (``repro.audit.SMALL_CONFIGS``) under each of the five
-  concurrency controls — every terminal history must be correctable and
-  the frontier must be exhausted (``complete``).  The unguarded
+  concurrency controls — every terminal history must be correctable, no
+  state may be stuck, and the frontier must be exhausted
+  (``complete``).  The unguarded
   ``"none"`` scheduler is the negative control: the same sweep must
   find non-correctable histories with witness cycles, or the explorer
   itself is dead.
@@ -64,6 +65,13 @@ AUDIT_OVERHEAD_BUDGET_PCT = 5.0
 #: (completeness under the cap is warn-only there; the full sweep and
 #: the tiny configs are asserted complete).
 SMOKE_MAX_NODES = 2000
+#: Distinct committed histories each tiny proof reaches, per scheduler
+#: in ``GUARDED`` order: the smoke fails on a reachable history the
+#: explorer loses, not only the full sweep.
+TINY_HISTORIES = {
+    "tiny-cross": (2, 4, 4, 2, 2),
+    "tiny-nested": (2, 4, 4, 4, 4),
+}
 
 
 def _tiny_configs():
@@ -114,6 +122,10 @@ def sweep(configs, schedulers, max_nodes=None, require_complete=True):
             assert report.all_correctable, (
                 f"E17: {scheduler} admitted a non-correctable execution "
                 f"on {config.name}: {report.violations[:1]}"
+            )
+            assert not report.stuck, (
+                f"E17: {scheduler} left transactions with no progress on "
+                f"{config.name}: {report.violations[:1]}"
             )
             if require_complete:
                 assert report.complete, (
@@ -358,6 +370,14 @@ def smoke() -> dict:
 def test_e17_audit_smoke():
     summary = smoke()
     assert all(r["complete"] for r in summary["proofs"])
+    assert {
+        (r["config"], r["scheduler"]): r["distinct_histories"]
+        for r in summary["proofs"]
+    } == {
+        (config, scheduler): count
+        for config, counts in TINY_HISTORIES.items()
+        for scheduler, count in zip(GUARDED, counts)
+    }
     assert all(not r["all_correctable"] for r in summary["controls"])
 
 
@@ -427,7 +447,9 @@ def main() -> None:
         notes=(
             "Every (config, scheduler) pair above with complete=yes is a "
             "proof: the frontier was exhausted up to the declared restart "
-            "bound and every distinct committed history passed Theorem 2. "
+            "bound, no state was stuck (every choice refused, changing "
+            "nothing), and every distinct committed history passed "
+            "Theorem 2. "
             f"Monitor overhead at E1 scale: {notes_overhead} "
             f"(budget {overhead['budget_pct']}%; disabled seam "
             f"{overhead['disabled_guard_ns']} ns/commit)."

@@ -134,10 +134,9 @@ OBS_OVERHEAD_BUDGET_PCT = 5.0
 
 #: Callables ``PhaseProfiler.install`` times on an engine, each a place
 #: a tick can open a phase span: the scheduler's ``on_request``,
-#: ``after_performed``, ``on_stall`` and ``may_commit``,
-#: ``Engine._rollback``, and the closure window's ``_recompute`` and
-#: ``_extend``.
-PROFILER_HOOK_SITES = 7
+#: ``after_performed`` and ``may_commit``, ``Engine._rollback``, and the
+#: closure window's ``_recompute`` and ``_extend``.
+PROFILER_HOOK_SITES = 6
 
 
 def _scheduler_zoo() -> dict:

@@ -7,23 +7,23 @@ scheduler) it walks every reachable scheduling decision of the real
 the engine at each decision point through the ``snapshot_state`` /
 ``restore_state`` seam.  The engine's seeded rng is replaced by a pinned
 stand-in (:class:`_ExplorerRng`) that forces each runnable transaction in
-turn as the tick's attention pick and branches over stall victims the
-same way; backoff delays collapse to their minimum (longer delays only
-defer wakeups, which the scheduling choice already enumerates), so
-randomness contributes no state.
+turn as the tick's attention pick; backoff delays collapse to their
+minimum (longer delays only defer wakeups, which the scheduling choice
+already enumerates), so randomness contributes no state.
 
 State-space reduction is sleep-set-free but sound: explored states are
 deduplicated under a canonical key that normalises away everything
-future behaviour cannot depend on (absolute tick via wake/stall deltas,
+future behaviour cannot depend on (absolute tick via wake deltas,
 absolute seqs via rank, metrics and per-transaction telemetry), so two
 interleavings that reach behaviourally identical engine states merge —
 the partial-order-reduction effect that keeps small configs tractable.
 
 Every terminal (quiesced) state's committed execution is checked with
-the offline Theorem 2 decision procedure.  ``all_correctable`` over a
-*complete* exploration is therefore a proof, not a sample: the
-scheduler admits no incorrect execution of that configuration, under
-any interleaving and any stall resolution.
+the offline Theorem 2 decision procedure, and a state that cannot
+progress is ``stuck``.  ``all_correctable`` with nothing ``stuck`` over
+a *complete* exploration is therefore a proof, not a sample: the
+scheduler admits no incorrect execution of that configuration, and
+blocks no transaction for good, under any interleaving.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.api import ProgramSpec, make_scheduler
 from repro.core.atomicity import check_correctability
 from repro.core.nests import KNest
 from repro.engine.runtime import Engine, unpack_commit
-from repro.errors import SpecificationError
+from repro.errors import EngineError, SpecificationError
 
 __all__ = ["ExplorationReport", "SMALL_CONFIGS", "explore", "make_config"]
 
@@ -43,15 +43,14 @@ __all__ = ["ExplorationReport", "SMALL_CONFIGS", "explore", "make_config"]
 class _ExplorerRng:
     """Deterministic stand-in for the engine's seeded rng.
 
-    The engine consumes randomness in exactly three places the explorer
-    must control: the attention pick, the post-rollback backoff draw and
-    the stall-victim pick.  Backoff is pinned to the *minimum* delay — a
-    longer delay only defers a wakeup, and deferral is already
+    The engine consumes randomness in exactly two places the explorer
+    must control: the attention pick and the post-rollback backoff draw.
+    Backoff is pinned to the *minimum* delay — a longer delay only
+    defers a wakeup, and deferral is already
     enumerated by the explorer's scheduling choice, so delay-1 loses no
     behaviours while keeping the rng state inert (and out of the state
-    key).  A pick honours ``pick`` when the preferred name is offered,
-    and consumes it: that is how the explorer forces each scheduling
-    choice and branches over stall resolutions.
+    key).  A pick takes the transaction named ``pick``, and consumes it:
+    that is how the explorer forces each choice.
     """
 
     __slots__ = ("pick",)
@@ -63,12 +62,14 @@ class _ExplorerRng:
         return lo
 
     def choice(self, seq):
-        if self.pick is not None:
-            for item in seq:
-                if getattr(item, "name", item) == self.pick:
-                    self.pick = None
-                    return item
-        return seq[0]
+        for item in seq:
+            if item.name == self.pick:
+                self.pick = None
+                return item
+        raise SpecificationError(
+            f"forced pick {self.pick!r} is not a candidate (explorer "
+            f"invariant broken)"
+        )
 
     def getstate(self):
         return ("explorer", self.pick)
@@ -173,19 +174,21 @@ def _canon_scheduler(value: Any, live_keys: set):
     return _canon(value)
 
 
-def _state_key(state: dict, records: list, stall_limit: int):
+def _state_key(state: dict, records: list):
     """A canonical, hashable digest of everything the engine's *future*
     behaviour can depend on.
 
-    Absolute quantities are normalised: wake ticks become deltas from
-    the current tick, the stall clock becomes its distance from firing
-    (capped), and global seqs become ranks — so states reached at
-    different absolute times but with identical futures collide, which
-    is exactly the reduction.  Telemetry (metrics, wait counts, commit
-    ticks) is excluded: nothing in the tick loop or any scheduler reads
-    it; the waits-for rows, which the next wait searches, are kept, in
-    sorted order: a wait is searched from its waiter, so the order the
-    rows were recorded in decides nothing.
+    Absolute quantities are normalised: wake ticks become their distance
+    past the next tick (any earlier wake is alike), and global seqs
+    become ranks — so states reached at different absolute times but
+    with identical futures collide, which is exactly the reduction.
+    Telemetry (metrics, wait counts, commit ticks) is excluded: nothing
+    in the tick loop or any scheduler reads it.  So is the refused set,
+    which decides only whether the engine raises for no progress: a
+    refusal that changes nothing returns to its own key, and
+    :func:`explore` reports that.  The waits-for rows, which the next
+    wait searches, are kept, in sorted order: a wait is searched from
+    its waiter, so the order the rows were recorded in decides nothing.
     """
     tick = state["tick"]
     store = state["store"]
@@ -206,7 +209,7 @@ def _state_key(state: dict, records: list, stall_limit: int):
             saved["name"],
             saved["attempt"],
             saved["rollbacks"],
-            max(0, saved["wake_tick"] - tick),
+            max(0, saved["wake_tick"] - tick - 1),
             _canon(saved["deps"]),
             _canon(saved["results_log"]),
         )
@@ -219,7 +222,6 @@ def _state_key(state: dict, records: list, stall_limit: int):
     # every assigned value, so only the (rank-compressed) assignments in
     # the scheduler snapshot can influence future decisions.
     return (
-        min(tick - state["last_progress"], stall_limit + 1),
         repr(state["rng"]),
         store_key,
         txns,
@@ -334,6 +336,7 @@ class ExplorationReport:
     all_correctable: bool = True
     restart_bound: int = 0
     pruned: int = 0
+    stuck: int = 0
     violations: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
@@ -348,6 +351,7 @@ class ExplorationReport:
             "all_correctable": self.all_correctable,
             "restart_bound": self.restart_bound,
             "pruned": self.pruned,
+            "stuck": self.stuck,
             "violations": list(self.violations),
         }
 
@@ -356,22 +360,21 @@ def explore(
     config,
     scheduler: str,
     seed: int = 0,
-    stall_limit: int = 3,
     max_nodes: int = 50_000,
     max_ticks: int = 100_000,
     restart_bound: int = 4,
 ) -> ExplorationReport:
     """Enumerate every schedule of ``config`` under ``scheduler``.
 
-    ``stall_limit`` is deliberately small: waiting chains longer than it
-    hand the decision to the scheduler's deterministic stall handler, so
-    blocked regions contribute O(candidates x stall_limit) states
-    instead of unbounded wait interleavings.
+    A wait needs no bound: a refused re-ask returns to its own state
+    key and is deduplicated.  A state where every choice does that, or
+    where the engine raises its no-progress error, is ``stuck``: a
+    violation naming the waits-for rows.
 
     ``restart_bound`` caps the total rollbacks along a path — the
-    explorer's context bound.  Adversarial victim choices can starve one
-    transaction forever (shoot the same victim every stall round, never
-    schedule the lock holder), a livelock the engine's randomised
+    explorer's context bound.  Adversarial picks can restart one
+    transaction forever (let the same conflict roll it back after every
+    restart), a livelock the engine's randomised
     backoff exists to escape; those paths climb attempt counters without
     ever committing anything new, so the infinite tail proves nothing
     about correctability.  Paths that exceed the bound are counted in
@@ -397,7 +400,6 @@ def explore(
             dict(config.initial),
             make_scheduler(scheduler, nest),
             seed=seed,
-            stall_limit=stall_limit,
             max_ticks=max_ticks,
         )
         engine.rng = _ExplorerRng()
@@ -437,11 +439,12 @@ def explore(
     root_state = root.snapshot_state(deep=False)
     node_engine = fresh_engine()
     child_engine = fresh_engine()
-    visited = {_state_key(root_state, [], stall_limit)}
-    # Each node is a snapshot and the committed log it covers.
-    stack = [(root_state, [])]
+    root_key = _state_key(root_state, [])
+    visited = {root_key}
+    # Each node is its key, its snapshot and the committed log it covers.
+    stack = [(root_key, root_state, [])]
     while stack:
-        state, records = stack.pop()
+        node_key, state, records = stack.pop()
         report.nodes += 1
         if report.nodes > max_nodes:
             report.complete = False
@@ -462,37 +465,39 @@ def explore(
         if target - 1 > engine.tick:
             engine.advance(until_tick=target - 1)
         base = engine.snapshot_state(deep=False)
-        stalled = target - engine._last_progress > engine.stall_limit
         choices = sorted(
             t.name
             for t in engine.txns.values()
             if t.wake_tick <= target
         )
+        returns = 0
         for choice in choices:
             child = child_engine
             child.restore_state(
                 base, engine.records, deep=False, programs=by_name
             )
-            # Unless the tick stalls, the attention pick takes ``choice``.
-            # On a stall the handler decides this tick instead, and the
-            # pick is its victim preference; a scheduler whose handler
-            # ignores the rng collapses these children into one state at
-            # dedup.
             child.rng.pick = choice
-            child.advance(until_tick=target)
-            if not stalled and child.rng.pick is not None:
-                raise SpecificationError(
-                    f"forced pick {choice!r} was not consumed at tick "
-                    f"{target} (explorer invariant broken)"
-                )
-            child.rng.pick = None
+            try:
+                child.advance(until_tick=target)
+            except EngineError as error:
+                report.stuck += 1
+                report.violations.append(f"{scheduler}/{config.name}: {error}")
+                continue
             report.transitions += 1
             child_state = child.snapshot_state(deep=False)
             child_records = list(child.records)
-            key = _state_key(child_state, child_records, stall_limit)
+            key = _state_key(child_state, child_records)
+            returns += key == node_key
             if key in visited:
                 continue
             visited.add(key)
-            stack.append((child_state, child_records))
+            stack.append((key, child_state, child_records))
+        if returns == len(choices):
+            report.stuck += 1
+            rows = {name: engine.waits.waits.get(name, []) for name in choices}
+            report.violations.append(
+                f"{scheduler}/{config.name}: no progress at tick {target}: "
+                f"every choice is refused; waiter -> blockers {rows}"
+            )
     report.distinct_histories = len(digests)
     return report

@@ -100,7 +100,6 @@ def run_reference(
     scheduler: str = "mla-detect",
     seed: int = 0,
     recovery_unit: str = "transaction",
-    stall_limit: int = 500,
     backoff: int = 4,
     snapshot_every: int = 0,
     initial_value: int = 100,
@@ -129,7 +128,6 @@ def run_reference(
         seed=seed,
         scheduler=scheduler,
         recovery=recovery_unit,
-        stall_limit=stall_limit,
         backoff=backoff,
         max_ticks=2_000_000,
         initial=initial,
@@ -143,7 +141,6 @@ def run_reference(
         make_scheduler(scheduler, nest),
         seed=seed,
         arrivals=arrivals,
-        stall_limit=stall_limit,
         backoff=backoff,
         recovery=recovery_unit,
         wal=wal,
@@ -460,7 +457,6 @@ def _oracle(blob: bytes):
         seed=genesis["seed"],
         arrivals=arrivals,
         max_ticks=genesis["max_ticks"],
-        stall_limit=genesis["stall_limit"],
         backoff=genesis["backoff"],
         recovery=genesis["recovery"],
     )

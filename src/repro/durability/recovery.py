@@ -259,7 +259,6 @@ def recover(
         seed=genesis["seed"],
         arrivals=arrivals,
         max_ticks=genesis["max_ticks"],
-        stall_limit=genesis["stall_limit"],
         backoff=genesis["backoff"],
         recovery=genesis["recovery"],
         tracer=tracer,

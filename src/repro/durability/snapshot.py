@@ -51,7 +51,7 @@ _KEEP = 3
 #: this stamp: a snapshot carrying another one is never unpickled.  A
 #: snapshot's record count also refers to the records file's frames, so
 #: a change to their layout changes it too.
-_STAMP = b"repro-snapshot-18\n"
+_STAMP = b"repro-snapshot-19\n"
 #: What every snapshot payload holds.
 _FIELDS = frozenset(
     ("tick", "wal_offset", "commits", "state", "tracer", "nest", "adds")

@@ -418,9 +418,6 @@ class Engine:
         Optional per-transaction arrival ticks (default: all at tick 0).
     max_ticks:
         Safety valve against livelock bugs.
-    stall_limit:
-        Ticks without any performed step or commit before the engine asks
-        the scheduler to resolve a stall by rollback.
     backoff:
         Base backoff (in ticks) after a rollback; the actual delay is
         uniform in ``[1, backoff * attempts]``.
@@ -454,7 +451,6 @@ class Engine:
         seed: int = 0,
         arrivals: Mapping[str, int] | None = None,
         max_ticks: int = 2_000_000,
-        stall_limit: int = 500,
         backoff: int = 4,
         recovery: str = "transaction",
         tracer: Tracer | None = None,
@@ -480,16 +476,15 @@ class Engine:
         if registry is not None:
             registry.derive(("scheduler", scheduler.name), self._publish)
         self.max_ticks = max_ticks
-        self.stall_limit = stall_limit
         self.backoff = backoff
         self.recovery = recovery
         self.tick = 0
         self._seq = 0
         self._timestamp = 0
-        # Tick of the last perform/commit.  Held on the instance so a run
-        # resumed across ``until_tick`` slices (the ``repro top`` pump)
-        # sees exactly the stall pattern of one uninterrupted run.
-        self._last_progress = 0
+        # Transactions refused (a wait or a commit wait) since the last
+        # step, commit or rollback; in the snapshot, so a sliced or
+        # restored run raises where an uninterrupted one does.
+        self._refused: set[str] = set()
         arrivals = dict(arrivals or {})
         # Uncommitted transactions, in registration order: a commit
         # drops its transaction's state, so a long-lived open-system
@@ -750,32 +745,24 @@ class Engine:
             candidates = self._candidates()
             if not candidates:
                 continue
-            if self.tick - self._last_progress > self.stall_limit:
-                # A copy: ``candidates`` may be ``_ranked`` itself.
-                stalled = list(candidates)
-                decision = self.scheduler.on_stall(stalled)
-                if decision.action is Action.ABORT and decision.victims:
-                    self.metrics.deadlocks += 1
-                    self.metrics.detail["engine_deadlocks"] += 1
-                    if "engine.stall" in self._routes:
-                        self._emit(
-                            "engine.stall",
-                            victims=list(decision.victims),
-                            reason=decision.reason or "stall",
-                        )
-                    self._rollback(
-                        decision.victims,
-                        decision.reason or "stall",
-                        dict(decision.victim_points),
-                    )
-                self._last_progress = self.tick
-                continue
             # Already in name order: the same list, and so the same
             # draw, as sorting the candidates by name.
             txn = self.rng.choice(candidates)
-            progressed = self._attend(txn)
-            if progressed:
-                self._last_progress = self.tick
+            if self._attend(txn):
+                self._refused.clear()
+                continue
+            refused = self._refused
+            refused.add(txn.name)
+            if len(refused) == len(self.txns):
+                # No cycle: each is broken when it closes.  Every one has
+                # arrived, so ``_ranked`` lists them all, in name order.
+                waits = self.waits.waits
+                rows = {t.name: waits.get(t.name, []) for t in self._ranked}
+                raise EngineError(
+                    f"no progress at tick {self.tick}: every transaction "
+                    f"was refused since the last step, commit or rollback, "
+                    f"in no waits-for cycle: waiter -> blockers {rows}"
+                )
         self.metrics.ticks = self.tick
         return True
 
@@ -1303,7 +1290,7 @@ class Engine:
             "tick": self.tick,
             "seq": self._seq,
             "timestamp": self._timestamp,
-            "last_progress": self._last_progress,
+            "refused": sorted(self._refused),
             "rng": self.rng.getstate(),
             "metrics": self.metrics,
             "store": self.store.snapshot_state(),
@@ -1402,7 +1389,7 @@ class Engine:
         self.tick = state["tick"]
         self._seq = state["seq"]
         self._timestamp = state["timestamp"]
-        self._last_progress = state["last_progress"]
+        self._refused = set(state["refused"])
         self.rng.setstate(state["rng"])
         self.metrics = (
             state["metrics"] if deep else copy.copy(state["metrics"])

@@ -177,21 +177,6 @@ class Scheduler:
         :meth:`on_abort` instead.  Default: ignore it."""
 
     def on_stall(self, active: list["TxnState"]) -> Decision:
-        """Called when no transaction has made progress for a while.
-
-        Default: roll back a randomly chosen transaction among the
-        youngest-priority tier (the paper's priority/rollback mechanism
-        "to insure that no initiated transaction gets blocked
-        indefinitely").  Randomising within the tier matters: a
-        deterministic pick can shoot the same innocent bystander forever
-        while the genuinely deadlocked pair never budges.
-        """
-        worst = max(t.priority for t in active)
-        tier = sorted(
-            (t for t in active if t.priority == worst), key=lambda t: t.name
-        )
-        if self.engine is not None:
-            victim = self.engine.rng.choice(tier)
-        else:  # pragma: no cover - engine always attaches first
-            victim = tier[-1]
-        return Decision.abort([victim.name], "stall")
+        """Never called (the engine has no stall rule): kept only while
+        ``benchmarks/e18/inproc.py`` swaps a proxy onto it by name."""
+        raise NotImplementedError

@@ -46,7 +46,6 @@ EVENT_TAXONOMY: dict[str, tuple[str, ...]] = {
         "txn.restart",         # a victim was rescheduled (fresh attempt)
         "txn.partial-rollback",  # segment recovery kept a prefix
         "cascade.join",        # the cascade rule pulled in another attempt
-        "engine.stall",        # the stall handler fired
     ),
     "schedulers": (
         "lock.acquire",

@@ -36,7 +36,6 @@ _TRIGGERS = (
     "deadlock",
     "ts.conflict",
     "certify.fail",
-    "engine.stall",
 )
 _LINK = "cascade.join"
 _READ = frozenset((*_ABORTS, *_TRIGGERS, _LINK))

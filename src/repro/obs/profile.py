@@ -41,7 +41,6 @@ PHASES = ("schedule", "closure", "rollback", "certify", "network")
 _SCHEDULER_HOOKS = (
     ("on_request", "schedule"),
     ("after_performed", "schedule"),
-    ("on_stall", "schedule"),
     ("may_commit", "certify"),
 )
 _CONTROL_HOOKS = (("decide", "schedule"), ("certify_commit", "certify"))

@@ -27,7 +27,7 @@ Mapping from the event taxonomy:
   extra expected delivery, ``msg.lost-down`` consumes the in-flight
   head.  One thread track per receiving node, under the "network"
   process.  Unmatched sends degrade to instants, never vanish.
-* **Point events** — stalls, deadlocks, cycle detections, certification
+* **Point events** — deadlocks, cycle detections, certification
   failures, node crash/recover and closure rebuild/prune become instant
   markers on the relevant track.
 
@@ -60,7 +60,6 @@ _NET_PID = 2
 
 #: Point events rendered as instant markers: kind → short marker name.
 _INSTANTS = {
-    "engine.stall": "stall",
     "deadlock": "deadlock",
     "cycle.detect": "cycle",
     "ts.conflict": "ts-conflict",

@@ -138,6 +138,8 @@ class TransactionService:
         self._retiring: list[str] = []
         self.duplicates = 0  # resubmitted keys answered from the first run
         self.pump_slices = 0
+        #: Why ``advance`` raised; once set, every submission is refused.
+        self.failure: str | None = None
         self.admission = AdmissionController(
             config.admission, config.nest_depth
         )
@@ -204,7 +206,6 @@ class TransactionService:
                 seed=config.seed,
                 scheduler=config.scheduler,
                 recovery=engine.recovery,
-                stall_limit=engine.stall_limit,
                 backoff=engine.backoff,
                 max_ticks=1 << 62,
                 initial={},
@@ -275,6 +276,8 @@ class TransactionService:
         on success, or a rejection with ``retry_after`` when the
         in-flight window is full.
         """
+        if self.failure is not None:
+            return self._reply(self._failed(submission.program.name))
         key = submission.idempotency_key
         name = self._by_key.get(key)
         if name is not None:
@@ -293,8 +296,7 @@ class TransactionService:
                 self._pending.setdefault(name, []).append(future)
                 self._ensure_pump()
                 envelope = await future
-            return {"ok": True, "duplicate": True,
-                    "envelope": envelope.to_dict()}
+            return self._reply(envelope, duplicate=True)
         decision = self.admission.check(
             submission,
             known_names=self,
@@ -321,8 +323,17 @@ class TransactionService:
         self._by_key[key] = name
         self._queue.put_nowait(submission)
         self._ensure_pump()
-        envelope = await future
-        return {"ok": True, "envelope": envelope.to_dict()}
+        return self._reply(await future)
+
+    def _reply(self, envelope: ResultEnvelope, **extra) -> dict:
+        """The reply carrying ``envelope`` (``rejected``: pump failed)."""
+        if envelope.status == "rejected":
+            return {"ok": False, "error": self.failure, "rejection": "failed",
+                    "envelope": envelope.to_dict()}
+        return {"ok": True, **extra, "envelope": envelope.to_dict()}
+
+    def _failed(self, name: str) -> ResultEnvelope:
+        return ResultEnvelope(name, "rejected", abort_causes=(self.failure,))
 
     def __contains__(self, name: str) -> bool:
         """Whether ``name`` was admitted: registered with the engine, or
@@ -335,7 +346,9 @@ class TransactionService:
         return self.engine.active_count() + self._queue.qsize()
 
     def _ensure_pump(self) -> None:
-        if self._pump_task is None or self._pump_task.done():
+        if self.failure is None and (
+            self._pump_task is None or self._pump_task.done()
+        ):
             self._pump_task = asyncio.get_running_loop().create_task(
                 self._pump()
             )
@@ -373,9 +386,13 @@ class TransactionService:
             if submission is not None:
                 self._ingest(submission)
                 continue  # batch everything already queued before ticking
-            self.engine.advance(
-                until_tick=self.engine.tick + self.config.tick_batch
-            )
+            try:
+                self.engine.advance(
+                    until_tick=self.engine.tick + self.config.tick_batch
+                )
+            except Exception as error:  # any raise leaves it mid-tick
+                self._fail(error)
+                return
             self.pump_slices += 1
             # The WAL reaches the OS before this slice's replies: an
             # acknowledged commit survives SIGKILL (fsync waits for
@@ -389,6 +406,16 @@ class TransactionService:
                 self._checkpoint()
             # Yield so connection handlers can enqueue and respond.
             await asyncio.sleep(0)
+
+    def _fail(self, error: Exception) -> None:
+        """Stop the pump after ``advance`` raised; reject every waiter."""
+        self.failure = f"engine failed: {type(error).__name__}: {error}"
+        for name, futures in self._pending.items():
+            envelope = self._failed(name)
+            for future in futures:
+                if not future.done():
+                    future.set_result(envelope)
+        self._pending.clear()
 
     def _checkpoint(self) -> str:
         """Checkpoint the engine and forget what the records file now
@@ -483,7 +510,7 @@ class TransactionService:
 
     def health(self) -> dict:
         report = {
-            "status": "serving",
+            "status": "serving" if self.failure is None else "failed",
             "scheduler": self.config.scheduler,
             "tick": self.engine.tick,
             "in_flight": self._in_flight(),
@@ -492,6 +519,8 @@ class TransactionService:
             "committed": len(self.engine.commit_order),
             "admission": self.admission.counters(),
         }
+        if self.failure is not None:
+            report["error"] = self.failure
         if self.wal.enabled:
             report["wal"] = {
                 "directory": self.wal.directory,
@@ -532,11 +561,11 @@ class TransactionService:
         }
 
     async def drain(self) -> dict:
-        """Wait until every admitted transaction has committed — the
-        engine quiesced, whether a client is waiting on it or recovery
-        resumed it.  With a WAL, the log is fsynced before replying —
-        the drain ack promises the drained history survives a crash."""
-        while self._in_flight():
+        """Wait until every admitted transaction has committed (or the
+        pump failed) — whether a client waits on it or recovery resumed
+        it.  With a WAL, the log is fsynced before replying — the drain
+        ack promises the drained history survives a crash."""
+        while self._in_flight() and self.failure is None:
             self._ensure_pump()
             await asyncio.sleep(0)
         self.wal.sync()

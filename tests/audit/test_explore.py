@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import pytest
 
+import repro.audit.explore as explore_module
 from repro.api import ProgramSpec
 from repro.audit import SMALL_CONFIGS, explore, make_config
-from repro.errors import SpecificationError
+from repro.engine.runtime import Engine
+from repro.engine.schedulers.base import Action, Decision, Scheduler
+from repro.errors import EngineError, SpecificationError
 from tests.audit.conftest import SCHEDULERS
 
 #: Schedulers that promise correctability (everything but "none").
@@ -85,6 +88,77 @@ class TestNegativeControl:
         assert report.complete and report.all_correctable
 
 
+class Courteous(Scheduler):
+    """Lets each transaction take one step, then refuses the rest while
+    another is uncommitted, and records none of those waits in the
+    waits-for relation: every run wedges with no cycle to break."""
+
+    name = "courteous"
+
+    def on_request(self, txn, access):
+        if txn.steps_taken == 0 or len(self.engine.txns) == 1:
+            return Decision.perform()
+        return Decision.wait("after you")
+
+
+class Recording(Courteous):
+    """``Courteous``, recording each refusal as a wait on nobody: the
+    first refusal changes the state key, so the explorer reaches the
+    state where the engine itself raises."""
+
+    def on_request(self, txn, access):
+        decision = super().on_request(txn, access)
+        if decision.action is Action.WAIT:
+            self.engine.waits.wait(txn.name, [], "courtesy")
+        return decision
+
+
+class TestNoProgress:
+    @pytest.mark.parametrize("scheduler, raised", [
+        (Courteous, False), (Recording, True),
+    ])
+    def test_explorer_reports_a_wedge(self, monkeypatch, scheduler, raised):
+        monkeypatch.setattr(
+            explore_module, "make_scheduler", lambda name, nest: scheduler()
+        )
+        report = explore(TINY, "courteous")
+        assert report.complete
+        assert report.terminals == 0
+        assert report.stuck >= 1
+        assert any("no progress" in line for line in report.violations)
+        assert raised == any(
+            "since the last step" in line for line in report.violations
+        )
+
+    @staticmethod
+    def wedged() -> Engine:
+        return Engine(
+            [spec.compile() for spec in TINY.specs], dict(TINY.initial),
+            Courteous(), seed=0,
+        )
+
+    def test_engine_raises_on_a_wedge(self):
+        with pytest.raises(EngineError, match="no progress") as raised:
+            self.wedged().run()
+        # Both were refused with no recorded wait: the rows are empty.
+        assert "{'reader': [], 'writer': []}" in str(raised.value)
+
+    def test_a_restored_run_raises_at_the_same_tick(self):
+        """The refused set is in the snapshot: a run cut one tick before
+        the raise and restored onto a fresh engine raises at that tick."""
+        with pytest.raises(EngineError) as whole:
+            self.wedged().run()
+        tick = int(str(whole.value).split()[4].rstrip(":"))
+        first = self.wedged()
+        first.advance(until_tick=tick - 1)
+        assert first.snapshot_state()["refused"]
+        second = self.wedged()
+        second.restore_state(first.snapshot_state(), first.records)
+        with pytest.raises(EngineError) as resumed:
+            second.run()
+        assert str(resumed.value) == str(whole.value)
+
+
 class TestBounds:
     def test_node_cap_marks_incomplete(self):
         report = explore(SMALL_CONFIGS[0], "2pl", max_nodes=50)
@@ -118,7 +192,7 @@ class TestDeterminism:
         assert set(data) == {
             "config", "scheduler", "nodes", "transitions", "terminals",
             "distinct_histories", "complete", "all_correctable",
-            "restart_bound", "pruned", "violations",
+            "restart_bound", "pruned", "stuck", "violations",
         }
 
 

@@ -132,8 +132,8 @@ def test_generator_workload_requires_programs(tmp_path):
     generators) cannot be rebuilt from the log alone."""
     wal = EngineWal(str(tmp_path))
     wal.log_genesis(
-        seed=0, scheduler="2pl", recovery="transaction", stall_limit=500,
-        backoff=4, max_ticks=1000, initial={"x": 0},
+        seed=0, scheduler="2pl", recovery="transaction", backoff=4,
+        max_ticks=1000, initial={"x": 0},
         programs=[("gen", 0)], specs={}, meta={"nest_depth": 1},
     )
     wal.close()

@@ -116,7 +116,6 @@ def scripts(draw):
         "restore_after": draw(st.integers(0, len(slices) - 1)),
         "seed": draw(st.integers(0, 50)),
         "recovery": draw(st.sampled_from(["transaction", "segment"])),
-        "stall_limit": draw(st.sampled_from([5, 500])),
     }
 
 
@@ -135,7 +134,6 @@ def _play(engine_class, scheduler: str, script: dict) -> list[tuple]:
             seed=script["seed"],
             arrivals=arrivals,
             recovery=script["recovery"],
-            stall_limit=script["stall_limit"],
             backoff=3,
         )
         return engine, nest

@@ -22,8 +22,11 @@ Each relation alone is acyclic, so the engine used to sit idle for 500
 ticks until the stall rule rolled back a random member at tick 733
 (the run ended at tick 759).  The one relation finds the cycle when
 ``t0`` asks, reports a ``commit-dependency`` deadlock and rolls back the
-same youngest member, ``t6``; the run ends at tick 278.  ``STALL_RUN``
-was added then, so the stall rule stays pinned.
+same youngest member, ``t6``; the run ends at tick 278.  A
+``STALL_RUN`` at ``stall_limit=10`` was added then, to pin the stall
+rule; it left when the rule did (a state where every transaction is
+refused now raises ``EngineError``, and no run here reaches one), and
+no other run's entry moved.
 
 They were regenerated once more when a wait came to be searched from
 its waiter over the one relation (with ``2pl``'s lock waits in it)
@@ -73,8 +76,8 @@ GOLDEN_PATH = os.path.join(
     "golden_decision_stream.json.gz",
 )
 
-#: Contended enough that every decision kind but the stall occurs
-#: somewhere in the matrix: cascades, deadlocks, partial rollbacks,
+#: Contended enough that every decision kind occurs somewhere in the
+#: matrix: cascades, deadlocks, partial rollbacks,
 #: commit waits and (with the short prune interval) window prunes.
 CONFIG = BankingConfig(
     families=2, accounts_per_family=2, transfers=8, bank_audits=1,
@@ -82,7 +85,7 @@ CONFIG = BankingConfig(
 )
 SEED = 11
 #: E14's contended banking workload (``benchmarks/bench_e14_fault_sweep``)
-#: and engine seed: the second half of the no-stall matrix.
+#: and engine seed: the second half of the progress matrix.
 E14_CONFIG = BankingConfig(
     families=3, accounts_per_family=2, transfers=4, intra_family_ratio=1.0,
     bank_audits=1, creditor_audits=1, amount_range=(10, 60),
@@ -106,17 +109,12 @@ SCHEDULERS = {
     "mla-nested-lock": lambda nest: short_prunes(NestedLockScheduler(nest)),
 }
 RECOVERY = ("transaction", "segment")
-#: ``"<scheduler>:<recovery>"`` -> ``run_streams`` arguments: the
-#: matrix, and one run that still stalls (at a low ``stall_limit``) so
-#: the stall rule's events, its rng-drawn victims and the WAL and history
-#: bytes they leave stay pinned now that no matrix run stalls.
+#: ``"<scheduler>:<recovery>"`` -> ``run_streams`` arguments.
 RUNS = {
-    f"{scheduler}:{recovery}": (scheduler, recovery, {})
+    f"{scheduler}:{recovery}": (scheduler, recovery)
     for scheduler in sorted(SCHEDULERS)
     for recovery in RECOVERY
 }
-STALL_RUN = "mla-prevent:segment:stall_limit=10"
-RUNS[STALL_RUN] = ("mla-prevent", "segment", {"stall_limit": 10})
 
 
 def _sha256(path: str) -> str:
@@ -124,10 +122,10 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def run_streams(scheduler: str, recovery: str, directory: str, **options):
+def run_streams(scheduler: str, recovery: str, directory: str):
     """One run with the WAL and tracer attached and its history
-    exported (``options`` go to the engine); returns the tracer and the
-    SHA-256 of the WAL and history files it left in ``directory``."""
+    exported; returns the tracer and the SHA-256 of the WAL and history
+    files it left in ``directory``."""
     workload = BankingWorkload(CONFIG)
     depth, paths = paths_from_nest(workload.nest, sorted(workload.nest.items))
     history_path = os.path.join(directory, "history.jsonl")
@@ -135,7 +133,7 @@ def run_streams(scheduler: str, recovery: str, directory: str, **options):
     tracer = RingTracer(None)
     engine = workload.engine(
         SCHEDULERS[scheduler](workload.nest), seed=SEED, recovery=recovery,
-        wal=wal, tracer=tracer, **options,
+        wal=wal, tracer=tracer,
     )
     history = HistoryExport(
         history_path, engine, path_of=paths.__getitem__,
@@ -163,8 +161,7 @@ GOLDEN = _load_golden() if __name__ != "__main__" else {}
 def assert_sinks_match(key: str, directory: str) -> None:
     """Run ``key`` and compare what each sink received with its golden."""
     golden = GOLDEN[key]
-    scheduler, recovery, options = RUNS[key]
-    tracer, digests = run_streams(scheduler, recovery, directory, **options)
+    tracer, digests = run_streams(*RUNS[key], directory)
     assert digests["wal_sha256"] == golden["wal_sha256"]
     assert digests["history_sha256"] == golden["history_sha256"]
     # Through JSON, as the golden was written: int keys become strings.
@@ -182,23 +179,16 @@ def test_sinks_receive_what_the_parent_wrote(scheduler, recovery, tmp_path):
     assert_sinks_match(f"{scheduler}:{recovery}", str(tmp_path))
 
 
-def test_a_stalling_run_receives_what_it_wrote(tmp_path):
-    assert_sinks_match(STALL_RUN, str(tmp_path))
-
-
 def test_matrix_exercises_every_decision_kind():
-    """The goldens are only as good as their coverage.  No matrix run
-    stalls (``test_no_run_stalls``): ``engine.stall`` comes from
-    ``STALL_RUN``."""
+    """The goldens are only as good as their coverage."""
     kinds = {
         key: {event["kind"] for event in run["events"]}
         for key, run in GOLDEN.items()
     }
-    assert "engine.stall" in kinds[STALL_RUN]
     assert {
         "step.perform", "step.undo", "txn.wait", "txn.commit-wait",
         "txn.commit", "txn.abort", "txn.restart", "txn.partial-rollback",
-        "cascade.join", "engine.stall", "deadlock", "closure.rebuild",
+        "cascade.join", "deadlock", "closure.rebuild",
         "closure.prune",
         # The schedulers' own, which reach the sinks through the same
         # emission point.
@@ -214,21 +204,17 @@ def test_matrix_exercises_every_decision_kind():
 def test_no_run_stalls(scheduler, recovery, workload):
     """No progress means a cycle of the waits-for relation, which the
     engine breaks when the wait or the commit that closes it is asked
-    for: at the default ``stall_limit`` the stall rule never fires."""
+    for: no run reaches a state where every transaction is refused
+    (``Engine.advance`` would raise ``EngineError``), and every
+    transaction commits."""
     config, seed = {
         "decision-stream": (CONFIG, SEED), "e14": (E14_CONFIG, E14_SEED),
     }[workload]
     bank = BankingWorkload(config)
-    tracer = RingTracer(None)
     engine = bank.engine(
         SCHEDULERS[scheduler](bank.nest), seed=seed, recovery=recovery,
-        tracer=tracer,
     )
-    assert engine.stall_limit == 500
     result = engine.run()
-    assert [
-        event.data for event in tracer.events() if event.kind == "engine.stall"
-    ] == []
     assert len(result.commit_order) == len(bank.programs)
 
 
@@ -252,11 +238,9 @@ if __name__ == "__main__":
     import tempfile
 
     golden = {}
-    for key, (scheduler, recovery, options) in RUNS.items():
+    for key, (scheduler, recovery) in RUNS.items():
         with tempfile.TemporaryDirectory() as directory:
-            tracer, digests = run_streams(
-                scheduler, recovery, directory, **options
-            )
+            tracer, digests = run_streams(scheduler, recovery, directory)
         digests["events"] = [
             event_to_dict(event) for event in tracer.events()
         ]

@@ -93,13 +93,13 @@ class TestBudgetedRuns:
         programs, nest = open_system
         locked = Engine(
             programs, {"x": 0, "y": 0, "z": 0},
-            TwoPhaseLockingScheduler(), seed=1, stall_limit=100,
+            TwoPhaseLockingScheduler(), seed=1,
         ).run(until_tick=300)
         free = Engine(
             programs, {"x": 0, "y": 0, "z": 0},
             MLADetectScheduler(nest), seed=1,
         ).run(until_tick=300)
-        # Fewer performed steps survive under 2PL (waits + stall aborts).
+        # Fewer performed steps survive under 2PL (waits + deadlock aborts).
         assert len(free.execution) > len(locked.execution)
 
     def test_budget_zero_is_empty_partial(self, open_system):

@@ -61,15 +61,13 @@ class TestBasicRuns:
 
     def test_livelock_guard(self):
         class NeverScheduler(Scheduler):
+            """Rolls every request back: each tick progresses (a
+            rollback), and nothing ever commits."""
+
             def on_request(self, txn, access):
                 from repro.engine.schedulers.base import Decision
 
-                return Decision.wait("never")
-
-            def on_stall(self, active):
-                from repro.engine.schedulers.base import Decision
-
-                return Decision.wait("still never")
+                return Decision.abort([txn.name], "never")
 
         program = transfer("t", "A", "B", 1)
         engine = Engine(
@@ -148,8 +146,6 @@ class TestRollback:
         class BadScheduler(Scheduler):
             def may_commit(self, txn):
                 if txn.name == "t1":
-                    if "t0" in self.engine.txns:
-                        return Decision.wait("let t0 commit first")
                     return Decision.abort(["t0"], "illegal")
                 return Decision.perform()
 
@@ -157,8 +153,14 @@ class TestRollback:
             transfer("t0", "A", "B", 1),
             transfer("t1", "B", "A", 1),
         ]
-        engine = Engine(programs, {"A": 10, "B": 10}, BadScheduler(), seed=0)
-        with pytest.raises(EngineError, match="committed"):
+        # t1 arrives after t0 has committed alone.
+        engine = Engine(
+            programs, {"A": 10, "B": 10}, BadScheduler(), seed=0,
+            arrivals={"t1": 20},
+        )
+        with pytest.raises(
+            EngineError, match="abort committed transaction 't0'"
+        ):
             engine.run()
 
 

@@ -174,7 +174,7 @@ class TestPhaseProfiler:
 
 #: Per phase, what ``install`` times on an engine and on a cluster.
 ENGINE_SITES = {
-    "schedule": ("scheduler", ("on_request", "after_performed", "on_stall")),
+    "schedule": ("scheduler", ("on_request", "after_performed")),
     "certify": ("scheduler", ("may_commit",)),
     "rollback": ("engine", ("_rollback",)),
     "closure": ("window", ("_recompute", "_extend")),

@@ -18,7 +18,7 @@ import pytest
 from repro.api import ProgramSpec, Submission, make_scheduler
 from repro.core.nests import KNest
 from repro.engine.runtime import Engine
-from repro.errors import SpecificationError
+from repro.errors import EngineError, SpecificationError
 from repro.service import AdmissionConfig, ServiceConfig, TransactionService
 from repro.service.server import _MAX_LINE, serve
 from repro.workloads.traffic import (
@@ -798,14 +798,16 @@ class TestDurableLogs:
     #: run, taken from an earlier build: however the logs are encoded
     #: and flushed, the bytes on disk may not move.  The WAL halves were
     #: re-recorded when the log came to hold inputs and check frames
-    #: instead of every decision; the history halves are older.
+    #: instead of every decision, and again when the genesis record lost
+    #: its ``stall_limit`` field (no other frame moved); the history
+    #: halves are older.
     PINNED = {
         "2pl": (
-            "806304f7fb04dacec198cabd780ca88c0bf51854a42696c0617409cbc199e940",
+            "a000d4c0c11c1ef2719bdfdcff7d9cb00524e55f84ff0f05c4f543066a6d2fc6",
             "18f839988d20ba7a4b6db1bcdc819a2d11030a5003efaa435d4e247916003b21",
         ),
         "mla-detect": (
-            "71d08d0e772d1ea68084d058767512c6661e0674092b4ee4822282dc870b5eec",
+            "d20f6e993c062802b869cd9337d2e378faa40e9ebdbfab3ada61f7f3ba382a36",
             "4fa7260a18d876a27bd28eca8035c6b6e1fabcf335a48b0e47f63f0c06321aab",
         ),
     }
@@ -1261,6 +1263,53 @@ class TestSocketServer:
 # ----------------------------------------------------------------------
 # on-demand phase profile
 # ----------------------------------------------------------------------
+
+
+class TestEngineFailure:
+    def test_an_engine_error_fails_the_service_and_health_answers(
+        self, monkeypatch
+    ):
+        """An error out of ``Engine.advance`` used to end the pump task
+        silently: the submission waited forever and ``health`` still
+        said ``serving``.  Now the waiter is rejected with the error,
+        ``health`` reports it, a later submission is rejected at once,
+        and the server still shuts down."""
+
+        def broken(engine, until_tick=None):
+            raise EngineError("committed steps close a cycle")
+
+        monkeypatch.setattr(Engine, "advance", broken)
+
+        async def go():
+            task, port = await _start_server(ServiceConfig(nest_depth=0))
+            first, second = (
+                {"op": "submit", "submission": Submission(
+                    program=spec(name, ("add", "x", 1))
+                ).to_dict()}
+                for name in ("t1", "t2")
+            )
+            (refused,) = await asyncio.wait_for(
+                _jsonl_request(port, [first]), 3
+            )
+            (health,) = await _jsonl_request(port, [{"op": "health"}])
+            (later,) = await asyncio.wait_for(
+                _jsonl_request(port, [second]), 3
+            )
+            (summary,) = await _jsonl_request(port, [{"op": "shutdown"}])
+            await asyncio.wait_for(task, timeout=5)
+            return refused, health, later, summary
+
+        refused, health, later, summary = run(go())
+        cause = "engine failed: EngineError: committed steps close a cycle"
+        for response in (refused, later):
+            assert not response["ok"]
+            assert response["rejection"] == "failed"
+            assert response["envelope"]["status"] == "rejected"
+            assert response["envelope"]["abort_causes"] == [cause]
+        assert health["ok"]
+        assert (health["status"], health["error"]) == ("failed", cause)
+        assert health["in_flight"] == 1
+        assert summary["error"] == cause
 
 
 class TestProfileOp:

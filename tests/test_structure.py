@@ -27,7 +27,9 @@ attributes by name, and recovery takes no override of what the log
 holds.  Nor does any module write another object's private state.  And
 for the k-nest: one class, whatever the nest is built from.  And for
 the history digest: one function owns the canonical rule, so one
-module imports ``hashlib``.
+module imports ``hashlib``.  And for progress: a state where every
+transaction is refused raises, and no stall timer, limit or event
+stands in for that check.
 """
 
 from __future__ import annotations
@@ -435,3 +437,23 @@ def test_recovery_rebuilds_from_the_log_alone():
         if parameter.kind is parameter.KEYWORD_ONLY
     ]
     assert keywords == ["wal", "use_snapshot", "tracer", "registry"]
+
+
+def test_no_progress_is_a_check_not_a_timer():
+    import inspect
+
+    from repro.audit import explore
+    from repro.durability.fuzz import run_reference
+    from repro.engine.runtime import Engine
+    from repro.obs.events import EVENT_TAXONOMY
+
+    for owner in (Engine, explore, run_reference):
+        assert "stall_limit" not in inspect.signature(owner).parameters
+    assert grep(r"stall_limit|_last_progress|engine\.stall") == []
+    kinds = {kind for group in EVENT_TAXONOMY.values() for kind in group}
+    assert "engine.stall" not in kinds
+    # Nothing calls ``on_stall``: what is left is the base class's
+    # raising stub, which ``benchmarks/e18/inproc.py`` swaps by name.
+    assert [hit.split(":")[0] for hit in grep(r"on_stall")] == [
+        os.path.join("engine", "schedulers", "base.py")
+    ]
