@@ -4,13 +4,13 @@ Given a portable :class:`~repro.audit.history.History` — ours or an
 external system's — place every transaction against three criteria:
 
 * **serializable** — classical conflict serializability over the
-  serialization graph (:mod:`repro.analysis.checker` machinery), under
-  the classical ``"rw"`` conflict model by default (two reads commute;
-  updates conflict as writes).
+  transaction graph of the dependency edges, under the classical
+  ``"rw"`` conflict model by default (two reads commute; updates
+  conflict as writes).
 * **multilevel** — Theorem 2 correctability under the history's
   declared k-nest and breakpoint levels (the flat 2-nest when the
-  history declares none, where this axis degenerates to
-  serializability).  Mixed-level external histories are exactly what
+  history declares none, where the whole history's verdict degenerates
+  to serializability).  Mixed-level external histories are exactly what
   k-nests model: the nest says which interleavings were *specified*,
   and the closure says whether the observed dependency order respects
   them.
@@ -21,12 +21,13 @@ external system's — place every transaction against three criteria:
   follows the single-version value chain by construction and is not
   held to the snapshot rule.
 
-Per-transaction verdicts come from iterated witness-cycle removal: the
-transactions on a witness cycle are marked violating and removed, and
-the remainder is re-checked until it is clean — so a history with one
-rogue transaction indicts that transaction, not the whole run.  Every
-witness cycle is kept, rendered as human-readable lines for the
-``repro audit`` CLI.
+The two cycle axes share one derivation of the dependency edges.  A
+transaction is serializable iff no cycle of the transaction graph
+passes through it.  The multilevel axis blames by iterated
+witness-cycle removal: the transactions on a witness cycle are marked
+violating and removed, and the remainder is re-checked until it is
+clean.  Every witness cycle is kept, rendered as human-readable lines
+for the ``repro audit`` CLI.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Any
 
 from repro.audit.history import History
 from repro.core.atomicity import check_correctability
-from repro.analysis.checker import serialization_graph
+from repro.engine.cycles import WaitGraph
 from repro.errors import SpecificationError
 from repro.model.breakpoints import spec_for_execution
 from repro.model.execution import Execution
@@ -96,10 +97,6 @@ class AuditReport:
 # ----------------------------------------------------------------------
 
 
-def _format_txn_cycle(cycle: list[str]) -> str:
-    return " -> ".join(cycle + [cycle[0]])
-
-
 def _format_step_cycle(cycle: list) -> str:
     steps = [repr(s) for s in cycle]
     if steps and steps[0] != steps[-1]:
@@ -112,43 +109,61 @@ def _format_step_cycle(cycle: list) -> str:
 # ----------------------------------------------------------------------
 
 
-def _serializability_axis(execution: Execution, conflicts: str):
-    verdicts = {t: True for t in execution.transactions}
+def _serializability_axis(execution: Execution, edges: list):
+    """Blame each member of a strongly connected component of the
+    transaction graph with more than one member.  Witnesses are shortest
+    cycles, each from the first blamed transaction no line covers yet."""
+    txns = execution.transactions
+    graph = WaitGraph(
+        ((a.transaction, b.transaction) for a, b in edges
+         if a.transaction != b.transaction),
+        txns,
+    )
+    blamed = [c for c in graph.components() if len(c) > 1]
+    component_of = {name: c for c in blamed for name in c}
     witnesses: list[str] = []
-    current = execution
-    while current.records:
-        cycle = serialization_graph(current, conflicts).find_cycle()
-        if cycle is None:
-            break
-        for name in cycle:
-            verdicts[name] = False
-        witnesses.append(_format_txn_cycle(cycle))
-        guilty = set(cycle)
-        keep = [t for t in current.transactions if t not in guilty]
-        if not keep:
-            break
-        current = current.restrict(keep)
-    return verdicts, witnesses
+    covered: set[str] = set()
+    for start in txns:
+        if start in component_of and start not in covered:
+            cycle = _shortest_cycle(graph, component_of[start], start)
+            covered.update(cycle)
+            witnesses.append(" -> ".join(cycle + [start]))
+    return {t: t not in covered for t in txns}, witnesses
 
 
-def _multilevel_axis(history: History, execution: Execution, conflicts: str):
+def _shortest_cycle(graph: WaitGraph, component: set, start: str) -> list:
+    """The shortest cycle through ``start`` inside its strongly connected
+    ``component``: breadth first, successors in sorted order."""
+    parent = {start: None}
+    order = [start]
+    for node in order:
+        for head in sorted(graph.successors(node)):
+            if head == start:
+                cycle = []
+                while node is not None:
+                    cycle.append(node)
+                    node = parent[node]
+                return cycle[::-1]
+            if head in component and head not in parent:
+                parent[head] = node
+                order.append(head)
+
+
+def _multilevel_axis(
+    history: History, execution: Execution, edges: list, conflicts: str
+):
     nest = history.nest()
     verdicts = {t: True for t in execution.transactions}
     witnesses: list[str] = []
     current = execution
     while current.records:
         spec = spec_for_execution(current, nest, history.cut_levels)
-        report = check_correctability(
-            spec, current.dependency_edges(conflicts)
-        )
-        if report.correctable:
+        if check_correctability(spec, edges).correctable:
             break
         # The verdict is seed-independent, the witness is not: blame is
         # worded from the cycle over the transitive pair set.
-        report = check_correctability(
-            spec, current.dependency_pairs(conflicts)
-        )
-        cycle = report.closure.cycle or []
+        pairs = current.dependency_pairs(conflicts)
+        cycle = check_correctability(spec, pairs).closure.cycle or []
         guilty = {step.transaction for step in cycle}
         if not guilty:
             break
@@ -159,6 +174,7 @@ def _multilevel_axis(history: History, execution: Execution, conflicts: str):
         if not keep:
             break
         current = current.restrict(keep)
+        edges = current.dependency_edges(conflicts)
     return verdicts, witnesses
 
 
@@ -169,12 +185,15 @@ def _snapshot_axis(history: History, execution: Execution):
     last: dict[str, int] = {}
     #: per entity: record positions of its writes, ascending.
     writes_at: dict[str, list[int]] = {}
+    #: per writing transaction: the entities it writes.
+    writes: dict[str, set[str]] = {}
     for position, record in enumerate(records):
         name = record.step.transaction
         first.setdefault(name, position)
         last[name] = position
         if record.kind is not StepKind.READ:
             writes_at.setdefault(record.entity, []).append(position)
+            writes.setdefault(name, set()).add(record.entity)
     verdicts = {t: True for t in txns}
     witnesses: list[str] = []
 
@@ -215,18 +234,10 @@ def _snapshot_axis(history: History, execution: Execution):
     # an SI system would have refused.  ``txns`` is in order of first
     # record, so one sweep keeps the writers still running when each
     # starts; the pairs are then reported in (rank, rank) order.
-    writes: dict[str, set[str]] = {
-        name: {
-            r.entity
-            for r in execution.records_of(name)
-            if r.kind is not StepKind.READ
-        }
-        for name in txns
-    }
     running: list[int] = []  # ranks of the writers not yet finished
     concurrent: list[tuple[int, int, set[str]]] = []
     for j, b in enumerate(txns):
-        if not writes[b]:
+        if b not in writes:
             continue
         running = [i for i in running if last[txns[i]] > first[b]]
         for i in running:
@@ -260,34 +271,19 @@ def audit_history(history: History, conflicts: str = "rw") -> AuditReport:
             f"unknown conflict model {conflicts!r}; choose 'all' or 'rw'"
         )
     execution = history.validate()
-    txns = tuple(execution.transactions)
-    if not txns:
-        return AuditReport(
-            transactions=(), verdicts={}, witnesses={}, conflicts=conflicts
-        )
-    ser_verdicts, ser_witnesses = _serializability_axis(execution, conflicts)
-    mla_verdicts, mla_witnesses = _multilevel_axis(
-        history, execution, conflicts
-    )
-    si_verdicts, si_witnesses = _snapshot_axis(history, execution)
-    verdicts = {
-        name: {
-            "serializable": ser_verdicts[name],
-            "multilevel": mla_verdicts[name],
-            "snapshot_isolation": si_verdicts[name],
-        }
-        for name in txns
+    edges = execution.dependency_edges(conflicts)
+    axes = {
+        "serializable": _serializability_axis(execution, edges),
+        "multilevel": _multilevel_axis(history, execution, edges, conflicts),
+        "snapshot_isolation": _snapshot_axis(history, execution),
     }
-    witnesses = {}
-    if ser_witnesses:
-        witnesses["serializable"] = ser_witnesses
-    if mla_witnesses:
-        witnesses["multilevel"] = mla_witnesses
-    if si_witnesses:
-        witnesses["snapshot_isolation"] = si_witnesses
+    txns = tuple(execution.transactions)
     return AuditReport(
         transactions=txns,
-        verdicts=verdicts,
-        witnesses=witnesses,
+        verdicts={
+            name: {axis: axes[axis][0][name] for axis in axes}
+            for name in txns
+        },
+        witnesses={axis: lines for axis, (_, lines) in axes.items() if lines},
         conflicts=conflicts,
     )

@@ -57,6 +57,19 @@ EXPECTED = {
         "t2": (False, False, False),
         "t3": (True, True, True),
     },
+    # The rogue pair again (t1/t2 read x, then both update it), but the
+    # bystander lies on a 3-cycle through them: t1 writes y before t3
+    # reads it, and t3 reads z before t2 writes it.  All three share a
+    # strongly connected component, so serializability indicts t3 too;
+    # removing the rogue pair's own cycle first would have cleared it.
+    # The multilevel axis still blames by removal: its witness names
+    # only t1 and t2, and t3 alone is correctable.  t3 writes nothing,
+    # so first committer wins has nothing against it.
+    "cycle-bystander": {
+        "t1": (False, False, True),
+        "t2": (False, False, False),
+        "t3": (True, False, True),
+    },
 }
 
 

@@ -1,13 +1,16 @@
-"""One seeding convention for Theorem 2.
+"""One seeding convention for Theorem 2, and one dependency pass.
 
 Every verdict is decided from the *generating* edges of ``<=_e``
-(:meth:`Execution.dependency_edges`); only a history already found in
-violation is re-checked from the transitive pair set, because blame is
-"the transactions on the witness cycle" and cycles over pairs are
-shorter.  The closure is a unique fixpoint, so the seed cannot move a
-verdict — these tests hold that, and hold every output to what the
-pair-seeded implementation it replaced produced: the reference copies
-below are that implementation, kept verbatim.
+(:meth:`Execution.dependency_edges`), derived once per audit; only a
+history already found in violation is re-checked from the transitive
+pair set, because blame is "the transactions on the witness cycle" and
+cycles over pairs are shorter.  The closure is a unique fixpoint, so
+the seed cannot move a verdict — these tests hold that, and hold every
+multilevel output to what the pair-seeded implementation it replaced
+produced: the reference copies below are that implementation, kept
+verbatim.  The serializability axis is held to a brute-force oracle
+(a transaction is non-serializable iff it reaches itself through
+another one) and to the iterated removal it replaced.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.audit import History, HistoryStep, audit_history, load_history
 from repro.core import check_correctability
+from repro.analysis.checker import serialization_graph
 from repro.model import Execution, StepKind
 from repro.model.breakpoints import spec_for_execution
 
@@ -101,6 +105,52 @@ def reference_multilevel_axis(history: History, conflicts: str):
             break
         current = current.restrict(keep)
     return verdicts, witnesses
+
+
+def reference_serializability_axis(history: History, conflicts: str):
+    """Iterated witness-cycle removal: the serializability axis before
+    one strongly-connected-component pass replaced it."""
+    current = history.execution()
+    verdicts = {t: True for t in current.transactions}
+    while current.records:
+        cycle = serialization_graph(current, conflicts).find_cycle()
+        if cycle is None:
+            break
+        for name in cycle:
+            verdicts[name] = False
+        keep = [t for t in current.transactions if verdicts[t]]
+        if not keep:
+            break
+        current = current.restrict(keep)
+    return verdicts
+
+
+def conflict_graph(history: History, conflicts: str) -> dict:
+    """Brute force, from the definition: ``t -> u`` when a step of ``t``
+    precedes a conflicting step of ``u`` on the same entity (under
+    ``"rw"`` two reads commute)."""
+    execution = history.execution()
+    records = execution.records
+    succ = {t: set() for t in execution.transactions}
+    for i, a in enumerate(records):
+        for b in records[i + 1:]:
+            both_read = a.kind is StepKind.READ and b.kind is StepKind.READ
+            if (a.entity == b.entity
+                    and a.step.transaction != b.step.transaction
+                    and (conflicts == "all" or not both_read)):
+                succ[a.step.transaction].add(b.step.transaction)
+    return succ
+
+
+def reaches(succ: dict, source: str) -> set:
+    seen: set = set()
+    todo = [source]
+    while todo:
+        for head in succ[todo.pop()]:
+            if head not in seen:
+                seen.add(head)
+                todo.append(head)
+    return seen
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +234,28 @@ def test_edges_and_pairs_decide_alike(history, conflicts):
     assert report.witnesses.get("multilevel", []) == witnesses
 
 
+@settings(max_examples=150, deadline=None)
+@given(history=histories(), conflicts=st.sampled_from(["rw", "all"]))
+def test_serializability_is_lying_on_a_cycle(history, conflicts):
+    """A transaction is non-serializable iff it reaches itself through
+    another transaction; every witness line is a closed path of the
+    conflict graph, and the lines name exactly the violators."""
+    succ = conflict_graph(history, conflicts)
+    on_cycle = {t for t in succ if t in reaches(succ, t)}
+    report = audit_history(history, conflicts)
+    assert set(report.violating("serializable")) == on_cycle
+    named = set()
+    for line in report.witnesses.get("serializable", []):
+        cycle = line.split(" -> ")
+        assert len(cycle) >= 3 and cycle[0] == cycle[-1], line
+        assert all(b in succ[a] for a, b in zip(cycle, cycle[1:])), line
+        named.update(cycle)
+    assert named == on_cycle
+    # Iterated removal blamed a subset: what it cleared was on a cycle.
+    removal = reference_serializability_axis(history, conflicts)
+    assert {t for t, ok in removal.items() if not ok} <= on_cycle
+
+
 # ----------------------------------------------------------------------
 # goldens and the clean path
 # ----------------------------------------------------------------------
@@ -223,13 +295,15 @@ def test_mixed_level_bad_witness_is_worded_from_pairs():
     ]
 
 
-def test_clean_history_never_builds_a_pair(tmp_path, monkeypatch):
-    """A correctable history — an auditor's common case — is decided
-    from generating edges alone."""
+@pytest.fixture(scope="module")
+def interleaved_capture(tmp_path_factory):
+    """200 commits captured from a served ``mla-detect`` run that
+    aborted and crossed at level-2 breakpoints: correctable, not
+    serializable."""
     from repro.service import ServiceConfig, TransactionService
     from repro.workloads.traffic import TrafficConfig, traffic_submissions
 
-    path = str(tmp_path / "history.jsonl")
+    path = str(tmp_path_factory.mktemp("capture") / "history.jsonl")
 
     async def capture():
         service = TransactionService(ServiceConfig(
@@ -250,11 +324,41 @@ def test_clean_history_never_builds_a_pair(tmp_path, monkeypatch):
     assert asyncio.run(capture()) > 0  # the run really interleaved
     history = load_history(path)
     assert len(history.commit_order) == 200
+    return history
+
+
+def test_clean_history_never_builds_a_pair(interleaved_capture, monkeypatch):
+    """A correctable history — an auditor's common case — is decided
+    from generating edges alone."""
 
     def no_pairs(self, conflicts="all"):
         raise AssertionError("dependency_pairs built on the clean path")
 
     monkeypatch.setattr(Execution, "dependency_pairs", no_pairs)
-    report = audit_history(history)
+    report = audit_history(interleaved_capture)
     assert report.passes("multilevel")
     assert not report.passes("serializable")  # level-2 crossings happened
+
+
+def test_one_dependency_pass_serves_every_axis(
+    interleaved_capture, monkeypatch
+):
+    """The edges are derived once and no axis restricts the execution,
+    though the history is not serializable: no cycle is removed and no
+    survivor re-derived."""
+    derive = Execution.dependency_edges
+    calls = []
+
+    def counted(self, conflicts="all"):
+        calls.append(conflicts)
+        return derive(self, conflicts)
+
+    def no_restrict(self, transactions):
+        raise AssertionError("an axis restricted the execution")
+
+    monkeypatch.setattr(Execution, "dependency_edges", counted)
+    monkeypatch.setattr(Execution, "restrict", no_restrict)
+    report = audit_history(interleaved_capture)
+    assert report.passes("multilevel")
+    assert report.violating("serializable")
+    assert calls == ["rw"]

@@ -87,8 +87,12 @@ def _loaded(modules: set[str], layer: str) -> list[str]:
 
 
 #: What ``repro audit`` must not load: the engine it never runs, the
-#: layers above it, and asyncio.
+#: layers above it, asyncio, and the offline checkers its axes no longer
+#: go through (serializability is one component pass over the audit's
+#: own dependency edges).
 AUDIT_LEAVES_OUT = (
+    "repro.analysis",
+    "repro.core.serializability",
     "repro.api",
     "repro.engine.runtime",
     "repro.engine.schedulers",
