@@ -25,16 +25,14 @@ import pytest
 
 from _harness import record_table
 from repro.analysis import mean
+from repro.api import SCHEDULER_FACTORIES, make_scheduler
 from repro.core import check_correctability
 from repro.core.nests import KNest
 from repro.distributed import (
     CrashEvent,
-    DistributedLockControl,
-    DistributedPreventControl,
     DistributedRuntime,
     FaultPlan,
     LinkFaults,
-    NoControl,
 )
 from repro.workloads import BankingConfig, BankingWorkload
 from repro.workloads.banking import transfer_program
@@ -66,7 +64,7 @@ def contended_workload() -> BankingWorkload:
 
 def disjoint_workload():
     """Entity-disjoint transfers (one per family): with no conflicts any
-    interleaving is serial, so even ``NoControl`` runs are correct and
+    interleaving is serial, so even uncontrolled runs are correct and
     order-invariant — what lets E14 put the control itself aside and
     test the fault layer under zero admission control."""
     programs = [
@@ -88,22 +86,24 @@ def fault_plan(rate: float, seed: int) -> FaultPlan:
     )
 
 
-def run_once(programs, accounts, control, faults=None):
+def run_once(programs, accounts, scheduler, faults=None):
     return DistributedRuntime(
-        programs, accounts, control, nodes=NODES, seed=ENGINE_SEED,
+        programs, accounts, scheduler, nodes=NODES, seed=ENGINE_SEED,
         faults=faults,
     ).run()
 
 
 def cases():
+    """One case per scheduler name: ``none`` on the disjoint workload,
+    every admission control on the contended banking mix."""
     bank = contended_workload()
     programs, accounts, nest = disjoint_workload()
     return [
-        ("none", programs, accounts, nest, NoControl, None),
-        ("2pl", bank.programs, bank.accounts, bank.nest,
-         DistributedLockControl, bank),
-        ("mla-prevent", bank.programs, bank.accounts, bank.nest,
-         lambda: DistributedPreventControl(bank.nest), bank),
+        (
+            (label, programs, accounts, nest, None) if label == "none"
+            else (label, bank.programs, bank.accounts, bank.nest, bank)
+        )
+        for label in SCHEDULER_FACTORIES
     ]
 
 
@@ -111,7 +111,7 @@ def test_e14_faulty_prevention_benchmark(benchmark):
     bank = contended_workload()
     benchmark(
         run_once, bank.programs, bank.accounts,
-        DistributedPreventControl(bank.nest), fault_plan(0.1, 0),
+        make_scheduler("mla-prevent", bank.nest), fault_plan(0.1, 0),
     )
 
 
@@ -119,9 +119,12 @@ def test_e14_inactive_plan_is_bit_identical():
     """A fault plan with every rate zero and no crashes must leave the
     runtime on its exactly-once fast path: identical results, makespan
     and message traffic to running with no plan at all."""
-    for label, programs, accounts, _nest, factory, _bank in cases():
-        base = run_once(programs, accounts, factory())
-        dressed = run_once(programs, accounts, factory(), faults=FaultPlan())
+    for label, programs, accounts, nest, _bank in cases():
+        base = run_once(programs, accounts, make_scheduler(label, nest))
+        dressed = run_once(
+            programs, accounts, make_scheduler(label, nest),
+            faults=FaultPlan(),
+        )
         assert dressed.results == base.results, label
         assert dressed.makespan == base.makespan, label
         assert dressed.messages == base.messages, label
@@ -131,13 +134,13 @@ def test_e14_inactive_plan_is_bit_identical():
 
 def test_e14_fault_sweep_table():
     rows = []
-    for label, programs, accounts, nest, factory, bank in cases():
-        base = run_once(programs, accounts, factory())
+    for label, programs, accounts, nest, bank in cases():
+        base = run_once(programs, accounts, make_scheduler(label, nest))
         for rate in RATES:
             aborts, recoveries, dropped, messages, identical = [], [], [], [], 0
             for fseed in FAULT_SEEDS:
                 result = run_once(
-                    programs, accounts, factory(),
+                    programs, accounts, make_scheduler(label, nest),
                     faults=fault_plan(rate, fseed),
                 )
                 assert result.commits == len(programs), (label, rate, fseed)
@@ -168,7 +171,7 @@ def test_e14_fault_sweep_table():
     record_table(
         "e14_fault_sweep",
         "E14: fault sweep over the distributed runtime",
-        ["control", "drop/dup/reorder", "messages", "dropped", "aborts",
+        ["scheduler", "drop/dup/reorder", "messages", "dropped", "aborts",
          "recoveries", "results == fault-free"],
         rows,
         notes=(
@@ -177,8 +180,9 @@ def test_e14_fault_sweep_table():
             f"{len(list(FAULT_SEEDS))} fault seeds; the checker accepts "
             "every committed execution and committed results are bitwise "
             "identical to the zero-fault run at the same engine seed.  "
-            "NoControl runs on an entity-disjoint workload (no admission "
-            "control to mask protocol bugs); the admission controls run "
-            "on a contended intra-family banking mix."
+            "The sequencer hosts each engine scheduler.  `none` runs on "
+            "an entity-disjoint workload (no admission control to mask "
+            "protocol bugs); the admission controls run on a contended "
+            "intra-family banking mix."
         ),
     )

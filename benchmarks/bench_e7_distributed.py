@@ -1,12 +1,13 @@
 """E7: the migrating-transaction model realises multilevel atomicity.
 
-Claims tested (Section 6): the [RSL] migrating-transaction substrate with
-sequencer-side cycle prevention produces only correctable executions; the
-price is per-step request/grant messaging, measured against distributed
-locking and no control across cluster sizes.
+Claims tested (Section 6): the [RSL] migrating-transaction substrate
+with the sequencer hosting any of the engine's schedulers — both Section
+6 strategies among them — produces only correctable executions under
+every admission control; the price is per-step request/grant messaging,
+measured across cluster sizes.
 
-Expected shape: prevention and locking are correctable on every run and
-preserve the audit invariant; no-control is not; message counts grow
+Expected shape: every admission control is correctable on every run and
+preserves the audit invariant; no control is not; message counts grow
 with admission control and stay roughly flat in node count (the
 sequencer is the hub), while makespan varies with placement locality.
 """
@@ -17,13 +18,9 @@ import pytest
 
 from _harness import record_table
 from repro.analysis import mean
+from repro.api import SCHEDULER_FACTORIES, make_scheduler
 from repro.core import check_correctability
-from repro.distributed import (
-    DistributedLockControl,
-    DistributedPreventControl,
-    DistributedRuntime,
-    NoControl,
-)
+from repro.distributed import DistributedRuntime
 from repro.workloads import BankingConfig, BankingWorkload
 
 NODES = [2, 4, 8]
@@ -42,33 +39,27 @@ def workload() -> BankingWorkload:
     ))
 
 
-def run_once(bank, control_factory, nodes, seed):
+def run_once(bank, scheduler, nodes, seed):
     runtime = DistributedRuntime(
-        bank.programs, bank.accounts, control_factory(), nodes=nodes, seed=seed
+        bank.programs, bank.accounts, make_scheduler(scheduler, bank.nest),
+        nodes=nodes, seed=seed,
     )
     return runtime.run()
 
 
 def test_e7_prevention_benchmark(benchmark):
     bank = workload()
-    benchmark(
-        run_once, bank, lambda: DistributedPreventControl(bank.nest), 4, 0
-    )
+    benchmark(run_once, bank, "mla-prevent", 4, 0)
 
 
 def test_e7_cluster_table():
     bank = workload()
-    controls = [
-        ("none", NoControl),
-        ("2pl", DistributedLockControl),
-        ("mla-prevent", lambda: DistributedPreventControl(bank.nest)),
-    ]
     rows = []
     for nodes in NODES:
-        for label, factory in controls:
+        for label in SCHEDULER_FACTORIES:
             makespans, messages, aborts, correct = [], [], [], 0
             for seed in SEEDS:
-                result = run_once(bank, factory, nodes, seed)
+                result = run_once(bank, label, nodes, seed)
                 makespans.append(result.makespan)
                 messages.append(result.messages)
                 aborts.append(result.aborts)
@@ -93,12 +84,12 @@ def test_e7_cluster_table():
     record_table(
         "e7_distributed",
         "E7: migrating transactions across cluster sizes",
-        ["nodes", "control", "makespan", "messages", "aborts", "correct"],
+        ["nodes", "scheduler", "makespan", "messages", "aborts", "correct"],
         rows,
         notes=(
             "5 same-family transfers + 1 bank audit; means over "
-            f"{len(list(SEEDS))} seeds.  Both admission controls are "
-            "correct on every run; only no-control ever admits an "
-            "uncorrectable execution."
+            f"{len(list(SEEDS))} seeds.  The sequencer hosts each engine "
+            "scheduler.  Every admission control is correct on every "
+            "run; only `none` ever admits an uncorrectable execution."
         ),
     )

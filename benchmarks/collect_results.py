@@ -110,7 +110,7 @@ Regenerate everything with::
 | "Fewer cycles ... fewer rollbacks" (§6) | MLA-detect < SR-detect cycles at all contention | 1.3x-1.7x fewer cycles at every contention level (E3) | holds |
 | Serializability too strict for long transactions (§1) | MLA scheduler beats serial & 2PL as transactions grow | mla-detect fastest at moderate length; all controls converge at saturation (E4) | holds (with regime caveat) |
 | Audit atomicity (§1-2) | zero invariant violations under control, violations without | exactly that, every scheduler, every seed (E5) | holds |
-| Migrating-transaction implementability (§6) | distributed prevention correctable on every run | 100% correctable; message overhead quantified (E7) | holds |
+| Migrating-transaction implementability (§6) | every admission control the sequencer hosts correctable on every run | 100% correctable, all six; message overhead quantified (E7) | holds |
 | Nested-action-tree encodability (§7) | every MLA execution encodes; property verified | 100% encode + verify; linear-time pass (E8) | holds |
 | Unbounded rollback chains (§6) | cascade length = chain length | exact, with live-engine confirmation (E9) | holds |
 | [FGL] non-blocking audit (§2) | exact totals while riding level-2 breakpoints | zero errors in both styles; fewer aborts for FGL (E11) | holds |
@@ -401,6 +401,7 @@ def run_quick(
     import bench_e15_soak as e15
     import bench_e16_crash_fuzz as e16
     import bench_e17_exhaustive_audit as e17
+    from repro.api import make_scheduler
     from repro.core import check_correctability
 
     timings: dict[str, dict[str, float]] = {
@@ -427,15 +428,16 @@ def run_quick(
             assert window.closure_calls >= n, (
                 f"E10 {label} skipped closure checks at n={n}"
             )
-    # E14 smoke: one faulty run per control (10% drop/dup/reorder plus a
-    # node crash); the faulty committed results must equal the zero-fault
-    # run's — the fault layer may cost time, never outcomes.
+    # E14 smoke: one faulty run per scheduler (10% drop/dup/reorder plus
+    # a node crash); the faulty committed results must equal the
+    # zero-fault run's — the fault layer may cost time, never outcomes.
     timings["e14_fault_smoke"] = {}
-    for label, programs, accounts, _nest, factory, _bank in e14.cases():
-        base = e14.run_once(programs, accounts, factory())
+    for label, programs, accounts, nest, _bank in e14.cases():
+        base = e14.run_once(programs, accounts, make_scheduler(label, nest))
         start = time.perf_counter()
         faulty = e14.run_once(
-            programs, accounts, factory(), faults=e14.fault_plan(0.1, 0)
+            programs, accounts, make_scheduler(label, nest),
+            faults=e14.fault_plan(0.1, 0),
         )
         timings["e14_fault_smoke"][label] = (
             time.perf_counter() - start

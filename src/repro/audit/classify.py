@@ -8,9 +8,9 @@ external system's — place every transaction against three criteria:
   ``"rw"`` conflict model by default (two reads commute; updates
   conflict as writes).
 * **multilevel** — Theorem 2 correctability under the history's
-  declared k-nest and breakpoint levels (the flat 2-nest when the
-  history declares none, where the whole history's verdict degenerates
-  to serializability).  Mixed-level external histories are exactly what
+  declared k-nest and breakpoint levels.  Under the flat 2-nest (the
+  history declares none, or depth 0) it is serializability, verdicts
+  and witnesses alike.  Mixed-level external histories are exactly what
   k-nests model: the nest says which interleavings were *specified*,
   and the closure says whether the observed dependency order respects
   them.
@@ -23,10 +23,10 @@ external system's — place every transaction against three criteria:
 
 The two cycle axes share one derivation of the dependency edges.  A
 transaction is serializable iff no cycle of the transaction graph
-passes through it.  The multilevel axis blames by iterated
-witness-cycle removal: the transactions on a witness cycle are marked
-violating and removed, and the remainder is re-checked until it is
-clean.  Every witness cycle is kept, rendered as human-readable lines
+passes through it.  Under a deeper nest the multilevel axis blames by
+iterated witness-cycle removal: the transactions on a witness cycle are
+marked violating and removed, and the remainder is re-checked until it
+is clean.  Every witness cycle is kept, rendered as human-readable lines
 for the ``repro audit`` CLI.
 """
 
@@ -150,9 +150,16 @@ def _shortest_cycle(graph: WaitGraph, component: set, start: str) -> list:
 
 
 def _multilevel_axis(
-    history: History, execution: Execution, edges: list, conflicts: str
+    history: History, execution: Execution, edges: list, conflicts: str,
+    serializable: tuple,
 ):
     nest = history.nest()
+    if nest.k == 2:
+        # The flat 2-nest admits no breakpoint two transactions can share
+        # (Section 4.3), so multilevel atomicity is serializability: the
+        # blame is that axis's, and no closure is built.
+        verdicts, witnesses = serializable
+        return dict(verdicts), list(witnesses)
     verdicts = {t: True for t in execution.transactions}
     witnesses: list[str] = []
     current = execution
@@ -272,9 +279,12 @@ def audit_history(history: History, conflicts: str = "rw") -> AuditReport:
         )
     execution = history.validate()
     edges = execution.dependency_edges(conflicts)
+    serializable = _serializability_axis(execution, edges)
     axes = {
-        "serializable": _serializability_axis(execution, edges),
-        "multilevel": _multilevel_axis(history, execution, edges, conflicts),
+        "serializable": serializable,
+        "multilevel": _multilevel_axis(
+            history, execution, edges, conflicts, serializable
+        ),
         "snapshot_isolation": _snapshot_axis(history, execution),
     }
     txns = tuple(execution.transactions)

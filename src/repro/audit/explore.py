@@ -431,12 +431,11 @@ def explore(
                 + " -> ".join(repr(s) for s in cycle)
             )
 
-    # Two scratch engines, restored in place thousands of times.  The
-    # ``deep=False`` seam skips the defensive deep copies: every stored
-    # snapshot is built of fresh containers, and the restore symmetric-
-    # ally rebuilds — see ``Engine.snapshot_state``.
+    # Two scratch engines, restored in place thousands of times: every
+    # stored snapshot is built of fresh containers, and the restore
+    # symmetrically rebuilds — see ``Engine.snapshot_state``.
     root = fresh_engine()
-    root_state = root.snapshot_state(deep=False)
+    root_state = root.snapshot_state()
     node_engine = fresh_engine()
     child_engine = fresh_engine()
     root_key = _state_key(root_state, [])
@@ -450,7 +449,7 @@ def explore(
             report.complete = False
             break
         engine = node_engine
-        engine.restore_state(state, records, deep=False, programs=by_name)
+        engine.restore_state(state, records, programs=by_name)
         if not engine.txns:
             finish(engine)
             continue
@@ -464,7 +463,7 @@ def explore(
         target = max(engine.tick + 1, wake)
         if target - 1 > engine.tick:
             engine.advance(until_tick=target - 1)
-        base = engine.snapshot_state(deep=False)
+        base = engine.snapshot_state()
         choices = sorted(
             t.name
             for t in engine.txns.values()
@@ -474,7 +473,7 @@ def explore(
         for choice in choices:
             child = child_engine
             child.restore_state(
-                base, engine.records, deep=False, programs=by_name
+                base, engine.records, programs=by_name
             )
             child.rng.pick = choice
             try:
@@ -484,7 +483,7 @@ def explore(
                 report.violations.append(f"{scheduler}/{config.name}: {error}")
                 continue
             report.transitions += 1
-            child_state = child.snapshot_state(deep=False)
+            child_state = child.snapshot_state()
             child_records = list(child.records)
             key = _state_key(child_state, child_records)
             returns += key == node_key

@@ -339,33 +339,14 @@ def cmd_trace(args) -> int:
     return 0
 
 
-#: ``--distributed`` maps these scheduler names to sequencer controls.
-DISTRIBUTED_CONTROLS = ("none", "2pl", "mla-prevent")
-
-
 def _build_distributed(args, workload, **kwargs):
-    from repro.distributed.controller import (
-        DistributedLockControl,
-        DistributedPreventControl,
-        DistributedRuntime,
-        NoControl,
-    )
+    from repro.api import make_scheduler
+    from repro.distributed.controller import DistributedRuntime
 
-    factories = {
-        "none": lambda nest: NoControl(),
-        "2pl": lambda nest: DistributedLockControl(),
-        "mla-prevent": lambda nest: DistributedPreventControl(nest),
-    }
-    if args.scheduler not in factories:
-        raise SystemExit(
-            f"--distributed supports {sorted(factories)}, "
-            f"not {args.scheduler!r}"
-        )
-    control = factories[args.scheduler](workload.nest)
     return DistributedRuntime(
         workload.programs,
         _workload_initial(workload),
-        control,
+        make_scheduler(args.scheduler, workload.nest),
         nodes=args.nodes,
         seed=args.seed,
         **kwargs,
@@ -500,7 +481,7 @@ def _engine_frame(args, engine, registry, profiler) -> list[str]:
 
 def _distributed_frame(args, runtime, profiler, now: float) -> list[str]:
     registry = runtime.registry
-    control = runtime.control.name
+    control = runtime.scheduler.name
     commits = registry.value("repro_seq_commits_total", control=control) or 0
     aborts = registry.value("repro_seq_aborts_total", control=control) or 0
     attempts = commits + aborts
@@ -809,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         parser.add_argument(
             "--distributed", action="store_true",
-            help=f"run the distributed runtime instead "
-                 f"(controls: {', '.join(sorted(DISTRIBUTED_CONTROLS))})",
+            help="run the distributed runtime instead: a sequencer "
+                 "hosts the scheduler and data nodes hold the entities",
         )
         parser.add_argument(
             "--nodes", type=int, default=3,

@@ -1,10 +1,10 @@
 """The migrating-transaction distributed substrate ([RSL], Section 6).
 
 Entities live on data nodes; transactions migrate from entity to entity
-as messages over a latency-simulating network; a sequencer node owns the
-concurrency-control state (no control / distributed locking / Section 6
-cycle prevention).  Experiment E7 measures the message and latency price
-of each control and checks that prevention yields only correctable
+as messages over a latency-simulating network; a sequencer node hosts
+one of the engine's schedulers and owns the concurrency-control state.
+Experiment E7 measures the message and latency price of each scheduler
+and checks that every admission control yields only correctable
 executions.
 """
 
@@ -16,9 +16,6 @@ _EXPORTS = {
     "DataNode": "node",
     "MigratingTransaction": "migration",
     "Sequencer": "controller",
-    "NoControl": "controller",
-    "DistributedLockControl": "controller",
-    "DistributedPreventControl": "controller",
     "DistributedResult": "controller",
     "DistributedRuntime": "controller",
     "LinkFaults": "faults",

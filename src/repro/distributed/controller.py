@@ -5,29 +5,27 @@ this runtime implements it physically distributed in the [RSL] migrating-
 transaction style, with one asymmetry that real early distributed DBMS
 designs shared: a **sequencer** node owns the concurrency-control state.
 Data nodes ask it for per-step permission, so every admission policy of
-the single-site engine has a distributed counterpart that pays message
-latency for each decision — exactly the overhead experiment E7 measures.
+the single-site engine pays message latency for each decision — exactly
+the overhead experiment E7 measures.
 
-Controls:
-
-* :class:`NoControl` — grant everything (the contrast case).
-* :class:`DistributedLockControl` — strict exclusive locking at the
-  sequencer (distributed 2PL under the paper's all-access conflicts).
-* :class:`DistributedPreventControl` — Section 6 cycle prevention: a step
-  is granted only when every transaction whose last performed step would
-  precede it in the coherent closure sits at a breakpoint of the
-  appropriate level.
+The sequencer makes no decision of its own: it hosts an engine
+:class:`~repro.engine.schedulers.base.Scheduler` — any of them, built
+from its nest alone — and shows it the same engine surface (``txns``,
+``waits``, ``metrics``, ``break_cycle``, ...).  What the sequencer keeps
+is the transport: the per-node psn gate on performed-reports,
+retransmits, the undo barrier, node recovery, and the ``retry`` /
+``commit-check`` timers.
 
 Rollback is sequencer-driven: it computes the cascade over its global
 log, sends ``undo`` messages to the owning nodes (per-target FIFO
 channels make undo/grant races impossible) and restarts victims at their
-origin after a backoff.
+origin after a backoff.  As under the engine's ``recovery="transaction"``
+a victim restarts whole; a decision's ``victim_points`` are ignored.
 """
 
 from __future__ import annotations
 
 import os
-import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -37,181 +35,62 @@ from repro.core.nests import KNest
 from repro.distributed.faults import FaultPlan
 from repro.distributed.migration import MigratingTransaction
 from repro.distributed.network import Message, Network
-from repro.distributed.node import DataNode
-from repro.engine.closure_window import ClosureWindow
+from repro.distributed.node import REXMIT_DELAY, DataNode
 from repro.engine.cycles import WaitsFor
-from repro.engine.locks import LockManager
+from repro.engine.metrics import Metrics
 from repro.engine.rollback import cascade_closure, undo_plan
-from repro.engine.schedulers._certify import certify_victim
+from repro.engine.runtime import _CYCLE_CAUSES, TxnState
+from repro.engine.schedulers.base import Action, Decision, Scheduler
 from repro.errors import NetworkError
 from repro.model.breakpoints import spec_for_execution
 from repro.obs.registry import MetricsRegistry
 from repro.model.execution import Execution
 from repro.model.programs import TransactionProgram
-from repro.model.steps import StepId, StepRecord
+from repro.model.steps import StepRecord
 
 __all__ = [
-    "NoControl",
-    "DistributedLockControl",
-    "DistributedPreventControl",
     "Sequencer",
     "DistributedResult",
     "DistributedRuntime",
 ]
 
-
-# ---------------------------------------------------------------------------
-# controls
-# ---------------------------------------------------------------------------
-
-
-class NoControl:
-    """Grant every request immediately."""
-
-    name = "none"
-
-    def attach(self, sequencer: "Sequencer") -> None:
-        self.sequencer = sequencer
-
-    def decide(self, request: dict):
-        """``"grant"``, ``"wait"``, ``"abort"`` (the requester), or a
-        waits-for ``(cycle, cause)`` for the sequencer to break."""
-        return "grant"
-
-    def on_performed(self, name: str, record: StepRecord | None,
-                     cut_levels: dict[int, int], finished: bool) -> None:
-        pass
-
-    def certify_commit(self, name: str) -> list[str] | None:
-        """Victims to roll back instead of committing, or None when the
-        commit is safe.  Controls with a closure window must never let a
-        transaction commit while the window is cyclic (see
-        repro.engine.schedulers._certify for the failure mode)."""
-        return None
-
-    def on_commit(self, name: str) -> None:
-        pass
-
-    def on_abort(self, name: str) -> None:
-        pass
+#: Base restart separation after a rollback; the delay grows with the
+#: attempt count (see :meth:`Sequencer._restart_delay`).
+BACKOFF = 6.0
+#: How long a finished transaction waits before asking to commit again.
+COMMIT_RETRY = 2.0
 
 
-class DistributedLockControl(NoControl):
-    """Strict sequencer-side locking: every access takes an exclusive
-    entity lock held to commit; waits-for cycles abort the youngest."""
+@dataclass(slots=True)
+class _Progress:
+    """What the sequencer knows of one uncommitted transaction's current
+    attempt, as of the last performed-report it consumed: the attributes
+    of an engine ``TxnState`` that a hosted scheduler reads."""
 
-    name = "2pl"
+    name: str
+    priority: float
+    attempt: int = 0
+    steps_taken: int = 0
+    finished: bool = False
+    cut_levels: dict[int, int] = field(default_factory=dict)
 
-    def __init__(self) -> None:
-        self.locks = LockManager()
+    @property
+    def key(self) -> tuple[str, int]:
+        return (self.name, self.attempt)
 
-    def attach(self, sequencer: "Sequencer") -> None:
-        super().attach(sequencer)
-        self.locks.waits = sequencer.waits
+    @property
+    def live(self) -> "_Progress":
+        """Schedulers read ``txn.live.cut_levels``; the entry is its own
+        live attempt."""
+        return self
 
-    def decide(self, request: dict):
-        name, entity = request["name"], request["entity"]
-        if self.locks.try_acquire(name, entity):
-            return "grant"
-        holder = self.locks.holder(entity)
-        found = holder is not None and self.sequencer.waits.wait(
-            name, [holder], "lock"
-        )
-        return found or "wait"
+    at_breakpoint = TxnState.at_breakpoint
 
-    def on_commit(self, name: str) -> None:
-        self.locks.release_all(name)
-
-    def on_abort(self, name: str) -> None:
-        self.locks.release_all(name)
-
-
-class DistributedPreventControl(NoControl):
-    """Section 6 cycle prevention at the sequencer."""
-
-    name = "mla-prevent"
-
-    def __init__(self, nest: KNest) -> None:
-        self.nest = nest
-        self.window = ClosureWindow(nest)
-
-    def attach(self, sequencer: "Sequencer") -> None:
-        super().attach(sequencer)
-        self.window.emit = sequencer.network.emit
-        self.window.reads = sequencer.network.reads
-
-    def _at_breakpoint(self, name: str, requester: str) -> bool:
-        state = self.sequencer.progress.get(name)
-        if state is None or state["steps"] == 0 or state["finished"]:
-            return True
-        declared = state["cuts"].get(state["steps"] - 1)
-        return (
-            declared is not None
-            and declared <= self.nest.level(name, requester)
-        )
-
-    def decide(self, request: dict):
-        seq = self.sequencer
-        name = request["name"]
-        live = [
-            other for other in seq.progress
-            if other != name and other not in seq.committed_names
-        ]
-        step = StepId(name, request["steps_taken"])
-        acyclic, predecessors, cycle_owners = self.window.hypothetical(
-            name, step, request["entity"], request["kind"]
-        )
-        if acyclic:
-            blockers = {
-                other for other in live
-                if self.window.last_step_of(other) in predecessors
-                and not self._at_breakpoint(other, name)
-            }
-            if not blockers:
-                return "grant"
-        else:
-            blockers = cycle_owners.intersection(live) or set(live)
-        if not blockers:
-            # Nothing live to wait for: the conflict is against committed
-            # history, so this attempt's own prefix is unextendable.
-            # Roll it back and let a fresh attempt run behind the
-            # committed work.
-            return "abort"
-        # Every wait must be visible to the deadlock check, whatever its
-        # cause (breakpoint blocker or would-be closure cycle).
-        found = seq.waits.wait(name, blockers, "breakpoint-wait")
-        return "wait" if found is None else found
-
-    def on_performed(self, name, record, cut_levels, finished) -> None:
-        if record is not None:
-            self.window.observe(
-                name, record.step, record.entity, record.kind, cut_levels
-            )
-
-    def certify_commit(self, name: str) -> list[str] | None:
-        result = self.window.closure()
-        if result is None or result.is_partial_order:
-            return None
-        seq = self.sequencer
-        owners = {
-            step.transaction
-            for step in result.cycle or ()
-            if step.transaction not in seq.committed_names
-            and step.transaction in seq.attempts
-        }
-        candidates = [
-            other for other in seq.progress
-            if other not in seq.committed_names
-        ]
-        return [certify_victim(
-            self.window, result.cycle, owners, candidates, seq.priority_key
-        )]
-
-    def on_commit(self, name: str) -> None:
-        self.window.mark_committed(name)
-
-    def on_abort(self, name: str) -> None:
-        self.window.drop(name)
+    def restart(self) -> None:
+        self.attempt += 1
+        self.steps_taken = 0
+        self.finished = False
+        self.cut_levels = {}
 
 
 # ---------------------------------------------------------------------------
@@ -220,56 +99,59 @@ class DistributedPreventControl(NoControl):
 
 
 class Sequencer:
-    """The concurrency-control brain of the distributed runtime."""
+    """The transport around a hosted scheduler: the engine surface the
+    scheduler reads, and the messages that carry out its decisions."""
 
     def __init__(
         self,
         name: str,
         network: Network,
-        control,
+        scheduler: Scheduler,
         entity_owner: Mapping[str, str],
         origins: Mapping[str, str],
         arrivals: Mapping[str, float],
-        backoff: float = 6.0,
-        commit_retry: float = 2.0,
-        rexmit_delay: float = 4.0,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.name = name
         self.network = network
-        self.control = control
+        self.scheduler = scheduler
         if registry is not None:
-            registry.derive(("sequencer", control.name), self._publish)
+            registry.derive(("sequencer", scheduler.name), self._publish)
         self.entity_owner = dict(entity_owner)
         self.origins = dict(origins)
         self.arrivals = dict(arrivals)
-        self.backoff = backoff
-        self.commit_retry = commit_retry
-        self.rexmit_delay = rexmit_delay
-        self.rexmit_cap = rexmit_delay * 8
+        self.rexmit_cap = REXMIT_DELAY * 8
         self.reliable = network.reliable
 
-        self.attempts: dict[str, int] = {t: 0 for t in origins}
+        # Every uncommitted transaction, whether or not it has started:
+        # the engine's ``txns`` as far as the hosted scheduler can tell.
+        self.txns: dict[str, _Progress] = {
+            t: _Progress(t, self.arrivals.get(t, 0.0)) for t in origins
+        }
         self.locations: dict[str, str] = {}
-        self.progress: dict[str, dict] = {}
         self.log: list[tuple[tuple[str, int], StepRecord]] = []
         self.last_writer: dict[str, tuple[str, int]] = {}
         self.deps: dict[tuple[str, int], set[tuple[str, int]]] = {}
         self.committed: set[tuple[str, int]] = set()
-        self.committed_names: set[str] = set()
         self.pending_commit: dict[str, MigratingTransaction] = {}
-        # The control's grant waits and ``deps``; a transaction has
+        # The scheduler's grant waits and ``deps``; a transaction has
         # finished when it awaits its commit.
         self.waits = WaitsFor(
             self._dependencies,
             lambda name: name in self.pending_commit,
             self.priority_key,
         )
+        #: The hosted scheduler's counts, as an engine keeps them.
+        self.metrics = Metrics()
+        self._timestamp = 0
         self.results: dict[str, Any] = {}
         self.final_cut_levels: dict[str, dict[int, int]] = {}
-        # Grants sent whose performed-report has not come back yet, and
-        # transactions condemned to roll back once the pipeline drains.
-        self.outstanding: set[str] = set()
+        # Per transaction, the grant sent whose performed-report has not
+        # come back yet, as ``((name, attempt, steps), entity, after)``
+        # (a lost grant is re-issued verbatim when the request is
+        # retransmitted); and the transactions condemned to roll back
+        # once those drain.
+        self.outstanding: dict[str, tuple] = {}
         self.doomed: set[str] = set()
         self.grants = 0
         self.denies = 0
@@ -277,10 +159,15 @@ class Sequencer:
         self.aborts = 0
         self.deadlocks = 0
         self.recoveries = 0
+        # Per entity, the last grant sent whose performed-report has not
+        # been consumed.  The next grant on the entity names it as
+        # ``after``, and the owning node performs that grant only behind
+        # it: an entity's steps perform in the order they were granted,
+        # whatever the network reorders or loses.  A decision may assume
+        # the steps it granted performed (``timestamp`` marks an entity
+        # at grant time).
+        self._last_grant: dict[str, tuple[str, int, int]] = {}
         # --- at-least-once protocol state (active under a fault plan) ---
-        # Last grant per transaction, so a lost grant can be re-issued
-        # verbatim when the request is retransmitted.
-        self._granted: dict[str, tuple[int, int]] = {}
         # Per-node performed-sequence-number gating: reports are consumed
         # strictly in each node's perform order, with out-of-order
         # arrivals parked in a buffer — relaxed FIFO must not let a later
@@ -305,13 +192,45 @@ class Sequencer:
         self._uid_n = 0
 
         network.register(name, self.handle)
-        control.attach(self)
+        # What ``Scheduler.attach`` binds: the runtime's one emission
+        # point and the kinds its tracer reads.
+        self._emit = network.emit
+        self._routes = network.reads
+        scheduler.attach(self)
+
+    # ------------------------------------------------------------------
+    # the engine surface a hosted scheduler reads
+    # ------------------------------------------------------------------
+
+    def active_states(self) -> list[_Progress]:
+        return list(self.txns.values())
+
+    arrived_states = active_states
+
+    def next_timestamp(self) -> int:
+        self._timestamp += 1
+        return self._timestamp
+
+    def break_cycle(self, cycle: list[str], cause: str) -> Decision:
+        """The youngest member of a waits-for ``cycle``, as an abort
+        decision: the one place the sequencer counts a deadlock.  Only a
+        dependency cycle is reported as a ``deadlock`` event."""
+        victim = self.waits.victim(cycle)
+        reason, count = _CYCLE_CAUSES[cause]
+        self.deadlocks += 1
+        if count is not None:
+            self.metrics.detail[count] += 1
+        emit = self.network.emit
+        if emit and cause == "commit-dependency":
+            emit("deadlock", cycle=list(cycle), victim=victim, cause=cause)
+        return Decision.abort([victim], reason)
 
     # ------------------------------------------------------------------
 
     def _publish(self, registry: MetricsRegistry) -> None:
-        """Set the ``control=`` series from the counts above; the
-        registry calls this before every read."""
+        """Set the ``control=`` series from the counts above and the
+        hosted scheduler's own; the registry calls this before every
+        read."""
         for series, help, value in (
             ("repro_seq_grants_total", "Step permissions granted.",
              self.grants),
@@ -325,9 +244,10 @@ class Sequencer:
              "Circular waits or certification failures.", self.deadlocks),
             ("repro_seq_recoveries_total",
              "Node crash recoveries reconciled.", self.recoveries),
+            *self.scheduler.counters(self.metrics),
         ):
             registry.put(
-                "counter", series, help, value, control=self.control.name
+                "counter", series, help, value, control=self.scheduler.name
             )
 
     def priority_key(self, name: str):
@@ -346,15 +266,29 @@ class Sequencer:
         self._uid_n += 1
         return f"seq#{self._uid_n}"
 
+    def _current(self, name: str, attempt: int) -> bool:
+        """Whether ``attempt`` is ``name``'s live attempt, or the one
+        that committed."""
+        txn = self.txns.get(name)
+        if txn is None:
+            return (name, attempt) in self.committed
+        return txn.attempt == attempt
+
     def _unreconciled(self, payload: dict) -> bool:
         node = payload.get("node")
         if node is None:
             return False
         return payload.get("epoch", 0) > self._node_epoch.get(node, 0)
 
-    def _send_grant(self, node: str, name: str, attempt: int, steps: int) -> None:
-        self.outstanding.add(name)
-        self._granted[name] = (attempt, steps)
+    def _send_grant(
+        self, node: str, name: str, attempt: int, steps: int, entity: str,
+    ) -> None:
+        grant = (name, attempt, steps)
+        issued = self.outstanding.get(name)
+        if issued is None or issued[0] != grant:
+            issued = (grant, entity, self._last_grant.get(entity))
+            self.outstanding[name] = issued
+            self._last_grant[entity] = grant
         self.grants += 1
         emit = self.network.emit
         if emit:
@@ -362,9 +296,16 @@ class Sequencer:
         self.network.send(
             node,
             Message("grant", {"name": name, "attempt": attempt,
-                              "steps": steps}),
+                              "steps": steps, "after": issued[2]}),
             source=self.name,
         )
+
+    def _settle(self, name: str) -> None:
+        """Forget ``name``'s outstanding grant: its step performed, or
+        the node holding it crashed."""
+        issued = self.outstanding.pop(name, None)
+        if issued is not None and self._last_grant.get(issued[1]) == issued[0]:
+            del self._last_grant[issued[1]]
 
     def _send_deny(self, node: str, name: str, attempt: int, steps: int) -> None:
         self.denies += 1
@@ -383,13 +324,14 @@ class Sequencer:
         attempt = payload["attempt"]
         steps = payload["steps_taken"]
         node = payload["node"]
-        if attempt != self.attempts[name]:
+        if not self._current(name, attempt):
             self.network.send(
                 node,
                 Message("discard", {"name": name, "attempt": attempt}),
                 source=self.name,
             )
             return
+        txn = self.txns.get(name)
         if self.reliable:
             if self._unreconciled(payload):
                 return  # the node rebooted; wait for its recovery report
@@ -404,15 +346,13 @@ class Sequencer:
                     source=self.name,
                 )
                 return
-            state = self.progress.get(name)
-            if state is not None and steps < state["steps"]:
+            if txn is None or steps < txn.steps_taken:
                 return  # stale retransmit of an already-performed step
-            if name in self.outstanding and self._granted.get(name) == (
-                attempt, steps,
-            ):
+            issued = self.outstanding.get(name)
+            if issued is not None and issued[0] == (name, attempt, steps):
                 # The grant (or its report) is in flight or was lost;
                 # re-issuing it verbatim is idempotent at the node.
-                self._send_grant(node, name, attempt, steps)
+                self._send_grant(node, name, attempt, steps, issued[1])
                 return
         else:
             self.locations[name] = node
@@ -422,17 +362,18 @@ class Sequencer:
             # computed over a stable log and no step overtakes an undo.
             self._send_deny(node, name, attempt, steps)
             return
-        decision = self.control.decide(payload)
-        if decision == "grant":
+        access = payload["access"]
+        decision = self.scheduler.on_request(txn, access)
+        if decision.action is Action.PERFORM:
             self.waits.done(name)
-            self._send_grant(node, name, attempt, steps)
-        elif decision == "wait":
+            self._send_grant(node, name, attempt, steps, access.entity)
+        elif decision.action is Action.WAIT:
             self._send_deny(node, name, attempt, steps)
-        elif decision == "abort":
-            self.deadlocks += 1
-            self._abort([name])
-        elif self._break(*decision) != name:
-            self._send_deny(node, name, attempt, steps)
+        else:
+            victims = decision.victims or (name,)
+            self._abort(victims)
+            if name not in victims:
+                self._send_deny(node, name, attempt, steps)
 
     def _on_performed(self, payload: dict) -> None:
         if not self.reliable:
@@ -483,7 +424,7 @@ class Sequencer:
         cuts = payload["cuts"] if "cuts" in payload else txn.cut_levels
         finished = payload.get("finished", txn.finished)
         replay = payload.get("_replay", False)
-        if attempt != self.attempts[name]:
+        if not self._current(name, attempt):
             if not self.reliable:
                 # Deferred-abort protocol: an abort never executes while
                 # a grant is outstanding, so stale reports cannot occur.
@@ -491,10 +432,9 @@ class Sequencer:
                     f"stale performed-report for {name!r} attempt {attempt}"
                 )
             return  # a rollback already claimed this attempt
-        if name in self.committed_names:
-            return
-        self.outstanding.discard(name)
-        self._granted.pop(name, None)
+        if name not in self.txns:
+            return  # committed
+        self._settle(name)
         key = (name, attempt)
         record: StepRecord | None = payload["record"]
         if record is not None:
@@ -504,14 +444,16 @@ class Sequencer:
             self.log.append((key, record))
             if not record.is_read_only:
                 self.last_writer[record.entity] = key
-        self.progress[name] = {
-            "steps": steps,
-            "cuts": cuts,
-            "finished": finished,
-        }
-        self.control.on_performed(name, record, cuts, finished)
+        state = self.txns[name]
+        state.steps_taken = steps
+        state.cut_levels = cuts
+        state.finished = finished
+        if record is not None:
+            veto = self.scheduler.after_performed(state, record)
+            if veto is not None and veto.action is Action.ABORT:
+                self.doomed.update(veto.victims)
         self._process_doomed()
-        if attempt != self.attempts[name]:
+        if not self._current(name, attempt):
             return  # the deferred rollback just claimed this transaction
         if finished:
             self.pending_commit[name] = txn
@@ -539,7 +481,7 @@ class Sequencer:
             uid = self._uid()
             payload["uid"] = uid
             self._pending[uid] = ("migrate", target, payload)
-            self._schedule_rexmit(uid, self.rexmit_delay)
+            self._schedule_rexmit(uid, REXMIT_DELAY)
         self.network.send(target, Message("migrate", payload), source=self.name)
 
     # ------------------------------------------------------------------
@@ -562,7 +504,7 @@ class Sequencer:
         kind, target, msg_payload = entry
         if kind in ("migrate", "restart"):
             name = msg_payload["name"]
-            if msg_payload["attempt"] != self.attempts[name]:
+            if not self._current(name, msg_payload["attempt"]):
                 # The attempt was rolled back; stop resending its state.
                 self._pending.pop(uid, None)
                 return
@@ -594,7 +536,7 @@ class Sequencer:
         self._send_restart(payload["name"])
 
     def _send_restart(self, name: str, delay: float | None = None) -> None:
-        attempt = self.attempts[name]
+        attempt = self.txns[name].attempt
         origin = self.origins[name]
         payload: dict = {"name": name, "attempt": attempt}
         if self.reliable:
@@ -605,7 +547,7 @@ class Sequencer:
             payload["uid"] = uid
             self._pending[uid] = ("restart", origin, payload)
             self._schedule_rexmit(
-                uid, (delay or 0.0) + self.rexmit_delay
+                uid, (delay or 0.0) + REXMIT_DELAY
             )
         self.network.send(
             origin, Message("restart", payload), delay=delay, source=self.name
@@ -616,16 +558,16 @@ class Sequencer:
         # aborts must eventually stagger the victims far enough apart
         # that one finishes before the other starts.
         return (
-            self.backoff
-            * min(self.attempts[name], 64)
+            BACKOFF
+            * min(self.txns[name].attempt, 64)
             * self.network.rng.uniform(0.5, 1.5)
         )
 
     def _flush_restarts(self) -> None:
         victims, self._deferred_restarts = self._deferred_restarts, []
         for name in victims:
-            if name in self.committed_names:
-                continue
+            if name not in self.txns:
+                continue  # committed
             self._send_restart(name, delay=self._restart_delay(name))
 
     def _on_route(self, payload: dict) -> None:
@@ -639,7 +581,7 @@ class Sequencer:
         self.network.send(
             node, Message("route-ack", {"uid": uid}), source=self.name
         )
-        if attempt != self.attempts[name]:
+        if not self._current(name, attempt):
             self.network.send(
                 node,
                 Message("discard", {"name": name, "attempt": attempt}),
@@ -700,23 +642,31 @@ class Sequencer:
             name
             for name, location in self.locations.items()
             if location == node
-            and name not in self.committed_names
+            and name in self.txns
             and name not in self.pending_commit
         }
         for name in stranded:
             # Their grants or reports died with the node; nothing will
             # drain them, so the rollback must not wait for it.
-            self.outstanding.discard(name)
-            self._granted.pop(name, None)
+            self._settle(name)
         if stranded:
             self._abort(stranded)
 
     def _on_commit_check(self, payload: dict) -> None:
         name = payload["name"]
-        if payload["attempt"] != self.attempts[name]:
+        if not self._current(name, payload["attempt"]):
             return
         if name in self.pending_commit:
             self._commit_check(name)
+
+    def _recheck(self, name: str, attempt: int) -> None:
+        """Ask whether ``name`` may commit again after a while."""
+        self.network.send(
+            self.name,
+            Message("commit-check", {"name": name, "attempt": attempt}),
+            delay=COMMIT_RETRY,
+            timer=True,
+        )
 
     def _commit_check(self, name: str) -> None:
         txn = self.pending_commit[name]
@@ -725,82 +675,58 @@ class Sequencer:
             # Never commit while a rollback is pending (or its undo
             # barrier is still up): the cascade might still claim this
             # transaction.
-            self.network.send(
-                self.name,
-                Message("commit-check", {"name": name, "attempt": txn.attempt}),
-                delay=self.commit_retry,
-                timer=True,
-            )
+            self._recheck(name, txn.attempt)
             return
         pending = {
             dep for dep in self.deps.get(key, ()) if dep not in self.committed
         }
-        if not pending:
-            victims = self.control.certify_commit(name)
-            if victims:
-                self.deadlocks += 1
-                self._abort(victims)
-                if name not in victims and name in self.pending_commit:
-                    self.network.send(
-                        self.name,
-                        Message(
-                            "commit-check",
-                            {"name": name, "attempt": txn.attempt},
-                        ),
-                        delay=self.commit_retry,
-                        timer=True,
-                    )
-                return
-            del self.pending_commit[name]
-            self.waits.done(name)
-            self.committed.add(key)
-            self.committed_names.add(name)
-            self.results[name] = txn.result
-            self.final_cut_levels[name] = txn.cut_levels
-            self.commits += 1
-            emit = self.network.emit
-            if emit:
-                emit(
-                    "seq.commit", txn=name, attempt=txn.attempt,
-                    latency=self.network.now - self.arrivals.get(name, 0.0),
+        if pending:
+            cycle = self.waits.dependency_cycle(name)
+            if cycle:
+                self._abort(
+                    self.break_cycle(cycle, "commit-dependency").victims
                 )
-            self.control.on_commit(name)
+            else:
+                self._recheck(name, txn.attempt)
             return
-        cycle = self.waits.dependency_cycle(name)
-        if cycle:
-            self._break(cycle, "commit-dependency")
+        state = self.txns[name]
+        decision = self.scheduler.may_commit(state)
+        if decision.action is Action.ABORT:
+            # A certification failure: the closure is cyclic.
+            self.deadlocks += 1
+            victims = decision.victims or (name,)
+            self._abort(victims)
+            if name not in victims and name in self.pending_commit:
+                self._recheck(name, txn.attempt)
             return
-        self.network.send(
-            self.name,
-            Message("commit-check", {"name": name, "attempt": txn.attempt}),
-            delay=self.commit_retry,
-            timer=True,
-        )
+        if decision.action is Action.WAIT:
+            self._recheck(name, txn.attempt)
+            return
+        del self.pending_commit[name]
+        del self.txns[name]
+        self.waits.done(name)
+        self.committed.add(key)
+        self.results[name] = txn.result
+        self.final_cut_levels[name] = txn.cut_levels
+        self.commits += 1
+        emit = self.network.emit
+        if emit:
+            emit(
+                "seq.commit", txn=name, attempt=txn.attempt,
+                latency=self.network.now - self.arrivals.get(name, 0.0),
+            )
+        self.scheduler.on_commit(state)
 
     def _dependencies(self, name: str) -> set[str]:
         """The uncommitted attempts whose writes ``name``'s current
         attempt consumed."""
-        attempts = self.attempts
+        txns = self.txns
         return {
             dep_name
-            for dep_name, dep_attempt in self.deps.get(
-                (name, attempts[name]), ()
-            )
-            if dep_name not in self.committed_names
-            and dep_attempt == attempts[dep_name]
+            for dep_name, dep_attempt in self.deps.get(txns[name].key, ())
+            if (dep := txns.get(dep_name)) is not None
+            and dep.attempt == dep_attempt
         }
-
-    def _break(self, cycle: list[str], cause: str) -> str:
-        """Roll back and return the youngest member of a waits-for
-        ``cycle``: the one place the sequencer breaks one.  As ever, only
-        a dependency cycle is reported as a ``deadlock`` event."""
-        victim = self.waits.victim(cycle)
-        self.deadlocks += 1
-        emit = self.network.emit
-        if emit and cause == "commit-dependency":
-            emit("deadlock", cycle=list(cycle), victim=victim, cause=cause)
-        self._abort([victim])
-        return victim
 
     # ------------------------------------------------------------------
 
@@ -822,7 +748,7 @@ class Sequencer:
     def _execute_rollback(self) -> None:
         victims = set(self.doomed)
         self.doomed.clear()
-        seeds = {(name, self.attempts[name]) for name in victims}
+        seeds = {self.txns[name].key for name in victims}
         emit = self.network.emit
         cascade = set(cascade_closure(
             self.log, dict.fromkeys(seeds, 0),
@@ -855,7 +781,7 @@ class Sequencer:
                 payload = {"entity": entity, "value": value, "uid": uid}
                 self._pending[uid] = ("undo", target, payload)
                 self._undo_outstanding.add(uid)
-                self._schedule_rexmit(uid, self.rexmit_delay)
+                self._schedule_rexmit(uid, REXMIT_DELAY)
                 self.network.send(
                     target, Message("undo", payload), source=self.name
                 )
@@ -871,15 +797,14 @@ class Sequencer:
         for key, record in self.log:
             if not record.is_read_only and key not in self.committed:
                 self.last_writer[record.entity] = key
-        for name, _attempt in sorted(cascade):
-            self.control.on_abort(name)
+        for name, old_attempt in sorted(cascade):
+            txn = self.txns[name]
+            self.scheduler.on_abort(txn)
             self.waits.done(name)
-            old_attempt = self.attempts[name]
-            self.attempts[name] += 1
-            self.progress.pop(name, None)
+            txn.restart()
             self.pending_commit.pop(name, None)
             self.deps.pop((name, old_attempt), None)
-            self._granted.pop(name, None)
+            self._settle(name)
             location = self.locations.get(name)
             if location is not None:
                 self.network.send(
@@ -937,21 +862,19 @@ class DistributedResult:
 
 
 class DistributedRuntime:
-    """Wire programs, entities and a control into a simulated cluster."""
+    """Wire programs, entities and a scheduler into a simulated cluster:
+    the sequencer hosts ``scheduler``, an engine concurrency control
+    (``repro.api.make_scheduler``) that no engine has run."""
 
     def __init__(
         self,
         programs: Iterable[TransactionProgram],
         initial_values: Mapping[str, Any],
-        control,
+        scheduler: Scheduler,
         nodes: int = 4,
-        latency: tuple[float, float] = (1.0, 3.0),
         seed: int = 0,
         arrivals: Mapping[str, float] | None = None,
-        retry_delay: float = 2.0,
-        backoff: float = 6.0,
         faults: FaultPlan | None = None,
-        rexmit_delay: float = 4.0,
         tracer=None,
         registry: MetricsRegistry | None = None,
         wal_dir: str | None = None,
@@ -974,8 +897,7 @@ class DistributedRuntime:
                         f"node {event.node!r}"
                     )
         self.network = Network(
-            latency=latency, seed=seed, faults=faults, tracer=tracer,
-            registry=registry,
+            seed=seed, faults=faults, tracer=tracer, registry=registry,
         )
         entity_owner = {
             entity: node_names[i % nodes]
@@ -990,16 +912,14 @@ class DistributedRuntime:
             program.name: arrivals.get(program.name, 0.0)
             for program in programs
         }
-        self.control = control
+        self.scheduler = scheduler
         self.sequencer = Sequencer(
             "sequencer",
             self.network,
-            control,
+            scheduler,
             entity_owner,
             origins,
             arrival_times,
-            backoff=backoff,
-            rexmit_delay=rexmit_delay,
             registry=registry,
         )
         self.nodes: list[DataNode] = []
@@ -1026,8 +946,6 @@ class DistributedRuntime:
                     node_entities,
                     node_programs,
                     entity_owner,
-                    retry_delay=retry_delay,
-                    rexmit_delay=rexmit_delay,
                     registry=registry,
                     wal_path=wal_path,
                     catalog={p.name: p for p in programs},
@@ -1072,10 +990,10 @@ class DistributedRuntime:
     def finish(self) -> DistributedResult:
         makespan = self.network.now
         seq = self.sequencer
-        if len(seq.committed_names) != len(self._programs):
+        if seq.commits != len(self._programs):
             raise NetworkError(
                 f"distributed run quiesced with only "
-                f"{len(seq.committed_names)}/{len(self._programs)} commits"
+                f"{seq.commits}/{len(self._programs)} commits"
             )
         records = [
             record for key, record in seq.log if key in seq.committed
@@ -1093,7 +1011,7 @@ class DistributedRuntime:
             aborts=seq.aborts,
             deadlocks=seq.deadlocks,
             node_count=len(self.nodes),
-            control=self.control.name,
+            control=self.scheduler.name,
             timers=self.network.timers_set,
             timers_by_kind=dict(self.network.timers_by_kind),
             faults=self.network.fault_summary(),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.model.programs import TransactionProgram
-from repro.model.steps import StepKind, StepRecord
+from repro.model.steps import StepRecord
 from repro.model.system import _LiveTransaction
 from repro.model.variables import EntityStore
 
@@ -45,10 +45,6 @@ class MigratingTransaction:
     @property
     def pending_entity(self) -> str | None:
         return self.live.pending.entity if self.live.pending else None
-
-    @property
-    def pending_kind(self) -> StepKind | None:
-        return self.live.pending.kind if self.live.pending else None
 
     @property
     def steps_taken(self) -> int:

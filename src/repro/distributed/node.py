@@ -3,7 +3,9 @@
 A node parks migrating transactions that arrive for one of its entities,
 asks the sequencer for permission, performs granted steps on its local
 store, and reports each performed step (shipping the transaction state
-onward through the sequencer, which routes it to the next owner).
+onward through the sequencer, which routes it to the next owner).  A
+grant names the grant on its entity it must perform behind, so each
+entity's steps perform in the order the sequencer granted them.
 
 Under a fault plan (``network.reliable``) the node speaks an
 at-least-once protocol: every performed-report carries a per-node
@@ -36,6 +38,12 @@ from repro.obs.registry import MetricsRegistry
 
 __all__ = ["DataNode"]
 
+#: How long a denied transaction waits before asking again.
+RETRY_DELAY = 2.0
+#: The first retransmit interval of an unacknowledged message; each
+#: retransmit doubles it, up to eight times this.
+REXMIT_DELAY = 4.0
+
 
 class DataNode:
     """One processor: local entities plus home transactions."""
@@ -48,8 +56,6 @@ class DataNode:
         entities: dict[str, object],
         home_programs: dict[str, TransactionProgram],
         entity_owner: dict[str, str],
-        retry_delay: float = 2.0,
-        rexmit_delay: float = 4.0,
         registry: MetricsRegistry | None = None,
         wal_path: str | None = None,
         catalog: dict[str, TransactionProgram] | None = None,
@@ -67,9 +73,7 @@ class DataNode:
         # The placement catalog: every processor knows which node owns
         # which entity (how [RSL] transactions know where to migrate).
         self.entity_owner = dict(entity_owner)
-        self.retry_delay = retry_delay
-        self.rexmit_delay = rexmit_delay
-        self.rexmit_cap = rexmit_delay * 8
+        self.rexmit_cap = REXMIT_DELAY * 8
         self.reliable = network.reliable
         # Keyed by (name, attempt): under at-least-once delivery a stale
         # ghost of an old attempt may transiently coexist with the live
@@ -82,6 +86,11 @@ class DataNode:
         self._route_unacked: dict[str, dict] = {}
         self._recover_pending: str | None = None
         self._uid_n = 0
+        # Per local entity, the last grant performed on it, and grants
+        # that arrived before the grant they must perform behind (keyed
+        # by that grant): the sequencer's issue order, restored.
+        self._last_grant: dict[str, tuple[str, int, int]] = {}
+        self._held: dict[tuple[str, int, int], dict] = {}
         # --- durable state (survives crashes: the write-ahead log) ---
         self._psn = 0
         self._performed_unacked: dict[str, dict] = {}
@@ -221,6 +230,8 @@ class DataNode:
         self._launched.clear()
         self._route_unacked.clear()
         self._recover_pending = None
+        self._last_grant.clear()
+        self._held.clear()
 
     def _on_recover_event(self) -> None:
         """Reboot: announce the durable log tail to the sequencer so it
@@ -245,7 +256,7 @@ class DataNode:
         self._rexmit(
             "rexmit-recovered",
             {"uid": self._recover_pending},
-            delay if delay is not None else self.rexmit_delay,
+            delay if delay is not None else REXMIT_DELAY,
         )
 
     def _on_rexmit_recovered(self, payload: dict) -> None:
@@ -267,11 +278,9 @@ class DataNode:
         return {
             "name": txn.name,
             "attempt": txn.attempt,
-            "entity": txn.pending_entity,
-            "kind": txn.pending_kind,
+            "access": txn.live.pending,
             "node": self.name,
             "steps_taken": txn.steps_taken,
-            "cut_levels": txn.cut_levels,
             "epoch": self._crash_epoch,
         }
 
@@ -291,7 +300,7 @@ class DataNode:
             self._rexmit(
                 "rexmit-request",
                 {"name": txn.name, "attempt": txn.attempt, "epoch": epoch},
-                self.rexmit_delay,
+                REXMIT_DELAY,
             )
 
     def _on_rexmit_request(self, payload: dict) -> None:
@@ -356,7 +365,7 @@ class DataNode:
                         }
                     ),
                 })
-            self._rexmit("rexmit-performed", {"uid": uid}, self.rexmit_delay)
+            self._rexmit("rexmit-performed", {"uid": uid}, REXMIT_DELAY)
         self.network.send(
             self.sequencer, Message("performed", payload), source=self.name
         )
@@ -405,7 +414,7 @@ class DataNode:
                 self.network.send(
                     self.sequencer, Message("route", payload), source=self.name
                 )
-                self._rexmit("rexmit-route", {"uid": uid}, self.rexmit_delay)
+                self._rexmit("rexmit-route", {"uid": uid}, REXMIT_DELAY)
             else:
                 self.network.send(
                     self.entity_owner[entity],
@@ -499,10 +508,19 @@ class DataNode:
         txn = self.parked.get(key)
         if txn is None:
             return  # stale grant for a rolled-back or moved-on attempt
-        if "steps" in payload and payload["steps"] != txn.steps_taken:
+        if payload["steps"] != txn.steps_taken:
             return  # duplicate grant for an earlier step of this attempt
+        entity = txn.pending_entity
+        after = payload["after"]
+        if after is not None and self._last_grant.get(entity) != after:
+            # An earlier grant on this entity has not performed here yet
+            # (the network reordered or lost it): perform behind it.
+            self._held[after] = payload
+            return
         del self.parked[key]
         self._req_epoch.pop(key, None)
+        grant = (txn.name, txn.attempt, txn.steps_taken)
+        self._last_grant[entity] = grant
         record = txn.perform(self.store)
         self.performs += 1
         emit = self.network.emit
@@ -521,6 +539,9 @@ class DataNode:
         # Ship the state onward through the sequencer, which updates its
         # global picture and routes the transaction to the next owner.
         self._ship_performed(txn, record)
+        held = self._held.pop(grant, None)
+        if held is not None:
+            self._on_grant(held)
 
     def _on_deny(self, payload: dict) -> None:
         key = (payload["name"], payload["attempt"])
@@ -538,7 +559,7 @@ class DataNode:
             self.name,
             Message("retry", {"name": payload["name"],
                               "attempt": payload["attempt"]}),
-            delay=self.retry_delay,
+            delay=RETRY_DELAY,
             timer=True,
         )
 

@@ -267,7 +267,7 @@ def recover(
     )
     if snap is not None:
         engine.retire(count, wal.records, committed)
-        engine.restore_state(snap["state"], engine.records, deep=False)
+        engine.restore_state(snap["state"], engine.records)
         engine.tracer.restore_state(snap["tracer"])
     # Entities declared by ingests the restored state does not cover
     # (all of them when replaying from genesis — declare is idempotent

@@ -636,7 +636,7 @@ class EngineWal:
             tick=engine.tick,
             wal_offset=self.log.tell(),
             commits=count,
-            state=engine.snapshot_state(deep=False),
+            state=engine.snapshot_state(),
             tracer=engine.tracer.snapshot_state(),
             nest=nest,
             adds={

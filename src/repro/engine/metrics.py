@@ -21,7 +21,7 @@ from outside (:mod:`repro.obs.profile`).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.obs.histogram import Histogram
 
@@ -63,6 +63,15 @@ class Metrics:
     wait_histogram: Histogram = field(default_factory=Histogram)
 
     # ------------------------------------------------------------------
+
+    def copy(self) -> "Metrics":
+        """A copy sharing no mutable part with this one."""
+        return replace(
+            self,
+            detail=Counter(self.detail),
+            latency_histogram=self.latency_histogram.copy(),
+            wait_histogram=self.wait_histogram.copy(),
+        )
 
     def record_commit(self, latency: int, waited: int = 0) -> None:
         self.commits += 1

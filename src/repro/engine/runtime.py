@@ -27,7 +27,6 @@ cascade bugs cannot silently corrupt experiment results.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import io
 import math
@@ -1248,7 +1247,7 @@ class Engine:
     # durability snapshots
     # ------------------------------------------------------------------
 
-    def snapshot_state(self, deep: bool = True) -> dict[str, Any]:
+    def snapshot_state(self) -> dict[str, Any]:
         """A picklable copy of the live dynamic state.
 
         Restoring it, with the committed log it names, onto a freshly
@@ -1263,14 +1262,9 @@ class Engine:
         ``commits``, how many records of :attr:`records` it covers, so
         its size follows the in-flight window, not the history.
 
-        ``deep=False`` skips the final defensive deep copy.  Every
-        container in the dict is freshly built and step records are
-        immutable, so the only live object a shallow snapshot would
-        alias is ``metrics`` — which is copied one level regardless.
-        Nested metrics structures may still alias the engine's; callers
-        that pickle the state at once (a durability snapshot) or never
-        read its telemetry (the audit explorer forks thousands of times
-        per second) opt in for speed.
+        Every container in the dict is freshly built (``metrics`` by
+        :meth:`Metrics.copy`) and step records are immutable, so the
+        snapshot shares nothing the engine goes on mutating.
         """
         txns = [
             {
@@ -1292,7 +1286,7 @@ class Engine:
             "timestamp": self._timestamp,
             "refused": sorted(self._refused),
             "rng": self.rng.getstate(),
-            "metrics": self.metrics,
+            "metrics": self.metrics.copy(),
             "store": self.store.snapshot_state(),
             "txns": txns,
             "live_log": [
@@ -1305,18 +1299,12 @@ class Engine:
             "waits": list(self.waits.waits.items()),
             "scheduler": self.scheduler.snapshot_state(),
         }
-        # Deep-copied so the snapshot cannot alias state the engine will
-        # keep mutating (records are shared immutably within the copy).
-        if deep:
-            return copy.deepcopy(state)
-        state["metrics"] = copy.copy(self.metrics)
         return state
 
     def restore_state(
         self,
         state: dict[str, Any],
         records: Sequence[bytes],
-        deep: bool = True,
         programs: Mapping[str, TransactionProgram] | None = None,
     ) -> None:
         """Restore a :meth:`snapshot_state` dict onto this freshly
@@ -1330,11 +1318,9 @@ class Engine:
         staying in its records file (recovery retires what the records
         file holds, then restores onto it).
 
-        ``deep=False`` installs from ``state`` without the defensive
-        deep copy; every field is rebuilt into fresh containers below
-        (``metrics`` is copied one level), so the caller's dict is never
-        mutated through the engine — the symmetric fast path to
-        ``snapshot_state(deep=False)``.
+        Every field is rebuilt into fresh containers, so the engine
+        never mutates ``state`` and one dict can be restored onto any
+        number of engines.
 
         A commit drops its transaction's program.  Restoring an engine
         that has committed past the snapshot (the audit explorer reuses
@@ -1343,8 +1329,6 @@ class Engine:
         and a missing one is an :class:`EngineError` raised before
         anything is restored.
         """
-        if deep:
-            state = copy.deepcopy(state)
         count = state["commits"]
         if len(records) < count:
             raise EngineError(
@@ -1391,9 +1375,7 @@ class Engine:
         self._timestamp = state["timestamp"]
         self._refused = set(state["refused"])
         self.rng.setstate(state["rng"])
-        self.metrics = (
-            state["metrics"] if deep else copy.copy(state["metrics"])
-        )
+        self.metrics = state["metrics"].copy()
         self.store.restore_state(state["store"])
         if records is self._records:
             keep = count - self._retired
@@ -1443,7 +1425,7 @@ class Engine:
         self._last_writer = {
             entity: tuple(key) for entity, key in state["last_writer"]
         }
-        self.waits.waits = dict(state["waits"])
+        self.waits.waits = {name: list(row) for name, row in state["waits"]}
         self.scheduler.restore_state(state["scheduler"])
 
     # ------------------------------------------------------------------

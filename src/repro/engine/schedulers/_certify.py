@@ -9,8 +9,8 @@ the window — permanently, since committed steps never leave.
 The fix is an induction invariant: **no transaction commits while the
 window's closure is cyclic.**  ``certify_commit`` re-checks the closure
 when a finished transaction asks to commit and, on a cycle, rolls back a
-victim that :func:`certify_victim` picks — the rule the distributed
-sequencer's certification uses too.
+victim that :func:`certify_victim` picks — on the engine and, through
+the scheduler it hosts, on the distributed sequencer alike.
 
 A witness cycle may consist purely of committed steps.  By the invariant
 the committed part of the window is acyclic, so such a cycle is justified

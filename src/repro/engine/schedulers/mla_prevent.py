@@ -73,7 +73,11 @@ class MLAPreventScheduler(Scheduler):
         if not acyclic:
             # Performing now would close a cycle outright; wait for the
             # transactions on that cycle to advance (their segments close
-            # at breakpoints, dissolving the retroactive edges).
+            # at breakpoints, dissolving the retroactive edges).  With no
+            # uncommitted owner on it, wait for any active transaction
+            # with a step in the window; one with none cannot dissolve
+            # the cycle.  With no such transaction either, the step
+            # performs and is rolled back as a prevention miss.
             return {
                 owner
                 for owner in cycle_owners
@@ -83,6 +87,7 @@ class MLAPreventScheduler(Scheduler):
                 other.name
                 for other in self.engine.active_states()
                 if other.name != txn.name
+                and self.window.last_step_of(other.name) is not None
             }
         blockers: set[str] = set()
         for other in self.engine.arrived_states():

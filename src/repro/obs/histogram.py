@@ -46,6 +46,9 @@ class Histogram:
         if value > self.max:
             self.max = value
 
+    def copy(self) -> "Histogram":
+        return Histogram().merge(self)
+
     def merge(self, other: "Histogram") -> "Histogram":
         for i, n in enumerate(other.counts):
             self.counts[i] += n

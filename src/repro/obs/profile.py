@@ -37,13 +37,12 @@ __all__ = ["PHASES", "PhaseProfiler"]
 PHASES = ("schedule", "closure", "rollback", "certify", "network")
 
 #: What :meth:`PhaseProfiler.install` times, as ``(attribute, phase)``:
-#: on an engine's scheduler, on a sequencer's control, on a window.
+#: on the scheduler an engine or a sequencer hosts, and on its window.
 _SCHEDULER_HOOKS = (
     ("on_request", "schedule"),
     ("after_performed", "schedule"),
     ("may_commit", "certify"),
 )
-_CONTROL_HOOKS = (("decide", "schedule"), ("certify_commit", "certify"))
 _WINDOW_CALLS = (("_recompute", "closure"), ("_extend", "closure"))
 
 #: Marks an attribute the instance did not hold itself before a swap.
@@ -95,27 +94,25 @@ class PhaseProfiler:
     def install(self, owner) -> "PhaseProfiler":
         """Time ``owner``'s phase callables until :meth:`uninstall`.
 
-        For an engine, its scheduler's hooks and its ``_rollback``; for
-        a distributed runtime (it has a ``sequencer``), every network
-        handler, the control's hooks and the sequencer's
-        ``_execute_rollback``; for either, the control's closure window
-        if it has one.  Each proxy goes in on the instance, over
+        For either owner, its scheduler's hooks and the scheduler's
+        closure window if it has one; for an engine, its ``_rollback``;
+        for a distributed runtime (it has a ``sequencer``), every
+        network handler and the sequencer's ``_execute_rollback``.  Each proxy goes in on the instance, over
         whatever the instance held (another proxy included)."""
         if self._undo is not None:
             raise SpecificationError("the phase profiler is already installed")
         self._undo = []
         sequencer = getattr(owner, "sequencer", None)
         if sequencer is None:
-            control, hooks = owner.scheduler, _SCHEDULER_HOOKS
             self._swap(owner, (("_rollback", "rollback"),))
         else:
-            control, hooks = sequencer.control, _CONTROL_HOOKS
             self._swap(sequencer, (("_execute_rollback", "rollback"),))
             handlers = owner.network._handlers
             for target, handler in list(handlers.items()):
                 self._wrap(handlers, target, handler, "network")
-        self._swap(control, hooks)
-        window = getattr(control, "window", None)
+        scheduler = owner.scheduler
+        self._swap(scheduler, _SCHEDULER_HOOKS)
+        window = getattr(scheduler, "window", None)
         if window is not None:
             self._swap(window, _WINDOW_CALLS)
         return self

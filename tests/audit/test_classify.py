@@ -62,13 +62,13 @@ EXPECTED = {
     # reads it, and t3 reads z before t2 writes it.  All three share a
     # strongly connected component, so serializability indicts t3 too;
     # removing the rogue pair's own cycle first would have cleared it.
-    # The multilevel axis still blames by removal: its witness names
-    # only t1 and t2, and t3 alone is correctable.  t3 writes nothing,
-    # so first committer wins has nothing against it.
+    # No nest is declared, so the multilevel axis is serializability
+    # and indicts t3 as well.  t3 writes nothing, so first committer
+    # wins has nothing against it.
     "cycle-bystander": {
         "t1": (False, False, True),
         "t2": (False, False, False),
-        "t3": (True, False, True),
+        "t3": (False, False, True),
     },
 }
 

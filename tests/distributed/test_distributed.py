@@ -6,15 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import SCHEDULER_FACTORIES, make_scheduler
 from repro.core import check_correctability
-from repro.distributed import (
-    DistributedLockControl,
-    DistributedPreventControl,
-    DistributedRuntime,
-    Message,
-    Network,
-    NoControl,
-)
+from repro.distributed import DistributedRuntime, Message, Network
+from repro.engine import MLAPreventScheduler, Scheduler, TwoPhaseLockingScheduler
 from repro.errors import NetworkError
 from repro.workloads import BankingConfig, BankingWorkload
 
@@ -81,13 +76,10 @@ class TestNetwork:
 
 class TestRuntime:
     def test_all_controls_commit_everything(self, bank):
-        for control in (
-            NoControl(),
-            DistributedLockControl(),
-            DistributedPreventControl(bank.nest),
-        ):
+        for name in SCHEDULER_FACTORIES:
             runtime = DistributedRuntime(
-                bank.programs, bank.accounts, control, nodes=3, seed=2
+                bank.programs, bank.accounts,
+                make_scheduler(name, bank.nest), nodes=3, seed=2,
             )
             result = runtime.run()
             assert result.commits == len(bank.programs)
@@ -98,7 +90,7 @@ class TestRuntime:
             runtime = DistributedRuntime(
                 bank.programs,
                 bank.accounts,
-                DistributedPreventControl(bank.nest),
+                MLAPreventScheduler(bank.nest),
                 nodes=4,
                 seed=seed,
             )
@@ -114,7 +106,7 @@ class TestRuntime:
             runtime = DistributedRuntime(
                 bank.programs,
                 bank.accounts,
-                DistributedLockControl(),
+                TwoPhaseLockingScheduler(),
                 nodes=4,
                 seed=seed,
             )
@@ -128,7 +120,7 @@ class TestRuntime:
         broken = 0
         for seed in range(8):
             runtime = DistributedRuntime(
-                bank.programs, bank.accounts, NoControl(), nodes=4, seed=seed
+                bank.programs, bank.accounts, Scheduler(), nodes=4, seed=seed
             )
             result = runtime.run()
             report = check_correctability(
@@ -142,7 +134,7 @@ class TestRuntime:
         runtime = DistributedRuntime(
             bank.programs,
             bank.accounts,
-            DistributedPreventControl(bank.nest),
+            MLAPreventScheduler(bank.nest),
             nodes=1,
             seed=0,
         )
@@ -151,7 +143,7 @@ class TestRuntime:
 
     def test_entity_placement_spreads(self, bank):
         runtime = DistributedRuntime(
-            bank.programs, bank.accounts, NoControl(), nodes=3, seed=0
+            bank.programs, bank.accounts, Scheduler(), nodes=3, seed=0
         )
         sizes = [len(node.store.entities) for node in runtime.nodes]
         assert all(size > 0 for size in sizes)
@@ -165,7 +157,7 @@ class TestRuntime:
         result = DistributedRuntime(
             bank.programs,
             bank.accounts,
-            DistributedPreventControl(bank.nest),
+            MLAPreventScheduler(bank.nest),
             nodes=3,
             seed=3,
         ).run()
@@ -176,7 +168,7 @@ class TestRuntime:
 
     def test_node_count_in_result(self, bank):
         result = DistributedRuntime(
-            bank.programs, bank.accounts, NoControl(), nodes=5, seed=0
+            bank.programs, bank.accounts, Scheduler(), nodes=5, seed=0
         ).run()
         assert result.node_count == 5
         assert result.summary()["nodes"] == 5
@@ -189,7 +181,7 @@ def test_prevention_correctable_across_seeds(seed, nodes):
     runtime = DistributedRuntime(
         bank.programs,
         bank.accounts,
-        DistributedPreventControl(bank.nest),
+        MLAPreventScheduler(bank.nest),
         nodes=nodes,
         seed=seed,
     )
@@ -205,22 +197,23 @@ _HASH_SEED_RUNS = {
     # The prevent control built its wait-for graph by iterating a raw
     # set of transaction names; under hash seed 6 the run livelocked.
     "prevent-waits": (
-        "from repro.distributed import DistributedPreventControl, "
-        "DistributedRuntime\n"
+        "from repro.distributed import DistributedRuntime\n"
+        "from repro.engine import MLAPreventScheduler\n"
         "w = BankingWorkload(BankingConfig(families=2, transfers=4, "
         "bank_audits=1, creditor_audits=1, seed=0))\n"
         "r = DistributedRuntime(w.programs, w.accounts, "
-        "DistributedPreventControl(w.nest), nodes=3, seed=0).run()\n"
+        "MLAPreventScheduler(w.nest), nodes=3, seed=0).run()\n"
         "print(json.dumps([r.makespan, r.commits, r.aborts, r.messages]))\n",
         ("1", "6"),
     ),
     # The sequencer's commit-dependency graph iterated a set of
     # ``(name, attempt)`` pairs (makespan 331.76 vs 511.01).
     "sequencer-deps": (
-        "from repro.distributed import DistributedRuntime, NoControl\n"
+        "from repro.distributed import DistributedRuntime\n"
+        "from repro.engine import Scheduler\n"
         "w = BankingWorkload(BankingConfig(families=3, accounts_per_family=2, "
         "transfers=12, bank_audits=1, creditor_audits=1, seed=4))\n"
-        "r = DistributedRuntime(w.programs, w.accounts, NoControl(), "
+        "r = DistributedRuntime(w.programs, w.accounts, Scheduler(), "
         "nodes=3, seed=4).run()\n"
         "print(json.dumps([r.makespan, r.commits, r.aborts, r.messages]))\n",
         ("0", "3"),

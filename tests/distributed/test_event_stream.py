@@ -1,16 +1,23 @@
-"""The distributed runtime's event stream and registry against goldens
-the parent commit wrote.
+"""The distributed runtime's event stream and registry against goldens.
 
 ``Network.emit`` is the runtime's one emission point and every series
 of its registry is set by a source when the registry is read.  The
-goldens pin what the flight recorder and the registry held *before*
-that rewrite, when each site spelled ``tr = ...tracer; if tr.enabled:
-tr.emit(kind, now, ...)`` and each count was pushed into a registry
-child beside the attribute that already kept it (the nodes' into
-private registries the runtime folded on request): every event — kind,
-time, data, order — and the JSON snapshot of the registry, for one
-fault-free and one faulty banking run per control.  Phase *seconds* are
-wall time and left out; phase *calls* are counts and stay.
+goldens pin every event — kind, time, data, order — and the JSON
+snapshot of the registry, for one fault-free and one faulty banking run
+per scheduler the sequencer hosts.  Phase *seconds* are wall time and
+left out; phase *calls* are counts and stay.
+
+They were re-recorded when the sequencer began to host the engine's
+schedulers instead of its own copies of three of them.  Against the
+goldens before that, the ``none`` and ``2pl`` runs and the fault-free
+``mla-prevent`` run keep every event once the scheduler kinds now
+emitted (``lock.*``, ``closure.check``, ``breakpoint.wait``, ...) are
+left out, and every message count; their registries gain only the
+hosted scheduler's series and differ in phase call counts.  The faulty
+``none`` and ``mla-prevent`` runs move at 11.7, where a grant is now
+performed behind the earlier grant on its entity that the network lost,
+and ``mla-prevent``'s also where a requester with nothing to wait for
+performs and is rolled back instead of aborting before its grant.
 
 Regenerate — only ever from a commit whose behaviour is the reference —
 with ``PYTHONPATH=<that checkout>/src python
@@ -25,14 +32,12 @@ import os
 
 import pytest
 
+from repro.api import SCHEDULER_FACTORIES, make_scheduler
 from repro.distributed import (
     CrashEvent,
-    DistributedLockControl,
-    DistributedPreventControl,
     DistributedRuntime,
     FaultPlan,
     LinkFaults,
-    NoControl,
 )
 from repro.obs import MetricsRegistry, PhaseProfiler, RingTracer, json_snapshot
 from repro.obs.events import event_to_dict
@@ -57,11 +62,8 @@ FAULTS = FaultPlan(
     crashes=(CrashEvent("node1", at=12.0, duration=10.0),),
     seed=5,
 )
-CONTROLS = {
-    "none": lambda nest: NoControl(),
-    "2pl": lambda nest: DistributedLockControl(),
-    "mla-prevent": lambda nest: DistributedPreventControl(nest),
-}
+#: Every scheduler the sequencer can host.
+CONTROLS = sorted(SCHEDULER_FACTORIES)
 PLANS = {"clean": None, "faulty": FAULTS}
 
 
@@ -72,7 +74,7 @@ def build_cluster(control: str, plan: str):
     registry = MetricsRegistry()
     runtime = DistributedRuntime(
         workload.programs, workload.accounts,
-        CONTROLS[control](workload.nest), nodes=3, seed=SEED,
+        make_scheduler(control, workload.nest), nodes=3, seed=SEED,
         faults=PLANS[plan], tracer=tracer, registry=registry,
     )
     profiler = PhaseProfiler().install(runtime)
@@ -112,7 +114,7 @@ GOLDEN = _load_golden() if __name__ != "__main__" else {}
 
 
 @pytest.mark.parametrize("plan", sorted(PLANS))
-@pytest.mark.parametrize("control", sorted(CONTROLS))
+@pytest.mark.parametrize("control", CONTROLS)
 def test_recorder_and_registry_hold_what_the_parent_wrote(control, plan):
     golden = GOLDEN[f"{control}:{plan}"]
     # Through JSON, as the golden went: tuples become lists, int keys
@@ -156,7 +158,7 @@ def test_matrix_exercises_every_distributed_kind():
 def write_golden(run=run_cluster) -> None:
     golden = {
         f"{control}:{plan}": run(control, plan)
-        for control in sorted(CONTROLS)
+        for control in CONTROLS
         for plan in sorted(PLANS)
     }
     with open(GOLDEN_PATH, "wb") as raw:

@@ -11,20 +11,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SCHEDULER_FACTORIES, make_scheduler
 from repro.core import check_correctability
 from repro.core.nests import KNest
 from repro.distributed import (
     CrashEvent,
-    DistributedLockControl,
-    DistributedPreventControl,
     DistributedRuntime,
     FaultPlan,
     LinkFaults,
     Message,
     Network,
-    NoControl,
     Partition,
 )
+from repro.engine import MLAPreventScheduler, Scheduler, TwoPhaseLockingScheduler
 from repro.errors import NetworkError
 from repro.workloads import BankingConfig, BankingWorkload
 from repro.workloads.banking import transfer_program
@@ -48,11 +47,15 @@ def bank():
     ))
 
 
-def run_bank(bank, control, faults=None, seed=2, nodes=3):
+def run_bank(bank, scheduler, faults=None, seed=2, nodes=3):
     return DistributedRuntime(
-        bank.programs, bank.accounts, control, nodes=nodes, seed=seed,
+        bank.programs, bank.accounts, scheduler, nodes=nodes, seed=seed,
         faults=faults,
     ).run()
+
+
+#: Every scheduler but ``none``.
+ADMISSION = [name for name in SCHEDULER_FACTORIES if name != "none"]
 
 
 class TestFaultPlanSurface:
@@ -99,7 +102,7 @@ class TestFaultPlanSurface:
         plan = FaultPlan(crashes=(CrashEvent("sequencer", 5.0, 5.0),))
         with pytest.raises(NetworkError, match="uncrashable"):
             DistributedRuntime(
-                bank.programs, bank.accounts, NoControl(), nodes=2,
+                bank.programs, bank.accounts, Scheduler(), nodes=2,
                 faults=plan,
             )
 
@@ -128,7 +131,7 @@ class TestTimerAccounting:
         assert seen == ["data", "tick"]
 
     def test_distributed_run_reports_timer_split(self, bank):
-        result = run_bank(bank, DistributedLockControl())
+        result = run_bank(bank, TwoPhaseLockingScheduler())
         assert result.timers == sum(result.timers_by_kind.values())
         # Wire kinds and timer kinds are disjoint vocabularies.
         assert not set(result.timers_by_kind) & set(result.messages_by_kind)
@@ -138,13 +141,11 @@ class TestZeroFaultDifferential:
     def test_inactive_plan_bit_identical(self, bank):
         """faults=FaultPlan() (all rates zero, no crashes) must leave
         behavior and message counts identical to faults=None."""
-        for factory in (
-            NoControl,
-            DistributedLockControl,
-            lambda: DistributedPreventControl(bank.nest),
-        ):
-            base = run_bank(bank, factory())
-            dressed = run_bank(bank, factory(), faults=FaultPlan())
+        for name in SCHEDULER_FACTORIES:
+            base = run_bank(bank, make_scheduler(name, bank.nest))
+            dressed = run_bank(
+                bank, make_scheduler(name, bank.nest), faults=FaultPlan()
+            )
             assert dressed.results == base.results
             assert dressed.makespan == base.makespan
             assert dressed.messages == base.messages
@@ -154,29 +155,29 @@ class TestZeroFaultDifferential:
             assert dressed.aborts == base.aborts
 
     def test_inactive_plan_reports_no_faults(self, bank):
-        result = run_bank(bank, NoControl(), faults=FaultPlan())
+        result = run_bank(bank, Scheduler(), faults=FaultPlan())
         assert all(v == 0 for v in result.faults.values())
         assert result.recoveries == 0
 
 
 class TestFaultyRuns:
     def test_link_faults_masked(self, bank):
-        base = run_bank(bank, DistributedLockControl())
+        base = run_bank(bank, TwoPhaseLockingScheduler())
         plan = FaultPlan(
             default=LinkFaults(drop=0.15, duplicate=0.15, reorder=0.15),
             seed=5,
         )
-        result = run_bank(bank, DistributedLockControl(), faults=plan)
+        result = run_bank(bank, TwoPhaseLockingScheduler(), faults=plan)
         assert result.commits == len(bank.programs)
         assert result.results == base.results
         assert result.faults["dropped"] > 0
         assert result.faults["duplicated"] > 0
 
     def test_crash_recovery_masked(self, bank):
-        base = run_bank(bank, DistributedPreventControl(bank.nest))
+        base = run_bank(bank, MLAPreventScheduler(bank.nest))
         plan = FaultPlan(crashes=(CrashEvent("node1", 25.0, 30.0),), seed=3)
         result = run_bank(
-            bank, DistributedPreventControl(bank.nest), faults=plan
+            bank, MLAPreventScheduler(bank.nest), faults=plan
         )
         assert result.commits == len(bank.programs)
         assert result.recoveries == 1
@@ -189,12 +190,12 @@ class TestFaultyRuns:
         assert not bank.invariant_violations(result)
 
     def test_partition_masked(self, bank):
-        base = run_bank(bank, DistributedLockControl())
+        base = run_bank(bank, TwoPhaseLockingScheduler())
         plan = FaultPlan(
             partitions=(Partition("node0", "sequencer", 10.0, 20.0),),
             seed=0,
         )
-        result = run_bank(bank, DistributedLockControl(), faults=plan)
+        result = run_bank(bank, TwoPhaseLockingScheduler(), faults=plan)
         assert result.commits == len(bank.programs)
         assert result.faults["severed"] > 0
         assert result.results == base.results
@@ -202,21 +203,20 @@ class TestFaultyRuns:
     @pytest.mark.parametrize("rate", [0.1, 0.2])
     @pytest.mark.parametrize("fseed", range(3))
     def test_sweep_all_controls_identical_results(self, bank, rate, fseed):
-        """The E14 acceptance bar: every control terminates, the checker
-        accepts every committed execution, and committed results equal
-        the zero-fault run — at drop/dup/reorder up to 20% plus a node
-        crash on every run."""
+        """The E14 acceptance bar: under every admission control the
+        run terminates, the checker accepts every committed execution,
+        and committed results equal the zero-fault run — at
+        drop/dup/reorder up to 20% plus a node crash on every run."""
         plan = FaultPlan(
             default=LinkFaults(drop=rate, duplicate=rate, reorder=rate),
             crashes=(CrashEvent("node1", 25.0, 30.0),),
             seed=fseed,
         )
-        for factory in (
-            DistributedLockControl,
-            lambda: DistributedPreventControl(bank.nest),
-        ):
-            base = run_bank(bank, factory())
-            result = run_bank(bank, factory(), faults=plan)
+        for name in ADMISSION:
+            base = run_bank(bank, make_scheduler(name, bank.nest))
+            result = run_bank(
+                bank, make_scheduler(name, bank.nest), faults=plan
+            )
             assert result.commits == len(bank.programs)
             assert result.results == base.results
             report = check_correctability(
@@ -244,7 +244,7 @@ class TestFaultyRuns:
             seed=1,
         )
         result = DistributedRuntime(
-            programs, accounts, NoControl(), nodes=3, seed=2, faults=plan
+            programs, accounts, Scheduler(), nodes=3, seed=2, faults=plan
         ).run()
         assert result.results == {f"t{i}": 25 for i in range(4)}
         report = check_correctability(
@@ -277,8 +277,7 @@ class TestWaitOnFinishedOwner:
         workload = BankingWorkload(self.CONFIG)
         runtime = DistributedRuntime(
             workload.programs, workload.accounts,
-            DistributedPreventControl(workload.nest)
-            if control == "mla-prevent" else DistributedLockControl(),
+            make_scheduler(control, workload.nest),
             nodes=3, seed=1, faults=self.PLAN,
         )
         runtime.network.max_events = 20_000
@@ -289,3 +288,51 @@ class TestWaitOnFinishedOwner:
         )
         assert report.correctable
         assert workload.invariant_violations(result) == []
+
+
+class TestHostedSchedulerUnderFaults:
+    """Runs that went wrong once the sequencer hosted every scheduler."""
+
+    def test_an_entity_performs_its_grants_in_issue_order(self, bank):
+        """``timestamp`` marks an entity when it grants a step.  Under
+        this plan a grant is lost and a younger transaction's grant on
+        the same entity performs first, and the checker rejected the
+        history until each grant named the one it must perform behind."""
+        plan = FaultPlan(
+            default=LinkFaults(drop=0.2, duplicate=0.2, reorder=0.2),
+            crashes=(CrashEvent("node1", 25.0, 30.0),),
+            seed=9,
+        )
+        base = run_bank(bank, make_scheduler("timestamp", bank.nest), seed=0)
+        result = run_bank(
+            bank, make_scheduler("timestamp", bank.nest), faults=plan, seed=0
+        )
+        assert result.results == base.results
+        report = check_correctability(
+            result.spec(bank.nest), result.execution.dependency_edges()
+        )
+        assert report.correctable
+        assert not bank.invariant_violations(result)
+
+    def test_prevention_waits_only_on_transactions_with_steps(self, bank):
+        """A requester whose hypothetical step closes a cycle with no
+        uncommitted owner once waited for every active transaction, one
+        that had just restarted included; that one then waited for the
+        requester, lost the cycle as the younger, and restarted again,
+        forever."""
+        plan = FaultPlan(
+            default=LinkFaults(drop=0.35, duplicate=0.35, reorder=0.35),
+            crashes=(CrashEvent("node1", 25.0, 30.0),),
+            seed=10,
+        )
+        runtime = DistributedRuntime(
+            bank.programs, bank.accounts, MLAPreventScheduler(bank.nest),
+            nodes=3, seed=1, faults=plan,
+        )
+        runtime.network.max_events = 20_000
+        result = runtime.run()
+        assert result.commits == len(bank.programs)
+        report = check_correctability(
+            result.spec(bank.nest), result.execution.dependency_edges()
+        )
+        assert report.correctable

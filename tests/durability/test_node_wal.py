@@ -5,14 +5,11 @@ from __future__ import annotations
 
 import os
 
-from repro.distributed import (
-    DistributedLockControl,
-    DistributedRuntime,
-    Network,
-)
+from repro.distributed import DistributedRuntime, Network
 from repro.distributed.faults import CrashEvent, FaultPlan
 from repro.distributed.node import DataNode
 from repro.durability.wal import LogFile, frame_record
+from repro.engine import TwoPhaseLockingScheduler
 from repro.workloads import BankingConfig, BankingWorkload
 
 
@@ -20,7 +17,7 @@ def _run_cluster(wal_dir: str):
     bank = BankingWorkload(BankingConfig(families=3, transfers=4, seed=7))
     plan = FaultPlan(crashes=(CrashEvent("node1", at=8.0, duration=6.0),))
     runtime = DistributedRuntime(
-        bank.programs, bank.accounts, DistributedLockControl(),
+        bank.programs, bank.accounts, TwoPhaseLockingScheduler(),
         nodes=3, seed=2, faults=plan, wal_dir=wal_dir,
     )
     result = runtime.run()
@@ -127,7 +124,7 @@ class TestNodeWalReplay:
 
         def run(wal_dir):
             runtime = DistributedRuntime(
-                bank.programs, bank.accounts, DistributedLockControl(),
+                bank.programs, bank.accounts, TwoPhaseLockingScheduler(),
                 nodes=3, seed=2, faults=plan, wal_dir=wal_dir,
             )
             return runtime.run()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import check_correctability
-from repro.engine import Engine, Scheduler, SerialScheduler
+from repro.engine import Engine, MLADetectScheduler, Scheduler, SerialScheduler
 from repro.errors import EngineError
 from repro.model import TransactionProgram, read, update, write
 from tests.engine.conftest import audit, transfer
@@ -190,6 +190,43 @@ class TestRestoreAfterRelease:
             snapshot, running.records, programs={p.name: p for p in programs}
         )
         assert running.run().history_digest() == reference
+
+
+class TestOneSnapshotForm:
+    def test_one_snapshot_restores_onto_two_engines(
+        self, bank_programs, bank_nest
+    ):
+        """A snapshot shares nothing with its engine, and a restore
+        mutates nothing in it: the same dict, restored twice after its
+        source has run on, continues to the uninterrupted run twice."""
+        programs, accounts = bank_programs
+
+        def engine():
+            return Engine(
+                programs, accounts, MLADetectScheduler(bank_nest), seed=3,
+            )
+
+        reference = engine().run()
+        source = engine()
+        source.advance(until_tick=6)
+        assert source.txns
+        snapshot = source.snapshot_state()
+        records = list(source.records)
+        source.advance()
+        assert source.metrics.commits == len(programs)
+        for _ in range(2):
+            restored = engine()
+            restored.restore_state(snapshot, records)
+            result = restored.run()
+            assert result.history_digest() == reference.history_digest()
+            for metrics in (result.metrics, reference.metrics):
+                assert metrics.commits == len(programs)
+            assert result.metrics.summary() == reference.metrics.summary()
+            assert result.metrics.detail == reference.metrics.detail
+            for histogram in ("latency_histogram", "wait_histogram"):
+                assert getattr(result.metrics, histogram).counts == getattr(
+                    reference.metrics, histogram
+                ).counts
 
 
 class TestSchedulerZoo:

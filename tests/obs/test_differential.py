@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distributed import DistributedPreventControl, DistributedRuntime
+from repro.distributed import DistributedRuntime
 from repro.obs import EVENT_KINDS, RingTracer
 
 from .conftest import SCHEDULER_ZOO
@@ -73,7 +73,7 @@ class TestDistributedDifferential:
             return DistributedRuntime(
                 bank.programs,
                 bank.accounts,
-                DistributedPreventControl(bank.nest),
+                SCHEDULER_ZOO["mla-prevent"](bank.nest),
                 nodes=3,
                 seed=4,
                 tracer=tracer,

@@ -24,7 +24,7 @@ import re
 
 import pytest
 
-from repro.distributed import DistributedPreventControl, DistributedRuntime
+from repro.distributed import DistributedRuntime
 from repro.errors import SpecificationError
 from repro.obs import (
     PHASES,
@@ -172,7 +172,8 @@ class TestPhaseProfiler:
             ) == (1 if name == "schedule" else 0)
 
 
-#: Per phase, what ``install`` times on an engine and on a cluster.
+#: Per phase, what ``install`` times on an engine and on a cluster: the
+#: same scheduler hooks on both owners.
 ENGINE_SITES = {
     "schedule": ("scheduler", ("on_request", "after_performed")),
     "certify": ("scheduler", ("may_commit",)),
@@ -180,10 +181,7 @@ ENGINE_SITES = {
     "closure": ("window", ("_recompute", "_extend")),
 }
 CLUSTER_SITES = {
-    "schedule": ("control", ("decide",)),
-    "certify": ("control", ("certify_commit",)),
-    "rollback": ("sequencer", ("_execute_rollback",)),
-    "closure": ("window", ("_recompute", "_extend")),
+    **ENGINE_SITES, "rollback": ("sequencer", ("_execute_rollback",)),
 }
 
 
@@ -196,11 +194,11 @@ def engine_owners(engine) -> dict:
 
 
 def cluster_owners(runtime) -> dict:
-    control = runtime.sequencer.control
+    scheduler = runtime.scheduler
     return {
         "sequencer": runtime.sequencer,
-        "control": control,
-        "window": getattr(control, "window", None),
+        "scheduler": scheduler,
+        "window": getattr(scheduler, "window", None),
     }
 
 
@@ -227,7 +225,7 @@ def cluster(bank, **kwargs) -> DistributedRuntime:
     return DistributedRuntime(
         bank.programs,
         bank.accounts,
-        DistributedPreventControl(bank.nest),
+        SCHEDULER_ZOO["mla-prevent"](bank.nest),
         nodes=3,
         seed=4,
         **kwargs,
@@ -606,7 +604,7 @@ class TestMetricsDifferential:
         DistributedRuntime(
             bank.programs,
             bank.accounts,
-            DistributedPreventControl(bank.nest),
+            SCHEDULER_ZOO["mla-prevent"](bank.nest),
             nodes=3,
             seed=4,
             tracer=tracer,

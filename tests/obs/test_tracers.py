@@ -15,7 +15,7 @@ from typing import Any
 
 import pytest
 
-from repro.distributed import DistributedPreventControl, DistributedRuntime
+from repro.distributed import DistributedRuntime
 from repro.obs import (
     NULL_TRACER,
     NullTracer,
@@ -71,7 +71,7 @@ class TestGuardContract:
         runtime = DistributedRuntime(
             bank.programs,
             bank.accounts,
-            DistributedPreventControl(bank.nest),
+            SCHEDULER_ZOO["mla-prevent"](bank.nest),
             nodes=3,
             seed=2,
             tracer=_BoomTracer(),

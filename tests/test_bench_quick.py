@@ -26,6 +26,7 @@ if BENCHMARKS not in sys.path:
     sys.path.insert(0, BENCHMARKS)
 
 import collect_results  # noqa: E402
+from repro.api import SCHEDULER_FACTORIES  # noqa: E402
 
 
 def test_quick_bench_smoke(tmp_path):
@@ -38,11 +39,12 @@ def test_quick_bench_smoke(tmp_path):
         assert json.load(handle) == data
     assert data["timings_ms"]["e1_accept"]
     assert data["timings_ms"]["e10_incremental+prune"]
-    # The E14 fault smoke must have exercised every control (result
-    # identity under faults is asserted inside the runner).
-    assert set(data["timings_ms"]["e14_fault_smoke"]) == {
-        "none", "2pl", "mla-prevent",
-    }
+    # The E14 fault smoke must have exercised every scheduler the
+    # sequencer hosts (result identity under faults is asserted inside
+    # the runner).
+    assert set(data["timings_ms"]["e14_fault_smoke"]) == set(
+        SCHEDULER_FACTORIES
+    )
     # The flight-recorder smoke must have traced every scheduler and
     # stayed inside the disabled-tracer overhead budget (behaviour
     # invariance and the JSONL round-trip are asserted in the runner).

@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis import classify_execution
 from repro.core import equivalent_atomic_order, is_multilevel_atomic
-from repro.distributed import DistributedPreventControl, DistributedRuntime
+from repro.distributed import DistributedRuntime
 from repro.engine import (
     Engine,
     MLADetectScheduler,
@@ -108,7 +108,7 @@ class TestDistributedPipeline:
     def test_distributed_to_action_tree(self, bank):
         runtime = DistributedRuntime(
             bank.programs, bank.accounts,
-            DistributedPreventControl(bank.nest), nodes=3, seed=5,
+            MLAPreventScheduler(bank.nest), nodes=3, seed=5,
         )
         result = runtime.run()
         spec = result.spec(bank.nest)
@@ -124,7 +124,7 @@ class TestDistributedPipeline:
         single.run()
         distributed = DistributedRuntime(
             bank.programs, bank.accounts,
-            DistributedPreventControl(bank.nest), nodes=4, seed=2,
+            MLAPreventScheduler(bank.nest), nodes=4, seed=2,
         )
         distributed.run()
         single_total = sum(

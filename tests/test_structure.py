@@ -18,7 +18,9 @@ from a list kept in name order instead of sorting every tick, and
 deadlock detection searches from the waiter, building no graph.  And for
 configuration: every concurrency control runs the paper's one conflict
 model with exclusive locks, so no constructor takes a conflict model,
-a lock mode or a prune interval.  And for rollback: both units of
+a lock mode or a prune interval, and the engine's schedulers are the
+one decision layer: the distributed sequencer hosts them.  And for
+rollback: both units of
 recovery share one cascade fixpoint, reached from one engine method.
 And for timing: the phase profiler is swapped in from outside, so the
 code it times never names it, and the engine stack reads no clock.
@@ -129,24 +131,19 @@ def test_window_computes_batch_closures_only_in_prune():
 def test_the_closure_window_has_one_mode():
     import inspect
 
-    from repro.distributed.controller import DistributedPreventControl
     from repro.engine import (
         ClosureWindow,
         MLADetectScheduler,
         MLAPreventScheduler,
     )
 
-    for owner in (
-        ClosureWindow, MLADetectScheduler, MLAPreventScheduler,
-        DistributedPreventControl,
-    ):
+    for owner in (ClosureWindow, MLADetectScheduler, MLAPreventScheduler):
         assert "mode" not in inspect.signature(owner).parameters, owner
 
 
 def test_every_concurrency_control_is_built_from_its_nest_alone():
     import inspect
 
-    from repro.distributed import controller
     from repro.engine import (
         ClosureWindow,
         MLADetectScheduler,
@@ -163,7 +160,7 @@ def test_every_concurrency_control_is_built_from_its_nest_alone():
     for owner in (
         ClosureWindow, MLADetectScheduler, MLAPreventScheduler,
         NestedLockScheduler, SerialScheduler, TimestampScheduler,
-        TwoPhaseLockingScheduler, controller.DistributedPreventControl,
+        TwoPhaseLockingScheduler,
     ):
         parameters = inspect.signature(owner).parameters
         for option in ("conflicts", "use_locks", "shared_reads"):
@@ -174,13 +171,25 @@ def test_every_concurrency_control_is_built_from_its_nest_alone():
             yield sub
             yield from subclasses(sub)
 
-    controls = [
-        *subclasses(Scheduler), *subclasses(controller.NoControl),
-    ]
-    assert len(controls) >= 8, controls
+    controls = list(subclasses(Scheduler))
+    assert len(controls) >= 6, controls
     for control in controls:
         assert "prune_interval" not in inspect.signature(control).parameters
     assert grep(r"\bLockMode\b") == []
+
+
+def test_one_decision_layer_for_both_runtimes():
+    """The sequencer hosts an engine scheduler: nothing under
+    ``distributed/`` decides a step or certifies a commit itself, the
+    profiler times one set of scheduler hooks on either owner, and the
+    CLI keeps no list of the names ``--distributed`` accepts."""
+    deciders = [
+        hit for hit in grep(r"def (decide|certify_commit)\b")
+        if hit.startswith("distributed" + os.sep)
+    ]
+    assert deciders == []
+    assert grep(r"_CONTROL_HOOKS") == []
+    assert grep(r"DISTRIBUTED_CONTROLS") == []
 
 
 def test_no_module_reaches_into_the_window_for_its_closure():
