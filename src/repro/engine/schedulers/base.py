@@ -97,7 +97,9 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def attach(self, engine: "Engine") -> None:
-        """Called by the engine on entry to every ``advance``.
+        """Called by the engine on entry to every ``advance``, and once
+        by the distributed sequencer that hosts the scheduler (it shows
+        the same surface).
 
         Binds the engine's emission point and the kinds its sinks read
         for the scheduler and for its closure window, if it has one (the
